@@ -28,16 +28,21 @@ CSIT formulas (transmitter adapts power to the fading state):
     wideband:  the threshold alpha* solves E{ln(z/alpha) (1/z), z>=alpha} = c,
                xi = F(alpha*) + alpha* E{(1/z), z >= alpha*},
                Eb/N0|min = -theta*T*(Pbar/N0) / ln xi,
-               S0 = xi (ln xi)^2 ln2
-                    / (theta*T*(Pbar/N0 * alpha* + alpha_dot(0) * E{(1/z), z>=alpha*}))
-               where alpha_dot(0) is the derivative of the finite-bandwidth
-               threshold alpha(zeta) at zeta = 0.
+               S0 = 2 xi (ln xi)^2 / (alpha* H),
+               H = E{ln^2(z/alpha*) (1/z), z >= alpha*}.
 
-alpha_dot(0) has no closed form for general fading, so it is estimated by
-one-sided finite differences of ln alpha(zeta) at zeta_k = zeta_0 / 2^k,
-k = 0..6, combined with Richardson extrapolation.  Differencing ln alpha
-rather than alpha keeps the estimate conditioned even when alpha* is tiny,
-since d(ln alpha)/dzeta = alpha_dot / alpha* is scale-free.
+The CSIT slope needs alpha_dot(0), the derivative of the finite-bandwidth
+threshold alpha(zeta) at zeta = 0.  Expanding the power constraint
+E{expm1(ln(z/alpha)/(beta+1))/z, z >= alpha} = (Pbar/N0) zeta to second
+order in 1/(beta+1) = zeta/(k + zeta), k = theta*T/ln2, and differentiating
+implicitly at zeta = 0 gives it in closed form:
+
+    d(ln alpha)/dzeta = -(c - H/2) / (k E{(1/z), z >= alpha*}).
+
+Substituted into the slope definition of Verdu, "Spectral efficiency in the
+wideband regime", IEEE Trans. IT 48(6), 2002, the denominator
+Pbar/N0 + d(ln alpha)/dzeta E{(1/z), z >= alpha*} collapses to H/(2k),
+which yields the S0 above without the cancellation of its two terms.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .effcap import LN2, _solve_alpha_ln, solve_threshold
+from .effcap import LN2, solve_threshold
 from .errors import NumericalError
 from .fading import FadingModel, geometric_points
 
@@ -77,9 +82,10 @@ class AlphaStarSolution:
     alpha_star satisfies E{ln(z/alpha*) (1/z), z >= alpha*} = c and xi is
     the resulting Laplace-type transform value; ln_alpha_star and ln_xi are
     kept alongside because both quantities underflow for strong QoS.
-    alpha_dot_zero is d alpha(zeta)/d zeta at zeta = 0 (None when not
-    requested or at theta = 0); dln_alpha_dzeta = alpha_dot_zero/alpha_star
-    is the scale-free form actually estimated.
+    alpha_dot_zero is d alpha(zeta)/d zeta at zeta = 0 and
+    dln_alpha_dzeta = alpha_dot_zero/alpha_star its scale-free form, both
+    exact; log_moment2 is H = E{ln^2(z/alpha*) (1/z), z >= alpha*}.  The
+    three are None at theta = 0.
     """
 
     alpha_star: float
@@ -88,6 +94,7 @@ class AlphaStarSolution:
     ln_alpha_star: float
     ln_xi: float
     dln_alpha_dzeta: float | None = None
+    log_moment2: float | None = None
 
 
 def _check_wideband_args(theta: float, T: float, pbar_over_n0: float) -> None:
@@ -240,99 +247,62 @@ def wideband_csir_rayleigh_closed_form(
     )
 
 
-def _fixed_point_residual(model: FadingModel, ln_a: float, c: float) -> float:
-    """E{ln(z/a) (1/z), z >= a} - c, the defining equation of alpha*."""
-    at = model.atoms
-    if at is not None:
-        zs, ps = at
-        with np.errstate(divide="ignore"):
-            lnz = np.where(zs > 0, np.log(np.where(zs > 0, zs, 1.0)), -np.inf)
-        mask = (lnz >= ln_a) & (ps > 0)
-        if not mask.any():
-            return -c
-        return float(np.dot(ps[mask], (lnz[mask] - ln_a) / zs[mask])) - c
-    a = math.exp(ln_a)
-    val = model.expect_above(
-        lambda z: (math.log(z) - ln_a) / z,
-        a,
-        points=geometric_points(a * 10.0, model.upper_cutoff()),
-    )
-    return val - c
+def _log_moment_above(model: FadingModel, ln_a: float, k: int) -> float:
+    """E{ln^k(z/a) (1/z), z >= a} for k = 0, 1, 2, evaluated from ln a.
 
-
-def _inverse_moment_above(model: FadingModel, ln_a: float) -> float:
-    """E{(1/z), z >= a}."""
-    at = model.atoms
-    if at is not None:
-        zs, ps = at
-        with np.errstate(divide="ignore"):
-            lnz = np.where(zs > 0, np.log(np.where(zs > 0, zs, 1.0)), -np.inf)
-        mask = (lnz >= ln_a) & (ps > 0)
-        if not mask.any():
-            return 0.0
-        return float(np.sum(ps[mask] / zs[mask]))
-    a = math.exp(ln_a)
-    return model.expect_above(
-        lambda z: 1.0 / z,
-        a,
-        points=geometric_points(a * 10.0, model.upper_cutoff()),
-    )
-
-
-def _ln_xi(model: FadingModel, ln_a: float) -> float:
-    """ln(F(a) + a E{(1/z), z >= a}), stable when a underflows."""
-    at = model.atoms
-    if at is not None:
-        zs, ps = at
-        with np.errstate(divide="ignore"):
-            lnz = np.where(zs > 0, np.log(np.where(zs > 0, zs, 1.0)), -np.inf)
-        mask = (lnz >= ln_a) & (ps > 0)
-        below = float(ps[~(lnz >= ln_a)].sum())
-        terms = []
-        if mask.any():
-            terms.append(np.log(ps[mask]) + ln_a - lnz[mask])
-        if below > 0:
-            terms.append(np.array([math.log(below)]))
-        if not terms:
-            raise NumericalError("xi evaluated with no probability mass")
-        allt = np.concatenate(terms)
-        tmax = float(allt.max())
-        return tmax + math.log(float(np.exp(allt - tmax).sum()))
-    a = math.exp(ln_a)
-    xi = model.cdf(a) + a * _inverse_moment_above(model, ln_a)
-    return math.log(xi)
-
-
-def _richardson_first_order(d: np.ndarray) -> float:
-    """Extrapolate one-sided difference quotients sampled at h, h/2, h/4, ...
-
-    Each stage cancels the leading O(h^j) error term of a first-order
-    quotient, assuming successive halving of the step.
+    k = 1 is the left side of the alpha* equation, k = 0 the inverse moment
+    I and k = 2 the curvature H of the wideband slope.
     """
-    r = np.asarray(d, dtype=float)
-    for j in range(1, len(d)):
-        w = 2.0**j
-        r = (w * r[1:] - r[:-1]) / (w - 1.0)
-    return float(r[0])
+    at = model.atoms
+    if at is not None:
+        zs, ps = at
+        with np.errstate(divide="ignore"):
+            lnz = np.where(zs > 0, np.log(np.where(zs > 0, zs, 1.0)), -np.inf)
+        mask = (lnz >= ln_a) & (ps > 0)
+        return float(np.dot(ps[mask], (lnz[mask] - ln_a) ** k / zs[mask]))
+    a = math.exp(ln_a)
+    g = (
+        lambda z: 1.0 / z,
+        lambda z: (math.log(z) - ln_a) / z,
+        lambda z: (math.log(z) - ln_a) ** 2 / z,
+    )[k]
+    return model.expect_above(
+        g, a, points=geometric_points(a * 10.0, model.upper_cutoff())
+    )
+
+
+def _ln_xi(model: FadingModel, ln_a: float, inv_above: float) -> float:
+    """ln(F(a) + a I) from I = E{(1/z), z >= a}, stable when a underflows."""
+    a = math.exp(ln_a)
+    # Below the smallest double, P(Z < a) is the probability mass at 0.
+    f = model.cdf(a) if a > 0 else model.prob_mass_at(0.0)
+    ln_f = math.log(f) if f > 0 else -math.inf
+    ln_ai = ln_a + math.log(inv_above) if inv_above > 0 else -math.inf
+    if ln_f == ln_ai == -math.inf:
+        raise NumericalError("xi evaluated with no probability mass")
+    return float(np.logaddexp(ln_f, ln_ai))
+
+
+def _wideband_params(model, theta, T, pbar_over_n0) -> str:
+    return f"{model!r}, theta={theta:g}, T={T:g}, pbar_over_n0={pbar_over_n0:g}"
 
 
 def solve_alpha_star(
-    model: FadingModel,
-    theta: float,
-    T: float,
-    pbar_over_n0: float,
-    compute_derivative: bool = True,
+    model: FadingModel, theta: float, T: float, pbar_over_n0: float
 ) -> AlphaStarSolution:
     """Threshold of the wideband CSIT policy at zero spectral cost.
 
     alpha(zeta) is the power-constrained threshold at bandwidth 1/zeta; as
     zeta -> 0 the power constraint degenerates into the log-moment equation
     E{ln(z/alpha*) (1/z), z >= alpha*} = c solved here by bisection in
-    ln(alpha).  The slope estimate alpha_dot(0) comes from Richardson
-    extrapolation of (ln alpha(zeta_k) - ln alpha*)/zeta_k over halved
-    steps zeta_k = zeta_0/2^k, k = 0..6, with zeta_0 = 1e-3 * theta*T/ln2,
-    scaled back by alpha* at the end.  At theta = 0 the threshold escapes
-    to z_max and xi = 1; the derivative is reported as None there.
+    ln(alpha).  Its derivative at zeta = 0 is exact:
+
+        dln_alpha_dzeta = -(c - H/2) / (k I),
+        alpha_dot(0) = dln_alpha_dzeta * alpha*,
+
+    with k = theta*T/ln2, I = E{(1/z), z >= alpha*} and
+    H = E{ln^2(z/alpha*) (1/z), z >= alpha*}.  At theta = 0 the threshold
+    escapes to z_max, xi = 1 and the derivative fields are None.
     """
     _check_wideband_args(theta, T, pbar_over_n0)
     if theta == 0:
@@ -344,39 +314,33 @@ def solve_alpha_star(
             alpha_dot_zero=None,
             ln_alpha_star=ln_zmax,
             ln_xi=0.0,
-            dln_alpha_dzeta=None,
         )
-    c = theta * T * pbar_over_n0 / LN2
-    lo = math.log(1e-12)
-    hi = math.log(model.upper_cutoff())
+    k = theta * T / LN2
+    c = k * pbar_over_n0
     ln_star = solve_threshold(
-        lambda ln_a: _fixed_point_residual(model, ln_a, c),
-        lo,
-        hi,
+        lambda ln_a: _log_moment_above(model, ln_a, 1) - c,
+        math.log(1e-12),
+        math.log(model.upper_cutoff()),
         what="wideband CSIT threshold alpha*",
     )
-    ln_xi = _ln_xi(model, ln_star)
+    inv_above = _log_moment_above(model, ln_star, 0)
+    h = _log_moment_above(model, ln_star, 2)
+    if not (h > 0 and math.isfinite(h)):
+        raise NumericalError(
+            f"wideband CSIT curvature H = {h:g} is not positive and finite "
+            f"({_wideband_params(model, theta, T, pbar_over_n0)})"
+        )
+    ln_xi = _ln_xi(model, ln_star, inv_above)
     alpha_star = math.exp(ln_star)
-    xi = math.exp(ln_xi)
-    dln = None
-    a_dot = None
-    if compute_derivative:
-        zeta0 = 1e-3 * theta * T / LN2
-        quotients = []
-        for k in range(7):
-            zeta = zeta0 / 2.0**k
-            beta = theta * T / (zeta * LN2)
-            ln_k = _solve_alpha_ln(pbar_over_n0 * zeta, beta, model)
-            quotients.append((ln_k - ln_star) / zeta)
-        dln = _richardson_first_order(np.array(quotients))
-        a_dot = dln * alpha_star
+    dln = -(c - 0.5 * h) / (k * inv_above)
     return AlphaStarSolution(
         alpha_star=alpha_star,
-        xi=xi,
-        alpha_dot_zero=a_dot,
+        xi=math.exp(ln_xi),
+        alpha_dot_zero=dln * alpha_star,
         ln_alpha_star=ln_star,
         ln_xi=ln_xi,
         dln_alpha_dzeta=dln,
+        log_moment2=h,
     )
 
 
@@ -385,34 +349,34 @@ def wideband_csit(
 ) -> AsymptoticSummary:
     """Fixed-power wideband limits when the transmitter adapts its power.
 
-    Eb/N0|min = -theta*T*(Pbar/N0)/ln xi with xi from solve_alpha_star, and
+    Eb/N0|min = -theta*T*(Pbar/N0)/ln xi with xi from solve_alpha_star.
+    The slope denominator Pbar/N0 + dln_alpha_dzeta I collapses to H/(2k),
+    so that
 
-        S0 = xi (ln xi)^2 ln2
-             / (theta*T*(Pbar/N0 * alpha* + alpha_dot(0) E{(1/z), z>=alpha*}))
+        S0 = 2 xi (ln xi)^2 / (alpha* H)
 
-    evaluated as exp(ln xi - ln alpha*) (ln xi)^2 ln2 / (theta*T*(Pbar/N0 +
-    dln_alpha_dzeta * E{...})) so that tiny alpha* and xi cancel instead of
-    underflowing.  theta = 0 routes to the fixed-bandwidth CSIT limits.
+    the transmitter-CSI image of the receiver-CSI 2 L (ln L)^2 /
+    (c^2 E{z^2 exp(-c z)}).  It is evaluated as 2 exp(ln xi - ln alpha*)
+    (ln xi)^2 / H so that tiny alpha* and xi cancel instead of underflowing;
+    a slope beyond the double range raises NumericalError.  theta = 0
+    routes to the fixed-bandwidth CSIT limits.
     """
     _check_wideband_args(theta, T, pbar_over_n0)
     if theta == 0:
         return replace(lowpower_csit(model, 0.0), regime="wideband")
-    sol = solve_alpha_star(model, theta, T, pbar_over_n0, compute_derivative=True)
-    inv_above = _inverse_moment_above(model, sol.ln_alpha_star)
+    sol = solve_alpha_star(model, theta, T, pbar_over_n0)
     lin = -theta * T * pbar_over_n0 / sol.ln_xi
-    denom = pbar_over_n0 + sol.dln_alpha_dzeta * inv_above
-    if not (denom > 0) or not math.isfinite(denom):
+    try:
+        ratio = math.exp(sol.ln_xi - sol.ln_alpha_star)
+    except OverflowError:
+        ratio = math.inf
+    s0 = 2.0 * ratio * sol.ln_xi * sol.ln_xi / sol.log_moment2
+    if not math.isfinite(s0):
         raise NumericalError(
-            f"wideband CSIT slope denominator {denom:g} is not positive; "
-            "the threshold derivative estimate is unusable here"
+            "wideband CSIT slope overflows: xi/alpha* = "
+            f"exp({sol.ln_xi - sol.ln_alpha_star:g}) "
+            f"({_wideband_params(model, theta, T, pbar_over_n0)})"
         )
-    s0 = (
-        math.exp(sol.ln_xi - sol.ln_alpha_star)
-        * sol.ln_xi
-        * sol.ln_xi
-        * LN2
-        / (theta * T * denom)
-    )
     return AsymptoticSummary(
         ebn0_min_linear=lin,
         ebn0_min_db=10.0 * math.log10(lin),

@@ -29,14 +29,8 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .asymptotics import (
-    lowpower_csir,
-    lowpower_csit,
-    solve_alpha_star,
-    wideband_csir,
-    wideband_csit,
-)
-from .effcap import LN2, QosConfig, delay_limited_limit, shannon_limit
+from .asymptotics import solve_alpha_star
+from .effcap import QosConfig, delay_limited_limit, shannon_limit
 from .errors import NumericalError
 from .fading import FadingModel, from_config
 from .queuesim import SimConfig, predicted_effective_capacity, simulate_queue
@@ -44,6 +38,7 @@ from .sweep import (
     LOWPOWER,
     WIDEBAND,
     SweepSpec,
+    _asymptote,
     alpha_vs_zeta,
     default_grid,
     ebn0_min_surface,
@@ -544,22 +539,19 @@ def _run_sweep(cfg: dict):
     return written, notes
 
 
-def _asymptotic_summary(cfg: dict, model: FadingModel, theta: float):
-    if cfg["regime"] == LOWPOWER:
-        beta = theta * cfg["T"] * cfg["B"] / LN2
-        if cfg["mode"] == "csir":
-            return lowpower_csir(model, beta)
-        return lowpower_csit(model, beta)
-    if cfg["mode"] == "csir":
-        return wideband_csir(model, theta, cfg["T"], cfg["pbar_over_n0"])
-    return wideband_csit(model, theta, cfg["T"], cfg["pbar_over_n0"])
-
-
 def _run_asymptotics(cfg: dict):
     model = _build_model(cfg["model"])
     results = []
     for theta in cfg["theta"]:
-        summary = _asymptotic_summary(cfg, model, theta)
+        summary = _asymptote(
+            model,
+            cfg["mode"],
+            cfg["regime"],
+            theta,
+            cfg["T"],
+            cfg["B"],
+            cfg["pbar_over_n0"],
+        )
         entry = _summary_dict(summary)
         entry["theta"] = theta
         results.append(entry)
@@ -594,9 +586,7 @@ def _run_alpha_star(cfg: dict):
     model = _build_model(cfg["model"])
     results = []
     for theta in cfg["theta"]:
-        sol = solve_alpha_star(
-            model, theta, cfg["T"], cfg["pbar_over_n0"], compute_derivative=True
-        )
+        sol = solve_alpha_star(model, theta, cfg["T"], cfg["pbar_over_n0"])
         results.append(
             {
                 "theta": theta,

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .errors import BracketFailure, DivergentInverseMoment, ThetaZero
+from .errors import BracketFailure, DivergentInverseMoment, NumericalError, ThetaZero
 from .fading import FadingModel, geometric_points
 
 LN2 = math.log(2.0)
@@ -264,7 +264,14 @@ def spectral_efficiency_csit(snr: float, qos: QosConfig, model: FadingModel) -> 
             alpha,
             points=geometric_points(alpha * 10.0, model.upper_cutoff()),
         )
-        log_total = math.log(model.cdf(alpha) + e2)
+        total = model.cdf(alpha) + e2
+        if not total > 0:
+            raise NumericalError(
+                f"CSIT rate term F(alpha) + E{{(z/alpha)^-p}} underflows to 0 at "
+                f"ln alpha = {policy.ln_alpha:g} ({model!r}, snr={snr:g}, "
+                f"theta={qos.theta:g}, T={qos.T:g}, B={qos.B:g})"
+            )
+        log_total = math.log(total)
     se = -log_total / (qos.theta * qos.T * qos.B)
     return max(se, 0.0)
 

@@ -160,15 +160,25 @@ def _point_se(spec: SweepSpec, theta: float, g: float) -> float:
     return spectral_efficiency_csit(snr, qos, spec.model)
 
 
-def _asymptote(spec: SweepSpec, theta: float) -> AsymptoticSummary:
-    if spec.regime == LOWPOWER:
-        beta = theta * spec.T * spec.B / LN2
-        if spec.mode == "csir":
-            return lowpower_csir(spec.model, beta)
-        return lowpower_csit(spec.model, beta)
-    if spec.mode == "csir":
-        return wideband_csir(spec.model, theta, spec.T, spec.pbar_over_n0)
-    return wideband_csit(spec.model, theta, spec.T, spec.pbar_over_n0)
+def _asymptote(
+    model: FadingModel,
+    mode: str,
+    regime: str,
+    theta: float,
+    T: float,
+    B: float | None,
+    pbar_over_n0: float | None,
+) -> AsymptoticSummary:
+    """Bit-energy floor and slope for one mode/regime; B is used only in
+    the lowpower regime and pbar_over_n0 only in the wideband one."""
+    if regime == LOWPOWER:
+        beta = theta * T * B / LN2
+        if mode == "csir":
+            return lowpower_csir(model, beta)
+        return lowpower_csit(model, beta)
+    if mode == "csir":
+        return wideband_csir(model, theta, T, pbar_over_n0)
+    return wideband_csit(model, theta, T, pbar_over_n0)
 
 
 def _check_rate_monotone(theta: float, grid, points) -> None:
@@ -215,7 +225,15 @@ def tradeoff_curve(spec: SweepSpec) -> list[Curve]:
         if spec.mode == "csir" and spec.regime == WIDEBAND:
             _check_rate_monotone(theta, spec.grid, pts)
         try:
-            asym = _asymptote(spec, theta)
+            asym = _asymptote(
+                spec.model,
+                spec.mode,
+                spec.regime,
+                theta,
+                spec.T,
+                spec.B,
+                spec.pbar_over_n0,
+            )
         except NumericalError as exc:
             warnings.warn(
                 f"asymptote failed for theta={theta:g}: {exc}", stacklevel=2
@@ -240,9 +258,9 @@ def ebn0_min_surface(
 ) -> Surface:
     """Bit-energy floor in dB over a (theta, pbar_over_n0) grid.
 
-    CSIT cells skip the threshold-derivative estimate since the floor only
-    needs xi.  Cells that fail numerically are stored as None; a CSIT floor
-    of 0 linear (unbounded gains at theta = 0) is stored as -inf dB.
+    CSIT cells take the floor from the xi of solve_alpha_star.  Cells that
+    fail numerically are stored as None; a CSIT floor of 0 linear
+    (unbounded gains at theta = 0) is stored as -inf dB.
     """
     if mode not in ("csir", "csit"):
         raise ValueError(f"mode must be 'csir' or 'csit', got {mode!r}")
@@ -259,9 +277,7 @@ def ebn0_min_surface(
                 elif theta == 0:
                     val = lowpower_csit(model, 0.0).ebn0_min_db
                 else:
-                    sol = solve_alpha_star(
-                        model, theta, T, pn0, compute_derivative=False
-                    )
+                    sol = solve_alpha_star(model, theta, T, pn0)
                     val = 10.0 * math.log10(-theta * T * pn0 / sol.ln_xi)
             except NumericalError as exc:
                 warnings.warn(
@@ -303,9 +319,7 @@ def alpha_vs_zeta(
         if theta == 0:
             alpha_star = model.z_max
         else:
-            alpha_star = solve_alpha_star(
-                model, theta, T, pbar_over_n0, compute_derivative=False
-            ).alpha_star
+            alpha_star = solve_alpha_star(model, theta, T, pbar_over_n0).alpha_star
         alphas = []
         for zeta in zetas:
             beta = theta * T / (zeta * LN2)

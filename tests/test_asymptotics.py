@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
-from scipy.special import exp1
+from scipy.special import digamma, exp1, polygamma
 
 from qos_energy import (
     AlphaStarSolution,
     BoundedTable,
     Deterministic,
     NakagamiM,
+    NumericalError,
     QosConfig,
     Rayleigh,
     delta_bit_energy,
@@ -26,11 +27,7 @@ from qos_energy import (
     wideband_csir_rayleigh_closed_form,
     wideband_csit,
 )
-from qos_energy.asymptotics import (
-    _DB_PER_FACTOR2,
-    _fixed_point_residual,
-    _richardson_first_order,
-)
+from qos_energy.asymptotics import _DB_PER_FACTOR2, _log_moment_above
 from qos_energy.effcap import LN2, _solve_alpha_ln
 
 RAY = Rayleigh()
@@ -173,14 +170,14 @@ class TestSolveAlphaStar:
         for model in (RAY, NAK2):
             for theta in (1e-3, 1e-2, 1e-1, 1.0):
                 c = theta * T * PN0 / LN2
-                sol = solve_alpha_star(model, theta, T, PN0, compute_derivative=False)
-                res = _fixed_point_residual(model, sol.ln_alpha_star, c)
+                sol = solve_alpha_star(model, theta, T, PN0)
+                res = _log_moment_above(model, sol.ln_alpha_star, 1) - c
                 assert abs(res) <= 1e-8 * c
 
     def test_alpha_star_strictly_decreasing_in_theta(self):
         for model in (RAY, NAK2):
             vals = [
-                solve_alpha_star(model, t, T, PN0, compute_derivative=False).alpha_star
+                solve_alpha_star(model, t, T, PN0).alpha_star
                 for t in np.logspace(-3, 0, 7)
             ]
             assert all(b < a for a, b in zip(vals, vals[1:]))
@@ -196,14 +193,6 @@ class TestSolveAlphaStar:
                 sol.dln_alpha_dzeta * sol.alpha_star, rel=1e-13
             )
 
-    def test_derivative_skippable(self):
-        full = solve_alpha_star(RAY, 0.1, T, PN0)
-        bare = solve_alpha_star(RAY, 0.1, T, PN0, compute_derivative=False)
-        assert bare.alpha_dot_zero is None
-        assert bare.dln_alpha_dzeta is None
-        assert bare.alpha_star == full.alpha_star
-        assert bare.xi == full.xi
-
     def test_theta_zero_escapes_to_z_max(self):
         sol = solve_alpha_star(TAB, 0.0, T, PN0)
         assert sol.alpha_star == 4.0
@@ -216,18 +205,19 @@ class TestSolveAlphaStar:
 
     def test_derivative_quotients_converge(self):
         # (ln alpha(zeta) - ln alpha*)/zeta -> dln_alpha_dzeta with O(zeta)
-        for theta in (0.01, 0.1):
-            sol = solve_alpha_star(RAY, theta, T, PN0)
-            scale = theta * T / LN2
-            errs = []
-            for frac in (1e-2, 1e-3, 1e-4):
-                zeta = scale * frac
-                beta = theta * T / (zeta * LN2)
-                ln_k = _solve_alpha_ln(PN0 * zeta, beta, RAY)
-                q = (ln_k - sol.ln_alpha_star) / zeta
-                errs.append(abs(q - sol.dln_alpha_dzeta))
-            assert errs[0] > errs[1] > errs[2]
-            assert errs[2] <= 5e-3 * abs(sol.dln_alpha_dzeta)
+        for model in (RAY, NAK2, TAB):
+            for theta in (0.01, 0.1):
+                sol = solve_alpha_star(model, theta, T, PN0)
+                scale = theta * T / LN2
+                errs = []
+                for frac in (1e-2, 1e-3, 1e-4):
+                    zeta = scale * frac
+                    beta = theta * T / (zeta * LN2)
+                    ln_k = _solve_alpha_ln(PN0 * zeta, beta, model)
+                    q = (ln_k - sol.ln_alpha_star) / zeta
+                    errs.append(abs(q - sol.dln_alpha_dzeta))
+                assert errs[0] > errs[1] > errs[2]
+                assert errs[2] <= 5e-3 * abs(sol.dln_alpha_dzeta)
 
 
 class TestWidebandCsitAnchors:
@@ -257,7 +247,7 @@ class TestWidebandCsitAnchors:
 
     def test_threshold_and_xi(self):
         for theta, ref in CSIT_ANCHORS.items():
-            sol = solve_alpha_star(RAY, theta, T, PN0, compute_derivative=False)
+            sol = solve_alpha_star(RAY, theta, T, PN0)
             assert sol.alpha_star == pytest.approx(ref["a"], rel=1e-8)
             assert sol.xi == pytest.approx(ref["xi"], rel=1e-8)
 
@@ -279,27 +269,61 @@ class TestWidebandCsitStructure:
         # S0 against its definition: the secant slope of the exact
         # spectral-efficiency curve versus Eb/N0|dB just above the floor.
         # The error shrinks roughly linearly with zeta.
-        for theta in (0.001, 0.01, 0.1, 1.0):
-            s = wideband_csit(RAY, theta, T, PN0)
-            errs = []
-            for zeta in (1e-7, 1e-8):
-                qos = QosConfig(theta=theta, T=T, B=1.0 / zeta)
-                snr = PN0 * zeta
-                se = spectral_efficiency_csit(snr, qos, RAY)
-                eb_db = 10.0 * math.log10(snr / se)
-                secant = se * _DB_PER_FACTOR2 / (eb_db - s.ebn0_min_db)
-                errs.append(abs(secant - s.slope_s0) / s.slope_s0)
-            assert errs[1] < errs[0]
-            assert errs[1] <= 1e-3
+        for model in (RAY, NAK2, NakagamiM(0.7), TAB, Deterministic(1.3)):
+            for theta in (0.001, 0.01, 0.1, 1.0):
+                s = wideband_csit(model, theta, T, PN0)
+                errs = []
+                for zeta in (1e-7, 1e-8):
+                    qos = QosConfig(theta=theta, T=T, B=1.0 / zeta)
+                    snr = PN0 * zeta
+                    se = spectral_efficiency_csit(snr, qos, model)
+                    eb_db = 10.0 * math.log10(snr / se)
+                    secant = se * _DB_PER_FACTOR2 / (eb_db - s.ebn0_min_db)
+                    errs.append(abs(secant - s.slope_s0) / s.slope_s0)
+                assert errs[1] < errs[0]
+                assert errs[1] <= 1e-3
 
     def test_deterministic_floor_and_slope(self):
         # ln(z/alpha)/z0 = c gives xi = exp(-c z0) and so the floor
         # ln2/z0 exactly; the slope is the AWGN value 2 for every theta
         for z0 in (1.0, 2.5):
-            for theta in (0.01, 1.0):
+            for theta in (0.001, 0.01, 1.0):
                 s = wideband_csit(Deterministic(z0), theta, T, PN0)
                 assert s.ebn0_min_linear == pytest.approx(LN2 / z0, rel=1e-12)
-                assert s.slope_s0 == pytest.approx(2.0, abs=1e-6)
+                assert s.slope_s0 == pytest.approx(2.0, rel=1e-12)
+
+    def test_underflowing_threshold_reaches_channel_inversion(self):
+        # Nakagami m > 1 at c ~ 2885 puts alpha* near exp(-1694), far below
+        # the smallest double.  The gamma moments E{z^r ln^j z} then give
+        # the fixed point, H and xi = alpha* E{1/z} in closed form; the
+        # floor approaches the channel-inversion value ln2 E{1/z}.
+        model = NakagamiM(m=2.42, mean=1.0)
+        theta, pn0 = 1.0, 1e6
+        c = theta * T * pn0 / LN2
+        inv = model.inverse_moment()
+        mu = math.log(model.scale) + digamma(model.m - 1.0)
+        ln_a = mu - c / inv
+        h = inv * ((mu - ln_a) ** 2 + polygamma(1, model.m - 1.0))
+        ln_xi = ln_a + math.log(inv)
+        sol = solve_alpha_star(model, theta, T, pn0)
+        assert sol.alpha_star == 0.0
+        assert sol.ln_alpha_star == pytest.approx(ln_a, rel=1e-12)
+        assert sol.ln_xi == pytest.approx(ln_xi, rel=1e-12)
+        s = wideband_csit(model, theta, T, pn0)
+        floor = -theta * T * pn0 / ln_xi
+        assert s.ebn0_min_linear == pytest.approx(floor, rel=1e-12)
+        assert s.ebn0_min_linear < LN2 * inv
+        assert s.slope_s0 == pytest.approx(2.0 * inv * ln_xi**2 / h, rel=1e-10)
+
+    def test_slope_overflow_is_a_numerical_error(self):
+        # a zero atom keeps xi near P(z = 0) = 0.1 while alpha* falls to
+        # exp(-2432), so S0 ~ xi/alpha* is beyond the double range
+        table = BoundedTable(((0.0, 0.1), (0.3, 0.2), (1.0, 0.4), (2.5, 0.3)))
+        sol = solve_alpha_star(table, 1.0, T, 1e6)
+        assert sol.ln_alpha_star < -2400
+        assert sol.xi == pytest.approx(0.1, rel=1e-12)
+        with pytest.raises(NumericalError, match="theta=1, T=0.002, pbar_over_n0=1e"):
+            wideband_csit(table, 1.0, T, 1e6)
 
     def test_theta_zero_routes_to_lowpower(self):
         s = wideband_csit(TAB, 0.0, T, PN0)
@@ -325,20 +349,6 @@ class TestWidebandCsitStructure:
                 ):
                     assert not math.isnan(s.ebn0_min_db)
                     assert not math.isnan(s.slope_s0)
-
-
-class TestRichardson:
-    def test_exact_for_affine_error(self):
-        h = 0.5 ** np.arange(5)
-        d = 3.7 + 2.1 * h
-        assert _richardson_first_order(d) == pytest.approx(3.7, abs=1e-13)
-
-    def test_cancels_two_error_terms(self):
-        h = 0.5 ** np.arange(6)
-        d = -1.25 + 2.1 * h - 5.0 * h**2
-        assert _richardson_first_order(d) == pytest.approx(-1.25, abs=1e-12)
-        # raw final quotient is far less accurate than the extrapolation
-        assert abs(d[-1] - (-1.25)) > 1e-2
 
 
 class TestLinearApprox:

@@ -12,6 +12,7 @@ from qos_energy import (
     Deterministic,
     DivergentInverseMoment,
     NakagamiM,
+    NumericalError,
     PowerPolicy,
     QosConfig,
     Rayleigh,
@@ -233,6 +234,13 @@ class TestSpectralEfficiencyCsit:
         sh = shannon_limit(10.0, "csit", qos, TAB)
         assert dl - 1e-9 <= se <= sh + 1e-9
         assert se == pytest.approx(dl, rel=1e-3)
+
+    def test_underflowing_rate_term_is_a_numerical_error(self):
+        # Nakagami m > 1 under strong QoS: alpha ~ exp(-1.1e6), so both
+        # F(alpha) and the tail expectation underflow to 0
+        qos = QosConfig(theta=4.15, T=2e-3, B=9e7)
+        with pytest.raises(NumericalError, match="snr=3.08, theta=4.15"):
+            spectral_efficiency_csit(3.08, qos, NakagamiM(2.42))
 
 
 class TestShannonLimits:

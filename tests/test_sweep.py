@@ -7,6 +7,7 @@ import pytest
 
 from qos_energy import (
     AlphaZetaCurve,
+    BoundedTable,
     Curve,
     Deterministic,
     NakagamiM,
@@ -187,7 +188,7 @@ class TestTradeoffCurve:
         assert curve.points[3].spectral_efficiency > 0
 
     def test_asymptote_failure_is_a_gap(self, monkeypatch):
-        def broken(spec, theta):
+        def broken(*args):
             raise NumericalError("no asymptote today")
 
         monkeypatch.setattr(sweep_mod, "_asymptote", broken)
@@ -204,6 +205,40 @@ class TestTradeoffCurve:
             (curve,) = tradeoff_curve(spec)
         assert curve.asymptote is None
         assert curve.failures == 1
+
+    def test_underflowing_csit_point_is_a_gap(self):
+        spec = SweepSpec(
+            model=NakagamiM(m=2.42, mean=1.0),
+            mode="csit",
+            regime="lowpower",
+            theta_list=(4.15,),
+            T=T,
+            B=9e7,
+            grid=(1e-3, 3.08),
+        )
+        with pytest.warns(UserWarning, match="underflows"):
+            (curve,) = tradeoff_curve(spec)
+        assert curve.failures == 1
+        assert curve.points[0].spectral_efficiency > 0
+        assert curve.points[1] == TradeoffPoint(None, None)
+
+    def test_overflowing_csit_slope_is_a_gap(self):
+        # the zero atom pins xi near 0.1 while alpha* falls to exp(-2432)
+        table = BoundedTable(((0.0, 0.1), (0.3, 0.2), (1.0, 0.4), (2.5, 0.3)))
+        spec = SweepSpec(
+            model=table,
+            mode="csit",
+            regime="wideband",
+            theta_list=(1.0,),
+            T=T,
+            pbar_over_n0=1e6,
+            grid=(1e-8,),
+        )
+        with pytest.warns(UserWarning, match="slope overflows"):
+            (curve,) = tradeoff_curve(spec)
+        assert curve.asymptote is None
+        assert curve.failures == 1
+        assert curve.points[0].spectral_efficiency > 0
 
     def test_reruns_are_identical(self):
         spec = SweepSpec(
@@ -282,7 +317,7 @@ class TestSurface:
 class TestAlphaVsZeta:
     def test_terminus_matches_alpha_star(self):
         (curve,) = alpha_vs_zeta(RAY, (0.1,), T, PN0, zeta_grid=(1e-9, 1e-7, 1e-5))
-        star = solve_alpha_star(RAY, 0.1, T, PN0, compute_derivative=False).alpha_star
+        star = solve_alpha_star(RAY, 0.1, T, PN0).alpha_star
         assert curve.alpha_star == pytest.approx(star, rel=1e-12)
         assert curve.alphas[0] == pytest.approx(star, rel=1e-4)
 
