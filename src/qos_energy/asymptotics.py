@@ -51,10 +51,11 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.special import logsumexp
 
 from .effcap import LN2, solve_threshold
 from .errors import NumericalError
-from .fading import FadingModel, geometric_points
+from .fading import FadingModel
 
 _DB_PER_FACTOR2 = 10.0 * math.log10(2.0)
 
@@ -165,31 +166,10 @@ def lowpower_csit(model: FadingModel, beta: float = 0.0) -> AsymptoticSummary:
 
 def _laplace_pair(model: FadingModel, c: float) -> tuple[float, float]:
     """(ln E{exp(-c z)}, E{z^2 exp(-c z)} / E{exp(-c z)}) computed stably."""
-    at = model.atoms
-    if at is not None:
-        zs, ps = at
-        keep = ps > 0
-        t = np.log(ps[keep]) - c * zs[keep]
-        tmax = float(t.max())
-        u = np.exp(t - tmax)
-        su = float(u.sum())
-        ln_l = tmax + math.log(su)
-        ratio = float(np.dot(zs[keep] ** 2, u)) / su
-        return ln_l, ratio
-    # The slope must reproduce closed forms to ~1e-10 relative, which needs
-    # both a tighter quadrature tolerance and a deeper tail cutoff: the z^2
-    # weight amplifies the truncated mass by ~cutoff^2.
-    hi = model.z_max
-    if math.isinf(hi):
-        hi = model.quantile(1.0 - 1e-15)
-    pts = geometric_points(1.0 / c, hi) if c > 0 else None
-    lap = model.expect_above(
-        lambda z: math.exp(-c * z), 0.0, points=pts, tol=1e-13, upper=hi
-    )
-    m2 = model.expect_above(
-        lambda z: z * z * math.exp(-c * z), 0.0, points=pts, tol=1e-13, upper=hi
-    )
-    return math.log(lap), m2 / lap
+    u, ln_w = model.log_nodes(-math.inf)
+    t = ln_w - c * np.exp(u)
+    ln_l = float(logsumexp(t))
+    return ln_l, float(np.dot(np.exp(t - ln_l), np.exp(2.0 * u)))
 
 
 def wideband_csir(
@@ -228,7 +208,7 @@ def wideband_csir_rayleigh_closed_form(
     E{exp(-c z)} = 1/(1+c) turns the general expressions into
         Eb/N0|min = theta*T*(Pbar/N0) / ln(1+c)
         S0 = ((1 + 1/c) ln(1+c))^2
-    which the quadrature route must reproduce; both tend to the
+    which the general route must reproduce; both tend to the
     fixed-bandwidth values ln2 and 2 as theta -> 0.
     """
     _check_wideband_args(theta, T, pbar_over_n0)
@@ -253,30 +233,13 @@ def _log_moment_above(model: FadingModel, ln_a: float, k: int) -> float:
     k = 1 is the left side of the alpha* equation, k = 0 the inverse moment
     I and k = 2 the curvature H of the wideband slope.
     """
-    at = model.atoms
-    if at is not None:
-        zs, ps = at
-        with np.errstate(divide="ignore"):
-            lnz = np.where(zs > 0, np.log(np.where(zs > 0, zs, 1.0)), -np.inf)
-        mask = (lnz >= ln_a) & (ps > 0)
-        return float(np.dot(ps[mask], (lnz[mask] - ln_a) ** k / zs[mask]))
-    a = math.exp(ln_a)
-    g = (
-        lambda z: 1.0 / z,
-        lambda z: (math.log(z) - ln_a) / z,
-        lambda z: (math.log(z) - ln_a) ** 2 / z,
-    )[k]
-    return model.expect_above(
-        g, a, points=geometric_points(a * 10.0, model.upper_cutoff())
-    )
+    u, ln_w = model.log_nodes(ln_a)
+    return float(np.dot(np.exp(ln_w - u), (u - ln_a) ** k))
 
 
 def _ln_xi(model: FadingModel, ln_a: float, inv_above: float) -> float:
     """ln(F(a) + a I) from I = E{(1/z), z >= a}, stable when a underflows."""
-    a = math.exp(ln_a)
-    # Below the smallest double, P(Z < a) is the probability mass at 0.
-    f = model.cdf(a) if a > 0 else model.prob_mass_at(0.0)
-    ln_f = math.log(f) if f > 0 else -math.inf
+    ln_f = model.ln_cdf(ln_a)
     ln_ai = ln_a + math.log(inv_above) if inv_above > 0 else -math.inf
     if ln_f == ln_ai == -math.inf:
         raise NumericalError("xi evaluated with no probability mass")

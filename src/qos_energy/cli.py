@@ -185,7 +185,8 @@ def _positive(cfg: dict, key: str) -> float:
 
 def _nonneg_int(cfg: dict, key: str, minimum: int = 0) -> int:
     val = cfg[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)) or val != int(val):
+    whole = isinstance(val, int) or isinstance(val, float) and val.is_integer()
+    if isinstance(val, bool) or not whole:
         raise ConfigError(f"{key}: expected an integer, got {val!r}")
     val = int(val)
     if val < minimum:

@@ -35,8 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .errors import BracketFailure, DivergentInverseMoment, NumericalError, ThetaZero
-from .fading import FadingModel, geometric_points
+from .errors import BracketFailure, DivergentInverseMoment, ThetaZero
+from .fading import FadingModel
 
 LN2 = math.log(2.0)
 
@@ -114,28 +114,8 @@ def power_policy_value(policy: PowerPolicy, z):
 
 def _mean_policy_power(model: FadingModel, ln_alpha: float, beta: float) -> float:
     """E{mu_opt(z) 1{z >= alpha}} for the threshold exp(ln_alpha)."""
-    at = model.atoms
-    if at is not None:
-        zs, ps = at
-        with np.errstate(divide="ignore"):
-            lnz = np.where(zs > 0, np.log(np.where(zs > 0, zs, 1.0)), -np.inf)
-        mask = lnz >= ln_alpha
-        if not mask.any():
-            return 0.0
-        vals = np.expm1((lnz[mask] - ln_alpha) / (beta + 1.0)) / zs[mask]
-        return float(np.dot(ps[mask], vals))
-    # Floor the lower limit: for thresholds deep in the subnormal range,
-    # expm1(u)/z overflows pointwise even though its product with the
-    # density is negligible.  Mass below the floor contributes O(1e-280)
-    # for any density bounded near the origin; densities that blow up
-    # there (Nakagami m < 1) drive the mean power to astronomical values
-    # long before a threshold solve could descend this far.
-    lo = max(math.exp(ln_alpha), 1e-280)
-    return model.expect_above(
-        lambda z: math.expm1((math.log(z) - ln_alpha) / (beta + 1.0)) / z,
-        lo,
-        points=geometric_points(lo * 10.0, model.upper_cutoff()),
-    )
+    u, ln_w = model.log_nodes(ln_alpha)
+    return float(np.dot(np.exp(ln_w - u), np.expm1((u - ln_alpha) / (beta + 1.0))))
 
 
 def solve_threshold(residual, lo_ln: float, hi_ln: float, what: str) -> float:
@@ -212,21 +192,8 @@ def spectral_efficiency_csir(snr: float, qos: QosConfig, model: FadingModel) -> 
         raise ValueError(f"snr must be >= 0, got {snr}")
     if snr == 0:
         return 0.0
-    beta = qos.beta
-    at = model.atoms
-    if at is not None:
-        zs, ps = at
-        keep = ps > 0
-        log_e = float(
-            logsumexp(np.log(ps[keep]) - beta * np.log1p(snr * zs[keep]))
-        )
-    else:
-        e = model.expect_above(
-            lambda z: math.exp(-beta * math.log1p(snr * z)),
-            0.0,
-            points=geometric_points(1.0 / (1.0 + beta * snr), model.upper_cutoff()),
-        )
-        log_e = math.log(e)
+    u, ln_w = model.log_nodes(-math.inf)
+    log_e = float(logsumexp(ln_w - qos.beta * np.log1p(snr * np.exp(u))))
     return -log_e / (qos.theta * qos.T * qos.B)
 
 
@@ -234,8 +201,9 @@ def spectral_efficiency_csit(snr: float, qos: QosConfig, model: FadingModel) -> 
     """Spectral efficiency with the optimal threshold power policy.
 
     Evaluates -(1/(theta T B)) ln(F(alpha) + E{(z/alpha)^(-beta/(beta+1))
-    1{z>=alpha}}) at the solved alpha; theta = 0 routes to the ergodic
-    water-filling limit.
+    1{z>=alpha}}) at the solved alpha by log-sum-exp, so a threshold below
+    the smallest double still gives a finite rate; theta = 0 routes to the
+    ergodic water-filling limit.
     """
     if snr < 0:
         raise ValueError(f"snr must be >= 0, got {snr}")
@@ -243,35 +211,10 @@ def spectral_efficiency_csit(snr: float, qos: QosConfig, model: FadingModel) -> 
         return shannon_limit(snr, "csit", qos, model)
     if snr == 0:
         return 0.0
-    policy = solve_alpha(snr, qos, model)
-    p = policy.beta / (policy.beta + 1.0)
-    at = model.atoms
-    if at is not None:
-        zs, ps = at
-        with np.errstate(divide="ignore"):
-            lnz = np.where(zs > 0, np.log(np.where(zs > 0, zs, 1.0)), -np.inf)
-        below = lnz < policy.ln_alpha
-        f_mass = float(ps[below].sum())
-        active = ~below & (ps > 0)
-        terms = np.log(ps[active]) - p * (lnz[active] - policy.ln_alpha)
-        if f_mass > 0:
-            terms = np.append(terms, math.log(f_mass))
-        log_total = float(logsumexp(terms))
-    else:
-        alpha = math.exp(policy.ln_alpha)
-        e2 = model.expect_above(
-            lambda z: math.exp(-p * (math.log(z) - policy.ln_alpha)),
-            alpha,
-            points=geometric_points(alpha * 10.0, model.upper_cutoff()),
-        )
-        total = model.cdf(alpha) + e2
-        if not total > 0:
-            raise NumericalError(
-                f"CSIT rate term F(alpha) + E{{(z/alpha)^-p}} underflows to 0 at "
-                f"ln alpha = {policy.ln_alpha:g} ({model!r}, snr={snr:g}, "
-                f"theta={qos.theta:g}, T={qos.T:g}, B={qos.B:g})"
-            )
-        log_total = math.log(total)
+    ln_a = solve_alpha(snr, qos, model).ln_alpha
+    p = qos.beta / (qos.beta + 1.0)
+    u, ln_w = model.log_nodes(ln_a)
+    log_total = float(logsumexp(np.append(ln_w - p * (u - ln_a), model.ln_cdf(ln_a))))
     se = -log_total / (qos.theta * qos.T * qos.B)
     return max(se, 0.0)
 
@@ -289,21 +232,11 @@ def shannon_limit(snr: float, mode: str, qos: QosConfig, model: FadingModel) -> 
     if snr == 0:
         return 0.0
     if mode == "csir":
-        return model.expect_above(lambda z: math.log1p(snr * z) / LN2, 0.0)
+        u, ln_w = model.log_nodes(-math.inf)
+        return float(np.dot(np.exp(ln_w), np.log1p(snr * np.exp(u)))) / LN2
     ln_alpha = _solve_alpha_ln(snr, 0.0, model)
-    at = model.atoms
-    if at is not None:
-        zs, ps = at
-        with np.errstate(divide="ignore"):
-            lnz = np.where(zs > 0, np.log(np.where(zs > 0, zs, 1.0)), -np.inf)
-        mask = lnz >= ln_alpha
-        return float(np.dot(ps[mask], (lnz[mask] - ln_alpha))) / LN2
-    alpha = math.exp(ln_alpha)
-    return model.expect_above(
-        lambda z: (math.log(z) - ln_alpha) / LN2,
-        alpha,
-        points=geometric_points(alpha * 10.0, model.upper_cutoff()),
-    )
+    u, ln_w = model.log_nodes(ln_alpha)
+    return float(np.dot(np.exp(ln_w), u - ln_alpha)) / LN2
 
 
 def delay_limited_limit(snr: float, mode: str, model: FadingModel) -> float:

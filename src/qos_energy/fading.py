@@ -1,19 +1,30 @@
 """Channel power-gain distributions.
 
 Every model exposes the same deterministic interface: density, strict CDF
-P(Z < z), indicator-weighted expectations E{g(z) 1{z >= lower}}, moments,
-support bounds, quantiles, and seeded sampling.  Continuous models compute
-expectations by adaptive quadrature on [lower, cutoff] where cutoff is the
-1 - 1e-12 quantile; discrete models sum exactly.  The strict-CDF /
+P(Z < z), moments, support bounds, quantiles, seeded sampling, and the
+expectation nodes log_nodes(ln_lower): arrays (u, ln_w) with
+
+    E{g(z) 1{z >= exp(ln_lower)}} = sum exp(ln_w) g(exp(u)).
+
+Discrete models return the logs of their atoms and probabilities, so the
+sums are exact.  Continuous models return composite 16-point
+Gauss-Legendre panels of width 0.25 in ln z, the first panel edge on the
+threshold and the last at e times the 1 - 1e-12 quantile.  Formulas
+written on (u, ln_w) combine exponents before exponentiating, which keeps
+thresholds deep in the subnormal range finite.  The strict-CDF /
 non-strict-indicator pair partitions the probability space exactly, which
 is what the capacity formulas with a gain threshold rely on.
+
+expect_above(g, lower) computes the same expectations from a scalar
+callback (adaptive QUADPACK for densities, exact sums for atoms); it is
+the reference the tests compare against.
 """
 
 from __future__ import annotations
 
 import abc
+import functools
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,29 +36,22 @@ from .errors import NonIntegrable
 TAIL_MASS = 1e-12
 DEFAULT_QUAD_TOL = 1e-11
 
-
-def quad_tolerance() -> float:
-    """Target relative accuracy for expectations; QOS_ENERGY_QUAD_TOL overrides."""
-    return float(os.environ.get("QOS_ENERGY_QUAD_TOL", DEFAULT_QUAD_TOL))
-
-
-def geometric_points(scale: float, hi: float, factor: float = 10.0, cap: int = 60):
-    """Breakpoints scale, scale*factor, ... below hi, for expect_above hints.
-
-    An integrand that decays on a scale much shorter than the integration
-    interval (e.g. exp(-c z) with c*hi >> 1) can fall entirely between the
-    nodes of the first adaptive panel and be mistaken for zero.  Pinning
-    geometrically spaced breakpoints starting at the decay scale forces the
-    quadrature to resolve it.
-    """
-    if not (scale > 0) or not math.isfinite(scale) or scale >= hi:
-        return None
-    pts = []
-    x = scale
-    while x < hi and len(pts) < cap:
-        pts.append(x)
-        x *= factor
-    return pts or None
+_PANEL = 0.25
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
+_PANEL_U = 0.5 * _PANEL * (1.0 + _GL_X)
+_PANEL_LN_W = np.log(0.5 * _PANEL * _GL_W)
+# Whole-support expectations start at 1e-30, below which a density with
+# m >= 0.5 holds at most ~1e-15 of its mass.  Threshold expectations start
+# at the threshold but never below 1e-280: densities that blow up at the
+# origin drive the mean power astronomical long before a threshold solve
+# descends that far, and the floor caps a deep threshold at ~41k nodes.
+_LN_Z_WHOLE = math.log(1e-30)
+_LN_Z_FLOOR = math.log(1e-280)
+# Panels end at e times the 1 - TAIL_MASS quantile.  For every Nakagami
+# m >= 0.5 the mass beyond holds less than 1e-18 of the mass beyond the
+# quantile, z^2-weighted or not, so no threshold below the quantile loses
+# a relative 1e-18 of its expectation to the cut.
+_LN_TAIL_PAD = 1.0
 
 
 class FadingModel(abc.ABC):
@@ -74,16 +78,18 @@ class FadingModel(abc.ABC):
         """P(Z < z), strict inequality."""
 
     @abc.abstractmethod
-    def expect_above(
-        self, g, lower: float = 0.0, points=None, tol=None, upper=None
-    ) -> float:
-        """E{g(z) 1{z >= lower}} with deterministic quadrature or exact sums.
+    def log_nodes(self, ln_lower: float) -> tuple[np.ndarray, np.ndarray]:
+        """(u, ln_w) with E{g(z) 1{z >= exp(ln_lower)}} = sum exp(ln_w) g(exp(u)).
 
-        points: optional interior breakpoints hinting where g varies on a
-        scale much smaller than the support; tol: override of the relative
-        quadrature tolerance; upper: override of the default truncation
-        point (needed when g amplifies the far tail).  All three are
-        ignored by discrete models, whose sums are exact.
+        ln_lower = -inf takes the whole support, a zero gain included.
+        """
+
+    @abc.abstractmethod
+    def expect_above(self, g, lower: float = 0.0) -> float:
+        """E{g(z) 1{z >= lower}} by adaptive quadrature or exact sums.
+
+        The scalar-callback reference for log_nodes, which tests compare
+        against; the package itself computes expectations from log_nodes.
         """
 
     @abc.abstractmethod
@@ -112,37 +118,50 @@ class FadingModel(abc.ABC):
         return None
 
     def upper_cutoff(self) -> float:
-        """Quadrature endpoint: z_max if finite, else the 1 - TAIL_MASS quantile."""
+        """Truncation point: z_max if finite, else the 1 - TAIL_MASS quantile."""
         if math.isfinite(self.z_max):
             return self.z_max
         return self.quantile(1.0 - TAIL_MASS)
 
+    def ln_cdf(self, ln_z: float) -> float:
+        """ln P(Z < exp(ln_z)); -inf when that probability is 0.
+
+        Below the smallest double, P(Z < z) is the probability mass at 0.
+        """
+        z = math.exp(ln_z)
+        f = self.cdf(z) if z > 0 else self.prob_mass_at(0.0)
+        return math.log(f) if f > 0 else -math.inf
+
 
 class _ContinuousModel(FadingModel):
-    """Shared quadrature plumbing for models with a density."""
+    """Gauss-Legendre panels in ln z for models with a density."""
 
-    def expect_above(
-        self, g, lower: float = 0.0, points=None, tol=None, upper=None
-    ) -> float:
+    @abc.abstractmethod
+    def _ln_zp(self, u: np.ndarray) -> np.ndarray:
+        """ln(z p_z(z)) at z = exp(u), vectorised."""
+
+    @functools.cached_property
+    def _ln_z_top(self) -> float:
+        return math.log(self.upper_cutoff()) + _LN_TAIL_PAD
+
+    def log_nodes(self, ln_lower: float) -> tuple[np.ndarray, np.ndarray]:
+        lo = _LN_Z_WHOLE if ln_lower == -math.inf else max(ln_lower, _LN_Z_FLOOR)
+        panels = max(math.ceil((self._ln_z_top - lo) / _PANEL), 0)
+        u = lo + _PANEL * np.arange(panels)[:, None] + _PANEL_U
+        return u.ravel(), (self._ln_zp(u) + _PANEL_LN_W).ravel()
+
+    def expect_above(self, g, lower: float = 0.0) -> float:
         lo = max(lower, self.z_min)
-        hi = self.upper_cutoff() if upper is None else upper
+        hi = self.upper_cutoff()
         if lo >= hi:
             return 0.0
-        if tol is None:
-            tol = quad_tolerance()
-        inner = None
-        if points is not None:
-            inner = [p for p in points if lo < p < hi]
-            if not inner:
-                inner = None
         out = quad(
             lambda z: g(z) * self.density(z),
             lo,
             hi,
             epsabs=1e-16,
-            epsrel=tol,
+            epsrel=DEFAULT_QUAD_TOL,
             limit=400,
-            points=inner,
             full_output=1,
         )
         value, abserr = out[0], out[1]
@@ -184,6 +203,9 @@ class Rayleigh(_ContinuousModel):
         if z <= 0:
             return 0.0
         return -math.expm1(-z / self.mean)
+
+    def _ln_zp(self, u: np.ndarray) -> np.ndarray:
+        return u - np.exp(u) / self.mean - math.log(self.mean)
 
     def moments(self) -> tuple[float, float]:
         return self.mean, 2.0 * self.mean**2
@@ -253,6 +275,14 @@ class NakagamiM(_ContinuousModel):
             return 0.0
         return float(gammainc(self.m, z / self.scale))
 
+    def _ln_zp(self, u: np.ndarray) -> np.ndarray:
+        return (
+            self.m * u
+            - np.exp(u) / self.scale
+            - gammaln(self.m)
+            - self.m * math.log(self.scale)
+        )
+
     def moments(self) -> tuple[float, float]:
         return self.mean, self.mean**2 * (self.m + 1.0) / self.m
 
@@ -272,8 +302,24 @@ class NakagamiM(_ContinuousModel):
         return rng.gamma(self.m, self.scale, size=size)
 
 
+class _DiscreteModel(FadingModel):
+    """Exact atom sums for models with finitely many gain values."""
+
+    @functools.cached_property
+    def _log_atoms(self) -> tuple[np.ndarray, np.ndarray]:
+        zs, ps = self.atoms
+        keep = ps > 0
+        with np.errstate(divide="ignore"):
+            return np.log(zs[keep]), np.log(ps[keep])
+
+    def log_nodes(self, ln_lower: float) -> tuple[np.ndarray, np.ndarray]:
+        u, ln_w = self._log_atoms
+        above = u >= ln_lower
+        return u[above], ln_w[above]
+
+
 @dataclass(frozen=True)
-class Deterministic(FadingModel):
+class Deterministic(_DiscreteModel):
     """Unfaded channel: all probability mass at z0."""
 
     z0: float
@@ -297,9 +343,7 @@ class Deterministic(FadingModel):
     def cdf(self, z: float) -> float:
         return 0.0 if z <= self.z0 else 1.0
 
-    def expect_above(
-        self, g, lower: float = 0.0, points=None, tol=None, upper=None
-    ) -> float:
+    def expect_above(self, g, lower: float = 0.0) -> float:
         if self.z0 >= lower:
             return float(g(self.z0))
         return 0.0
@@ -326,7 +370,7 @@ class Deterministic(FadingModel):
         return np.full(size, self.z0)
 
 
-class BoundedTable(FadingModel):
+class BoundedTable(_DiscreteModel):
     """Finite discrete gain law given as (z, prob) pairs with strictly
     increasing z and probabilities summing to 1."""
 
@@ -374,9 +418,7 @@ class BoundedTable(FadingModel):
     def cdf(self, z: float) -> float:
         return float(self.ps[self.zs < z].sum())
 
-    def expect_above(
-        self, g, lower: float = 0.0, points=None, tol=None, upper=None
-    ) -> float:
+    def expect_above(self, g, lower: float = 0.0) -> float:
         mask = self.zs >= lower
         if not mask.any():
             return 0.0

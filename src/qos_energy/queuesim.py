@@ -231,7 +231,7 @@ def effective_capacity_empirical(
 def predicted_effective_capacity(
     model: FadingModel, snr: float, qos: QosConfig, mode: str
 ) -> float:
-    """Quadrature effective capacity in bits/s, for comparison with the fit."""
+    """Predicted effective capacity in bits/s, for comparison with the fit."""
     if mode == "csir":
         se = spectral_efficiency_csir(snr, qos, model)
     elif mode == "csit":

@@ -112,6 +112,16 @@ class TestExitCodes:
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["grid_points", "seed", "frames", "warmup_frames"])
+    @pytest.mark.parametrize("raw", ["NaN", "Infinity", "1e400"])
+    def test_non_finite_integer_is_config_error(self, tmp_path, capsys, key, raw):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(f'{{"{key}": {raw}}}', encoding="utf-8")
+        command = "sweep" if key == "grid_points" else "simulate-queue"
+        code, _ = run(tmp_path, command, "--config", str(cfg))
+        assert code == 2
+        assert key in capsys.readouterr().err
+
     def test_out_path_collision_is_filesystem_error(self, tmp_path, capsys):
         target = tmp_path / "occupied"
         target.write_text("not a directory", encoding="utf-8")
@@ -307,15 +317,3 @@ class TestSimulateQueueCommand:
             lines = fh.read().splitlines()
         assert lines[0] == "q_threshold,log_tail_prob"
         assert len(lines) == 4
-
-
-class TestEnvironment:
-    def test_quad_tolerance_env_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("QOS_ENERGY_QUAD_TOL", "1e-9")
-        code, out = run(
-            tmp_path, "asymptotics", "--mode", "csir", "--regime", "wideband",
-            "--theta", "0.1",
-        )
-        assert code == 0
-        data = load_json(out, "asymptotics_csir_wideband_rayleigh.json")
-        assert data["results"][0]["s0"] == pytest.approx(3.3401, abs=1e-3)

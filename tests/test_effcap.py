@@ -5,14 +5,13 @@ import math
 import numpy as np
 import pytest
 from scipy.optimize import brentq
-from scipy.special import exp1
+from scipy.special import exp1, gammaln
 
 from qos_energy import (
     BoundedTable,
     Deterministic,
     DivergentInverseMoment,
     NakagamiM,
-    NumericalError,
     PowerPolicy,
     QosConfig,
     Rayleigh,
@@ -29,6 +28,27 @@ from qos_energy import (
     spectral_efficiency_csit,
 )
 from qos_energy.effcap import LN2, _mean_policy_power, to_db
+
+
+def gamma_moment_csit_se(snr, theta, T, B, m):
+    """CSIT spectral efficiency of unit-mean Nakagami-m once alpha underflows.
+
+    With m > 1 and alpha -> 0 the power constraint becomes
+    alpha^-q E{z^(q-1)} - E{1/z} = snr (q = 1/(beta+1)) and the rate term
+    alpha^p E{z^-p} (p = 1 - q); both gamma moments are closed forms.
+    """
+    beta = theta * T * B / math.log(2.0)
+    q = 1.0 / (beta + 1.0)
+    p = 1.0 - q
+    s = 1.0 / m
+    ln_a = -(beta + 1.0) * (
+        math.log(snr + 1.0 / (s * (m - 1.0)))
+        - (q - 1.0) * math.log(s)
+        - gammaln(m + q - 1.0)
+        + gammaln(m)
+    )
+    return -(p * (ln_a - math.log(s)) + gammaln(m - p) - gammaln(m)) / (theta * T * B)
+
 
 RAY = Rayleigh()
 NAK2 = NakagamiM(m=2.0, mean=1.0)
@@ -235,12 +255,25 @@ class TestSpectralEfficiencyCsit:
         assert dl - 1e-9 <= se <= sh + 1e-9
         assert se == pytest.approx(dl, rel=1e-3)
 
-    def test_underflowing_rate_term_is_a_numerical_error(self):
-        # Nakagami m > 1 under strong QoS: alpha ~ exp(-1.1e6), so both
-        # F(alpha) and the tail expectation underflow to 0
-        qos = QosConfig(theta=4.15, T=2e-3, B=9e7)
-        with pytest.raises(NumericalError, match="snr=3.08, theta=4.15"):
-            spectral_efficiency_csit(3.08, qos, NakagamiM(2.42))
+    def test_underflowing_threshold_matches_gamma_moment(self):
+        # Nakagami m > 1 under strong QoS: alpha ~ exp(-1.1e6) underflows,
+        # so the rate term is its log-domain gamma moment
+        theta, T, B, snr, m = 4.15, 2e-3, 9e7, 3.08, 2.42
+        qos = QosConfig(theta=theta, T=T, B=B)
+        assert spectral_efficiency_csit(snr, qos, NakagamiM(m)) == pytest.approx(
+            gamma_moment_csit_se(snr, theta, T, B, m), rel=1e-12
+        )
+
+    def test_nakagami_deep_threshold_is_sandwiched(self):
+        # threshold near exp(-155), where adaptive quadrature failed to
+        # converge (error 2e-7 on [3.3e-67, 16.1])
+        qos = QosConfig(theta=0.9648911666205529, T=2e-3, B=1e5)
+        model = NakagamiM(1.9140581044633629)
+        snr = 1.5361749466718295
+        se = spectral_efficiency_csit(snr, qos, model)
+        assert math.isfinite(se)
+        assert delay_limited_limit(snr, "csit", model) < se
+        assert se < shannon_limit(snr, "csit", qos, model)
 
 
 class TestShannonLimits:

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import gammainc
+from scipy.special import gamma, gammainc, gammaincc, logsumexp
 
 from qos_energy import (
     BoundedTable,
@@ -14,7 +14,31 @@ from qos_energy import (
     Rayleigh,
     from_config,
 )
-from qos_energy.fading import geometric_points, quad_tolerance
+
+CONTINUOUS = [Rayleigh(), NakagamiM(0.5), NakagamiM(0.6), NakagamiM(2.0)]
+DISCRETE = [
+    Deterministic(1.3),
+    BoundedTable(((0.0, 0.1), (0.3, 0.2), (1.0, 0.4), (2.5, 0.3))),
+]
+MODEL_IDS = ["ray", "nak0.5", "nak0.6", "nak2", "det", "tab"]
+
+
+def upper_gamma(s, x):
+    """Gamma(s, x) for s > -1, s != 0."""
+    if s > 0:
+        return gammaincc(s, x) * gamma(s)
+    return (gammaincc(s + 1, x) * gamma(s + 1) - x**s * math.exp(-x)) / s
+
+
+def shape_scale(model):
+    """(m, scale) of a continuous model as a gamma law; Rayleigh has m = 1."""
+    m = getattr(model, "m", 1.0)
+    return m, model.mean / m
+
+
+def atom_sum(model, g, a=0.0):
+    zs, ps = model.atoms
+    return sum(p * g(z) for z, p in zip(zs, ps) if z >= a and p > 0)
 
 
 class TestRayleigh:
@@ -228,28 +252,96 @@ class TestFromConfig:
             from_config({"kind": "deterministic"})
 
 
+class TestLogNodes:
+    S_VALUES = (1e-5, 3e-3, 1.0, 100.0, 2.9e3)
+    LN_A_VALUES = (-60.0, -10.0, 0.0, 2.5)
+
+    @pytest.mark.parametrize("model", CONTINUOUS + DISCRETE, ids=MODEL_IDS)
+    def test_laplace_pair_closed_form(self, model):
+        u, ln_w = model.log_nodes(-math.inf)
+        for s in self.S_VALUES:
+            t = ln_w - s * np.exp(u)
+            ln_l = logsumexp(t)
+            ratio = np.dot(np.exp(t - ln_l), np.exp(2.0 * u))
+            if model.atoms is None:
+                m, theta = shape_scale(model)
+                want_ln_l = -m * math.log1p(theta * s)
+                want_ratio = m * (m + 1.0) * theta**2 / (1.0 + theta * s) ** 2
+            else:
+                zs, ps = model.atoms
+                want_ln_l = logsumexp(np.log(ps[ps > 0]) - s * zs[ps > 0])
+                want_ratio = atom_sum(
+                    model, lambda z: z * z * math.exp(-s * z - want_ln_l)
+                )
+            # absolute error in ln L is the relative error in L
+            assert ln_l - want_ln_l == pytest.approx(0.0, abs=1e-12)
+            assert ratio == pytest.approx(want_ratio, rel=1e-12)
+
+    @pytest.mark.parametrize("model", CONTINUOUS + DISCRETE, ids=MODEL_IDS)
+    def test_threshold_moment_closed_form(self, model):
+        # E{(a/z)^p ; z >= a}: the CSIT rate term and the 1/z weight
+        for ln_a in self.LN_A_VALUES:
+            a = math.exp(ln_a)
+            u, ln_w = model.log_nodes(ln_a)
+            for p in (0.1, 0.45, 0.9):
+                got = np.exp(ln_w - p * (u - ln_a)).sum()
+                if model.atoms is None:
+                    m, theta = shape_scale(model)
+                    want = (a / theta) ** p * upper_gamma(m - p, a / theta) / gamma(m)
+                else:
+                    want = atom_sum(model, lambda z: (a / z) ** p, a)
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+    @pytest.mark.parametrize("model", CONTINUOUS + DISCRETE, ids=MODEL_IDS)
+    def test_matches_quadrature_reference(self, model):
+        # cases where adaptive quadrature converges; its own error is
+        # ~1e-12, from the tail mass it truncates
+        u, ln_w = model.log_nodes(-math.inf)
+        w = np.exp(ln_w)
+        for beta in (3e-3, 1.0, 30.0):
+            for snr in (1e-5, 1.0):
+                got = np.dot(w, np.exp(-beta * np.log1p(snr * np.exp(u))))
+                want = model.expect_above(lambda z: (1.0 + snr * z) ** -beta)
+                assert got == pytest.approx(want, rel=1e-9)
+        for snr in (1e-5, 1.0, 100.0):
+            got = np.dot(w, np.log1p(snr * np.exp(u)))
+            want = model.expect_above(lambda z: math.log1p(snr * z))
+            assert got == pytest.approx(want, rel=1e-9)
+        for ln_a in (-10.0, 0.0):
+            a = math.exp(ln_a)
+            u, ln_w = model.log_nodes(ln_a)
+            for beta in (0.0, 1.0, 30.0):
+                got = np.dot(np.exp(ln_w - u), np.expm1((u - ln_a) / (beta + 1.0)))
+                want = model.expect_above(
+                    lambda z: math.expm1(math.log(z / a) / (beta + 1.0)) / z, a
+                )
+                assert got == pytest.approx(want, rel=1e-9)
+            for k in (0, 1, 2):
+                got = np.dot(np.exp(ln_w - u), (u - ln_a) ** k)
+                want = model.expect_above(lambda z: math.log(z / a) ** k / z, a)
+                assert got == pytest.approx(want, rel=1e-9)
+
+    def test_discrete_nodes_are_the_atoms(self):
+        tab = DISCRETE[1]
+        u, ln_w = tab.log_nodes(-math.inf)
+        assert np.allclose(np.exp(u), tab.zs, rtol=1e-15, atol=0.0)
+        assert np.allclose(np.exp(ln_w), tab.ps, rtol=1e-15, atol=0.0)
+        u, ln_w = tab.log_nodes(0.0)
+        assert np.allclose(np.exp(u), [1.0, 2.5], rtol=1e-15, atol=0.0)
+        assert tab.ln_cdf(0.0) == pytest.approx(math.log(0.3), rel=1e-15)
+        assert tab.ln_cdf(-800.0) == pytest.approx(math.log(0.1), rel=1e-15)
+        assert Rayleigh().ln_cdf(-800.0) == -math.inf
+
+
 class TestQuadPlumbing:
-    def test_tolerance_env_override(self, monkeypatch):
-        monkeypatch.delenv("QOS_ENERGY_QUAD_TOL", raising=False)
-        assert quad_tolerance() == 1e-11
-        monkeypatch.setenv("QOS_ENERGY_QUAD_TOL", "1e-6")
-        assert quad_tolerance() == 1e-6
-
-    def test_geometric_points(self):
-        pts = geometric_points(0.01, 5.0)
-        assert pts == [0.01, 0.1, 1.0]
-        assert geometric_points(10.0, 5.0) is None
-        assert geometric_points(0.0, 5.0) is None
-        assert geometric_points(math.inf, 5.0) is None
-
     def test_sharp_integrand_resolved(self):
         # exp(-c z) with c so large the mass sits in the first 1e-4 of the
-        # integration interval; breakpoints keep the quadrature honest.
-        ray = Rayleigh()
+        # support; panels in ln z resolve it without hints.
         c = 5e4
-        pts = geometric_points(1.0 / c, ray.upper_cutoff())
-        got = ray.expect_above(lambda z: math.exp(-c * z), 0.0, points=pts)
-        assert got == pytest.approx(1.0 / (1.0 + c), rel=1e-8)
+        u, ln_w = Rayleigh().log_nodes(-math.inf)
+        got = np.exp(ln_w - c * np.exp(u)).sum()
+        assert got == pytest.approx(1.0 / (1.0 + c), rel=1e-12)
+
 
     def test_upper_cutoff(self):
         ray = Rayleigh()

@@ -27,6 +27,7 @@ from qos_energy import (
 )
 from qos_energy import sweep as sweep_mod
 from qos_energy.effcap import LN2, QosConfig
+from test_effcap import gamma_moment_csit_se
 
 RAY = Rayleigh()
 T = 2e-3
@@ -206,7 +207,7 @@ class TestTradeoffCurve:
         assert curve.asymptote is None
         assert curve.failures == 1
 
-    def test_underflowing_csit_point_is_a_gap(self):
+    def test_underflowing_csit_point_matches_gamma_moment(self):
         spec = SweepSpec(
             model=NakagamiM(m=2.42, mean=1.0),
             mode="csit",
@@ -216,7 +217,32 @@ class TestTradeoffCurve:
             B=9e7,
             grid=(1e-3, 3.08),
         )
-        with pytest.warns(UserWarning, match="underflows"):
+        (curve,) = tradeoff_curve(spec)
+        assert curve.failures == 0
+        assert curve.points[0].spectral_efficiency > 0
+        assert curve.points[1].spectral_efficiency == pytest.approx(
+            gamma_moment_csit_se(3.08, 4.15, T, 9e7, 2.42), rel=1e-12
+        )
+
+    def test_failing_csit_point_is_a_gap(self, monkeypatch):
+        real = sweep_mod.spectral_efficiency_csit
+
+        def flaky(snr, qos, model):
+            if snr == 3.08:
+                raise NumericalError("synthetic CSIT failure")
+            return real(snr, qos, model)
+
+        monkeypatch.setattr(sweep_mod, "spectral_efficiency_csit", flaky)
+        spec = SweepSpec(
+            model=NakagamiM(m=2.0, mean=1.0),
+            mode="csit",
+            regime="lowpower",
+            theta_list=(0.05,),
+            T=T,
+            B=1e5,
+            grid=(1e-3, 3.08),
+        )
+        with pytest.warns(UserWarning, match="synthetic CSIT failure"):
             (curve,) = tradeoff_curve(spec)
         assert curve.failures == 1
         assert curve.points[0].spectral_efficiency > 0
