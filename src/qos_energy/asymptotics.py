@@ -190,7 +190,12 @@ def wideband_csir(
     c = x / LN2
     ln_l, z2_ratio = _laplace_pair(model, c)
     lin = -x / ln_l
-    s0 = 2.0 * ln_l * ln_l / (c * c * z2_ratio)
+    s0 = 2.0 * ln_l * ln_l / (c * c * z2_ratio) if z2_ratio > 0 else math.inf
+    if not math.isfinite(s0):
+        raise NumericalError(
+            "wideband CSIR slope overflows: E{z^2 exp(-c z)}/E{exp(-c z)} = "
+            f"{z2_ratio:g} ({_wideband_params(model, theta, T, pbar_over_n0)})"
+        )
     return AsymptoticSummary(
         ebn0_min_linear=lin,
         ebn0_min_db=10.0 * math.log10(lin),
@@ -227,14 +232,20 @@ def wideband_csir_rayleigh_closed_form(
     )
 
 
-def _log_moment_above(model: FadingModel, ln_a: float, k: int) -> float:
-    """E{ln^k(z/a) (1/z), z >= a} for k = 0, 1, 2, evaluated from ln a.
+def _log_moments_above(
+    model: FadingModel, ln_a: float
+) -> tuple[float, float, float]:
+    """E{ln^k(z/a) (1/z), z >= a} for k = 0, 1, 2, from one node set at ln a.
 
-    k = 1 is the left side of the alpha* equation, k = 0 the inverse moment
-    I and k = 2 the curvature H of the wideband slope.
+    k = 1 is the left side L1 of the alpha* equation; k = 0 is the inverse
+    moment I = -dL1/dln a (the boundary term vanishes because ln(z/a) = 0
+    at z = a); k = 2 is the curvature H of the wideband slope.
     """
     u, ln_w = model.log_nodes(ln_a)
-    return float(np.dot(np.exp(ln_w - u), (u - ln_a) ** k))
+    w = np.exp(ln_w - u)
+    d = u - ln_a
+    wd = w * d
+    return float(w.sum()), float(wd.sum()), float(np.dot(wd, d))
 
 
 def _ln_xi(model: FadingModel, ln_a: float, inv_above: float) -> float:
@@ -257,8 +268,10 @@ def solve_alpha_star(
 
     alpha(zeta) is the power-constrained threshold at bandwidth 1/zeta; as
     zeta -> 0 the power constraint degenerates into the log-moment equation
-    E{ln(z/alpha*) (1/z), z >= alpha*} = c solved here by bisection in
-    ln(alpha).  Its derivative at zeta = 0 is exact:
+    L1 = E{ln(z/alpha*) (1/z), z >= alpha*} = c, solved here as
+    ln L1 = ln c by safeguarded Newton in ln(alpha), with the exact slope
+    dL1/dln(alpha) = -I.  The derivative of alpha(zeta) at zeta = 0 is exact
+    too:
 
         dln_alpha_dzeta = -(c - H/2) / (k I),
         alpha_dot(0) = dln_alpha_dzeta * alpha*,
@@ -280,14 +293,21 @@ def solve_alpha_star(
         )
     k = theta * T / LN2
     c = k * pbar_over_n0
+    ln_c = math.log(c)
+
+    def residual(ln_a: float) -> tuple[float, float]:
+        inv, l1, _ = _log_moments_above(model, ln_a)
+        if l1 <= 0:
+            return -math.inf, math.nan
+        return math.log(l1) - ln_c, -inv / l1
+
     ln_star = solve_threshold(
-        lambda ln_a: _log_moment_above(model, ln_a, 1) - c,
+        residual,
         math.log(1e-12),
         math.log(model.upper_cutoff()),
         what="wideband CSIT threshold alpha*",
     )
-    inv_above = _log_moment_above(model, ln_star, 0)
-    h = _log_moment_above(model, ln_star, 2)
+    inv_above, _, h = _log_moments_above(model, ln_star)
     if not (h > 0 and math.isfinite(h)):
         raise NumericalError(
             f"wideband CSIT curvature H = {h:g} is not positive and finite "

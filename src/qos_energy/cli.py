@@ -51,6 +51,9 @@ DEFAULT_PBAR_OVER_N0 = 1e4
 DEFAULT_THETAS = (0.0, 0.001, 0.01, 0.1, 1.0)
 DEFAULT_GRID_POINTS = 60
 DEFAULT_SURFACE_GRID_POINTS = 20
+# Ceiling on grid_points: far above any figure's needs, and low enough that
+# an oversized value is a configuration error, not an allocation failure.
+MAX_GRID_POINTS = 100_000
 DEFAULT_SEED = 12345
 
 CURVE_CSV_HEADER = "ebn0_db,spectral_efficiency_bps_hz"
@@ -131,7 +134,11 @@ def build_parser() -> argparse.ArgumentParser:
             choices=[LOWPOWER, WIDEBAND],
             help="low-SNR limit: P -> 0 at fixed B, or B -> inf at fixed P",
         )
-        p.add_argument("--grid-points", type=int, help="points per sweep grid")
+        p.add_argument(
+            "--grid-points",
+            type=int,
+            help=f"points per sweep grid, 2 to {MAX_GRID_POINTS}",
+        )
         p.add_argument("--seed", type=int, help="PRNG seed for simulation")
         p.add_argument("--out", help="output directory")
         p.add_argument("--format", choices=["csv", "json", "both"], help="outputs")
@@ -183,7 +190,9 @@ def _positive(cfg: dict, key: str) -> float:
     return val
 
 
-def _nonneg_int(cfg: dict, key: str, minimum: int = 0) -> int:
+def _nonneg_int(
+    cfg: dict, key: str, minimum: int = 0, maximum: float = math.inf
+) -> int:
     val = cfg[key]
     whole = isinstance(val, int) or isinstance(val, float) and val.is_integer()
     if isinstance(val, bool) or not whole:
@@ -191,6 +200,8 @@ def _nonneg_int(cfg: dict, key: str, minimum: int = 0) -> int:
     val = int(val)
     if val < minimum:
         raise ConfigError(f"{key} must be >= {minimum}, got {val}")
+    if val > maximum:
+        raise ConfigError(f"{key} must be <= {maximum}, got {val}")
     return val
 
 
@@ -318,7 +329,9 @@ def _resolve(args) -> dict:
             else DEFAULT_GRID_POINTS
         )
         cfg.setdefault("grid_points", default_n)
-        out["grid_points"] = _nonneg_int(cfg, "grid_points", minimum=2)
+        out["grid_points"] = _nonneg_int(
+            cfg, "grid_points", minimum=2, maximum=MAX_GRID_POINTS
+        )
 
     if "mode" in allowed:
         mode = cfg.get("mode", "csir")

@@ -23,7 +23,14 @@ and the threshold equation becomes classical water-filling (beta = 0).
 
 All solves run on ln(alpha): the threshold shrinks like
 (1+SNR z)^-(beta+1) for degenerate channels and would underflow long
-before its logarithm does.
+before its logarithm does.  solve_threshold takes a decreasing residual
+that returns its value and its analytic derivative in ln(alpha), both from
+one node set.  It brackets the root by geometric expansion, then takes
+Newton steps from the better end of the bracket; a step that is not
+strictly inside the bracket, or a derivative that is not finite and
+negative, gives a bisection step instead.  Every probe shrinks the
+bracket by its sign, and the solve stops when a step or the bracket is
+narrower than 1e-13 in ln(alpha).
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ from .fading import FadingModel
 LN2 = math.log(2.0)
 
 _LN_ALPHA_TOL = 1e-13
-_MAX_BISECT = 300
+_MAX_ITER = 300
 _MAX_EXPAND = 60
 
 
@@ -112,60 +119,90 @@ def power_policy_value(policy: PowerPolicy, z):
     return mu
 
 
-def _mean_policy_power(model: FadingModel, ln_alpha: float, beta: float) -> float:
-    """E{mu_opt(z) 1{z >= alpha}} for the threshold exp(ln_alpha)."""
+def _mean_policy_power(
+    model: FadingModel, ln_alpha: float, beta: float
+) -> tuple[float, float]:
+    """(M, -dM/dln alpha) for M = E{mu_opt(z) 1{z >= alpha}}, from one node set.
+
+    -dM/dln alpha = E{(z/alpha)^(1/(beta+1))/z ; z >= alpha}/(beta+1), the
+    weights of M times expm1(...) + 1; the boundary term vanishes because
+    mu_opt is 0 at z = alpha.
+    """
     u, ln_w = model.log_nodes(ln_alpha)
-    return float(np.dot(np.exp(ln_w - u), np.expm1((u - ln_alpha) / (beta + 1.0))))
+    w = np.exp(ln_w - u)
+    m = float(np.dot(w, np.expm1((u - ln_alpha) / (beta + 1.0))))
+    return m, (m + float(w.sum())) / (beta + 1.0)
 
 
 def solve_threshold(residual, lo_ln: float, hi_ln: float, what: str) -> float:
-    """Bisect a monotone-decreasing residual in ln(alpha) to _LN_ALPHA_TOL.
+    """Root in ln(alpha) of a decreasing residual, to _LN_ALPHA_TOL.
 
-    The initial bracket is expanded geometrically (downward first) when the
-    residual does not change sign across it.
+    residual(ln_a) returns (r, dr/dln_a).  The initial bracket is expanded
+    geometrically (downward first) while the residual does not change sign
+    across it.  Inside, Newton steps start from the end with the smaller
+    |r|; a step that does not land strictly inside the bracket, or a dr
+    that is not finite and negative, is replaced by bisection, and every
+    probe shrinks the bracket by the sign of its residual.
     """
     span = max(hi_ln - lo_ln, 1.0)
-    r_hi = residual(hi_ln)
+    r_hi, d_hi = residual(hi_ln)
     expansions = 0
     while r_hi > 0:
         lo_ln = hi_ln
         hi_ln += span
         span *= 2.0
-        r_hi = residual(hi_ln)
+        r_hi, d_hi = residual(hi_ln)
         expansions += 1
         if expansions > _MAX_EXPAND:
             raise BracketFailure(f"{what}: no upper bracket; residual stays positive")
-    r_lo = residual(lo_ln)
+    r_lo, d_lo = residual(lo_ln)
     expansions = 0
     while r_lo <= 0:
-        hi_ln = lo_ln
+        hi_ln, r_hi, d_hi = lo_ln, r_lo, d_lo
         lo_ln -= span
         span *= 2.0
-        r_lo = residual(lo_ln)
+        r_lo, d_lo = residual(lo_ln)
         expansions += 1
         if expansions > _MAX_EXPAND:
             raise BracketFailure(f"{what}: no lower bracket; residual stays negative")
-    for _ in range(_MAX_BISECT):
-        mid = 0.5 * (lo_ln + hi_ln)
-        if residual(mid) > 0:
-            lo_ln = mid
-        else:
-            hi_ln = mid
-        if hi_ln - lo_ln < _LN_ALPHA_TOL:
+    if abs(r_lo) < abs(r_hi):
+        x, r, dr = lo_ln, r_lo, d_lo
+    else:
+        x, r, dr = hi_ln, r_hi, d_hi
+    for _ in range(_MAX_ITER):
+        step = -r / dr if math.isfinite(dr) and dr < 0 else math.nan
+        if not (abs(step) < _LN_ALPHA_TOL or lo_ln < x + step < hi_ln):
+            step = 0.5 * (lo_ln + hi_ln) - x
+        x += step
+        if abs(step) < _LN_ALPHA_TOL or hi_ln - lo_ln < _LN_ALPHA_TOL:
             break
-    return 0.5 * (lo_ln + hi_ln)
+        r, dr = residual(x)
+        if r > 0:
+            lo_ln = x
+        else:
+            hi_ln = x
+    return x
 
 
 def _solve_alpha_ln(snr: float, beta: float, model: FadingModel) -> float:
-    """ln(alpha) such that the threshold policy spends exactly snr on average."""
-    hi = model.upper_cutoff()
-    lo_ln = math.log(1e-12)
-    hi_ln = math.log(hi)
+    """ln(alpha) such that the threshold policy spends exactly snr on average.
 
-    def residual(ln_a: float) -> float:
-        return _mean_policy_power(model, ln_a, beta) - snr
+    Solves ln M - ln snr, whose derivative in ln(alpha) is dM/M.
+    """
+    ln_snr = math.log(snr)
 
-    return solve_threshold(residual, lo_ln, hi_ln, "power threshold solve")
+    def residual(ln_a: float) -> tuple[float, float]:
+        m, slope = _mean_policy_power(model, ln_a, beta)
+        if m <= 0:
+            return -math.inf, math.nan
+        return math.log(m) - ln_snr, -slope / m
+
+    return solve_threshold(
+        residual,
+        math.log(1e-12),
+        math.log(model.upper_cutoff()),
+        "power threshold solve",
+    )
 
 
 def solve_alpha(snr: float, qos: QosConfig, model: FadingModel) -> PowerPolicy:

@@ -27,7 +27,7 @@ from qos_energy import (
     wideband_csir_rayleigh_closed_form,
     wideband_csit,
 )
-from qos_energy.asymptotics import _DB_PER_FACTOR2, _log_moment_above
+from qos_energy.asymptotics import _DB_PER_FACTOR2, _log_moments_above
 from qos_energy.effcap import LN2, _solve_alpha_ln
 from test_acceptance import CSIT_SLOPES
 
@@ -123,6 +123,13 @@ class TestLowpowerCsit:
 
 
 class TestWidebandCsir:
+    def test_slope_overflow_is_a_numerical_error(self):
+        # a zero atom keeps E{exp(-c z)} at P(z = 0) = 0.5 while
+        # E{z^2 exp(-c z)} ~ exp(-2885) underflows: S0 is beyond the doubles
+        table = BoundedTable(((0.0, 0.5), (1.0, 0.5)))
+        with pytest.raises(NumericalError, match="theta=1, T=0.002, pbar_over_n0=1e"):
+            wideband_csir(table, 1.0, T, 1e6)
+
     def test_matches_rayleigh_closed_form(self):
         # generic quadrature route vs the analytic expressions, mutually
         for theta in (0.001, 0.01, 0.1, 1.0):
@@ -173,7 +180,7 @@ class TestSolveAlphaStar:
             for theta in (1e-3, 1e-2, 1e-1, 1.0):
                 c = theta * T * PN0 / LN2
                 sol = solve_alpha_star(model, theta, T, PN0)
-                res = _log_moment_above(model, sol.ln_alpha_star, 1) - c
+                res = _log_moments_above(model, sol.ln_alpha_star)[1] - c
                 assert abs(res) <= 1e-8 * c
 
     def test_alpha_star_strictly_decreasing_in_theta(self):
@@ -222,6 +229,21 @@ class TestSolveAlphaStar:
                 assert errs[2] <= 5e-3 * abs(sol.dln_alpha_dzeta)
 
 
+def rayleigh_expect_above(f, a):
+    """E{f(z) ; z >= a} for the unit-mean exponential gain, scipy only."""
+    pts = [a * 10.0**k for k in range(1, 60) if a * 10.0**k < 60.0]
+    val, _ = quad(
+        lambda z: f(z) * math.exp(-z),
+        a,
+        60.0,
+        epsabs=1e-16,
+        epsrel=1e-13,
+        limit=400,
+        points=pts or None,
+    )
+    return val
+
+
 class TestWidebandCsitAnchors:
     def test_oracle_recipe_reproduces(self):
         # rebuild every anchor row from scratch, with scipy only, so the
@@ -232,20 +254,7 @@ class TestWidebandCsitAnchors:
         # (Richardson, first order).
         ln2 = math.log(2.0)
         db_per_factor2 = 10.0 * math.log10(2.0)
-
-        def expect_above(f, a):
-            # E{f(z) ; z >= a} for the unit-mean exponential gain
-            pts = [a * 10.0**k for k in range(1, 60) if a * 10.0**k < 60.0]
-            val, _ = quad(
-                lambda z: f(z) * math.exp(-z),
-                a,
-                60.0,
-                epsabs=1e-16,
-                epsrel=1e-13,
-                limit=400,
-                points=pts or None,
-            )
-            return val
+        expect_above = rayleigh_expect_above
 
         for theta, ref in CSIT_ANCHORS.items():
             k = theta * T / ln2
@@ -287,6 +296,24 @@ class TestWidebandCsitAnchors:
             s0 = 2.0 * secants[1] - secants[0]
             assert s0 == pytest.approx(ref["s0"], rel=1e-5)
             assert round(s0, 4) == CSIT_SLOPES[theta]
+
+    def test_strong_qos_threshold_matches_oracle(self):
+        # theta = 1, Pbar/N0 = 1e6: c ~ 2885 puts alpha* near 1e-33, where
+        # the oracle's decade breakpoints carry the quadrature
+        theta, pn0 = 1.0, 1e6
+        c = theta * T * pn0 / math.log(2.0)
+        ln_star = brentq(
+            lambda x: rayleigh_expect_above(
+                lambda z: (math.log(z) - x) / z, math.exp(x)
+            )
+            - c,
+            math.log(1e-40),
+            math.log(1e-20),
+            xtol=1e-14,
+        )
+        sol = solve_alpha_star(RAY, theta, T, pn0)
+        assert abs(sol.ln_alpha_star - ln_star) <= 1e-11
+        assert math.isfinite(wideband_csit(RAY, theta, T, pn0).slope_s0)
 
     def test_threshold_and_xi(self):
         for theta, ref in CSIT_ANCHORS.items():

@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from qos_energy.cli import main
+from qos_energy.cli import MAX_GRID_POINTS, main
 
 
 def run(tmp_path, *argv):
@@ -121,6 +121,14 @@ class TestExitCodes:
         code, _ = run(tmp_path, command, "--config", str(cfg))
         assert code == 2
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw", ["1e20", str(MAX_GRID_POINTS + 1)])
+    def test_oversized_grid_is_config_error(self, tmp_path, capsys, raw):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(f'{{"grid_points": {raw}}}', encoding="utf-8")
+        code, _ = run(tmp_path, "sweep", "--config", str(cfg))
+        assert code == 2
+        assert f"grid_points must be <= {MAX_GRID_POINTS}" in capsys.readouterr().err
 
     def test_out_path_collision_is_filesystem_error(self, tmp_path, capsys):
         target = tmp_path / "occupied"

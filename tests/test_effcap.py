@@ -113,7 +113,7 @@ class TestSolveAlpha:
     def test_power_constraint_met(self, model, snr, theta):
         qos = QosConfig(theta=theta, T=2e-3, B=1e5)
         pol = solve_alpha(snr, qos, model)
-        spent = _mean_policy_power(model, pol.ln_alpha, pol.beta)
+        spent, _ = _mean_policy_power(model, pol.ln_alpha, pol.beta)
         assert spent == pytest.approx(snr, rel=1e-8)
 
     def test_deterministic_closed_form(self):

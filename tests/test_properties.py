@@ -1,0 +1,139 @@
+"""Seeded property tests of the error contract over extreme but valid inputs.
+
+Every public entry point either returns a finite value or raises a
+NumericalError subclass, and a sweep turns a failing grid point into a gap
+instead of aborting.  Draws reach Nakagami m = 0.5, beta ~ 1e6,
+c = theta T (Pbar/N0)/ln2 ~ 3e4 and Pbar/N0 = 1e7.  derandomize fixes the
+examples, so every run checks the same inputs.
+"""
+
+import math
+import warnings
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from qos_energy import (
+    BoundedTable,
+    Deterministic,
+    NakagamiM,
+    NumericalError,
+    QosConfig,
+    Rayleigh,
+    SweepSpec,
+    solve_alpha,
+    solve_alpha_star,
+    spectral_efficiency_csir,
+    spectral_efficiency_csit,
+    tradeoff_curve,
+    wideband_csir,
+    wideband_csit,
+)
+
+LN2 = math.log(2.0)
+SEEDED = settings(
+    derandomize=True,
+    max_examples=80,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+def log_uniform(lo_exp: float, hi_exp: float):
+    return st.floats(lo_exp, hi_exp).map(lambda e: 10.0**e)
+
+
+def table(zs, zero_atom: bool) -> BoundedTable:
+    """Equiprobable atoms at zs, plus one at 0 when zero_atom is set."""
+    atoms = ([0.0] if zero_atom else []) + sorted(zs)
+    return BoundedTable([(z, 1.0 / len(atoms)) for z in atoms])
+
+
+MEANS = log_uniform(-0.5, 0.5)
+MODELS = st.one_of(
+    st.builds(Rayleigh, mean=MEANS),
+    st.builds(NakagamiM, m=st.floats(0.5, 8.0), mean=MEANS),
+    st.builds(Deterministic, z0=MEANS),
+    st.builds(
+        table,
+        st.lists(st.floats(0.05, 4.0), min_size=1, max_size=4, unique=True),
+        st.booleans(),
+    ),
+)
+THETAS = log_uniform(-3.0, 1.0)
+BETAS = log_uniform(-3.0, 6.0)
+SNRS = log_uniform(-5.0, 2.0)
+PBARS = log_uniform(2.0, 7.0)
+T = 2e-3
+GRIDS = {"lowpower": (1e-5, 1e-2, 1.0, 30.0), "wideband": (1e-8, 1e-6, 1e-4, 1e-2)}
+
+
+def qos_for(theta: float, beta: float) -> QosConfig:
+    return QosConfig(theta=theta, T=T, B=beta * LN2 / (theta * T))
+
+
+def finite_or_numerical_error(fn, *args):
+    """fn(*args), or None when it raised a NumericalError subclass."""
+    try:
+        return fn(*args)
+    except NumericalError:
+        return None
+
+
+@SEEDED
+@given(model=MODELS, theta=THETAS, beta=BETAS, snr=SNRS)
+def test_spectral_efficiencies_are_finite(model, theta, beta, snr):
+    qos = qos_for(theta, beta)
+    for fn in (spectral_efficiency_csir, spectral_efficiency_csit):
+        se = finite_or_numerical_error(fn, snr, qos, model)
+        assert se is None or (math.isfinite(se) and se >= 0)
+    policy = finite_or_numerical_error(solve_alpha, snr, qos, model)
+    assert policy is None or math.isfinite(policy.ln_alpha)
+
+
+@SEEDED
+@given(model=MODELS, theta=THETAS, pbar=PBARS)
+def test_wideband_summaries_are_finite(model, theta, pbar):
+    sol = finite_or_numerical_error(solve_alpha_star, model, theta, T, pbar)
+    if sol is not None:
+        assert math.isfinite(sol.ln_alpha_star) and math.isfinite(sol.ln_xi)
+        assert sol.ln_xi <= 0
+        assert math.isfinite(sol.dln_alpha_dzeta)
+    for fn in (wideband_csir, wideband_csit):
+        summary = finite_or_numerical_error(fn, model, theta, T, pbar)
+        if summary is not None:
+            assert math.isfinite(summary.ebn0_min_db)
+            assert math.isfinite(summary.slope_s0) and summary.slope_s0 > 0
+
+
+@SEEDED
+@given(
+    model=MODELS,
+    mode=st.sampled_from(["csir", "csit"]),
+    regime=st.sampled_from(sorted(GRIDS)),
+    theta=THETAS,
+    beta=BETAS,
+    pbar=PBARS,
+)
+def test_sweeps_record_gaps_instead_of_aborting(model, mode, regime, theta, beta, pbar):
+    spec = SweepSpec(
+        model=model,
+        mode=mode,
+        regime=regime,
+        theta_list=(0.0, theta),
+        T=T,
+        B=beta * LN2 / (theta * T),
+        pbar_over_n0=pbar,
+        grid=GRIDS[regime],
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        curves = tradeoff_curve(spec)
+    assert len(curves) == 2
+    for curve in curves:
+        assert len(curve.points) == 4
+        for pt in curve.points:
+            if pt.spectral_efficiency is not None:
+                assert math.isfinite(pt.spectral_efficiency)
+                assert math.isfinite(pt.ebn0_db)
