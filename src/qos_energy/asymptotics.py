@@ -51,11 +51,10 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .effcap import LN2, solve_threshold
 from .errors import NumericalError
-from .fading import FadingModel
+from .fading import FadingModel, _logsumexp
 
 _DB_PER_FACTOR2 = 10.0 * math.log10(2.0)
 
@@ -168,7 +167,7 @@ def _laplace_pair(model: FadingModel, c: float) -> tuple[float, float]:
     """(ln E{exp(-c z)}, E{z^2 exp(-c z)} / E{exp(-c z)}) computed stably."""
     u, ln_w = model.log_nodes(-math.inf)
     t = ln_w - c * np.exp(u)
-    ln_l = float(logsumexp(t))
+    ln_l = _logsumexp(t)
     return ln_l, float(np.dot(np.exp(t - ln_l), np.exp(2.0 * u)))
 
 

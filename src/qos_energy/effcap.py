@@ -40,10 +40,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import BracketFailure, DivergentInverseMoment, ThetaZero
-from .fading import FadingModel
+from .fading import FadingModel, _logsumexp
 
 LN2 = math.log(2.0)
 
@@ -225,12 +224,11 @@ def spectral_efficiency_csir(snr: float, qos: QosConfig, model: FadingModel) -> 
     """
     if qos.theta == 0:
         raise ThetaZero("spectral_efficiency_csir is 0/0 at theta=0; use shannon_limit")
-    if snr < 0:
-        raise ValueError(f"snr must be >= 0, got {snr}")
+    _check_snr(snr)
     if snr == 0:
         return 0.0
     u, ln_w = model.log_nodes(-math.inf)
-    log_e = float(logsumexp(ln_w - qos.beta * np.log1p(snr * np.exp(u))))
+    log_e = _logsumexp(ln_w - qos.beta * np.log1p(snr * np.exp(u)))
     return -log_e / (qos.theta * qos.T * qos.B)
 
 
@@ -242,8 +240,7 @@ def spectral_efficiency_csit(snr: float, qos: QosConfig, model: FadingModel) -> 
     the smallest double still gives a finite rate; theta = 0 routes to the
     ergodic water-filling limit.
     """
-    if snr < 0:
-        raise ValueError(f"snr must be >= 0, got {snr}")
+    _check_snr(snr)
     if qos.theta == 0:
         return shannon_limit(snr, "csit", qos, model)
     if snr == 0:
@@ -251,7 +248,7 @@ def spectral_efficiency_csit(snr: float, qos: QosConfig, model: FadingModel) -> 
     ln_a = solve_alpha(snr, qos, model).ln_alpha
     p = qos.beta / (qos.beta + 1.0)
     u, ln_w = model.log_nodes(ln_a)
-    log_total = float(logsumexp(np.append(ln_w - p * (u - ln_a), model.ln_cdf(ln_a))))
+    log_total = _logsumexp(np.append(ln_w - p * (u - ln_a), model.ln_cdf(ln_a)))
     se = -log_total / (qos.theta * qos.T * qos.B)
     return max(se, 0.0)
 
@@ -264,8 +261,7 @@ def shannon_limit(snr: float, mode: str, qos: QosConfig, model: FadingModel) -> 
     does not depend on it.
     """
     _check_mode(mode)
-    if snr < 0:
-        raise ValueError(f"snr must be >= 0, got {snr}")
+    _check_snr(snr)
     if snr == 0:
         return 0.0
     if mode == "csir":
@@ -284,8 +280,7 @@ def delay_limited_limit(snr: float, mode: str, model: FadingModel) -> float:
     DivergentInverseMoment warning is issued.
     """
     _check_mode(mode)
-    if snr < 0:
-        raise ValueError(f"snr must be >= 0, got {snr}")
+    _check_snr(snr)
     if mode == "csir":
         return math.log1p(snr * model.z_min) / LN2
     inv = model.inverse_moment()
@@ -339,6 +334,11 @@ def service_rate_csit(policy: PowerPolicy, z, qos: QosConfig):
         0.0,
     )
     return rate
+
+
+def _check_snr(snr: float):
+    if not (snr >= 0 and math.isfinite(snr)):
+        raise ValueError(f"snr must be >= 0 and finite, got {snr}")
 
 
 def _check_mode(mode: str):

@@ -17,7 +17,15 @@ is what the capacity formulas with a gain threshold rely on.
 
 expect_above(g, lower) computes the same expectations from a scalar
 callback (adaptive QUADPACK for densities, exact sums for atoms); it is
-the reference the tests compare against.
+the reference the tests compare against.  scipy is imported only on the
+first QUADPACK call, so the package itself runs on numpy alone.  QUADPACK
+can return a wrong value without raising for a sharp integrand: Rayleigh
+E{(1+100 z)^-30} comes back 5e15 times too small.  Compare against it only
+where it converges.
+
+The Nakagami CDF and quantile use a log-domain regularized incomplete
+gamma (power series below x = m + 1, continued fraction above) and
+math.lgamma.
 """
 
 from __future__ import annotations
@@ -28,10 +36,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import gammainc, gammaincinv, gammaln
 
-from .errors import NonIntegrable
+from .errors import NonIntegrable, NumericalError
 
 TAIL_MASS = 1e-12
 DEFAULT_QUAD_TOL = 1e-11
@@ -52,6 +58,129 @@ _LN_Z_FLOOR = math.log(1e-280)
 # quantile, z^2-weighted or not, so no threshold below the quantile loses
 # a relative 1e-18 of its expectation to the cut.
 _LN_TAIL_PAD = 1.0
+# Incomplete gamma: a continued-fraction step within this of 1 ends the
+# fraction.  Either expansion needs about 9 sqrt(m) terms at x = m; it
+# gives up after 1000 + 20 sqrt(m).  The quantile's Newton stops at a step
+# or a bracket below _LN_X_TOL relative in ln x.
+_LENTZ_TOL = 2.3e-16
+_QUANTILE_MAX_ITER = 100
+_LN_X_TOL = 1e-14
+
+
+def quad(*args, **kwargs):
+    """scipy.integrate.quad, imported on the first call.
+
+    Only the expect_above references integrate by QUADPACK, so importing
+    the package loads no scipy module.
+    """
+    from scipy.integrate import quad as quadpack
+
+    return quadpack(*args, **kwargs)
+
+
+def _logsumexp(a: np.ndarray) -> float:
+    """ln sum exp(a); -inf for an empty or all -inf array."""
+    if a.size == 0:
+        return -math.inf
+    top = a.max()
+    if not math.isfinite(top):
+        return float(top)
+    return float(top + np.log(np.sum(np.exp(a - top))))
+
+
+def _ln_gamma_pq(m: float, ln_x: float) -> tuple[float, float]:
+    """(ln P(m, x), ln Q(m, x)), the regularized incomplete gamma pair at
+    x = exp(ln_x).
+
+    Below x = m + 1, where P < 0.92, the power series gives ln P;
+    above, where Q < 1/2, the modified-Lentz continued fraction gives
+    ln Q.  The other one is the log of the complement.  Rounding in
+    m ln x - lgamma(m) bounds the relative accuracy near the bulk by about
+    1e-16 m ln m: 1e-13 at m = 50, 1e-9 at m = 1e6.
+    """
+    if math.isnan(ln_x):
+        return math.nan, math.nan
+    if ln_x >= 709.0:  # exp overflows; Q is 0 for any m below ~1e307
+        return 0.0, -math.inf
+    x = math.exp(ln_x)
+    ln_front = m * ln_x - x - math.lgamma(m)
+    max_terms = 1000 + int(20.0 * math.sqrt(m))
+    if x < m + 1.0:
+        # P = x^m e^-x / Gamma(m+1) * sum_n x^n / ((m+1)...(m+n))
+        a, term, total = m, 1.0, 1.0
+        for _ in range(max_terms):
+            a += 1.0
+            term *= x / a
+            total += term
+            if term < 1e-17 * total:
+                break
+        else:
+            raise NumericalError(f"incomplete gamma series for m={m}, x={x} did not converge")
+        ln_p = ln_front - math.log(m) + math.log(total)
+        return ln_p, math.log1p(-math.exp(ln_p))
+    # Q = x^m e^-x / Gamma(m) * 1/(x+1-m - 1(1-m)/(x+3-m - 2(2-m)/(x+5-m - ...)))
+    b = x + 1.0 - m
+    c, d = 1e300, 1.0 / b
+    h = d
+    for i in range(1, max_terms):
+        an = -i * (i - m)
+        b += 2.0
+        d = an * d + b
+        d = 1.0 / (d if abs(d) > 1e-300 else 1e-300)
+        c = b + an / c
+        c = c if abs(c) > 1e-300 else 1e-300
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < _LENTZ_TOL:
+            break
+    else:
+        raise NumericalError(f"incomplete gamma fraction for m={m}, x={x} did not converge")
+    ln_q = ln_front + math.log(h)
+    return math.log(-math.expm1(ln_q)), ln_q
+
+
+def _ln_gamma_quantile(m: float, p: float) -> float:
+    """ln x with P(m, x) = p, for 0 < p < 1.
+
+    Newton in t = ln x on ln P - ln p for p <= 1/2, on ln Q - ln(1-p)
+    above; the derivative of ln P is x^m e^-x / (Gamma(m) P), of ln Q the
+    same over Q with the opposite sign.  ln Z has a log-concave density,
+    so both are concave in t, and from a start on the far side of the
+    root the iterates move to it monotonically.  The starts are on that
+    side by two bounds: P <= x^m/Gamma(m+1), and Chernoff's
+    exp(-m h(x/m)), h(u) = u - 1 - ln u, on either tail, which is at most
+    exp(-m s) at u = 1 - sqrt(2s) and at u = 1 + s + sqrt(2s), with
+    s = -ln(p)/m below the median and -ln(1-p)/m above it.  Every probe
+    also narrows a bracket, and a step that leaves it bisects.
+    """
+    ln_g = math.lgamma(m)
+    lower = p <= 0.5
+    target = math.log(p) if lower else math.log1p(-p)
+    s = -target / m
+    r = math.sqrt(2.0 * s)
+    if lower:
+        t = (target + ln_g + math.log(m)) / m
+        if r < 1.0:
+            t = max(t, math.log(m) + math.log1p(-r))
+    else:
+        t = math.log(m) + math.log1p(s + r)
+    lo, hi = -math.inf, math.inf
+    for _ in range(_QUANTILE_MAX_ITER):
+        ln_f = _ln_gamma_pq(m, t)[0 if lower else 1]
+        # Positive below the root on either tail: ln P rises in t, ln Q falls.
+        gap = target - ln_f if lower else ln_f - target
+        if gap > 0:
+            lo = t
+        else:
+            hi = t
+        tol = _LN_X_TOL * max(abs(t), 1.0)
+        step = gap / math.exp(m * t - math.exp(t) - ln_g - ln_f)
+        if not (abs(step) <= tol or lo < t + step < hi):
+            step = 0.5 * (lo + hi) - t
+        t += step
+        if abs(step) <= tol or hi - lo <= tol:
+            break
+    return t
 
 
 class FadingModel(abc.ABC):
@@ -90,6 +219,8 @@ class FadingModel(abc.ABC):
 
         The scalar-callback reference for log_nodes, which tests compare
         against; the package itself computes expectations from log_nodes.
+        QUADPACK, behind the continuous models, can be wrong without
+        raising for a sharp integrand (see _ContinuousModel.expect_above).
         """
 
     @abc.abstractmethod
@@ -151,6 +282,14 @@ class _ContinuousModel(FadingModel):
         return u.ravel(), (self._ln_zp(u) + _PANEL_LN_W).ravel()
 
     def expect_above(self, g, lower: float = 0.0) -> float:
+        """QUADPACK to a relative 1e-11 on [max(lower, z_min), upper_cutoff()].
+
+        Raises NonIntegrable only when QUADPACK reports a failure.  A sharp
+        integrand can come back wrong without one: Rayleigh
+        E{(1+100 z)^-30} is 5e15 times too small, Nakagami-0.5
+        E{(1+z)^-2900} 2.5e66 times.  Tests compare against it only where
+        it converges.  scipy is imported on the first call.
+        """
         lo = max(lower, self.z_min)
         hi = self.upper_cutoff()
         if lo >= hi:
@@ -265,7 +404,7 @@ class NakagamiM(_ContinuousModel):
         logp = (
             (self.m - 1.0) * math.log(z)
             - z / self.scale
-            - gammaln(self.m)
+            - math.lgamma(self.m)
             - self.m * math.log(self.scale)
         )
         return math.exp(logp)
@@ -273,13 +412,16 @@ class NakagamiM(_ContinuousModel):
     def cdf(self, z: float) -> float:
         if z <= 0:
             return 0.0
-        return float(gammainc(self.m, z / self.scale))
+        x = z / self.scale
+        ln_p, ln_q = _ln_gamma_pq(self.m, math.log(x) if x != 0 else -math.inf)
+        prob = math.exp(ln_p)
+        return prob if prob < 0.5 else -math.expm1(ln_q)
 
     def _ln_zp(self, u: np.ndarray) -> np.ndarray:
         return (
             self.m * u
             - np.exp(u) / self.scale
-            - gammaln(self.m)
+            - math.lgamma(self.m)
             - self.m * math.log(self.scale)
         )
 
@@ -296,7 +438,9 @@ class NakagamiM(_ContinuousModel):
             if p == 1.0:
                 return math.inf
             raise ValueError(f"quantile level must be in [0, 1], got {p}")
-        return float(gammaincinv(self.m, p)) * self.scale
+        if p == 0.0:
+            return 0.0
+        return math.exp(_ln_gamma_quantile(self.m, p)) * self.scale
 
     def sample(self, rng: np.random.Generator, size=None):
         return rng.gamma(self.m, self.scale, size=size)

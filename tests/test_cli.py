@@ -3,9 +3,12 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
+import qos_energy
 from qos_energy.cli import MAX_GRID_POINTS, main
 
 
@@ -17,6 +20,20 @@ def run(tmp_path, *argv):
 def load_json(out, name):
     with open(os.path.join(out, name), encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def test_import_loads_no_scipy():
+    """numpy is the only runtime dependency; scipy serves the tests alone."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qos_energy.__file__)))
+    code = (
+        "import sys, qos_energy.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 class TestAsymptoticsCommand:

@@ -341,6 +341,27 @@ class TestDelayLimited:
         assert val == 0.0
 
 
+THETA0 = QosConfig(theta=0.0, T=2e-3, B=1e5)
+SNR_FUNCTIONS = {
+    "csir": lambda snr: spectral_efficiency_csir(snr, QOS, RAY),
+    "csit": lambda snr: spectral_efficiency_csit(snr, QOS, RAY),
+    "csit_theta0": lambda snr: spectral_efficiency_csit(snr, THETA0, RAY),
+    "shannon_csir": lambda snr: shannon_limit(snr, "csir", QOS, RAY),
+    "shannon_csit": lambda snr: shannon_limit(snr, "csit", QOS, RAY),
+    "delay_csir": lambda snr: delay_limited_limit(snr, "csir", RAY),
+    "delay_csit": lambda snr: delay_limited_limit(snr, "csit", NAK2),
+}
+
+
+@pytest.mark.parametrize("snr", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("fn", SNR_FUNCTIONS.values(), ids=SNR_FUNCTIONS.keys())
+def test_non_finite_snr_is_rejected(fn, snr):
+    # NaN once came back as nan, inf as inf, and the CSIT Shannon limit of
+    # NaN as a plausible 39.03.
+    with pytest.raises(ValueError, match="snr must be .* finite"):
+        fn(snr)
+
+
 class TestBitEnergy:
     def test_basic(self):
         assert bit_energy(1.0, 2.0) == 0.5

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import gamma, gammainc, gammaincc, logsumexp
+from scipy.special import gamma, gammainc, gammaincc, gammaincinv, logsumexp
 
 from qos_energy import (
     BoundedTable,
@@ -14,6 +14,7 @@ from qos_energy import (
     Rayleigh,
     from_config,
 )
+from qos_energy.fading import _logsumexp
 
 CONTINUOUS = [Rayleigh(), NakagamiM(0.5), NakagamiM(0.6), NakagamiM(2.0)]
 DISCRETE = [
@@ -21,6 +22,9 @@ DISCRETE = [
     BoundedTable(((0.0, 0.1), (0.3, 0.2), (1.0, 0.4), (2.5, 0.3))),
 ]
 MODEL_IDS = ["ray", "nak0.5", "nak0.6", "nak2", "det", "tab"]
+GAMMA_SHAPES = (0.5, 0.6, 1.0, 2.0, 2.42, 8.0, 50.0)
+_TAILS = np.geomspace(1e-12, 0.5, 60)
+QUANTILE_LEVELS = [float(p) for p in np.concatenate([_TAILS, 1.0 - _TAILS[:-1]])]
 
 
 def upper_gamma(s, x):
@@ -114,7 +118,10 @@ class TestNakagami:
         ray = Rayleigh(mean=1.4)
         for z in (0.01, 0.5, 1.4, 6.0):
             assert nak.density(z) == pytest.approx(ray.density(z), rel=1e-12)
-            assert nak.cdf(z) == pytest.approx(ray.cdf(z), rel=1e-12)
+        for z in np.geomspace(1e-12, 50.0, 61):
+            assert nak.cdf(z) == pytest.approx(ray.cdf(z), rel=1e-13, abs=0.0)
+        for p in QUANTILE_LEVELS:
+            assert nak.quantile(p) == pytest.approx(ray.quantile(p), rel=1e-13, abs=0.0)
 
     def test_cdf_matches_gammainc(self):
         nak = NakagamiM(m=2.5, mean=1.0)
@@ -122,6 +129,30 @@ class TestNakagami:
             assert nak.cdf(z) == pytest.approx(
                 float(gammainc(2.5, z / nak.scale)), rel=1e-12
             )
+        # mean = m makes the scale 1, so z is the gamma argument.
+        for m in GAMMA_SHAPES:
+            nak = NakagamiM(m=m, mean=m)
+            for x in np.geomspace(1e-12, 400.0, 241):
+                want = float(gammainc(m, x))
+                if want < 1e-300:
+                    # scipy flushes these to 0; the log domain may keep a subnormal.
+                    assert nak.cdf(x) < 1e-300
+                else:
+                    assert nak.cdf(x) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_quantile_matches_gammaincinv(self):
+        for m in GAMMA_SHAPES:
+            nak = NakagamiM(m=m, mean=m)
+            for p in QUANTILE_LEVELS:
+                want = float(gammaincinv(m, p))
+                assert nak.quantile(p) == pytest.approx(want, rel=1e-13, abs=0.0)
+        nak = NakagamiM(m=2.42, mean=1.3)
+        for p in (1e-9, 0.5, 1.0 - 1e-9):
+            want = float(gammaincinv(2.42, p)) * nak.scale
+            assert nak.quantile(p) == pytest.approx(want, rel=1e-13, abs=0.0)
+        assert nak.quantile(0.0) == 0.0
+        assert nak.quantile(1.0) == math.inf
+        assert nak.cdf(math.inf) == 1.0
 
     def test_inverse_moment(self):
         nak = NakagamiM(m=2.0, mean=1.0)
@@ -153,6 +184,24 @@ class TestNakagami:
         z = nak.sample(np.random.default_rng(7), 400_000)
         assert z.mean() == pytest.approx(1.5, rel=0.02)
         assert (z * z).mean() == pytest.approx(1.5**2 * 1.5, rel=0.03)
+
+
+class TestLogSumExp:
+    """The package's numpy log-sum-exp against scipy's."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 450, 41_000])
+    def test_matches_scipy(self, n):
+        rng = np.random.default_rng(n)
+        a = rng.normal(-300.0, 50.0, size=n)
+        a[rng.random(n) < 0.1] = -math.inf
+        a[0] = -299.0
+        want = float(logsumexp(a))
+        assert _logsumexp(a) == pytest.approx(want, rel=1e-14, abs=1e-14)
+
+    def test_edge_cases(self):
+        cases = (np.array([]), np.full(4, -math.inf), np.array([-1.0, math.inf, 3.0]))
+        for a, want in zip(cases, (-math.inf, -math.inf, math.inf)):
+            assert _logsumexp(a) == want == float(logsumexp(a))
 
 
 class TestDeterministic:
