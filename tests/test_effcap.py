@@ -356,8 +356,8 @@ SNR_FUNCTIONS = {
 @pytest.mark.parametrize("snr", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("fn", SNR_FUNCTIONS.values(), ids=SNR_FUNCTIONS.keys())
 def test_non_finite_snr_is_rejected(fn, snr):
-    # NaN once came back as nan, inf as inf, and the CSIT Shannon limit of
-    # NaN as a plausible 39.03.
+    # Unchecked, these give nan, inf or a finite-looking rate (39.03 for
+    # the CSIT Shannon limit of NaN on Rayleigh).
     with pytest.raises(ValueError, match="snr must be .* finite"):
         fn(snr)
 

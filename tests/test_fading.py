@@ -139,6 +139,13 @@ class TestNakagami:
                     assert nak.cdf(x) < 1e-300
                 else:
                     assert nak.cdf(x) == pytest.approx(want, rel=1e-12, abs=0.0)
+        # Large m, where m ln x and lgamma(m) nearly cancel; within four
+        # standard deviations of the mean scipy is exact to ~1e-15.
+        for m in (1e4, 1e6):
+            nak = NakagamiM(m=m, mean=m)
+            for k in np.linspace(-4.0, 4.0, 17):
+                x = m + k * math.sqrt(m)
+                assert nak.cdf(x) == pytest.approx(float(gammainc(m, x)), rel=1e-12, abs=0.0)
 
     def test_quantile_matches_gammaincinv(self):
         for m in GAMMA_SHAPES:
