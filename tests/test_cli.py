@@ -169,6 +169,95 @@ class TestExitCodes:
         assert code == 2
         assert "exactly one theta" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--model", "nakagami", "--m", "0.2"],
+            ["limits", "--model", "deterministic", "--mean", "-2"],
+        ],
+    )
+    def test_bad_model_parameter_is_config_error(self, tmp_path, capsys, argv):
+        code, out = run(tmp_path, *argv)
+        assert code == 2
+        assert "model:" in capsys.readouterr().err
+        assert not out.exists()
+
+    # Every flag a command does not use; each used to be dropped silently.
+    # Flags are spelled in full: `--mode` is not an abbreviation of `--model`.
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("asymptotics", "--grid-points", "1"),
+            ("alpha-star", "--B", "5"),
+            ("alpha-star", "--mode", "csit"),
+            ("alpha-star", "--regime", "wideband"),
+            ("surface", "--B", "5"),
+            ("surface", "--pn0", "5"),
+            ("surface", "--regime", "wideband"),
+            ("simulate-queue", "--pn0", "5"),
+            ("simulate-queue", "--regime", "wideband"),
+            ("simulate-queue", "--grid-points", "4"),
+            ("limits", "--theta", "1"),
+            ("limits", "--pn0", "5"),
+            ("limits", "--mode", "csit"),
+            ("limits", "--regime", "wideband"),
+            ("limits", "--grid-points", "4"),
+            ("alpha-star", "--mode", "rayleigh"),
+            ("sweep", "--grid", "4"),
+        ],
+    )
+    def test_unused_flag_is_rejected(self, tmp_path, capsys, command, flag, value):
+        code, out = run(tmp_path, command, flag, value)
+        assert code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
+    # (command, config, default): default None means the config is rejected
+    # (exit 2); otherwise the run succeeds and records that default.
+    @pytest.mark.parametrize(
+        "command, doc, default",
+        [
+            # a boolean is not a number
+            ("asymptotics", {"theta": [True]}, None),
+            ("limits", {"snr": True}, None),
+            ("simulate-queue", {"thresholds": [True, 2]}, None),
+            # out is a string
+            ("limits", {"out": 7}, None),
+            # exactly one of arrival_rate and arrival_ratio
+            ("simulate-queue", {"arrival_rate": 1e3, "arrival_ratio": 0.5}, None),
+            # null means the key's default
+            ("limits", {"T": None}, 2e-3),
+            ("limits", {"B": None}, 1e5),
+            ("limits", {"snr": None}, 1.0),
+            ("limits", {"seed": None}, 12345),
+            ("limits", {"format": None}, "both"),
+            ("limits", {"out": None}, "."),
+            ("asymptotics", {"pbar_over_n0": None}, 1e4),
+            ("asymptotics", {"mode": None}, "csir"),
+            ("asymptotics", {"regime": None}, "lowpower"),
+            ("sweep", {"grid_points": None}, 60),
+            ("simulate-queue", {"frames": None}, 1_000_000),
+            ("simulate-queue", {"arrival_ratio": None}, 1.0),
+        ],
+    )
+    def test_config_value_rules(
+        self, tmp_path, monkeypatch, capsys, command, doc, default
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps(doc), encoding="utf-8")
+        code = main([command, "--config", "cfg.json"])
+        capsys.readouterr()
+        if default is None:
+            assert code == 2
+            assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
+            return
+        assert code == 0
+        [name] = [
+            n for n in os.listdir(tmp_path) if n.endswith(".json") and n != "cfg.json"
+        ]
+        [key] = doc
+        assert load_json(tmp_path, name)["config"][key] == default
+
 
 class TestModelResolution:
     def test_limits_nakagami(self, tmp_path):
@@ -272,6 +361,33 @@ class TestSweepCommand:
         assert sorted(os.listdir(out_json)) == ["sweep_csir_lowpower_rayleigh.json"]
 
 
+    def test_failed_point_is_a_gap_row(self, tmp_path, capsys, monkeypatch):
+        import qos_energy.sweep as sweep_mod
+        from qos_energy.errors import NumericalError
+
+        real = sweep_mod._point_se
+        grid = sweep_mod.default_grid("lowpower", 4)
+
+        def flaky(spec, theta, g):
+            if g == grid[1]:
+                raise NumericalError("synthetic failure")
+            return real(spec, theta, g)
+
+        monkeypatch.setattr(sweep_mod, "_point_se", flaky)
+        with pytest.warns(UserWarning, match="synthetic failure"):
+            code, out = run(tmp_path, "sweep", "--theta", "0.01", "--grid-points", "4")
+        assert code == 0
+        assert "1 grid point(s) failed" in capsys.readouterr().out
+        path = os.path.join(out, "sweep_csir_lowpower_rayleigh_theta0.01.csv")
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        assert len(lines) == 5
+        assert lines[2] == ","
+        assert "," in lines[1] and lines[1] != ","
+        curve = load_json(out, "sweep_csir_lowpower_rayleigh.json")["curves"][0]
+        assert curve["points"][1] == {"ebn0_db": None, "spectral_efficiency": None}
+
+
 class TestAlphaStarCommand:
     def test_theta_zero_row_spells_infinity(self, tmp_path):
         code, out = run(
@@ -342,3 +458,104 @@ class TestSimulateQueueCommand:
             lines = fh.read().splitlines()
         assert lines[0] == "q_threshold,log_tail_prob"
         assert len(lines) == 4
+
+
+GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+# name -> (argv, config file or None).  tests/golden/<name>/ holds what this
+# call wrote with `--out .`; run_golden(name, ".", confdir) started from
+# inside that directory rewrites it.
+GOLDEN = {
+    "sweep": (
+        ["sweep", "--mode", "csit", "--theta", "0,0.1", "--grid-points", "4"], None
+    ),
+    "asymptotics": (["asymptotics", "--mode", "csit", "--theta", "0,0.1"], None),
+    "alpha-star": (["alpha-star", "--theta", "0,0.1", "--grid-points", "4"], None),
+    "surface": (
+        ["surface", "--mode", "csit", "--grid-points", "3"],
+        {"model": {"kind": "table", "points": [[0.5, 0.5], [2.0, 0.5]]}},
+    ),
+    "simulate-queue": (
+        ["simulate-queue", "--mode", "csit"],
+        {"frames": 30000, "warmup_frames": 1000, "arrival_ratio": 0.9,
+         "thresholds": [10.0, 20.0, 30.0], "seed": 7},
+    ),
+    "limits": (["limits", "--model", "nakagami", "--m", "2"], None),
+    "format-csv": (
+        ["sweep", "--regime", "wideband", "--theta", "0.05", "--grid-points", "4",
+         "--format", "csv"],
+        None,
+    ),
+    "format-json": (["asymptotics", "--regime", "wideband", "--format", "json"], None),
+}
+
+
+def run_golden(name, outdir, confdir):
+    argv, doc = GOLDEN[name]
+    if doc is not None:
+        path = os.path.join(confdir, "cfg.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        argv = [*argv, "--config", path]
+    return main([*argv, "--out", outdir])
+
+
+def assert_same_cell(got, want, where):
+    """Numbers to 1e-9 relative; empty, inf and text cells exactly."""
+    try:
+        num = float(want)
+    except ValueError:
+        num = math.nan
+    if math.isfinite(num):
+        assert got not in ("", "inf", "-inf"), where
+        assert float(got) == pytest.approx(num, rel=1e-9), where
+    else:
+        assert got == want, where
+
+
+def assert_same_json(got, want, where="$"):
+    """Same keys, lengths, types, nulls and strings; floats to 1e-9 relative."""
+    assert type(got) is type(want), where
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want), where
+        for key in want:
+            assert_same_json(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_same_json(g, w, f"{where}[{i}]")
+    elif isinstance(want, float):
+        assert got == pytest.approx(want, rel=1e-9), where
+    else:
+        assert got == want, where
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_artifacts_match_golden(tmp_path, capsys, name):
+    out = tmp_path / "out"
+    assert run_golden(name, str(out), str(tmp_path)) == 0
+    capsys.readouterr()
+    golden = os.path.join(GOLDEN_DIR, name)
+    names = sorted(os.listdir(golden))
+    assert sorted(os.listdir(out)) == names
+    for fname in names:
+        with open(os.path.join(golden, fname), encoding="utf-8") as fh:
+            want = fh.read()
+        with open(out / fname, encoding="utf-8") as fh:
+            got = fh.read()
+        if fname.endswith(".json"):
+            doc_w, doc_g = json.loads(want), json.loads(got)
+            assert doc_w["config"]["out"] == "."
+            assert doc_g["config"]["out"] == str(out)
+            doc_g["config"]["out"] = "."
+            assert_same_json(doc_g, doc_w, fname)
+            continue
+        lines_w, lines_g = want.splitlines(), got.splitlines()
+        assert got.endswith("\n")
+        assert lines_g[0] == lines_w[0]
+        assert len(lines_g) == len(lines_w)
+        for i, (lg, lw) in enumerate(zip(lines_g[1:], lines_w[1:]), start=2):
+            cells_g, cells_w = lg.split(","), lw.split(",")
+            assert len(cells_g) == len(cells_w), f"{fname}:{i}"
+            for g, w in zip(cells_g, cells_w):
+                assert_same_cell(g, w, f"{fname}:{i}")
