@@ -279,6 +279,17 @@ def solve_alpha_star(
     H = E{ln^2(z/alpha*) (1/z), z >= alpha*}.  At theta = 0 the threshold
     escapes to z_max, xi = 1 and the derivative fields are None.
     """
+    return _solve_alpha_star(model, theta, T, pbar_over_n0, None)
+
+
+def _solve_alpha_star(
+    model: FadingModel,
+    theta: float,
+    T: float,
+    pbar_over_n0: float,
+    start: float | None,
+) -> AlphaStarSolution:
+    """solve_alpha_star with start as the threshold solve's first probe."""
     _check_wideband_args(theta, T, pbar_over_n0)
     if theta == 0:
         zmax = model.z_max
@@ -304,7 +315,8 @@ def solve_alpha_star(
         residual,
         math.log(1e-12),
         math.log(model.upper_cutoff()),
-        what="wideband CSIT threshold alpha*",
+        "wideband CSIT threshold alpha*",
+        start,
     )
     inv_above, _, h = _log_moments_above(model, ln_star)
     if not (h > 0 and math.isfinite(h)):

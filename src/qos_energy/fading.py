@@ -543,7 +543,8 @@ class Deterministic(_DiscreteModel):
 
 class BoundedTable(_DiscreteModel):
     """Finite discrete gain law given as (z, prob) pairs with strictly
-    increasing z and probabilities summing to 1."""
+    increasing finite z >= 0 and finite probabilities summing to 1, some of
+    it on a positive z."""
 
     kind = "table"
 
@@ -553,6 +554,8 @@ class BoundedTable(_DiscreteModel):
             raise ValueError("table must have at least one (z, prob) point")
         zs = np.array([z for z, _ in pts])
         ps = np.array([p for _, p in pts])
+        if not (np.all(np.isfinite(zs)) and np.all(np.isfinite(ps))):
+            raise ValueError("table z values and probabilities must be finite")
         if np.any(zs < 0):
             raise ValueError("table z values must be >= 0")
         if np.any(np.diff(zs) <= 0):
@@ -561,6 +564,8 @@ class BoundedTable(_DiscreteModel):
             raise ValueError("table probabilities must be >= 0")
         if abs(ps.sum() - 1.0) > 1e-9:
             raise ValueError(f"table probabilities must sum to 1, got {ps.sum()!r}")
+        if not np.any((zs > 0) & (ps > 0)):
+            raise ValueError("table needs positive probability on a positive z value")
         self.zs = zs
         self.ps = ps
 

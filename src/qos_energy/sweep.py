@@ -4,6 +4,13 @@ Everything here is a deterministic map from a declarative spec to arrays of
 floats, so reruns with the same inputs are byte-identical.  Grid points
 where the numerics give up produce gap markers (None) plus a Python
 warning instead of aborting the whole sweep.
+
+The CSIT grid loops (each tradeoff curve, each alpha(zeta) curve and each
+row of the CSIT surface) start every threshold solve at the root of the
+grid point before it, and solve cold again after a gap.  The last bits of
+a point therefore depend on its neighbour and on where its curve starts;
+its contract is the solver tolerance (1e-13 in ln(alpha)), not the bits of
+a lone solve of the same point.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ import numpy as np
 
 from .asymptotics import (
     AsymptoticSummary,
+    _solve_alpha_star,
     lowpower_csir,
     lowpower_csit,
     solve_alpha_star,
@@ -25,10 +33,10 @@ from .asymptotics import (
 from .effcap import (
     LN2,
     QosConfig,
+    _csit_point,
     _solve_alpha_ln,
     shannon_limit,
     spectral_efficiency_csir,
-    spectral_efficiency_csit,
     to_db,
 )
 from .errors import NumericalError
@@ -146,18 +154,25 @@ class Surface:
     failures: int = 0
 
 
-def _point_se(spec: SweepSpec, theta: float, g: float) -> float:
+def _point_se(spec: SweepSpec, theta: float, g: float, warm: list) -> float:
+    """Spectral efficiency at grid value g.
+
+    warm is a one-item list holding the previous CSIT threshold of the
+    curve in ln(alpha), or None; a CSIT point starts its solve there and
+    stores its own threshold in its place.
+    """
     if spec.regime == LOWPOWER:
         snr = g
         qos = QosConfig(theta=theta, T=spec.T, B=spec.B)
     else:
         snr = spec.pbar_over_n0 * g
         qos = QosConfig(theta=theta, T=spec.T, B=1.0 / g)
+    if spec.mode == "csit":
+        se, warm[0] = _csit_point(snr, qos, spec.model, warm[0])
+        return se
     if theta == 0:
         return shannon_limit(snr, spec.mode, qos, spec.model)
-    if spec.mode == "csir":
-        return spectral_efficiency_csir(snr, qos, spec.model)
-    return spectral_efficiency_csit(snr, qos, spec.model)
+    return spectral_efficiency_csir(snr, qos, spec.model)
 
 
 def _asymptote(
@@ -205,20 +220,20 @@ def tradeoff_curve(spec: SweepSpec) -> list[Curve]:
     for theta in spec.theta_list:
         pts = []
         failures = 0
+        warm = [None]
         for g in spec.grid:
             try:
-                se = _point_se(spec, theta, g)
+                se = _point_se(spec, theta, g, warm)
             except NumericalError as exc:
                 warnings.warn(
                     f"tradeoff point failed at theta={theta:g}, grid={g:g}: {exc}",
                     stacklevel=2,
                 )
+                se = None
+            if se is None or se <= 0 or not math.isfinite(se):
                 pts.append(TradeoffPoint(None, None))
                 failures += 1
-                continue
-            if se <= 0 or not math.isfinite(se):
-                pts.append(TradeoffPoint(None, None))
-                failures += 1
+                warm[0] = None
                 continue
             snr = g if spec.regime == LOWPOWER else spec.pbar_over_n0 * g
             pts.append(TradeoffPoint(to_db(snr / se), se))
@@ -270,6 +285,7 @@ def ebn0_min_surface(
     failures = 0
     for theta in thetas:
         row = []
+        ln_star = None
         for pn0 in pbars:
             try:
                 if mode == "csir":
@@ -277,7 +293,8 @@ def ebn0_min_surface(
                 elif theta == 0:
                     val = lowpower_csit(model, 0.0).ebn0_min_db
                 else:
-                    sol = solve_alpha_star(model, theta, T, pn0)
+                    sol = _solve_alpha_star(model, theta, T, pn0, ln_star)
+                    ln_star = sol.ln_alpha_star
                     val = 10.0 * math.log10(-theta * T * pn0 / sol.ln_xi)
             except NumericalError as exc:
                 warnings.warn(
@@ -287,6 +304,7 @@ def ebn0_min_surface(
                 )
                 val = None
                 failures += 1
+                ln_star = None
             row.append(val)
         rows.append(tuple(row))
     return Surface(
@@ -321,10 +339,11 @@ def alpha_vs_zeta(
         else:
             alpha_star = solve_alpha_star(model, theta, T, pbar_over_n0).alpha_star
         alphas = []
+        ln_a = None
         for zeta in zetas:
             beta = theta * T / (zeta * LN2)
             try:
-                ln_a = _solve_alpha_ln(pbar_over_n0 * zeta, beta, model)
+                ln_a = _solve_alpha_ln(pbar_over_n0 * zeta, beta, model, ln_a)
                 alphas.append(math.exp(ln_a))
             except NumericalError as exc:
                 warnings.warn(
@@ -332,6 +351,7 @@ def alpha_vs_zeta(
                     stacklevel=2,
                 )
                 alphas.append(None)
+                ln_a = None
         curves.append(
             AlphaZetaCurve(
                 label=f"theta={theta:g}",

@@ -147,6 +147,44 @@ class TestExitCodes:
         assert code == 2
         assert f"grid_points must be <= {MAX_GRID_POINTS}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv", [("limits",), ("sweep", "--mode", "csit"), ("alpha-star",)]
+    )
+    @pytest.mark.parametrize(
+        "points", ["[[0.5, NaN], [1, 1]]", "[[NaN, 1]]", "[[1e400, 1]]"]
+    )
+    def test_non_finite_table_entry_is_config_error(
+        self, tmp_path, capsys, argv, points
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            f'{{"model": {{"kind": "table", "points": {points}}}}}', encoding="utf-8"
+        )
+        code, _ = run(tmp_path, *argv, "--config", str(cfg))
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("limits",),
+            ("sweep", "--mode", "csit"),
+            ("alpha-star",),
+            ("surface", "--mode", "csit"),
+        ],
+    )
+    @pytest.mark.parametrize("points", [[[0, 1]], [[0, 1], [1, 0]]])
+    def test_table_without_mass_on_a_positive_gain_is_config_error(
+        self, tmp_path, capsys, argv, points
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            json.dumps({"model": {"kind": "table", "points": points}}), encoding="utf-8"
+        )
+        code, _ = run(tmp_path, *argv, "--config", str(cfg))
+        assert code == 2
+        assert "positive" in capsys.readouterr().err
+
     def test_out_path_collision_is_filesystem_error(self, tmp_path, capsys):
         target = tmp_path / "occupied"
         target.write_text("not a directory", encoding="utf-8")
@@ -368,10 +406,10 @@ class TestSweepCommand:
         real = sweep_mod._point_se
         grid = sweep_mod.default_grid("lowpower", 4)
 
-        def flaky(spec, theta, g):
+        def flaky(spec, theta, g, warm):
             if g == grid[1]:
                 raise NumericalError("synthetic failure")
-            return real(spec, theta, g)
+            return real(spec, theta, g, warm)
 
         monkeypatch.setattr(sweep_mod, "_point_se", flaky)
         with pytest.warns(UserWarning, match="synthetic failure"):

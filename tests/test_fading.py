@@ -280,6 +280,24 @@ class TestBoundedTable:
         with pytest.raises(ValueError):
             BoundedTable(())
 
+    @pytest.mark.parametrize(
+        "points",
+        [
+            ((0.5, math.nan), (1.0, 1.0)),
+            ((math.nan, 1.0),),
+            ((math.inf, 1.0),),
+            ((0.5, 0.5), (1.0, math.inf)),
+        ],
+    )
+    def test_rejects_non_finite_entries(self, points):
+        with pytest.raises(ValueError, match="finite"):
+            BoundedTable(points)
+
+    @pytest.mark.parametrize("points", [((0.0, 1.0),), ((0.0, 1.0), (1.0, 0.0))])
+    def test_rejects_no_mass_on_a_positive_gain(self, points):
+        with pytest.raises(ValueError, match="positive"):
+            BoundedTable(points)
+
 
 class TestFromConfig:
     def test_all_kinds(self):

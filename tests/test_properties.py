@@ -9,6 +9,7 @@ examples, so every run checks the same inputs.
 
 import math
 import warnings
+from unittest import mock
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -29,6 +30,7 @@ from qos_energy import (
     wideband_csir,
     wideband_csit,
 )
+from qos_energy import sweep as sweep_mod
 
 LN2 = math.log(2.0)
 SEEDED = settings(
@@ -67,6 +69,9 @@ SNRS = log_uniform(-5.0, 2.0)
 PBARS = log_uniform(2.0, 7.0)
 T = 2e-3
 GRIDS = {"lowpower": (1e-5, 1e-2, 1.0, 30.0), "wideband": (1e-8, 1e-6, 1e-4, 1e-2)}
+# Random increasing grids pick steps of 1/GRID_STEPS of these log10 ranges.
+GRID_EXPONENTS = {"lowpower": (-5.0, 1.5), "wideband": (-9.0, -2.0)}
+GRID_STEPS = 120
 
 
 def qos_for(theta: float, beta: float) -> QosConfig:
@@ -137,3 +142,41 @@ def test_sweeps_record_gaps_instead_of_aborting(model, mode, regime, theta, beta
             if pt.spectral_efficiency is not None:
                 assert math.isfinite(pt.spectral_efficiency)
                 assert math.isfinite(pt.ebn0_db)
+
+
+@SEEDED
+@given(
+    model=MODELS,
+    regime=st.sampled_from(sorted(GRIDS)),
+    theta=THETAS,
+    beta=BETAS,
+    pbar=PBARS,
+    steps=st.lists(st.integers(0, GRID_STEPS), min_size=2, max_size=8, unique=True),
+)
+def test_warm_started_roots_match_cold_solves(model, regime, theta, beta, pbar, steps):
+    lo, hi = GRID_EXPONENTS[regime]
+    grid = tuple(10.0 ** (lo + (hi - lo) * k / GRID_STEPS) for k in sorted(steps))
+    spec = SweepSpec(
+        model=model,
+        mode="csit",
+        regime=regime,
+        theta_list=(theta,),
+        T=T,
+        B=beta * LN2 / (theta * T),
+        pbar_over_n0=pbar,
+        grid=grid,
+    )
+    real = sweep_mod._csit_point
+    roots = []
+
+    def recording(snr, qos, model, start):
+        se, ln_a = real(snr, qos, model, start)
+        roots.append((ln_a, finite_or_numerical_error(real, snr, qos, model)))
+        return se, ln_a
+
+    with mock.patch.object(sweep_mod, "_csit_point", recording):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            tradeoff_curve(spec)
+    for warm, cold in roots:
+        assert cold is not None and abs(warm - cold[1]) <= 1e-12

@@ -12,9 +12,12 @@ from qos_energy import (
     Deterministic,
     NakagamiM,
     Rayleigh,
+    SweepSpec,
     solve_alpha_star,
+    tradeoff_curve,
 )
 from qos_energy import asymptotics, effcap
+from qos_energy import sweep as sweep_mod
 from qos_energy.asymptotics import _log_moments_above
 from qos_energy.effcap import _mean_policy_power, _solve_alpha_ln, solve_threshold
 
@@ -59,7 +62,7 @@ def count_evals(monkeypatch):
     """Residual evaluations of every threshold solve made while patched."""
     counts = []
 
-    def counting(residual, lo_ln, hi_ln, what):
+    def counting(residual, lo_ln, hi_ln, what, start):
         n = 0
 
         def counted(ln_a):
@@ -67,7 +70,7 @@ def count_evals(monkeypatch):
             n += 1
             return residual(ln_a)
 
-        root = solve_threshold(counted, lo_ln, hi_ln, what)
+        root = solve_threshold(counted, lo_ln, hi_ln, what, start)
         counts.append(n)
         return root
 
@@ -120,6 +123,38 @@ class TestSolveThreshold:
             solve_threshold(lambda x: (1.0, 0.0), 0.0, 1.0, "positive")
         with pytest.raises(BracketFailure):
             solve_threshold(lambda x: (-1.0, 0.0), 0.0, 1.0, "negative")
+
+    @pytest.mark.parametrize("start", [-80.0, -49.0, 0.5, 49.0, 80.0])
+    def test_a_start_anywhere_finds_the_root(self, start):
+        for root in (-50.0, 0.3, 50.0):
+            got = solve_threshold(lambda x: (root - x, -1.0), 0.0, 1.0, "line", start)
+            assert got == pytest.approx(root, abs=1e-13)
+        arctan = solve_threshold(
+            lambda x: (-math.atan(x - 0.3), -1.0 / (1.0 + (x - 0.3) ** 2)),
+            -40.0,
+            40.0,
+            "arctan",
+            start,
+        )
+        assert abs(arctan - 0.3) < 1e-13
+
+    def test_a_start_at_the_root_takes_one_evaluation(self):
+        evals = 0
+
+        def residual(x):
+            nonlocal evals
+            evals += 1
+            return math.exp(-x) - 0.25, -math.exp(-x)
+
+        root = solve_threshold(residual, -10.0, 10.0, "exp", math.log(4.0))
+        assert root == pytest.approx(math.log(4.0), abs=1e-14)
+        assert evals == 1
+
+    def test_no_sign_change_raises_from_a_start(self):
+        with pytest.raises(BracketFailure, match="upper"):
+            solve_threshold(lambda x: (1.0, 0.0), 0.0, 1.0, "positive", 5.0)
+        with pytest.raises(BracketFailure, match="lower"):
+            solve_threshold(lambda x: (-1.0, 0.0), 0.0, 1.0, "negative", -5.0)
 
 
 class TestAnalyticDerivatives:
@@ -182,3 +217,30 @@ class TestEvaluationBudget:
                 solve_alpha_star(model, float(theta), T, 1e4)
         assert len(counts) == 16
         assert max(counts) <= 20
+
+    @pytest.mark.parametrize("model", [RAY, NakagamiM(m=2.0)], ids=repr)
+    @pytest.mark.parametrize("regime", ["lowpower", "wideband"])
+    def test_warm_csit_sweeps_take_at_most_60_percent_of_cold(
+        self, monkeypatch, model, regime
+    ):
+        spec = SweepSpec(
+            model=model,
+            mode="csit",
+            regime=regime,
+            theta_list=(0.0, 0.001, 0.01, 0.1, 1.0),
+            T=T,
+            B=1e5,
+            pbar_over_n0=1e4,
+        )
+        counts = count_evals(monkeypatch)
+        tradeoff_curve(spec)
+        warm = list(counts)
+        counts.clear()
+        real = sweep_mod._csit_point
+        monkeypatch.setattr(
+            sweep_mod, "_csit_point", lambda snr, qos, m, start: real(snr, qos, m)
+        )
+        tradeoff_curve(spec)
+        assert len(warm) == len(counts) >= 300
+        assert sum(warm) <= 0.6 * sum(counts)
+        assert max(warm) <= 20

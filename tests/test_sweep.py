@@ -1,6 +1,7 @@
 """Tradeoff-curve, surface, and threshold-curve dataset generation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -163,12 +164,12 @@ class TestTradeoffCurve:
     def test_gap_markers_do_not_abort(self, monkeypatch):
         real = sweep_mod._point_se
 
-        def flaky(spec, theta, g):
+        def flaky(spec, theta, g, warm):
             if g == 1e-4:
                 raise NumericalError("synthetic failure")
             if g == 1e-3:
                 return 0.0
-            return real(spec, theta, g)
+            return real(spec, theta, g, warm)
 
         monkeypatch.setattr(sweep_mod, "_point_se", flaky)
         spec = SweepSpec(
@@ -225,14 +226,14 @@ class TestTradeoffCurve:
         )
 
     def test_failing_csit_point_is_a_gap(self, monkeypatch):
-        real = sweep_mod.spectral_efficiency_csit
+        real = sweep_mod._csit_point
 
-        def flaky(snr, qos, model):
+        def flaky(snr, qos, model, start):
             if snr == 3.08:
                 raise NumericalError("synthetic CSIT failure")
-            return real(snr, qos, model)
+            return real(snr, qos, model, start)
 
-        monkeypatch.setattr(sweep_mod, "spectral_efficiency_csit", flaky)
+        monkeypatch.setattr(sweep_mod, "_csit_point", flaky)
         spec = SweepSpec(
             model=NakagamiM(m=2.0, mean=1.0),
             mode="csit",
@@ -374,3 +375,147 @@ class TestAlphaVsZeta:
         a = alpha_vs_zeta(*args, zeta_grid=(1e-8, 1e-5))
         b = alpha_vs_zeta(*args, zeta_grid=(1e-8, 1e-5))
         assert a == b
+
+
+CLI_THETAS = (0.0, 0.001, 0.01, 0.1, 1.0)
+TABLE = BoundedTable(((0.0, 0.1), (0.3, 0.2), (1.0, 0.4), (2.5, 0.3)))
+SURFACE_THETAS = tuple(np.logspace(-3.0, 0.0, 20))
+SURFACE_PBARS = tuple(np.logspace(2.0, 6.0, 20))
+
+
+def csit_spec(model, regime, thetas=CLI_THETAS, grid=None) -> SweepSpec:
+    """The CLI's default CSIT sweep of model in regime."""
+    return SweepSpec(
+        model=model,
+        mode="csit",
+        regime=regime,
+        theta_list=thetas,
+        T=T,
+        B=1e5,
+        pbar_over_n0=PN0,
+        grid=grid,
+    )
+
+
+def record_roots(monkeypatch, name, root_of) -> list:
+    """Record (start, root, cold root) for every call of the solve
+    sweep_mod.<name>, whose last argument is its start; the cold root
+    solves the same point again with start None."""
+    real = getattr(sweep_mod, name)
+    calls = []
+
+    def recording(*args):
+        out = real(*args)
+        calls.append((args[-1], root_of(out), root_of(real(*args[:-1], None))))
+        return out
+
+    monkeypatch.setattr(sweep_mod, name, recording)
+    return calls
+
+
+def assert_warm_matches_cold(calls, lines: int, points: int) -> None:
+    """Only the first point of each curve or row starts cold, and every
+    warm root is the cold one to the oracle tolerance."""
+    assert len(calls) == lines * points
+    starts = [start is None for start, _, _ in calls]
+    assert starts == ([True] + [False] * (points - 1)) * lines
+    assert max(abs(warm - cold) for _, warm, cold in calls) <= 1e-12
+
+
+class TestWarmStarts:
+    @pytest.mark.parametrize(
+        "model", [RAY, NakagamiM(m=0.6), NakagamiM(m=2.0), TABLE], ids=repr
+    )
+    @pytest.mark.parametrize("regime", ["lowpower", "wideband"])
+    def test_tradeoff_roots_match_cold_solves(self, monkeypatch, model, regime):
+        calls = record_roots(monkeypatch, "_csit_point", lambda out: out[1])
+        curves = tradeoff_curve(csit_spec(model, regime))
+        assert sum(c.failures for c in curves) == 0
+        assert_warm_matches_cold(calls, len(CLI_THETAS), 60)
+
+    @pytest.mark.parametrize("model", [RAY, NakagamiM(m=2.0), TABLE], ids=repr)
+    def test_alpha_vs_zeta_roots_match_cold_solves(self, monkeypatch, model):
+        calls = record_roots(monkeypatch, "_solve_alpha_ln", float)
+        alpha_vs_zeta(model, CLI_THETAS, T, PN0)
+        assert_warm_matches_cold(calls, len(CLI_THETAS), 60)
+
+    @pytest.mark.parametrize("model", [RAY, NakagamiM(m=2.0)], ids=repr)
+    def test_csit_surface_roots_match_cold_solves(self, monkeypatch, model):
+        calls = record_roots(
+            monkeypatch, "_solve_alpha_star", lambda sol: sol.ln_alpha_star
+        )
+        surf = ebn0_min_surface("csit", model, SURFACE_THETAS, SURFACE_PBARS, T)
+        assert surf.failures == 0
+        assert_warm_matches_cold(calls, 20, 20)
+
+
+# Grid points made to fail in the restart tests.  The last bits of a warm
+# root depend on its start, so several failures make a missed restart show.
+FAILING = (5, 9, 13, 17)
+
+
+class TestColdRestartAfterGap:
+    @pytest.mark.parametrize("failure", ["raise", "zero rate"])
+    def test_tradeoff_point_after_a_gap(self, monkeypatch, failure):
+        spec = csit_spec(NakagamiM(m=2.0), "lowpower", thetas=(0.1,))
+        bad = {spec.grid[k] for k in FAILING}
+        real = sweep_mod._csit_point
+
+        def flaky(snr, qos, model, start):
+            if snr in bad:
+                if failure == "raise":
+                    raise NumericalError("synthetic failure")
+                return 0.0, real(snr, qos, model, start)[1]
+            return real(snr, qos, model, start)
+
+        monkeypatch.setattr(sweep_mod, "_csit_point", flaky)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            (curve,) = tradeoff_curve(spec)
+        monkeypatch.undo()
+        for k in FAILING:
+            (fresh,) = tradeoff_curve(
+                csit_spec(spec.model, "lowpower", (0.1,), spec.grid[k + 1 :])
+            )
+            assert curve.points[k] == TradeoffPoint(None, None)
+            assert curve.points[k + 1] == fresh.points[0]
+
+    def test_alpha_vs_zeta_point_after_a_gap(self, monkeypatch):
+        zetas = default_grid("wideband")
+        bad = {PN0 * zetas[k] for k in FAILING}
+        real = sweep_mod._solve_alpha_ln
+
+        def flaky(snr, beta, model, start):
+            if snr in bad:
+                raise NumericalError("synthetic failure")
+            return real(snr, beta, model, start)
+
+        monkeypatch.setattr(sweep_mod, "_solve_alpha_ln", flaky)
+        with pytest.warns(UserWarning, match="synthetic failure"):
+            (curve,) = alpha_vs_zeta(RAY, (0.1,), T, PN0, zeta_grid=zetas)
+        monkeypatch.undo()
+        for k in FAILING:
+            (fresh,) = alpha_vs_zeta(RAY, (0.1,), T, PN0, zeta_grid=zetas[k + 1 :])
+            assert curve.alphas[k] is None
+            assert curve.alphas[k + 1] == fresh.alphas[0]
+
+    def test_surface_cell_after_a_gap(self, monkeypatch):
+        pbars = SURFACE_PBARS
+        bad = {pbars[k] for k in FAILING}
+        real = sweep_mod._solve_alpha_star
+
+        def flaky(model, theta, T, pbar_over_n0, start):
+            if pbar_over_n0 in bad:
+                raise NumericalError("synthetic failure")
+            return real(model, theta, T, pbar_over_n0, start)
+
+        monkeypatch.setattr(sweep_mod, "_solve_alpha_star", flaky)
+        thetas = (0.01, 0.1, 1.0)
+        with pytest.warns(UserWarning, match="synthetic failure"):
+            surf = ebn0_min_surface("csit", RAY, thetas, pbars, T)
+        monkeypatch.undo()
+        for k in FAILING:
+            fresh = ebn0_min_surface("csit", RAY, thetas, pbars[k + 1 :], T)
+            for row, fresh_row in zip(surf.ebn0_min_db, fresh.ebn0_min_db):
+                assert row[k] is None
+                assert row[k + 1] == fresh_row[0]
