@@ -48,11 +48,11 @@ which yields the S0 above without the cancellation of its two terms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .effcap import LN2, solve_threshold
+from .effcap import LN2, solve_threshold, to_db
 from .errors import NumericalError
 from .fading import FadingModel, _logsumexp
 
@@ -63,16 +63,21 @@ _DB_PER_FACTOR2 = 10.0 * math.log10(2.0)
 class AsymptoticSummary:
     """Bit-energy floor and wideband slope for one mode/regime combination.
 
-    ebn0_min_db is -inf (never NaN) when the linear floor is 0, which
-    happens for CSIT with unbounded gains; unbounded_support flags it.
+    ebn0_min_db and unbounded_support are derived from ebn0_min_linear, so
+    the floors cannot disagree: a linear floor of 0 (CSIT with unbounded
+    gains) gives -inf dB, never NaN, and sets unbounded_support.
     """
 
     ebn0_min_linear: float
-    ebn0_min_db: float
+    ebn0_min_db: float = field(init=False)
     slope_s0: float
     regime: str
     mode: str
-    unbounded_support: bool = False
+    unbounded_support: bool = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "ebn0_min_db", to_db(self.ebn0_min_linear))
+        object.__setattr__(self, "unbounded_support", self.ebn0_min_linear == 0)
 
 
 @dataclass(frozen=True)
@@ -121,7 +126,6 @@ def lowpower_csir(model: FadingModel, beta: float) -> AsymptoticSummary:
     s0 = 2.0 / ((beta + 1.0) * kurt - beta)
     return AsymptoticSummary(
         ebn0_min_linear=lin,
-        ebn0_min_db=10.0 * math.log10(lin),
         slope_s0=s0,
         regime="lowpower",
         mode="csir",
@@ -145,18 +149,15 @@ def lowpower_csit(model: FadingModel, beta: float = 0.0) -> AsymptoticSummary:
     if math.isinf(zmax):
         return AsymptoticSummary(
             ebn0_min_linear=0.0,
-            ebn0_min_db=-math.inf,
             slope_s0=0.0,
             regime="lowpower",
             mode="csit",
-            unbounded_support=True,
         )
     p = model.prob_mass_at(zmax)
     lin = LN2 / zmax
     s0 = 2.0 * p / (beta * (1.0 - p) + 1.0)
     return AsymptoticSummary(
         ebn0_min_linear=lin,
-        ebn0_min_db=10.0 * math.log10(lin),
         slope_s0=s0,
         regime="lowpower",
         mode="csit",
@@ -197,7 +198,6 @@ def wideband_csir(
         )
     return AsymptoticSummary(
         ebn0_min_linear=lin,
-        ebn0_min_db=10.0 * math.log10(lin),
         slope_s0=s0,
         regime="wideband",
         mode="csir",
@@ -224,7 +224,6 @@ def wideband_csir_rayleigh_closed_form(
     s0 = ((1.0 + 1.0 / c) * math.log1p(c)) ** 2
     return AsymptoticSummary(
         ebn0_min_linear=lin,
-        ebn0_min_db=10.0 * math.log10(lin),
         slope_s0=s0,
         regime="wideband",
         mode="csir",
@@ -373,7 +372,6 @@ def wideband_csit(
         )
     return AsymptoticSummary(
         ebn0_min_linear=lin,
-        ebn0_min_db=10.0 * math.log10(lin),
         slope_s0=s0,
         regime="wideband",
         mode="csit",

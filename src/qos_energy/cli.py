@@ -32,7 +32,7 @@ import numpy as np
 from .asymptotics import solve_alpha_star
 from .effcap import QosConfig, delay_limited_limit, shannon_limit
 from .errors import NumericalError
-from .fading import from_config
+from .fading import _MODELS, from_config
 from .queuesim import SimConfig, predicted_effective_capacity, simulate_queue
 from .sweep import (
     LOWPOWER,
@@ -393,8 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
         # command that has no `--mode`.
         p = sub.add_parser(name, help=command_help, allow_abbrev=False)
         p.add_argument("--config", metavar="FILE", help="JSON config file")
-        p.add_argument("--model", help="fading model kind",
-                       choices=["rayleigh", "nakagami", "deterministic", "table"])
+        p.add_argument("--model", help="fading model kind", choices=list(_MODELS))
         p.add_argument("--m", type=float, help="Nakagami shape parameter")
         p.add_argument("--mean", type=float,
                        help="mean channel gain (the fixed gain z0 for deterministic)")
@@ -427,7 +426,7 @@ def _load_config_file(path: str, command: str) -> dict:
 
 
 def _resolve_model(cfg: dict, args) -> dict:
-    spec = {"kind": "rayleigh", "mean": 1.0}
+    spec = {"kind": "rayleigh"}
     raw = cfg.get("model")
     if raw is not None:
         if not isinstance(raw, dict) or "kind" not in raw:
@@ -437,21 +436,16 @@ def _resolve_model(cfg: dict, args) -> dict:
         spec = {"kind": args.model}
     if args.m is not None:
         spec["m"] = args.m
-    if args.mean is not None:
-        if spec.get("kind") == "deterministic":
-            spec["z0"] = args.mean
-        else:
-            spec["mean"] = args.mean
     kind = spec.get("kind")
+    if args.mean is not None:
+        spec["z0" if kind == "deterministic" else "mean"] = args.mean
     if kind == "nakagami" and "m" not in spec:
         raise ConfigError("nakagami model needs the shape parameter --m")
     if kind == "table" and "points" not in spec:
         raise ConfigError(
             "table model needs 'points' ([[z, p], ...]) from a config file"
         )
-    if kind in ("rayleigh", "nakagami"):
-        spec.setdefault("mean", 1.0)
-    elif kind == "deterministic" and "z0" not in spec:
+    if kind == "deterministic" and "z0" not in spec:
         spec["z0"] = spec.pop("mean", 1.0)
     return spec
 
@@ -466,6 +460,8 @@ def _resolve(args):
         model = from_config(spec)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"model: {exc}") from None
+    for key, default in _MODELS[model.kind][1].items():
+        spec.setdefault(key, default)
     cfg = {"model": spec}
     for key, default in defaults.items():
         val = getattr(args, key, None)

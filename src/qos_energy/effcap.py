@@ -110,9 +110,7 @@ def power_policy_value(policy: PowerPolicy, z):
 
     Accepts scalars or arrays; continuous (value 0) at z = alpha.
     """
-    z_arr = np.asarray(z, dtype=float)
-    safe = np.where(z_arr > 0, z_arr, 1.0)
-    lnz = np.where(z_arr > 0, np.log(safe), -np.inf)
+    safe, lnz = _safe_log(z)
     above = lnz >= policy.ln_alpha
     mu = np.where(
         above, np.expm1((lnz - policy.ln_alpha) / (policy.beta + 1.0)) / safe, 0.0
@@ -120,6 +118,13 @@ def power_policy_value(policy: PowerPolicy, z):
     if np.ndim(z) == 0:
         return float(mu)
     return mu
+
+
+def _safe_log(z) -> tuple[np.ndarray, np.ndarray]:
+    """(z with 1 in place of gains <= 0, ln z with -inf there) as arrays."""
+    z_arr = np.asarray(z, dtype=float)
+    safe = np.where(z_arr > 0, z_arr, 1.0)
+    return safe, np.where(z_arr > 0, np.log(safe), -np.inf)
 
 
 def _mean_policy_power(
@@ -355,15 +360,12 @@ def service_rate_csir(snr: float, z, qos: QosConfig):
 def service_rate_csit(policy: PowerPolicy, z, qos: QosConfig):
     """Frame service rate B log2(1+mu_opt z) = B ln(z/alpha)/((beta+1) ln2)
     above the cutoff, 0 below (scalar or array z)."""
-    z_arr = np.asarray(z, dtype=float)
-    safe = np.where(z_arr > 0, z_arr, 1.0)
-    lnz = np.where(z_arr > 0, np.log(safe), -np.inf)
-    rate = np.where(
+    lnz = _safe_log(z)[1]
+    return np.where(
         lnz >= policy.ln_alpha,
         qos.B * (lnz - policy.ln_alpha) / ((policy.beta + 1.0) * LN2),
         0.0,
     )
-    return rate
 
 
 def _check_snr(snr: float):

@@ -626,11 +626,13 @@ class BoundedTable(_DiscreteModel):
         return rng.choice(self.zs, size=size, p=self.ps)
 
 
-_MODEL_KEYS = {
-    "rayleigh": {"mean"},
-    "nakagami": {"m", "mean"},
-    "deterministic": {"z0"},
-    "table": {"points"},
+# kind -> (class, {key: default}).  None marks a required key; a tuple marks
+# a list key passed on as given (null as empty); every other key is a float.
+_MODELS = {
+    "rayleigh": (Rayleigh, {"mean": 1.0}),
+    "nakagami": (NakagamiM, {"m": None, "mean": 1.0}),
+    "deterministic": (Deterministic, {"z0": None}),
+    "table": (BoundedTable, {"points": ()}),
 }
 
 
@@ -639,21 +641,18 @@ def from_config(config: dict) -> FadingModel:
     if not isinstance(config, dict):
         raise ValueError(f"model config must be a mapping, got {type(config).__name__}")
     kind = config.get("kind")
-    if kind not in _MODEL_KEYS:
+    if kind not in _MODELS:
         raise ValueError(
-            f"unknown model kind {kind!r}; expected one of {sorted(_MODEL_KEYS)}"
+            f"unknown model kind {kind!r}; expected one of {sorted(_MODELS)}"
         )
-    extra = set(config) - {"kind"} - _MODEL_KEYS[kind]
+    cls, defaults = _MODELS[kind]
+    extra = set(config) - {"kind"} - set(defaults)
     if extra:
         raise ValueError(f"unknown keys for model {kind!r}: {sorted(extra)}")
-    if kind == "rayleigh":
-        return Rayleigh(mean=float(config.get("mean", 1.0)))
-    if kind == "nakagami":
-        if "m" not in config:
-            raise ValueError("nakagami model requires the shape key 'm'")
-        return NakagamiM(m=float(config["m"]), mean=float(config.get("mean", 1.0)))
-    if kind == "deterministic":
-        if "z0" not in config:
-            raise ValueError("deterministic model requires the key 'z0'")
-        return Deterministic(z0=float(config["z0"]))
-    return BoundedTable(config.get("points") or ())
+    args = {}
+    for key, default in defaults.items():
+        if key not in config and default is None:
+            raise ValueError(f"{kind} model requires the key {key!r}")
+        val = config.get(key, default)
+        args[key] = (val or default) if isinstance(default, tuple) else float(val)
+    return cls(**args)

@@ -18,6 +18,7 @@ import numpy as np
 
 from .effcap import (
     QosConfig,
+    _check_mode,
     service_rate_csir,
     service_rate_csit,
     shannon_limit,
@@ -26,7 +27,7 @@ from .effcap import (
     spectral_efficiency_csit,
 )
 from .errors import InsufficientSamples, ThetaZero, Unstable
-from .fading import FadingModel
+from .fading import FadingModel, _logsumexp
 
 _CHUNK = 1 << 20
 _MIN_TAIL_SAMPLES = 100
@@ -53,8 +54,7 @@ class SimConfig:
     warmup_frames: int | None = None
 
     def __post_init__(self):
-        if self.mode not in ("csir", "csit"):
-            raise ValueError(f"mode must be 'csir' or 'csit', got {self.mode!r}")
+        _check_mode(self.mode)
         if not (self.snr > 0 and math.isfinite(self.snr)):
             raise ValueError(f"snr must be positive, got {self.snr}")
         if not (self.arrival_rate > 0 and math.isfinite(self.arrival_rate)):
@@ -99,6 +99,24 @@ class TailEstimate:
     samples_at_largest_threshold: int
 
 
+def _service_rates(
+    model: FadingModel, snr: float, qos: QosConfig, mode: str, frames: int, seed: int
+):
+    """Yield the service rates of frames frames from seed, _CHUNK at a time.
+
+    The CSIT policy is solved before the first chunk, and no chunk's gains
+    stay referenced across a yield.
+    """
+    policy = solve_alpha(snr, qos, model) if mode == "csit" else None
+    rng = np.random.default_rng(seed)
+    for done in range(0, frames, _CHUNK):
+        n = min(_CHUNK, frames - done)
+        if policy is None:
+            yield service_rate_csir(snr, model.sample(rng, n), qos)
+        else:
+            yield service_rate_csit(policy, model.sample(rng, n), qos)
+
+
 def simulate_queue(config: SimConfig) -> TailEstimate:
     """Run the Lindley recursion and fit the exceedance tail.
 
@@ -114,22 +132,14 @@ def simulate_queue(config: SimConfig) -> TailEstimate:
             f"ergodic capacity {capacity:g} bits/s; the queue has no "
             "stationary distribution"
         )
-    policy = None
-    if config.mode == "csit":
-        policy = solve_alpha(config.snr, qos, model)
-    rng = np.random.default_rng(config.seed)
     thresholds = np.asarray(config.q_thresholds)
     counts = np.zeros(len(thresholds), dtype=np.int64)
     q_tail = 0.0
     done = 0
     warm = config.warmup_frames
-    while done < config.frames:
-        n = min(_CHUNK, config.frames - done)
-        z = model.sample(rng, n)
-        if config.mode == "csir":
-            rates = service_rate_csir(config.snr, z, qos)
-        else:
-            rates = service_rate_csit(policy, z, qos)
+    for rates in _service_rates(
+        model, config.snr, qos, config.mode, config.frames, config.seed
+    ):
         x = config.arrival_rate * qos.T - rates * qos.T
         s = np.cumsum(x)
         # Q_j = max(Q_0 + S_j, S_j - min_{k<=j} S_k) for the block, which
@@ -138,12 +148,10 @@ def simulate_queue(config: SimConfig) -> TailEstimate:
         q = s + np.maximum(q_tail, -np.minimum.accumulate(s))
         q = np.maximum(q, 0.0)
         q_tail = float(q[-1])
-        lo = warm - done
-        if lo < n:
-            post = q[max(lo, 0):]
-            for i, thr in enumerate(thresholds):
-                counts[i] += int(np.count_nonzero(post > thr))
-        done += n
+        post = q[max(warm - done, 0):]
+        for i, thr in enumerate(thresholds):
+            counts[i] += int(np.count_nonzero(post > thr))
+        done += rates.size
     n_post = config.frames - warm
     if counts[0] == 0:
         return TailEstimate(
@@ -179,9 +187,7 @@ def effective_capacity_from_rates(rates, theta: float, T: float) -> float:
     if theta <= 0:
         raise ThetaZero("empirical effective capacity needs theta > 0")
     r = np.asarray(rates, dtype=float)
-    y = -theta * T * r
-    m = float(y.max())
-    log_mean = m + math.log(float(np.exp(y - m).sum()) / r.size)
+    log_mean = _logsumexp(-theta * T * r) - math.log(r.size)
     return -log_mean / (theta * T)
 
 
@@ -198,33 +204,17 @@ def effective_capacity_empirical(
     Log-domain averaging in chunks, so millions of frames cost memory for
     one chunk only and extreme exponents cannot overflow.
     """
-    if mode not in ("csir", "csit"):
-        raise ValueError(f"mode must be 'csir' or 'csit', got {mode!r}")
+    _check_mode(mode)
     if qos.theta == 0:
         raise ThetaZero("empirical effective capacity needs theta > 0")
     frames = int(frames)
     if frames < 1:
         raise ValueError(f"frames must be >= 1, got {frames}")
-    policy = None
-    if mode == "csit":
-        policy = solve_alpha(snr, qos, model)
-    rng = np.random.default_rng(seed)
-    pieces = []
-    done = 0
-    while done < frames:
-        n = min(_CHUNK, frames - done)
-        z = model.sample(rng, n)
-        if mode == "csir":
-            rates = service_rate_csir(snr, z, qos)
-        else:
-            rates = service_rate_csit(policy, z, qos)
-        y = -qos.theta * qos.T * rates
-        m = float(y.max())
-        pieces.append((m, float(np.exp(y - m).sum())))
-        done += n
-    m_all = max(m for m, _ in pieces)
-    total = sum(s * math.exp(m - m_all) for m, s in pieces)
-    log_mean = m_all + math.log(total / frames)
+    pieces = [
+        _logsumexp(-qos.theta * qos.T * rates)
+        for rates in _service_rates(model, snr, qos, mode, frames, seed)
+    ]
+    log_mean = _logsumexp(np.array(pieces)) - math.log(frames)
     return -log_mean / (qos.theta * qos.T)
 
 
@@ -232,10 +222,6 @@ def predicted_effective_capacity(
     model: FadingModel, snr: float, qos: QosConfig, mode: str
 ) -> float:
     """Predicted effective capacity in bits/s, for comparison with the fit."""
-    if mode == "csir":
-        se = spectral_efficiency_csir(snr, qos, model)
-    elif mode == "csit":
-        se = spectral_efficiency_csit(snr, qos, model)
-    else:
-        raise ValueError(f"mode must be 'csir' or 'csit', got {mode!r}")
-    return qos.B * se
+    _check_mode(mode)
+    rate = spectral_efficiency_csir if mode == "csir" else spectral_efficiency_csit
+    return qos.B * rate(snr, qos, model)

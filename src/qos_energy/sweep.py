@@ -1,16 +1,13 @@
 """Dataset generation: tradeoff curves, bit-energy surfaces, threshold curves.
 
 Everything here is a deterministic map from a declarative spec to arrays of
-floats, so reruns with the same inputs are byte-identical.  Grid points
-where the numerics give up produce gap markers (None) plus a Python
-warning instead of aborting the whole sweep.
-
-The CSIT grid loops (each tradeoff curve, each alpha(zeta) curve and each
-row of the CSIT surface) start every threshold solve at the root of the
-grid point before it, and solve cold again after a gap.  The last bits of
-a point therefore depend on its neighbour and on where its curve starts;
-its contract is the solver tolerance (1e-13 in ln(alpha)), not the bits of
-a lone solve of the same point.
+floats, so reruns with the same inputs are byte-identical.  _walk walks each
+grid line (a tradeoff curve, an alpha(zeta) curve, a surface row): every
+point starts its threshold solve at the root of the point before it, and a
+point where the numerics give up becomes a gap (None) with a Python warning,
+makes the next point start cold, and never aborts the sweep.  The last bits
+of a CSIT point therefore depend on where its line starts; its contract is
+the solver tolerance (1e-13 in ln(alpha)).
 """
 
 from __future__ import annotations
@@ -18,6 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -33,6 +31,7 @@ from .asymptotics import (
 from .effcap import (
     LN2,
     QosConfig,
+    _check_mode,
     _csit_point,
     _solve_alpha_ln,
     shannon_limit,
@@ -79,8 +78,7 @@ class SweepSpec:
     grid: tuple | None = None
 
     def __post_init__(self):
-        if self.mode not in ("csir", "csit"):
-            raise ValueError(f"mode must be 'csir' or 'csit', got {self.mode!r}")
+        _check_mode(self.mode)
         if self.regime not in (LOWPOWER, WIDEBAND):
             raise ValueError(
                 f"regime must be '{LOWPOWER}' or '{WIDEBAND}', got {self.regime!r}"
@@ -154,25 +152,45 @@ class Surface:
     failures: int = 0
 
 
-def _point_se(spec: SweepSpec, theta: float, g: float, warm: list) -> float:
-    """Spectral efficiency at grid value g.
+def _walk(point, theta: float, values, what: str, axis: str) -> list:
+    """Results of point(theta, value, start) -> (result, root) along values,
+    each started at the root of the point before.  A point that raises
+    NumericalError warns; it and a point that returns (None, None) are
+    stored as None, and the next point starts cold."""
+    results, start = [], None
+    for value in values:
+        try:
+            result, start = point(theta, value, start)
+        except NumericalError as exc:
+            warnings.warn(
+                f"{what} failed at theta={theta:g}, {axis}={value:g}: {exc}",
+                stacklevel=3,
+            )
+            result = start = None
+        results.append(result)
+    return results
 
-    warm is a one-item list holding the previous CSIT threshold of the
-    curve in ln(alpha), or None; a CSIT point starts its solve there and
-    stores its own threshold in its place.
-    """
+
+def _point_se(spec: SweepSpec, theta: float, g: float, start: float | None):
+    """(spectral efficiency, CSIT root in ln(alpha) or None) at grid value g,
+    the CSIT solve started at start; (None, None) for a rate that is not
+    positive and finite."""
     if spec.regime == LOWPOWER:
         snr = g
         qos = QosConfig(theta=theta, T=spec.T, B=spec.B)
     else:
         snr = spec.pbar_over_n0 * g
         qos = QosConfig(theta=theta, T=spec.T, B=1.0 / g)
+    root = None
     if spec.mode == "csit":
-        se, warm[0] = _csit_point(snr, qos, spec.model, warm[0])
-        return se
-    if theta == 0:
-        return shannon_limit(snr, spec.mode, qos, spec.model)
-    return spectral_efficiency_csir(snr, qos, spec.model)
+        se, root = _csit_point(snr, qos, spec.model, start)
+    elif theta == 0:
+        se = shannon_limit(snr, spec.mode, qos, spec.model)
+    else:
+        se = spectral_efficiency_csir(snr, qos, spec.model)
+    if not (se > 0 and math.isfinite(se)):
+        return None, None
+    return se, root
 
 
 def _asymptote(
@@ -218,25 +236,15 @@ def tradeoff_curve(spec: SweepSpec) -> list[Curve]:
     """Sweep SE vs Eb/N0 for every theta in the spec; gaps never abort."""
     curves = []
     for theta in spec.theta_list:
-        pts = []
-        failures = 0
-        warm = [None]
-        for g in spec.grid:
-            try:
-                se = _point_se(spec, theta, g, warm)
-            except NumericalError as exc:
-                warnings.warn(
-                    f"tradeoff point failed at theta={theta:g}, grid={g:g}: {exc}",
-                    stacklevel=2,
-                )
-                se = None
-            if se is None or se <= 0 or not math.isfinite(se):
-                pts.append(TradeoffPoint(None, None))
-                failures += 1
-                warm[0] = None
-                continue
-            snr = g if spec.regime == LOWPOWER else spec.pbar_over_n0 * g
-            pts.append(TradeoffPoint(to_db(snr / se), se))
+        ses = _walk(
+            partial(_point_se, spec), theta, spec.grid, "tradeoff point", "grid"
+        )
+        failures = ses.count(None)
+        scale = 1.0 if spec.regime == LOWPOWER else spec.pbar_over_n0
+        pts = [
+            TradeoffPoint(None if se is None else to_db(scale * g / se), se)
+            for g, se in zip(spec.grid, ses)
+        ]
         if spec.mode == "csir" and spec.regime == WIDEBAND:
             _check_rate_monotone(theta, spec.grid, pts)
         try:
@@ -277,42 +285,27 @@ def ebn0_min_surface(
     fail numerically are stored as None; a CSIT floor of 0 linear
     (unbounded gains at theta = 0) is stored as -inf dB.
     """
-    if mode not in ("csir", "csit"):
-        raise ValueError(f"mode must be 'csir' or 'csit', got {mode!r}")
+    _check_mode(mode)
     thetas = tuple(float(t) for t in theta_grid)
     pbars = tuple(float(p) for p in pbar_grid)
-    rows = []
-    failures = 0
-    for theta in thetas:
-        row = []
-        ln_star = None
-        for pn0 in pbars:
-            try:
-                if mode == "csir":
-                    val = wideband_csir(model, theta, T, pn0).ebn0_min_db
-                elif theta == 0:
-                    val = lowpower_csit(model, 0.0).ebn0_min_db
-                else:
-                    sol = _solve_alpha_star(model, theta, T, pn0, ln_star)
-                    ln_star = sol.ln_alpha_star
-                    val = 10.0 * math.log10(-theta * T * pn0 / sol.ln_xi)
-            except NumericalError as exc:
-                warnings.warn(
-                    f"surface cell failed at theta={theta:g}, "
-                    f"pbar_over_n0={pn0:g}: {exc}",
-                    stacklevel=2,
-                )
-                val = None
-                failures += 1
-                ln_star = None
-            row.append(val)
-        rows.append(tuple(row))
+
+    def cell(theta: float, pn0: float, start: float | None):
+        if mode == "csir" or theta == 0:
+            summary = _asymptote(model, mode, WIDEBAND, theta, T, None, pn0)
+            return summary.ebn0_min_db, None
+        sol = _solve_alpha_star(model, theta, T, pn0, start)
+        return to_db(-theta * T * pn0 / sol.ln_xi), sol.ln_alpha_star
+
+    rows = [
+        tuple(_walk(cell, theta, pbars, "surface cell", "pbar_over_n0"))
+        for theta in thetas
+    ]
     return Surface(
         mode=mode,
         theta_grid=thetas,
         pbar_grid=pbars,
         ebn0_min_db=tuple(rows),
-        failures=failures,
+        failures=sum(row.count(None) for row in rows),
     )
 
 
@@ -331,27 +324,17 @@ def alpha_vs_zeta(
     if zeta_grid is None:
         zeta_grid = default_grid(WIDEBAND)
     zetas = tuple(float(z) for z in zeta_grid)
+
+    def point(theta: float, zeta: float, start: float | None):
+        beta = theta * T / (zeta * LN2)
+        ln_a = _solve_alpha_ln(pbar_over_n0 * zeta, beta, model, start)
+        return math.exp(ln_a), ln_a
+
     curves = []
     for theta in theta_list:
         theta = float(theta)
-        if theta == 0:
-            alpha_star = model.z_max
-        else:
-            alpha_star = solve_alpha_star(model, theta, T, pbar_over_n0).alpha_star
-        alphas = []
-        ln_a = None
-        for zeta in zetas:
-            beta = theta * T / (zeta * LN2)
-            try:
-                ln_a = _solve_alpha_ln(pbar_over_n0 * zeta, beta, model, ln_a)
-                alphas.append(math.exp(ln_a))
-            except NumericalError as exc:
-                warnings.warn(
-                    f"threshold failed at theta={theta:g}, zeta={zeta:g}: {exc}",
-                    stacklevel=2,
-                )
-                alphas.append(None)
-                ln_a = None
+        alpha_star = solve_alpha_star(model, theta, T, pbar_over_n0).alpha_star
+        alphas = _walk(point, theta, zetas, "threshold", "zeta")
         curves.append(
             AlphaZetaCurve(
                 label=f"theta={theta:g}",

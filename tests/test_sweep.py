@@ -168,7 +168,7 @@ class TestTradeoffCurve:
             if g == 1e-4:
                 raise NumericalError("synthetic failure")
             if g == 1e-3:
-                return 0.0
+                return None, None
             return real(spec, theta, g, warm)
 
         monkeypatch.setattr(sweep_mod, "_point_se", flaky)
