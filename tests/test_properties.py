@@ -3,15 +3,18 @@
 Every public entry point either returns a finite value or raises a
 NumericalError subclass, and a sweep turns a failing grid point into a gap
 instead of aborting.  Draws reach Nakagami m = 0.5, beta ~ 1e6,
-c = theta T (Pbar/N0)/ln2 ~ 3e4 and Pbar/N0 = 1e7.  derandomize fixes the
-examples, so every run checks the same inputs.
+c = theta T (Pbar/N0)/ln2 ~ 3e4 and Pbar/N0 = 1e7.  derandomize and no
+database fix the random part of the draws, but Hypothesis also mixes numeric
+literals of the loaded modules into them, so the examples can change with
+the test selection and with any new literal; known falsifying examples are
+pinned with @example.
 """
 
 import math
 import warnings
 from unittest import mock
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from qos_energy import (
@@ -31,6 +34,7 @@ from qos_energy import (
     wideband_csit,
 )
 from qos_energy import sweep as sweep_mod
+from qos_energy.effcap import _LN_ALPHA_TOL, _mean_policy_power
 
 LN2 = math.log(2.0)
 SEEDED = settings(
@@ -153,6 +157,24 @@ def test_sweeps_record_gaps_instead_of_aborting(model, mode, regime, theta, beta
     pbar=PBARS,
     steps=st.lists(st.integers(0, GRID_STEPS), min_size=2, max_size=8, unique=True),
 )
+# Warm and cold roots 2 ulps apart near ln(alpha) = -5386 and -8601, both with
+# a residual of exactly 0.
+@example(
+    model=NakagamiM(m=2.0),
+    regime="lowpower",
+    theta=1.0,
+    beta=1e6,
+    pbar=100.0,
+    steps=[56, 14],
+)
+@example(
+    model=NakagamiM(m=5.0),
+    regime="lowpower",
+    theta=1.0,
+    beta=1e6,
+    pbar=100.0,
+    steps=[0, 10, 56],
+)
 def test_warm_started_roots_match_cold_solves(model, regime, theta, beta, pbar, steps):
     lo, hi = GRID_EXPONENTS[regime]
     grid = tuple(10.0 ** (lo + (hi - lo) * k / GRID_STEPS) for k in sorted(steps))
@@ -171,12 +193,22 @@ def test_warm_started_roots_match_cold_solves(model, regime, theta, beta, pbar, 
 
     def recording(snr, qos, model, start):
         se, ln_a = real(snr, qos, model, start)
-        roots.append((ln_a, finite_or_numerical_error(real, snr, qos, model)))
+        cold = finite_or_numerical_error(real, snr, qos, model)
+        roots.append((snr, qos.beta, se, ln_a, cold))
         return se, ln_a
+
+    def stops(snr, beta, ln_a):
+        """The solver's own stopping rule |r/dr| < _LN_ALPHA_TOL at ln_a."""
+        m, slope = _mean_policy_power(model, ln_a, beta)
+        return abs((math.log(m) - math.log(snr)) / (-slope / m)) < _LN_ALPHA_TOL
 
     with mock.patch.object(sweep_mod, "_csit_point", recording):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             tradeoff_curve(spec)
-    for warm, cold in roots:
-        assert cold is not None and abs(warm - cold[1]) <= 1e-12
+    for snr, beta, se, warm, cold in roots:
+        assert cold is not None
+        # Two exact roots can sit a few ulps apart once |ln alpha| >= 4096.
+        if abs(warm - cold[1]) > 1e-12:
+            assert stops(snr, beta, warm) and stops(snr, beta, cold[1])
+            assert abs(se - cold[0]) <= 1e-14 * abs(cold[0])
