@@ -54,7 +54,7 @@ import numpy as np
 
 from .effcap import LN2, solve_threshold, to_db
 from .errors import NumericalError
-from .fading import FadingModel, _logsumexp
+from .fading import FadingModel, _ln_mean_exp
 
 _DB_PER_FACTOR2 = 10.0 * math.log10(2.0)
 
@@ -165,11 +165,19 @@ def lowpower_csit(model: FadingModel, beta: float = 0.0) -> AsymptoticSummary:
 
 
 def _laplace_pair(model: FadingModel, c: float) -> tuple[float, float]:
-    """(ln E{exp(-c z)}, E{z^2 exp(-c z)} / E{exp(-c z)}) computed stably."""
+    """(ln E{exp(-c z)}, E{z^2 exp(-c z)} / E{exp(-c z)}) computed stably.
+
+    Raises NumericalError when ln E{exp(-c z)} is not negative, which
+    happens only when c z rounds away on every node.
+    """
     u, ln_w = model.log_nodes(-math.inf)
-    t = ln_w - c * np.exp(u)
-    ln_l = _logsumexp(t)
-    return ln_l, float(np.dot(np.exp(t - ln_l), np.exp(2.0 * u)))
+    h = -c * np.exp(u)
+    ln_l = _ln_mean_exp(ln_w, h)
+    if not ln_l < 0:
+        raise NumericalError(
+            f"ln E{{exp(-c z)}} = {ln_l:g} is not negative at c = {c:g}"
+        )
+    return ln_l, float(np.dot(np.exp(ln_w + h - ln_l), np.exp(2.0 * u)))
 
 
 def wideband_csir(
@@ -190,7 +198,7 @@ def wideband_csir(
     c = x / LN2
     ln_l, z2_ratio = _laplace_pair(model, c)
     lin = -x / ln_l
-    s0 = 2.0 * ln_l * ln_l / (c * c * z2_ratio) if z2_ratio > 0 else math.inf
+    s0 = 2.0 * (ln_l / c) ** 2 / z2_ratio if z2_ratio > 0 else math.inf
     if not math.isfinite(s0):
         raise NumericalError(
             "wideband CSIR slope overflows: E{z^2 exp(-c z)}/E{exp(-c z)} = "
@@ -231,28 +239,34 @@ def wideband_csir_rayleigh_closed_form(
 
 
 def _log_moments_above(
-    model: FadingModel, ln_a: float
+    model: FadingModel, ln_a: float, nodes: tuple | None = None
 ) -> tuple[float, float, float]:
-    """E{ln^k(z/a) (1/z), z >= a} for k = 0, 1, 2, from one node set at ln a.
+    """E{ln^k(z/a) (1/z), z >= a} for k = 0, 1, 2, from one node set at ln a
+    (model.log_nodes(ln_a) unless given as nodes).
 
     k = 1 is the left side L1 of the alpha* equation; k = 0 is the inverse
     moment I = -dL1/dln a (the boundary term vanishes because ln(z/a) = 0
     at z = a); k = 2 is the curvature H of the wideband slope.
     """
-    u, ln_w = model.log_nodes(ln_a)
+    u, ln_w = model.log_nodes(ln_a) if nodes is None else nodes
     w = np.exp(ln_w - u)
     d = u - ln_a
     wd = w * d
     return float(w.sum()), float(wd.sum()), float(np.dot(wd, d))
 
 
-def _ln_xi(model: FadingModel, ln_a: float, inv_above: float) -> float:
-    """ln(F(a) + a I) from I = E{(1/z), z >= a}, stable when a underflows."""
-    ln_f = model.ln_cdf(ln_a)
-    ln_ai = ln_a + math.log(inv_above) if inv_above > 0 else -math.inf
-    if ln_f == ln_ai == -math.inf:
-        raise NumericalError("xi evaluated with no probability mass")
-    return float(np.logaddexp(ln_f, ln_ai))
+def _ln_xi(model: FadingModel, u: np.ndarray, ln_w: np.ndarray, ln_a: float) -> float:
+    """ln xi = ln E{min(1, a/z)} = ln(F(a) + a E{(1/z), z >= a}) from the node
+    set at ln a, stable when a underflows and when xi nears 1 (weak QoS).
+
+    Raises NumericalError when ln xi is not negative and finite.
+    """
+    ln_xi = _ln_mean_exp(ln_w, ln_a - u, model.ln_cdf(ln_a))
+    if not -math.inf < ln_xi < 0:
+        raise NumericalError(
+            f"ln xi = {ln_xi:g} is not negative and finite at ln alpha* = {ln_a:g}"
+        )
+    return ln_xi
 
 
 def _wideband_params(model, theta, T, pbar_over_n0) -> str:
@@ -317,13 +331,22 @@ def _solve_alpha_star(
         "wideband CSIT threshold alpha*",
         start,
     )
-    inv_above, _, h = _log_moments_above(model, ln_star)
+    u, ln_w = model.log_nodes(ln_star)
+    inv_above, l1, h = _log_moments_above(model, ln_star, (u, ln_w))
+    # A root has |ln L1 - ln c| well inside 1e-9 |dln L1/dln a| = 1e-9 I/L1;
+    # a threshold past the last expectation node ends on L1's jump to 0.
+    if not (l1 > 0 and abs(math.log(l1) - ln_c) * l1 <= 1e-9 * inv_above):
+        raise NumericalError(
+            f"wideband CSIT threshold alpha* = exp({ln_star:g}) is not resolved: "
+            f"L1 = {l1:g} against c = {c:g} "
+            f"({_wideband_params(model, theta, T, pbar_over_n0)})"
+        )
     if not (h > 0 and math.isfinite(h)):
         raise NumericalError(
             f"wideband CSIT curvature H = {h:g} is not positive and finite "
             f"({_wideband_params(model, theta, T, pbar_over_n0)})"
         )
-    ln_xi = _ln_xi(model, ln_star, inv_above)
+    ln_xi = _ln_xi(model, u, ln_w, ln_star)
     alpha_star = math.exp(ln_star)
     dln = -(c - 0.5 * h) / (k * inv_above)
     return AlphaStarSolution(

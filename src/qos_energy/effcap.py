@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BracketFailure, DivergentInverseMoment, ThetaZero
-from .fading import FadingModel, _logsumexp
+from .fading import FadingModel, _ln_mean_exp
 
 LN2 = math.log(2.0)
 
@@ -251,7 +251,7 @@ def spectral_efficiency_csir(snr: float, qos: QosConfig, model: FadingModel) -> 
     if snr == 0:
         return 0.0
     u, ln_w = model.log_nodes(-math.inf)
-    log_e = _logsumexp(ln_w - qos.beta * np.log1p(snr * np.exp(u)))
+    log_e = _ln_mean_exp(ln_w, -qos.beta * np.log1p(snr * np.exp(u)))
     return -log_e / (qos.theta * qos.T * qos.B)
 
 
@@ -259,9 +259,10 @@ def spectral_efficiency_csit(snr: float, qos: QosConfig, model: FadingModel) -> 
     """Spectral efficiency with the optimal threshold power policy.
 
     Evaluates -(1/(theta T B)) ln(F(alpha) + E{(z/alpha)^(-beta/(beta+1))
-    1{z>=alpha}}) at the solved alpha by log-sum-exp, so a threshold below
-    the smallest double still gives a finite rate; theta = 0 routes to the
-    ergodic water-filling limit.
+    1{z>=alpha}}) at the solved alpha in the log domain (fading._ln_mean_exp),
+    so a threshold below the smallest double still gives a finite rate and
+    a weak QoS exponent keeps its digits; theta = 0 routes to the ergodic
+    water-filling limit.
     """
     _check_snr(snr)
     if snr == 0:
@@ -279,7 +280,7 @@ def _csit_point(
         return _waterfill_se(ln_a, model), ln_a
     p = qos.beta / (qos.beta + 1.0)
     u, ln_w = model.log_nodes(ln_a)
-    log_total = _logsumexp(np.append(ln_w - p * (u - ln_a), model.ln_cdf(ln_a)))
+    log_total = _ln_mean_exp(ln_w, -p * (u - ln_a), model.ln_cdf(ln_a))
     se = -log_total / (qos.theta * qos.T * qos.B)
     return max(se, 0.0), ln_a
 

@@ -89,6 +89,19 @@ def _logsumexp(a: np.ndarray) -> float:
     return float(top + np.log(np.sum(np.exp(a - top))))
 
 
+def _ln_mean_exp(ln_w: np.ndarray, h: np.ndarray, ln_rest: float = -math.inf) -> float:
+    """ln(exp(ln_rest) + sum exp(ln_w + h)) for h <= 0 and a total mass of 1.
+
+    The rest is mass where h = 0.  While the mean is above 1/2 this is
+    log1p(sum w expm1(h)), which keeps the digits that the log-sum-exp
+    loses as the mean nears 1 (weak QoS); below, it is the log-sum-exp.
+    """
+    s = float(np.dot(np.exp(ln_w), np.expm1(h)))
+    if s > -0.5:
+        return math.log1p(s)
+    return _logsumexp(np.append(ln_w + h, ln_rest))
+
+
 def _ln_gamma_front(m: float, x: float, ln_x: float) -> float:
     """ln(x^m e^-x / Gamma(m)), accurate for large m as well.
 

@@ -7,6 +7,10 @@ predict P(Q > q) ~ exp(-theta_hat * q) where theta_hat solves
 a = effective_capacity(theta_hat); feeding at a = C_E(theta*) therefore
 makes the fitted tail decay equal theta* itself, which is the check the
 simulator exists to run.
+
+The queue and the empirical effective capacity read the same Monte Carlo
+service stream: seeded gains, _CHUNK frames at a time, turned into rates
+by the CSIR formula or the solved CSIT policy.
 """
 
 from __future__ import annotations
@@ -102,10 +106,9 @@ class TailEstimate:
 def _service_rates(
     model: FadingModel, snr: float, qos: QosConfig, mode: str, frames: int, seed: int
 ):
-    """Yield the service rates of frames frames from seed, _CHUNK at a time.
-
-    The CSIT policy is solved before the first chunk, and no chunk's gains
-    stay referenced across a yield.
+    """Yield the service rates of `frames` frames drawn from `seed`, in
+    chunks of at most _CHUNK.  The CSIT policy is solved before the first
+    chunk; a chunk's gains are dropped before its rates are yielded.
     """
     policy = solve_alpha(snr, qos, model) if mode == "csit" else None
     rng = np.random.default_rng(seed)

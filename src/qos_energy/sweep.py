@@ -296,10 +296,9 @@ def ebn0_min_surface(
         sol = _solve_alpha_star(model, theta, T, pn0, start)
         return to_db(-theta * T * pn0 / sol.ln_xi), sol.ln_alpha_star
 
-    rows = [
-        tuple(_walk(cell, theta, pbars, "surface cell", "pbar_over_n0"))
-        for theta in thetas
-    ]
+    rows = []
+    for theta in thetas:
+        rows.append(tuple(_walk(cell, theta, pbars, "surface cell", "pbar_over_n0")))
     return Surface(
         mode=mode,
         theta_grid=thetas,

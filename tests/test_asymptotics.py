@@ -11,6 +11,7 @@ from scipy.special import digamma, exp1, polygamma
 
 from qos_energy import (
     AlphaStarSolution,
+    AsymptoticSummary,
     BoundedTable,
     Deterministic,
     NakagamiM,
@@ -27,7 +28,7 @@ from qos_energy import (
     wideband_csir_rayleigh_closed_form,
     wideband_csit,
 )
-from qos_energy.asymptotics import _DB_PER_FACTOR2, _log_moments_above
+from qos_energy.asymptotics import _DB_PER_FACTOR2, _ln_xi, _log_moments_above
 from qos_energy.effcap import LN2, _solve_alpha_ln
 from test_acceptance import CSIT_SLOPES
 
@@ -54,6 +55,72 @@ CSIT_ANCHORS = {
     1.0: dict(a=0.000314422867111, xi=0.00266873115283, eb_db=5.282571987,
               a_dot=0.6820547995, s0=3.936588301),
 }
+
+
+# QoS exponents where E{exp(h)} sits within rounding of 1.
+WEAK_THETAS = (1e-6, 1e-9, 1e-12, 1e-15, 1e-18, 1e-30)
+
+
+class TestAsymptoticSummary:
+    @pytest.mark.parametrize(
+        "lin, db, unbounded",
+        [(0.0, -math.inf, True), (2.0, 10.0 * math.log10(2.0), False)],
+    )
+    def test_db_floor_and_flag_follow_the_linear_floor(self, lin, db, unbounded):
+        summary = AsymptoticSummary(
+            ebn0_min_linear=lin, slope_s0=1.0, regime="lowpower", mode="csit"
+        )
+        assert summary.ebn0_min_db == db
+        assert summary.unbounded_support is unbounded
+        moved = replace(summary, regime="wideband")
+        assert (moved.ebn0_min_db, moved.unbounded_support) == (db, unbounded)
+
+    def test_negative_floor_raises(self):
+        with pytest.raises(ValueError):
+            AsymptoticSummary(
+                ebn0_min_linear=-1.0, slope_s0=1.0, regime="lowpower", mode="csir"
+            )
+
+
+class TestWeakQos:
+    def test_wideband_csir_matches_rayleigh_laplace_transform(self):
+        # ln E{exp(-c z)} = -log1p(c) for unit-mean Rayleigh
+        for theta in WEAK_THETAS + (1e-300,):
+            x = theta * T * PN0
+            c = x / LN2
+            summary = wideband_csir(RAY, theta, T, PN0)
+            assert summary.ebn0_min_linear == pytest.approx(
+                x / math.log1p(c), rel=1e-12
+            )
+            assert summary.slope_s0 == pytest.approx(
+                ((1.0 + 1.0 / c) * math.log1p(c)) ** 2, rel=1e-12
+            )
+
+    def test_rayleigh_xi_at_the_solved_threshold(self):
+        # xi = 1 - exp(-a) + a E1(a) for unit-mean Rayleigh
+        for theta in WEAK_THETAS:
+            sol = solve_alpha_star(RAY, theta, T, PN0)
+            a = sol.alpha_star
+            want = math.log1p(a * exp1(a) - math.exp(-a))
+            assert sol.ln_xi == pytest.approx(want, rel=1e-9)
+            summary = wideband_csit(RAY, theta, T, PN0)
+            assert math.isfinite(summary.ebn0_min_db)
+
+    def test_laplace_transform_rounding_to_one_is_a_numerical_error(self):
+        # c z0 = 3e-333 rounds to 0, so ln E{exp(-c z)} = 0 and the floor
+        # would divide by zero
+        with pytest.raises(NumericalError, match="not negative"):
+            wideband_csir(Deterministic(z0=1e-300), 1e-30, T, 1.0)
+
+    def test_xi_of_one_is_a_numerical_error(self):
+        det = Deterministic(z0=1.0)
+        with pytest.raises(NumericalError, match="not negative"):
+            _ln_xi(det, *det.log_nodes(0.0), 0.0)
+
+    def test_threshold_beyond_the_nodes_is_a_numerical_error(self):
+        # alpha* ~ 680 for c ~ 3e-301, beyond the last Rayleigh node (~75)
+        with pytest.raises(NumericalError, match="not resolved"):
+            solve_alpha_star(RAY, 1e-300, T, 100.0)
 
 
 class TestLowpowerCsir:

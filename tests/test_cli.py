@@ -9,7 +9,8 @@ import sys
 import pytest
 
 import qos_energy
-from qos_energy.cli import MAX_GRID_POINTS, main
+from qos_energy.cli import MAX_GRID_POINTS, _model_tag, build_parser, main
+from qos_energy.fading import _MODELS
 
 
 def run(tmp_path, *argv):
@@ -212,6 +213,7 @@ class TestExitCodes:
         [
             ["sweep", "--model", "nakagami", "--m", "0.2"],
             ["limits", "--model", "deterministic", "--mean", "-2"],
+            ["limits", "--model", "rayleigh", "--mean", "0"],
         ],
     )
     def test_bad_model_parameter_is_config_error(self, tmp_path, capsys, argv):
@@ -276,6 +278,16 @@ class TestExitCodes:
             ("sweep", {"grid_points": None}, 60),
             ("simulate-queue", {"frames": None}, 1_000_000),
             ("simulate-queue", {"arrival_ratio": None}, 1.0),
+            # the model records each key it defaults, for every kind
+            ("limits", {"model": {"kind": "rayleigh"}},
+             {"kind": "rayleigh", "mean": 1.0}),
+            ("limits", {"model": {"kind": "nakagami", "m": 2}},
+             {"kind": "nakagami", "m": 2, "mean": 1.0}),
+            ("limits", {"model": {"kind": "deterministic"}},
+             {"kind": "deterministic", "z0": 1.0}),
+            ("limits", {"model": {"kind": "table", "points": [[1.0, 1.0]]}},
+             {"kind": "table", "points": [[1.0, 1.0]]}),
+            ("limits", {"model": {"kind": "rayleigh", "z0": 1.0}}, None),
         ],
     )
     def test_config_value_rules(
@@ -340,6 +352,30 @@ class TestModelResolution:
         code, _ = run(tmp_path, "limits", "--model", "table")
         assert code == 2
         assert "points" in capsys.readouterr().err
+
+    def test_model_choices_are_the_model_table(self):
+        parser = build_parser()
+        [commands] = [a for a in parser._actions if a.dest == "command"]
+        for sub in commands.choices.values():
+            [model] = [a for a in sub._actions if a.dest == "model"]
+            assert list(model.choices) == list(_MODELS)
+
+    @pytest.mark.parametrize(
+        "argv, spec",
+        [
+            (["--model", "rayleigh"], {"kind": "rayleigh", "mean": 1.0}),
+            (["--model", "nakagami", "--m", "2"],
+             {"kind": "nakagami", "m": 2.0, "mean": 1.0}),
+            (["--model", "deterministic"], {"kind": "deterministic", "z0": 1.0}),
+            (["--model", "deterministic", "--mean", "2"],
+             {"kind": "deterministic", "z0": 2.0}),
+        ],
+    )
+    def test_flags_record_the_defaulted_model_keys(self, tmp_path, argv, spec):
+        code, out = run(tmp_path, "limits", *argv)
+        assert code == 0
+        doc = load_json(out, f"limits_{_model_tag(spec)}.json")
+        assert doc["config"]["model"] == spec
 
 
 class TestSweepCommand:
@@ -448,6 +484,18 @@ class TestAlphaStarCommand:
 
 
 class TestSurfaceCommand:
+    def test_unresolved_weak_qos_row_is_written_as_gaps(self, tmp_path, capsys):
+        # theta = 1e-300 puts alpha* beyond the last expectation node; the
+        # row used to end the run with "float division by zero" (exit 3).
+        with pytest.warns(UserWarning, match="not resolved"):
+            code, out = run(tmp_path, "surface", "--mode", "csit",
+                            "--grid-points", "2", "--theta", "1e-300,1e6")
+        assert code == 0
+        assert "2 surface cell(s) failed" in capsys.readouterr().out
+        rows = load_json(out, "surface_csit_rayleigh.json")["ebn0_min_db"]
+        assert rows[0] == [None, None]
+        assert all(math.isfinite(v) for v in rows[1])
+
     def test_long_format_rows(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import exp1, gammaln
 
@@ -15,11 +16,16 @@ from qos_energy import (
     PowerPolicy,
     QosConfig,
     Rayleigh,
+    SimConfig,
+    SweepSpec,
     ThetaZero,
     bit_energy,
     bit_energy_db,
     delay_limited_limit,
+    ebn0_min_surface,
+    effective_capacity_empirical,
     power_policy_value,
+    predicted_effective_capacity,
     service_rate_csir,
     service_rate_csit,
     shannon_limit,
@@ -360,6 +366,71 @@ def test_non_finite_snr_is_rejected(fn, snr):
     # the CSIT Shannon limit of NaN on Rayleigh).
     with pytest.raises(ValueError, match="snr must be .* finite"):
         fn(snr)
+
+
+WEAK_THETAS = (1e-6, 1e-9, 1e-12, 1e-15, 1e-18, 1e-30)
+
+
+class TestWeakQos:
+    def test_rates_stay_at_or_below_shannon(self):
+        # Densities only: at snr = 1e-5 a table's threshold sits within
+        # 1.3e-4 of its top atom, where one ulp of ln(alpha) moves the CSIT
+        # rate by 1.7e-12 relative, whichever way the two solves round.
+        for theta in WEAK_THETAS:
+            qos = QosConfig(theta=theta, T=2e-3, B=1e5)
+            for model in (RAY, NAK2):
+                for mode, fn in (
+                    ("csir", spectral_efficiency_csir),
+                    ("csit", spectral_efficiency_csit),
+                ):
+                    se = fn(1e-5, qos, model)
+                    assert se <= shannon_limit(1e-5, mode, qos, model) * (1 + 1e-15)
+
+    def test_csir_rate_matches_quadrature(self):
+        snr, T, B = 1e-5, 2e-3, 1e5
+        for theta in (1e-3,) + WEAK_THETAS:
+            beta = theta * T * B / LN2
+            mean_expm1, _ = quad(
+                lambda z: math.exp(-z) * math.expm1(-beta * math.log1p(snr * z)),
+                0.0,
+                math.inf,
+                epsabs=0.0,
+                epsrel=1e-13,
+            )
+            want = -math.log1p(mean_expm1) / (theta * T * B)
+            got = spectral_efficiency_csir(snr, QosConfig(theta, T, B), RAY)
+            assert got == pytest.approx(want, rel=1e-11)
+
+
+BAD_MODE = {
+    "shannon_limit": lambda: shannon_limit(1.0, "blind", QOS, RAY),
+    "SweepSpec": lambda: SweepSpec(
+        model=RAY, mode="blind", regime="lowpower", theta_list=(0.1,), T=2e-3, B=1e5
+    ),
+    "ebn0_min_surface": lambda: ebn0_min_surface("blind", RAY, (0.1,), (1e4,), 2e-3),
+    "SimConfig": lambda: SimConfig(
+        model=RAY,
+        snr=1.0,
+        qos=QOS,
+        mode="blind",
+        arrival_rate=1e3,
+        frames=10,
+        seed=1,
+        q_thresholds=(1.0,),
+    ),
+    "effective_capacity_empirical": lambda: effective_capacity_empirical(
+        RAY, 1.0, QOS, "blind", 10, 1
+    ),
+    "predicted_effective_capacity": lambda: predicted_effective_capacity(
+        RAY, 1.0, QOS, "blind"
+    ),
+}
+
+
+@pytest.mark.parametrize("fn", BAD_MODE.values(), ids=BAD_MODE.keys())
+def test_unknown_mode_gets_one_message(fn):
+    with pytest.raises(ValueError, match="^mode must be 'csir' or 'csit', got 'blind'"):
+        fn()
 
 
 class TestBitEnergy:

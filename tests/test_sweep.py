@@ -519,3 +519,27 @@ class TestColdRestartAfterGap:
             for row, fresh_row in zip(surf.ebn0_min_db, fresh.ebn0_min_db):
                 assert row[k] is None
                 assert row[k + 1] == fresh_row[0]
+
+
+class TestWeakQosGrids:
+    # theta = 1e-20 used to end each of these calls with ZeroDivisionError.
+    @pytest.mark.parametrize("mode", ["csir", "csit"])
+    def test_surface_with_a_weak_qos_row_finishes(self, mode):
+        surf = ebn0_min_surface(mode, RAY, (1e-20, 0.1), SURFACE_PBARS, T)
+        for row in surf.ebn0_min_db:
+            assert all(v is None or math.isfinite(v) for v in row)
+        assert surf.failures == sum(row.count(None) for row in surf.ebn0_min_db)
+
+    def test_csir_wideband_curve_with_a_weak_qos_theta_finishes(self):
+        spec = SweepSpec(
+            model=RAY,
+            mode="csir",
+            regime="wideband",
+            theta_list=(1e-20, 0.1),
+            T=T,
+            pbar_over_n0=PN0,
+        )
+        weak, _ = tradeoff_curve(spec)
+        assert weak.asymptote.ebn0_min_linear == pytest.approx(LN2, rel=1e-12)
+        for pt in weak.points:
+            assert pt.spectral_efficiency is None or math.isfinite(pt.ebn0_db)
