@@ -86,7 +86,8 @@ def _logsumexp(a: np.ndarray) -> float:
     top = a.max()
     if not math.isfinite(top):
         return float(top)
-    return float(top + np.log(np.sum(np.exp(a - top))))
+    b = a - top
+    return float(top + np.log(np.sum(np.exp(b, out=b))))
 
 
 def _ln_mean_exp(ln_w: np.ndarray, h: np.ndarray, ln_rest: float = -math.inf) -> float:

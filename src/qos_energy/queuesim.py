@@ -143,13 +143,17 @@ def simulate_queue(config: SimConfig) -> TailEstimate:
     for rates in _service_rates(
         model, config.snr, qos, config.mode, config.frames, config.seed
     ):
-        x = config.arrival_rate * qos.T - rates * qos.T
+        # The block works in place in its rates array: a fresh chunk-sized
+        # array per step costs page faults whenever the allocator has
+        # handed the last one back to the system.
+        x = np.subtract(config.arrival_rate * qos.T, rates * qos.T, out=rates)
         s = np.cumsum(x)
         # Q_j = max(Q_0 + S_j, S_j - min_{k<=j} S_k) for the block, which
         # matches iterating Lindley when the queue never empties before the
         # running minimum takes over.
-        q = s + np.maximum(q_tail, -np.minimum.accumulate(s))
-        q = np.maximum(q, 0.0)
+        q = np.negative(np.minimum.accumulate(s, out=x), out=x)
+        q = np.add(s, np.maximum(q_tail, q, out=q), out=q)
+        q = np.maximum(q, 0.0, out=q)
         q_tail = float(q[-1])
         post = q[max(warm - done, 0):]
         for i, thr in enumerate(thresholds):
