@@ -360,13 +360,17 @@ def service_rate_csir(snr: float, z, qos: QosConfig):
 
 def service_rate_csit(policy: PowerPolicy, z, qos: QosConfig):
     """Frame service rate B log2(1+mu_opt z) = B ln(z/alpha)/((beta+1) ln2)
-    above the cutoff, 0 below (scalar or array z)."""
-    lnz = _safe_log(z)[1]
-    return np.where(
-        lnz >= policy.ln_alpha,
-        qos.B * (lnz - policy.ln_alpha) / ((policy.beta + 1.0) * LN2),
-        0.0,
-    )
+    above the cutoff, 0 below (scalar or array z).
+
+    fmax maps the -inf of a zero gain and the NaN of a negative or NaN gain
+    to 0, so the rate takes one pass per operation and no mask.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lnz = np.log(np.asarray(z, dtype=float))
+        return (
+            qos.B * np.fmax(lnz - policy.ln_alpha, 0.0)
+            / ((policy.beta + 1.0) * LN2)
+        )
 
 
 def _check_snr(snr: float):

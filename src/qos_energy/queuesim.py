@@ -10,7 +10,10 @@ simulator exists to run.
 
 The queue and the empirical effective capacity read the same Monte Carlo
 service stream: seeded gains, _CHUNK frames at a time, turned into rates
-by the CSIR formula or the solved CSIT policy.
+by the CSIR formula or the solved CSIT policy.  A chunk's float64 arrays
+are 512 KiB each, so the Lindley block's few arrays stay in a core's L2
+cache, and the next chunk is drawn on a worker thread while the caller
+works on the current one.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .effcap import (
 from .errors import InsufficientSamples, ThetaZero, Unstable
 from .fading import FadingModel, _logsumexp
 
-_CHUNK = 1 << 20
+_CHUNK = 1 << 16
 _MIN_TAIL_SAMPLES = 100
 
 
@@ -109,15 +112,31 @@ def _service_rates(
     """Yield the service rates of `frames` frames drawn from `seed`, in
     chunks of at most _CHUNK.  The CSIT policy is solved before the first
     chunk; a chunk's gains are dropped before its rates are yielded.
+
+    One chunk is drawn ahead on a worker thread while the caller works on
+    the one before.  A draw is submitted only after the previous one has
+    returned, so the generator serves one draw at a time and in order, and
+    the rates do not depend on thread timing.  A failed draw raises in the
+    caller, and the worker is joined however the stream ends.
     """
+    # Imported here: concurrent.futures would add to every CLI start-up.
+    from concurrent.futures import ThreadPoolExecutor
+
     policy = solve_alpha(snr, qos, model) if mode == "csit" else None
     rng = np.random.default_rng(seed)
-    for done in range(0, frames, _CHUNK):
-        n = min(_CHUNK, frames - done)
+
+    def draw(n):
         if policy is None:
-            yield service_rate_csir(snr, model.sample(rng, n), qos)
-        else:
-            yield service_rate_csit(policy, model.sample(rng, n), qos)
+            return service_rate_csir(snr, model.sample(rng, n), qos)
+        return service_rate_csit(policy, model.sample(rng, n), qos)
+
+    with ThreadPoolExecutor(1) as pool:
+        ahead = pool.submit(draw, min(_CHUNK, frames))
+        for done in range(_CHUNK, frames, _CHUNK):
+            rates = ahead.result()
+            ahead = pool.submit(draw, min(_CHUNK, frames - done))
+            yield rates
+        yield ahead.result()
 
 
 def simulate_queue(config: SimConfig) -> TailEstimate:
@@ -146,14 +165,16 @@ def simulate_queue(config: SimConfig) -> TailEstimate:
         # The block works in place in its rates array: a fresh chunk-sized
         # array per step costs page faults whenever the allocator has
         # handed the last one back to the system.
-        x = np.subtract(config.arrival_rate * qos.T, rates * qos.T, out=rates)
+        x = np.subtract(
+            config.arrival_rate * qos.T, np.multiply(rates, qos.T, out=rates),
+            out=rates,
+        )
         s = np.cumsum(x)
-        # Q_j = max(Q_0 + S_j, S_j - min_{k<=j} S_k) for the block, which
-        # matches iterating Lindley when the queue never empties before the
-        # running minimum takes over.
-        q = np.negative(np.minimum.accumulate(s, out=x), out=x)
-        q = np.add(s, np.maximum(q_tail, q, out=q), out=q)
-        q = np.maximum(q, 0.0, out=q)
+        # Q_j = S_j - min(min_{k<=j} S_k, -Q_0) for the block, which matches
+        # iterating Lindley from Q_0.  No clamp at 0 is needed: the min
+        # includes S_j itself.
+        q = np.minimum.accumulate(s, out=x)
+        q = np.subtract(s, np.minimum(q, -q_tail, out=q), out=q)
         q_tail = float(q[-1])
         post = q[max(warm - done, 0):]
         for i, thr in enumerate(thresholds):

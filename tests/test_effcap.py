@@ -1,6 +1,7 @@
 """Effective capacity, power policies, and limiting rates."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -458,6 +459,36 @@ class TestServiceRates:
         assert r[0] == 0.0
         want = QOS.B * (math.log(z[1]) - pol.ln_alpha) / ((pol.beta + 1) * LN2)
         assert r[1] == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("theta", [0.05, 1.0])
+    def test_csit_rate_is_bitwise_the_masked_formula(self, theta):
+        # the masked form the branch-free rate replaced, inlined: gains
+        # <= 0 or NaN get ln z = -inf, then np.where picks the active set
+        def masked(pol, z, qos):
+            z = np.asarray(z, dtype=float)
+            lnz = np.where(z > 0, np.log(np.where(z > 0, z, 1.0)), -np.inf)
+            return np.where(
+                lnz >= pol.ln_alpha,
+                qos.B * (lnz - pol.ln_alpha) / ((pol.beta + 1) * LN2),
+                0.0,
+            )
+
+        qos = QosConfig(theta=theta, T=2e-3, B=1e5)
+        gen = np.random.default_rng(29)
+        for model in (RAY, NAK2):
+            pol = solve_alpha(1.0, qos, model)
+            special = [0.0, -1.0, math.nan, math.inf, pol.alpha, 1e-300]
+            z = np.concatenate([model.sample(gen, 100_000), special])
+            want = masked(pol, z, qos)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = service_rate_csit(pol, z, qos)
+                scalars = [service_rate_csit(pol, v, qos) for v in special]
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            assert np.count_nonzero(got) > 50_000
+            for v, r, w in zip(special, scalars, want[-len(special):]):
+                assert np.ndim(r) == 0
+                assert np.float64(r).view(np.int64) == w.view(np.int64), v
 
     def test_csit_rate_matches_policy_capacity(self):
         # log2(1 + mu(z) z) must equal the assigned rate on the active set

@@ -1,6 +1,8 @@
 """Queue simulation, tail fitting, and empirical effective capacity."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -106,14 +108,23 @@ class TestLindleyRecursion:
     ])
     def test_blocked_recursion_matches_scalar_loop(self, monkeypatch, mode, thresholds):
         # odd chunk size so block boundaries land mid-stream
-        monkeypatch.setattr(qs_mod, "_CHUNK", 257)
+        self._match_scalar_loop(monkeypatch, mode, thresholds, 257, 30000)
+
+    @pytest.mark.parametrize("mode", ["csir", "csit"])
+    def test_blocked_recursion_matches_scalar_loop_at_module_chunk(self, monkeypatch, mode):
+        # the module's own chunk size, over four chunks, the last one partial
+        self._match_scalar_loop(monkeypatch, mode, (20.0, 40.0, 60.0), 1 << 16, 200_000)
+
+    @staticmethod
+    def _match_scalar_loop(monkeypatch, mode, thresholds, chunk, frames):
+        monkeypatch.setattr(qs_mod, "_CHUNK", chunk)
         arrival = predicted_effective_capacity(RAY, SNR, QOS, mode)
         cfg = SimConfig(
             model=RAY, snr=SNR, qos=QOS, mode=mode, arrival_rate=arrival,
-            frames=30000, seed=5, q_thresholds=thresholds,
+            frames=frames, seed=5, q_thresholds=thresholds,
         )
         est = simulate_queue(cfg)
-        counts = _scalar_reference(cfg, 257)
+        counts = _scalar_reference(cfg, chunk)
         n_post = cfg.frames - cfg.warmup_frames
         want = tuple(float(v) for v in np.log(np.asarray(counts, float) / n_post))
         assert est.log_tail_probs == want
@@ -166,6 +177,78 @@ class TestLindleyRecursion:
             fit_rsquared=1.0,
             samples_at_largest_threshold=0,
         )
+
+
+class _Boom(RuntimeError):
+    pass
+
+
+class _FailsOnThirdDraw(Rayleigh):
+    """Rayleigh gains whose third draw raises; raised keeps the error."""
+
+    def sample(self, rng, size=None):
+        calls = self.__dict__.setdefault("calls", [])
+        calls.append(size)
+        if len(calls) == 3:
+            self.__dict__["raised"] = _Boom("third draw")
+            raise self.raised
+        return super().sample(rng, size)
+
+
+class TestServiceStream:
+    @pytest.mark.parametrize("mode", ["csir", "csit"])
+    def test_failed_draw_raises_in_caller(self, monkeypatch, mode):
+        monkeypatch.setattr(qs_mod, "_CHUNK", 1000)
+        model = _FailsOnThirdDraw()
+        cfg = SimConfig(
+            model=model, snr=SNR, qos=QOS, mode=mode,
+            arrival_rate=predicted_effective_capacity(RAY, SNR, QOS, mode),
+            frames=10_000, seed=1, q_thresholds=(10.0,),
+        )
+        before = threading.active_count()
+        with pytest.raises(_Boom) as info:
+            simulate_queue(cfg)
+        assert info.value is model.raised
+        assert model.calls == [1000] * 3
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("mode", ["csir", "csit"])
+    def test_closed_stream_joins_its_worker(self, mode):
+        before = threading.active_count()
+        stream = qs_mod._service_rates(RAY, SNR, QOS, mode, 10 * qs_mod._CHUNK, 1)
+        first = next(stream)
+        stream.close()
+        assert first.shape == (qs_mod._CHUNK,)
+        assert threading.active_count() == before
+
+    def test_concurrent_streams_are_the_serial_draws(self, monkeypatch):
+        # four callers, each with its own worker, on a short switch
+        # interval: chunks still come back whole and in seed order
+        monkeypatch.setattr(qs_mod, "_CHUNK", 1000)
+        sizes = (1000, 1000, 1000, 1000, 500)
+        got = {}
+
+        def run(seed):
+            got[seed] = list(qs_mod._service_rates(RAY, SNR, QOS, "csir", 4500, seed))
+
+        callers = [threading.Thread(target=run, args=(seed,)) for seed in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert sorted(got) == [0, 1, 2, 3]
+        for seed, chunks in got.items():
+            rng = np.random.default_rng(seed)
+            want = [service_rate_csir(SNR, RAY.sample(rng, n), QOS) for n in sizes]
+            assert len(chunks) == len(want)
+            for g, w in zip(chunks, want):
+                assert np.array_equal(g, w)
 
 
 class TestTailDecay:
