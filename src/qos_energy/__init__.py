@@ -22,7 +22,6 @@ from .asymptotics import (
     lowpower_csit,
     solve_alpha_star,
     wideband_csir,
-    wideband_csir_rayleigh_closed_form,
     wideband_csit,
 )
 from .effcap import (
@@ -60,7 +59,6 @@ from .queuesim import (
     SimConfig,
     TailEstimate,
     effective_capacity_empirical,
-    effective_capacity_from_rates,
     predicted_effective_capacity,
     simulate_queue,
 )
@@ -110,7 +108,6 @@ __all__ = [
     "delta_bit_energy",
     "ebn0_min_surface",
     "effective_capacity_empirical",
-    "effective_capacity_from_rates",
     "from_config",
     "linear_approx",
     "lowpower_csir",
@@ -127,6 +124,5 @@ __all__ = [
     "spectral_efficiency_csit",
     "tradeoff_curve",
     "wideband_csir",
-    "wideband_csir_rayleigh_closed_form",
     "wideband_csit",
 ]

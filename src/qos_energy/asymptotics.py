@@ -146,16 +146,11 @@ def lowpower_csit(model: FadingModel, beta: float = 0.0) -> AsymptoticSummary:
     if not (beta >= 0 and math.isfinite(beta)):
         raise ValueError(f"beta must be finite and >= 0, got {beta}")
     zmax = model.z_max
-    if math.isinf(zmax):
-        return AsymptoticSummary(
-            ebn0_min_linear=0.0,
-            slope_s0=0.0,
-            regime="lowpower",
-            mode="csit",
-        )
-    p = model.prob_mass_at(zmax)
-    lin = LN2 / zmax
-    s0 = 2.0 * p / (beta * (1.0 - p) + 1.0)
+    lin = s0 = 0.0
+    if math.isfinite(zmax):
+        p = model.prob_mass_at(zmax)
+        lin = LN2 / zmax
+        s0 = 2.0 * p / (beta * (1.0 - p) + 1.0)
     return AsymptoticSummary(
         ebn0_min_linear=lin,
         slope_s0=s0,
@@ -204,32 +199,6 @@ def wideband_csir(
             "wideband CSIR slope overflows: E{z^2 exp(-c z)}/E{exp(-c z)} = "
             f"{z2_ratio:g} ({_wideband_params(model, theta, T, pbar_over_n0)})"
         )
-    return AsymptoticSummary(
-        ebn0_min_linear=lin,
-        slope_s0=s0,
-        regime="wideband",
-        mode="csir",
-    )
-
-
-def wideband_csir_rayleigh_closed_form(
-    theta: float, T: float, pbar_over_n0: float
-) -> AsymptoticSummary:
-    """Unit-mean Rayleigh wideband CSIR limits in closed form.
-
-    E{exp(-c z)} = 1/(1+c) turns the general expressions into
-        Eb/N0|min = theta*T*(Pbar/N0) / ln(1+c)
-        S0 = ((1 + 1/c) ln(1+c))^2
-    which the general route must reproduce; both tend to the
-    fixed-bandwidth values ln2 and 2 as theta -> 0.
-    """
-    _check_wideband_args(theta, T, pbar_over_n0)
-    if theta == 0:
-        raise ValueError("closed form needs theta > 0; use wideband_csir for theta = 0")
-    x = theta * T * pbar_over_n0
-    c = x / LN2
-    lin = x / math.log1p(c)
-    s0 = ((1.0 + 1.0 / c) * math.log1p(c)) ** 2
     return AsymptoticSummary(
         ebn0_min_linear=lin,
         slope_s0=s0,

@@ -29,7 +29,6 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .asymptotics import solve_alpha_star
 from .effcap import QosConfig, delay_limited_limit, shannon_limit
 from .errors import NumericalError
 from .fading import _MODELS, from_config
@@ -56,17 +55,15 @@ class ConfigError(ValueError):
 
 # A parser takes (key, value) and returns the checked value or raises a
 # ConfigError that names the key.  Flag text reaches it as argparse read
-# it: through the parser's `flag_type` if it has one (JSON has no integer
-# or list spelled as text), and checked against its `choices` if any.
+# it: through the parser's `flag_type` if it has one, and checked against
+# its `choices` if any.  Numbers in a config file must be JSON numbers, so
+# only flags turn text into numbers.
 
 
 def _number(key: str, raw) -> float:
-    """A float from a number or numeric text; a boolean is not a number."""
-    if not isinstance(raw, bool):
-        try:
-            return float(raw)
-        except (TypeError, ValueError):
-            pass
+    """A float from a JSON number; a boolean or a string is not a number."""
+    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
+        return float(raw)
     raise ConfigError(f"{key}: {raw!r} is not a number")
 
 
@@ -75,6 +72,9 @@ def _positive(key: str, raw) -> float:
     if not (val > 0 and math.isfinite(val)):
         raise ConfigError(f"{key} must be positive and finite, got {val}")
     return val
+
+
+_positive.flag_type = float
 
 
 def _floats(key: str, raw, positive: bool = True) -> list:
@@ -96,7 +96,15 @@ def _theta(key: str, raw) -> list:
     return _floats(key, raw, positive=False)
 
 
-_theta.flag_type = lambda text: [t.strip() for t in text.split(",") if t.strip()]
+def _theta_text(text: str) -> list:
+    """Comma-separated numbers, as --theta takes them."""
+    try:
+        return [float(t) for t in text.split(",") if t.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a list of numbers") from None
+
+
+_theta.flag_type = _theta_text
 
 
 def _increasing(key: str, raw) -> list:
@@ -233,20 +241,19 @@ def _asymptotics(cfg: dict, model):
 
 
 def _alpha_star(cfg: dict, model):
-    results = []
-    for theta in cfg["theta"]:
-        sol = solve_alpha_star(model, theta, cfg["T"], cfg["pbar_over_n0"])
-        results.append({"theta": theta, "alpha_star": sol.alpha_star, "xi": sol.xi,
-                        "alpha_dot_zero": sol.alpha_dot_zero,
-                        "ln_alpha_star": sol.ln_alpha_star, "ln_xi": sol.ln_xi})
     zeta_grid = default_grid(WIDEBAND, cfg["grid_points"])
     curves = alpha_vs_zeta(model, cfg["theta"], cfg["T"], cfg["pbar_over_n0"],
                            zeta_grid)
+    results = [{"theta": c.theta, "alpha_star": c.star.alpha_star, "xi": c.star.xi,
+                "alpha_dot_zero": c.star.alpha_dot_zero,
+                "ln_alpha_star": c.star.ln_alpha_star, "ln_xi": c.star.ln_xi}
+               for c in curves]
     mtag = _model_tag(cfg["model"])
     payload = {
         "results": results,
         "curves": [
-            {k: v for k, v in vars(c).items() if k != "label"} for c in curves
+            {"theta": c.theta, "zetas": c.zetas, "alphas": c.alphas,
+             "alpha_star": c.star.alpha_star} for c in curves
         ],
     }
     rows = [(r["theta"], r["alpha_star"], r["xi"], r["alpha_dot_zero"])

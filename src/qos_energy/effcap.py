@@ -86,23 +86,22 @@ class QosConfig:
 class PowerPolicy:
     """Threshold power adaptation: zero power below the gain cutoff alpha.
 
-    ln_alpha is the primary representation; alpha itself may underflow to 0
-    for very large beta without harming evaluation.
+    The cutoff is held as ln_alpha; alpha = exp(ln_alpha) may underflow to
+    0 for very large beta without harming evaluation.
     """
 
-    alpha: float
+    ln_alpha: float
     beta: float
-    ln_alpha: float = None
 
     def __post_init__(self):
-        if self.ln_alpha is None:
-            if not (self.alpha > 0 and math.isfinite(self.alpha)):
-                raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
-            object.__setattr__(self, "ln_alpha", math.log(self.alpha))
         if not math.isfinite(self.ln_alpha):
             raise ValueError(f"ln_alpha must be finite, got {self.ln_alpha}")
         if not (self.beta >= 0 and math.isfinite(self.beta)):
             raise ValueError(f"beta must be >= 0 and finite, got {self.beta}")
+
+    @property
+    def alpha(self) -> float:
+        return math.exp(self.ln_alpha)
 
 
 def power_policy_value(policy: PowerPolicy, z):
@@ -110,21 +109,13 @@ def power_policy_value(policy: PowerPolicy, z):
 
     Accepts scalars or arrays; continuous (value 0) at z = alpha.
     """
-    safe, lnz = _safe_log(z)
-    above = lnz >= policy.ln_alpha
-    mu = np.where(
-        above, np.expm1((lnz - policy.ln_alpha) / (policy.beta + 1.0)) / safe, 0.0
-    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z_arr = np.asarray(z, dtype=float)
+        h = np.fmax(np.log(z_arr) - policy.ln_alpha, 0.0) / (policy.beta + 1.0)
+        mu = np.where(h > 0, np.expm1(h) / z_arr, 0.0)
     if np.ndim(z) == 0:
         return float(mu)
     return mu
-
-
-def _safe_log(z) -> tuple[np.ndarray, np.ndarray]:
-    """(z with 1 in place of gains <= 0, ln z with -inf there) as arrays."""
-    z_arr = np.asarray(z, dtype=float)
-    safe = np.where(z_arr > 0, z_arr, 1.0)
-    return safe, np.where(z_arr > 0, np.log(safe), -np.inf)
 
 
 def _mean_policy_power(
@@ -235,9 +226,7 @@ def solve_alpha(snr: float, qos: QosConfig, model: FadingModel) -> PowerPolicy:
     """
     if not (snr > 0 and math.isfinite(snr)):
         raise ValueError(f"snr must be positive and finite, got {snr}")
-    beta = qos.beta
-    ln_alpha = _solve_alpha_ln(snr, beta, model)
-    return PowerPolicy(alpha=math.exp(ln_alpha), beta=beta, ln_alpha=ln_alpha)
+    return PowerPolicy(_solve_alpha_ln(snr, qos.beta, model), qos.beta)
 
 
 def spectral_efficiency_csir(snr: float, qos: QosConfig, model: FadingModel) -> float:
@@ -343,7 +332,7 @@ def bit_energy(snr: float, spectral_efficiency: float) -> float:
 
 def bit_energy_db(snr: float, spectral_efficiency: float) -> float:
     """bit_energy in dB."""
-    return 10.0 * math.log10(bit_energy(snr, spectral_efficiency))
+    return to_db(bit_energy(snr, spectral_efficiency))
 
 
 def to_db(x: float) -> float:

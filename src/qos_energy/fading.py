@@ -7,7 +7,8 @@ expectation nodes log_nodes(ln_lower): arrays (u, ln_w) with
     E{g(z) 1{z >= exp(ln_lower)}} = sum exp(ln_w) g(exp(u)).
 
 Discrete models return the logs of their atoms and probabilities, so the
-sums are exact.  Continuous models return composite 16-point
+sums are exact; Deterministic, the unfaded channel, is the one-atom
+BoundedTable.  Continuous models return composite 16-point
 Gauss-Legendre panels of width 0.25 in ln z, the first panel edge on the
 threshold and the last at e times the 1 - 1e-12 quantile.  Formulas
 written on (u, ln_w) combine exponents before exponentiating, which keeps
@@ -21,7 +22,7 @@ the reference the tests compare against.  scipy is imported only on the
 first QUADPACK call, so the package itself runs on numpy alone.  QUADPACK
 can return a wrong value without raising for a sharp integrand: Rayleigh
 E{(1+100 z)^-30} comes back 5e15 times too small.  Compare against it only
-where it converges.
+where it converges.  It is the only raiser of NonIntegrable.
 
 The Nakagami CDF and quantile use a log-domain regularized incomplete
 gamma (power series below x = m + 1, continued fraction above) and
@@ -487,78 +488,10 @@ class NakagamiM(_ContinuousModel):
         return rng.gamma(self.m, self.scale, size=size)
 
 
-class _DiscreteModel(FadingModel):
-    """Exact atom sums for models with finitely many gain values."""
-
-    @functools.cached_property
-    def _log_atoms(self) -> tuple[np.ndarray, np.ndarray]:
-        zs, ps = self.atoms
-        keep = ps > 0
-        with np.errstate(divide="ignore"):
-            return np.log(zs[keep]), np.log(ps[keep])
-
-    def log_nodes(self, ln_lower: float) -> tuple[np.ndarray, np.ndarray]:
-        u, ln_w = self._log_atoms
-        above = u >= ln_lower
-        return u[above], ln_w[above]
-
-
-@dataclass(frozen=True)
-class Deterministic(_DiscreteModel):
-    """Unfaded channel: all probability mass at z0."""
-
-    z0: float
-    kind = "deterministic"
-
-    def __post_init__(self):
-        if not (self.z0 > 0 and math.isfinite(self.z0)):
-            raise ValueError(f"z0 must be positive and finite, got {self.z0}")
-
-    @property
-    def z_min(self) -> float:
-        return self.z0
-
-    @property
-    def z_max(self) -> float:
-        return self.z0
-
-    def density(self, z: float) -> float:
-        return math.inf if z == self.z0 else 0.0
-
-    def cdf(self, z: float) -> float:
-        return 0.0 if z <= self.z0 else 1.0
-
-    def expect_above(self, g, lower: float = 0.0) -> float:
-        if self.z0 >= lower:
-            return float(g(self.z0))
-        return 0.0
-
-    def moments(self) -> tuple[float, float]:
-        return self.z0, self.z0**2
-
-    def inverse_moment(self) -> float:
-        return 1.0 / self.z0
-
-    def quantile(self, p: float) -> float:
-        return self.z0
-
-    def prob_mass_at(self, z: float) -> float:
-        return 1.0 if z == self.z0 else 0.0
-
-    @property
-    def atoms(self):
-        return np.array([self.z0]), np.array([1.0])
-
-    def sample(self, rng: np.random.Generator, size=None):
-        if size is None:
-            return self.z0
-        return np.full(size, self.z0)
-
-
-class BoundedTable(_DiscreteModel):
+class BoundedTable(FadingModel):
     """Finite discrete gain law given as (z, prob) pairs with strictly
     increasing finite z >= 0 and finite probabilities summing to 1, some of
-    it on a positive z."""
+    it on a positive z.  Expectations are exact sums over the atoms."""
 
     kind = "table"
 
@@ -608,6 +541,17 @@ class BoundedTable(_DiscreteModel):
     def cdf(self, z: float) -> float:
         return float(self.ps[self.zs < z].sum())
 
+    @functools.cached_property
+    def _log_atoms(self) -> tuple[np.ndarray, np.ndarray]:
+        keep = self.ps > 0
+        with np.errstate(divide="ignore"):
+            return np.log(self.zs[keep]), np.log(self.ps[keep])
+
+    def log_nodes(self, ln_lower: float) -> tuple[np.ndarray, np.ndarray]:
+        u, ln_w = self._log_atoms
+        above = u >= ln_lower
+        return u[above], ln_w[above]
+
     def expect_above(self, g, lower: float = 0.0) -> float:
         mask = self.zs >= lower
         if not mask.any():
@@ -638,6 +582,34 @@ class BoundedTable(_DiscreteModel):
 
     def sample(self, rng: np.random.Generator, size=None):
         return rng.choice(self.zs, size=size, p=self.ps)
+
+
+class Deterministic(BoundedTable):
+    """Unfaded channel: the one-atom table with all probability mass at z0."""
+
+    kind = "deterministic"
+
+    def __init__(self, z0: float):
+        if not (z0 > 0 and math.isfinite(z0)):
+            raise ValueError(f"z0 must be positive and finite, got {z0}")
+        super().__init__([(z0, 1.0)])
+
+    def __repr__(self):
+        return f"Deterministic(z0={self.z0!r})"
+
+    @property
+    def z0(self) -> float:
+        return float(self.zs[0])
+
+    # Bound here as well, because perfbench/tracer.py wraps expect_above
+    # and sample where each model class itself defines them.
+    expect_above = BoundedTable.expect_above
+
+    def sample(self, rng: np.random.Generator, size=None):
+        """z0 for every draw; a constant gain draws nothing from rng."""
+        if size is None:
+            return self.z0
+        return np.full(size, self.z0)
 
 
 # kind -> (class, {key: default}).  None marks a required key; a tuple marks

@@ -210,15 +210,6 @@ def simulate_queue(config: SimConfig) -> TailEstimate:
     )
 
 
-def effective_capacity_from_rates(rates, theta: float, T: float) -> float:
-    """-(1/(theta T)) ln mean(exp(-theta T r)) over sampled service rates."""
-    if theta <= 0:
-        raise ThetaZero("empirical effective capacity needs theta > 0")
-    r = np.asarray(rates, dtype=float)
-    log_mean = _logsumexp(-theta * T * r) - math.log(r.size)
-    return -log_mean / (theta * T)
-
-
 def effective_capacity_empirical(
     model: FadingModel,
     snr: float,

@@ -20,6 +20,7 @@ from functools import partial
 import numpy as np
 
 from .asymptotics import (
+    AlphaStarSolution,
     AsymptoticSummary,
     _solve_alpha_star,
     lowpower_csir,
@@ -34,6 +35,7 @@ from .effcap import (
     _check_mode,
     _csit_point,
     _solve_alpha_ln,
+    bit_energy_db,
     shannon_limit,
     spectral_efficiency_csir,
     to_db,
@@ -132,13 +134,13 @@ class Curve:
 
 @dataclass(frozen=True)
 class AlphaZetaCurve:
-    """Power-policy threshold alpha(zeta) at fixed theta, with its limit."""
+    """Power-policy threshold alpha(zeta) at fixed theta, with its zeta -> 0
+    limit star."""
 
-    label: str
     theta: float
     zetas: tuple
     alphas: tuple
-    alpha_star: float
+    star: AlphaStarSolution
 
 
 @dataclass(frozen=True)
@@ -242,7 +244,7 @@ def tradeoff_curve(spec: SweepSpec) -> list[Curve]:
         failures = ses.count(None)
         scale = 1.0 if spec.regime == LOWPOWER else spec.pbar_over_n0
         pts = [
-            TradeoffPoint(None if se is None else to_db(scale * g / se), se)
+            TradeoffPoint(None if se is None else bit_energy_db(scale * g, se), se)
             for g, se in zip(spec.grid, ses)
         ]
         if spec.mode == "csir" and spec.regime == WIDEBAND:
@@ -332,15 +334,14 @@ def alpha_vs_zeta(
     curves = []
     for theta in theta_list:
         theta = float(theta)
-        alpha_star = solve_alpha_star(model, theta, T, pbar_over_n0).alpha_star
+        star = solve_alpha_star(model, theta, T, pbar_over_n0)
         alphas = _walk(point, theta, zetas, "threshold", "zeta")
         curves.append(
             AlphaZetaCurve(
-                label=f"theta={theta:g}",
                 theta=theta,
                 zetas=zetas,
                 alphas=tuple(alphas),
-                alpha_star=alpha_star,
+                star=star,
             )
         )
     return curves

@@ -13,6 +13,7 @@ import warnings
 
 import numpy as np
 from conftest import random_model
+from oracles import wideband_csir_rayleigh_closed_form
 
 from qos_energy import (
     BoundedTable,
@@ -33,7 +34,6 @@ from qos_energy import (
     spectral_efficiency_csir,
     spectral_efficiency_csit,
     wideband_csir,
-    wideband_csir_rayleigh_closed_form,
     wideband_csit,
 )
 from qos_energy.asymptotics import _log_moments_above

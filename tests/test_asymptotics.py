@@ -9,6 +9,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import digamma, exp1, polygamma
 
+from oracles import wideband_csir_rayleigh_closed_form
 from qos_energy import (
     AlphaStarSolution,
     AsymptoticSummary,
@@ -25,7 +26,6 @@ from qos_energy import (
     solve_alpha_star,
     spectral_efficiency_csit,
     wideband_csir,
-    wideband_csir_rayleigh_closed_form,
     wideband_csit,
 )
 from qos_energy.asymptotics import _DB_PER_FACTOR2, _ln_xi, _log_moments_above

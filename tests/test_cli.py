@@ -268,6 +268,17 @@ class TestExitCodes:
             ("simulate-queue", {"thresholds": [True, 2]}, None),
             # out is a string
             ("limits", {"out": 7}, None),
+            # numbers are JSON numbers: numeric text is rejected for every
+            # numeric key, and a JSON integer is a number
+            ("limits", {"T": "0.01"}, None),
+            ("limits", {"T": "1_0"}, None),
+            ("limits", {"snr": "1"}, None),
+            ("asymptotics", {"theta": "0.1"}, None),
+            ("asymptotics", {"theta": ["0.1"]}, None),
+            ("sweep", {"grid_points": "4"}, None),
+            ("surface", {"pbar_grid": ["1e3", "1e4"]}, None),
+            ("simulate-queue", {"thresholds": ["20", "40"]}, None),
+            ("limits", {"T": 1}, 1.0),
             # exactly one of arrival_rate and arrival_ratio
             ("simulate-queue", {"arrival_rate": 1e3, "arrival_ratio": 0.5}, None),
             # null means the key's default

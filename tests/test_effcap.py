@@ -82,21 +82,21 @@ class TestQosConfig:
 
 class TestPowerPolicy:
     def test_ln_alpha_derived(self):
-        pol = PowerPolicy(alpha=0.5, beta=3.0)
-        assert pol.ln_alpha == pytest.approx(math.log(0.5), rel=1e-15)
+        pol = PowerPolicy(ln_alpha=math.log(0.5), beta=3.0)
+        assert pol.alpha == pytest.approx(0.5, rel=1e-15)
 
     def test_explicit_ln_alpha_allows_underflowed_alpha(self):
-        pol = PowerPolicy(alpha=0.0, beta=3.0, ln_alpha=-2000.0)
-        assert pol.ln_alpha == -2000.0
+        pol = PowerPolicy(ln_alpha=-2000.0, beta=3.0)
+        assert pol.ln_alpha == -2000.0 and pol.alpha == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            PowerPolicy(alpha=0.0, beta=1.0)
+            PowerPolicy(ln_alpha=-math.inf, beta=1.0)
         with pytest.raises(ValueError):
-            PowerPolicy(alpha=1.0, beta=-0.5)
+            PowerPolicy(ln_alpha=0.0, beta=-0.5)
 
     def test_policy_value_threshold(self):
-        pol = PowerPolicy(alpha=1.0, beta=0.0)
+        pol = PowerPolicy(ln_alpha=0.0, beta=0.0)
         assert power_policy_value(pol, 0.5) == 0.0
         # beta = 0 reduces to water-filling 1/alpha - 1/z
         assert power_policy_value(pol, 2.0) == pytest.approx(0.5, rel=1e-12)
@@ -105,7 +105,7 @@ class TestPowerPolicy:
 
     def test_rate_power_identity(self):
         # 1 + mu(z) z = (z/alpha)^(1/(beta+1)) on the active set
-        pol = PowerPolicy(alpha=0.3, beta=4.0)
+        pol = PowerPolicy(ln_alpha=math.log(0.3), beta=4.0)
         for z in (0.5, 1.0, 3.7):
             mu = power_policy_value(pol, z)
             assert 1 + mu * z == pytest.approx(

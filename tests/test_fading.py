@@ -11,8 +11,11 @@ from qos_energy import (
     Deterministic,
     NakagamiM,
     NonIntegrable,
+    QosConfig,
     Rayleigh,
     from_config,
+    spectral_efficiency_csir,
+    spectral_efficiency_csit,
 )
 from qos_energy.fading import _logsumexp
 
@@ -20,8 +23,10 @@ CONTINUOUS = [Rayleigh(), NakagamiM(0.5), NakagamiM(0.6), NakagamiM(2.0)]
 DISCRETE = [
     Deterministic(1.3),
     BoundedTable(((0.0, 0.1), (0.3, 0.2), (1.0, 0.4), (2.5, 0.3))),
+    # the one-atom table that Deterministic(1.3) is
+    BoundedTable(((1.3, 1.0),)),
 ]
-MODEL_IDS = ["ray", "nak0.5", "nak0.6", "nak2", "det", "tab"]
+MODEL_IDS = ["ray", "nak0.5", "nak0.6", "nak2", "det", "tab", "tab1"]
 GAMMA_SHAPES = (0.5, 0.6, 1.0, 2.0, 2.42, 8.0, 50.0)
 _TAILS = np.geomspace(1e-12, 0.5, 60)
 QUANTILE_LEVELS = [float(p) for p in np.concatenate([_TAILS, 1.0 - _TAILS[:-1]])]
@@ -231,6 +236,12 @@ class TestDeterministic:
         det = Deterministic(z0=0.7)
         z = det.sample(np.random.default_rng(1), 17)
         assert np.all(z == 0.7) and z.shape == (17,)
+        # a constant gain draws nothing from the generator
+        rng = np.random.default_rng(1)
+        state = rng.bit_generator.state
+        assert det.sample(rng) == 0.7
+        det.sample(rng, 1000)
+        assert rng.bit_generator.state == state
 
 
 class TestBoundedTable:
@@ -405,6 +416,25 @@ class TestLogNodes:
         assert tab.ln_cdf(0.0) == pytest.approx(math.log(0.3), rel=1e-15)
         assert tab.ln_cdf(-800.0) == pytest.approx(math.log(0.1), rel=1e-15)
         assert Rayleigh().ln_cdf(-800.0) == -math.inf
+        # Deterministic(z0) is the one-atom table, bit for bit
+        det, twin = DISCRETE[0], DISCRETE[2]
+        assert det == twin and det.z0 == 1.3
+        for ln_a in (-math.inf, 0.0, math.log(1.3), 0.5):
+            for a, b in zip(det.log_nodes(ln_a), twin.log_nodes(ln_a)):
+                assert np.array_equal(a.view(np.int64), b.view(np.int64))
+        assert det.moments() == twin.moments()
+        assert det.inverse_moment() == twin.inverse_moment()
+        for z in (0.0, 1.3, math.nextafter(1.3, 2.0), 5.0):
+            assert det.cdf(z) == twin.cdf(z)
+        for p in (0.0, 0.5, 1.0):
+            assert det.quantile(p) == twin.quantile(p)
+        for theta in (0.0, 0.01, 1.0):
+            qos = QosConfig(theta=theta, T=2e-3, B=1e5)
+            if theta > 0:
+                got = spectral_efficiency_csir(3.0, qos, det)
+                assert got == spectral_efficiency_csir(3.0, qos, twin)
+            got = spectral_efficiency_csit(3.0, qos, det)
+            assert got == spectral_efficiency_csit(3.0, qos, twin)
 
 
 class TestQuadPlumbing:

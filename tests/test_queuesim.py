@@ -7,6 +7,7 @@ import threading
 import numpy as np
 import pytest
 
+from oracles import effective_capacity_from_rates
 from qos_energy import (
     Deterministic,
     InsufficientSamples,
@@ -17,7 +18,6 @@ from qos_energy import (
     ThetaZero,
     Unstable,
     effective_capacity_empirical,
-    effective_capacity_from_rates,
     predicted_effective_capacity,
     simulate_queue,
 )

@@ -19,6 +19,7 @@ from qos_energy import (
 from qos_energy import asymptotics, effcap
 from qos_energy import sweep as sweep_mod
 from qos_energy.asymptotics import _log_moments_above
+from qos_energy.cli import main
 from qos_energy.effcap import _mean_policy_power, _solve_alpha_ln, solve_threshold
 
 RAY = Rayleigh()
@@ -58,11 +59,12 @@ def brentq_root(f, lo, hi):
     return brentq(f, lo, hi, xtol=1e-15, rtol=4 * np.finfo(float).eps, maxiter=500)
 
 
-def count_evals(monkeypatch):
-    """Residual evaluations of every threshold solve made while patched."""
+def count_evals(monkeypatch, what=None):
+    """Residual evaluations of every threshold solve made while patched,
+    or of those whose `what` is the given one."""
     counts = []
 
-    def counting(residual, lo_ln, hi_ln, what, start):
+    def counting(residual, lo_ln, hi_ln, solve_what, start):
         n = 0
 
         def counted(ln_a):
@@ -70,8 +72,9 @@ def count_evals(monkeypatch):
             n += 1
             return residual(ln_a)
 
-        root = solve_threshold(counted, lo_ln, hi_ln, what, start)
-        counts.append(n)
+        root = solve_threshold(counted, lo_ln, hi_ln, solve_what, start)
+        if what in (None, solve_what):
+            counts.append(n)
         return root
 
     monkeypatch.setattr(effcap, "solve_threshold", counting)
@@ -217,6 +220,16 @@ class TestEvaluationBudget:
                 solve_alpha_star(model, float(theta), T, 1e4)
         assert len(counts) == 16
         assert max(counts) <= 20
+
+    def test_alpha_star_command_solves_each_alpha_star_once(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        # the default thetas are 0, 0.001, 0.01, 0.1 and 1; theta = 0 needs
+        # no solve
+        counts = count_evals(monkeypatch, "wideband CSIT threshold alpha*")
+        assert main(["alpha-star", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert len(counts) == 4
 
     @pytest.mark.parametrize("model", [RAY, NakagamiM(m=2.0)], ids=repr)
     @pytest.mark.parametrize("regime", ["lowpower", "wideband"])

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from oracles import wideband_csir_rayleigh_closed_form
 from qos_energy import (
     AlphaZetaCurve,
     BoundedTable,
@@ -23,7 +24,6 @@ from qos_energy import (
     shannon_limit,
     solve_alpha_star,
     tradeoff_curve,
-    wideband_csir_rayleigh_closed_form,
     wideband_csit,
 )
 from qos_energy import sweep as sweep_mod
@@ -345,7 +345,7 @@ class TestAlphaVsZeta:
     def test_terminus_matches_alpha_star(self):
         (curve,) = alpha_vs_zeta(RAY, (0.1,), T, PN0, zeta_grid=(1e-9, 1e-7, 1e-5))
         star = solve_alpha_star(RAY, 0.1, T, PN0).alpha_star
-        assert curve.alpha_star == pytest.approx(star, rel=1e-12)
+        assert curve.star.alpha_star == pytest.approx(star, rel=1e-12)
         assert curve.alphas[0] == pytest.approx(star, rel=1e-4)
 
     def test_thresholds_drop_with_theta_pointwise(self):
@@ -367,7 +367,7 @@ class TestAlphaVsZeta:
 
     def test_theta_zero_waterfills_toward_z_max(self):
         (curve,) = alpha_vs_zeta(RAY, (0.0,), T, PN0, zeta_grid=(1e-8, 1e-6))
-        assert curve.alpha_star == math.inf
+        assert curve.star.alpha_star == math.inf
         assert all(a > 0 and math.isfinite(a) for a in curve.alphas)
 
     def test_reruns_are_identical(self):
