@@ -165,9 +165,9 @@ def _laplace_pair(model: FadingModel, c: float) -> tuple[float, float]:
     Raises NumericalError when ln E{exp(-c z)} is not negative, which
     happens only when c z rounds away on every node.
     """
-    u, ln_w = model.log_nodes(-math.inf)
-    h = -c * np.exp(u)
-    ln_l = _ln_mean_exp(ln_w, h)
+    u, ln_w, z, w = model.support_nodes
+    h = -c * z
+    ln_l = _ln_mean_exp(ln_w, h, w=w)
     if not ln_l < 0:
         raise NumericalError(
             f"ln E{{exp(-c z)}} = {ln_l:g} is not negative at c = {c:g}"
@@ -254,12 +254,15 @@ def solve_alpha_star(
     dL1/dln(alpha) = -I.  The derivative of alpha(zeta) at zeta = 0 is exact
     too:
 
-        dln_alpha_dzeta = -(c - H/2) / (k I),
+        dln_alpha_dzeta = -(c - H/2) / (k I) = -(Pbar/N0 - H/(2k)) / I,
         alpha_dot(0) = dln_alpha_dzeta * alpha*,
 
     with k = theta*T/ln2, I = E{(1/z), z >= alpha*} and
-    H = E{ln^2(z/alpha*) (1/z), z >= alpha*}.  At theta = 0 the threshold
-    escapes to z_max, xi = 1 and the derivative fields are None.
+    H = E{ln^2(z/alpha*) (1/z), z >= alpha*}.  ln c and ln k are sums of
+    logs and the derivative takes the second form, because c, k and k I
+    underflow at weak QoS; a root that is not resolved, or a derivative
+    beyond the double range, raises NumericalError.  At theta = 0 the
+    threshold escapes to z_max, xi = 1 and the derivative fields are None.
     """
     return _solve_alpha_star(model, theta, T, pbar_over_n0, None)
 
@@ -283,9 +286,8 @@ def _solve_alpha_star(
             ln_alpha_star=ln_zmax,
             ln_xi=0.0,
         )
-    k = theta * T / LN2
-    c = k * pbar_over_n0
-    ln_c = math.log(c)
+    ln_k = math.log(theta) + math.log(T) - math.log(LN2)
+    ln_c = ln_k + math.log(pbar_over_n0)
 
     def residual(ln_a: float) -> tuple[float, float]:
         inv, l1, _ = _log_moments_above(model, ln_a)
@@ -302,12 +304,18 @@ def _solve_alpha_star(
     )
     u, ln_w = model.log_nodes(ln_star)
     inv_above, l1, h = _log_moments_above(model, ln_star, (u, ln_w))
-    # A root has |ln L1 - ln c| well inside 1e-9 |dln L1/dln a| = 1e-9 I/L1;
-    # a threshold past the last expectation node ends on L1's jump to 0.
-    if not (l1 > 0 and abs(math.log(l1) - ln_c) * l1 <= 1e-9 * inv_above):
+    # A root has |ln L1 - ln c| well inside 1e-9 |dln L1/dln a| = 1e-9 I/L1,
+    # and, by the solver's 1e-13 stopping rule, inside 1e-13 I/L1 <= 1e-6
+    # unless alpha* sits within ~1e-7 (in ln z) of the last expectation
+    # node.  There L1 falls to 0 with the width of the nodes left above
+    # alpha*, so a short Newton step there does not make L1 = c: a
+    # threshold past the nodes ends on that fall.
+    ln_l1 = math.log(l1) if l1 > 0 else -math.inf
+    r = abs(ln_l1 - ln_c)
+    if not (r <= 1e-6 and r * l1 <= 1e-9 * inv_above):
         raise NumericalError(
             f"wideband CSIT threshold alpha* = exp({ln_star:g}) is not resolved: "
-            f"L1 = {l1:g} against c = {c:g} "
+            f"ln L1 = {ln_l1:g} against ln c = {ln_c:g} "
             f"({_wideband_params(model, theta, T, pbar_over_n0)})"
         )
     if not (h > 0 and math.isfinite(h)):
@@ -317,7 +325,16 @@ def _solve_alpha_star(
         )
     ln_xi = _ln_xi(model, u, ln_w, ln_star)
     alpha_star = math.exp(ln_star)
-    dln = -(c - 0.5 * h) / (k * inv_above)
+    try:
+        h_over_2k = 0.5 * h * math.exp(-ln_k)
+    except OverflowError:
+        h_over_2k = math.inf
+    dln = -(pbar_over_n0 - h_over_2k) / inv_above
+    if not math.isfinite(dln):
+        raise NumericalError(
+            f"wideband CSIT threshold derivative dln alpha/dzeta = {dln:g} is not "
+            f"finite ({_wideband_params(model, theta, T, pbar_over_n0)})"
+        )
     return AlphaStarSolution(
         alpha_star=alpha_star,
         xi=math.exp(ln_xi),
@@ -327,6 +344,13 @@ def _solve_alpha_star(
         dln_alpha_dzeta=dln,
         log_moment2=h,
     )
+
+
+def _csit_floor(
+    theta: float, T: float, pbar_over_n0: float, sol: AlphaStarSolution
+) -> float:
+    """Wideband CSIT bit-energy floor -theta*T*(Pbar/N0)/ln xi, linear."""
+    return -theta * T * pbar_over_n0 / sol.ln_xi
 
 
 def wideband_csit(
@@ -350,7 +374,7 @@ def wideband_csit(
     if theta == 0:
         return replace(lowpower_csit(model, 0.0), regime="wideband")
     sol = solve_alpha_star(model, theta, T, pbar_over_n0)
-    lin = -theta * T * pbar_over_n0 / sol.ln_xi
+    lin = _csit_floor(theta, T, pbar_over_n0, sol)
     try:
         ratio = math.exp(sol.ln_xi - sol.ln_alpha_star)
     except OverflowError:

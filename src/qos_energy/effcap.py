@@ -107,12 +107,22 @@ class PowerPolicy:
 def power_policy_value(policy: PowerPolicy, z):
     """mu_opt(z): 0 below the threshold, expm1(ln(z/alpha)/(beta+1))/z above.
 
-    Accepts scalars or arrays; continuous (value 0) at z = alpha.
+    Accepts scalars or arrays; continuous (value 0) at z = alpha.  Where
+    expm1 overflows or z is inf, mu is alpha^(-1/(beta+1)) z^(-p) - 1/z with
+    p = beta/(beta+1): 1/alpha - 1/z at beta = 0, 0 at z = inf for beta > 0.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         z_arr = np.asarray(z, dtype=float)
-        h = np.fmax(np.log(z_arr) - policy.ln_alpha, 0.0) / (policy.beta + 1.0)
+        ln_z = np.log(z_arr)
+        h = np.fmax(ln_z - policy.ln_alpha, 0.0) / (policy.beta + 1.0)
         mu = np.where(h > 0, np.expm1(h) / z_arr, 0.0)
+        huge = (h > 0) & ~np.isfinite(mu)
+        if huge.any():
+            b1 = policy.beta + 1.0
+            ln_head = -policy.ln_alpha / b1
+            if policy.beta > 0:
+                ln_head = ln_head - policy.beta / b1 * ln_z
+            mu = np.where(huge, np.exp(ln_head) - 1.0 / z_arr, mu)
     if np.ndim(z) == 0:
         return float(mu)
     return mu
@@ -239,8 +249,8 @@ def spectral_efficiency_csir(snr: float, qos: QosConfig, model: FadingModel) -> 
     _check_snr(snr)
     if snr == 0:
         return 0.0
-    u, ln_w = model.log_nodes(-math.inf)
-    log_e = _ln_mean_exp(ln_w, -qos.beta * np.log1p(snr * np.exp(u)))
+    _, ln_w, z, w = model.support_nodes
+    log_e = _ln_mean_exp(ln_w, -qos.beta * np.log1p(snr * z), w=w)
     return -log_e / (qos.theta * qos.T * qos.B)
 
 
@@ -292,8 +302,8 @@ def shannon_limit(snr: float, mode: str, qos: QosConfig, model: FadingModel) -> 
     if snr == 0:
         return 0.0
     if mode == "csir":
-        u, ln_w = model.log_nodes(-math.inf)
-        return float(np.dot(np.exp(ln_w), np.log1p(snr * np.exp(u)))) / LN2
+        _, _, z, w = model.support_nodes
+        return float(np.dot(w, np.log1p(snr * z))) / LN2
     return _waterfill_se(_solve_alpha_ln(snr, 0.0, model), model)
 
 

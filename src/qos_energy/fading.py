@@ -9,10 +9,15 @@ expectation nodes log_nodes(ln_lower): arrays (u, ln_w) with
 Discrete models return the logs of their atoms and probabilities, so the
 sums are exact; Deterministic, the unfaded channel, is the one-atom
 BoundedTable.  Continuous models return composite 16-point
-Gauss-Legendre panels of width 0.25 in ln z, the first panel edge on the
-threshold and the last at e times the 1 - 1e-12 quantile.  Formulas
-written on (u, ln_w) combine exponents before exponentiating, which keeps
-thresholds deep in the subnormal range finite.  The strict-CDF /
+Gauss-Legendre panels in ln z from one lattice per model: 0.25-wide
+panels hung down from e^2 times the 1 - 1e-12 quantile, each built once,
+on the first call that reaches it.  A threshold set is one partial panel,
+from the threshold up to the next lattice edge, followed by the cached
+panels above that edge; a threshold from e times the quantile up has no
+nodes.  support_nodes holds the whole-support set with
+its exp(u) and exp(ln_w), built once; every cached array is read-only.
+Formulas written on (u, ln_w) combine exponents before exponentiating,
+which keeps thresholds deep in the subnormal range finite.  The strict-CDF /
 non-strict-indicator pair partitions the probability space exactly, which
 is what the capacity formulas with a gain threshold rely on.
 
@@ -44,8 +49,11 @@ TAIL_MASS = 1e-12
 DEFAULT_QUAD_TOL = 1e-11
 
 _PANEL = 0.25
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
-_PANEL_U = 0.5 * _PANEL * (1.0 + _GL_X)
+_GL_N = 16
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(_GL_N)
+_GL_T = 0.5 * (1.0 + _GL_X)
+_GL_LN_W = np.log(0.5 * _GL_W)
+_PANEL_U = _PANEL * _GL_T
 _PANEL_LN_W = np.log(0.5 * _PANEL * _GL_W)
 # Whole-support expectations start at 1e-30, below which a density with
 # m >= 0.5 holds at most ~1e-15 of its mass.  Threshold expectations start
@@ -54,10 +62,12 @@ _PANEL_LN_W = np.log(0.5 * _PANEL * _GL_W)
 # descends that far, and the floor caps a deep threshold at ~41k nodes.
 _LN_Z_WHOLE = math.log(1e-30)
 _LN_Z_FLOOR = math.log(1e-280)
-# Panels end at e times the 1 - TAIL_MASS quantile.  For every Nakagami
-# m >= 0.5 the mass beyond holds less than 1e-18 of the mass beyond the
-# quantile, z^2-weighted or not, so no threshold below the quantile loses
-# a relative 1e-18 of its expectation to the cut.
+# Panels end at e^2 times the 1 - TAIL_MASS quantile q, and a threshold at
+# or above e q has no nodes.  For every Nakagami m >= 0.5 the mass beyond
+# e x holds less than 1e-18 of the mass beyond x at x = q, and less at
+# larger x, z^2-weighted or not, so no threshold with nodes loses a
+# relative 1e-18 of its expectation to the cut.  Above e q the threshold
+# expectations drop to 0, a jump that the threshold solves report.
 _LN_TAIL_PAD = 1.0
 # Incomplete gamma: a continued-fraction step within this of 1 ends the
 # fraction.  Either expansion needs about 9 sqrt(m) terms at x = m; it
@@ -91,14 +101,17 @@ def _logsumexp(a: np.ndarray) -> float:
     return float(top + np.log(np.sum(np.exp(b, out=b))))
 
 
-def _ln_mean_exp(ln_w: np.ndarray, h: np.ndarray, ln_rest: float = -math.inf) -> float:
+def _ln_mean_exp(
+    ln_w: np.ndarray, h: np.ndarray, ln_rest: float = -math.inf, w=None
+) -> float:
     """ln(exp(ln_rest) + sum exp(ln_w + h)) for h <= 0 and a total mass of 1.
 
     The rest is mass where h = 0.  While the mean is above 1/2 this is
     log1p(sum w expm1(h)), which keeps the digits that the log-sum-exp
     loses as the mean nears 1 (weak QoS); below, it is the log-sum-exp.
+    w = exp(ln_w) may be passed when the caller has it.
     """
-    s = float(np.dot(np.exp(ln_w), np.expm1(h)))
+    s = float(np.dot(np.exp(ln_w) if w is None else w, np.expm1(h)))
     if s > -0.5:
         return math.log1p(s)
     return _logsumexp(np.append(ln_w + h, ln_rest))
@@ -292,9 +305,25 @@ class FadingModel(abc.ABC):
 
     def upper_cutoff(self) -> float:
         """Truncation point: z_max if finite, else the 1 - TAIL_MASS quantile."""
+        return self._upper_cutoff
+
+    @functools.cached_property
+    def _upper_cutoff(self) -> float:
         if math.isfinite(self.z_max):
             return self.z_max
         return self.quantile(1.0 - TAIL_MASS)
+
+    @functools.cached_property
+    def support_nodes(self) -> tuple[np.ndarray, ...]:
+        """(u, ln_w, exp(u), exp(ln_w)) of log_nodes(-inf), built once, read-only."""
+        u, ln_w = self._support_log_nodes()
+        nodes = (u, ln_w, np.exp(u), np.exp(ln_w))
+        for a in nodes:
+            a.flags.writeable = False
+        return nodes
+
+    def _support_log_nodes(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.log_nodes(-math.inf)
 
     def ln_cdf(self, ln_z: float) -> float:
         """ln P(Z < exp(ln_z)); -inf when that probability is 0.
@@ -315,13 +344,59 @@ class _ContinuousModel(FadingModel):
 
     @functools.cached_property
     def _ln_z_top(self) -> float:
-        return math.log(self.upper_cutoff()) + _LN_TAIL_PAD
+        """ln z at the top of the lattice, e^2 times upper_cutoff()."""
+        return math.log(self.upper_cutoff()) + 2.0 * _LN_TAIL_PAD
+
+    @functools.cached_property
+    def _lattice(self) -> list:
+        """[panels built, u, ln_w]: read-only buffers with room for every
+        panel down to _LN_Z_FLOOR, filled from the top down."""
+        size = _GL_N * max(math.ceil((self._ln_z_top - _LN_Z_FLOOR) / _PANEL), 0)
+        return [0, np.empty(size), np.empty(size)]
+
+    def _lattice_above(self, panels: int) -> tuple[np.ndarray, np.ndarray]:
+        """Nodes of lattice panels 0 .. panels-1, panel k spanning
+        top-(k+1)P .. top-kP; builds the panels not yet built."""
+        lattice = self._lattice
+        built, u_all, ln_w_all = lattice
+        start = u_all.size - _GL_N * panels
+        if panels > built:
+            k = np.arange(panels, built, -1, dtype=float)[:, None]
+            u = self._ln_z_top - k * _PANEL + _PANEL_U
+            for buf, new in ((u_all, u), (ln_w_all, self._ln_zp(u) + _PANEL_LN_W)):
+                buf.flags.writeable = True
+                buf[start : u_all.size - _GL_N * built] = new.ravel()
+                buf.flags.writeable = False
+            lattice[0] = panels
+        return u_all[start:], ln_w_all[start:]
+
+    def _nodes_from(self, lo: float) -> tuple[np.ndarray, np.ndarray]:
+        """One Gauss-Legendre panel from lo up to the next lattice edge
+        (none when lo is on it), then the cached lattice above that edge;
+        no nodes from e times upper_cutoff() up."""
+        top = self._ln_z_top
+        if not lo < top - _LN_TAIL_PAD:
+            return np.empty(0), np.empty(0)
+        panels = math.floor((top - lo) / _PANEL)
+        edge = top - panels * _PANEL
+        if edge < lo:  # top - lo rounded up onto the edge just below lo
+            panels -= 1
+            edge = top - panels * _PANEL
+        u, ln_w = self._lattice_above(panels)
+        width = edge - lo
+        if width == 0:
+            return u, ln_w
+        u_part = lo + width * _GL_T
+        ln_w_part = self._ln_zp(u_part) + (math.log(width) + _GL_LN_W)
+        return np.concatenate((u_part, u)), np.concatenate((ln_w_part, ln_w))
+
+    def _support_log_nodes(self) -> tuple[np.ndarray, np.ndarray]:
+        return self._nodes_from(_LN_Z_WHOLE)
 
     def log_nodes(self, ln_lower: float) -> tuple[np.ndarray, np.ndarray]:
-        lo = _LN_Z_WHOLE if ln_lower == -math.inf else max(ln_lower, _LN_Z_FLOOR)
-        panels = max(math.ceil((self._ln_z_top - lo) / _PANEL), 0)
-        u = lo + _PANEL * np.arange(panels)[:, None] + _PANEL_U
-        return u.ravel(), (self._ln_zp(u) + _PANEL_LN_W).ravel()
+        if ln_lower == -math.inf:
+            return self.support_nodes[:2]
+        return self._nodes_from(max(ln_lower, _LN_Z_FLOOR))
 
     def expect_above(self, g, lower: float = 0.0) -> float:
         """QUADPACK to a relative 1e-11 on [max(lower, z_min), upper_cutoff()].

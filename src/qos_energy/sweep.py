@@ -22,6 +22,7 @@ import numpy as np
 from .asymptotics import (
     AlphaStarSolution,
     AsymptoticSummary,
+    _csit_floor,
     _solve_alpha_star,
     lowpower_csir,
     lowpower_csit,
@@ -296,7 +297,7 @@ def ebn0_min_surface(
             summary = _asymptote(model, mode, WIDEBAND, theta, T, None, pn0)
             return summary.ebn0_min_db, None
         sol = _solve_alpha_star(model, theta, T, pn0, start)
-        return to_db(-theta * T * pn0 / sol.ln_xi), sol.ln_alpha_star
+        return to_db(_csit_floor(theta, T, pn0, sol)), sol.ln_alpha_star
 
     rows = []
     for theta in thetas:

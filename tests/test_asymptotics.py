@@ -117,6 +117,38 @@ class TestWeakQos:
         with pytest.raises(NumericalError, match="not negative"):
             _ln_xi(det, *det.log_nodes(0.0), 0.0)
 
+    @pytest.mark.parametrize(
+        "model, theta, t, pn0",
+        [
+            # c = theta*T*(Pbar/N0)/ln2 underflows to 0 or a subnormal
+            (BoundedTable(((0.0, 0.1), (0.3, 0.2), (1.0, 0.4), (2.5, 0.3))),
+             5e-324, 1.0, 100.0),
+            (Deterministic(1.3), 1e-310, 1e-20, 1.0),
+            (RAY, 1e-300, 1e-20, 1e-3),
+            # k = theta*T/ln2 underflows: dln alpha/dzeta leaves the doubles
+            (RAY, 1e-300, 1e-20, 1e300),
+        ],
+    )
+    def test_underflowing_parameter_products_are_numerical_errors(
+        self, model, theta, t, pn0
+    ):
+        for solve in (solve_alpha_star, wideband_csit):
+            with pytest.raises(NumericalError):
+                solve(model, theta, t, pn0)
+
+    def test_threshold_near_the_node_cut_is_resolved_or_refused(self):
+        # alpha* ~ 69 at theta = 1e-33 still has the tail above it in its
+        # nodes; past the last threshold with nodes (~75) it is refused,
+        # never solved on nodes truncated just above it
+        for theta in (1e-28, 1e-33):
+            a = solve_alpha_star(RAY, theta, T, 100.0).alpha_star
+            l1, _ = quad(lambda t: t * math.exp(-a * math.exp(t)), 0.0, 50.0,
+                         epsabs=0.0, epsrel=1e-13, limit=200)
+            assert l1 == pytest.approx(theta * T * 100.0 / LN2, rel=1e-12)
+        for theta in (1e-40, 1e-50):
+            with pytest.raises(NumericalError, match="not resolved"):
+                solve_alpha_star(RAY, theta, T, 100.0)
+
     def test_threshold_beyond_the_nodes_is_a_numerical_error(self):
         # alpha* ~ 680 for c ~ 3e-301, beyond the last Rayleigh node (~75)
         with pytest.raises(NumericalError, match="not resolved"):

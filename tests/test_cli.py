@@ -191,6 +191,22 @@ class TestExitCodes:
         assert code == 2
         assert "positive" in capsys.readouterr().err
 
+    def test_subnormal_theta_row_is_written_as_gaps(self, tmp_path, capsys):
+        # theta*T*(Pbar/N0) underflows; the row used to end the run with
+        # "float division by zero" (exit 3) instead of writing gaps
+        cfg = tmp_path / "table.json"
+        cfg.write_text(json.dumps({"model": {"kind": "table", "points": [
+            [0.0, 0.1], [0.3, 0.2], [1.0, 0.4], [2.5, 0.3]]}}), encoding="utf-8")
+        with pytest.warns(UserWarning, match="not resolved"):
+            code, out = run(tmp_path, "surface", "--mode", "csit", "--config",
+                            str(cfg), "--grid-points", "2", "--theta", "5e-324,1",
+                            "--T", "1")
+        assert code == 0
+        assert "2 surface cell(s) failed" in capsys.readouterr().out
+        rows = load_json(out, "surface_csit_table.json")["ebn0_min_db"]
+        assert rows[0] == [None, None]
+        assert all(math.isfinite(v) for v in rows[1])
+
     def test_out_path_collision_is_filesystem_error(self, tmp_path, capsys):
         target = tmp_path / "occupied"
         target.write_text("not a directory", encoding="utf-8")

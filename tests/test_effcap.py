@@ -103,6 +103,25 @@ class TestPowerPolicy:
         vec = power_policy_value(pol, np.array([0.5, 1.0, 2.0, 4.0]))
         assert vec == pytest.approx([0.0, 0.0, 0.5, 0.75], rel=1e-12)
 
+    def test_policy_value_for_huge_gains(self):
+        # beta = 0 is water-filling, 1/alpha - 1/z, also where expm1 of
+        # ln(z/alpha) overflows; at z = inf the limit is 1/alpha at beta = 0
+        # and alpha^(-1/(beta+1)) z^(-beta/(beta+1)) -> 0 above
+        half = PowerPolicy(ln_alpha=math.log(0.5), beta=0.0)
+        assert power_policy_value(half, 1e308) == pytest.approx(2.0, rel=1e-15)
+        assert power_policy_value(half, math.inf) == pytest.approx(2.0, rel=1e-15)
+        vec = power_policy_value(half, np.array([0.25, 4.0, 1e308, math.inf]))
+        assert vec == pytest.approx([0.0, 1.75, 2.0, 2.0], rel=1e-15)
+        for beta in (1e-17, 0.5, 1.0, 1e6):
+            pol = PowerPolicy(ln_alpha=math.log(0.5), beta=beta)
+            assert power_policy_value(pol, math.inf) == 0.0
+            z = np.array([4.0, 1e308, math.inf])
+            assert np.all(np.isfinite(power_policy_value(pol, z)))
+        pol = PowerPolicy(ln_alpha=math.log(0.5), beta=0.5)
+        assert power_policy_value(pol, 1e308) == pytest.approx(
+            2.0 ** (2 / 3) * 1e308 ** (-1 / 3), rel=1e-12
+        )
+
     def test_rate_power_identity(self):
         # 1 + mu(z) z = (z/alpha)^(1/(beta+1)) on the active set
         pol = PowerPolicy(ln_alpha=math.log(0.3), beta=4.0)

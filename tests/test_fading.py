@@ -1,6 +1,7 @@
 """Fading model distributions, expectations, and config parsing."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ from qos_energy import (
     spectral_efficiency_csir,
     spectral_efficiency_csit,
 )
-from qos_energy.fading import _logsumexp
+from qos_energy import fading
+from qos_energy.fading import _PANEL, _logsumexp
 
 CONTINUOUS = [Rayleigh(), NakagamiM(0.5), NakagamiM(0.6), NakagamiM(2.0)]
 DISCRETE = [
@@ -435,6 +437,79 @@ class TestLogNodes:
                 assert got == spectral_efficiency_csir(3.0, qos, twin)
             got = spectral_efficiency_csit(3.0, qos, det)
             assert got == spectral_efficiency_csit(3.0, qos, twin)
+
+
+def _bits(arrays):
+    return [a.view(np.int64).tolist() for a in arrays]
+
+
+class TestLattice:
+    """The cached node lattice of the continuous models."""
+
+    LN_LOWER = (-600.0, -69.1, -10.3, -0.07, 0.0, 4.0, 10.0)
+
+    @pytest.mark.parametrize("model", CONTINUOUS, ids=MODEL_IDS[:4])
+    def test_nodes_do_not_depend_on_history(self, model):
+        # a fresh model, one whose lattice a deep call built first, and one
+        # whose lattice grew a few panels per call give the same bits
+        deep, stepped = replace(model), replace(model)
+        deep.log_nodes(-640.0)
+        for ln_a in np.arange(4.3, -80.0, -0.6):
+            stepped.log_nodes(ln_a)
+        for ln_a in (-math.inf, *self.LN_LOWER):
+            want = _bits(replace(model).log_nodes(ln_a))
+            assert _bits(deep.log_nodes(ln_a)) == want
+            assert _bits(stepped.log_nodes(ln_a)) == want
+
+    def test_cached_arrays_are_read_only(self):
+        ray = Rayleigh()
+        edge = ray._ln_z_top - 8 * _PANEL
+        on_edge = ray.log_nodes(edge)
+        # a threshold on a lattice edge takes no partial panel
+        assert on_edge[0].size == 8 * 16
+        for model_arrays in (
+            ray.support_nodes,
+            ray.log_nodes(-math.inf),
+            on_edge,
+            DISCRETE[1].support_nodes,
+        ):
+            for a in model_arrays:
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = 0.0
+
+    @pytest.mark.parametrize("model", CONTINUOUS, ids=MODEL_IDS[:4])
+    def test_expectation_is_continuous_across_an_edge(self, model):
+        # P(Z >= a) and E{z ; z >= a} one ulp below, on and one ulp above a
+        # lattice edge.  At these depths (a <= 2.6) their true change over
+        # two ulp of ln a is at most about one ulp.
+        eps = np.finfo(float).eps
+        for panels in (20, 60, 200, 2000):
+            edge = model._ln_z_top - panels * _PANEL
+            probs, means = [], []
+            for ln_a in (math.nextafter(edge, -math.inf), edge,
+                         math.nextafter(edge, math.inf)):
+                u, ln_w = model.log_nodes(ln_a)
+                probs.append(np.exp(ln_w).sum())
+                means.append(np.exp(ln_w + u).sum())
+            for vals in (probs, means):
+                assert max(vals) - min(vals) <= 4 * eps * max(vals)
+
+    def test_upper_cutoff_runs_the_quantile_once(self, monkeypatch):
+        levels = []
+        quantile = fading._ln_gamma_quantile
+
+        def counted(m, p):
+            levels.append(p)
+            return quantile(m, p)
+
+        monkeypatch.setattr(fading, "_ln_gamma_quantile", counted)
+        nak = NakagamiM(2.0)
+        cutoff = nak.upper_cutoff()
+        nak.log_nodes(-math.inf)
+        nak.log_nodes(-3.0)
+        spectral_efficiency_csit(1.0, QosConfig(theta=0.1, T=2e-3, B=1e5), nak)
+        assert nak.upper_cutoff() == cutoff
+        assert levels == [1.0 - 1e-12]
 
 
 class TestQuadPlumbing:
