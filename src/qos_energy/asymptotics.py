@@ -52,8 +52,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .effcap import LN2, solve_threshold, to_db
-from .errors import NumericalError
+from .effcap import LN2, _search, _thresholds, to_db
+from .errors import BracketFailure, NumericalError
 from .fading import FadingModel, _ln_mean_exp
 
 _DB_PER_FACTOR2 = 10.0 * math.log10(2.0)
@@ -207,30 +207,10 @@ def wideband_csir(
     )
 
 
-def _log_moments_above(
-    model: FadingModel, ln_a: float, nodes: tuple | None = None
-) -> tuple[float, float, float]:
-    """E{ln^k(z/a) (1/z), z >= a} for k = 0, 1, 2, from one node set at ln a
-    (model.log_nodes(ln_a) unless given as nodes).
-
-    k = 1 is the left side L1 of the alpha* equation; k = 0 is the inverse
-    moment I = -dL1/dln a (the boundary term vanishes because ln(z/a) = 0
-    at z = a); k = 2 is the curvature H of the wideband slope.
-    """
-    u, ln_w = model.log_nodes(ln_a) if nodes is None else nodes
-    w = np.exp(ln_w - u)
-    d = u - ln_a
-    wd = w * d
-    return float(w.sum()), float(wd.sum()), float(np.dot(wd, d))
-
-
-def _ln_xi(model: FadingModel, u: np.ndarray, ln_w: np.ndarray, ln_a: float) -> float:
-    """ln xi = ln E{min(1, a/z)} = ln(F(a) + a E{(1/z), z >= a}) from the node
-    set at ln a, stable when a underflows and when xi nears 1 (weak QoS).
-
-    Raises NumericalError when ln xi is not negative and finite.
-    """
-    ln_xi = _ln_mean_exp(ln_w, ln_a - u, model.ln_cdf(ln_a))
+def _ln_xi(ln_xi: float, ln_a: float) -> float:
+    """ln xi = ln E{min(1, a/z)} = ln(F(a) + a E{(1/z), z >= a}) as computed
+    at ln a, checked: raises NumericalError when it is not negative and
+    finite."""
     if not -math.inf < ln_xi < 0:
         raise NumericalError(
             f"ln xi = {ln_xi:g} is not negative and finite at ln alpha* = {ln_a:g}"
@@ -250,9 +230,8 @@ def solve_alpha_star(
     alpha(zeta) is the power-constrained threshold at bandwidth 1/zeta; as
     zeta -> 0 the power constraint degenerates into the log-moment equation
     L1 = E{ln(z/alpha*) (1/z), z >= alpha*} = c, solved here as
-    ln L1 = ln c by safeguarded Newton in ln(alpha), with the exact slope
-    dL1/dln(alpha) = -I.  The derivative of alpha(zeta) at zeta = 0 is exact
-    too:
+    ln L1 = ln c in ln(alpha), with the exact slope dL1/dln(alpha) = -I.
+    The derivative of alpha(zeta) at zeta = 0 is exact too:
 
         dln_alpha_dzeta = -(c - H/2) / (k I) = -(Pbar/N0 - H/(2k)) / I,
         alpha_dot(0) = dln_alpha_dzeta * alpha*,
@@ -263,47 +242,76 @@ def solve_alpha_star(
     underflow at weak QoS; a root that is not resolved, or a derivative
     beyond the double range, raises NumericalError.  At theta = 0 the
     threshold escapes to z_max, xi = 1 and the derivative fields are None.
+    The one-row case of _alpha_star_rows.
     """
-    return _solve_alpha_star(model, theta, T, pbar_over_n0, None)
+    (sol,) = _alpha_star_rows(model, [theta], T, [pbar_over_n0])
+    if isinstance(sol, NumericalError):
+        raise sol
+    return sol
 
 
-def _solve_alpha_star(
-    model: FadingModel,
-    theta: float,
-    T: float,
-    pbar_over_n0: float,
-    start: float | None,
-) -> AlphaStarSolution:
-    """solve_alpha_star with start as the threshold solve's first probe."""
-    _check_wideband_args(theta, T, pbar_over_n0)
-    if theta == 0:
+def _alpha_star_rows(model: FadingModel, thetas, T: float, pbars) -> list:
+    """solve_alpha_star for each (thetas[i], pbars[i]): per row the
+    AlphaStarSolution or the NumericalError it raised, every alpha* of the
+    batch from one search of the edge sums of L1 and one _solve_rows."""
+    for theta, pbar in zip(thetas, pbars):
+        _check_wideband_args(theta, T, pbar)
+    out = [None] * len(thetas)
+    rows = np.flatnonzero([theta > 0 for theta in thetas])
+    for i in np.flatnonzero([theta == 0 for theta in thetas]):
         zmax = model.z_max
-        ln_zmax = math.log(zmax) if zmax > 0 else -math.inf
-        return AlphaStarSolution(
+        out[i] = AlphaStarSolution(
             alpha_star=zmax,
             xi=1.0,
             alpha_dot_zero=None,
-            ln_alpha_star=ln_zmax,
+            ln_alpha_star=math.log(zmax) if zmax > 0 else -math.inf,
             ln_xi=0.0,
         )
-    ln_k = math.log(theta) + math.log(T) - math.log(LN2)
-    ln_c = ln_k + math.log(pbar_over_n0)
+    if not rows.size:
+        return out
+    theta = np.array([thetas[i] for i in rows], dtype=float)
+    pbar = np.array([pbars[i] for i in rows], dtype=float)
+    ln_k = np.log(theta) + (math.log(T) - math.log(LN2))
+    ln_c = ln_k + np.log(pbar)
+    c = np.exp(ln_c)
+    groups = model._groups
+    what = "wideband CSIT threshold alpha*"
+    if groups.size <= groups.first:
+        error = BracketFailure(f"{what}: the model has no nodes")
+        return [error if o is None else o for o in out]
+    cv, _, d1 = groups.sums[:3]
 
-    def residual(ln_a: float) -> tuple[float, float]:
-        inv, l1, _ = _log_moments_above(model, ln_a)
-        if l1 <= 0:
-            return -math.inf, math.nan
-        return math.log(l1) - ln_c, -inv / l1
+    def residual(x, rows, e):
+        u, ln_w = model._partial(x, groups.ell[e])
+        v, d = np.exp(ln_w - u), u - x[:, None]
+        l1 = (v * d).sum(1) + (d1[e] + (groups.ell[e] - x) * cv[e])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.log(l1) - ln_c[rows], -(v.sum(1) + cv[e]) / l1
 
-    ln_star = solve_threshold(
-        residual,
-        math.log(1e-12),
-        math.log(model.upper_cutoff()),
-        "wideband CSIT threshold alpha*",
-        start,
+    found = _search(groups.blocks(model._grow, 2), c, groups.first, groups.size)
+    roots, errors = _thresholds(
+        model, c, found, residual, lambda rows, e: (c[rows] - d1[e]) / cv[e], what
     )
-    u, ln_w = model.log_nodes(ln_star)
-    inv_above, l1, h = _log_moments_above(model, ln_star, (u, ln_w))
+    inv, l1, h = roots.inverse(), roots.log_moment(), roots.log_moment2()
+    ln_xi = roots.ln_mean_power(np.ones(rows.size))
+    for k, i in enumerate(rows):
+        try:
+            if errors[k] is not None:
+                raise errors[k]
+            out[i] = _alpha_star(
+                model, float(theta[k]), T, float(pbar[k]), float(roots.x[k]),
+                float(ln_k[k]), float(ln_c[k]), float(inv[k]), float(l1[k]),
+                float(h[k]), float(ln_xi[k]),
+            )
+        except NumericalError as exc:
+            out[i] = exc
+    return out
+
+
+def _alpha_star(model, theta, T, pbar_over_n0, ln_star, ln_k, ln_c, inv_above,
+                l1, h, ln_xi) -> AlphaStarSolution:
+    """The AlphaStarSolution at the root ln_star from the sums there, with
+    the checks that make an unresolved root or an overflow a NumericalError."""
     # A root has |ln L1 - ln c| well inside 1e-9 |dln L1/dln a| = 1e-9 I/L1,
     # and, by the solver's 1e-13 stopping rule, inside 1e-13 I/L1 <= 1e-6
     # unless alpha* sits within ~1e-7 (in ln z) of the last expectation
@@ -323,7 +331,7 @@ def _solve_alpha_star(
             f"wideband CSIT curvature H = {h:g} is not positive and finite "
             f"({_wideband_params(model, theta, T, pbar_over_n0)})"
         )
-    ln_xi = _ln_xi(model, u, ln_w, ln_star)
+    ln_xi = _ln_xi(ln_xi, ln_star)
     alpha_star = math.exp(ln_star)
     try:
         h_over_2k = 0.5 * h * math.exp(-ln_k)

@@ -388,7 +388,9 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser; with a command, only that command's options are added
+    (every command is still listed, so --help and unknown commands work)."""
     parser = argparse.ArgumentParser(
         prog="qos-energy",
         description="Effective-capacity energy/bandwidth tradeoffs under QoS "
@@ -399,6 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
         # No abbreviations: `--mode` would otherwise select `--model` on a
         # command that has no `--mode`.
         p = sub.add_parser(name, help=command_help, allow_abbrev=False)
+        if command not in (None, name):
+            continue
         p.add_argument("--config", metavar="FILE", help="JSON config file")
         p.add_argument("--model", help="fading model kind", choices=list(_MODELS))
         p.add_argument("--m", type=float, help="Nakagami shape parameter")
@@ -533,7 +537,8 @@ def _write(command: str, cfg: dict, base: str, payload: dict, tables) -> list:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

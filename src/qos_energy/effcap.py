@@ -23,18 +23,19 @@ and the threshold equation becomes classical water-filling (beta = 0).
 
 All solves run on ln(alpha): the threshold shrinks like
 (1+SNR z)^-(beta+1) for degenerate channels and would underflow long
-before its logarithm does.  solve_threshold takes a decreasing residual
-that returns its value and its analytic derivative in ln(alpha), both from
-one node set, and an optional start point.  Newton runs from the start
-(the upper end of the initial bracket when there is none), so a sweep
-that starts each grid point at the root of the one before takes a few
-steps where a cold solve takes about nine.  The bracket is lazy: an end
-is probed only when a step would leave the bracket on its side, and
-grows geometrically while its residual keeps the sign of the inside.  A
-step that is not strictly inside the bracket, or a derivative that is not
-finite and negative, gives that end probe or a bisection step instead.
-Every probe shrinks the bracket by its sign, and the solve stops when a
-step or the bracket is narrower than 1e-13 in ln(alpha).
+before its logarithm does.  A grid line's thresholds are one batch
+(_power_rows), one row per point, and the one-point functions below are
+its one-row case.  Each model keeps sums at the edges of its node lattice
+or at its atoms (fading._Groups), and the mean power at an edge is their
+tilted sum for the row's exponent 1/(beta+1), built only as deep as the
+deepest row needs; the edge values place every root between two edges.
+Between two atoms, or below the last edge, the root is a closed form.
+Inside a lattice panel, _solve_rows runs a safeguarded Newton on every
+row at once, each row costing one 16-node partial panel plus the edge
+sums composed across the gap to the edge, until its step or its panel is
+narrower than 1e-13 in ln(alpha).  _Roots then reads the rate (or, for
+alpha*, L1, I, H and ln xi) at each root from the same sums.  A row's
+root and rate do not depend on the other rows of its batch.
 """
 
 from __future__ import annotations
@@ -45,14 +46,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BracketFailure, DivergentInverseMoment, ThetaZero
+from .errors import BracketFailure, DivergentInverseMoment, NumericalError, ThetaZero
 from .fading import FadingModel, _ln_mean_exp
 
 LN2 = math.log(2.0)
 
 _LN_ALPHA_TOL = 1e-13
-_MAX_ITER = 300
-_MAX_EXPAND = 60
+_MAX_ITER = 100
+_MIN_NORMAL = 2.0**-1022
 
 
 @dataclass(frozen=True)
@@ -74,7 +75,7 @@ class QosConfig:
     @property
     def beta(self) -> float:
         """Normalized QoS exponent theta*T*B/ln2."""
-        return self.theta * self.T * self.B / LN2
+        return _product(self.theta, self.T, self.B) / LN2
 
     @property
     def zeta(self) -> float:
@@ -128,104 +129,275 @@ def power_policy_value(policy: PowerPolicy, z):
     return mu
 
 
-def _mean_policy_power(
-    model: FadingModel, ln_alpha: float, beta: float
-) -> tuple[float, float]:
-    """(M, -dM/dln alpha) for M = E{mu_opt(z) 1{z >= alpha}}, from one node set.
+def _product(*factors: float) -> float:
+    """The product of nonnegative factors with the exponents summed apart
+    from the mantissas, so that it never underflows or overflows on the way
+    to a result in the double range: theta*T first would."""
+    mant, expo = 1.0, 0
+    for factor in factors:
+        m, e = math.frexp(factor)
+        mant, expo = mant * m, expo + e
+    try:
+        return math.ldexp(mant, expo)
+    except OverflowError:
+        return math.inf
 
-    -dM/dln alpha = E{(z/alpha)^(1/(beta+1))/z ; z >= alpha}/(beta+1), the
-    weights of M times expm1(...) + 1; the boundary term vanishes because
-    mu_opt is 0 at z = alpha.
+
+def _theta_tb(qos: QosConfig) -> float:
+    """theta*T*B, which the rates divide by.
+
+    Raises NumericalError when it is not a positive normal double: below
+    the normal doubles it keeps too few digits for a rate at or below the
+    Shannon limit.
     """
-    u, ln_w = model.log_nodes(ln_alpha)
-    w = np.exp(ln_w - u)
-    m = float(np.dot(w, np.expm1((u - ln_alpha) / (beta + 1.0))))
-    return m, (m + float(w.sum())) / (beta + 1.0)
+    k = _product(qos.theta, qos.T, qos.B)
+    if not _MIN_NORMAL <= k < math.inf:
+        raise NumericalError(
+            f"theta*T*B = {k:g} leaves the normal doubles "
+            f"(theta={qos.theta:g}, T={qos.T:g}, B={qos.B:g})"
+        )
+    return k
 
 
-def solve_threshold(
-    residual, lo_ln: float, hi_ln: float, what: str, start: float | None = None
-) -> float:
-    """Root in ln(alpha) of a decreasing residual, to _LN_ALPHA_TOL.
+def _solve_rows(residual, lo, hi, r_lo, r_hi) -> np.ndarray:
+    """Roots of decreasing residuals, one per row, each in its bracket.
 
-    residual(ln_a) returns (r, dr/dln_a).  The first probe is start, or
-    hi_ln when start is None, and Newton steps go from the latest probe.
-    [lo_ln, hi_ln] is an unprobed guess at the bracket: an end is probed
-    only when a step would leave the bracket on its side, and moves out
-    geometrically (at most _MAX_EXPAND times each way) while its residual
-    has the sign of the inside.  A probed end takes over as the Newton
-    point only if its |r| is smaller.  A step that leaves the bracket
-    (unless it is below _LN_ALPHA_TOL, which ends the solve), or a dr that
-    is not finite and negative, is replaced by that end probe or, once
-    both ends are known, by bisection.  Every probe shrinks the bracket by
-    the sign of its residual.
+    residual(x, rows) returns (r, dr/dx) for the rows indexed by rows at
+    the points x.  Row i has r_lo[i] >= 0 >= r_hi[i] at its ends lo[i] <
+    hi[i]; a row whose ends do not change sign gets NaN.  Each row starts
+    at the secant point of its ends and takes Newton steps from its
+    latest probe.  A step that leaves the bracket (unless it is below
+    _LN_ALPHA_TOL), or a dr that is not finite and negative, is replaced
+    by bisection; every probe shrinks the bracket by the sign of its
+    residual.  A row stops when its step or its bracket is narrower than
+    _LN_ALPHA_TOL, and only rows still running are evaluated, so a row's
+    root does not depend on the other rows.
     """
-    span = max(hi_ln - lo_ln, 1.0)
-    lo_known = hi_known = False
-    up = down = 0
-    x = hi_ln if start is None else start
-    at_end = False
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    x = np.where(r_lo == 0, lo, np.where(r_hi == 0, hi, np.nan))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        secant = lo + (hi - lo) * (r_lo / (r_lo - r_hi))
+    rows = np.flatnonzero((r_lo > 0) & (r_hi < 0))
+    x[rows] = np.where((lo < secant) & (secant < hi), secant, 0.5 * (lo + hi))[rows]
     for _ in range(_MAX_ITER):
-        r, dr = residual(x)
-        if r > 0:
-            if x >= hi_ln:
-                up += 1
-                if up > _MAX_EXPAND:
-                    raise BracketFailure(
-                        f"{what}: no upper bracket; residual stays positive"
-                    )
-                hi_ln, span = x + span, 2.0 * span
-            lo_ln, lo_known = x, True
-        else:
-            if x <= lo_ln:
-                down += 1
-                if down > _MAX_EXPAND:
-                    raise BracketFailure(
-                        f"{what}: no lower bracket; residual stays negative"
-                    )
-                lo_ln, span = x - span, 2.0 * span
-            hi_ln, hi_known = x, True
-        if not at_end or abs(r) < abs(best[1]):
-            best = x, r, dr
-        x, r, dr = best
-        step = -r / dr if math.isfinite(dr) and dr < 0 else math.nan
-        at_end = False
-        if not (abs(step) < _LN_ALPHA_TOL or lo_ln < x + step < hi_ln):
-            if r > 0 and not hi_known:
-                step, at_end = hi_ln - x, True
-            elif r <= 0 and not lo_known:
-                step, at_end = lo_ln - x, True
-            else:
-                step = 0.5 * (lo_ln + hi_ln) - x
-        x += step
-        if abs(step) < _LN_ALPHA_TOL or hi_ln - lo_ln < _LN_ALPHA_TOL:
+        if not rows.size:
             break
+        at, a, b = x[rows], lo[rows], hi[rows]
+        r, dr = residual(at, rows)
+        up = r > 0
+        a, b = np.where(up, at, a), np.where(up, b, at)
+        lo[rows], hi[rows] = a, b
+        with np.errstate(invalid="ignore", divide="ignore"):
+            step = np.where(np.isfinite(dr) & (dr < 0), -r / dr, np.nan)
+        small = np.abs(step) < _LN_ALPHA_TOL
+        step = np.where(small | ((a < at + step) & (at + step < b)), step, 0.5 * (a + b) - at)
+        x[rows] = at + step
+        rows = rows[~(small | (np.abs(step) < _LN_ALPHA_TOL) | (b - a < _LN_ALPHA_TOL))]
     return x
 
 
-def _solve_alpha_ln(
-    snr: float, beta: float, model: FadingModel, start: float | None = None
-) -> float:
-    """ln(alpha) such that the threshold policy spends exactly snr on average.
+class _Roots:
+    """Thresholds x = ln a of a batch on one model, and the sums at them.
 
-    Solves ln M - ln snr, whose derivative in ln(alpha) is dM/M; start is
-    the solve's first probe (None for a cold start).
+    Row i composes from edge e[i] of the model's groups (-1 when no node
+    lies above x) across the gap y = ell[e] - x, plus a partial panel from
+    x up to that edge when x sits inside a lattice panel.  Every value is
+    computed from x, so a root that rounds onto the far side of a fall in
+    the sums shows it.
     """
-    ln_snr = math.log(snr)
 
-    def residual(ln_a: float) -> tuple[float, float]:
-        m, slope = _mean_policy_power(model, ln_a, beta)
-        if m <= 0:
-            return -math.inf, math.nan
-        return math.log(m) - ln_snr, -slope / m
+    def __init__(self, model: FadingModel, x, e, partial):
+        groups = model._groups
+        self.model, self.groups, self.x, self.e = model, groups, x, e
+        nodes = e >= 0
+        edge = np.where(nodes, groups.ell[e], x)
+        self.y = edge - x
+        self.sums = np.where(nodes, groups.sums[:, e], 0.0)
+        self.ok = np.isfinite(x)
+        self.part = None
+        if groups.panels:
+            with np.errstate(invalid="ignore"):
+                u, ln_w = model._partial(x, np.where(partial, edge, x))
+            self.part = (u - x[:, None], np.exp(ln_w), np.exp(ln_w - u), ln_w)
 
-    return solve_threshold(
-        residual,
-        math.log(1e-12),
-        math.log(model.upper_cutoff()),
-        "power threshold solve",
-        start,
+    def _partial_sum(self, f) -> np.ndarray:
+        return 0.0 if self.part is None else f(*self.part[:3]).sum(1)
+
+    def inverse(self) -> np.ndarray:
+        """I = E{1/z ; z >= a}."""
+        return self._partial_sum(lambda d, w, v: v) + self.sums[0]
+
+    def log_moment(self) -> np.ndarray:
+        """L1 = E{ln(z/a)/z ; z >= a}."""
+        cv, _, d1 = self.sums[:3]
+        return self._partial_sum(lambda d, w, v: v * d) + (d1 + self.y * cv)
+
+    def log_moment2(self) -> np.ndarray:
+        """H = E{ln^2(z/a)/z ; z >= a}."""
+        cv, _, d1, d2 = self.sums[:4]
+        y = self.y
+        return self._partial_sum(lambda d, w, v: v * d * d) + (
+            d2 + y * (2.0 * d1 + y * cv)
+        )
+
+    def log_gain(self) -> np.ndarray:
+        """E{ln(z/a) ; z >= a}, the water-filling rate in nats."""
+        _, cw, _, _, wd = self.sums
+        return self._partial_sum(lambda d, w, v: w * d) + (wd + self.y * cw)
+
+    def _tilted(self, s):
+        """(sum w expm1(s d), ln sum w exp(s d)) at each row's edge, exponent
+        s per row, built as deep as the deepest row needs; 0 and -inf
+        without nodes."""
+        t, ln_x = np.zeros(len(self.x)), np.full(len(self.x), -np.inf)
+        s_u, inv = np.unique(s, return_inverse=True)
+        deepest = self.e.max(initial=-1)
+        if deepest >= 0:
+            blocks = self.groups.tilted(self.model._grow, s_u, "w", True, deepest + 1)
+            for start, tb, lxb in blocks:
+                rows = np.flatnonzero((self.e >= start) & (self.e < start + tb.shape[1]))
+                at = (inv[rows], self.e[rows] - start)
+                t[rows], ln_x[rows] = tb[at], lxb[at]
+        return t, ln_x
+
+    def ln_mean_power(self, p) -> np.ndarray:
+        """ln(F(a) + E{(z/a)^-p ; z >= a}) per row, p >= 0 per row.
+
+        As in fading._ln_mean_exp: while the mean is above 1/2 this is
+        log1p of sum w expm1(-p ln(z/a)), which keeps its digits at weak
+        QoS; below, the log-sum-exp of F(a) and the terms, from the
+        exponential tilted sums.  Both compose as the other sums do.
+        """
+        t, ln_x = self._tilted(-p)
+        cw = self.sums[1]
+        g = np.expm1(-p * self.y)
+        s = self._partial_sum(lambda d, w, v: w * np.expm1(-p[:, None] * d)) + (
+            t + g * (cw + t)
+        )
+        with np.errstate(divide="ignore"):
+            out = np.log1p(np.maximum(s, -1.0))
+        low = np.flatnonzero(~(s > -0.5) & self.ok)
+        if low.size:
+            terms = [(-p * self.y + ln_x)[low, None]]
+            terms.append([[self.model.ln_cdf(float(x))] for x in self.x[low]])
+            if self.part is not None:
+                terms.append(self.part[3][low] - p[low, None] * self.part[0][low])
+            terms = np.concatenate(terms, axis=1)
+            top = terms.max(1)
+            top[top == -np.inf] = 0.0
+            out[low] = top + np.log(np.exp(terms - top[:, None]).sum(1))
+        return out
+
+
+def _search(blocks, target: np.ndarray, first: int, size: int):
+    """(j, f_above, f_at) per row for an increasing edge sum f read block by
+    block as (start, f rows x block): j is the first edge from first on with
+    f >= target (size when none); f_above and f_at are f at edges j-1 and j
+    (0 where there is none)."""
+    n = len(target)
+    j = np.full(n, size)
+    f_above, f_at, last = np.zeros(n), np.zeros(n), np.zeros(n)
+    open_ = np.ones(n, dtype=bool)
+    for start, f in blocks:
+        f = np.broadcast_to(f, (n, f.shape[1]))
+        edge = start + np.arange(f.shape[1])
+        hit = (f >= target[:, None]) & (edge >= first)
+        rows = np.flatnonzero(open_ & hit.any(1))
+        k = hit[rows].argmax(1)
+        j[rows], f_at[rows] = start + k, f[rows, k]
+        f_above[rows] = np.where(k > 0, f[rows, k - 1], last[rows])
+        open_[rows] = False
+        last = f[:, -1]
+        if not open_.any():
+            break
+    f_above[open_] = last[open_]
+    return j, f_above, f_at
+
+
+def _thresholds(model, target, found, residual, closed, what) -> tuple:
+    """(roots, errors) of a batch from _search's result found = (j, f_above,
+    f_at) for an edge sum f that reaches target at the root.
+
+    Edge j at or above first (no nodes above the root: a lattice jump) puts
+    the root on ell[first] with no nodes; between two lattice edges the
+    root is solved by _solve_rows on ln f - ln target, from
+    residual(x, rows, e) with e = j - 1; below the last edge, or between two
+    atoms, it is ell[e] - closed(rows, e).  errors[i] is the BracketFailure
+    of a row whose root is not finite, else None.
+    """
+    groups = model._groups
+    j, f_above, f_at = found
+    e = np.where(j <= groups.first, -1, j - 1)
+    x = np.where(e < 0, groups.ell[groups.first], np.nan)
+    inside = (e >= 0) & (j < groups.size) & groups.panels
+    shut = np.flatnonzero((e >= 0) & ~inside)
+    if shut.size:
+        x[shut] = groups.ell[e[shut]] - closed(shut, e[shut])
+    panel = np.flatnonzero(inside)
+    if panel.size:
+        ep = e[panel]
+        lo, hi = groups.ell[ep + 1], groups.ell[ep]
+        ln_target = np.log(target[panel])
+        with np.errstate(divide="ignore"):
+            r_lo = np.log(f_at[panel]) - ln_target
+            r_hi = np.log(f_above[panel]) - ln_target
+        found = _solve_rows(
+            lambda at, rows: residual(at, panel[rows], ep[rows]), lo, hi, r_lo, r_hi
+        )
+        x[panel] = np.clip(found, lo, hi)
+    errors = [None] * len(x)
+    for i in np.flatnonzero(~np.isfinite(x)):
+        errors[i] = BracketFailure(f"{what}: no root in the double range")
+    return _Roots(model, x, e, inside), errors
+
+
+def _power_rows(snr: np.ndarray, beta: np.ndarray, model: FadingModel):
+    """(roots, errors): ln(alpha) per row with E{mu_opt} = snr[i] at beta[i].
+
+    The mean power M is the tilted sum of v with exponent s = 1/(beta+1),
+    decreasing in ln a; its values at the edges place each root, and
+    inside a lattice panel _solve_rows solves ln M = ln snr with
+    dln M/dln a = -(M + I) s / M.  Below the last edge, or between two
+    atoms, M = M(e) + expm1(s y)(I(e) + M(e)) gives the gap in closed form,
+    y = (beta+1) log1p((snr - M(e))/(I(e) + M(e))).
+    """
+    groups = model._groups
+    if groups.size <= groups.first:
+        raise BracketFailure("power threshold solve: the model has no nodes")
+    s = 1.0 / (beta + 1.0)
+    s_u, inv = np.unique(s, return_inverse=True)
+    blocks = ((start, t[inv]) for start, t, _ in groups.tilted(model._grow, s_u, "v"))
+    j, m_above, m_at = _search(blocks, snr, groups.first, groups.size)
+    cv = groups.sums[0]
+    ln_snr = np.log(snr)
+
+    def residual(x, rows, e):
+        u, ln_w = model._partial(x, groups.ell[e])
+        v, d, sr = np.exp(ln_w - u), u - x[:, None], s[rows, None]
+        m_e = m_above[rows]
+        m = (v * np.expm1(sr * d)).sum(1) + (
+            m_e + np.expm1(sr[:, 0] * (groups.ell[e] - x)) * (cv[e] + m_e)
+        )
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.log(m) - ln_snr[rows], -(m + v.sum(1) + cv[e]) * sr[:, 0] / m
+
+    def closed(rows, e):
+        m_e = m_above[rows]
+        with np.errstate(over="ignore"):
+            return (beta[rows] + 1.0) * np.log1p((snr[rows] - m_e) / (cv[e] + m_e))
+
+    return _thresholds(
+        model, snr, (j, m_above, m_at), residual, closed, "power threshold solve"
     )
+
+
+def _solve_alpha_ln(snr: float, beta: float, model: FadingModel) -> float:
+    """ln(alpha) such that the threshold policy spends exactly snr on
+    average: the one-row case of _power_rows."""
+    roots, (error,) = _power_rows(np.array([snr]), np.array([beta]), model)
+    if error is not None:
+        raise error
+    return float(roots.x[0])
 
 
 def solve_alpha(snr: float, qos: QosConfig, model: FadingModel) -> PowerPolicy:
@@ -249,45 +421,62 @@ def spectral_efficiency_csir(snr: float, qos: QosConfig, model: FadingModel) -> 
     _check_snr(snr)
     if snr == 0:
         return 0.0
+    theta_tb = _theta_tb(qos)
     _, ln_w, z, w = model.support_nodes
-    log_e = _ln_mean_exp(ln_w, -qos.beta * np.log1p(snr * z), w=w)
-    return -log_e / (qos.theta * qos.T * qos.B)
+    log_e = _ln_mean_exp(ln_w, -(theta_tb / LN2) * np.log1p(snr * z), w=w)
+    return -log_e / theta_tb
 
 
 def spectral_efficiency_csit(snr: float, qos: QosConfig, model: FadingModel) -> float:
     """Spectral efficiency with the optimal threshold power policy.
 
     Evaluates -(1/(theta T B)) ln(F(alpha) + E{(z/alpha)^(-beta/(beta+1))
-    1{z>=alpha}}) at the solved alpha in the log domain (fading._ln_mean_exp),
-    so a threshold below the smallest double still gives a finite rate and
-    a weak QoS exponent keeps its digits; theta = 0 routes to the ergodic
-    water-filling limit.
+    1{z>=alpha}}) at the solved alpha in the log domain, so a threshold
+    below the smallest double still gives a finite rate and a weak QoS
+    exponent keeps its digits; theta = 0 routes to the ergodic
+    water-filling limit.  The one-row case of _csit_rows.
     """
     _check_snr(snr)
     if snr == 0:
         return 0.0
-    return _csit_point(snr, qos, model)[0]
+    (row,) = _csit_rows(np.array([snr]), qos.theta, qos.T, np.array([qos.B]), model)
+    if isinstance(row, NumericalError):
+        raise row
+    return row[0]
 
 
-def _csit_point(
-    snr: float, qos: QosConfig, model: FadingModel, start: float | None = None
-) -> tuple[float, float]:
-    """(spectral efficiency, ln alpha) of the CSIT policy at snr > 0, with
-    start as the threshold solve's first probe (None for a cold start)."""
-    ln_a = _solve_alpha_ln(snr, qos.beta, model, start)
-    if qos.theta == 0:
-        return _waterfill_se(ln_a, model), ln_a
-    p = qos.beta / (qos.beta + 1.0)
-    u, ln_w = model.log_nodes(ln_a)
-    log_total = _ln_mean_exp(ln_w, -p * (u - ln_a), model.ln_cdf(ln_a))
-    se = -log_total / (qos.theta * qos.T * qos.B)
-    return max(se, 0.0), ln_a
-
-
-def _waterfill_se(ln_a: float, model: FadingModel) -> float:
-    """Water-filling rate E{log2(z/alpha), z >= alpha} with cutoff ln(alpha)."""
-    u, ln_w = model.log_nodes(ln_a)
-    return float(np.dot(np.exp(ln_w), u - ln_a)) / LN2
+def _csit_rows(snr, theta: float, T: float, B, model: FadingModel) -> list:
+    """CSIT rates of a grid line at one theta: per row (spectral efficiency,
+    ln alpha), or the NumericalError that row raised.  snr > 0 and B are
+    per row; every threshold is solved in one _power_rows batch."""
+    snr = np.asarray(snr, dtype=float)
+    qos = [QosConfig(theta, T, b) for b in B]
+    out = [None] * len(snr)
+    theta_tb = np.ones(len(snr))
+    for i, q in enumerate(qos):
+        if theta > 0:
+            try:
+                theta_tb[i] = _theta_tb(q)
+            except NumericalError as exc:
+                out[i] = exc
+    rows = np.flatnonzero([o is None for o in out])
+    if not rows.size:
+        return out
+    beta = np.array([qos[i].beta for i in rows])
+    try:
+        roots, errors = _power_rows(snr[rows], beta, model)
+    except NumericalError as exc:
+        return [exc if o is None else o for o in out]
+    if theta == 0:
+        log_total = -roots.log_gain()
+        scale = np.full(rows.size, LN2)
+    else:
+        log_total = roots.ln_mean_power(beta / (beta + 1.0))
+        scale = theta_tb[rows]
+    se = np.maximum(-log_total / scale, 0.0)
+    for k, i in enumerate(rows):
+        out[i] = errors[k] or (float(se[k]), float(roots.x[k]))
+    return out
 
 
 def shannon_limit(snr: float, mode: str, qos: QosConfig, model: FadingModel) -> float:
@@ -304,7 +493,10 @@ def shannon_limit(snr: float, mode: str, qos: QosConfig, model: FadingModel) -> 
     if mode == "csir":
         _, _, z, w = model.support_nodes
         return float(np.dot(w, np.log1p(snr * z))) / LN2
-    return _waterfill_se(_solve_alpha_ln(snr, 0.0, model), model)
+    roots, (error,) = _power_rows(np.array([snr]), np.zeros(1), model)
+    if error is not None:
+        raise error
+    return float(roots.log_gain()[0]) / LN2
 
 
 def delay_limited_limit(snr: float, mode: str, model: FadingModel) -> float:

@@ -55,6 +55,8 @@ _GL_T = 0.5 * (1.0 + _GL_X)
 _GL_LN_W = np.log(0.5 * _GL_W)
 _PANEL_U = _PANEL * _GL_T
 _PANEL_LN_W = np.log(0.5 * _PANEL * _GL_W)
+# Groups per block of the tilted edge sums (_Groups.tilted).
+_BLOCK = 16
 # Whole-support expectations start at 1e-30, below which a density with
 # m >= 0.5 holds at most ~1e-15 of its mass.  Threshold expectations start
 # at the threshold but never below 1e-280: densities that blow up at the
@@ -101,20 +103,18 @@ def _logsumexp(a: np.ndarray) -> float:
     return float(top + np.log(np.sum(np.exp(b, out=b))))
 
 
-def _ln_mean_exp(
-    ln_w: np.ndarray, h: np.ndarray, ln_rest: float = -math.inf, w=None
-) -> float:
-    """ln(exp(ln_rest) + sum exp(ln_w + h)) for h <= 0 and a total mass of 1.
+def _ln_mean_exp(ln_w: np.ndarray, h: np.ndarray, w=None) -> float:
+    """ln sum exp(ln_w + h) for h <= 0 and weights exp(ln_w) summing to 1.
 
-    The rest is mass where h = 0.  While the mean is above 1/2 this is
-    log1p(sum w expm1(h)), which keeps the digits that the log-sum-exp
-    loses as the mean nears 1 (weak QoS); below, it is the log-sum-exp.
-    w = exp(ln_w) may be passed when the caller has it.
+    While the mean is above 1/2 this is log1p(sum w expm1(h)), which keeps
+    the digits that the log-sum-exp loses as the mean nears 1 (weak QoS);
+    below, it is the log-sum-exp.  w = exp(ln_w) may be passed when the
+    caller has it.
     """
     s = float(np.dot(np.exp(ln_w) if w is None else w, np.expm1(h)))
     if s > -0.5:
         return math.log1p(s)
-    return _logsumexp(np.append(ln_w + h, ln_rest))
+    return _logsumexp(ln_w + h)
 
 
 def _ln_gamma_front(m: float, x: float, ln_x: float) -> float:
@@ -238,6 +238,119 @@ def _ln_gamma_quantile(m: float, p: float) -> float:
     return t
 
 
+class _Groups:
+    """A model's expectation nodes in groups hung from the top down, with the
+    sums at each group's lower edge that the threshold solves read.
+
+    Group j holds the nodes at or above its lower edge ell[j] and below
+    ell[j-1]: a 16-node lattice panel, the partial panel above the 1e-280
+    floor, or one atom on its edge.  Column j of sums runs over groups
+    0..j, with d = u - ell[j] >= 0 and v = w/z:
+
+        sum v, sum w, sum v d, sum v d^2, sum w d.
+
+    Each is carried from edge j-1 to edge j by shifting d by
+    ell[j-1] - ell[j], a recurrence of nonnegative terms, so nothing
+    cancels.  Thresholds from ell[first] up see no nodes (for a lattice,
+    from e times upper_cutoff() up); with panels, a threshold between two
+    edges adds one partial panel up to the edge above it.  The model's
+    _grow(n) builds groups on demand through add; the readers below take
+    it as grow.
+    """
+
+    def __init__(self, size: int, width: int, first: int, panels: bool):
+        self.n, self.size, self.first, self.panels = 0, size, first, panels
+        self.ell = np.empty(size)
+        self.d, self.v, self.w = (np.empty((size, width)) for _ in range(3))
+        self.sums = np.empty((5, size))
+
+    def add(self, ell: np.ndarray, u: np.ndarray, ln_w: np.ndarray) -> None:
+        """Append groups with lower edges ell and nodes (u, ln_w), one row each."""
+        k = self.n
+        new = slice(k, k + len(ell))
+        self.ell[new] = ell
+        d = self.d[new] = u - ell[:, None]
+        v = self.v[new] = np.exp(ln_w - u)
+        w = self.w[new] = np.exp(ln_w)
+        last = self.sums[:, k - 1] if k else np.zeros(5)
+        delta = -np.diff(ell, prepend=self.ell[k - 1] if k else ell[0])
+        vd = v * d
+
+        def carry(j, own):
+            return np.add.accumulate(np.append(last[j], own))
+
+        cv, cw = carry(0, v.sum(1)), carry(1, w.sum(1))
+        d1 = carry(2, vd.sum(1) + delta * cv[:-1])
+        d2 = carry(3, (vd * d).sum(1) + delta * (2.0 * d1[:-1] + delta * cv[:-1]))
+        wd = carry(4, (w * d).sum(1) + delta * cw[:-1])
+        self.sums[:, new] = (cv[1:], cw[1:], d1[1:], d2[1:], wd[1:])
+        self.n = new.stop
+
+    def blocks(self, grow, i: int):
+        """Yield (start, sums[i] at edges start.. as one row), a chunk at a time."""
+        start = 0
+        while grow(start + _BLOCK * _BLOCK) > start:
+            stop = min(self.n, start + _BLOCK * _BLOCK)
+            yield start, self.sums[i, None, start:stop]
+            start = stop
+
+    def tilted(self, grow, s: np.ndarray, weight: str, log: bool = False, depth=None):
+        """Per exponent s[i], the tilted sums at every edge from the top (down
+        to edge depth - 1 when given): yields (start, T, ln_x) with
+        T[i, k] = sum om expm1(s[i] d) and ln_x[i, k] = ln sum om exp(s[i] d)
+        (None unless log) at edge start + k, om = v or w as weight says.
+
+        Within a block of _BLOCK groups each group is shifted straight to
+        each edge below it, through expm1(s(d + D)) = expm1(s d) +
+        expm1(s D) exp(s d); the sums at the last edge of a block carry into
+        the next.  The terms share the sign of s, so nothing cancels.
+        Blocks start at fixed groups, and chunks of blocks, doubling up to
+        _BLOCK / len(s) blocks, are one set of array operations each, so a
+        sum depends neither on how deep the caller reads nor on the other
+        exponents; no temporary is larger than len(s) x chunk x 16.
+        """
+        j = "vw".index(weight)
+        om, total = (self.v, self.w)[j], self.sums[j]
+        s4 = s[:, None, None, None]
+        step, most = _BLOCK, _BLOCK * max(1, _BLOCK // len(s))
+        start, limit = 0, self.size if depth is None else depth
+        while (stop := min(grow(min(start + step, limit)), start + step, limit)) > start:
+            pad = -(stop - start) % _BLOCK
+            ell, d, w = (
+                np.concatenate((a[start:stop], np.repeat(a[stop - 1 : stop], pad, 0)))
+                .reshape(-1, _BLOCK, *a.shape[1:])
+                for a in (self.ell, self.d, om)
+            )
+            w[-1, _BLOCK - pad :] = 0.0
+            below = np.tri(_BLOCK, dtype=bool)
+            shift = np.where(below, ell[:, None, :] - ell[:, :, None], 0.0)
+            sd = s4 * d
+            gt = (w * np.expm1(sd)).sum(-1)[:, :, None, :]
+            gx = (w * np.exp(sd)).sum(-1)[:, :, None, :]
+            t = np.where(below, gt + np.expm1(s4 * shift) * gx, 0.0).sum(-1)
+            ln_x = None
+            if log:
+                with np.errstate(divide="ignore"):
+                    terms = np.where(below, s4 * shift + np.log(gx), -np.inf)
+                    top = terms.max(-1, keepdims=True)
+                    top[top == -np.inf] = 0.0
+                    ln_x = top[..., 0] + np.log(np.exp(terms - top).sum(-1))
+            for b in range(ell.shape[0]):
+                edge = start + b * _BLOCK
+                if edge:
+                    up = s[:, None] * (self.ell[edge - 1] - ell[b])
+                    t[:, b] += t_c + np.expm1(up) * (total[edge - 1] + t_c)
+                    if log:
+                        ln_x[:, b] = np.logaddexp(ln_x[:, b], up + ln_x_c)
+                t_c = t[:, b, -1:]
+                if log:
+                    ln_x_c = ln_x[:, b, -1:]
+            m = stop - start
+            t = t.reshape(len(s), -1)[:, :m]
+            yield start, t, None if ln_x is None else ln_x.reshape(len(s), -1)[:, :m]
+            start, step = stop, min(2 * step, most)
+
+
 class FadingModel(abc.ABC):
     """Distribution of the instantaneous channel power gain z."""
 
@@ -325,6 +438,10 @@ class FadingModel(abc.ABC):
     def _support_log_nodes(self) -> tuple[np.ndarray, np.ndarray]:
         return self.log_nodes(-math.inf)
 
+    def _grow(self, n: int) -> int:
+        """Build self._groups up to n groups (at most all); the number built."""
+        return self._groups.n
+
     def ln_cdf(self, ln_z: float) -> float:
         """ln P(Z < exp(ln_z)); -inf when that probability is 0.
 
@@ -370,25 +487,71 @@ class _ContinuousModel(FadingModel):
             lattice[0] = panels
         return u_all[start:], ln_w_all[start:]
 
-    def _nodes_from(self, lo: float) -> tuple[np.ndarray, np.ndarray]:
-        """One Gauss-Legendre panel from lo up to the next lattice edge
-        (none when lo is on it), then the cached lattice above that edge;
-        no nodes from e times upper_cutoff() up."""
+    def _edge_below(self, lo: float) -> tuple[int, float]:
+        """(panels, edge): the lowest lattice edge at or above lo and the
+        number of panels above it."""
         top = self._ln_z_top
-        if not lo < top - _LN_TAIL_PAD:
-            return np.empty(0), np.empty(0)
         panels = math.floor((top - lo) / _PANEL)
         edge = top - panels * _PANEL
         if edge < lo:  # top - lo rounded up onto the edge just below lo
             panels -= 1
             edge = top - panels * _PANEL
+        return panels, edge
+
+    def _partial(self, lo, edge) -> tuple[np.ndarray, np.ndarray]:
+        """One Gauss-Legendre panel from each lo up to its edge, one row each;
+        a panel of width 0 has weights 0."""
+        width = np.subtract(edge, lo)[..., None]
+        with np.errstate(divide="ignore"):
+            ln_width = np.log(width)
+        u = np.asarray(lo)[..., None] + width * _GL_T
+        return u, self._ln_zp(u) + (ln_width + _GL_LN_W)
+
+    def _nodes_from(self, lo: float) -> tuple[np.ndarray, np.ndarray]:
+        """One Gauss-Legendre panel from lo up to the next lattice edge
+        (none when lo is on it), then the cached lattice above that edge;
+        no nodes from e times upper_cutoff() up."""
+        if not lo < self._ln_z_top - _LN_TAIL_PAD:
+            return np.empty(0), np.empty(0)
+        panels, edge = self._edge_below(lo)
         u, ln_w = self._lattice_above(panels)
-        width = edge - lo
-        if width == 0:
+        if edge == lo:
             return u, ln_w
-        u_part = lo + width * _GL_T
-        ln_w_part = self._ln_zp(u_part) + (math.log(width) + _GL_LN_W)
+        u_part, ln_w_part = self._partial(lo, edge)
         return np.concatenate((u_part, u)), np.concatenate((ln_w_part, ln_w))
+
+    @functools.cached_property
+    def _floor(self) -> tuple[int, float | None]:
+        """(lattice panels above the 1e-280 floor, the edge that the partial
+        panel from the floor reaches, or None when the floor is an edge)."""
+        panels, edge = self._edge_below(_LN_Z_FLOOR)
+        if not _LN_Z_FLOOR < self._ln_z_top - _LN_TAIL_PAD:
+            return 0, None
+        return panels, edge if edge > _LN_Z_FLOOR else None
+
+    @functools.cached_property
+    def _groups(self) -> _Groups:
+        """The lattice panels down to the floor as groups, then the partial
+        panel above the floor when the floor is not on an edge."""
+        panels, edge = self._floor
+        first = round(_LN_TAIL_PAD / _PANEL) - 1
+        return _Groups(panels + (edge is not None), _GL_N, first, True)
+
+    def _grow(self, n: int) -> int:
+        groups = self._groups
+        (panels, edge), k = self._floor, groups.n
+        stop = min(n, panels)
+        if k < stop:
+            u, ln_w = (
+                a[: a.size - _GL_N * k].reshape(-1, _GL_N)[::-1]
+                for a in self._lattice_above(stop)
+            )
+            ell = self._ln_z_top - np.arange(k + 1, stop + 1, dtype=float) * _PANEL
+            groups.add(ell, u, ln_w)
+        if n > panels and edge is not None and groups.n == panels:
+            u, ln_w = self._partial(_LN_Z_FLOOR, edge)
+            groups.add(np.array([_LN_Z_FLOOR]), u[None], ln_w[None])
+        return groups.n
 
     def _support_log_nodes(self) -> tuple[np.ndarray, np.ndarray]:
         return self._nodes_from(_LN_Z_WHOLE)
@@ -626,6 +789,16 @@ class BoundedTable(FadingModel):
         u, ln_w = self._log_atoms
         above = u >= ln_lower
         return u[above], ln_w[above]
+
+    @functools.cached_property
+    def _groups(self) -> _Groups:
+        """The atoms with a positive gain, one group each, from the top down."""
+        u, ln_w = self._log_atoms
+        keep = u > -math.inf
+        u, ln_w = u[keep][::-1, None], ln_w[keep][::-1, None]
+        groups = _Groups(len(u), 1, 0, False)
+        groups.add(u[:, 0], u, ln_w)
+        return groups
 
     def expect_above(self, g, lower: float = 0.0) -> float:
         mask = self.zs >= lower

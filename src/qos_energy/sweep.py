@@ -1,13 +1,12 @@
 """Dataset generation: tradeoff curves, bit-energy surfaces, threshold curves.
 
 Everything here is a deterministic map from a declarative spec to arrays of
-floats, so reruns with the same inputs are byte-identical.  _walk walks each
-grid line (a tradeoff curve, an alpha(zeta) curve, a surface row): every
-point starts its threshold solve at the root of the point before it, and a
-point where the numerics give up becomes a gap (None) with a Python warning,
-makes the next point start cold, and never aborts the sweep.  The last bits
-of a CSIT point therefore depend on where its line starts; its contract is
-the solver tolerance (1e-13 in ln(alpha)).
+floats, so reruns with the same inputs are byte-identical.  Each CSIT grid
+line (a tradeoff curve, an alpha(zeta) curve) solves all its thresholds as
+one batch, and a CSIT surface solves all its alpha* as one; a row of a
+batch gets the same bits as a solve of that point alone.  _gaps then walks
+the line: a point where the numerics give up becomes a gap (None) with a
+Python warning and never aborts the sweep.
 """
 
 from __future__ import annotations
@@ -15,15 +14,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .asymptotics import (
     AlphaStarSolution,
     AsymptoticSummary,
+    _alpha_star_rows,
     _csit_floor,
-    _solve_alpha_star,
     lowpower_csir,
     lowpower_csit,
     solve_alpha_star,
@@ -34,8 +32,8 @@ from .effcap import (
     LN2,
     QosConfig,
     _check_mode,
-    _csit_point,
-    _solve_alpha_ln,
+    _csit_rows,
+    _power_rows,
     bit_energy_db,
     shannon_limit,
     spectral_efficiency_csir,
@@ -155,45 +153,51 @@ class Surface:
     failures: int = 0
 
 
-def _walk(point, theta: float, values, what: str, axis: str) -> list:
-    """Results of point(theta, value, start) -> (result, root) along values,
-    each started at the root of the point before.  A point that raises
-    NumericalError warns; it and a point that returns (None, None) are
-    stored as None, and the next point starts cold."""
-    results, start = [], None
-    for value in values:
-        try:
-            result, start = point(theta, value, start)
-        except NumericalError as exc:
+def _gaps(results, theta: float, values, what: str, axis: str) -> list:
+    """The results of one grid line, one per value, with each NumericalError
+    warned about and stored as None."""
+    out = []
+    for value, result in zip(values, results):
+        if isinstance(result, NumericalError):
             warnings.warn(
-                f"{what} failed at theta={theta:g}, {axis}={value:g}: {exc}",
+                f"{what} failed at theta={theta:g}, {axis}={value:g}: {result}",
                 stacklevel=3,
             )
-            result = start = None
-        results.append(result)
-    return results
+            result = None
+        out.append(result)
+    return out
 
 
-def _point_se(spec: SweepSpec, theta: float, g: float, start: float | None):
-    """(spectral efficiency, CSIT root in ln(alpha) or None) at grid value g,
-    the CSIT solve started at start; (None, None) for a rate that is not
-    positive and finite."""
+def _line_se(spec: SweepSpec, theta: float) -> list:
+    """Spectral efficiency per grid value at theta, or the NumericalError
+    of that point; None for a rate that is not positive and finite.  A CSIT
+    line is one _csit_rows batch."""
+    grid = np.array(spec.grid)
     if spec.regime == LOWPOWER:
-        snr = g
-        qos = QosConfig(theta=theta, T=spec.T, B=spec.B)
+        snrs, bands = grid, np.full(grid.size, float(spec.B))
     else:
-        snr = spec.pbar_over_n0 * g
-        qos = QosConfig(theta=theta, T=spec.T, B=1.0 / g)
-    root = None
+        snrs, bands = spec.pbar_over_n0 * grid, 1.0 / grid
     if spec.mode == "csit":
-        se, root = _csit_point(snr, qos, spec.model, start)
-    elif theta == 0:
-        se = shannon_limit(snr, spec.mode, qos, spec.model)
+        rows = _csit_rows(snrs, theta, spec.T, bands, spec.model)
+        rows = [row if isinstance(row, NumericalError) else row[0] for row in rows]
     else:
-        se = spectral_efficiency_csir(snr, qos, spec.model)
-    if not (se > 0 and math.isfinite(se)):
-        return None, None
-    return se, root
+        rows = [_csir_point(snr, QosConfig(theta, spec.T, b), spec.model)
+                for snr, b in zip(snrs.tolist(), bands.tolist())]
+    return [
+        row if isinstance(row, NumericalError) or (row > 0 and math.isfinite(row))
+        else None
+        for row in rows
+    ]
+
+
+def _csir_point(snr: float, qos: QosConfig, model: FadingModel):
+    """Spectral efficiency with receiver CSI, or the NumericalError raised."""
+    try:
+        if qos.theta == 0:
+            return shannon_limit(snr, "csir", qos, model)
+        return spectral_efficiency_csir(snr, qos, model)
+    except NumericalError as exc:
+        return exc
 
 
 def _asymptote(
@@ -239,9 +243,7 @@ def tradeoff_curve(spec: SweepSpec) -> list[Curve]:
     """Sweep SE vs Eb/N0 for every theta in the spec; gaps never abort."""
     curves = []
     for theta in spec.theta_list:
-        ses = _walk(
-            partial(_point_se, spec), theta, spec.grid, "tradeoff point", "grid"
-        )
+        ses = _gaps(_line_se(spec, theta), theta, spec.grid, "tradeoff point", "grid")
         failures = ses.count(None)
         scale = 1.0 if spec.regime == LOWPOWER else spec.pbar_over_n0
         pts = [
@@ -292,16 +294,24 @@ def ebn0_min_surface(
     thetas = tuple(float(t) for t in theta_grid)
     pbars = tuple(float(p) for p in pbar_grid)
 
-    def cell(theta: float, pn0: float, start: float | None):
-        if mode == "csir" or theta == 0:
-            summary = _asymptote(model, mode, WIDEBAND, theta, T, None, pn0)
-            return summary.ebn0_min_db, None
-        sol = _solve_alpha_star(model, theta, T, pn0, start)
-        return to_db(_csit_floor(theta, T, pn0, sol)), sol.ln_alpha_star
+    solve = [(t, p) for t in thetas for p in pbars if mode == "csit" and t > 0]
+    sols = iter(_alpha_star_rows(model, [t for t, _ in solve], T, [p for _, p in solve]))
 
-    rows = []
-    for theta in thetas:
-        rows.append(tuple(_walk(cell, theta, pbars, "surface cell", "pbar_over_n0")))
+    def cell(theta: float, pn0: float):
+        try:
+            if mode == "csir" or theta == 0:
+                return _asymptote(model, mode, WIDEBAND, theta, T, None, pn0).ebn0_min_db
+            sol = next(sols)
+            if isinstance(sol, NumericalError):
+                return sol
+            return to_db(_csit_floor(theta, T, pn0, sol))
+        except NumericalError as exc:
+            return exc
+
+    rows = [
+        tuple(_gaps([cell(t, p) for p in pbars], t, pbars, "surface cell", "pbar_over_n0"))
+        for t in thetas
+    ]
     return Surface(
         mode=mode,
         theta_grid=thetas,
@@ -327,21 +337,21 @@ def alpha_vs_zeta(
         zeta_grid = default_grid(WIDEBAND)
     zetas = tuple(float(z) for z in zeta_grid)
 
-    def point(theta: float, zeta: float, start: float | None):
-        beta = theta * T / (zeta * LN2)
-        ln_a = _solve_alpha_ln(pbar_over_n0 * zeta, beta, model, start)
-        return math.exp(ln_a), ln_a
-
     curves = []
     for theta in theta_list:
         theta = float(theta)
         star = solve_alpha_star(model, theta, T, pbar_over_n0)
-        alphas = _walk(point, theta, zetas, "threshold", "zeta")
+        beta = np.array([theta * T / (zeta * LN2) for zeta in zetas])
+        try:
+            roots, rows = _power_rows(pbar_over_n0 * np.array(zetas), beta, model)
+            rows = [row or math.exp(x) for row, x in zip(rows, roots.x.tolist())]
+        except NumericalError as exc:
+            rows = [exc] * len(zetas)
         curves.append(
             AlphaZetaCurve(
                 theta=theta,
                 zetas=zetas,
-                alphas=tuple(alphas),
+                alphas=tuple(_gaps(rows, theta, zetas, "threshold", "zeta")),
                 star=star,
             )
         )

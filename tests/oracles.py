@@ -1,7 +1,10 @@
-"""Closed forms and plain estimators the tests check the package against.
+"""Closed forms, plain estimators and direct sums the tests check the
+package against.
 
-Neither is used by the package or the CLI: each is an independent route to
-a quantity that the package computes another way.
+None is used by the package or the CLI: each is an independent route to
+a quantity that the package computes another way.  The direct sums run
+over the node set log_nodes(ln a) at the threshold itself, where the
+package composes them from its sums at the lattice edges and atoms.
 """
 
 import math
@@ -47,3 +50,28 @@ def effective_capacity_from_rates(rates, theta: float, T: float) -> float:
     r = np.asarray(rates, dtype=float)
     log_mean = _logsumexp(-theta * T * r) - math.log(r.size)
     return -log_mean / (theta * T)
+
+
+def mean_policy_power(model, ln_alpha: float, beta: float) -> tuple[float, float]:
+    """(M, -dM/dln alpha) for M = E{mu_opt(z) 1{z >= alpha}}, summed directly
+    over log_nodes(ln alpha).
+
+    -dM/dln alpha = E{(z/alpha)^(1/(beta+1))/z ; z >= alpha}/(beta+1), the
+    weights of M times expm1(...) + 1; the boundary term vanishes because
+    mu_opt is 0 at z = alpha.
+    """
+    u, ln_w = model.log_nodes(ln_alpha)
+    w = np.exp(ln_w - u)
+    m = float(np.dot(w, np.expm1((u - ln_alpha) / (beta + 1.0))))
+    return m, (m + float(w.sum())) / (beta + 1.0)
+
+
+def log_moments_above(model, ln_a: float) -> tuple[float, float, float]:
+    """E{ln^k(z/a) (1/z), z >= a} for k = 0, 1, 2, summed directly over
+    log_nodes(ln a): the inverse moment I, the alpha* equation's left side
+    L1 = -integral of I, and the curvature H of the wideband slope."""
+    u, ln_w = model.log_nodes(ln_a)
+    w = np.exp(ln_w - u)
+    d = u - ln_a
+    wd = w * d
+    return float(w.sum()), float(wd.sum()), float(np.dot(wd, d))

@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 from conftest import random_model
-from oracles import wideband_csir_rayleigh_closed_form
+from oracles import log_moments_above, wideband_csir_rayleigh_closed_form
 
 from qos_energy import (
     BoundedTable,
@@ -36,7 +36,6 @@ from qos_energy import (
     wideband_csir,
     wideband_csit,
 )
-from qos_energy.asymptotics import _log_moments_above
 from qos_energy.cli import main
 from qos_energy.effcap import LN2
 
@@ -198,7 +197,7 @@ def test_threshold_fixed_point_residuals():
             theta = float(theta)
             sol = solve_alpha_star(model, theta, T, PN0)
             c = theta * T * PN0 / LN2
-            res = _log_moments_above(model, sol.ln_alpha_star)[1] - c
+            res = log_moments_above(model, sol.ln_alpha_star)[1] - c
             worst = max(worst, abs(res) / c)
             monotone &= sol.alpha_star < prev
             prev = sol.alpha_star

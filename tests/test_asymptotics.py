@@ -9,7 +9,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import digamma, exp1, polygamma
 
-from oracles import wideband_csir_rayleigh_closed_form
+from oracles import log_moments_above, wideband_csir_rayleigh_closed_form
 from qos_energy import (
     AlphaStarSolution,
     AsymptoticSummary,
@@ -28,8 +28,8 @@ from qos_energy import (
     wideband_csir,
     wideband_csit,
 )
-from qos_energy.asymptotics import _DB_PER_FACTOR2, _ln_xi, _log_moments_above
-from qos_energy.effcap import LN2, _solve_alpha_ln
+from qos_energy.asymptotics import _DB_PER_FACTOR2, _ln_xi
+from qos_energy.effcap import LN2, _Roots, _solve_alpha_ln
 from test_acceptance import CSIT_SLOPES
 
 RAY = Rayleigh()
@@ -113,9 +113,13 @@ class TestWeakQos:
             wideband_csir(Deterministic(z0=1e-300), 1e-30, T, 1.0)
 
     def test_xi_of_one_is_a_numerical_error(self):
+        # at the atom itself, xi = F(a) + a E{1/z ; z >= a} = 1
         det = Deterministic(z0=1.0)
+        roots = _Roots(det, np.zeros(1), np.zeros(1, dtype=int), np.zeros(1, dtype=bool))
+        ln_xi = float(roots.ln_mean_power(np.ones(1))[0])
+        assert ln_xi == 0.0
         with pytest.raises(NumericalError, match="not negative"):
-            _ln_xi(det, *det.log_nodes(0.0), 0.0)
+            _ln_xi(ln_xi, 0.0)
 
     @pytest.mark.parametrize(
         "model, theta, t, pn0",
@@ -279,7 +283,7 @@ class TestSolveAlphaStar:
             for theta in (1e-3, 1e-2, 1e-1, 1.0):
                 c = theta * T * PN0 / LN2
                 sol = solve_alpha_star(model, theta, T, PN0)
-                res = _log_moments_above(model, sol.ln_alpha_star)[1] - c
+                res = log_moments_above(model, sol.ln_alpha_star)[1] - c
                 assert abs(res) <= 1e-8 * c
 
     def test_alpha_star_strictly_decreasing_in_theta(self):

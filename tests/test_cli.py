@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import qos_energy
-from qos_energy.cli import MAX_GRID_POINTS, _model_tag, build_parser, main
+from qos_energy.cli import _COMMANDS, MAX_GRID_POINTS, _model_tag, build_parser, main
 from qos_energy.fading import _MODELS
 
 
@@ -207,6 +207,35 @@ class TestExitCodes:
         assert rows[0] == [None, None]
         assert all(math.isfinite(v) for v in rows[1])
 
+    @pytest.mark.parametrize(
+        "argv, name, gaps",
+        [
+            (("sweep", "--theta", "1e-310", "--T", "1e-20", "--B", "1e9"),
+             "sweep_csir_lowpower_rayleigh.json", 3),
+            (("sweep", "--mode", "csit", "--theta", "1e-310", "--T", "1e-20",
+              "--B", "1e9"), "sweep_csit_lowpower_rayleigh.json", 3),
+            # alpha* at c = theta T (Pbar/N0)/ln2 = exp(-750) is not resolved
+            (("sweep", "--mode", "csit", "--regime", "wideband", "--model",
+              "deterministic", "--mean", "1.3", "--theta", "1e-310", "--T",
+              "1e-20"), "sweep_csit_wideband_deterministic.json", 4),
+        ],
+    )
+    def test_underflowing_theta_t_b_points_are_gaps(
+        self, tmp_path, capsys, argv, name, gaps
+    ):
+        # theta*T underflows before B multiplies it; these used to end the
+        # run with "float division by zero" (exit 3)
+        with pytest.warns(UserWarning) as caught:
+            code, out = run(tmp_path, *argv, "--grid-points", "3")
+        texts = [str(w.message) for w in caught]
+        assert sum("leaves the normal doubles" in t for t in texts) == 3
+        assert sum("alpha* = exp(0.262364) is not resolved" in t for t in texts) == (gaps == 4)
+        assert code == 0
+        assert f"{gaps} grid point(s) failed" in capsys.readouterr().out
+        (curve,) = load_json(out, name)["curves"]
+        assert curve["points"] == [{"ebn0_db": None, "spectral_efficiency": None}] * 3
+        assert (curve["asymptote"] is None) == (gaps == 4)
+
     def test_out_path_collision_is_filesystem_error(self, tmp_path, capsys):
         target = tmp_path / "occupied"
         target.write_text("not a directory", encoding="utf-8")
@@ -218,6 +247,20 @@ class TestExitCodes:
         assert main(["--help"]) == 0
         capsys.readouterr()
         assert main([]) == 2
+
+    def test_help_lists_every_command_and_builds_only_the_one_called(self, capsys):
+        assert main(["--help"]) == 0
+        listing = capsys.readouterr().out
+        assert all(name in listing for name in _COMMANDS)
+        [commands] = [a for a in build_parser("limits")._actions if a.dest == "command"]
+        assert list(commands.choices) == list(_COMMANDS)
+        assert all(
+            len(sub._actions) == 1 for name, sub in commands.choices.items()
+            if name != "limits"
+        )
+        assert main(["bogus"]) == 2
+        assert main(["limits", "--bogus"]) == 2
+        capsys.readouterr()
 
     def test_bad_format_rejected_by_parser(self, tmp_path, capsys):
         code, _ = run(tmp_path, "limits", "--format", "xml")
@@ -471,15 +514,14 @@ class TestSweepCommand:
         import qos_energy.sweep as sweep_mod
         from qos_energy.errors import NumericalError
 
-        real = sweep_mod._point_se
-        grid = sweep_mod.default_grid("lowpower", 4)
+        real = sweep_mod._line_se
 
-        def flaky(spec, theta, g, warm):
-            if g == grid[1]:
-                raise NumericalError("synthetic failure")
-            return real(spec, theta, g, warm)
+        def flaky(spec, theta):
+            rows = real(spec, theta)
+            rows[1] = NumericalError("synthetic failure")
+            return rows
 
-        monkeypatch.setattr(sweep_mod, "_point_se", flaky)
+        monkeypatch.setattr(sweep_mod, "_line_se", flaky)
         with pytest.warns(UserWarning, match="synthetic failure"):
             code, out = run(tmp_path, "sweep", "--theta", "0.01", "--grid-points", "4")
         assert code == 0

@@ -9,11 +9,13 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import exp1, gammaln
 
+from oracles import mean_policy_power
 from qos_energy import (
     BoundedTable,
     Deterministic,
     DivergentInverseMoment,
     NakagamiM,
+    NumericalError,
     PowerPolicy,
     QosConfig,
     Rayleigh,
@@ -34,7 +36,7 @@ from qos_energy import (
     spectral_efficiency_csir,
     spectral_efficiency_csit,
 )
-from qos_energy.effcap import LN2, _mean_policy_power, to_db
+from qos_energy.effcap import LN2, to_db
 
 
 def gamma_moment_csit_se(snr, theta, T, B, m):
@@ -139,7 +141,7 @@ class TestSolveAlpha:
     def test_power_constraint_met(self, model, snr, theta):
         qos = QosConfig(theta=theta, T=2e-3, B=1e5)
         pol = solve_alpha(snr, qos, model)
-        spent, _ = _mean_policy_power(model, pol.ln_alpha, pol.beta)
+        spent, _ = mean_policy_power(model, pol.ln_alpha, pol.beta)
         assert spent == pytest.approx(snr, rel=1e-8)
 
     def test_deterministic_closed_form(self):
@@ -405,6 +407,18 @@ class TestWeakQos:
                 ):
                     se = fn(1e-5, qos, model)
                     assert se <= shannon_limit(1e-5, mode, qos, model) * (1 + 1e-15)
+
+    @pytest.mark.parametrize("model", [RAY, NAK2], ids=["ray", "nak2"])
+    def test_theta_t_b_is_formed_without_underflow(self, model):
+        # theta*T underflows to 0 in both; theta*T*B is 1e-307 (a normal
+        # double) in the first and 1e-321 (subnormal) in the second
+        fine = QosConfig(theta=1e-300, T=1e-20, B=1e13)
+        assert fine.beta == pytest.approx(1e-307 / LN2, rel=1e-15)
+        for mode, fn in (("csir", spectral_efficiency_csir), ("csit", spectral_efficiency_csit)):
+            se = fn(1.0, fine, model)
+            assert 0 < se <= shannon_limit(1.0, mode, fine, model) * (1 + 1e-15)
+            with pytest.raises(NumericalError, match="leaves the normal doubles"):
+                fn(1.0, QosConfig(theta=1e-310, T=1e-20, B=1e9), model)
 
     def test_csir_rate_matches_quadrature(self):
         snr, T, B = 1e-5, 2e-3, 1e5

@@ -532,3 +532,60 @@ class TestQuadPlumbing:
         ray = Rayleigh()
         with pytest.raises(NonIntegrable):
             ray.expect_above(lambda z: 1.0 / (z - 1.0), 0.0)
+
+
+EDGE_BETAS = (0.0, 1e-12, 0.3, 288.0, 1e4, 1e6)
+# The exponents the threshold solves tilt by: 1/(beta+1) on v = w/z for the
+# mean power, -beta/(beta+1) on w for the CSIT rate, -1 on w for xi.
+EDGE_EXPONENTS = {
+    "v": np.array([1.0 / (b + 1.0) for b in EDGE_BETAS]),
+    "w": np.array([-b / (b + 1.0) for b in EDGE_BETAS] + [-1.0]),
+}
+
+
+def direct_edge_sums(model, ln_e):
+    """The edge sums at ln_e, summed directly over log_nodes(ln_e)."""
+    u, ln_w = model.log_nodes(ln_e)
+    d, w = u - ln_e, np.exp(ln_w)
+    v = np.exp(ln_w - u)
+    plain = [v.sum(), w.sum(), (v * d).sum(), (v * d * d).sum(), (w * d).sum()]
+    tilted = {}
+    for weight, om in (("v", v), ("w", w)):
+        sd = EDGE_EXPONENTS[weight][:, None] * d
+        tilted[weight] = ((om * np.expm1(sd)).sum(1), np.log((om * np.exp(sd)).sum(1)))
+    return plain, tilted
+
+
+class TestEdgeSums:
+    """The sums at lattice edges and atoms that the threshold solves read,
+    against direct sums over the node set at each edge."""
+
+    @pytest.mark.parametrize(
+        "model",
+        [Rayleigh(), NakagamiM(0.5), NakagamiM(0.6), NakagamiM(2.0), NakagamiM(8.0),
+         BoundedTable(((0.0, 0.1), (0.3, 0.2), (1.0, 0.4), (2.5, 0.3))),
+         Deterministic(1.3)],
+        ids=repr,
+    )
+    def test_sums_match_direct_sums(self, model):
+        groups = model._groups
+        model._grow(groups.size)
+        tilted = {}
+        for weight, s in EDGE_EXPONENTS.items():
+            for start, t, ln_x in groups.tilted(model._grow, s, weight, log=True):
+                for k in range(t.shape[1]):
+                    tilted[weight, start + k] = t[:, k], ln_x[:, k]
+        # Every edge of the top 15 in ln z, then every 100th down to the
+        # 1e-280 floor and the lowest three; a lattice's first edge is the
+        # limit from below of thresholds that see no nodes.
+        n = groups.size
+        lowest = groups.first + 1 if groups.panels else 0
+        edges = {*range(lowest, min(n, 60)), *range(60, n, 100), *range(max(n - 3, 0), n)}
+        for j in sorted(edges):
+            plain, direct = direct_edge_sums(model, groups.ell[j])
+            assert groups.sums[:, j] == pytest.approx(plain, rel=1e-13, abs=0)
+            for weight, (t, ln_x) in direct.items():
+                got_t, got_ln_x = tilted[weight, j]
+                assert got_t == pytest.approx(t, rel=1e-13, abs=0)
+                assert got_ln_x == pytest.approx(ln_x, rel=1e-13, abs=1e-13)
+        assert n == 0 or groups.ell[n - 1] >= math.log(1e-280) or not groups.panels

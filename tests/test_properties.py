@@ -15,8 +15,10 @@ import warnings
 from unittest import mock
 
 from hypothesis import HealthCheck, example, given, settings
+import pytest
 from hypothesis import strategies as st
 
+from oracles import mean_policy_power
 from qos_energy import (
     BoundedTable,
     Deterministic,
@@ -34,7 +36,6 @@ from qos_energy import (
     wideband_csit,
 )
 from qos_energy import sweep as sweep_mod
-from qos_energy.effcap import _LN_ALPHA_TOL, _mean_policy_power
 
 LN2 = math.log(2.0)
 SEEDED = settings(
@@ -157,8 +158,8 @@ def test_sweeps_record_gaps_instead_of_aborting(model, mode, regime, theta, beta
     pbar=PBARS,
     steps=st.lists(st.integers(0, GRID_STEPS), min_size=2, max_size=8, unique=True),
 )
-# Warm and cold roots 2 ulps apart near ln(alpha) = -5386 and -8601, both with
-# a residual of exactly 0.
+# Closed-form roots far below the lattice floor, near ln(alpha) = -5386 and
+# -8601.
 @example(
     model=NakagamiM(m=2.0),
     regime="lowpower",
@@ -176,6 +177,9 @@ def test_sweeps_record_gaps_instead_of_aborting(model, mode, regime, theta, beta
     steps=[0, 10, 56],
 )
 def test_warm_started_roots_match_cold_solves(model, regime, theta, beta, pbar, steps):
+    # Batched lines, which replaced the warm-started walk: every rate and
+    # root of a line has the bits of a solve of that point alone, and each
+    # root spends snr to the rounding that beta + 1 amplifies.
     lo, hi = GRID_EXPONENTS[regime]
     grid = tuple(10.0 ** (lo + (hi - lo) * k / GRID_STEPS) for k in sorted(steps))
     spec = SweepSpec(
@@ -188,27 +192,25 @@ def test_warm_started_roots_match_cold_solves(model, regime, theta, beta, pbar, 
         pbar_over_n0=pbar,
         grid=grid,
     )
-    real = sweep_mod._csit_point
-    roots = []
+    real = sweep_mod._csit_rows
+    lines = []
 
-    def recording(snr, qos, model, start):
-        se, ln_a = real(snr, qos, model, start)
-        cold = finite_or_numerical_error(real, snr, qos, model)
-        roots.append((snr, qos.beta, se, ln_a, cold))
-        return se, ln_a
+    def recording(*args):
+        out = real(*args)
+        lines.append((args, out))
+        return out
 
-    def stops(snr, beta, ln_a):
-        """The solver's own stopping rule |r/dr| < _LN_ALPHA_TOL at ln_a."""
-        m, slope = _mean_policy_power(model, ln_a, beta)
-        return abs((math.log(m) - math.log(snr)) / (-slope / m)) < _LN_ALPHA_TOL
-
-    with mock.patch.object(sweep_mod, "_csit_point", recording):
+    with mock.patch.object(sweep_mod, "_csit_rows", recording):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             tradeoff_curve(spec)
-    for snr, beta, se, warm, cold in roots:
-        assert cold is not None
-        # Two exact roots can sit a few ulps apart once |ln alpha| >= 4096.
-        if abs(warm - cold[1]) > 1e-12:
-            assert stops(snr, beta, warm) and stops(snr, beta, cold[1])
-            assert abs(se - cold[0]) <= 1e-14 * abs(cold[0])
+    [((snr, theta, t, bands, m), rows)] = lines
+    for i, row in enumerate(rows):
+        (alone,) = real(snr[i : i + 1], theta, t, bands[i : i + 1], m)
+        assert not isinstance(row, NumericalError)
+        assert row == alone
+        se, ln_a = row
+        beta_i = QosConfig(theta, t, bands[i]).beta
+        mean, _ = mean_policy_power(m, ln_a, beta_i)
+        assert se > 0 and math.isfinite(se)
+        assert mean == pytest.approx(snr[i], rel=1e-12)

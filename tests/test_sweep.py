@@ -26,6 +26,7 @@ from qos_energy import (
     tradeoff_curve,
     wideband_csit,
 )
+from qos_energy import effcap
 from qos_energy import sweep as sweep_mod
 from qos_energy.effcap import LN2, QosConfig
 from test_effcap import gamma_moment_csit_se
@@ -162,16 +163,16 @@ class TestTradeoffCurve:
         assert curve.points[0].spectral_efficiency == pytest.approx(want, rel=1e-12)
 
     def test_gap_markers_do_not_abort(self, monkeypatch):
-        real = sweep_mod._point_se
+        real = sweep_mod._csir_point
 
-        def flaky(spec, theta, g, warm):
-            if g == 1e-4:
-                raise NumericalError("synthetic failure")
-            if g == 1e-3:
-                return None, None
-            return real(spec, theta, g, warm)
+        def flaky(snr, qos, model):
+            if snr == 1e-4:
+                return NumericalError("synthetic failure")
+            if snr == 1e-3:
+                return 0.0
+            return real(snr, qos, model)
 
-        monkeypatch.setattr(sweep_mod, "_point_se", flaky)
+        monkeypatch.setattr(sweep_mod, "_csir_point", flaky)
         spec = SweepSpec(
             model=RAY,
             mode="csir",
@@ -226,14 +227,14 @@ class TestTradeoffCurve:
         )
 
     def test_failing_csit_point_is_a_gap(self, monkeypatch):
-        real = sweep_mod._csit_point
+        real = sweep_mod._csit_rows
 
-        def flaky(snr, qos, model, start):
-            if snr == 3.08:
-                raise NumericalError("synthetic CSIT failure")
-            return real(snr, qos, model, start)
+        def flaky(snr, *args):
+            rows = real(snr, *args)
+            return [NumericalError("synthetic CSIT failure") if x == 3.08 else row
+                    for x, row in zip(snr, rows)]
 
-        monkeypatch.setattr(sweep_mod, "_csit_point", flaky)
+        monkeypatch.setattr(sweep_mod, "_csit_rows", flaky)
         spec = SweepSpec(
             model=NakagamiM(m=2.0, mean=1.0),
             mode="csit",
@@ -397,78 +398,114 @@ def csit_spec(model, regime, thetas=CLI_THETAS, grid=None) -> SweepSpec:
     )
 
 
-def record_roots(monkeypatch, name, root_of) -> list:
-    """Record (start, root, cold root) for every call of the solve
-    sweep_mod.<name>, whose last argument is its start; the cold root
-    solves the same point again with start None."""
+def record_batches(monkeypatch, name) -> list:
+    """Record (args, out) of every call of the batch sweep_mod.<name>."""
     real = getattr(sweep_mod, name)
     calls = []
 
     def recording(*args):
         out = real(*args)
-        calls.append((args[-1], root_of(out), root_of(real(*args[:-1], None))))
+        calls.append((args, out))
         return out
 
     monkeypatch.setattr(sweep_mod, name, recording)
     return calls
 
 
-def assert_warm_matches_cold(calls, lines: int, points: int) -> None:
-    """Only the first point of each curve or row starts cold, and every
-    warm root is the cold one to the oracle tolerance."""
-    assert len(calls) == lines * points
-    starts = [start is None for start, _, _ in calls]
-    assert starts == ([True] + [False] * (points - 1)) * lines
-    assert max(abs(warm - cold) for _, warm, cold in calls) <= 1e-12
+def same_row(row, alone) -> bool:
+    """A batch row against a one-row solve: equal bits, or the same error."""
+    if isinstance(row, NumericalError):
+        return type(row) is type(alone) and str(row) == str(alone)
+    return row == alone
 
 
 class TestWarmStarts:
+    """Batched grid lines, which replaced the warm-started walk, against
+    solves of each point alone: every root, rate and alpha* has the same
+    bits."""
+
     @pytest.mark.parametrize(
         "model", [RAY, NakagamiM(m=0.6), NakagamiM(m=2.0), TABLE], ids=repr
     )
     @pytest.mark.parametrize("regime", ["lowpower", "wideband"])
     def test_tradeoff_roots_match_cold_solves(self, monkeypatch, model, regime):
-        calls = record_roots(monkeypatch, "_csit_point", lambda out: out[1])
+        calls = record_batches(monkeypatch, "_csit_rows")
         curves = tradeoff_curve(csit_spec(model, regime))
         assert sum(c.failures for c in curves) == 0
-        assert_warm_matches_cold(calls, len(CLI_THETAS), 60)
+        assert len(calls) == len(CLI_THETAS)
+        for (snr, theta, t, bands, m), rows in calls:
+            assert len(rows) == 60
+            for i, row in enumerate(rows):
+                (alone,) = effcap._csit_rows(snr[i : i + 1], theta, t, bands[i : i + 1], m)
+                assert same_row(row, alone)
 
     @pytest.mark.parametrize("model", [RAY, NakagamiM(m=2.0), TABLE], ids=repr)
     def test_alpha_vs_zeta_roots_match_cold_solves(self, monkeypatch, model):
-        calls = record_roots(monkeypatch, "_solve_alpha_ln", float)
+        calls = record_batches(monkeypatch, "_power_rows")
         alpha_vs_zeta(model, CLI_THETAS, T, PN0)
-        assert_warm_matches_cold(calls, len(CLI_THETAS), 60)
+        assert len(calls) == len(CLI_THETAS)
+        for (snr, beta, m), (roots, errors) in calls:
+            assert errors == [None] * 60
+            for i in range(60):
+                assert roots.x[i] == effcap._solve_alpha_ln(snr[i], beta[i], m)
 
     @pytest.mark.parametrize("model", [RAY, NakagamiM(m=2.0)], ids=repr)
     def test_csit_surface_roots_match_cold_solves(self, monkeypatch, model):
-        calls = record_roots(
-            monkeypatch, "_solve_alpha_star", lambda sol: sol.ln_alpha_star
-        )
+        calls = record_batches(monkeypatch, "_alpha_star_rows")
         surf = ebn0_min_surface("csit", model, SURFACE_THETAS, SURFACE_PBARS, T)
         assert surf.failures == 0
-        assert_warm_matches_cold(calls, 20, 20)
+        [((m, thetas, t, pbars), sols)] = calls
+        assert len(sols) == 400
+        for theta, pbar, sol in zip(thetas, pbars, sols):
+            assert sol == solve_alpha_star(m, theta, t, pbar)
+
+    def test_a_gap_leaves_its_neighbours_alone(self):
+        # rows 1 and 3 leave the normal doubles (theta*T*B) or have no root
+        # in them (beta = 1e306); the other rows are the one-row solves
+        snr = np.array([0.5, 1.0, 2.0, 1e308, 4.0])
+        bands = np.array([1e5, 1e-310, 1e5, 1e5, 1e5])
+        rows = effcap._csit_rows(snr, 0.1, T, bands, RAY)
+        assert isinstance(rows[1], NumericalError)
+        for i in (0, 2, 4):
+            (alone,) = effcap._csit_rows(snr[i : i + 1], 0.1, T, bands[i : i + 1], RAY)
+            assert rows[i] == alone
+        beta = np.array([0.3, 0.3, 1e306, 0.3])
+        roots, errors = effcap._power_rows(snr[[0, 2, 3, 4]], beta, RAY)
+        assert [e is None for e in errors] == [True, True, False, True]
+        for i, k in ((0, 0), (1, 2), (3, 4)):
+            assert roots.x[i] == effcap._solve_alpha_ln(snr[k], beta[i], RAY)
 
 
-# Grid points made to fail in the restart tests.  The last bits of a warm
-# root depend on its start, so several failures make a missed restart show.
+# Grid points made to fail in the gap tests.
 FAILING = (5, 9, 13, 17)
 
 
+def failing_rows(real, bad, failure="raise"):
+    """real with the rows of the grid indices in bad made to fail."""
+
+    def flaky(*args):
+        rows = real(*args)
+        if isinstance(rows, tuple):  # _power_rows: (roots, errors)
+            return rows[0], [NumericalError("synthetic failure") if k in bad else e
+                             for k, e in enumerate(rows[1])]
+        if failure == "zero rate":
+            return [(0.0, row[1]) if k in bad else row for k, row in enumerate(rows)]
+        return [NumericalError("synthetic failure") if k in bad else row
+                for k, row in enumerate(rows)]
+
+    return flaky
+
+
 class TestColdRestartAfterGap:
+    """A gap in a batched line leaves the point after it as a line that
+    starts there gives it."""
+
     @pytest.mark.parametrize("failure", ["raise", "zero rate"])
     def test_tradeoff_point_after_a_gap(self, monkeypatch, failure):
         spec = csit_spec(NakagamiM(m=2.0), "lowpower", thetas=(0.1,))
-        bad = {spec.grid[k] for k in FAILING}
-        real = sweep_mod._csit_point
-
-        def flaky(snr, qos, model, start):
-            if snr in bad:
-                if failure == "raise":
-                    raise NumericalError("synthetic failure")
-                return 0.0, real(snr, qos, model, start)[1]
-            return real(snr, qos, model, start)
-
-        monkeypatch.setattr(sweep_mod, "_csit_point", flaky)
+        monkeypatch.setattr(
+            sweep_mod, "_csit_rows", failing_rows(sweep_mod._csit_rows, FAILING, failure)
+        )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             (curve,) = tradeoff_curve(spec)
@@ -482,15 +519,9 @@ class TestColdRestartAfterGap:
 
     def test_alpha_vs_zeta_point_after_a_gap(self, monkeypatch):
         zetas = default_grid("wideband")
-        bad = {PN0 * zetas[k] for k in FAILING}
-        real = sweep_mod._solve_alpha_ln
-
-        def flaky(snr, beta, model, start):
-            if snr in bad:
-                raise NumericalError("synthetic failure")
-            return real(snr, beta, model, start)
-
-        monkeypatch.setattr(sweep_mod, "_solve_alpha_ln", flaky)
+        monkeypatch.setattr(
+            sweep_mod, "_power_rows", failing_rows(sweep_mod._power_rows, FAILING)
+        )
         with pytest.warns(UserWarning, match="synthetic failure"):
             (curve,) = alpha_vs_zeta(RAY, (0.1,), T, PN0, zeta_grid=zetas)
         monkeypatch.undo()
@@ -501,16 +532,12 @@ class TestColdRestartAfterGap:
 
     def test_surface_cell_after_a_gap(self, monkeypatch):
         pbars = SURFACE_PBARS
-        bad = {pbars[k] for k in FAILING}
-        real = sweep_mod._solve_alpha_star
-
-        def flaky(model, theta, T, pbar_over_n0, start):
-            if pbar_over_n0 in bad:
-                raise NumericalError("synthetic failure")
-            return real(model, theta, T, pbar_over_n0, start)
-
-        monkeypatch.setattr(sweep_mod, "_solve_alpha_star", flaky)
         thetas = (0.01, 0.1, 1.0)
+        # the surface solves its cells row by row, theta outer
+        bad = {i * len(pbars) + k for i in range(3) for k in FAILING}
+        monkeypatch.setattr(
+            sweep_mod, "_alpha_star_rows", failing_rows(sweep_mod._alpha_star_rows, bad)
+        )
         with pytest.warns(UserWarning, match="synthetic failure"):
             surf = ebn0_min_surface("csit", RAY, thetas, pbars, T)
         monkeypatch.undo()
