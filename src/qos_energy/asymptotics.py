@@ -52,7 +52,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .effcap import LN2, _search, _thresholds, to_db
+from .effcap import LN2, _log_moment_rows, to_db
 from .errors import BracketFailure, NumericalError
 from .fading import FadingModel, _ln_mean_exp
 
@@ -159,20 +159,16 @@ def lowpower_csit(model: FadingModel, beta: float = 0.0) -> AsymptoticSummary:
     )
 
 
-def _laplace_pair(model: FadingModel, c: float) -> tuple[float, float]:
-    """(ln E{exp(-c z)}, E{z^2 exp(-c z)} / E{exp(-c z)}) computed stably.
-
-    Raises NumericalError when ln E{exp(-c z)} is not negative, which
-    happens only when c z rounds away on every node.
-    """
-    u, ln_w, z, w = model.support_nodes
-    h = -c * z
-    ln_l = _ln_mean_exp(ln_w, h, w=w)
+def _ln_laplace(model: FadingModel, c: float) -> float:
+    """ln E{exp(-c z)}, computed stably; raises NumericalError when it is not
+    negative, which happens only when c z rounds away on every node."""
+    _, ln_w, z, w = model.support_nodes
+    ln_l = _ln_mean_exp(ln_w, -c * z, w=w)
     if not ln_l < 0:
         raise NumericalError(
             f"ln E{{exp(-c z)}} = {ln_l:g} is not negative at c = {c:g}"
         )
-    return ln_l, float(np.dot(np.exp(ln_w + h - ln_l), np.exp(2.0 * u)))
+    return ln_l
 
 
 def wideband_csir(
@@ -189,10 +185,10 @@ def wideband_csir(
     _check_wideband_args(theta, T, pbar_over_n0)
     if theta == 0:
         return replace(lowpower_csir(model, 0.0), regime="wideband")
-    x = theta * T * pbar_over_n0
-    c = x / LN2
-    ln_l, z2_ratio = _laplace_pair(model, c)
-    lin = -x / ln_l
+    c = theta * T * pbar_over_n0 / LN2
+    ln_l = _ln_laplace(model, c)
+    u, ln_w, z, _ = model.support_nodes
+    z2_ratio = float(np.dot(np.exp(ln_w - c * z - ln_l), np.exp(2.0 * u)))
     s0 = 2.0 * (ln_l / c) ** 2 / z2_ratio if z2_ratio > 0 else math.inf
     if not math.isfinite(s0):
         raise NumericalError(
@@ -200,7 +196,7 @@ def wideband_csir(
             f"{z2_ratio:g} ({_wideband_params(model, theta, T, pbar_over_n0)})"
         )
     return AsymptoticSummary(
-        ebn0_min_linear=lin,
+        ebn0_min_linear=_bit_energy_floor(theta, T, pbar_over_n0, ln_l),
         slope_s0=s0,
         regime="wideband",
         mode="csir",
@@ -253,7 +249,7 @@ def solve_alpha_star(
 def _alpha_star_rows(model: FadingModel, thetas, T: float, pbars) -> list:
     """solve_alpha_star for each (thetas[i], pbars[i]): per row the
     AlphaStarSolution or the NumericalError it raised, every alpha* of the
-    batch from one search of the edge sums of L1 and one _solve_rows."""
+    batch from one _log_moment_rows."""
     for theta, pbar in zip(thetas, pbars):
         _check_wideband_args(theta, T, pbar)
     out = [None] * len(thetas)
@@ -273,25 +269,10 @@ def _alpha_star_rows(model: FadingModel, thetas, T: float, pbars) -> list:
     pbar = np.array([pbars[i] for i in rows], dtype=float)
     ln_k = np.log(theta) + (math.log(T) - math.log(LN2))
     ln_c = ln_k + np.log(pbar)
-    c = np.exp(ln_c)
-    groups = model._groups
-    what = "wideband CSIT threshold alpha*"
-    if groups.size <= groups.first:
-        error = BracketFailure(f"{what}: the model has no nodes")
-        return [error if o is None else o for o in out]
-    cv, _, d1 = groups.sums[:3]
-
-    def residual(x, rows, e):
-        u, ln_w = model._partial(x, groups.ell[e])
-        v, d = np.exp(ln_w - u), u - x[:, None]
-        l1 = (v * d).sum(1) + (d1[e] + (groups.ell[e] - x) * cv[e])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.log(l1) - ln_c[rows], -(v.sum(1) + cv[e]) / l1
-
-    found = _search(groups.blocks(model._grow, 2), c, groups.first, groups.size)
-    roots, errors = _thresholds(
-        model, c, found, residual, lambda rows, e: (c[rows] - d1[e]) / cv[e], what
-    )
+    try:
+        roots, errors = _log_moment_rows(ln_c, model)
+    except BracketFailure as exc:
+        return [exc if o is None else o for o in out]
     inv, l1, h = roots.inverse(), roots.log_moment(), roots.log_moment2()
     ln_xi = roots.ln_mean_power(np.ones(rows.size))
     for k, i in enumerate(rows):
@@ -354,11 +335,10 @@ def _alpha_star(model, theta, T, pbar_over_n0, ln_star, ln_k, ln_c, inv_above,
     )
 
 
-def _csit_floor(
-    theta: float, T: float, pbar_over_n0: float, sol: AlphaStarSolution
-) -> float:
-    """Wideband CSIT bit-energy floor -theta*T*(Pbar/N0)/ln xi, linear."""
-    return -theta * T * pbar_over_n0 / sol.ln_xi
+def _bit_energy_floor(theta: float, T: float, pbar_over_n0: float, ln_l: float) -> float:
+    """Wideband bit-energy floor -theta*T*(Pbar/N0)/ln L, linear, with
+    L = E{exp(-c z)} for CSIR and xi for CSIT."""
+    return -theta * T * pbar_over_n0 / ln_l
 
 
 def wideband_csit(
@@ -382,7 +362,6 @@ def wideband_csit(
     if theta == 0:
         return replace(lowpower_csit(model, 0.0), regime="wideband")
     sol = solve_alpha_star(model, theta, T, pbar_over_n0)
-    lin = _csit_floor(theta, T, pbar_over_n0, sol)
     try:
         ratio = math.exp(sol.ln_xi - sol.ln_alpha_star)
     except OverflowError:
@@ -395,7 +374,7 @@ def wideband_csit(
             f"({_wideband_params(model, theta, T, pbar_over_n0)})"
         )
     return AsymptoticSummary(
-        ebn0_min_linear=lin,
+        ebn0_min_linear=_bit_energy_floor(theta, T, pbar_over_n0, sol.ln_xi),
         slope_s0=s0,
         regime="wideband",
         mode="csit",

@@ -24,17 +24,18 @@ and the threshold equation becomes classical water-filling (beta = 0).
 All solves run on ln(alpha): the threshold shrinks like
 (1+SNR z)^-(beta+1) for degenerate channels and would underflow long
 before its logarithm does.  A grid line's thresholds are one batch
-(_power_rows), one row per point, and the one-point functions below are
-its one-row case.  Each model keeps sums at the edges of its node lattice
-or at its atoms (fading._Groups), and the mean power at an edge is their
-tilted sum for the row's exponent 1/(beta+1), built only as deep as the
-deepest row needs; the edge values place every root between two edges.
+(_power_rows, or _log_moment_rows for alpha*), one row per point; the
+one-point functions below are its one-row case.  Each model keeps sums
+at its lattice edges or atoms (fading._Groups); the mean power at an
+edge is their tilted sum for the row's exponent 1/(beta+1), built only
+as deep as the deepest row needs, and the edge values place each root.
 Between two atoms, or below the last edge, the root is a closed form.
 Inside a lattice panel, _solve_rows runs a safeguarded Newton on every
 row at once, each row costing one 16-node partial panel plus the edge
 sums composed across the gap to the edge, until its step or its panel is
-narrower than 1e-13 in ln(alpha).  _Roots then reads the rate (or, for
-alpha*, L1, I, H and ln xi) at each root from the same sums.  A row's
+narrower than 1e-13 in ln(alpha).  _Roots holds the one copy of each
+formula on those sums: the residuals read M, I and L1 through it, and
+the rate (or, for alpha*, L1, I, H and ln xi) at each root.  A row's
 root and rate do not depend on the other rows of its batch.
 """
 
@@ -42,7 +43,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -200,50 +201,55 @@ class _Roots:
     """Thresholds x = ln a of a batch on one model, and the sums at them.
 
     Row i composes from edge e[i] of the model's groups (-1 when no node
-    lies above x) across the gap y = ell[e] - x, plus a partial panel from
-    x up to that edge when x sits inside a lattice panel.  Every value is
-    computed from x, so a root that rounds onto the far side of a fall in
-    the sums shows it.
+    lies above x) across the gap y[i] = ell[e] - x, plus a partial panel
+    from x up to that edge when partial[i] (x inside a lattice panel).
+    Every value is computed from x and y, so a root that rounds onto the
+    far side of a fall in the sums shows it.
     """
 
-    def __init__(self, model: FadingModel, x, e, partial):
+    def __init__(self, model: FadingModel, x, y, e, partial):
         groups = model._groups
-        self.model, self.groups, self.x, self.e = model, groups, x, e
-        nodes = e >= 0
-        edge = np.where(nodes, groups.ell[e], x)
-        self.y = edge - x
-        self.sums = np.where(nodes, groups.sums[:, e], 0.0)
-        self.ok = np.isfinite(x)
+        self.model, self.groups, self.x, self.y, self.e = model, groups, x, y, e
+        self.sums = np.where(e >= 0, groups.sums[:, e], 0.0)
         self.part = None
         if groups.panels:
             with np.errstate(invalid="ignore"):
-                u, ln_w = model._partial(x, np.where(partial, edge, x))
-            self.part = (u - x[:, None], np.exp(ln_w), np.exp(ln_w - u), ln_w)
+                u, ln_w = model._partial(x, np.where(partial, groups.ell[e], x))
+            self.part = (u - x[:, None], np.exp(ln_w - u), ln_w)
 
     def _partial_sum(self, f) -> np.ndarray:
-        return 0.0 if self.part is None else f(*self.part[:3]).sum(1)
+        """sum f(d, v, ln_w) over each row's partial panel; 0 without one."""
+        return 0.0 if self.part is None else f(*self.part).sum(1)
 
     def inverse(self) -> np.ndarray:
         """I = E{1/z ; z >= a}."""
-        return self._partial_sum(lambda d, w, v: v) + self.sums[0]
+        return self._partial_sum(lambda d, v, ln_w: v) + self.sums[0]
 
     def log_moment(self) -> np.ndarray:
         """L1 = E{ln(z/a)/z ; z >= a}."""
         cv, _, d1 = self.sums[:3]
-        return self._partial_sum(lambda d, w, v: v * d) + (d1 + self.y * cv)
+        return self._partial_sum(lambda d, v, ln_w: v * d) + (d1 + self.y * cv)
 
     def log_moment2(self) -> np.ndarray:
         """H = E{ln^2(z/a)/z ; z >= a}."""
         cv, _, d1, d2 = self.sums[:4]
-        y = self.y
-        return self._partial_sum(lambda d, w, v: v * d * d) + (
-            d2 + y * (2.0 * d1 + y * cv)
+        return self._partial_sum(lambda d, v, ln_w: v * d * d) + (
+            d2 + self.y * (2.0 * d1 + self.y * cv)
         )
 
     def log_gain(self) -> np.ndarray:
         """E{ln(z/a) ; z >= a}, the water-filling rate in nats."""
         _, cw, _, _, wd = self.sums
-        return self._partial_sum(lambda d, w, v: w * d) + (wd + self.y * cw)
+        return self._partial_sum(lambda d, v, ln_w: np.exp(ln_w) * d) + (
+            wd + self.y * cw
+        )
+
+    def mean_power(self, s, m_e) -> np.ndarray:
+        """M = E{expm1(s ln(z/a))/z ; z >= a}, the threshold policy's mean
+        power at s = 1/(beta+1) per row, from m_e = M at the row's edge."""
+        return self._partial_sum(lambda d, v, ln_w: v * np.expm1(s[:, None] * d)) + (
+            m_e + np.expm1(s * self.y) * (self.sums[0] + m_e)
+        )
 
     def _tilted(self, s):
         """(sum w expm1(s d), ln sum w exp(s d)) at each row's edge, exponent
@@ -253,8 +259,7 @@ class _Roots:
         s_u, inv = np.unique(s, return_inverse=True)
         deepest = self.e.max(initial=-1)
         if deepest >= 0:
-            blocks = self.groups.tilted(self.model._grow, s_u, "w", True, deepest + 1)
-            for start, tb, lxb in blocks:
+            for start, tb, lxb in self.groups.tilted(s_u, "w", True, deepest + 1):
                 rows = np.flatnonzero((self.e >= start) & (self.e < start + tb.shape[1]))
                 at = (inv[rows], self.e[rows] - start)
                 t[rows], ln_x[rows] = tb[at], lxb[at]
@@ -269,19 +274,19 @@ class _Roots:
         exponential tilted sums.  Both compose as the other sums do.
         """
         t, ln_x = self._tilted(-p)
-        cw = self.sums[1]
         g = np.expm1(-p * self.y)
-        s = self._partial_sum(lambda d, w, v: w * np.expm1(-p[:, None] * d)) + (
-            t + g * (cw + t)
-        )
+        s = self._partial_sum(
+            lambda d, v, ln_w: np.exp(ln_w) * np.expm1(-p[:, None] * d)
+        ) + (t + g * (self.sums[1] + t))
         with np.errstate(divide="ignore"):
             out = np.log1p(np.maximum(s, -1.0))
-        low = np.flatnonzero(~(s > -0.5) & self.ok)
+        low = np.flatnonzero(~(s > -0.5) & np.isfinite(self.x))
         if low.size:
             terms = [(-p * self.y + ln_x)[low, None]]
             terms.append([[self.model.ln_cdf(float(x))] for x in self.x[low]])
             if self.part is not None:
-                terms.append(self.part[3][low] - p[low, None] * self.part[0][low])
+                d, _, ln_w = self.part
+                terms.append(ln_w[low] - p[low, None] * d[low])
             terms = np.concatenate(terms, axis=1)
             top = terms.max(1)
             top[top == -np.inf] = 0.0
@@ -314,41 +319,52 @@ def _search(blocks, target: np.ndarray, first: int, size: int):
     return j, f_above, f_at
 
 
-def _thresholds(model, target, found, residual, closed, what) -> tuple:
-    """(roots, errors) of a batch from _search's result found = (j, f_above,
-    f_at) for an edge sum f that reaches target at the root.
+def _thresholds(model, target, blocks, residual, closed, what) -> tuple:
+    """(roots, errors) of a batch for an edge sum f, decreasing in ln a and
+    read from blocks as _search reads it, that reaches target at the root.
 
-    Edge j at or above first (no nodes above the root: a lattice jump) puts
-    the root on ell[first] with no nodes; between two lattice edges the
-    root is solved by _solve_rows on ln f - ln target, from
-    residual(x, rows, e) with e = j - 1; below the last edge, or between two
-    atoms, it is ell[e] - closed(rows, e).  errors[i] is the BracketFailure
-    of a row whose root is not finite, else None.
+    _search places each root below edge e = j - 1.  Edge j at or above
+    first (no nodes above the root: a lattice jump) puts the root on
+    ell[first] with no nodes; between two lattice edges the root is solved
+    by _solve_rows on ln f - ln target, from residual(roots, rows, f_e) ->
+    (ln f - ln target, dln f/dln a) at the rows' _Roots, with f_e = f at
+    their edges; below the last edge, or between two atoms, the gap
+    y = ell[e] - ln a is closed(rows, f_e, I_e), with I_e = I at the edges,
+    and the roots keep it: ell[e] minus ln a loses its digits near an atom.
+    errors[i] is the BracketFailure of a row whose root is not finite,
+    else None.
     """
     groups = model._groups
-    j, f_above, f_at = found
+    if groups.size <= groups.first:
+        raise BracketFailure(f"{what}: the model has no nodes")
+    j, f_above, f_at = _search(blocks, target, groups.first, groups.size)
     e = np.where(j <= groups.first, -1, j - 1)
-    x = np.where(e < 0, groups.ell[groups.first], np.nan)
+    x, y = np.where(e < 0, groups.ell[groups.first], np.nan), np.zeros(len(j))
     inside = (e >= 0) & (j < groups.size) & groups.panels
     shut = np.flatnonzero((e >= 0) & ~inside)
     if shut.size:
-        x[shut] = groups.ell[e[shut]] - closed(shut, e[shut])
+        y[shut] = closed(shut, f_above[shut], groups.sums[0, e[shut]])
+        x[shut] = groups.ell[e[shut]] - y[shut]
     panel = np.flatnonzero(inside)
     if panel.size:
-        ep = e[panel]
+        ep, f_e = e[panel], f_above[panel]
         lo, hi = groups.ell[ep + 1], groups.ell[ep]
         ln_target = np.log(target[panel])
         with np.errstate(divide="ignore"):
             r_lo = np.log(f_at[panel]) - ln_target
-            r_hi = np.log(f_above[panel]) - ln_target
+            r_hi = np.log(f_e) - ln_target
         found = _solve_rows(
-            lambda at, rows: residual(at, panel[rows], ep[rows]), lo, hi, r_lo, r_hi
+            lambda at, rows: residual(
+                _Roots(model, at, hi[rows] - at, ep[rows], True), panel[rows], f_e[rows]
+            ),
+            lo, hi, r_lo, r_hi,
         )
         x[panel] = np.clip(found, lo, hi)
+        y[panel] = hi - x[panel]
     errors = [None] * len(x)
     for i in np.flatnonzero(~np.isfinite(x)):
         errors[i] = BracketFailure(f"{what}: no root in the double range")
-    return _Roots(model, x, e, inside), errors
+    return _Roots(model, x, y, e, inside), errors
 
 
 def _power_rows(snr: np.ndarray, beta: np.ndarray, model: FadingModel):
@@ -361,34 +377,40 @@ def _power_rows(snr: np.ndarray, beta: np.ndarray, model: FadingModel):
     atoms, M = M(e) + expm1(s y)(I(e) + M(e)) gives the gap in closed form,
     y = (beta+1) log1p((snr - M(e))/(I(e) + M(e))).
     """
-    groups = model._groups
-    if groups.size <= groups.first:
-        raise BracketFailure("power threshold solve: the model has no nodes")
     s = 1.0 / (beta + 1.0)
     s_u, inv = np.unique(s, return_inverse=True)
-    blocks = ((start, t[inv]) for start, t, _ in groups.tilted(model._grow, s_u, "v"))
-    j, m_above, m_at = _search(blocks, snr, groups.first, groups.size)
-    cv = groups.sums[0]
     ln_snr = np.log(snr)
 
-    def residual(x, rows, e):
-        u, ln_w = model._partial(x, groups.ell[e])
-        v, d, sr = np.exp(ln_w - u), u - x[:, None], s[rows, None]
-        m_e = m_above[rows]
-        m = (v * np.expm1(sr * d)).sum(1) + (
-            m_e + np.expm1(sr[:, 0] * (groups.ell[e] - x)) * (cv[e] + m_e)
-        )
+    def residual(roots, rows, m_e):
+        m = roots.mean_power(s[rows], m_e)
         with np.errstate(divide="ignore", invalid="ignore"):
-            return np.log(m) - ln_snr[rows], -(m + v.sum(1) + cv[e]) * sr[:, 0] / m
+            return np.log(m) - ln_snr[rows], -(m + roots.inverse()) * s[rows] / m
 
-    def closed(rows, e):
-        m_e = m_above[rows]
+    def closed(rows, m_e, i_e):
         with np.errstate(over="ignore"):
-            return (beta[rows] + 1.0) * np.log1p((snr[rows] - m_e) / (cv[e] + m_e))
+            return (beta[rows] + 1.0) * np.log1p((snr[rows] - m_e) / (i_e + m_e))
 
-    return _thresholds(
-        model, snr, (j, m_above, m_at), residual, closed, "power threshold solve"
-    )
+    blocks = ((start, t[inv]) for start, t, _ in model._groups.tilted(s_u, "v"))
+    return _thresholds(model, snr, blocks, residual, closed, "power threshold solve")
+
+
+def _log_moment_rows(ln_c: np.ndarray, model: FadingModel):
+    """(roots, errors): ln(alpha*) per row with L1 = E{ln(z/a)/z ; z >= a}
+    = exp(ln_c[i]), solved as _power_rows solves, on the edge sums of v d:
+    dln L1/dln a = -I/L1 inside a lattice panel, and the gap in closed form
+    y = (c - L1(e))/I(e) between two atoms or below the last edge."""
+    c = np.exp(ln_c)
+
+    def residual(roots, rows, l1_e):
+        l1 = roots.log_moment()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.log(l1) - ln_c[rows], -roots.inverse() / l1
+
+    def closed(rows, l1_e, i_e):
+        return (c[rows] - l1_e) / i_e
+
+    what = "wideband CSIT threshold alpha*"
+    return _thresholds(model, c, model._groups.blocks(2), residual, closed, what)
 
 
 def _solve_alpha_ln(snr: float, beta: float, model: FadingModel) -> float:
@@ -452,11 +474,12 @@ def _csit_rows(snr, theta: float, T: float, B, model: FadingModel) -> list:
     snr = np.asarray(snr, dtype=float)
     qos = [QosConfig(theta, T, b) for b in B]
     out = [None] * len(snr)
-    theta_tb = np.ones(len(snr))
+    # Per row theta*T*B; ln 2 at theta = 0, where the rate is in nats.
+    scale = np.full(len(snr), LN2)
     for i, q in enumerate(qos):
         if theta > 0:
             try:
-                theta_tb[i] = _theta_tb(q)
+                scale[i] = _theta_tb(q)
             except NumericalError as exc:
                 out[i] = exc
     rows = np.flatnonzero([o is None for o in out])
@@ -469,11 +492,9 @@ def _csit_rows(snr, theta: float, T: float, B, model: FadingModel) -> list:
         return [exc if o is None else o for o in out]
     if theta == 0:
         log_total = -roots.log_gain()
-        scale = np.full(rows.size, LN2)
     else:
         log_total = roots.ln_mean_power(beta / (beta + 1.0))
-        scale = theta_tb[rows]
-    se = np.maximum(-log_total / scale, 0.0)
+    se = np.maximum(-log_total / scale[rows], 0.0)
     for k, i in enumerate(rows):
         out[i] = errors[k] or (float(se[k]), float(roots.x[k]))
     return out
@@ -482,9 +503,9 @@ def _csit_rows(snr, theta: float, T: float, B, model: FadingModel) -> list:
 def shannon_limit(snr: float, mode: str, qos: QosConfig, model: FadingModel) -> float:
     """Ergodic capacity in bits/s/Hz, the theta -> 0 limit of the above.
 
-    csir: E{log2(1+snr z)}.  csit: water-filling over the gain with the
-    beta = 0 threshold.  qos is accepted for signature symmetry; the limit
-    does not depend on it.
+    csir: E{log2(1+snr z)}.  csit: water-filling over the gain, which is
+    spectral_efficiency_csit at theta = 0.  qos is accepted for signature
+    symmetry; the limit does not depend on it.
     """
     _check_mode(mode)
     _check_snr(snr)
@@ -493,10 +514,7 @@ def shannon_limit(snr: float, mode: str, qos: QosConfig, model: FadingModel) -> 
     if mode == "csir":
         _, _, z, w = model.support_nodes
         return float(np.dot(w, np.log1p(snr * z))) / LN2
-    roots, (error,) = _power_rows(np.array([snr]), np.zeros(1), model)
-    if error is not None:
-        raise error
-    return float(roots.log_gain()[0]) / LN2
+    return spectral_efficiency_csit(snr, replace(qos, theta=0.0), model)
 
 
 def delay_limited_limit(snr: float, mode: str, model: FadingModel) -> float:

@@ -9,13 +9,15 @@ expectation nodes log_nodes(ln_lower): arrays (u, ln_w) with
 Discrete models return the logs of their atoms and probabilities, so the
 sums are exact; Deterministic, the unfaded channel, is the one-atom
 BoundedTable.  Continuous models return composite 16-point
-Gauss-Legendre panels in ln z from one lattice per model: 0.25-wide
-panels hung down from e^2 times the 1 - 1e-12 quantile, each built once,
-on the first call that reaches it.  A threshold set is one partial panel,
-from the threshold up to the next lattice edge, followed by the cached
-panels above that edge; a threshold from e times the quantile up has no
-nodes.  support_nodes holds the whole-support set with
-its exp(u) and exp(ln_w), built once; every cached array is read-only.
+Gauss-Legendre panels in ln z on one lattice per model: 0.25-wide panels
+hung down from e^2 times the 1 - 1e-12 quantile, all built by _panels.
+A threshold set is one partial panel, from the threshold up to the next
+lattice edge, followed by the lattice panels above that edge; a
+threshold from e times the quantile up has no nodes.  support_nodes
+holds the whole-support set with its exp(u) and exp(ln_w), built once
+and read-only.  The threshold solves read each model's panels or atoms
+through the sums at their edges (_Groups), built once, as deep as a
+solve reaches.
 Formulas written on (u, ln_w) combine exponents before exponentiating,
 which keeps thresholds deep in the subnormal range finite.  The strict-CDF /
 non-strict-indicator pair partitions the probability space exactly, which
@@ -39,6 +41,7 @@ from __future__ import annotations
 import abc
 import functools
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -253,13 +256,14 @@ class _Groups:
     ell[j-1] - ell[j], a recurrence of nonnegative terms, so nothing
     cancels.  Thresholds from ell[first] up see no nodes (for a lattice,
     from e times upper_cutoff() up); with panels, a threshold between two
-    edges adds one partial panel up to the edge above it.  The model's
-    _grow(n) builds groups on demand through add; the readers below take
-    it as grow.
+    edges adds one partial panel up to the edge above it.  grow(n), the
+    model's _grow, builds groups on demand through add, up to n of them,
+    and returns the number built.
     """
 
-    def __init__(self, size: int, width: int, first: int, panels: bool):
+    def __init__(self, size: int, width: int, first: int, panels: bool, grow):
         self.n, self.size, self.first, self.panels = 0, size, first, panels
+        self.grow = grow
         self.ell = np.empty(size)
         self.d, self.v, self.w = (np.empty((size, width)) for _ in range(3))
         self.sums = np.empty((5, size))
@@ -286,15 +290,15 @@ class _Groups:
         self.sums[:, new] = (cv[1:], cw[1:], d1[1:], d2[1:], wd[1:])
         self.n = new.stop
 
-    def blocks(self, grow, i: int):
+    def blocks(self, i: int):
         """Yield (start, sums[i] at edges start.. as one row), a chunk at a time."""
         start = 0
-        while grow(start + _BLOCK * _BLOCK) > start:
+        while self.grow(start + _BLOCK * _BLOCK) > start:
             stop = min(self.n, start + _BLOCK * _BLOCK)
             yield start, self.sums[i, None, start:stop]
             start = stop
 
-    def tilted(self, grow, s: np.ndarray, weight: str, log: bool = False, depth=None):
+    def tilted(self, s: np.ndarray, weight: str, log: bool = False, depth=None):
         """Per exponent s[i], the tilted sums at every edge from the top (down
         to edge depth - 1 when given): yields (start, T, ln_x) with
         T[i, k] = sum om expm1(s[i] d) and ln_x[i, k] = ln sum om exp(s[i] d)
@@ -314,7 +318,7 @@ class _Groups:
         s4 = s[:, None, None, None]
         step, most = _BLOCK, _BLOCK * max(1, _BLOCK // len(s))
         start, limit = 0, self.size if depth is None else depth
-        while (stop := min(grow(min(start + step, limit)), start + step, limit)) > start:
+        while (stop := min(self.grow(min(start + step, limit)), start + step, limit)) > start:
             pad = -(stop - start) % _BLOCK
             ell, d, w = (
                 np.concatenate((a[start:stop], np.repeat(a[stop - 1 : stop], pad, 0)))
@@ -438,10 +442,6 @@ class FadingModel(abc.ABC):
     def _support_log_nodes(self) -> tuple[np.ndarray, np.ndarray]:
         return self.log_nodes(-math.inf)
 
-    def _grow(self, n: int) -> int:
-        """Build self._groups up to n groups (at most all); the number built."""
-        return self._groups.n
-
     def ln_cdf(self, ln_z: float) -> float:
         """ln P(Z < exp(ln_z)); -inf when that probability is 0.
 
@@ -464,28 +464,12 @@ class _ContinuousModel(FadingModel):
         """ln z at the top of the lattice, e^2 times upper_cutoff()."""
         return math.log(self.upper_cutoff()) + 2.0 * _LN_TAIL_PAD
 
-    @functools.cached_property
-    def _lattice(self) -> list:
-        """[panels built, u, ln_w]: read-only buffers with room for every
-        panel down to _LN_Z_FLOOR, filled from the top down."""
-        size = _GL_N * max(math.ceil((self._ln_z_top - _LN_Z_FLOOR) / _PANEL), 0)
-        return [0, np.empty(size), np.empty(size)]
-
-    def _lattice_above(self, panels: int) -> tuple[np.ndarray, np.ndarray]:
-        """Nodes of lattice panels 0 .. panels-1, panel k spanning
-        top-(k+1)P .. top-kP; builds the panels not yet built."""
-        lattice = self._lattice
-        built, u_all, ln_w_all = lattice
-        start = u_all.size - _GL_N * panels
-        if panels > built:
-            k = np.arange(panels, built, -1, dtype=float)[:, None]
-            u = self._ln_z_top - k * _PANEL + _PANEL_U
-            for buf, new in ((u_all, u), (ln_w_all, self._ln_zp(u) + _PANEL_LN_W)):
-                buf.flags.writeable = True
-                buf[start : u_all.size - _GL_N * built] = new.ravel()
-                buf.flags.writeable = False
-            lattice[0] = panels
-        return u_all[start:], ln_w_all[start:]
+    def _panels(self, start: int, stop: int) -> tuple[np.ndarray, ...]:
+        """(ell, u, ln_w) of lattice panels start .. stop-1, one row each from
+        the top down: panel k spans ell[k] = top-(k+1)P up to top-kP."""
+        ell = self._ln_z_top - np.arange(start + 1, stop + 1, dtype=float) * _PANEL
+        u = ell[:, None] + _PANEL_U
+        return ell, u, self._ln_zp(u) + _PANEL_LN_W
 
     def _edge_below(self, lo: float) -> tuple[int, float]:
         """(panels, edge): the lowest lattice edge at or above lo and the
@@ -509,12 +493,13 @@ class _ContinuousModel(FadingModel):
 
     def _nodes_from(self, lo: float) -> tuple[np.ndarray, np.ndarray]:
         """One Gauss-Legendre panel from lo up to the next lattice edge
-        (none when lo is on it), then the cached lattice above that edge;
+        (none when lo is on it), then the lattice panels above that edge;
         no nodes from e times upper_cutoff() up."""
         if not lo < self._ln_z_top - _LN_TAIL_PAD:
             return np.empty(0), np.empty(0)
         panels, edge = self._edge_below(lo)
-        u, ln_w = self._lattice_above(panels)
+        _, u, ln_w = self._panels(0, panels)
+        u, ln_w = u[::-1].ravel(), ln_w[::-1].ravel()
         if edge == lo:
             return u, ln_w
         u_part, ln_w_part = self._partial(lo, edge)
@@ -534,20 +519,18 @@ class _ContinuousModel(FadingModel):
         """The lattice panels down to the floor as groups, then the partial
         panel above the floor when the floor is not on an edge."""
         panels, edge = self._floor
+        # weak, or model and groups make a cycle; groups grow while the model lives
+        size, model = panels + (edge is not None), weakref.proxy(self)
         first = round(_LN_TAIL_PAD / _PANEL) - 1
-        return _Groups(panels + (edge is not None), _GL_N, first, True)
+        return _Groups(size, _GL_N, first, True, lambda n: model._grow(n))
 
     def _grow(self, n: int) -> int:
+        """Build self._groups up to n groups (at most all); the number built."""
         groups = self._groups
         (panels, edge), k = self._floor, groups.n
         stop = min(n, panels)
         if k < stop:
-            u, ln_w = (
-                a[: a.size - _GL_N * k].reshape(-1, _GL_N)[::-1]
-                for a in self._lattice_above(stop)
-            )
-            ell = self._ln_z_top - np.arange(k + 1, stop + 1, dtype=float) * _PANEL
-            groups.add(ell, u, ln_w)
+            groups.add(*self._panels(k, stop))
         if n > panels and edge is not None and groups.n == panels:
             u, ln_w = self._partial(_LN_Z_FLOOR, edge)
             groups.add(np.array([_LN_Z_FLOOR]), u[None], ln_w[None])
@@ -796,7 +779,7 @@ class BoundedTable(FadingModel):
         u, ln_w = self._log_atoms
         keep = u > -math.inf
         u, ln_w = u[keep][::-1, None], ln_w[keep][::-1, None]
-        groups = _Groups(len(u), 1, 0, False)
+        groups = _Groups(len(u), 1, 0, False, lambda n: len(u))
         groups.add(u[:, 0], u, ln_w)
         return groups
 

@@ -21,7 +21,8 @@ from .asymptotics import (
     AlphaStarSolution,
     AsymptoticSummary,
     _alpha_star_rows,
-    _csit_floor,
+    _bit_energy_floor,
+    _ln_laplace,
     lowpower_csir,
     lowpower_csit,
     solve_alpha_star,
@@ -286,9 +287,10 @@ def ebn0_min_surface(
 ) -> Surface:
     """Bit-energy floor in dB over a (theta, pbar_over_n0) grid.
 
-    CSIT cells take the floor from the xi of solve_alpha_star.  Cells that
-    fail numerically are stored as None; a CSIT floor of 0 linear
-    (unbounded gains at theta = 0) is stored as -inf dB.
+    Cells at theta > 0 take the floor from ln E{exp(-c z)} (CSIR) or from
+    the xi of solve_alpha_star (CSIT), without the slope.  Cells that fail
+    numerically are stored as None; a CSIT floor of 0 linear (unbounded
+    gains at theta = 0) is stored as -inf dB.
     """
     _check_mode(mode)
     thetas = tuple(float(t) for t in theta_grid)
@@ -299,12 +301,15 @@ def ebn0_min_surface(
 
     def cell(theta: float, pn0: float):
         try:
-            if mode == "csir" or theta == 0:
+            if theta == 0:
                 return _asymptote(model, mode, WIDEBAND, theta, T, None, pn0).ebn0_min_db
-            sol = next(sols)
-            if isinstance(sol, NumericalError):
+            if mode == "csir":
+                ln_l = _ln_laplace(model, theta * T * pn0 / LN2)
+            elif isinstance(sol := next(sols), NumericalError):
                 return sol
-            return to_db(_csit_floor(theta, T, pn0, sol))
+            else:
+                ln_l = sol.ln_xi
+            return to_db(_bit_energy_floor(theta, T, pn0, ln_l))
         except NumericalError as exc:
             return exc
 

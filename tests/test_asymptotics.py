@@ -115,7 +115,9 @@ class TestWeakQos:
     def test_xi_of_one_is_a_numerical_error(self):
         # at the atom itself, xi = F(a) + a E{1/z ; z >= a} = 1
         det = Deterministic(z0=1.0)
-        roots = _Roots(det, np.zeros(1), np.zeros(1, dtype=int), np.zeros(1, dtype=bool))
+        roots = _Roots(
+            det, np.zeros(1), np.zeros(1), np.zeros(1, dtype=int), np.zeros(1, dtype=bool)
+        )
         ln_xi = float(roots.ln_mean_power(np.ones(1))[0])
         assert ln_xi == 0.0
         with pytest.raises(NumericalError, match="not negative"):

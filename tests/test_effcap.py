@@ -395,18 +395,21 @@ WEAK_THETAS = (1e-6, 1e-9, 1e-12, 1e-15, 1e-18, 1e-30)
 
 class TestWeakQos:
     def test_rates_stay_at_or_below_shannon(self):
-        # Densities only: at snr = 1e-5 a table's threshold sits within
-        # 1.3e-4 of its top atom, where one ulp of ln(alpha) moves the CSIT
-        # rate by 1.7e-12 relative, whichever way the two solves round.
+        # At snr = 1e-5 a table's threshold sits within 1.3e-4 of its top
+        # atom, and the CSIT rate rests on the gap ln z_top - ln(alpha):
+        # one ulp of ln(alpha) in that gap moves the rate by 1.7e-12.
+        table4 = BoundedTable(((0.0, 0.1), (0.3, 0.2), (1.0, 0.4), (2.5, 0.3)))
+        tables = (TAB, Deterministic(1.3), table4)
         for theta in WEAK_THETAS:
             qos = QosConfig(theta=theta, T=2e-3, B=1e5)
-            for model in (RAY, NAK2):
-                for mode, fn in (
-                    ("csir", spectral_efficiency_csir),
-                    ("csit", spectral_efficiency_csit),
-                ):
-                    se = fn(1e-5, qos, model)
-                    assert se <= shannon_limit(1e-5, mode, qos, model) * (1 + 1e-15)
+            for model in (RAY, NAK2, *tables):
+                for snr in (1e-5, 1.0):
+                    for mode, fn in (
+                        ("csir", spectral_efficiency_csir),
+                        ("csit", spectral_efficiency_csit),
+                    ):
+                        se = fn(snr, qos, model)
+                        assert se <= shannon_limit(snr, mode, qos, model) * (1 + 1e-15)
 
     @pytest.mark.parametrize("model", [RAY, NAK2], ids=["ray", "nak2"])
     def test_theta_t_b_is_formed_without_underflow(self, model):

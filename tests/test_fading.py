@@ -15,6 +15,7 @@ from qos_energy import (
     QosConfig,
     Rayleigh,
     from_config,
+    solve_alpha,
     spectral_efficiency_csir,
     spectral_efficiency_csit,
 )
@@ -470,7 +471,6 @@ class TestLattice:
         for model_arrays in (
             ray.support_nodes,
             ray.log_nodes(-math.inf),
-            on_edge,
             DISCRETE[1].support_nodes,
         ):
             for a in model_arrays:
@@ -569,10 +569,10 @@ class TestEdgeSums:
     )
     def test_sums_match_direct_sums(self, model):
         groups = model._groups
-        model._grow(groups.size)
+        groups.grow(groups.size)
         tilted = {}
         for weight, s in EDGE_EXPONENTS.items():
-            for start, t, ln_x in groups.tilted(model._grow, s, weight, log=True):
+            for start, t, ln_x in groups.tilted(s, weight, log=True):
                 for k in range(t.shape[1]):
                     tilted[weight, start + k] = t[:, k], ln_x[:, k]
         # Every edge of the top 15 in ln z, then every 100th down to the
@@ -589,3 +589,30 @@ class TestEdgeSums:
                 assert got_t == pytest.approx(t, rel=1e-13, abs=0)
                 assert got_ln_x == pytest.approx(ln_x, rel=1e-13, abs=1e-13)
         assert n == 0 or groups.ell[n - 1] >= math.log(1e-280) or not groups.panels
+
+    @pytest.mark.parametrize("model", CONTINUOUS, ids=MODEL_IDS[:4])
+    def test_nodes_and_sums_do_not_depend_on_how_the_groups_grew(self, model):
+        # one model grown in a single call, one grown chunk by chunk by
+        # threshold solves, and one that built support_nodes first
+        whole, stepped, support = replace(model), replace(model), replace(model)
+        whole._groups.grow(whole._groups.size)
+        built = []
+        for snr in np.geomspace(1e-4, 1e4, 9):
+            solve_alpha(snr, QosConfig(theta=1e-3, T=2e-3, B=1e5), stepped)
+            built.append(stepped._groups.n)
+        assert len(set(built)) > 2 and built[-1] < stepped._groups.size
+        support.support_nodes
+        for m in (stepped, support):
+            m._groups.grow(m._groups.size)
+        want = None
+        for m in (whole, stepped, support):
+            groups = m._groups
+            got = [groups.ell, groups.sums]
+            for weight, s in EDGE_EXPONENTS.items():
+                for _, t, ln_x in groups.tilted(s, weight, log=True):
+                    got += [t, ln_x]
+            for ln_a in (-math.inf, *TestLattice.LN_LOWER):
+                got += m.log_nodes(ln_a)
+            got = _bits(got)
+            assert want is None or got == want
+            want = got

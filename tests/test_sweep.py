@@ -314,6 +314,19 @@ class TestSurface:
         for i in range(3):
             assert cells[i][0] < cells[i][1] < cells[i][2]
 
+    def test_csir_cells_need_no_slope(self):
+        # At theta 1, Pbar/N0 1e6 exp(-c z) underflows on every positive
+        # atom: E{exp(-c z)} is the zero gain's 0.1, and the slope's
+        # E{z^2 exp(-c z)} is 0, but the floor is finite.
+        surf = ebn0_min_surface(
+            "csir", TABLE, np.logspace(-3.0, 0.0, 20), np.logspace(2.0, 6.0, 20), T
+        )
+        assert surf.failures == 0
+        c = T * 1e6 / LN2
+        mean = sum(p * math.exp(-c * z) for z, p in zip(*TABLE.atoms))
+        want = 10.0 * math.log10(-T * 1e6 / math.log(mean))
+        assert surf.ebn0_min_db[-1][-1] == pytest.approx(want, rel=1e-14)
+
     def test_csit_floor_below_csir_floor(self):
         csir = ebn0_min_surface("csir", RAY, (1.0,), (1e4,), T)
         csit = ebn0_min_surface("csit", RAY, (1.0,), (1e4,), T)
@@ -328,10 +341,10 @@ class TestSurface:
         assert surf.ebn0_min_db[0] == (-math.inf, -math.inf)
 
     def test_failed_cell_is_none(self, monkeypatch):
-        def broken(model, theta, T, pn0):
+        def broken(model, c):
             raise NumericalError("cell broke")
 
-        monkeypatch.setattr(sweep_mod, "wideband_csir", broken)
+        monkeypatch.setattr(sweep_mod, "_ln_laplace", broken)
         with pytest.warns(UserWarning, match="cell broke"):
             surf = ebn0_min_surface("csir", RAY, (0.1,), (1e3, 1e4), T)
         assert surf.ebn0_min_db == ((None, None),)
