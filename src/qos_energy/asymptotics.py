@@ -52,7 +52,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .effcap import LN2, _log_moment_rows, to_db
+from .effcap import LN2, QosConfig, _log_moment_rows, to_db
 from .errors import BracketFailure, NumericalError
 from .fading import FadingModel, _ln_mean_exp
 
@@ -163,7 +163,7 @@ def _ln_laplace(model: FadingModel, c: float) -> float:
     """ln E{exp(-c z)}, computed stably; raises NumericalError when it is not
     negative, which happens only when c z rounds away on every node."""
     _, ln_w, z, w = model.support_nodes
-    ln_l = _ln_mean_exp(ln_w, -c * z, w=w)
+    ln_l = _ln_mean_exp(ln_w, -c * z, w)
     if not ln_l < 0:
         raise NumericalError(
             f"ln E{{exp(-c z)}} = {ln_l:g} is not negative at c = {c:g}"
@@ -356,12 +356,19 @@ def wideband_csit(
     (c^2 E{z^2 exp(-c z)}).  It is evaluated as 2 exp(ln xi - ln alpha*)
     (ln xi)^2 / H so that tiny alpha* and xi cancel instead of underflowing;
     a slope beyond the double range raises NumericalError.  theta = 0
-    routes to the fixed-bandwidth CSIT limits.
+    routes to the fixed-bandwidth CSIT limits.  The one-row case of
+    _asymptotes.
     """
-    _check_wideband_args(theta, T, pbar_over_n0)
+    (row,) = _asymptotes(model, "csit", "wideband", [theta], T, None, pbar_over_n0)
+    if isinstance(row, NumericalError):
+        raise row
+    return row
+
+
+def _csit_summary(model, theta, T, pbar_over_n0, sol) -> AsymptoticSummary:
+    """wideband_csit from the AlphaStarSolution sol at theta."""
     if theta == 0:
         return replace(lowpower_csit(model, 0.0), regime="wideband")
-    sol = solve_alpha_star(model, theta, T, pbar_over_n0)
     try:
         ratio = math.exp(sol.ln_xi - sol.ln_alpha_star)
     except OverflowError:
@@ -379,6 +386,31 @@ def wideband_csit(
         regime="wideband",
         mode="csit",
     )
+
+
+def _asymptotes(model: FadingModel, mode: str, regime: str, thetas, T: float,
+                B: float | None, pbar_over_n0: float | None) -> list:
+    """Bit-energy floor and slope for one mode/regime at each theta: per row
+    the AsymptoticSummary or the NumericalError it raised.  B is used only
+    in the lowpower regime and pbar_over_n0 only in the wideband one; the
+    wideband CSIT rows take every alpha* from one _alpha_star_rows."""
+    if mode == "csit" and regime == "wideband":
+        sols = _alpha_star_rows(model, thetas, T, [pbar_over_n0] * len(thetas))
+    out = []
+    for k, theta in enumerate(thetas):
+        try:
+            if regime == "lowpower":
+                lowpower = lowpower_csir if mode == "csir" else lowpower_csit
+                out.append(lowpower(model, QosConfig(theta, T, B).beta))
+            elif mode == "csir":
+                out.append(wideband_csir(model, theta, T, pbar_over_n0))
+            elif isinstance(sols[k], NumericalError):
+                out.append(sols[k])
+            else:
+                out.append(_csit_summary(model, theta, T, pbar_over_n0, sols[k]))
+        except NumericalError as exc:
+            out.append(exc)
+    return out
 
 
 def linear_approx(ebn0_db, summary: AsymptoticSummary):

@@ -29,6 +29,7 @@ from dataclasses import asdict
 
 import numpy as np
 
+from .asymptotics import _asymptotes
 from .effcap import QosConfig, delay_limited_limit, shannon_limit
 from .errors import NumericalError
 from .fading import _MODELS, from_config
@@ -37,7 +38,6 @@ from .sweep import (
     LOWPOWER,
     WIDEBAND,
     SweepSpec,
-    _asymptote,
     alpha_vs_zeta,
     default_grid,
     ebn0_min_surface,
@@ -227,11 +227,11 @@ def _sweep(cfg: dict, model):
 
 
 def _asymptotics(cfg: dict, model):
-    results = []
-    for theta in cfg["theta"]:
-        summary = _asymptote(model, cfg["mode"], cfg["regime"], theta,
-                             cfg["T"], cfg["B"], cfg["pbar_over_n0"])
-        results.append({**_summary_dict(summary), "theta": theta})
+    summaries = _asymptotes(model, cfg["mode"], cfg["regime"], cfg["theta"],
+                            cfg["T"], cfg["B"], cfg["pbar_over_n0"])
+    if errors := [s for s in summaries if isinstance(s, NumericalError)]:
+        raise errors[0]
+    results = [{**_summary_dict(s), "theta": t} for t, s in zip(cfg["theta"], summaries)]
     base = f"asymptotics_{cfg['mode']}_{cfg['regime']}_{_model_tag(cfg['model'])}"
     rows = [
         (r["theta"], r["ebn0_min_linear"], r["ebn0_min_db"], r["s0"]) for r in results

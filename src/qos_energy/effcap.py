@@ -413,24 +413,19 @@ def _log_moment_rows(ln_c: np.ndarray, model: FadingModel):
     return _thresholds(model, c, model._groups.blocks(2), residual, closed, what)
 
 
-def _solve_alpha_ln(snr: float, beta: float, model: FadingModel) -> float:
-    """ln(alpha) such that the threshold policy spends exactly snr on
-    average: the one-row case of _power_rows."""
-    roots, (error,) = _power_rows(np.array([snr]), np.array([beta]), model)
-    if error is not None:
-        raise error
-    return float(roots.x[0])
-
-
 def solve_alpha(snr: float, qos: QosConfig, model: FadingModel) -> PowerPolicy:
     """Find the gain cutoff alpha with E{mu_opt} = snr.
 
     The mean transmit power is strictly decreasing in alpha, so the root is
     unique; theta = 0 (beta = 0) gives the classical water-filling threshold.
+    The one-row case of _power_rows.
     """
     if not (snr > 0 and math.isfinite(snr)):
         raise ValueError(f"snr must be positive and finite, got {snr}")
-    return PowerPolicy(_solve_alpha_ln(snr, qos.beta, model), qos.beta)
+    roots, (error,) = _power_rows(np.array([snr]), np.array([qos.beta]), model)
+    if error is not None:
+        raise error
+    return PowerPolicy(float(roots.x[0]), qos.beta)
 
 
 def spectral_efficiency_csir(snr: float, qos: QosConfig, model: FadingModel) -> float:
@@ -445,7 +440,7 @@ def spectral_efficiency_csir(snr: float, qos: QosConfig, model: FadingModel) -> 
         return 0.0
     theta_tb = _theta_tb(qos)
     _, ln_w, z, w = model.support_nodes
-    log_e = _ln_mean_exp(ln_w, -(theta_tb / LN2) * np.log1p(snr * z), w=w)
+    log_e = _ln_mean_exp(ln_w, -(theta_tb / LN2) * np.log1p(snr * z), w)
     return -log_e / theta_tb
 
 

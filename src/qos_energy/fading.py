@@ -106,15 +106,14 @@ def _logsumexp(a: np.ndarray) -> float:
     return float(top + np.log(np.sum(np.exp(b, out=b))))
 
 
-def _ln_mean_exp(ln_w: np.ndarray, h: np.ndarray, w=None) -> float:
-    """ln sum exp(ln_w + h) for h <= 0 and weights exp(ln_w) summing to 1.
+def _ln_mean_exp(ln_w: np.ndarray, h: np.ndarray, w: np.ndarray) -> float:
+    """ln sum w exp(h) for h <= 0 and weights w = exp(ln_w) summing to 1.
 
     While the mean is above 1/2 this is log1p(sum w expm1(h)), which keeps
     the digits that the log-sum-exp loses as the mean nears 1 (weak QoS);
-    below, it is the log-sum-exp.  w = exp(ln_w) may be passed when the
-    caller has it.
+    below, it is the log-sum-exp.
     """
-    s = float(np.dot(np.exp(ln_w) if w is None else w, np.expm1(h)))
+    s = float(np.dot(w, np.expm1(h)))
     if s > -0.5:
         return math.log1p(s)
     return _logsumexp(ln_w + h)
@@ -291,12 +290,13 @@ class _Groups:
         self.n = new.stop
 
     def blocks(self, i: int):
-        """Yield (start, sums[i] at edges start.. as one row), a chunk at a time."""
-        start = 0
-        while self.grow(start + _BLOCK * _BLOCK) > start:
-            stop = min(self.n, start + _BLOCK * _BLOCK)
+        """Yield (start, sums[i] at edges start.. as one row) in chunks that
+        double from _BLOCK groups up to _BLOCK * _BLOCK, as tilted reads."""
+        start, step = 0, _BLOCK
+        while self.grow(start + step) > start:
+            stop = min(self.n, start + step)
             yield start, self.sums[i, None, start:stop]
-            start = stop
+            start, step = stop, min(2 * step, _BLOCK * _BLOCK)
 
     def tilted(self, s: np.ndarray, weight: str, log: bool = False, depth=None):
         """Per exponent s[i], the tilted sums at every edge from the top (down

@@ -3,9 +3,9 @@
 Everything here is a deterministic map from a declarative spec to arrays of
 floats, so reruns with the same inputs are byte-identical.  Each CSIT grid
 line (a tradeoff curve, an alpha(zeta) curve) solves all its thresholds as
-one batch, and a CSIT surface solves all its alpha* as one; a row of a
-batch gets the same bits as a solve of that point alone.  _gaps then walks
-the line: a point where the numerics give up becomes a gap (None) with a
+one batch, and each call solves all its alpha* as one; a row of a batch
+gets the same bits as a solve of that point alone.  _gaps then walks the
+line: a point where the numerics give up becomes a gap (None) with a
 Python warning and never aborts the sweep.
 """
 
@@ -21,13 +21,9 @@ from .asymptotics import (
     AlphaStarSolution,
     AsymptoticSummary,
     _alpha_star_rows,
+    _asymptotes,
     _bit_energy_floor,
     _ln_laplace,
-    lowpower_csir,
-    lowpower_csit,
-    solve_alpha_star,
-    wideband_csir,
-    wideband_csit,
 )
 from .effcap import (
     LN2,
@@ -201,27 +197,6 @@ def _csir_point(snr: float, qos: QosConfig, model: FadingModel):
         return exc
 
 
-def _asymptote(
-    model: FadingModel,
-    mode: str,
-    regime: str,
-    theta: float,
-    T: float,
-    B: float | None,
-    pbar_over_n0: float | None,
-) -> AsymptoticSummary:
-    """Bit-energy floor and slope for one mode/regime; B is used only in
-    the lowpower regime and pbar_over_n0 only in the wideband one."""
-    if regime == LOWPOWER:
-        beta = theta * T * B / LN2
-        if mode == "csir":
-            return lowpower_csir(model, beta)
-        return lowpower_csit(model, beta)
-    if mode == "csir":
-        return wideband_csir(model, theta, T, pbar_over_n0)
-    return wideband_csit(model, theta, T, pbar_over_n0)
-
-
 def _check_rate_monotone(theta: float, grid, points) -> None:
     """Total rate se/zeta must not grow with zeta (shrinking bandwidth)."""
     prev_ratio = None
@@ -242,8 +217,10 @@ def _check_rate_monotone(theta: float, grid, points) -> None:
 
 def tradeoff_curve(spec: SweepSpec) -> list[Curve]:
     """Sweep SE vs Eb/N0 for every theta in the spec; gaps never abort."""
+    asyms = _asymptotes(spec.model, spec.mode, spec.regime, spec.theta_list,
+                        spec.T, spec.B, spec.pbar_over_n0)
     curves = []
-    for theta in spec.theta_list:
+    for theta, asym in zip(spec.theta_list, asyms):
         ses = _gaps(_line_se(spec, theta), theta, spec.grid, "tradeoff point", "grid")
         failures = ses.count(None)
         scale = 1.0 if spec.regime == LOWPOWER else spec.pbar_over_n0
@@ -253,19 +230,9 @@ def tradeoff_curve(spec: SweepSpec) -> list[Curve]:
         ]
         if spec.mode == "csir" and spec.regime == WIDEBAND:
             _check_rate_monotone(theta, spec.grid, pts)
-        try:
-            asym = _asymptote(
-                spec.model,
-                spec.mode,
-                spec.regime,
-                theta,
-                spec.T,
-                spec.B,
-                spec.pbar_over_n0,
-            )
-        except NumericalError as exc:
+        if isinstance(asym, NumericalError):
             warnings.warn(
-                f"asymptote failed for theta={theta:g}: {exc}", stacklevel=2
+                f"asymptote failed for theta={theta:g}: {asym}", stacklevel=2
             )
             asym = None
             failures += 1
@@ -302,7 +269,8 @@ def ebn0_min_surface(
     def cell(theta: float, pn0: float):
         try:
             if theta == 0:
-                return _asymptote(model, mode, WIDEBAND, theta, T, None, pn0).ebn0_min_db
+                (row,) = _asymptotes(model, mode, WIDEBAND, [theta], T, None, pn0)
+                return row if isinstance(row, NumericalError) else row.ebn0_min_db
             if mode == "csir":
                 ln_l = _ln_laplace(model, theta * T * pn0 / LN2)
             elif isinstance(sol := next(sols), NumericalError):
@@ -336,17 +304,21 @@ def alpha_vs_zeta(
     """Finite-bandwidth thresholds alpha(zeta) and their zeta -> 0 limits.
 
     At theta = 0 the policy is water-filling at SNR = pbar_over_n0 * zeta
-    and the limit threshold is z_max (inf for unbounded gains).
+    and the limit threshold is z_max (inf for unbounded gains).  Each
+    alpha(zeta) is exp of the threshold that the wideband CSIT sweep solves
+    at the same point, and every limit comes from one _alpha_star_rows.
     """
     if zeta_grid is None:
         zeta_grid = default_grid(WIDEBAND)
     zetas = tuple(float(z) for z in zeta_grid)
 
+    thetas = [float(theta) for theta in theta_list]
+    stars = _alpha_star_rows(model, thetas, T, [pbar_over_n0] * len(thetas))
     curves = []
-    for theta in theta_list:
-        theta = float(theta)
-        star = solve_alpha_star(model, theta, T, pbar_over_n0)
-        beta = np.array([theta * T / (zeta * LN2) for zeta in zetas])
+    for theta, star in zip(thetas, stars):
+        if isinstance(star, NumericalError):
+            raise star
+        beta = np.array([QosConfig(theta, T, 1.0 / zeta).beta for zeta in zetas])
         try:
             roots, rows = _power_rows(pbar_over_n0 * np.array(zetas), beta, model)
             rows = [row or math.exp(x) for row, x in zip(rows, roots.x.tolist())]

@@ -2,9 +2,11 @@
 package against.
 
 None is used by the package or the CLI: each is an independent route to
-a quantity that the package computes another way.  The direct sums run
-over the node set log_nodes(ln a) at the threshold itself, where the
-package composes them from its sums at the lattice edges and atoms.
+a quantity that the package computes another way, except solve_alpha_ln,
+the one-row threshold solve that batch rows are checked against.  The
+direct sums run over the node set log_nodes(ln a) at the threshold itself,
+where the package composes them from its sums at the lattice edges and
+atoms.
 """
 
 import math
@@ -13,7 +15,7 @@ import numpy as np
 
 from qos_energy import AsymptoticSummary, ThetaZero
 from qos_energy.asymptotics import _check_wideband_args
-from qos_energy.effcap import LN2
+from qos_energy.effcap import LN2, _power_rows
 from qos_energy.fading import _logsumexp
 
 
@@ -75,3 +77,12 @@ def log_moments_above(model, ln_a: float) -> tuple[float, float, float]:
     d = u - ln_a
     wd = w * d
     return float(w.sum()), float(wd.sum()), float(np.dot(wd, d))
+
+
+def solve_alpha_ln(snr: float, beta: float, model) -> float:
+    """ln(alpha) with E{mu_opt} = snr at beta: the one-row _power_rows
+    batch, raising the row's error."""
+    roots, (error,) = _power_rows(np.array([snr]), np.array([beta]), model)
+    if error is not None:
+        raise error
+    return float(roots.x[0])

@@ -9,7 +9,11 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import digamma, exp1, polygamma
 
-from oracles import log_moments_above, wideband_csir_rayleigh_closed_form
+from oracles import (
+    log_moments_above,
+    solve_alpha_ln,
+    wideband_csir_rayleigh_closed_form,
+)
 from qos_energy import (
     AlphaStarSolution,
     AsymptoticSummary,
@@ -29,7 +33,7 @@ from qos_energy import (
     wideband_csit,
 )
 from qos_energy.asymptotics import _DB_PER_FACTOR2, _ln_xi
-from qos_energy.effcap import LN2, _Roots, _solve_alpha_ln
+from qos_energy.effcap import LN2, _Roots
 from test_acceptance import CSIT_SLOPES
 
 RAY = Rayleigh()
@@ -327,7 +331,7 @@ class TestSolveAlphaStar:
                 for frac in (1e-2, 1e-3, 1e-4):
                     zeta = scale * frac
                     beta = theta * T / (zeta * LN2)
-                    ln_k = _solve_alpha_ln(PN0 * zeta, beta, model)
+                    ln_k = solve_alpha_ln(PN0 * zeta, beta, model)
                     q = (ln_k - sol.ln_alpha_star) / zeta
                     errs.append(abs(q - sol.dln_alpha_dzeta))
                 assert errs[0] > errs[1] > errs[2]

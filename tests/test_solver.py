@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from oracles import log_moments_above, mean_policy_power
+from oracles import log_moments_above, mean_policy_power, solve_alpha_ln
 from qos_energy import (
     BoundedTable,
     BracketFailure,
@@ -20,7 +20,7 @@ from qos_energy import (
 from qos_energy import asymptotics, effcap
 from qos_energy import sweep as sweep_mod
 from qos_energy.cli import main
-from qos_energy.effcap import _power_rows, _solve_alpha_ln, _solve_rows
+from qos_energy.effcap import _power_rows, _solve_rows
 
 RAY = Rayleigh()
 TAB0 = BoundedTable(((0.0, 0.1), (0.3, 0.2), (1.0, 0.4), (2.5, 0.3)))
@@ -132,9 +132,9 @@ class TestSolveThreshold:
         )
         assert root.tolist() == [0.0, 1.0]
         for snr, beta in ((1e300, 0.0), (1e250, 1e3), (1e-30, 0.0)):
-            ln_a = _solve_alpha_ln(snr, beta, RAY)
+            ln_a = solve_alpha_ln(snr, beta, RAY)
             assert mean_policy_power(RAY, ln_a, beta)[0] == pytest.approx(snr, rel=1e-12)
-        assert _solve_alpha_ln(1e300, 0.0, RAY) < math.log(1e-280)
+        assert solve_alpha_ln(1e300, 0.0, RAY) < math.log(1e-280)
 
     def test_no_sign_change_raises(self):
         # rows whose ends do not bracket a root come back NaN, the rest solve
@@ -178,7 +178,7 @@ class TestSolveThreshold:
         with pytest.raises(BracketFailure, match="power threshold"):
             raise errors[1]
         for i in (0, 2):
-            assert roots.x[i] == _solve_alpha_ln(snr[i], beta[i], RAY)
+            assert roots.x[i] == solve_alpha_ln(snr[i], beta[i], RAY)
 
 
 class TestAnalyticDerivatives:
@@ -204,7 +204,7 @@ class TestAnalyticDerivatives:
 class TestRootsMatchBrentq:
     @pytest.mark.parametrize("model, snr, beta", POWER_CASES)
     def test_power_threshold(self, model, snr, beta):
-        got = _solve_alpha_ln(snr, beta, model)
+        got = solve_alpha_ln(snr, beta, model)
         want = brentq_root(
             lambda x: mean_policy_power(model, x, beta)[0] - snr,
             math.log(1e-12),
@@ -258,7 +258,7 @@ class TestEvaluationBudget:
         batches = count_evals(monkeypatch)
         for snr in np.logspace(-5, 1, 7):
             for beta in np.logspace(-3, 3, 7):
-                _solve_alpha_ln(float(snr), float(beta), RAY)
+                solve_alpha_ln(float(snr), float(beta), RAY)
         assert 40 <= len(batches) <= 49
         assert max(map(len, batches)) <= 20
 
@@ -284,9 +284,48 @@ class TestEvaluationBudget:
             return real(model, thetas, T, pbars)
 
         monkeypatch.setattr(asymptotics, "_alpha_star_rows", counting)
+        monkeypatch.setattr(sweep_mod, "_alpha_star_rows", counting)
         assert main(["alpha-star", "--out", str(tmp_path)]) == 0
         capsys.readouterr()
         assert len(solved) == 4
+
+    @pytest.mark.parametrize(
+        "argv, thresholds",
+        [
+            (["sweep", "--mode", "csit", "--regime", "wideband"], 6),
+            (["asymptotics", "--mode", "csit", "--regime", "wideband"], 1),
+            (["alpha-star"], 6),
+        ],
+        ids=["sweep", "asymptotics", "alpha-star"],
+    )
+    def test_each_command_solves_its_alpha_stars_as_one_batch(
+        self, monkeypatch, tmp_path, capsys, argv, thresholds
+    ):
+        # one threshold batch per grid line (5 thetas) and one alpha* batch
+        # for every theta of the invocation
+        calls = {"thresholds": 0, "alpha_star": 0}
+
+        def counted(name, real):
+            def counting(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return counting
+
+        monkeypatch.setattr(effcap, "_thresholds", counted("thresholds", effcap._thresholds))
+        stars = counted("alpha_star", asymptotics._alpha_star_rows)
+        monkeypatch.setattr(asymptotics, "_alpha_star_rows", stars)
+        monkeypatch.setattr(sweep_mod, "_alpha_star_rows", stars)
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert calls == {"thresholds": thresholds, "alpha_star": 1}
+
+    def test_a_shallow_alpha_star_builds_few_groups(self):
+        # the root lies below edge 31 (edges count down from the top), so
+        # the search reads 16 groups, then 32
+        model = Rayleigh()
+        solve_alpha_star(model, 0.1, T, 1e4)
+        assert model._groups.n < 64
 
     @pytest.mark.parametrize("model", [RAY, NakagamiM(m=2.0)], ids=repr)
     @pytest.mark.parametrize("regime", ["lowpower", "wideband"])

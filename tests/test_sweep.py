@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import wideband_csir_rayleigh_closed_form
+from oracles import solve_alpha_ln, wideband_csir_rayleigh_closed_form
 from qos_energy import (
     AlphaZetaCurve,
     BoundedTable,
@@ -191,10 +191,10 @@ class TestTradeoffCurve:
         assert curve.points[3].spectral_efficiency > 0
 
     def test_asymptote_failure_is_a_gap(self, monkeypatch):
-        def broken(*args):
-            raise NumericalError("no asymptote today")
+        def broken(model, mode, regime, thetas, *args):
+            return [NumericalError("no asymptote today") for _ in thetas]
 
-        monkeypatch.setattr(sweep_mod, "_asymptote", broken)
+        monkeypatch.setattr(sweep_mod, "_asymptotes", broken)
         spec = SweepSpec(
             model=RAY,
             mode="csir",
@@ -460,7 +460,15 @@ class TestWarmStarts:
         for (snr, beta, m), (roots, errors) in calls:
             assert errors == [None] * 60
             for i in range(60):
-                assert roots.x[i] == effcap._solve_alpha_ln(snr[i], beta[i], m)
+                assert roots.x[i] == solve_alpha_ln(snr[i], beta[i], m)
+
+    def test_alpha_vs_zeta_is_the_wideband_sweeps_threshold(self):
+        # at the alpha-star command's defaults, each alpha(zeta) is exp of
+        # the ln alpha that the wideband CSIT line solves at that zeta
+        zetas = default_grid("wideband")
+        for curve in alpha_vs_zeta(RAY, CLI_THETAS, T, PN0, zetas):
+            rows = effcap._csit_rows(PN0 * zetas, curve.theta, T, 1.0 / zetas, RAY)
+            assert list(curve.alphas) == [math.exp(ln_a) for _, ln_a in rows]
 
     @pytest.mark.parametrize("model", [RAY, NakagamiM(m=2.0)], ids=repr)
     def test_csit_surface_roots_match_cold_solves(self, monkeypatch, model):
@@ -486,7 +494,7 @@ class TestWarmStarts:
         roots, errors = effcap._power_rows(snr[[0, 2, 3, 4]], beta, RAY)
         assert [e is None for e in errors] == [True, True, False, True]
         for i, k in ((0, 0), (1, 2), (3, 4)):
-            assert roots.x[i] == effcap._solve_alpha_ln(snr[k], beta[i], RAY)
+            assert roots.x[i] == solve_alpha_ln(snr[k], beta[i], RAY)
 
 
 # Grid points made to fail in the gap tests.
