@@ -75,54 +75,3 @@ from .sweep import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AlphaStarSolution",
-    "AlphaZetaCurve",
-    "AsymptoticSummary",
-    "BoundedTable",
-    "BracketFailure",
-    "Curve",
-    "Deterministic",
-    "DivergentInverseMoment",
-    "FadingModel",
-    "InsufficientSamples",
-    "NakagamiM",
-    "NonIntegrable",
-    "NumericalError",
-    "PowerPolicy",
-    "QosConfig",
-    "Rayleigh",
-    "SimConfig",
-    "Surface",
-    "SweepSpec",
-    "TailEstimate",
-    "ThetaZero",
-    "TradeoffPoint",
-    "Unstable",
-    "alpha_vs_zeta",
-    "bit_energy",
-    "bit_energy_db",
-    "default_grid",
-    "delay_limited_limit",
-    "delta_bit_energy",
-    "ebn0_min_surface",
-    "effective_capacity_empirical",
-    "from_config",
-    "linear_approx",
-    "lowpower_csir",
-    "lowpower_csit",
-    "power_policy_value",
-    "predicted_effective_capacity",
-    "service_rate_csir",
-    "service_rate_csit",
-    "shannon_limit",
-    "simulate_queue",
-    "solve_alpha",
-    "solve_alpha_star",
-    "spectral_efficiency_csir",
-    "spectral_efficiency_csit",
-    "tradeoff_curve",
-    "wideband_csir",
-    "wideband_csit",
-]

@@ -456,8 +456,9 @@ def _resolve_model(cfg: dict, args) -> dict:
         raise ConfigError(
             "table model needs 'points' ([[z, p], ...]) from a config file"
         )
-    if kind == "deterministic" and "z0" not in spec:
-        spec["z0"] = spec.pop("mean", 1.0)
+    if kind == "deterministic" and spec.get("z0") is None:
+        z0 = spec.pop("mean", None)
+        spec["z0"] = 1.0 if z0 is None else z0
     return spec
 
 
@@ -472,7 +473,8 @@ def _resolve(args):
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"model: {exc}") from None
     for key, default in _MODELS[model.kind][1].items():
-        spec.setdefault(key, default)
+        if spec.get(key) is None:
+            spec[key] = default
     cfg = {"model": spec}
     for key, default in defaults.items():
         val = getattr(args, key, None)

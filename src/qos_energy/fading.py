@@ -41,8 +41,9 @@ from __future__ import annotations
 import abc
 import functools
 import math
+import numbers
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -578,59 +579,10 @@ class _ContinuousModel(FadingModel):
 
 
 @dataclass(frozen=True)
-class Rayleigh(_ContinuousModel):
-    """Power gain of a Rayleigh-faded link: exponential with the given mean."""
-
-    mean: float = 1.0
-    kind = "rayleigh"
-
-    def __post_init__(self):
-        if not (self.mean > 0 and math.isfinite(self.mean)):
-            raise ValueError(f"mean must be positive and finite, got {self.mean}")
-
-    @property
-    def z_min(self) -> float:
-        return 0.0
-
-    @property
-    def z_max(self) -> float:
-        return math.inf
-
-    def density(self, z: float) -> float:
-        if z < 0:
-            return 0.0
-        return math.exp(-z / self.mean) / self.mean
-
-    def cdf(self, z: float) -> float:
-        if z <= 0:
-            return 0.0
-        return -math.expm1(-z / self.mean)
-
-    def _ln_zp(self, u: np.ndarray) -> np.ndarray:
-        return u - np.exp(u) / self.mean - math.log(self.mean)
-
-    def moments(self) -> tuple[float, float]:
-        return self.mean, 2.0 * self.mean**2
-
-    def inverse_moment(self) -> float:
-        return math.inf
-
-    def quantile(self, p: float) -> float:
-        if not 0.0 <= p < 1.0:
-            if p == 1.0:
-                return math.inf
-            raise ValueError(f"quantile level must be in [0, 1], got {p}")
-        return -self.mean * math.log1p(-p)
-
-    def sample(self, rng: np.random.Generator, size=None):
-        return rng.exponential(self.mean, size=size)
-
-
-@dataclass(frozen=True)
 class NakagamiM(_ContinuousModel):
     """Power gain under Nakagami-m fading: Gamma with shape m and mean as given.
 
-    m = 1 recovers the Rayleigh (exponential) gain law.
+    m = 1 is the Rayleigh (exponential) gain law; Rayleigh is that case.
     """
 
     m: float
@@ -707,6 +659,28 @@ class NakagamiM(_ContinuousModel):
 
     def sample(self, rng: np.random.Generator, size=None):
         return rng.gamma(self.m, self.scale, size=size)
+
+
+@dataclass(frozen=True)
+class Rayleigh(NakagamiM):
+    """Power gain of a Rayleigh-faded link: exponential with the given mean,
+    NakagamiM at m = 1 with the exponential's closed-form CDF, quantile and sampler."""
+
+    m: float = field(default=1.0, init=False, repr=False)
+    kind = "rayleigh"
+
+    def cdf(self, z: float) -> float:
+        if z <= 0:
+            return 0.0
+        return -math.expm1(-z / self.mean)
+
+    def quantile(self, p: float) -> float:
+        if 0.0 <= p < 1.0:
+            return -self.mean * math.log1p(-p)
+        return super().quantile(p)
+
+    def sample(self, rng: np.random.Generator, size=None):
+        return rng.exponential(self.mean, size=size)
 
 
 class BoundedTable(FadingModel):
@@ -844,13 +818,19 @@ class Deterministic(BoundedTable):
 
 
 # kind -> (class, {key: default}).  None marks a required key; a tuple marks
-# a list key passed on as given (null as empty); every other key is a float.
+# the list of [z, p] number pairs; every other key is a number.  A null
+# value takes the key's default.
 _MODELS = {
     "rayleigh": (Rayleigh, {"mean": 1.0}),
     "nakagami": (NakagamiM, {"m": None, "mean": 1.0}),
     "deterministic": (Deterministic, {"z0": None}),
     "table": (BoundedTable, {"points": ()}),
 }
+
+
+def _is_number(x) -> bool:
+    """A real number that is not a boolean: what a JSON number parses to."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 def from_config(config: dict) -> FadingModel:
@@ -868,8 +848,17 @@ def from_config(config: dict) -> FadingModel:
         raise ValueError(f"unknown keys for model {kind!r}: {sorted(extra)}")
     args = {}
     for key, default in defaults.items():
-        if key not in config and default is None:
+        val = config.get(key)
+        if val is None and default is None:
             raise ValueError(f"{kind} model requires the key {key!r}")
-        val = config.get(key, default)
-        args[key] = (val or default) if isinstance(default, tuple) else float(val)
+        val = default if val is None else val
+        if isinstance(default, tuple):
+            if not isinstance(val, (list, tuple)) or not all(
+                isinstance(pt, (list, tuple)) and len(pt) == 2 and all(map(_is_number, pt))
+                for pt in val
+            ):
+                raise ValueError(f"{key} must be a list of [z, p] number pairs, got {val!r}")
+        elif not _is_number(val):
+            raise ValueError(f"{key}: {val!r} is not a number")
+        args[key] = val if isinstance(default, tuple) else float(val)
     return cls(**args)

@@ -363,6 +363,17 @@ class TestExitCodes:
             ("limits", {"model": {"kind": "table", "points": [[1.0, 1.0]]}},
              {"kind": "table", "points": [[1.0, 1.0]]}),
             ("limits", {"model": {"kind": "rayleigh", "z0": 1.0}}, None),
+            # model keys take JSON numbers too, and a null model key its default
+            ("limits", {"model": {"kind": "nakagami", "m": "2"}}, None),
+            ("limits", {"model": {"kind": "rayleigh", "mean": "2"}}, None),
+            ("limits", {"model": {"kind": "rayleigh", "mean": True}}, None),
+            ("limits", {"model": {"kind": "table", "points": [["1", "1"]]}}, None),
+            ("limits", {"model": {"kind": "rayleigh", "mean": None}},
+             {"kind": "rayleigh", "mean": 1.0}),
+            ("limits", {"model": {"kind": "deterministic", "z0": None}},
+             {"kind": "deterministic", "z0": 1.0}),
+            ("limits", {"model": {"kind": "deterministic", "mean": None}},
+             {"kind": "deterministic", "z0": 1.0}),
         ],
     )
     def test_config_value_rules(

@@ -10,6 +10,7 @@ from scipy.special import gamma, gammainc, gammaincc, gammaincinv, logsumexp
 from qos_energy import (
     BoundedTable,
     Deterministic,
+    FadingModel,
     NakagamiM,
     NonIntegrable,
     QosConfig,
@@ -44,8 +45,7 @@ def upper_gamma(s, x):
 
 def shape_scale(model):
     """(m, scale) of a continuous model as a gamma law; Rayleigh has m = 1."""
-    m = getattr(model, "m", 1.0)
-    return m, model.mean / m
+    return model.m, model.scale
 
 
 def atom_sum(model, g, a=0.0):
@@ -103,6 +103,27 @@ class TestRayleigh:
             Rayleigh(mean=0.0)
         with pytest.raises(ValueError):
             Rayleigh(mean=-1.0)
+
+    def test_is_the_nakagami_law_at_m_one(self):
+        # Rayleigh inherits the Gamma law's formulas and keeps the
+        # exponential's closed-form CDF, quantile and sampler.
+        ray, nak = Rayleigh(mean=0.7), NakagamiM(m=1.0, mean=0.7)
+        assert isinstance(ray, NakagamiM) and ray.m == 1.0
+        assert repr(ray) == "Rayleigh(mean=0.7)"
+        assert replace(ray) == ray and replace(ray, mean=2.0) == Rayleigh(2.0)
+        assert ray != nak
+        with pytest.raises(TypeError):
+            Rayleigh(m=2.0)
+        u = np.linspace(-60.0, 3.0, 64)
+        assert np.array_equal(ray._ln_zp(u), nak._ln_zp(u))
+        assert ray.moments() == nak.moments()
+        assert ray.inverse_moment() == nak.inverse_moment() == math.inf
+        for p in QUANTILE_LEVELS:
+            z = ray.quantile(p)
+            assert z == pytest.approx(nak.quantile(p), rel=1e-12)
+            assert ray.cdf(z) == pytest.approx(nak.cdf(z), rel=1e-12)
+        draws = ray.sample(np.random.default_rng(5), 8)
+        assert np.array_equal(draws, np.random.default_rng(5).exponential(0.7, 8))
 
 
 class TestNakagami:
@@ -315,15 +336,16 @@ class TestBoundedTable:
 
 class TestFromConfig:
     def test_all_kinds(self):
-        assert from_config({"kind": "rayleigh", "mean": 2.0}) == Rayleigh(mean=2.0)
-        assert from_config({"kind": "nakagami", "m": 2, "mean": 1.0}) == NakagamiM(
-            m=2, mean=1.0
-        )
-        assert from_config({"kind": "deterministic", "z0": 1.5}) == Deterministic(
-            z0=1.5
-        )
-        tab = from_config({"kind": "table", "points": [[1.0, 0.4], [2.0, 0.6]]})
-        assert tab == BoundedTable(((1.0, 0.4), (2.0, 0.6)))
+        for config, want in [
+            ({"kind": "rayleigh", "mean": 2.0}, Rayleigh(mean=2.0)),
+            ({"kind": "nakagami", "m": 2, "mean": 1.0}, NakagamiM(m=2, mean=1.0)),
+            ({"kind": "deterministic", "z0": 1.5}, Deterministic(z0=1.5)),
+            ({"kind": "table", "points": [[1.0, 0.4], [2.0, 0.6]]},
+             BoundedTable(((1.0, 0.4), (2.0, 0.6)))),
+        ]:
+            model = from_config(config)
+            assert isinstance(model, FadingModel)
+            assert model == want
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):

@@ -176,10 +176,10 @@ def test_sweeps_record_gaps_instead_of_aborting(model, mode, regime, theta, beta
     pbar=100.0,
     steps=[0, 10, 56],
 )
-def test_warm_started_roots_match_cold_solves(model, regime, theta, beta, pbar, steps):
-    # Batched lines, which replaced the warm-started walk: every rate and
-    # root of a line has the bits of a solve of that point alone, and each
-    # root spends snr to the rounding that beta + 1 amplifies.
+def test_batched_roots_match_one_row_solves(model, regime, theta, beta, pbar, steps):
+    # Batched lines: every rate and root of a line has the bits of a solve
+    # of that point alone, and each root spends snr to the rounding that
+    # beta + 1 amplifies.
     lo, hi = GRID_EXPONENTS[regime]
     grid = tuple(10.0 ** (lo + (hi - lo) * k / GRID_STEPS) for k in sorted(steps))
     spec = SweepSpec(

@@ -332,9 +332,8 @@ class TestEvaluationBudget:
     def test_warm_csit_sweeps_take_at_most_60_percent_of_cold(
         self, monkeypatch, model, regime
     ):
-        # A batched grid line, which replaced the warm-started walk, makes at
-        # most 60% of the residual calls that solving its points one by one
-        # makes, and at most 20 per line.
+        # A batched grid line makes at most 60% of the residual calls that
+        # solving its points one by one makes, and at most 20 per line.
         spec = default_csit_spec(model, regime)
         batches, lines = count_line_evals(monkeypatch)
         tradeoff_curve(spec)

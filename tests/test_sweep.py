@@ -15,6 +15,7 @@ from qos_energy import (
     NakagamiM,
     NumericalError,
     Rayleigh,
+    Surface,
     SweepSpec,
     TradeoffPoint,
     alpha_vs_zeta,
@@ -300,6 +301,7 @@ class TestRateMonotoneCheck:
 class TestSurface:
     def test_csir_cells_match_closed_form(self):
         surf = ebn0_min_surface("csir", RAY, (0.01, 0.1), (1e3, 1e4), T)
+        assert isinstance(surf, Surface)
         assert surf.failures == 0
         for i, theta in enumerate(surf.theta_grid):
             for j, pn0 in enumerate(surf.pbar_grid):
@@ -433,9 +435,8 @@ def same_row(row, alone) -> bool:
 
 
 class TestWarmStarts:
-    """Batched grid lines, which replaced the warm-started walk, against
-    solves of each point alone: every root, rate and alpha* has the same
-    bits."""
+    """Batched grid lines against solves of each point alone: every root,
+    rate and alpha* has the same bits."""
 
     @pytest.mark.parametrize(
         "model", [RAY, NakagamiM(m=0.6), NakagamiM(m=2.0), TABLE], ids=repr
