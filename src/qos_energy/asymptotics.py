@@ -54,9 +54,10 @@ import numpy as np
 
 from .effcap import LN2, QosConfig, _log_moment_rows, to_db
 from .errors import BracketFailure, NumericalError
-from .fading import FadingModel, _ln_mean_exp
+from .fading import FadingModel, _ln_mean_exp, _logsumexp
 
 _DB_PER_FACTOR2 = 10.0 * math.log10(2.0)
+_LN_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -159,16 +160,18 @@ def lowpower_csit(model: FadingModel, beta: float = 0.0) -> AsymptoticSummary:
     )
 
 
-def _ln_laplace(model: FadingModel, c: float) -> float:
-    """ln E{exp(-c z)}, computed stably; raises NumericalError when it is not
-    negative, which happens only when c z rounds away on every node."""
+def _laplace(model: FadingModel, c: float) -> tuple[float, float]:
+    """(ln L, r) for L = E{exp(-c z)} and r = -ln L / c = E{z phi(c z)}
+    ln L / (L - 1), phi(x) = -expm1(-x)/x, phi(0) = 1, which stays finite,
+    at E{z}, as c z rounds away; NumericalError unless 0 < r < inf."""
     _, ln_w, z, w = model.support_nodes
-    ln_l = _ln_mean_exp(ln_w, -c * z, w)
-    if not ln_l < 0:
-        raise NumericalError(
-            f"ln E{{exp(-c z)}} = {ln_l:g} is not negative at c = {c:g}"
-        )
-    return ln_l
+    x = c * z
+    ln_l = _ln_mean_exp(ln_w, -x, w)
+    phi = np.divide(-np.expm1(-x), x, out=np.ones_like(x), where=x > 0)
+    r = float(np.dot(w, z * phi)) * (ln_l / math.expm1(ln_l) if ln_l else 1.0)
+    if not 0 < r < math.inf:
+        raise NumericalError(f"-ln E{{exp(-c z)}}/c = {r:g} is not positive at c = {c:g}")
+    return ln_l, r
 
 
 def wideband_csir(
@@ -176,28 +179,29 @@ def wideband_csir(
 ) -> AsymptoticSummary:
     """Fixed-power wideband limits with receiver-only CSI.
 
-    With c = theta*T*(Pbar/N0)/ln2 and L = E{exp(-c z)}:
-        Eb/N0|min = -theta*T*(Pbar/N0) / ln L
-        S0 = 2 L (ln L)^2 / (c^2 E{z^2 exp(-c z)})
-    At theta = 0 both collapse to the fixed-bandwidth values at beta = 0
-    (Jensen: the floor always sits at or above ln2/E{z}).
+    With c = theta*T*(Pbar/N0)/ln2, L = E{exp(-c z)} and r = -ln L / c:
+        Eb/N0|min = -theta*T*(Pbar/N0) / ln L = ln2 / r
+        S0 = 2 L (ln L)^2 / (c^2 E{z^2 exp(-c z)}) = 2 L r^2 / E{z^2 exp(-c z)}
+    formed from logs, so both stay finite as c rounds to 0, where they
+    reach ln2/E{z} and 2 E{z}^2/E{z^2}.  At theta = 0 both collapse to the
+    fixed-bandwidth values at beta = 0 (Jensen: the floor always sits at
+    or above ln2/E{z}).
     """
     _check_wideband_args(theta, T, pbar_over_n0)
     if theta == 0:
         return replace(lowpower_csir(model, 0.0), regime="wideband")
     c = theta * T * pbar_over_n0 / LN2
-    ln_l = _ln_laplace(model, c)
+    ln_l, r = _laplace(model, c)
     u, ln_w, z, _ = model.support_nodes
-    z2_ratio = float(np.dot(np.exp(ln_w - c * z - ln_l), np.exp(2.0 * u)))
-    s0 = 2.0 * (ln_l / c) ** 2 / z2_ratio if z2_ratio > 0 else math.inf
-    if not math.isfinite(s0):
+    ln_s0 = LN2 + 2.0 * math.log(r) - _logsumexp(ln_w - c * z - ln_l + 2.0 * u)
+    if not ln_s0 < _LN_MAX:
         raise NumericalError(
-            "wideband CSIR slope overflows: E{z^2 exp(-c z)}/E{exp(-c z)} = "
-            f"{z2_ratio:g} ({_wideband_params(model, theta, T, pbar_over_n0)})"
+            f"wideband CSIR slope overflows: ln S0 = {ln_s0:g} "
+            f"({_wideband_params(model, theta, T, pbar_over_n0)})"
         )
     return AsymptoticSummary(
-        ebn0_min_linear=_bit_energy_floor(theta, T, pbar_over_n0, ln_l),
-        slope_s0=s0,
+        ebn0_min_linear=LN2 / r,
+        slope_s0=math.exp(ln_s0),
         regime="wideband",
         mode="csir",
     )
@@ -336,8 +340,7 @@ def _alpha_star(model, theta, T, pbar_over_n0, ln_star, ln_k, ln_c, inv_above,
 
 
 def _bit_energy_floor(theta: float, T: float, pbar_over_n0: float, ln_l: float) -> float:
-    """Wideband bit-energy floor -theta*T*(Pbar/N0)/ln L, linear, with
-    L = E{exp(-c z)} for CSIR and xi for CSIT."""
+    """Wideband CSIT bit-energy floor -theta*T*(Pbar/N0)/ln xi, linear."""
     return -theta * T * pbar_over_n0 / ln_l
 
 

@@ -23,7 +23,7 @@ from .asymptotics import (
     _alpha_star_rows,
     _asymptotes,
     _bit_energy_floor,
-    _ln_laplace,
+    _laplace,
 )
 from .effcap import (
     LN2,
@@ -254,10 +254,10 @@ def ebn0_min_surface(
 ) -> Surface:
     """Bit-energy floor in dB over a (theta, pbar_over_n0) grid.
 
-    Cells at theta > 0 take the floor from ln E{exp(-c z)} (CSIR) or from
-    the xi of solve_alpha_star (CSIT), without the slope.  Cells that fail
-    numerically are stored as None; a CSIT floor of 0 linear (unbounded
-    gains at theta = 0) is stored as -inf dB.
+    Cells at theta > 0 take the floor from -ln E{exp(-c z)}/c (CSIR) or
+    from the xi of solve_alpha_star (CSIT), without the slope.  Cells that
+    fail numerically are stored as None; a CSIT floor of 0 linear
+    (unbounded gains at theta = 0) is stored as -inf dB.
     """
     _check_mode(mode)
     thetas = tuple(float(t) for t in theta_grid)
@@ -272,12 +272,10 @@ def ebn0_min_surface(
                 (row,) = _asymptotes(model, mode, WIDEBAND, [theta], T, None, pn0)
                 return row if isinstance(row, NumericalError) else row.ebn0_min_db
             if mode == "csir":
-                ln_l = _ln_laplace(model, theta * T * pn0 / LN2)
-            elif isinstance(sol := next(sols), NumericalError):
+                return to_db(LN2 / _laplace(model, theta * T * pn0 / LN2)[1])
+            if isinstance(sol := next(sols), NumericalError):
                 return sol
-            else:
-                ln_l = sol.ln_xi
-            return to_db(_bit_energy_floor(theta, T, pn0, ln_l))
+            return to_db(_bit_energy_floor(theta, T, pn0, sol.ln_xi))
         except NumericalError as exc:
             return exc
 

@@ -34,6 +34,7 @@ from qos_energy import (
 )
 from qos_energy.asymptotics import _DB_PER_FACTOR2, _ln_xi
 from qos_energy.effcap import LN2, _Roots
+from qos_energy.sweep import ebn0_min_surface
 from test_acceptance import CSIT_SLOPES
 
 RAY = Rayleigh()
@@ -110,11 +111,19 @@ class TestWeakQos:
             summary = wideband_csit(RAY, theta, T, PN0)
             assert math.isfinite(summary.ebn0_min_db)
 
-    def test_laplace_transform_rounding_to_one_is_a_numerical_error(self):
-        # c z0 = 3e-333 rounds to 0, so ln E{exp(-c z)} = 0 and the floor
-        # would divide by zero
-        with pytest.raises(NumericalError, match="not negative"):
-            wideband_csir(Deterministic(z0=1e-300), 1e-30, T, 1.0)
+    def test_laplace_transform_rounding_to_one_takes_the_limit(self):
+        # c z rounds to 0, so ln E{exp(-c z)} = 0: the floor is ln2/E{z}
+        # and the slope 2 E{z}^2/E{z^2}, in wideband_csir and surface cells
+        cases = (
+            (Deterministic(z0=1e-300), 1e-30, T, 1.0, LN2 / 1e-300, 2.0),
+            (RAY, 1e-310, 1e-20, 1e-3, LN2, 1.0),
+        )
+        for model, theta, t, pn0, floor, slope in cases:
+            s = wideband_csir(model, theta, t, pn0)
+            assert s.ebn0_min_linear == pytest.approx(floor, rel=1e-12)
+            assert s.slope_s0 == pytest.approx(slope, rel=1e-12)
+            ((db,),) = ebn0_min_surface("csir", model, (theta,), (pn0,), t).ebn0_min_db
+            assert db == pytest.approx(10.0 * math.log10(floor), rel=1e-12)
 
     def test_xi_of_one_is_a_numerical_error(self):
         # at the atom itself, xi = F(a) + a E{1/z ; z >= a} = 1

@@ -1,5 +1,6 @@
 """Fading model distributions, expectations, and config parsing."""
 
+import hashlib
 import math
 from dataclasses import replace
 
@@ -127,6 +128,17 @@ class TestRayleigh:
 
 
 class TestNakagami:
+    def test_ln_zp_keeps_the_bits_of_the_expression(self):
+        # the in-place log density against m u - z/s - lgamma(m) - m ln s
+        rng = np.random.default_rng(17)
+        models = [Rayleigh(mean) for mean in (0.3, 1.0, 7.5)]
+        models += [NakagamiM(m, mean) for m in GAMMA_SHAPES for mean in (0.3, 7.5)]
+        for model in models:
+            u = rng.uniform(-700.0, 6.0, 4800)
+            m, s = model.m, model.scale
+            want = m * u - np.exp(u) / s - math.lgamma(m) - m * math.log(s)
+            assert np.array_equal(model._ln_zp(u).view(np.int64), want.view(np.int64))
+
     def test_density_normalizes(self):
         for m in (0.5, 1.0, 2.0, 4.7):
             nak = NakagamiM(m=m, mean=1.3)
@@ -387,6 +399,38 @@ class TestLogNodes:
             assert ln_l - want_ln_l == pytest.approx(0.0, abs=1e-12)
             assert ratio == pytest.approx(want_ratio, rel=1e-12)
 
+    @pytest.mark.parametrize("m", (1.0, 0.5, 0.6, 2.0, 8.0, 20.0, 50.0))
+    def test_graded_support_matches_the_lattice(self, m):
+        # the graded whole-support set against the 0.25-wide lattice panels
+        # from 1e-30, each sum shifted by the lattice's largest term
+        def terms(model, ln_lower):
+            u, ln_w = model.log_nodes(ln_lower)
+            z = np.exp(u)
+            for c in 10.0 ** np.arange(-3.0, 7.5, 0.5):
+                yield ln_w - c * z
+                yield ln_w - c * z + 2.0 * u
+                for beta in (1e-3, 1.0, 30.0, 1e3):
+                    yield ln_w - beta * np.log1p(c * z)
+                yield ln_w + np.log(np.log1p(c * z))
+
+        for mean in (0.3, 1.0, 7.5):
+            model = Rayleigh(mean) if m == 1.0 else NakagamiM(m, mean)
+            lattice = terms(model, math.log(1e-30))
+            for got, want in zip(terms(model, -math.inf), lattice, strict=True):
+                top = want.max()
+                assert np.exp(got - top).sum() == pytest.approx(
+                    np.exp(want - top).sum(), rel=1e-13
+                )
+            u, ln_w = model.log_nodes(-math.inf)
+            w = np.exp(ln_w)
+            # QUADPACK misses the mass near 0 at larger c: at m = 0.5, mean
+            # 7.5 and c = 100 it gives 2.6e-19 for E{e^-cz} = 0.026, unflagged
+            for c in (1e-3, 0.1, 1.0):
+                for k in (0, 2):
+                    got = np.dot(w, np.exp(k * u - c * np.exp(u)))
+                    want = model.expect_above(lambda z: z**k * math.exp(-c * z))
+                    assert got == pytest.approx(want, rel=1e-9)
+
     @pytest.mark.parametrize("model", CONTINUOUS + DISCRETE, ids=MODEL_IDS)
     def test_threshold_moment_closed_form(self, model):
         # E{(a/z)^p ; z >= a}: the CSIT rate term and the 1/z weight
@@ -483,6 +527,42 @@ class TestLattice:
             want = _bits(replace(model).log_nodes(ln_a))
             assert _bits(deep.log_nodes(ln_a)) == want
             assert _bits(stepped.log_nodes(ln_a)) == want
+
+    # Per m: the whole-support node count, and sha256 of the bits of
+    # log_nodes at LN_LOWER and of the edge sums built down to the 1e-280
+    # floor, which the graded whole-support set left as the 0.25-wide
+    # lattice had them.  The bits rest on numpy's exp and log and on the
+    # Gauss-Legendre rule (an eigenvalue solve), so the hashes are compared
+    # only where those give the bits that CANARY hashes.
+    PINNED = {
+        1.0: (896, "aaf7457622981a6e32a66eee3d63a4daada241d8b7802cbf78ae2d2c1e615c54"),
+        0.5: (896, "374ee1a3201426932a2e3b82d5e3e15afbea78dcf693f05580aabe65b2bf3ab3"),
+        0.6: (896, "deea3ad604bd26b24aeef0de25058342479f954d42ba778b1163373f57bb1a2c"),
+        2.0: (1440, "f7ed371b4e3c3f67a0843c0fbc3558a416e247b384dfaca72fef38bd4b762dd1"),
+        8.0: (4672, "efbb1d81ceb84d12cdb897bfac05ce0f797922047a3c926c75705698590fd0c2"),
+    }
+    CANARY = "37bd919b6fbcd8f5ba7a4e7a0f5ba010da017ca112de9974b003a94861a82eb9"
+
+    @pytest.mark.parametrize("m", sorted(PINNED))
+    def test_node_sets_are_pinned(self, m):
+        model = Rayleigh() if m == 1.0 else NakagamiM(m)
+        size, want = self.PINNED[m]
+        assert model.support_nodes[0].size == size
+        x = np.linspace(-700.0, 700.0, 4097)
+        canary = hashlib.sha256()
+        for a in (np.exp(x), np.log(np.exp(x)), fading._GL_X, fading._GL_W):
+            canary.update(a.tobytes())
+        if canary.hexdigest() != self.CANARY:
+            pytest.skip("numpy's exp, log or Gauss-Legendre rule gives other bits here")
+        got = hashlib.sha256()
+        for ln_a in self.LN_LOWER:
+            for a in model.log_nodes(ln_a):
+                got.update(a.tobytes())
+        groups = model._groups
+        model._grow(groups.size)
+        got.update(groups.ell[: groups.n].tobytes())
+        got.update(groups.sums[:, : groups.n].tobytes())
+        assert got.hexdigest() == want
 
     def test_cached_arrays_are_read_only(self):
         ray = Rayleigh()

@@ -346,7 +346,7 @@ class TestSurface:
         def broken(model, c):
             raise NumericalError("cell broke")
 
-        monkeypatch.setattr(sweep_mod, "_ln_laplace", broken)
+        monkeypatch.setattr(sweep_mod, "_laplace", broken)
         with pytest.warns(UserWarning, match="cell broke"):
             surf = ebn0_min_surface("csir", RAY, (0.1,), (1e3, 1e4), T)
         assert surf.ebn0_min_db == ((None, None),)
