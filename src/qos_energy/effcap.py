@@ -26,11 +26,11 @@ All solves run on ln(alpha): the threshold shrinks like
 before its logarithm does.  A grid line's thresholds are one batch
 (_power_rows, or _log_moment_rows for alpha*), one row per point; the
 one-point functions below are its one-row case.  Each model keeps sums
-at its lattice edges or atoms (fading._Groups); the mean power at an
-edge is their tilted sum for the row's exponent 1/(beta+1), built only
-as deep as the deepest row needs, and the edge values place each root.
-Between two atoms, or below the last edge, the root is a closed form.
-Inside a lattice panel, _solve_rows runs a safeguarded Newton on every
+at its grid edges or atoms (fading._Groups), built whole; the mean power
+at an edge is their tilted sum for the row's exponent 1/(beta+1), summed
+only as deep as the deepest row needs, and the edge values place each
+root.  Between two atoms, or below the last edge, the root is a closed
+form.  Inside a grid panel, _solve_rows runs a safeguarded Newton on every
 row at once, each row costing one 16-node partial panel plus the edge
 sums composed across the gap to the edge, until its step or its panel is
 narrower than 1e-13 in ln(alpha).  _Roots holds the one copy of each
@@ -202,7 +202,7 @@ class _Roots:
 
     Row i composes from edge e[i] of the model's groups (-1 when no node
     lies above x) across the gap y[i] = ell[e] - x, plus a partial panel
-    from x up to that edge when partial[i] (x inside a lattice panel).
+    from x up to that edge when partial[i] (x inside a grid panel).
     Every value is computed from x and y, so a root that rounds onto the
     far side of a fall in the sums shows it.
     """
@@ -324,11 +324,11 @@ def _thresholds(model, target, blocks, residual, closed, what) -> tuple:
     read from blocks as _search reads it, that reaches target at the root.
 
     _search places each root below edge e = j - 1.  Edge j at or above
-    first (no nodes above the root: a lattice jump) puts the root on
-    ell[first] with no nodes; between two lattice edges the root is solved
-    by _solve_rows on ln f - ln target, from residual(roots, rows, f_e) ->
-    (ln f - ln target, dln f/dln a) at the rows' _Roots, with f_e = f at
-    their edges; below the last edge, or between two atoms, the gap
+    first (no nodes above the root: the jump at the top of a grid) puts
+    the root on ell[first] with no nodes; between two grid edges the root
+    is solved by _solve_rows on ln f - ln target, from residual(roots,
+    rows, f_e) -> (ln f - ln target, dln f/dln a) at the rows' _Roots, with
+    f_e = f at their edges; below the last edge, or between two atoms, the gap
     y = ell[e] - ln a is closed(rows, f_e, I_e), with I_e = I at the edges,
     and the roots keep it: ell[e] minus ln a loses its digits near an atom.
     errors[i] is the BracketFailure of a row whose root is not finite,
@@ -372,7 +372,7 @@ def _power_rows(snr: np.ndarray, beta: np.ndarray, model: FadingModel):
 
     The mean power M is the tilted sum of v with exponent s = 1/(beta+1),
     decreasing in ln a; its values at the edges place each root, and
-    inside a lattice panel _solve_rows solves ln M = ln snr with
+    inside a grid panel _solve_rows solves ln M = ln snr with
     dln M/dln a = -(M + I) s / M.  Below the last edge, or between two
     atoms, M = M(e) + expm1(s y)(I(e) + M(e)) gives the gap in closed form,
     y = (beta+1) log1p((snr - M(e))/(I(e) + M(e))).
@@ -397,7 +397,7 @@ def _power_rows(snr: np.ndarray, beta: np.ndarray, model: FadingModel):
 def _log_moment_rows(ln_c: np.ndarray, model: FadingModel):
     """(roots, errors): ln(alpha*) per row with L1 = E{ln(z/a)/z ; z >= a}
     = exp(ln_c[i]), solved as _power_rows solves, on the edge sums of v d:
-    dln L1/dln a = -I/L1 inside a lattice panel, and the gap in closed form
+    dln L1/dln a = -I/L1 inside a grid panel, and the gap in closed form
     y = (c - L1(e))/I(e) between two atoms or below the last edge."""
     c = np.exp(ln_c)
 
@@ -410,7 +410,8 @@ def _log_moment_rows(ln_c: np.ndarray, model: FadingModel):
         return (c[rows] - l1_e) / i_e
 
     what = "wideband CSIT threshold alpha*"
-    return _thresholds(model, c, model._groups.blocks(2), residual, closed, what)
+    blocks = [(0, model._groups.sums[2, None])]  # L1 at every edge, one block
+    return _thresholds(model, c, blocks, residual, closed, what)
 
 
 def solve_alpha(snr: float, qos: QosConfig, model: FadingModel) -> PowerPolicy:

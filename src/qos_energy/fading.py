@@ -7,19 +7,21 @@ expectation nodes log_nodes(ln_lower): arrays (u, ln_w) with
     E{g(z) 1{z >= exp(ln_lower)}} = sum exp(ln_w) g(exp(u)).
 
 Discrete models return the logs of their atoms and probabilities, so the
-sums are exact; Deterministic, the unfaded channel, is the one-atom
+sums are exact, and their support_nodes carry the atoms and probabilities
+themselves; Deterministic, the unfaded channel, is the one-atom
 BoundedTable.  Continuous models return composite 16-point
-Gauss-Legendre panels in ln z on one lattice per model: 0.25-wide panels
-hung down from e^2 times the 1 - 1e-12 quantile, all built by _panels.
-A threshold set is one partial panel, from the threshold up to the next
-lattice edge, followed by the lattice panels above that edge; a
-threshold from e times the quantile up has no nodes.  The threshold
-solves read each model's panels or atoms through the sums at their edges
-(_Groups), built once, as deep as a solve reaches.  support_nodes holds
-the whole-support set with its exp(u) and exp(ln_w), built once and
-read-only.  Below the scale s = mean/m, where z p(z) is z^m e^(-z/s) and
-smooth in ln z, it takes wider panels (the bound at _LN_Z_WHOLE): Rayleigh
-needs 896 nodes where 0.25-wide panels need 4,768.
+Gauss-Legendre panels in ln z on one grid per model, all built by
+_panels: 0.25-wide panels hung down from e^2 times the 1 - 1e-12 quantile
+to the lattice edge at or above the scale s = mean/m, and below it, where
+z p(z) is z^m e^(-z/s) and smooth in ln z, wider ones (the bound at
+_LN_Z_WHOLE).  A threshold set is one partial panel, from the threshold
+up to the next grid edge, followed by the grid panels above that edge; a
+threshold from e times the quantile up has no nodes.  support_nodes is
+the set from s 1e-30 up with its exp(u) and exp(ln_w), built once and
+read-only: Rayleigh needs 896 nodes where 0.25-wide panels need 4,768.
+The threshold solves read each model's panels or atoms through the sums
+at their edges (_Groups), built once and whole down to 1e-280: 344
+groups for Rayleigh, 2,594 from m = 8 on.
 Formulas written on (u, ln_w) combine exponents before exponentiating,
 which keeps thresholds deep in the subnormal range finite.  The strict-CDF /
 non-strict-indicator pair partitions the probability space exactly, which
@@ -44,7 +46,6 @@ import abc
 import functools
 import math
 import numbers
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,25 +64,29 @@ _PANEL_U = _PANEL * _GL_T
 _PANEL_LN_W = np.log(0.5 * _PANEL * _GL_W)
 # Groups per block of the tilted edge sums (_Groups.tilted).
 _BLOCK = 16
-# Whole-support expectations start at 1e-30, below which a density with
-# m >= 0.5 holds at most ~1e-15 of its mass.  Below the lattice edge at or
-# above s = mean/m (z < s e^(1/4)) their panels are W = min(2, max(1/4, 2/m))
-# wide.  There the integrand in u = ln z is z^k phi, k = m (m + 2 for a
-# z^2-weighted mean), with phi = e^(-z/s) g(z) >= g/4 on the panel and
-# |phi| <= sup|g| (1 for e^(-cz) and (1 + cz)^-beta) in |Im u| < pi/2, where
-# Re z >= 0.  For each Bernstein ellipse E_rho of the panel in that strip,
-# h (rho - 1/rho)/2 <= pi/2 with h = W/2, the 16-point Gauss-Legendre error
-# relative to the panel's integral of z^k is at most (Trefethen, SIAM
-# Review 50, 2008, Thm 4.5)
+# Whole-support expectations start at s 1e-30, s = mean/m, below which a
+# Gamma law with m >= 0.5 holds at most 1.2e-15 of its mass at any scale.
+# Below the lattice edge at or above s (z < s e^(1/4)) the panels are
+# W = min(2, max(1/4, 2/m)) wide.  There the integrand in u = ln z is
+# z^k phi, k = m (m + 2 for a z^2-weighted mean), with
+# phi = e^(-z/s) g(z) >= g/4 on the panel and |phi| <= sup|g| (1 for
+# e^(-cz) and (1 + cz)^-beta) in |Im u| < pi/2, where Re z >= 0.  For each
+# Bernstein ellipse E_rho of the panel in that strip, h (rho - 1/rho)/2
+# <= pi/2 with h = W/2, the 16-point Gauss-Legendre error relative to the
+# panel's integral of z^k is at most (Trefethen, SIAM Review 50, 2008,
+# Thm 4.5)
 #     R = (32/15) exp(kh (rho + 1/rho)/2) kh / (sinh(kh) (rho^2 - 1) rho^32),
 # so the panel adds at most 4 R sup|g| E{z^(k-m) on it} to E{z^(k-m) g}.
 # W m <= 2 keeps kh <= 1 at k = m, and W <= 2 admits rho = 3.43: R < 8e-18
 # at k = m and 1.2e-16 at k = m + 2 for 0.5 <= m <= 8, the worst at m = 1;
-# W = 4 gives 4e-10 there.  From m = 8 on the panels are the lattice's 0.25.
+# W = 4 gives 4e-10 there.  From m = 8 on the panels are 0.25 wide.  The
+# edge sums weigh z^k with k = m - 1 + s, 0 <= s <= 1, so |k| <= m, times
+# powers of ln(z/a) of degree at most 2; on these panels they match
+# 0.25-wide ones to 1.1e-14 relative.
 # Threshold expectations start at the threshold but never below 1e-280:
 # densities that blow up at the origin drive the mean power astronomical
 # long before a threshold solve descends that far, and the floor caps a
-# deep threshold at ~41k nodes.
+# deep threshold at 2,600 panels.
 _LN_Z_WHOLE = math.log(1e-30)
 _LN_Z_FLOOR = math.log(1e-280)
 # Panels end at e^2 times the 1 - TAIL_MASS quantile q, and a threshold at
@@ -134,6 +139,18 @@ def _ln_mean_exp(ln_w: np.ndarray, h: np.ndarray, w: np.ndarray) -> float:
     if s > -0.5:
         return math.log1p(s)
     return _logsumexp(ln_w + h)
+
+
+def _steps_down(origin: float, width: float, lo: float) -> tuple[int, float]:
+    """(k, origin - k width): the lowest of the edges origin - k width, k an
+    integer, at or above lo.  The quotient can round across an edge on
+    either side of lo, which the two checks undo."""
+    k = math.floor((origin - lo) / width)
+    if origin - (k + 1) * width >= lo:
+        k += 1
+    elif origin - k * width < lo:
+        k -= 1
+    return k, origin - k * width
 
 
 def _ln_gamma_front(m: float, x: float, ln_x: float) -> float:
@@ -259,10 +276,11 @@ def _ln_gamma_quantile(m: float, p: float) -> float:
 
 class _Groups:
     """A model's expectation nodes in groups hung from the top down, with the
-    sums at each group's lower edge that the threshold solves read.
+    sums at each group's lower edge that the threshold solves read, all
+    built at once.
 
     Group j holds the nodes at or above its lower edge ell[j] and below
-    ell[j-1]: a 16-node lattice panel, the partial panel above the 1e-280
+    ell[j-1]: a 16-node grid panel, the partial panel above the 1e-280
     floor, or one atom on its edge.  Column j of sums runs over groups
     0..j, with d = u - ell[j] >= 0 and v = w/z:
 
@@ -270,50 +288,27 @@ class _Groups:
 
     Each is carried from edge j-1 to edge j by shifting d by
     ell[j-1] - ell[j], a recurrence of nonnegative terms, so nothing
-    cancels.  Thresholds from ell[first] up see no nodes (for a lattice,
+    cancels.  Thresholds from ell[first] up see no nodes (for panels,
     from e times upper_cutoff() up); with panels, a threshold between two
-    edges adds one partial panel up to the edge above it.  grow(n), the
-    model's _grow, builds groups on demand through add, up to n of them,
-    and returns the number built.
+    edges adds one partial panel up to the edge above it.
     """
 
-    def __init__(self, size: int, width: int, first: int, panels: bool, grow):
-        self.n, self.size, self.first, self.panels = 0, size, first, panels
-        self.grow = grow
-        self.ell = np.empty(size)
-        self.d, self.v, self.w = (np.empty((size, width)) for _ in range(3))
-        self.sums = np.empty((5, size))
-
-    def add(self, ell: np.ndarray, u: np.ndarray, ln_w: np.ndarray) -> None:
-        """Append groups with lower edges ell and nodes (u, ln_w), one row each."""
-        k = self.n
-        new = slice(k, k + len(ell))
-        self.ell[new] = ell
-        d = self.d[new] = u - ell[:, None]
-        v = self.v[new] = np.exp(ln_w - u)
-        w = self.w[new] = np.exp(ln_w)
-        last = self.sums[:, k - 1] if k else np.zeros(5)
-        delta = -np.diff(ell, prepend=self.ell[k - 1] if k else ell[0])
+    def __init__(self, ell, u, ln_w, first: int, panels: bool):
+        self.ell, self.size, self.first, self.panels = ell, len(ell), first, panels
+        self.d = d = u - ell[:, None]
+        self.v = v = np.exp(ln_w - u)
+        self.w = w = np.exp(ln_w)
+        delta = -np.diff(ell, prepend=ell[:1])
         vd = v * d
 
-        def carry(j, own):
-            return np.add.accumulate(np.append(last[j], own))
+        def carry(own):
+            return np.add.accumulate(np.append(0.0, own))
 
-        cv, cw = carry(0, v.sum(1)), carry(1, w.sum(1))
-        d1 = carry(2, vd.sum(1) + delta * cv[:-1])
-        d2 = carry(3, (vd * d).sum(1) + delta * (2.0 * d1[:-1] + delta * cv[:-1]))
-        wd = carry(4, (w * d).sum(1) + delta * cw[:-1])
-        self.sums[:, new] = (cv[1:], cw[1:], d1[1:], d2[1:], wd[1:])
-        self.n = new.stop
-
-    def blocks(self, i: int):
-        """Yield (start, sums[i] at edges start.. as one row) in chunks that
-        double from _BLOCK groups up to _BLOCK * _BLOCK, as tilted reads."""
-        start, step = 0, _BLOCK
-        while self.grow(start + step) > start:
-            stop = min(self.n, start + step)
-            yield start, self.sums[i, None, start:stop]
-            start, step = stop, min(2 * step, _BLOCK * _BLOCK)
+        cv, cw = carry(v.sum(1)), carry(w.sum(1))
+        d1 = carry(vd.sum(1) + delta * cv[:-1])
+        d2 = carry((vd * d).sum(1) + delta * (2.0 * d1[:-1] + delta * cv[:-1]))
+        wd = carry((w * d).sum(1) + delta * cw[:-1])
+        self.sums = np.array((cv, cw, d1, d2, wd))[:, 1:]
 
     def tilted(self, s: np.ndarray, weight: str, log: bool = False, depth=None):
         """Per exponent s[i], the tilted sums at every edge from the top (down
@@ -335,7 +330,7 @@ class _Groups:
         s4 = s[:, None, None, None]
         step, most = _BLOCK, _BLOCK * max(1, _BLOCK // len(s))
         start, limit = 0, self.size if depth is None else depth
-        while (stop := min(self.grow(min(start + step, limit)), start + step, limit)) > start:
+        while (stop := min(start + step, limit)) > start:
             pad = -(stop - start) % _BLOCK
             ell, d, w = (
                 np.concatenate((a[start:stop], np.repeat(a[stop - 1 : stop], pad, 0)))
@@ -449,15 +444,16 @@ class FadingModel(abc.ABC):
 
     @functools.cached_property
     def support_nodes(self) -> tuple[np.ndarray, ...]:
-        """(u, ln_w, exp(u), exp(ln_w)) of log_nodes(-inf), built once, read-only."""
-        u, ln_w = self._support_log_nodes()
-        nodes = (u, ln_w, np.exp(u), np.exp(ln_w))
+        """(u, ln_w, z, w) of log_nodes(-inf), with z = exp(u) and w = exp(ln_w)
+        (a table's own atoms and probabilities), built once, read-only."""
+        nodes = self._support_nodes()
         for a in nodes:
             a.flags.writeable = False
         return nodes
 
-    def _support_log_nodes(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.log_nodes(-math.inf)
+    @abc.abstractmethod
+    def _support_nodes(self) -> tuple[np.ndarray, ...]:
+        """The arrays of support_nodes."""
 
     def ln_cdf(self, ln_z: float) -> float:
         """ln P(Z < exp(ln_z)); -inf when that probability is 0.
@@ -478,26 +474,37 @@ class _ContinuousModel(FadingModel):
 
     @functools.cached_property
     def _ln_z_top(self) -> float:
-        """ln z at the top of the lattice, e^2 times upper_cutoff()."""
+        """ln z at the top of the grid, e^2 times upper_cutoff()."""
         return math.log(self.upper_cutoff()) + 2.0 * _LN_TAIL_PAD
 
-    def _panels(self, start: int, stop: int) -> tuple[np.ndarray, ...]:
-        """(ell, u, ln_w) of lattice panels start .. stop-1, one row each from
-        the top down: panel k spans ell[k] = top-(k+1)P up to top-kP."""
-        ell = self._ln_z_top - np.arange(start + 1, stop + 1, dtype=float) * _PANEL
+    @functools.cached_property
+    def _cut(self) -> tuple[int, float, float]:
+        """(panels, cut, W): the lattice edge at or above ln scale, the number
+        of 0.25-wide panels above it, and the width of the panels below it."""
+        panels, cut = _steps_down(self._ln_z_top, _PANEL, math.log(self.scale))
+        return panels, cut, min(2.0, max(_PANEL, 2.0 / self.m))
+
+    def _panels(self, n: int) -> tuple[np.ndarray, ...]:
+        """(ell, u, ln_w) of the top n grid panels, one row each from the top
+        down: the K above the cut span ell[k] = top-(k+1)P up to top-kP,
+        the ones below it cut-(k-K+1)W up to cut-(k-K)W."""
+        k, cut, width = self._cut
+        ell = self._ln_z_top - np.arange(1, min(n, k) + 1, dtype=float) * _PANEL
         u = ell[:, None] + _PANEL_U
-        return ell, u, self._ln_zp(u) + _PANEL_LN_W
+        ln_w = self._ln_zp(u) + _PANEL_LN_W
+        edges = cut - width * np.arange(max(n - k, 0) + 1)
+        u_low, ln_w_low = self._partial(edges[1:], edges[:-1])
+        ell = np.concatenate((ell, edges[1:]))
+        return ell, np.vstack((u, u_low)), np.vstack((ln_w, ln_w_low))
 
     def _edge_below(self, lo: float) -> tuple[int, float]:
-        """(panels, edge): the lowest lattice edge at or above lo and the
-        number of panels above it."""
-        top = self._ln_z_top
-        panels = math.floor((top - lo) / _PANEL)
-        edge = top - panels * _PANEL
-        if edge < lo:  # top - lo rounded up onto the edge just below lo
-            panels -= 1
-            edge = top - panels * _PANEL
-        return panels, edge
+        """(panels, edge): the lowest grid edge at or above lo and the number
+        of panels above it."""
+        k, cut, width = self._cut
+        if lo >= cut:
+            return _steps_down(self._ln_z_top, _PANEL, lo)
+        j, edge = _steps_down(cut, width, lo)
+        return k + j, edge
 
     def _partial(self, lo, edge) -> tuple[np.ndarray, np.ndarray]:
         """One Gauss-Legendre panel from each lo up to its edge, one row each;
@@ -508,64 +515,34 @@ class _ContinuousModel(FadingModel):
         u = np.asarray(lo)[..., None] + width * _GL_T
         return u, self._ln_zp(u) + (ln_width + _GL_LN_W)
 
-    def _nodes_from(self, lo: float) -> tuple[np.ndarray, np.ndarray]:
-        """One Gauss-Legendre panel from lo up to the next lattice edge
-        (none when lo is on it), then the lattice panels above that edge;
-        no nodes from e times upper_cutoff() up."""
+    def _rows_from(self, lo: float) -> tuple[np.ndarray, ...]:
+        """(ell, u, ln_w) of the panels above lo, one row each from the top
+        down, the last one partial from lo up to the grid edge above it
+        (none when lo is on an edge); no rows from e times upper_cutoff() up."""
         if not lo < self._ln_z_top - _LN_TAIL_PAD:
-            return np.empty(0), np.empty(0)
+            return np.empty(0), np.empty((0, _GL_N)), np.empty((0, _GL_N))
         panels, edge = self._edge_below(lo)
-        _, u, ln_w = self._panels(0, panels)
-        u, ln_w = u[::-1].ravel(), ln_w[::-1].ravel()
+        ell, u, ln_w = self._panels(panels)
         if edge == lo:
-            return u, ln_w
+            return ell, u, ln_w
         u_part, ln_w_part = self._partial(lo, edge)
-        return np.concatenate((u_part, u)), np.concatenate((ln_w_part, ln_w))
+        return np.append(ell, lo), np.vstack((u, u_part)), np.vstack((ln_w, ln_w_part))
 
-    @functools.cached_property
-    def _floor(self) -> tuple[int, float | None]:
-        """(lattice panels above the 1e-280 floor, the edge that the partial
-        panel from the floor reaches, or None when the floor is an edge)."""
-        panels, edge = self._edge_below(_LN_Z_FLOOR)
-        if not _LN_Z_FLOOR < self._ln_z_top - _LN_TAIL_PAD:
-            return 0, None
-        return panels, edge if edge > _LN_Z_FLOOR else None
+    def _nodes_from(self, lo: float) -> tuple[np.ndarray, np.ndarray]:
+        """The nodes of _rows_from(lo), from the bottom up."""
+        _, u, ln_w = self._rows_from(lo)
+        return u[::-1].ravel(), ln_w[::-1].ravel()
 
     @functools.cached_property
     def _groups(self) -> _Groups:
-        """The lattice panels down to the floor as groups, then the partial
-        panel above the floor when the floor is not on an edge."""
-        panels, edge = self._floor
-        # weak, or model and groups make a cycle; groups grow while the model lives
-        size, model = panels + (edge is not None), weakref.proxy(self)
+        """The grid panels down to the 1e-280 floor as groups, then the
+        partial panel above the floor when the floor is not on an edge."""
         first = round(_LN_TAIL_PAD / _PANEL) - 1
-        return _Groups(size, _GL_N, first, True, lambda n: model._grow(n))
+        return _Groups(*self._rows_from(_LN_Z_FLOOR), first, True)
 
-    def _grow(self, n: int) -> int:
-        """Build self._groups up to n groups (at most all); the number built."""
-        groups = self._groups
-        (panels, edge), k = self._floor, groups.n
-        stop = min(n, panels)
-        if k < stop:
-            groups.add(*self._panels(k, stop))
-        if n > panels and edge is not None and groups.n == panels:
-            u, ln_w = self._partial(_LN_Z_FLOOR, edge)
-            groups.add(np.array([_LN_Z_FLOOR]), u[None], ln_w[None])
-        return groups.n
-
-    def _support_log_nodes(self) -> tuple[np.ndarray, np.ndarray]:
-        """The lattice panels down to the edge at or above ln scale, then
-        the graded ones of _LN_Z_WHOLE down to 1e-30, the last one partial."""
-        lo = max(math.log(self.scale), _LN_Z_WHOLE)
-        if not lo < self._ln_z_top - _LN_TAIL_PAD:
-            return np.empty(0), np.empty(0)
-        panels, cut = self._edge_below(lo)
-        width = min(2.0, max(_PANEL, 2.0 / self.m))
-        steps = np.arange(math.ceil((cut - _LN_Z_WHOLE) / width) + 1)
-        edges = np.maximum(cut - width * steps, _LN_Z_WHOLE)
-        low = self._partial(edges[:0:-1], edges[-2::-1])
-        top = self._panels(0, panels)[1:]
-        return tuple(np.concatenate((a.ravel(), b[::-1].ravel())) for a, b in zip(low, top))
+    def _support_nodes(self) -> tuple[np.ndarray, ...]:
+        u, ln_w = self._nodes_from(math.log(self.scale) + _LN_Z_WHOLE)
+        return u, ln_w, np.exp(u), np.exp(ln_w)
 
     def log_nodes(self, ln_lower: float) -> tuple[np.ndarray, np.ndarray]:
         if ln_lower == -math.inf:
@@ -775,15 +752,17 @@ class BoundedTable(FadingModel):
         above = u >= ln_lower
         return u[above], ln_w[above]
 
+    def _support_nodes(self) -> tuple[np.ndarray, ...]:
+        keep = self.ps > 0
+        return (*self.log_nodes(-math.inf), self.zs[keep], self.ps[keep])
+
     @functools.cached_property
     def _groups(self) -> _Groups:
         """The atoms with a positive gain, one group each, from the top down."""
         u, ln_w = self._log_atoms
         keep = u > -math.inf
         u, ln_w = u[keep][::-1, None], ln_w[keep][::-1, None]
-        groups = _Groups(len(u), 1, 0, False, lambda n: len(u))
-        groups.add(u[:, 0], u, ln_w)
-        return groups
+        return _Groups(u[:, 0], u, ln_w, 0, False)
 
     def expect_above(self, g, lower: float = 0.0) -> float:
         mask = self.zs >= lower

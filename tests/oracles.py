@@ -5,8 +5,8 @@ None is used by the package or the CLI: each is an independent route to
 a quantity that the package computes another way, except solve_alpha_ln,
 the one-row threshold solve that batch rows are checked against.  The
 direct sums run over the node set log_nodes(ln a) at the threshold itself,
-where the package composes them from its sums at the lattice edges and
-atoms.
+where the package composes them from its sums at the grid edges and
+atoms; gamma_panel_nodes builds a uniform node set of its own.
 """
 
 import math
@@ -86,3 +86,16 @@ def solve_alpha_ln(snr: float, beta: float, model) -> float:
     if error is not None:
         raise error
     return float(roots.x[0])
+
+
+def gamma_panel_nodes(m: float, scale: float, ln_lo: float, ln_hi: float):
+    """(u, ln_w) of 16-point Gauss-Legendre panels 0.25 wide in u = ln z,
+    from ln_lo up to ln_hi, the last one partial, for the Gamma law of
+    shape m and scale: exp(ln_w) = the rule's weights times z p(z), with
+    ln(z p(z)) = m u - z/scale - lgamma(m) - m ln(scale) written out here."""
+    x, w = np.polynomial.legendre.leggauss(16)
+    lo = ln_lo + 0.25 * np.arange(math.ceil((ln_hi - ln_lo) / 0.25))
+    half = 0.5 * (np.minimum(lo + 0.25, ln_hi) - lo)[:, None]
+    u = lo[:, None] + half * (1.0 + x)
+    ln_zp = m * u - np.exp(u) / scale - math.lgamma(m) - m * math.log(scale)
+    return u.ravel(), (np.log(half * w) + ln_zp).ravel()

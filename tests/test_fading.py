@@ -17,12 +17,14 @@ from qos_energy import (
     QosConfig,
     Rayleigh,
     from_config,
-    solve_alpha,
     spectral_efficiency_csir,
     spectral_efficiency_csit,
+    wideband_csir,
 )
 from qos_energy import fading
+from qos_energy.effcap import _Roots
 from qos_energy.fading import _PANEL, _logsumexp
+from oracles import gamma_panel_nodes
 
 CONTINUOUS = [Rayleigh(), NakagamiM(0.5), NakagamiM(0.6), NakagamiM(2.0)]
 DISCRETE = [
@@ -308,6 +310,20 @@ class TestBoundedTable:
         assert tab.quantile(0.41) == 2.0
         assert tab.quantile(1.0) == 2.0
 
+    def test_support_nodes_are_the_atoms(self):
+        # z and w are the kept atoms and probabilities themselves, not
+        # exp(ln z) and exp(ln p), so a floor ln 2 / z0 is exact at any z0
+        tables = (
+            Deterministic(1e-300),
+            DISCRETE[1],
+            BoundedTable(((0.0, 0.2), (1e-300, 0.3), (0.7, 0.0), (3.1, 0.5))),
+        )
+        for tab in tables:
+            zs, ps = tab.atoms
+            assert _bits(tab.support_nodes[2:]) == _bits((zs[ps > 0], ps[ps > 0]))
+        floor = wideband_csir(Deterministic(1e-300), 1e-30, 2e-3, 1.0).ebn0_min_linear
+        assert abs(floor - math.log(2.0) / 1e-300) <= math.ulp(floor)
+
     def test_atom_at_zero_divergent_inverse_moment(self):
         tab = BoundedTable(((0.0, 0.1), (1.0, 0.9)))
         assert tab.inverse_moment() == math.inf
@@ -401,10 +417,9 @@ class TestLogNodes:
 
     @pytest.mark.parametrize("m", (1.0, 0.5, 0.6, 2.0, 8.0, 20.0, 50.0))
     def test_graded_support_matches_the_lattice(self, m):
-        # the graded whole-support set against the 0.25-wide lattice panels
-        # from 1e-30, each sum shifted by the lattice's largest term
-        def terms(model, ln_lower):
-            u, ln_w = model.log_nodes(ln_lower)
+        # the graded whole-support set against independent 0.25-wide panels
+        # from scale 1e-30 up, each sum shifted by the latter's largest term
+        def terms(u, ln_w):
             z = np.exp(u)
             for c in 10.0 ** np.arange(-3.0, 7.5, 0.5):
                 yield ln_w - c * z
@@ -415,8 +430,10 @@ class TestLogNodes:
 
         for mean in (0.3, 1.0, 7.5):
             model = Rayleigh(mean) if m == 1.0 else NakagamiM(m, mean)
-            lattice = terms(model, math.log(1e-30))
-            for got, want in zip(terms(model, -math.inf), lattice, strict=True):
+            ln_lo = math.log(model.scale * 1e-30)
+            ln_top = math.log(model.upper_cutoff()) + 2.0
+            lattice = terms(*gamma_panel_nodes(m, model.scale, ln_lo, ln_top))
+            for got, want in zip(terms(*model.log_nodes(-math.inf)), lattice, strict=True):
                 top = want.max()
                 assert np.exp(got - top).sum() == pytest.approx(
                     np.exp(want - top).sum(), rel=1e-13
@@ -430,6 +447,18 @@ class TestLogNodes:
                     got = np.dot(w, np.exp(k * u - c * np.exp(u)))
                     want = model.expect_above(lambda z: z**k * math.exp(-c * z))
                     assert got == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("m", (1.0, 0.5, 2.0))
+    def test_whole_support_starts_relative_to_the_scale(self, m):
+        # E{1} and the Laplace transform (1 + c s)^-m at any mean: the set
+        # starts at scale 1e-30, not at an absolute floor
+        for mean in (1e-20, 1.0, 1e20):
+            model = Rayleigh(mean) if m == 1.0 else NakagamiM(m, mean)
+            _, _, z, w = model.support_nodes
+            assert w.sum() == pytest.approx(1.0, rel=1e-14)
+            for cs in (1e-3, 1.0, 1e3):
+                got = np.dot(w, np.exp(-(cs / model.scale) * z))
+                assert got == pytest.approx((1.0 + cs) ** -m, rel=1e-12)
 
     @pytest.mark.parametrize("model", CONTINUOUS + DISCRETE, ids=MODEL_IDS)
     def test_threshold_moment_closed_form(self, model):
@@ -528,26 +557,26 @@ class TestLattice:
             assert _bits(deep.log_nodes(ln_a)) == want
             assert _bits(stepped.log_nodes(ln_a)) == want
 
-    # Per m: the whole-support node count, and sha256 of the bits of
-    # log_nodes at LN_LOWER and of the edge sums built down to the 1e-280
-    # floor, which the graded whole-support set left as the 0.25-wide
-    # lattice had them.  The bits rest on numpy's exp and log and on the
-    # Gauss-Legendre rule (an eigenvalue solve), so the hashes are compared
-    # only where those give the bits that CANARY hashes.
+    # Per m: the whole-support node count, the number of edge-sum groups
+    # down to the 1e-280 floor, and sha256 of the bits of log_nodes at
+    # LN_LOWER and of the edge sums.  The bits rest on numpy's exp and log
+    # and on the Gauss-Legendre rule (an eigenvalue solve), so the hashes
+    # are compared only where those give the bits that CANARY hashes.
     PINNED = {
-        1.0: (896, "aaf7457622981a6e32a66eee3d63a4daada241d8b7802cbf78ae2d2c1e615c54"),
-        0.5: (896, "374ee1a3201426932a2e3b82d5e3e15afbea78dcf693f05580aabe65b2bf3ab3"),
-        0.6: (896, "deea3ad604bd26b24aeef0de25058342479f954d42ba778b1163373f57bb1a2c"),
-        2.0: (1440, "f7ed371b4e3c3f67a0843c0fbc3558a416e247b384dfaca72fef38bd4b762dd1"),
-        8.0: (4672, "efbb1d81ceb84d12cdb897bfac05ce0f797922047a3c926c75705698590fd0c2"),
+        1.0: (896, 344, "81a79a418884925f1814b96b889960466e2dc3bf4eaf86c20178d47160c76726"),
+        0.5: (880, 343, "89b427d96bd4601847a401bc0464464b486f005dd971a66f14bccad26e314286"),
+        0.6: (896, 344, "290811b94df4694db98cc8b690a2ec11fce9dc0b2a4ff97cc25167988218b759"),
+        2.0: (1456, 666, "38e29375aa5d443f213fe23f8234dc2ea4f543f893f43174cb9f26fb94de57e4"),
+        8.0: (4800, 2594, "636dd15dd172ee1ce553c862aa65c438797d7d9ae88cfdae8e0958bb9990cddb"),
     }
     CANARY = "37bd919b6fbcd8f5ba7a4e7a0f5ba010da017ca112de9974b003a94861a82eb9"
 
     @pytest.mark.parametrize("m", sorted(PINNED))
     def test_node_sets_are_pinned(self, m):
         model = Rayleigh() if m == 1.0 else NakagamiM(m)
-        size, want = self.PINNED[m]
+        size, groups, want = self.PINNED[m]
         assert model.support_nodes[0].size == size
+        assert model._groups.size == groups
         x = np.linspace(-700.0, 700.0, 4097)
         canary = hashlib.sha256()
         for a in (np.exp(x), np.log(np.exp(x)), fading._GL_X, fading._GL_W):
@@ -558,10 +587,8 @@ class TestLattice:
         for ln_a in self.LN_LOWER:
             for a in model.log_nodes(ln_a):
                 got.update(a.tobytes())
-        groups = model._groups
-        model._grow(groups.size)
-        got.update(groups.ell[: groups.n].tobytes())
-        got.update(groups.sums[:, : groups.n].tobytes())
+        got.update(model._groups.ell.tobytes())
+        got.update(model._groups.sums.tobytes())
         assert got.hexdigest() == want
 
     def test_cached_arrays_are_read_only(self):
@@ -582,11 +609,13 @@ class TestLattice:
     @pytest.mark.parametrize("model", CONTINUOUS, ids=MODEL_IDS[:4])
     def test_expectation_is_continuous_across_an_edge(self, model):
         # P(Z >= a) and E{z ; z >= a} one ulp below, on and one ulp above a
-        # lattice edge.  At these depths (a <= 2.6) their true change over
-        # two ulp of ln a is at most about one ulp.
+        # grid edge: the 20th from the top, the cut to the wider panels and
+        # the edge below it, and the foot of the deepest full panel.  At
+        # these depths (a <= 2.6) their true change over two ulp of ln a is
+        # at most about one ulp.
         eps = np.finfo(float).eps
-        for panels in (20, 60, 200, 2000):
-            edge = model._ln_z_top - panels * _PANEL
+        ell, cut = model._groups.ell, model._cut[0] - 1
+        for edge in ell[sorted({19, cut, cut + 1, len(ell) - 2})]:
             probs, means = [], []
             for ln_a in (math.nextafter(edge, -math.inf), edge,
                          math.nextafter(edge, math.inf)):
@@ -645,9 +674,8 @@ EDGE_EXPONENTS = {
 }
 
 
-def direct_edge_sums(model, ln_e):
-    """The edge sums at ln_e, summed directly over log_nodes(ln_e)."""
-    u, ln_w = model.log_nodes(ln_e)
+def direct_edge_sums(u, ln_w, ln_e):
+    """The edge sums at ln_e, summed directly over the nodes (u, ln_w) above it."""
     d, w = u - ln_e, np.exp(ln_w)
     v = np.exp(ln_w - u)
     plain = [v.sum(), w.sum(), (v * d).sum(), (v * d * d).sum(), (w * d).sum()]
@@ -659,7 +687,7 @@ def direct_edge_sums(model, ln_e):
 
 
 class TestEdgeSums:
-    """The sums at lattice edges and atoms that the threshold solves read,
+    """The sums at grid edges and atoms that the threshold solves read,
     against direct sums over the node set at each edge."""
 
     @pytest.mark.parametrize(
@@ -671,20 +699,19 @@ class TestEdgeSums:
     )
     def test_sums_match_direct_sums(self, model):
         groups = model._groups
-        groups.grow(groups.size)
         tilted = {}
         for weight, s in EDGE_EXPONENTS.items():
             for start, t, ln_x in groups.tilted(s, weight, log=True):
                 for k in range(t.shape[1]):
                     tilted[weight, start + k] = t[:, k], ln_x[:, k]
-        # Every edge of the top 15 in ln z, then every 100th down to the
-        # 1e-280 floor and the lowest three; a lattice's first edge is the
-        # limit from below of thresholds that see no nodes.
+        # The top 60 edges, then every 100th down to the 1e-280 floor and
+        # the lowest three; a grid's first edge is the limit from below of
+        # thresholds that see no nodes.
         n = groups.size
         lowest = groups.first + 1 if groups.panels else 0
         edges = {*range(lowest, min(n, 60)), *range(60, n, 100), *range(max(n - 3, 0), n)}
         for j in sorted(edges):
-            plain, direct = direct_edge_sums(model, groups.ell[j])
+            plain, direct = direct_edge_sums(*model.log_nodes(groups.ell[j]), groups.ell[j])
             assert groups.sums[:, j] == pytest.approx(plain, rel=1e-13, abs=0)
             for weight, (t, ln_x) in direct.items():
                 got_t, got_ln_x = tilted[weight, j]
@@ -692,29 +719,43 @@ class TestEdgeSums:
                 assert got_ln_x == pytest.approx(ln_x, rel=1e-13, abs=1e-13)
         assert n == 0 or groups.ell[n - 1] >= math.log(1e-280) or not groups.panels
 
-    @pytest.mark.parametrize("model", CONTINUOUS, ids=MODEL_IDS[:4])
-    def test_nodes_and_sums_do_not_depend_on_how_the_groups_grew(self, model):
-        # one model grown in a single call, one grown chunk by chunk by
-        # threshold solves, and one that built support_nodes first
-        whole, stepped, support = replace(model), replace(model), replace(model)
-        whole._groups.grow(whole._groups.size)
-        built = []
-        for snr in np.geomspace(1e-4, 1e4, 9):
-            solve_alpha(snr, QosConfig(theta=1e-3, T=2e-3, B=1e5), stepped)
-            built.append(stepped._groups.n)
-        assert len(set(built)) > 2 and built[-1] < stepped._groups.size
-        support.support_nodes
-        for m in (stepped, support):
-            m._groups.grow(m._groups.size)
-        want = None
-        for m in (whole, stepped, support):
-            groups = m._groups
-            got = [groups.ell, groups.sums]
-            for weight, s in EDGE_EXPONENTS.items():
-                for _, t, ln_x in groups.tilted(s, weight, log=True):
-                    got += [t, ln_x]
-            for ln_a in (-math.inf, *TestLattice.LN_LOWER):
-                got += m.log_nodes(ln_a)
-            got = _bits(got)
-            assert want is None or got == want
-            want = got
+    @pytest.mark.parametrize("mean", (0.3, 1.0, 7.5))
+    @pytest.mark.parametrize("m", (0.5, 0.6, 1.0, 2.0, 4.0, 8.0))
+    def test_sums_match_uniform_panels(self, m, mean):
+        # At edges from the top down to 1e-278, and at thresholds inside the
+        # panels below them, the sums the solves read against direct sums
+        # over independent 0.25-wide panels from the threshold up
+        model = Rayleigh(mean) if m == 1.0 else NakagamiM(m, mean)
+        groups, cut = model._groups, model._cut[0]
+        top = math.log(model.upper_cutoff()) + 2.0
+        deepest = np.flatnonzero(groups.ell >= math.log(1e-278))[-1]
+        edges = np.unique(np.r_[
+            groups.first + 1 : groups.first + 5, cut - 2 : cut + 2,
+            np.linspace(cut, deepest - 1, 7).astype(int), deepest,
+        ])
+        tilted = {weight: [[], []] for weight in EDGE_EXPONENTS}
+        for weight, s in EDGE_EXPONENTS.items():
+            for _, t, ln_x in groups.tilted(s, weight, log=True, depth=deepest + 1):
+                tilted[weight][0].append(t)
+                tilted[weight][1].append(ln_x)
+        tilted = {k: [np.hstack(a)[:, edges] for a in v] for k, v in tilted.items()}
+        for i, j in enumerate(edges):
+            ln_e = groups.ell[j]
+            plain, direct = direct_edge_sums(*gamma_panel_nodes(m, model.scale, ln_e, top), ln_e)
+            assert groups.sums[:, j] == pytest.approx(plain, rel=1e-13, abs=0)
+            for weight, (t, ln_x) in direct.items():
+                assert tilted[weight][0][:, i] == pytest.approx(t, rel=1e-13, abs=0)
+                assert tilted[weight][1][:, i] == pytest.approx(ln_x, rel=1e-13, abs=1e-13)
+        # one threshold 0.3 of the way up each panel below those edges
+        e = edges[edges < deepest]
+        x = groups.ell[e + 1] + 0.3 * (groups.ell[e] - groups.ell[e + 1])
+        roots = _Roots(model, x, groups.ell[e] - x, e, np.ones(len(e), dtype=bool))
+        got = [roots.inverse(), roots.log_moment(), roots.log_moment2(), roots.log_gain()]
+        m_e = tilted["v"][0][:, edges < deepest]
+        for k, s in enumerate(EDGE_EXPONENTS["v"]):
+            got.append(roots.mean_power(np.full(len(e), s), m_e[k]))
+        for k, ln_a in enumerate(x):
+            u, ln_w = gamma_panel_nodes(m, model.scale, ln_a, top)
+            (i_a, _, l1, h, wd), direct = direct_edge_sums(u, ln_w, ln_a)
+            want = [i_a, l1, h, wd, *direct["v"][0]]
+            assert [g[k] for g in got] == pytest.approx(want, rel=1e-13, abs=0)

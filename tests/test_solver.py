@@ -320,13 +320,6 @@ class TestEvaluationBudget:
         capsys.readouterr()
         assert calls == {"thresholds": thresholds, "alpha_star": 1}
 
-    def test_a_shallow_alpha_star_builds_few_groups(self):
-        # the root lies below edge 31 (edges count down from the top), so
-        # the search reads 16 groups, then 32
-        model = Rayleigh()
-        solve_alpha_star(model, 0.1, T, 1e4)
-        assert model._groups.n < 64
-
     @pytest.mark.parametrize("model", [RAY, NakagamiM(m=2.0)], ids=repr)
     @pytest.mark.parametrize("regime", ["lowpower", "wideband"])
     def test_warm_csit_sweeps_take_at_most_60_percent_of_cold(
