@@ -165,9 +165,10 @@ def _laplace(model: FadingModel, c: float) -> tuple[float, float]:
     ln L / (L - 1), phi(x) = -expm1(-x)/x, phi(0) = 1, which stays finite,
     at E{z}, as c z rounds away; NumericalError unless 0 < r < inf."""
     _, ln_w, z, w = model.support_nodes
-    x = c * z
-    ln_l = _ln_mean_exp(ln_w, -x, w)
-    phi = np.divide(-np.expm1(-x), x, out=np.ones_like(x), where=x > 0)
+    h = -c * z
+    em1 = np.expm1(h)
+    ln_l = _ln_mean_exp(ln_w, h, w, em1)
+    phi = np.divide(em1, h, out=np.ones_like(h), where=h < 0)
     r = float(np.dot(w, z * phi)) * (ln_l / math.expm1(ln_l) if ln_l else 1.0)
     if not 0 < r < math.inf:
         raise NumericalError(f"-ln E{{exp(-c z)}}/c = {r:g} is not positive at c = {c:g}")

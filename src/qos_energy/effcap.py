@@ -558,24 +558,29 @@ def to_db(x: float) -> float:
     return 10.0 * math.log10(x)
 
 
-def service_rate_csir(snr: float, z, qos: QosConfig):
-    """Frame service rate B log2(1+snr z) in bits/s (scalar or array z)."""
-    return qos.B * np.log1p(snr * np.asarray(z, dtype=float)) / LN2
+def service_rate_csir(snr: float, z, qos: QosConfig, out=None):
+    """Frame service rate B log2(1+snr z) in bits/s (scalar or array z).
+
+    An out array, z itself included, receives the rates; the bits are
+    those of the call without it.
+    """
+    r = np.log1p(np.multiply(snr, np.asarray(z, dtype=float), out=out), out=out)
+    return np.divide(np.multiply(qos.B, r, out=out), LN2, out=out)
 
 
-def service_rate_csit(policy: PowerPolicy, z, qos: QosConfig):
+def service_rate_csit(policy: PowerPolicy, z, qos: QosConfig, out=None):
     """Frame service rate B log2(1+mu_opt z) = B ln(z/alpha)/((beta+1) ln2)
-    above the cutoff, 0 below (scalar or array z).
+    above the cutoff, 0 below (scalar or array z); out as for
+    service_rate_csir.
 
     fmax maps the -inf of a zero gain and the NaN of a negative or NaN gain
     to 0, so the rate takes one pass per operation and no mask.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        lnz = np.log(np.asarray(z, dtype=float))
-        return (
-            qos.B * np.fmax(lnz - policy.ln_alpha, 0.0)
-            / ((policy.beta + 1.0) * LN2)
-        )
+        r = np.log(np.asarray(z, dtype=float), out=out)
+        r = np.fmax(np.subtract(r, policy.ln_alpha, out=out), 0.0, out=out)
+        r = np.multiply(qos.B, r, out=out)
+        return np.divide(r, (policy.beta + 1.0) * LN2, out=out)
 
 
 def _check_snr(snr: float):

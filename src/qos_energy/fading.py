@@ -17,8 +17,9 @@ z p(z) is z^m e^(-z/s) and smooth in ln z, wider ones (the bound at
 _LN_Z_WHOLE).  A threshold set is one partial panel, from the threshold
 up to the next grid edge, followed by the grid panels above that edge; a
 threshold from e times the quantile up has no nodes.  support_nodes is
-the set from s 1e-30 up with its exp(u) and exp(ln_w), built once and
-read-only: Rayleigh needs 896 nodes where 0.25-wide panels need 4,768.
+the set from s 1e-30 up, after one node at s 1e-30 that carries the mass
+below it, with its exp(u) and exp(ln_w), built once and read-only:
+Rayleigh needs 897 nodes where 0.25-wide panels need 4,768.
 The threshold solves read each model's panels or atoms through the sums
 at their edges (_Groups), built once and whole down to 1e-280: 344
 groups for Rayleigh, 2,594 from m = 8 on.
@@ -65,7 +66,9 @@ _PANEL_LN_W = np.log(0.5 * _PANEL * _GL_W)
 # Groups per block of the tilted edge sums (_Groups.tilted).
 _BLOCK = 16
 # Whole-support expectations start at s 1e-30, s = mean/m, below which a
-# Gamma law with m >= 0.5 holds at most 1.2e-15 of its mass at any scale.
+# Gamma law with m >= 0.5 holds at most 1.2e-15 of its mass at any scale;
+# one node at s 1e-30 carries that mass, so E{e^-cz} keeps its digits
+# however large c s grows.
 # Below the lattice edge at or above s (z < s e^(1/4)) the panels are
 # W = min(2, max(1/4, 2/m)) wide.  There the integrand in u = ln z is
 # z^k phi, k = m (m + 2 for a z^2-weighted mean), with
@@ -128,14 +131,15 @@ def _logsumexp(a: np.ndarray) -> float:
     return float(top + np.log(np.sum(np.exp(b, out=b))))
 
 
-def _ln_mean_exp(ln_w: np.ndarray, h: np.ndarray, w: np.ndarray) -> float:
-    """ln sum w exp(h) for h <= 0 and weights w = exp(ln_w) summing to 1.
+def _ln_mean_exp(ln_w: np.ndarray, h: np.ndarray, w: np.ndarray, em1=None) -> float:
+    """ln sum w exp(h) for h <= 0 and weights w = exp(ln_w) summing to 1;
+    em1, when the caller keeps it, is expm1(h).
 
     While the mean is above 1/2 this is log1p(sum w expm1(h)), which keeps
     the digits that the log-sum-exp loses as the mean nears 1 (weak QoS);
     below, it is the log-sum-exp.
     """
-    s = float(np.dot(w, np.expm1(h)))
+    s = float(np.dot(w, np.expm1(h) if em1 is None else em1))
     if s > -0.5:
         return math.log1p(s)
     return _logsumexp(ln_w + h)
@@ -541,7 +545,10 @@ class _ContinuousModel(FadingModel):
         return _Groups(*self._rows_from(_LN_Z_FLOOR), first, True)
 
     def _support_nodes(self) -> tuple[np.ndarray, ...]:
-        u, ln_w = self._nodes_from(math.log(self.scale) + _LN_Z_WHOLE)
+        lo = math.log(self.scale) + _LN_Z_WHOLE
+        u, ln_w = self._nodes_from(lo)
+        # One node on the floor carries the mass below it, P(Z < s 1e-30).
+        u, ln_w = np.append(lo, u), np.append(self.ln_cdf(lo), ln_w)
         return u, ln_w, np.exp(u), np.exp(ln_w)
 
     def log_nodes(self, ln_lower: float) -> tuple[np.ndarray, np.ndarray]:

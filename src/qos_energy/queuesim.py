@@ -10,15 +10,23 @@ simulator exists to run.
 
 The queue and the empirical effective capacity read the same Monte Carlo
 service stream: seeded gains, _CHUNK frames at a time, turned into rates
-by the CSIR formula or the solved CSIT policy.  A chunk's float64 arrays
-are 512 KiB each, so the Lindley block's few arrays stay in a core's L2
-cache, and the next chunk is drawn on a worker thread while the caller
-works on the current one.
+in place by the CSIR formula or the solved CSIT policy.  A chunk's
+float64 arrays are 512 KiB each, so the Lindley block's three arrays (the
+rates, one cumulative-sum buffer and one bool buffer per simulation) stay
+in a core's L2 cache.  A worker thread draws up to three chunks ahead
+while the caller works on the current one.  The worker runs on the CPUs
+the caller may use other than its own, so that the two overlap even
+where the kernel does not balance threads across CPUs; where that cannot
+be set the worker runs where the kernel puts it.  The bits never depend
+on where it runs.
 """
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +45,11 @@ from .errors import InsufficientSamples, ThetaZero, Unstable
 from .fading import FadingModel, _logsumexp
 
 _CHUNK = 1 << 16
+# Chunks the worker may draw ahead of the caller.  One would do on CPUs
+# that wake at once; where a waiting CPU is slow to wake (a busy VM host),
+# a worker that must wait for the caller between chunks runs the stream
+# slower than one CPU does.
+_AHEAD = 3
 _MIN_TAIL_SAMPLES = 100
 
 
@@ -106,18 +119,47 @@ class TailEstimate:
     samples_at_largest_threshold: int
 
 
+def _current_cpu() -> int:
+    """The CPU the calling thread last ran on, field 39 of its
+    /proc/thread-self/stat; the fields from the third on follow the last
+    ')', which closes the command name."""
+    with open("/proc/thread-self/stat", "rb") as f:
+        stat = f.read()
+    return int(stat[stat.rindex(b")") + 1:].split()[36])
+
+
+def _worker_cpus():
+    """The CPUs the calling thread may use other than the one it runs on;
+    None when fewer than two are allowed or os.sched_getaffinity or /proc
+    is missing."""
+    try:
+        allowed = os.sched_getaffinity(0)
+        return allowed - {_current_cpu()} if len(allowed) > 1 else None
+    except (AttributeError, OSError):
+        return None
+
+
+def _pin(cpus):
+    """Restrict the calling thread to cpus.  A failure is ignored: an
+    initializer that raises would break the pool, and the worker then runs
+    where the kernel puts it."""
+    with contextlib.suppress(OSError):
+        os.sched_setaffinity(0, cpus)
+
+
 def _service_rates(
     model: FadingModel, snr: float, qos: QosConfig, mode: str, frames: int, seed: int
 ):
     """Yield the service rates of `frames` frames drawn from `seed`, in
     chunks of at most _CHUNK.  The CSIT policy is solved before the first
-    chunk; a chunk's gains are dropped before its rates are yielded.
+    chunk; each chunk's rates overwrite its freshly drawn gains.
 
-    One chunk is drawn ahead on a worker thread while the caller works on
-    the one before.  A draw is submitted only after the previous one has
-    returned, so the generator serves one draw at a time and in order, and
-    the rates do not depend on thread timing.  A failed draw raises in the
-    caller, and the worker is joined however the stream ends.
+    A worker thread draws up to _AHEAD chunks ahead of the caller.  It alone
+    advances the one generator of chunks, one draw per call and in order,
+    so the rates do not depend on thread timing, and no draw follows a
+    failed one.  The worker runs off the caller's CPU (_worker_cpus) for
+    its lifetime; the caller's own affinity never changes.  A failed draw
+    raises in the caller, and the worker is joined however the stream ends.
     """
     # Imported here: concurrent.futures would add to every CLI start-up.
     from concurrent.futures import ThreadPoolExecutor
@@ -125,18 +167,24 @@ def _service_rates(
     policy = solve_alpha(snr, qos, model) if mode == "csit" else None
     rng = np.random.default_rng(seed)
 
-    def draw(n):
-        if policy is None:
-            return service_rate_csir(snr, model.sample(rng, n), qos)
-        return service_rate_csit(policy, model.sample(rng, n), qos)
+    def drawn():
+        for done in range(0, frames, _CHUNK):
+            z = model.sample(rng, min(_CHUNK, frames - done))
+            if policy is None:
+                yield service_rate_csir(snr, z, qos, out=z)
+            else:
+                yield service_rate_csit(policy, z, qos, out=z)
 
-    with ThreadPoolExecutor(1) as pool:
-        ahead = pool.submit(draw, min(_CHUNK, frames))
-        for done in range(_CHUNK, frames, _CHUNK):
-            rates = ahead.result()
-            ahead = pool.submit(draw, min(_CHUNK, frames - done))
+    chunks, n = drawn(), -(-frames // _CHUNK)
+    cpus = _worker_cpus()
+    with ThreadPoolExecutor(1, initializer=_pin if cpus else None, initargs=(cpus,)) as pool:
+        ahead = collections.deque(pool.submit(next, chunks) for _ in range(min(_AHEAD, n)))
+        for _ in range(n - len(ahead)):
+            rates = ahead.popleft().result()
+            ahead.append(pool.submit(next, chunks))
             yield rates
-        yield ahead.result()
+        while ahead:
+            yield ahead.popleft().result()
 
 
 def simulate_queue(config: SimConfig) -> TailEstimate:
@@ -159,26 +207,31 @@ def simulate_queue(config: SimConfig) -> TailEstimate:
     q_tail = 0.0
     done = 0
     warm = config.warmup_frames
+    n = min(_CHUNK, config.frames)
+    s_buf, above = np.empty(n), np.empty(n, dtype=bool)
     for rates in _service_rates(
         model, config.snr, qos, config.mode, config.frames, config.seed
     ):
-        # The block works in place in its rates array: a fresh chunk-sized
-        # array per step costs page faults whenever the allocator has
-        # handed the last one back to the system.
+        # The block works in place in its rates array and two buffers: a
+        # fresh chunk-sized array per step costs page faults whenever the
+        # allocator has handed the last one back to the system.
         x = np.subtract(
             config.arrival_rate * qos.T, np.multiply(rates, qos.T, out=rates),
             out=rates,
         )
-        s = np.cumsum(x)
+        s = np.cumsum(x, out=s_buf[:x.size])
         # Q_j = S_j - min(min_{k<=j} S_k, -Q_0) for the block, which matches
         # iterating Lindley from Q_0.  No clamp at 0 is needed: the min
-        # includes S_j itself.
-        q = np.minimum.accumulate(s, out=x)
+        # includes S_j itself.  fmin and minimum differ only at a NaN, and
+        # the stream has none (the CSIT rate's fmax maps NaN to 0); fmin's
+        # accumulate is the faster.
+        q = np.fmin.accumulate(s, out=x)
         q = np.subtract(s, np.minimum(q, -q_tail, out=q), out=q)
         q_tail = float(q[-1])
         post = q[max(warm - done, 0):]
         for i, thr in enumerate(thresholds):
-            counts[i] += int(np.count_nonzero(post > thr))
+            hit = np.greater(post, thr, out=above[:post.size])
+            counts[i] += int(np.count_nonzero(hit))
         done += rates.size
     n_post = config.frames - warm
     if counts[0] == 0:
@@ -230,7 +283,7 @@ def effective_capacity_empirical(
     if frames < 1:
         raise ValueError(f"frames must be >= 1, got {frames}")
     pieces = [
-        _logsumexp(-qos.theta * qos.T * rates)
+        _logsumexp(np.multiply(rates, -qos.theta * qos.T, out=rates))
         for rates in _service_rates(model, snr, qos, mode, frames, seed)
     ]
     log_mean = _logsumexp(np.array(pieces)) - math.log(frames)

@@ -1,5 +1,6 @@
 """Effective capacity, power policies, and limiting rates."""
 
+import functools
 import math
 import warnings
 
@@ -525,6 +526,24 @@ class TestServiceRates:
             for v, r, w in zip(special, scalars, want[-len(special):]):
                 assert np.ndim(r) == 0
                 assert np.float64(r).view(np.int64) == w.view(np.int64), v
+
+    @pytest.mark.parametrize("mode", ["csir", "csit"])
+    def test_rates_written_over_the_gains_are_the_allocated_rates(self, mode):
+        # out=z gives the bits of the allocating call, a zero gain included,
+        # and warns of nothing
+        gen = np.random.default_rng(31)
+        for model in (RAY, NAK2):
+            z = np.concatenate([model.sample(gen, 10_000), [0.0, 5e-324, 1e300]])
+            if mode == "csir":
+                rate = functools.partial(service_rate_csir, 2.0)
+            else:
+                rate = functools.partial(service_rate_csit, solve_alpha(1.0, QOS, model))
+            want = rate(z, QOS)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = rate(z, QOS, out=z)
+            assert got is z
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_csit_rate_matches_policy_capacity(self):
         # log2(1 + mu(z) z) must equal the assigned rate on the active set

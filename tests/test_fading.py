@@ -432,7 +432,11 @@ class TestLogNodes:
             model = Rayleigh(mean) if m == 1.0 else NakagamiM(m, mean)
             ln_lo = math.log(model.scale * 1e-30)
             ln_top = math.log(model.upper_cutoff()) + 2.0
-            lattice = terms(*gamma_panel_nodes(m, model.scale, ln_lo, ln_top))
+            u, ln_w = gamma_panel_nodes(m, model.scale, ln_lo, ln_top)
+            # and the mass below scale 1e-30 on one node there, as in the set
+            with np.errstate(divide="ignore"):
+                ln_below = np.log(gammainc(m, 1e-30))
+            lattice = terms(np.append(ln_lo, u), np.append(ln_below, ln_w))
             for got, want in zip(terms(*model.log_nodes(-math.inf)), lattice, strict=True):
                 top = want.max()
                 assert np.exp(got - top).sum() == pytest.approx(
@@ -459,6 +463,17 @@ class TestLogNodes:
             for cs in (1e-3, 1.0, 1e3):
                 got = np.dot(w, np.exp(-(cs / model.scale) * z))
                 assert got == pytest.approx((1.0 + cs) ** -m, rel=1e-12)
+
+    @pytest.mark.parametrize("m", (0.5, 0.6, 1.0, 2.0))
+    def test_whole_support_keeps_the_mass_below_its_floor(self, m):
+        # (1 + c s)^-m as c s grows: the mass below scale 1e-30, up to
+        # 1.2e-15 at m = 0.5, weighs ever more against the transform
+        for mean in (1e-20, 1.0, 1e20):
+            model = Rayleigh(mean) if m == 1.0 else NakagamiM(m, mean)
+            _, _, z, w = model.support_nodes
+            for cs in (1e3, 1e6, 1e9):
+                got = np.dot(w, np.exp(-(cs / model.scale) * z))
+                assert got == pytest.approx((1.0 + cs) ** -m, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("model", CONTINUOUS + DISCRETE, ids=MODEL_IDS)
     def test_threshold_moment_closed_form(self, model):
@@ -557,17 +572,18 @@ class TestLattice:
             assert _bits(deep.log_nodes(ln_a)) == want
             assert _bits(stepped.log_nodes(ln_a)) == want
 
-    # Per m: the whole-support node count, the number of edge-sum groups
+    # Per m: the whole-support node count (its panels and the node that
+    # carries the mass below them), the number of edge-sum groups
     # down to the 1e-280 floor, and sha256 of the bits of log_nodes at
     # LN_LOWER and of the edge sums.  The bits rest on numpy's exp and log
     # and on the Gauss-Legendre rule (an eigenvalue solve), so the hashes
     # are compared only where those give the bits that CANARY hashes.
     PINNED = {
-        1.0: (896, 344, "81a79a418884925f1814b96b889960466e2dc3bf4eaf86c20178d47160c76726"),
-        0.5: (880, 343, "89b427d96bd4601847a401bc0464464b486f005dd971a66f14bccad26e314286"),
-        0.6: (896, 344, "290811b94df4694db98cc8b690a2ec11fce9dc0b2a4ff97cc25167988218b759"),
-        2.0: (1456, 666, "38e29375aa5d443f213fe23f8234dc2ea4f543f893f43174cb9f26fb94de57e4"),
-        8.0: (4800, 2594, "636dd15dd172ee1ce553c862aa65c438797d7d9ae88cfdae8e0958bb9990cddb"),
+        1.0: (897, 344, "81a79a418884925f1814b96b889960466e2dc3bf4eaf86c20178d47160c76726"),
+        0.5: (881, 343, "89b427d96bd4601847a401bc0464464b486f005dd971a66f14bccad26e314286"),
+        0.6: (897, 344, "290811b94df4694db98cc8b690a2ec11fce9dc0b2a4ff97cc25167988218b759"),
+        2.0: (1457, 666, "38e29375aa5d443f213fe23f8234dc2ea4f543f893f43174cb9f26fb94de57e4"),
+        8.0: (4801, 2594, "636dd15dd172ee1ce553c862aa65c438797d7d9ae88cfdae8e0958bb9990cddb"),
     }
     CANARY = "37bd919b6fbcd8f5ba7a4e7a0f5ba010da017ca112de9974b003a94861a82eb9"
 

@@ -1,8 +1,11 @@
 """Queue simulation, tail fitting, and empirical effective capacity."""
 
+import errno
 import math
+import os
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -249,6 +252,110 @@ class TestServiceStream:
             assert len(chunks) == len(want)
             for g, w in zip(chunks, want):
                 assert np.array_equal(g, w)
+
+
+class _RecordsPlacement(Rayleigh):
+    """Rayleigh gains that note the thread and the affinity of each draw."""
+
+    def sample(self, rng, size=None):
+        self.__dict__.setdefault("seen", []).append(
+            (threading.get_ident(), os.sched_getaffinity(0))
+        )
+        return super().sample(rng, size)
+
+
+needs_affinity = pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity"), reason="no CPU affinity calls here"
+)
+
+
+@needs_affinity
+class TestPrefetchWorker:
+    def test_current_cpu_reads_the_cpu_a_thread_is_pinned_to(self):
+        # on a thread of its own, pinned to each allowed CPU in turn
+        allowed = os.sched_getaffinity(0)
+        seen = {}
+
+        def probe():
+            for cpu in sorted(allowed):
+                os.sched_setaffinity(0, {cpu})
+                seen[cpu] = qs_mod._current_cpu()
+
+        t = threading.Thread(target=probe)
+        t.start()
+        t.join(timeout=60)
+        assert not t.is_alive()
+        assert seen == {cpu: cpu for cpu in allowed}
+        assert os.sched_getaffinity(0) == allowed
+
+    @pytest.mark.skipif(
+        hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) < 2,
+        reason="fewer than two CPUs allowed",
+    )
+    def test_worker_runs_off_the_callers_cpu(self, monkeypatch):
+        allowed = os.sched_getaffinity(0)
+        read = []
+
+        def current_cpu(real=qs_mod._current_cpu):
+            read.append((threading.get_ident(), real()))
+            return read[-1][1]
+
+        monkeypatch.setattr(qs_mod, "_current_cpu", current_cpu)
+        model = _RecordsPlacement()
+        before = threading.active_count()
+        chunks = list(qs_mod._service_rates(model, SNR, QOS, "csir", 3 * qs_mod._CHUNK, 1))
+        assert len(chunks) == 3
+        ((caller, cpu),) = read
+        assert caller == threading.get_ident() and cpu in allowed
+        assert caller not in {worker for worker, _ in model.seen}
+        assert [cpus for _, cpus in model.seen] == [allowed - {cpu}] * 3
+        assert os.sched_getaffinity(0) == allowed
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("mode", ["csir", "csit"])
+    def test_refused_pin_changes_nothing(self, monkeypatch, mode):
+        monkeypatch.setattr(qs_mod, "_CHUNK", 1 << 12)
+        cfg = SimConfig(
+            model=RAY, snr=SNR, qos=QOS, mode=mode,
+            arrival_rate=predicted_effective_capacity(RAY, SNR, QOS, mode),
+            frames=30_000, seed=5, q_thresholds=(20.0, 40.0, 60.0),
+        )
+        want = simulate_queue(cfg)
+        calls = []
+
+        def refuse(pid, cpus):
+            calls.append(cpus)
+            raise OSError(errno.EPERM, "refused")
+
+        monkeypatch.setattr(os, "sched_setaffinity", refuse)
+        before = threading.active_count()
+        assert simulate_queue(cfg) == want
+        assert threading.active_count() == before
+        assert len(calls) == (len(os.sched_getaffinity(0)) > 1)
+
+    def test_worker_draws_at_most_ahead_chunks_ahead(self):
+        # the caller holds the first chunk: _AHEAD more are drawn, no more
+        model = _RecordsPlacement()
+        stream = qs_mod._service_rates(model, SNR, QOS, "csir", 10 * qs_mod._CHUNK, 1)
+        next(stream)
+        deadline = time.monotonic() + 30.0
+        while len(model.seen) <= qs_mod._AHEAD and time.monotonic() < deadline:
+            time.sleep(0.01)
+        time.sleep(0.05)
+        assert len(model.seen) == 1 + qs_mod._AHEAD
+        stream.close()
+
+    def test_no_affinity_or_proc_leaves_the_worker_unpinned(self, monkeypatch):
+        def missing():
+            raise FileNotFoundError("/proc/thread-self/stat")
+
+        monkeypatch.setattr(qs_mod, "_current_cpu", missing)
+        assert qs_mod._worker_cpus() is None
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert qs_mod._worker_cpus() is None
+        chunks = list(qs_mod._service_rates(RAY, SNR, QOS, "csir", 1000, 1))
+        rng = np.random.default_rng(1)
+        assert np.array_equal(chunks[0], service_rate_csir(SNR, RAY.sample(rng, 1000), QOS))
 
 
 class TestTailDecay:
