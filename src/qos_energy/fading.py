@@ -10,16 +10,18 @@ Discrete models return the logs of their atoms and probabilities, so the
 sums are exact, and their support_nodes carry the atoms and probabilities
 themselves; Deterministic, the unfaded channel, is the one-atom
 BoundedTable.  Continuous models return composite 16-point
-Gauss-Legendre panels in ln z on one grid per model, all built by
-_panels: 0.25-wide panels hung down from e^2 times the 1 - 1e-12 quantile
-to the lattice edge at or above the scale s = mean/m, and below it, where
-z p(z) is z^m e^(-z/s) and smooth in ln z, wider ones (the bound at
-_LN_Z_WHOLE).  A threshold set is one partial panel, from the threshold
-up to the next grid edge, followed by the grid panels above that edge; a
-threshold from e times the quantile up has no nodes.  support_nodes is
-the set from s 1e-30 up, after one node at s 1e-30 that carries the mass
-below it, with its exp(u) and exp(ln_w), built once and read-only:
-Rayleigh needs 897 nodes where 0.25-wide panels need 4,768.
+Gauss-Legendre panels in ln z on one grid per model, _grid, whose edges
+and nodes are built once as arrays: 0.25-wide panels hung down from e^2
+times the 1 - 1e-12 quantile to the lattice edge at or above the scale
+s = mean/m, and below it, where z p(z) is z^m e^(-z/s) and smooth in
+ln z, wider ones (the bound at _LN_Z_WHOLE), down past both the 1e-280
+floor and s 1e-30.  A threshold set is one partial panel, from the
+threshold up to the next grid edge, followed by the grid panels above
+that edge, a slice of _grid; a threshold from e times the quantile up has
+no nodes.  support_nodes is the set from s 1e-30 up, after one node at
+s 1e-30 that carries the mass below it, with its exp(u) and exp(ln_w),
+built once and read-only: Rayleigh needs 897 nodes where 0.25-wide panels
+need 4,768.
 The threshold solves read each model's panels or atoms through the sums
 at their edges (_Groups), built once and whole down to 1e-280: 344
 groups for Rayleigh, 2,594 from m = 8 on.
@@ -143,18 +145,6 @@ def _ln_mean_exp(ln_w: np.ndarray, h: np.ndarray, w: np.ndarray, em1=None) -> fl
     if s > -0.5:
         return math.log1p(s)
     return _logsumexp(ln_w + h)
-
-
-def _steps_down(origin: float, width: float, lo: float) -> tuple[int, float]:
-    """(k, origin - k width): the lowest of the edges origin - k width, k an
-    integer, at or above lo.  The quotient can round across an edge on
-    either side of lo, which the two checks undo."""
-    k = math.floor((origin - lo) / width)
-    if origin - (k + 1) * width >= lo:
-        k += 1
-    elif origin - k * width < lo:
-        k -= 1
-    return k, origin - k * width
 
 
 def _ln_gamma_front(m: float, x: float, ln_x: float) -> float:
@@ -482,33 +472,20 @@ class _ContinuousModel(FadingModel):
         return math.log(self.upper_cutoff()) + 2.0 * _LN_TAIL_PAD
 
     @functools.cached_property
-    def _cut(self) -> tuple[int, float, float]:
-        """(panels, cut, W): the lattice edge at or above ln scale, the number
-        of 0.25-wide panels above it, and the width of the panels below it."""
-        panels, cut = _steps_down(self._ln_z_top, _PANEL, math.log(self.scale))
-        return panels, cut, min(2.0, max(_PANEL, 2.0 / self.m))
-
-    def _panels(self, n: int) -> tuple[np.ndarray, ...]:
-        """(ell, u, ln_w) of the top n grid panels, one row each from the top
-        down: the K above the cut span ell[k] = top-(k+1)P up to top-kP,
-        the ones below it cut-(k-K+1)W up to cut-(k-K)W."""
-        k, cut, width = self._cut
-        ell = self._ln_z_top - np.arange(1, min(n, k) + 1, dtype=float) * _PANEL
+    def _grid(self) -> tuple[np.ndarray, ...]:
+        """(ell, u, ln_w) of every grid panel, one row each from the top down
+        past the 1e-280 floor and s 1e-30: 0.25 wide down to the cut, the
+        lowest such edge at or above ln s, and W wide below it."""
+        top, ln_s = self._ln_z_top, math.log(self.scale)
+        lattice = top - np.arange(1, (top - ln_s) // _PANEL + 2) * _PANEL
+        ell = lattice[lattice >= ln_s]
         u = ell[:, None] + _PANEL_U
         ln_w = self._ln_zp(u) + _PANEL_LN_W
-        edges = cut - width * np.arange(max(n - k, 0) + 1)
+        cut, width = ell[-1], min(2.0, max(_PANEL, 2.0 / self.m))
+        lo = min(_LN_Z_FLOOR, ln_s + _LN_Z_WHOLE)
+        edges = cut - width * np.arange((cut - lo) // width + 2)
         u_low, ln_w_low = self._partial(edges[1:], edges[:-1])
-        ell = np.concatenate((ell, edges[1:]))
-        return ell, np.vstack((u, u_low)), np.vstack((ln_w, ln_w_low))
-
-    def _edge_below(self, lo: float) -> tuple[int, float]:
-        """(panels, edge): the lowest grid edge at or above lo and the number
-        of panels above it."""
-        k, cut, width = self._cut
-        if lo >= cut:
-            return _steps_down(self._ln_z_top, _PANEL, lo)
-        j, edge = _steps_down(cut, width, lo)
-        return k + j, edge
+        return np.append(ell, edges[1:]), np.vstack((u, u_low)), np.vstack((ln_w, ln_w_low))
 
     def _partial(self, lo, edge) -> tuple[np.ndarray, np.ndarray]:
         """One Gauss-Legendre panel from each lo up to its edge, one row each;
@@ -525,11 +502,12 @@ class _ContinuousModel(FadingModel):
         (none when lo is on an edge); no rows from e times upper_cutoff() up."""
         if not lo < self._ln_z_top - _LN_TAIL_PAD:
             return np.empty(0), np.empty((0, _GL_N)), np.empty((0, _GL_N))
-        panels, edge = self._edge_below(lo)
-        ell, u, ln_w = self._panels(panels)
-        if edge == lo:
+        ell, u, ln_w = self._grid
+        n = np.count_nonzero(ell >= lo)
+        ell, u, ln_w = ell[:n], u[:n], ln_w[:n]
+        if ell[-1] == lo:
             return ell, u, ln_w
-        u_part, ln_w_part = self._partial(lo, edge)
+        u_part, ln_w_part = self._partial(lo, ell[-1])
         return np.append(ell, lo), np.vstack((u, u_part)), np.vstack((ln_w, ln_w_part))
 
     def _nodes_from(self, lo: float) -> tuple[np.ndarray, np.ndarray]:
@@ -787,9 +765,14 @@ class BoundedTable(FadingModel):
         return float(np.sum(self.ps[keep] / self.zs[keep]))
 
     def quantile(self, p: float) -> float:
-        cum = np.cumsum(self.ps)
-        idx = int(np.searchsorted(cum, min(p, 1.0) - 1e-15))
-        return float(self.zs[min(idx, len(self.zs) - 1)])
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"quantile level must be in [0, 1], got {p}")
+        # Only atoms with probability are candidates; the slack absorbs the
+        # rounding of cumsum (0.7 + 0.2 is 0.8999999999999999).
+        keep = self.ps > 0
+        zs, cum = self.zs[keep], np.cumsum(self.ps[keep])
+        idx = int(np.searchsorted(cum, p - 1e-15))
+        return float(zs[min(idx, len(zs) - 1)])
 
     def prob_mass_at(self, z: float) -> float:
         hit = self.zs == z

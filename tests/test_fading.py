@@ -310,6 +310,24 @@ class TestBoundedTable:
         assert tab.quantile(0.41) == 2.0
         assert tab.quantile(1.0) == 2.0
 
+    def test_quantile_skips_atoms_without_probability(self):
+        # the smallest z with P(Z <= z) >= p is never an atom of probability 0
+        tab = BoundedTable(((0.0, 0.0), (1.0, 0.5), (2.0, 0.5)))
+        assert tab.quantile(1e-16) == 1.0
+        assert tab.quantile(0.0) == 1.0
+        # probabilities 1e-12 short of 1, then a last atom without any
+        tab = BoundedTable(((1.0, 0.5), (2.0, 0.5 - 1e-12), (3.0, 0.0)))
+        assert tab.quantile(1.0) == 2.0
+        # the slack absorbs cumsum's rounding: 0.7 + 0.2 is 0.8999999999999999
+        tab = BoundedTable(((1.0, 0.7), (2.0, 0.2), (3.0, 0.1)))
+        assert tab.quantile(0.9) == 2.0
+
+    @pytest.mark.parametrize("p", (-1.0, -1e-300, 1.0 + 1e-15, 2.0, math.nan, math.inf))
+    def test_quantile_rejects_levels_outside_the_unit_interval(self, p):
+        for model in (BoundedTable(((1.0, 0.4), (2.0, 0.6))), Deterministic(1.3), NakagamiM(2.0)):
+            with pytest.raises(ValueError, match=r"quantile level must be in \[0, 1\]"):
+                model.quantile(p)
+
     def test_support_nodes_are_the_atoms(self):
         # z and w are the kept atoms and probabilities themselves, not
         # exp(ln z) and exp(ln p), so a floor ln 2 / z0 is exact at any z0
@@ -459,10 +477,10 @@ class TestLogNodes:
         for mean in (1e-20, 1.0, 1e20):
             model = Rayleigh(mean) if m == 1.0 else NakagamiM(m, mean)
             _, _, z, w = model.support_nodes
-            assert w.sum() == pytest.approx(1.0, rel=1e-14)
+            assert w.sum() == pytest.approx(1.0, rel=1e-14, abs=0.0)
             for cs in (1e-3, 1.0, 1e3):
                 got = np.dot(w, np.exp(-(cs / model.scale) * z))
-                assert got == pytest.approx((1.0 + cs) ** -m, rel=1e-12)
+                assert got == pytest.approx((1.0 + cs) ** -m, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("m", (0.5, 0.6, 1.0, 2.0))
     def test_whole_support_keeps_the_mass_below_its_floor(self, m):
@@ -561,8 +579,8 @@ class TestLattice:
 
     @pytest.mark.parametrize("model", CONTINUOUS, ids=MODEL_IDS[:4])
     def test_nodes_do_not_depend_on_history(self, model):
-        # a fresh model, one whose lattice a deep call built first, and one
-        # whose lattice grew a few panels per call give the same bits
+        # a fresh model, one that answered a deep threshold first, and one
+        # that answered ever deeper thresholds first give the same bits
         deep, stepped = replace(model), replace(model)
         deep.log_nodes(-640.0)
         for ln_a in np.arange(4.3, -80.0, -0.6):
@@ -585,12 +603,22 @@ class TestLattice:
         2.0: (1457, 666, "38e29375aa5d443f213fe23f8234dc2ea4f543f893f43174cb9f26fb94de57e4"),
         8.0: (4801, 2594, "636dd15dd172ee1ce553c862aa65c438797d7d9ae88cfdae8e0958bb9990cddb"),
     }
+    # The same away from unit mean, per (m, mean), at LN_LOWER shifted by
+    # ln mean: at mean 1e-260 the whole-support set reaches below the 1e-280
+    # floor, at 1e20 the grid's top is far above 1.
+    PINNED_AWAY = {
+        (1.0, 1e-260): (897, 45, "d6064b1eac87ac6e6cfed06043b175ba1d60508ca6b0fd47371da9e624c8219b"),
+        (2.0, 1e20): (1457, 712, "dff65fa429439ec0514b0888b9f8a89f8a1c8d38a40e322537da7dcefcb0721c"),
+    }
     CANARY = "37bd919b6fbcd8f5ba7a4e7a0f5ba010da017ca112de9974b003a94861a82eb9"
 
-    @pytest.mark.parametrize("m", sorted(PINNED))
-    def test_node_sets_are_pinned(self, m):
-        model = Rayleigh() if m == 1.0 else NakagamiM(m)
-        size, groups, want = self.PINNED[m]
+    @pytest.mark.parametrize("m, mean", [
+        *(pytest.param(m, 1.0, id=str(m)) for m in sorted(PINNED)),
+        *(pytest.param(m, mean, id=f"{m}-mean{mean:g}") for m, mean in PINNED_AWAY),
+    ])
+    def test_node_sets_are_pinned(self, m, mean):
+        model = Rayleigh(mean) if m == 1.0 else NakagamiM(m, mean)
+        size, groups, want = self.PINNED[m] if mean == 1.0 else self.PINNED_AWAY[m, mean]
         assert model.support_nodes[0].size == size
         assert model._groups.size == groups
         x = np.linspace(-700.0, 700.0, 4097)
@@ -601,7 +629,7 @@ class TestLattice:
             pytest.skip("numpy's exp, log or Gauss-Legendre rule gives other bits here")
         got = hashlib.sha256()
         for ln_a in self.LN_LOWER:
-            for a in model.log_nodes(ln_a):
+            for a in model.log_nodes(ln_a + math.log(mean)):
                 got.update(a.tobytes())
         got.update(model._groups.ell.tobytes())
         got.update(model._groups.sums.tobytes())
@@ -630,7 +658,8 @@ class TestLattice:
         # these depths (a <= 2.6) their true change over two ulp of ln a is
         # at most about one ulp.
         eps = np.finfo(float).eps
-        ell, cut = model._groups.ell, model._cut[0] - 1
+        ell = model._groups.ell
+        cut = np.count_nonzero(model._grid[0] >= math.log(model.scale)) - 1
         for edge in ell[sorted({19, cut, cut + 1, len(ell) - 2})]:
             probs, means = [], []
             for ln_a in (math.nextafter(edge, -math.inf), edge,
@@ -742,7 +771,8 @@ class TestEdgeSums:
         # panels below them, the sums the solves read against direct sums
         # over independent 0.25-wide panels from the threshold up
         model = Rayleigh(mean) if m == 1.0 else NakagamiM(m, mean)
-        groups, cut = model._groups, model._cut[0]
+        groups = model._groups
+        cut = np.count_nonzero(model._grid[0] >= math.log(model.scale))
         top = math.log(model.upper_cutoff()) + 2.0
         deepest = np.flatnonzero(groups.ell >= math.log(1e-278))[-1]
         edges = np.unique(np.r_[
