@@ -164,6 +164,7 @@ def _laplace(model: FadingModel, c: float) -> tuple[float, float]:
     """(ln L, r) for L = E{exp(-c z)} and r = -ln L / c = E{z phi(c z)}
     ln L / (L - 1), phi(x) = -expm1(-x)/x, phi(0) = 1, which stays finite,
     at E{z}, as c z rounds away; NumericalError unless 0 < r < inf."""
+    model._check_lumped("E{exp(-x z)} at x = c", c)
     _, ln_w, z, w = model.support_nodes
     h = -c * z
     em1 = np.expm1(h)
@@ -265,15 +266,23 @@ def _alpha_star_rows(model: FadingModel, thetas, T: float, pbars) -> list:
             alpha_star=zmax,
             xi=1.0,
             alpha_dot_zero=None,
-            ln_alpha_star=math.log(zmax) if zmax > 0 else -math.inf,
+            ln_alpha_star=math.log(zmax),
             ln_xi=0.0,
         )
-    if not rows.size:
-        return out
     theta = np.array([thetas[i] for i in rows], dtype=float)
     pbar = np.array([pbars[i] for i in rows], dtype=float)
     ln_k = np.log(theta) + (math.log(T) - math.log(LN2))
     ln_c = ln_k + np.log(pbar)
+    # The root equation reads L1 = c, so c must be a double.
+    big = ~(ln_c < _LN_MAX)
+    for k in np.flatnonzero(big):
+        out[rows[k]] = NumericalError(
+            f"c = theta*T*(Pbar/N0)/ln2 = exp({ln_c[k]:g}) overflows "
+            f"({_wideband_params(model, theta[k], T, pbar[k])})"
+        )
+    rows, theta, pbar, ln_k, ln_c = (a[~big] for a in (rows, theta, pbar, ln_k, ln_c))
+    if not rows.size:
+        return out
     try:
         roots, errors = _log_moment_rows(ln_c, model)
     except BracketFailure as exc:

@@ -231,11 +231,13 @@ class _Roots:
         return self._partial_sum(lambda d, v, ln_w: v * d) + (d1 + self.y * cv)
 
     def log_moment2(self) -> np.ndarray:
-        """H = E{ln^2(z/a)/z ; z >= a}."""
+        """H = E{ln^2(z/a)/z ; z >= a}; inf past the doubles, which
+        _alpha_star refuses."""
         cv, _, d1, d2 = self.sums[:4]
-        return self._partial_sum(lambda d, v, ln_w: v * d * d) + (
-            d2 + self.y * (2.0 * d1 + self.y * cv)
-        )
+        with np.errstate(over="ignore"):
+            return self._partial_sum(lambda d, v, ln_w: v * d * d) + (
+                d2 + self.y * (2.0 * d1 + self.y * cv)
+            )
 
     def log_gain(self) -> np.ndarray:
         """E{ln(z/a) ; z >= a}, the water-filling rate in nats."""
@@ -440,8 +442,10 @@ def spectral_efficiency_csir(snr: float, qos: QosConfig, model: FadingModel) -> 
     if snr == 0:
         return 0.0
     theta_tb = _theta_tb(qos)
+    beta = theta_tb / LN2
+    model._check_lumped("E{(1 + x z)^-beta} at x = snr", snr, beta)
     _, ln_w, z, w = model.support_nodes
-    log_e = _ln_mean_exp(ln_w, -(theta_tb / LN2) * np.log1p(snr * z), w)
+    log_e = _ln_mean_exp(ln_w, -beta * np.log1p(snr * z), w)
     return -log_e / theta_tb
 
 

@@ -8,20 +8,23 @@ expectation nodes log_nodes(ln_lower): arrays (u, ln_w) with
 
 Discrete models return the logs of their atoms and probabilities, so the
 sums are exact, and their support_nodes carry the atoms and probabilities
-themselves; Deterministic, the unfaded channel, is the one-atom
-BoundedTable.  Continuous models return composite 16-point
-Gauss-Legendre panels in ln z on one grid per model, _grid, whose edges
-and nodes are built once as arrays: 0.25-wide panels hung down from e^2
-times the 1 - 1e-12 quantile to the lattice edge at or above the scale
-s = mean/m, and below it, where z p(z) is z^m e^(-z/s) and smooth in
-ln z, wider ones (the bound at _LN_Z_WHOLE), down past both the 1e-280
-floor and s 1e-30.  A threshold set is one partial panel, from the
-threshold up to the next grid edge, followed by the grid panels above
-that edge, a slice of _grid; a threshold from e times the quantile up has
-no nodes.  support_nodes is the set from s 1e-30 up, after one node at
-s 1e-30 that carries the mass below it, with its exp(u) and exp(ln_w),
-built once and read-only: Rayleigh needs 897 nodes where 0.25-wide panels
-need 4,768.
+themselves.  A table keeps only its atoms with probability, so its
+support nodes, bounds and every other reader see the law itself;
+Deterministic, the unfaded channel, is the one-atom BoundedTable.
+Continuous models return composite 16-point Gauss-Legendre panels in ln z
+on one grid per model, _grid, whose edges and nodes are built once as
+arrays: 0.25-wide panels hung down from e^2 times the 1 - 1e-12 quantile
+to the lattice edge at or above the scale s = mean/m, and below it, where
+z p(z) is z^m e^(-z/s) and smooth in ln z, wider ones (the bound at
+_LN_Z_WHOLE), down past both the 1e-280 floor and s 1e-30.  A threshold
+set is one partial panel, from the threshold up to the next grid edge,
+followed by the grid panels above that edge, a slice of _grid; a
+threshold from e times the quantile up has no nodes.  support_nodes is
+the set from s 1e-30 up, after one node at s 1e-30 that carries the mass
+below it, with its exp(u) and exp(ln_w), built once and read-only:
+Rayleigh needs 897 nodes where 0.25-wide panels need 4,768.  How that
+mass spreads below the node moves a mean of e^(-xz) once x s passes about
+1e20, so _check_lumped refuses such an x.
 The threshold solves read each model's panels or atoms through the sums
 at their edges (_Groups), built once and whole down to 1e-280: 344
 groups for Rayleigh, 2,594 from m = 8 on.
@@ -69,8 +72,11 @@ _PANEL_LN_W = np.log(0.5 * _PANEL * _GL_W)
 _BLOCK = 16
 # Whole-support expectations start at s 1e-30, s = mean/m, below which a
 # Gamma law with m >= 0.5 holds at most 1.2e-15 of its mass at any scale;
-# one node at s 1e-30 carries that mass, so E{e^-cz} keeps its digits
-# however large c s grows.
+# one node at s 1e-30 carries that mass.  A mean of e^(-xz), or of
+# (1 + xz)^-beta with max(1, beta) x in place of x, then depends on how
+# that mass spreads below the node once x s 1e-30 is no longer tiny: against
+# (1 + xs)^-m and the confluent hypergeometric U, ln E keeps 1e-14
+# relative up to x s = _LUMP_XS, and _check_lumped refuses past it.
 # Below the lattice edge at or above s (z < s e^(1/4)) the panels are
 # W = min(2, max(1/4, 2/m)) wide.  There the integrand in u = ln z is
 # z^k phi, k = m (m + 2 for a z^2-weighted mean), with
@@ -93,6 +99,7 @@ _BLOCK = 16
 # long before a threshold solve descends that far, and the floor caps a
 # deep threshold at 2,600 panels.
 _LN_Z_WHOLE = math.log(1e-30)
+_LUMP_XS = 1e20
 _LN_Z_FLOOR = math.log(1e-280)
 # Panels end at e^2 times the 1 - TAIL_MASS quantile q, and a threshold at
 # or above e q has no nodes.  For every Nakagami m >= 0.5 the mass beyond
@@ -421,10 +428,20 @@ class FadingModel(abc.ABC):
         """P(Z = z); 0 for continuous models."""
         return 0.0
 
-    @property
-    def atoms(self):
-        """(values, probabilities) for purely discrete models, else None."""
-        return None
+    # x below which a whole-support mean of e^(-xz) resolves: every finite x
+    # for a table, whose support_nodes are exact.
+    _x_lumped = math.inf
+
+    def _check_lumped(self, what: str, x: float, beta: float = 1.0) -> None:
+        """Raise NumericalError unless the whole-support mean what, of
+        e^(-xz) or (1 + xz)^-beta, resolves: x < _x_lumped / max(1, beta)."""
+        if not x < self._x_lumped / (beta if beta > 1.0 else 1.0):
+            raise NumericalError(
+                f"{what} overflows: x = inf" if x == math.inf else
+                f"{what} is not resolved: x s = {x * self.scale:g} is past "
+                f"{_LUMP_XS / max(1.0, beta):g}, where the mass below scale "
+                "1e-30, on one node, moves it"
+            )
 
     def upper_cutoff(self) -> float:
         """Truncation point: z_max if finite, else the 1 - TAIL_MASS quantile."""
@@ -521,6 +538,10 @@ class _ContinuousModel(FadingModel):
         partial panel above the floor when the floor is not on an edge."""
         first = round(_LN_TAIL_PAD / _PANEL) - 1
         return _Groups(*self._rows_from(_LN_Z_FLOOR), first, True)
+
+    @functools.cached_property
+    def _x_lumped(self) -> float:
+        return _LUMP_XS / self.scale
 
     def _support_nodes(self) -> tuple[np.ndarray, ...]:
         lo = math.log(self.scale) + _LN_Z_WHOLE
@@ -676,7 +697,9 @@ class Rayleigh(NakagamiM):
 class BoundedTable(FadingModel):
     """Finite discrete gain law given as (z, prob) pairs with strictly
     increasing finite z >= 0 and finite probabilities summing to 1, some of
-    it on a positive z.  Expectations are exact sums over the atoms."""
+    it on a positive z.  zs and ps keep only the atoms with probability,
+    which are the law: repr and == show them, and expectations are exact
+    sums over them."""
 
     kind = "table"
 
@@ -698,8 +721,10 @@ class BoundedTable(FadingModel):
             raise ValueError(f"table probabilities must sum to 1, got {ps.sum()!r}")
         if not np.any((zs > 0) & (ps > 0)):
             raise ValueError("table needs positive probability on a positive z value")
-        self.zs = zs
-        self.ps = ps
+        keep = ps > 0
+        self.zs, self.ps = zs[keep], ps[keep]
+        # read-only, as support_nodes, whose z and w they are, makes them
+        self.zs.flags.writeable = self.ps.flags.writeable = False
 
     def __repr__(self):
         pts = ", ".join(f"({z:g}, {p:g})" for z, p in zip(self.zs, self.ps))
@@ -726,27 +751,20 @@ class BoundedTable(FadingModel):
     def cdf(self, z: float) -> float:
         return float(self.ps[self.zs < z].sum())
 
-    @functools.cached_property
-    def _log_atoms(self) -> tuple[np.ndarray, np.ndarray]:
-        keep = self.ps > 0
-        with np.errstate(divide="ignore"):
-            return np.log(self.zs[keep]), np.log(self.ps[keep])
-
     def log_nodes(self, ln_lower: float) -> tuple[np.ndarray, np.ndarray]:
-        u, ln_w = self._log_atoms
+        u, ln_w = self.support_nodes[:2]
         above = u >= ln_lower
         return u[above], ln_w[above]
 
     def _support_nodes(self) -> tuple[np.ndarray, ...]:
-        keep = self.ps > 0
-        return (*self.log_nodes(-math.inf), self.zs[keep], self.ps[keep])
+        with np.errstate(divide="ignore"):
+            return np.log(self.zs), np.log(self.ps), self.zs, self.ps
 
     @functools.cached_property
     def _groups(self) -> _Groups:
         """The atoms with a positive gain, one group each, from the top down."""
-        u, ln_w = self._log_atoms
-        keep = u > -math.inf
-        u, ln_w = u[keep][::-1, None], ln_w[keep][::-1, None]
+        start = int(self.zs[0] == 0)  # a zero gain has u = -inf
+        u, ln_w = (a[start:][::-1, None] for a in self.support_nodes[:2])
         return _Groups(u[:, 0], u, ln_w, 0, False)
 
     def expect_above(self, g, lower: float = 0.0) -> float:
@@ -759,28 +777,20 @@ class BoundedTable(FadingModel):
         return float(self.ps @ self.zs), float(self.ps @ self.zs**2)
 
     def inverse_moment(self) -> float:
-        if np.any((self.zs == 0) & (self.ps > 0)):
+        if self.zs[0] == 0:
             return math.inf
-        keep = self.ps > 0
-        return float(np.sum(self.ps[keep] / self.zs[keep]))
+        return float(np.sum(self.ps / self.zs))
 
     def quantile(self, p: float) -> float:
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"quantile level must be in [0, 1], got {p}")
-        # Only atoms with probability are candidates; the slack absorbs the
-        # rounding of cumsum (0.7 + 0.2 is 0.8999999999999999).
-        keep = self.ps > 0
-        zs, cum = self.zs[keep], np.cumsum(self.ps[keep])
-        idx = int(np.searchsorted(cum, p - 1e-15))
-        return float(zs[min(idx, len(zs) - 1)])
+        # The slack absorbs the rounding of cumsum (0.7 + 0.2 is 0.8999999999999999).
+        idx = int(np.searchsorted(np.cumsum(self.ps), p - 1e-15))
+        return float(self.zs[min(idx, len(self.zs) - 1)])
 
     def prob_mass_at(self, z: float) -> float:
         hit = self.zs == z
         return float(self.ps[hit].sum()) if hit.any() else 0.0
-
-    @property
-    def atoms(self):
-        return self.zs, self.ps
 
     def sample(self, rng: np.random.Generator, size=None):
         return rng.choice(self.zs, size=size, p=self.ps)

@@ -256,6 +256,31 @@ class TestWidebandCsir:
             assert a.ebn0_min_linear == pytest.approx(b.ebn0_min_linear, rel=1e-10)
             assert a.slope_s0 == pytest.approx(b.slope_s0, rel=1e-10)
 
+    @pytest.mark.parametrize("m", (0.5, 1.0, 2.0))
+    def test_gamma_law_matches_its_laplace_transform(self, m):
+        # L = (1 + c s)^-m: the floor is ln2 c / (m ln(1 + c s)) and
+        # S0 = 2 m (1 + 1/(c s))^2 ln^2(1 + c s) / (m + 1), to 1e-14 and
+        # 1e-12 up to c s = 1e16, where the mass below scale 1e-30,
+        # carried on one node, does not move L yet
+        for mean in (1e-20, 1.0, 1e20):
+            model = Rayleigh(mean) if m == 1.0 else NakagamiM(m, mean)
+            for cs in (1e-3, 1.0, 1e3, 1e8, 1e12, 1e16):
+                theta = cs / model.scale * LN2
+                c = theta / LN2
+                cs = c * model.scale
+                got = wideband_csir(model, theta, 1.0, 1.0)
+                floor = LN2 * c / (m * math.log1p(cs))
+                s0 = 2.0 * m * (1.0 + 1.0 / cs) ** 2 * math.log1p(cs) ** 2 / (m + 1.0)
+                assert got.ebn0_min_linear == pytest.approx(floor, rel=1e-14, abs=0.0)
+                assert got.slope_s0 == pytest.approx(s0, rel=1e-12, abs=0.0)
+
+    def test_c_past_the_lumped_node_is_a_numerical_error(self):
+        # past c s = 1e20 the mass below scale 1e-30, on one node, moves
+        # E{exp(-c z)}: at c s = 1e30 the floor came out 4.4e-3 low and S0
+        # 3209 for 4772
+        with pytest.raises(NumericalError, match=r"x s = 1e\+30 is past 1e\+20"):
+            wideband_csir(RAY, 1e30 * LN2, 1.0, 1.0)
+
     def test_rayleigh_slope_reference_values(self):
         want = {0.001: 1.0288, 0.01: 1.2817, 0.1: 3.3401, 1.0: 12.3484}
         for theta, s0 in want.items():
@@ -290,6 +315,30 @@ class TestWidebandCsir:
             wideband_csir(RAY, 0.1, 0.0, PN0)
         with pytest.raises(ValueError):
             wideband_csir(RAY, 0.1, T, 0.0)
+
+
+class TestRefusalsComeAlone:
+    # pyproject.toml makes a numpy RuntimeWarning an error, so a warning on
+    # the way to a refusal fails these
+    TABLE = BoundedTable(((0.0, 0.1), (0.3, 0.2), (1.0, 0.4), (2.5, 0.3)))
+    CASES = {
+        # the root's gap y below the last edge makes H = y^2 sum v overflow
+        "alpha-star-H": (solve_alpha_star, RAY, 1e-100, 1e-20, 1e300, "H = inf"),
+        "csit-H": (wideband_csit, RAY, 1e-100, 1e-20, 1e300, "H = inf"),
+        # c = theta T (Pbar/N0)/ln2 itself overflows
+        "alpha-star-c": (solve_alpha_star, RAY, 1e6, 1e3, 1e300, "exp.* overflows"),
+        "csit-c": (wideband_csit, RAY, 1e6, 1e3, 1e300, "exp.* overflows"),
+        # c z overflows on the nodes
+        "csir-c-z": (wideband_csir, RAY, 1e3, 1e3, 1e300, "not resolved"),
+        # an infinite c meets the zero gain: inf * 0
+        "csir-c-inf": (wideband_csir, TABLE, 1e6, 1e3, 1e300, "x = inf"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_refusal_without_a_numpy_warning(self, case):
+        func, model, theta, t, pbar, match = self.CASES[case]
+        with pytest.raises(NumericalError, match=match):
+            func(model, theta, t, pbar)
 
 
 class TestSolveAlphaStar:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
-from scipy.special import exp1, gammaln
+from scipy.special import exp1, gammaln, hyperu, logsumexp
 
 from oracles import mean_policy_power
 from qos_energy import (
@@ -202,6 +202,36 @@ class TestSpectralEfficiencyCsir:
         assert spectral_efficiency_csir(snr, qos, TAB) == pytest.approx(
             want, rel=1e-12
         )
+
+    @pytest.mark.parametrize(
+        "m, beta", [(0.5, 1.0), (0.5, 100.0), (1.0, 1.0), (1.0, 100.0), (2.0, 100.0)]
+    )
+    def test_gamma_law_matches_the_confluent_hypergeometric(self, m, beta):
+        # E{(1 + a z)^-beta} = (a s)^-m U(m, m + 1 - beta, 1/(a s)) for a
+        # Gamma law of scale s, to 1e-14 up to a s = 1e16, where the mass
+        # below scale 1e-30, carried on one node, does not move it yet
+        # (scipy's U is NaN at m = 2, beta = 1, and at m = 1, beta = 100, a s = 1)
+        qos = QosConfig(theta=beta * LN2, T=1.0, B=1.0)
+        for mean in (1e-20, 1.0, 1e20):
+            model = Rayleigh(mean) if m == 1.0 else NakagamiM(m, mean)
+            for xs in (1e3, 1e8, 1e12, 1e16):
+                ln_e = math.log(hyperu(m, m + 1.0 - qos.beta, 1.0 / xs)) - m * math.log(xs)
+                got = spectral_efficiency_csir(xs / model.scale, qos, model)
+                assert got == pytest.approx(-ln_e / qos.theta, rel=1e-14, abs=0.0)
+
+    def test_snr_past_the_lumped_node_is_a_numerical_error(self):
+        # past max(1, beta) snr s = 1e20 the mass below scale 1e-30, on one
+        # node, moves the mean: at beta = 100 and snr = 1e30 the rate came
+        # out 1.996 for 1.0629, and 7.6e-7 off at snr = 1e26.  A table's
+        # sums are exact at any snr.
+        qos = QosConfig(theta=100.0 * LN2, T=1.0, B=1.0)
+        for snr in (1e26, 1e30):
+            with pytest.raises(NumericalError, match=r"x s = 1e\+(26|30) is past 1e\+18"):
+                spectral_efficiency_csir(snr, qos, RAY)
+            got = spectral_efficiency_csir(snr, qos, TAB)
+            zs, ps = TAB.zs, TAB.ps
+            want = -logsumexp(np.log(ps) - qos.beta * np.log1p(snr * zs)) / qos.theta
+            assert got == pytest.approx(want, rel=1e-14)
 
     def test_theta_zero_raises(self):
         with pytest.raises(ThetaZero):

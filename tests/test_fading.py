@@ -16,10 +16,14 @@ from qos_energy import (
     NonIntegrable,
     QosConfig,
     Rayleigh,
+    delay_limited_limit,
     from_config,
+    lowpower_csit,
+    solve_alpha_star,
     spectral_efficiency_csir,
     spectral_efficiency_csit,
     wideband_csir,
+    wideband_csit,
 )
 from qos_energy import fading
 from qos_energy.effcap import _Roots
@@ -52,7 +56,7 @@ def shape_scale(model):
 
 
 def atom_sum(model, g, a=0.0):
-    zs, ps = model.atoms
+    zs, ps = model.zs, model.ps
     return sum(p * g(z) for z, p in zip(zs, ps) if z >= a and p > 0)
 
 
@@ -91,7 +95,6 @@ class TestRayleigh:
         assert ray.z_min == 0.0
         assert math.isinf(ray.z_max)
         assert ray.prob_mass_at(1.0) == 0.0
-        assert ray.atoms is None
 
     def test_sampling_deterministic_and_distributed(self):
         ray = Rayleigh(mean=2.0)
@@ -322,6 +325,41 @@ class TestBoundedTable:
         tab = BoundedTable(((1.0, 0.7), (2.0, 0.2), (3.0, 0.1)))
         assert tab.quantile(0.9) == 2.0
 
+    @pytest.mark.parametrize("where", ("first", "middle", "last"))
+    def test_an_empty_atom_is_no_part_of_the_law(self, where):
+        # every reader of the support sees the law without its empty atom:
+        # z_min read 0 with (0, 0) first, and z_max read 9 with (9, 0) last,
+        # and with it the CSIT low-power floor and the theta = 0 threshold
+        law = ((0.25, 0.2), (1.0, 0.5), (4.0, 0.3))
+        k, atom = {"first": (0, (0.0, 0.0)), "middle": (2, (2.0, 0.0)),
+                   "last": (3, (9.0, 0.0))}[where]
+        given, want = BoundedTable(law[:k] + (atom,) + law[k:]), BoundedTable(law)
+
+        def reads(tab):
+            qos = [QosConfig(theta, 2e-3, 1e4) for theta in (0.05, 1.0)]
+            return (
+                tab.z_min, tab.z_max, tab.upper_cutoff(), tab.moments(),
+                tab.inverse_moment(), _bits(tab.support_nodes),
+                [tab.cdf(z) for z in (0.0, 0.25, 0.5, 2.0, 4.0, 9.0, 10.0)],
+                [tab.quantile(p) for p in (0.0, 1e-16, 0.2, 0.5, 0.7, 0.71, 1.0)],
+                lowpower_csit(tab, 1.0),
+                [delay_limited_limit(2.0, mode, tab) for mode in ("csir", "csit")],
+                [f(tab, theta, 2e-3, 1e4) for f in (solve_alpha_star, wideband_csit)
+                 for theta in (0.0, 0.01, 1.0)],
+                [wideband_csir(tab, theta, 2e-3, 1e4) for theta in (0.01, 1.0)],
+                [f(snr, q, tab) for f in (spectral_efficiency_csir, spectral_efficiency_csit)
+                 for q in qos for snr in (1e-3, 2.0)],
+            )
+
+        assert reads(given) == reads(want)
+        for seed in range(20):
+            for size in (None, 1, 7, 1000):
+                assert np.array_equal(
+                    given.sample(np.random.default_rng(seed), size),
+                    want.sample(np.random.default_rng(seed), size),
+                )
+        assert given == want and repr(given) == repr(want)
+
     @pytest.mark.parametrize("p", (-1.0, -1e-300, 1.0 + 1e-15, 2.0, math.nan, math.inf))
     def test_quantile_rejects_levels_outside_the_unit_interval(self, p):
         for model in (BoundedTable(((1.0, 0.4), (2.0, 0.6))), Deterministic(1.3), NakagamiM(2.0)):
@@ -337,7 +375,7 @@ class TestBoundedTable:
             BoundedTable(((0.0, 0.2), (1e-300, 0.3), (0.7, 0.0), (3.1, 0.5))),
         )
         for tab in tables:
-            zs, ps = tab.atoms
+            zs, ps = tab.zs, tab.ps
             assert _bits(tab.support_nodes[2:]) == _bits((zs[ps > 0], ps[ps > 0]))
         floor = wideband_csir(Deterministic(1e-300), 1e-30, 2e-3, 1.0).ebn0_min_linear
         assert abs(floor - math.log(2.0) / 1e-300) <= math.ulp(floor)
@@ -419,12 +457,12 @@ class TestLogNodes:
             t = ln_w - s * np.exp(u)
             ln_l = logsumexp(t)
             ratio = np.dot(np.exp(t - ln_l), np.exp(2.0 * u))
-            if model.atoms is None:
+            if not isinstance(model, BoundedTable):
                 m, theta = shape_scale(model)
                 want_ln_l = -m * math.log1p(theta * s)
                 want_ratio = m * (m + 1.0) * theta**2 / (1.0 + theta * s) ** 2
             else:
-                zs, ps = model.atoms
+                zs, ps = model.zs, model.ps
                 want_ln_l = logsumexp(np.log(ps[ps > 0]) - s * zs[ps > 0])
                 want_ratio = atom_sum(
                     model, lambda z: z * z * math.exp(-s * z - want_ln_l)
@@ -501,7 +539,7 @@ class TestLogNodes:
             u, ln_w = model.log_nodes(ln_a)
             for p in (0.1, 0.45, 0.9):
                 got = np.exp(ln_w - p * (u - ln_a)).sum()
-                if model.atoms is None:
+                if not isinstance(model, BoundedTable):
                     m, theta = shape_scale(model)
                     want = (a / theta) ** p * upper_gamma(m - p, a / theta) / gamma(m)
                 else:

@@ -325,7 +325,7 @@ class TestSurface:
         )
         assert surf.failures == 0
         c = T * 1e6 / LN2
-        mean = sum(p * math.exp(-c * z) for z, p in zip(*TABLE.atoms))
+        mean = sum(p * math.exp(-c * z) for z, p in zip(TABLE.zs, TABLE.ps))
         want = 10.0 * math.log10(-T * 1e6 / math.log(mean))
         assert surf.ebn0_min_db[-1][-1] == pytest.approx(want, rel=1e-14)
 
