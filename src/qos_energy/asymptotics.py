@@ -160,20 +160,31 @@ def lowpower_csit(model: FadingModel, beta: float = 0.0) -> AsymptoticSummary:
     )
 
 
-def _laplace(model: FadingModel, c: float) -> tuple[float, float]:
-    """(ln L, r) for L = E{exp(-c z)} and r = -ln L / c = E{z phi(c z)}
+def _laplace(model: FadingModel, c: float) -> tuple[float, float, np.ndarray]:
+    """(ln L, r, h) for L = E{exp(-c z)}, r = -ln L / c = E{z phi(c z)}
     ln L / (L - 1), phi(x) = -expm1(-x)/x, phi(0) = 1, which stays finite,
-    at E{z}, as c z rounds away; NumericalError unless 0 < r < inf."""
+    at E{z}, as c z rounds away, and h = -c z at the support nodes;
+    NumericalError unless 0 < r < inf.
+
+    Where c times the top node passes the doubles, h is -inf from c z =
+    DBL_MAX/e up, where exp and expm1 of -c z are 0 and -1 all the same,
+    and z phi(c z) is -expm1(-c z)/c."""
     model._check_lumped("E{exp(-x z)} at x = c", c)
-    _, ln_w, z, w = model.support_nodes
-    h = -c * z
-    em1 = np.expm1(h)
+    u, ln_w, z, w = model.support_nodes
+    if c * float(z[-1]) < math.inf:
+        h = -c * z
+        em1 = np.expm1(h)
+        z_phi = z * np.divide(em1, h, out=np.ones_like(h), where=h < 0)
+    else:
+        below = u < (_LN_MAX - 1.0) - math.log(c)
+        h = np.multiply(-c, z, out=np.full_like(z, -np.inf), where=below)
+        em1 = np.expm1(h)
+        z_phi = -em1 / c
     ln_l = _ln_mean_exp(ln_w, h, w, em1)
-    phi = np.divide(em1, h, out=np.ones_like(h), where=h < 0)
-    r = float(np.dot(w, z * phi)) * (ln_l / math.expm1(ln_l) if ln_l else 1.0)
+    r = float(np.dot(w, z_phi)) * (ln_l / math.expm1(ln_l) if ln_l else 1.0)
     if not 0 < r < math.inf:
         raise NumericalError(f"-ln E{{exp(-c z)}}/c = {r:g} is not positive at c = {c:g}")
-    return ln_l, r
+    return ln_l, r, h
 
 
 def wideband_csir(
@@ -193,9 +204,9 @@ def wideband_csir(
     if theta == 0:
         return replace(lowpower_csir(model, 0.0), regime="wideband")
     c = theta * T * pbar_over_n0 / LN2
-    ln_l, r = _laplace(model, c)
-    u, ln_w, z, _ = model.support_nodes
-    ln_s0 = LN2 + 2.0 * math.log(r) - _logsumexp(ln_w - c * z - ln_l + 2.0 * u)
+    ln_l, r, h = _laplace(model, c)
+    u, ln_w, _, _ = model.support_nodes
+    ln_s0 = LN2 + 2.0 * math.log(r) - _logsumexp(ln_w + h - ln_l + 2.0 * u)
     if not ln_s0 < _LN_MAX:
         raise NumericalError(
             f"wideband CSIR slope overflows: ln S0 = {ln_s0:g} "
@@ -255,98 +266,108 @@ def solve_alpha_star(
 def _alpha_star_rows(model: FadingModel, thetas, T: float, pbars) -> list:
     """solve_alpha_star for each (thetas[i], pbars[i]): per row the
     AlphaStarSolution or the NumericalError it raised, every alpha* of the
-    batch from one _log_moment_rows."""
+    batch from one _alpha_star_roots, to which each row adds the slope's H and
+    dln alpha/dzeta."""
     for theta, pbar in zip(thetas, pbars):
         _check_wideband_args(theta, T, pbar)
-    out = [None] * len(thetas)
-    rows = np.flatnonzero([theta > 0 for theta in thetas])
-    for i in np.flatnonzero([theta == 0 for theta in thetas]):
-        zmax = model.z_max
-        out[i] = AlphaStarSolution(
-            alpha_star=zmax,
-            xi=1.0,
-            alpha_dot_zero=None,
-            ln_alpha_star=math.log(zmax),
-            ln_xi=0.0,
-        )
-    theta = np.array([thetas[i] for i in rows], dtype=float)
-    pbar = np.array([pbars[i] for i in rows], dtype=float)
-    ln_k = np.log(theta) + (math.log(T) - math.log(LN2))
-    ln_c = ln_k + np.log(pbar)
-    # The root equation reads L1 = c, so c must be a double.
-    big = ~(ln_c < _LN_MAX)
-    for k in np.flatnonzero(big):
-        out[rows[k]] = NumericalError(
-            f"c = theta*T*(Pbar/N0)/ln2 = exp({ln_c[k]:g}) overflows "
-            f"({_wideband_params(model, theta[k], T, pbar[k])})"
-        )
-    rows, theta, pbar, ln_k, ln_c = (a[~big] for a in (rows, theta, pbar, ln_k, ln_c))
-    if not rows.size:
-        return out
-    try:
-        roots, errors = _log_moment_rows(ln_c, model)
-    except BracketFailure as exc:
-        return [exc if o is None else o for o in out]
-    inv, l1, h = roots.inverse(), roots.log_moment(), roots.log_moment2()
-    ln_xi = roots.ln_mean_power(np.ones(rows.size))
-    for k, i in enumerate(rows):
+    solve = [(float(t), float(p)) for t, p in zip(thetas, pbars) if t > 0]
+    roots = iter(_alpha_star_roots(model, [t for t, _ in solve], T,
+                                   [p for _, p in solve]))
+    out = []
+    for theta, pbar_over_n0 in zip(map(float, thetas), map(float, pbars)):
+        if theta == 0:
+            zmax = model.z_max
+            out.append(AlphaStarSolution(
+                alpha_star=zmax,
+                xi=1.0,
+                alpha_dot_zero=None,
+                ln_alpha_star=math.log(zmax),
+                ln_xi=0.0,
+            ))
+            continue
+        if isinstance(root := next(roots), NumericalError):
+            out.append(root)
+            continue
+        ln_star, ln_k, inv_above, h, ln_xi = root
         try:
-            if errors[k] is not None:
-                raise errors[k]
-            out[i] = _alpha_star(
-                model, float(theta[k]), T, float(pbar[k]), float(roots.x[k]),
-                float(ln_k[k]), float(ln_c[k]), float(inv[k]), float(l1[k]),
-                float(h[k]), float(ln_xi[k]),
-            )
+            if not (h > 0 and math.isfinite(h)):
+                raise NumericalError(
+                    f"wideband CSIT curvature H = {h:g} is not positive and finite "
+                    f"({_wideband_params(model, theta, T, pbar_over_n0)})"
+                )
+            ln_xi = _ln_xi(ln_xi, ln_star)
+            alpha_star = math.exp(ln_star)
+            try:
+                h_over_2k = 0.5 * h * math.exp(-ln_k)
+            except OverflowError:
+                h_over_2k = math.inf
+            dln = -(pbar_over_n0 - h_over_2k) / inv_above
+            if not math.isfinite(dln):
+                raise NumericalError(
+                    f"wideband CSIT threshold derivative dln alpha/dzeta = {dln:g} "
+                    f"is not finite ({_wideband_params(model, theta, T, pbar_over_n0)})"
+                )
+            out.append(AlphaStarSolution(
+                alpha_star=alpha_star,
+                xi=math.exp(ln_xi),
+                alpha_dot_zero=dln * alpha_star,
+                ln_alpha_star=ln_star,
+                ln_xi=ln_xi,
+                dln_alpha_dzeta=dln,
+                log_moment2=h,
+            ))
         except NumericalError as exc:
-            out[i] = exc
+            out.append(exc)
     return out
 
 
-def _alpha_star(model, theta, T, pbar_over_n0, ln_star, ln_k, ln_c, inv_above,
-                l1, h, ln_xi) -> AlphaStarSolution:
-    """The AlphaStarSolution at the root ln_star from the sums there, with
-    the checks that make an unresolved root or an overflow a NumericalError."""
-    # A root has |ln L1 - ln c| well inside 1e-9 |dln L1/dln a| = 1e-9 I/L1,
-    # and, by the solver's 1e-13 stopping rule, inside 1e-13 I/L1 <= 1e-6
-    # unless alpha* sits within ~1e-7 (in ln z) of the last expectation
-    # node.  There L1 falls to 0 with the width of the nodes left above
-    # alpha*, so a short Newton step there does not make L1 = c: a
-    # threshold past the nodes ends on that fall.
-    ln_l1 = math.log(l1) if l1 > 0 else -math.inf
-    r = abs(ln_l1 - ln_c)
-    if not (r <= 1e-6 and r * l1 <= 1e-9 * inv_above):
-        raise NumericalError(
-            f"wideband CSIT threshold alpha* = exp({ln_star:g}) is not resolved: "
-            f"ln L1 = {ln_l1:g} against ln c = {ln_c:g} "
-            f"({_wideband_params(model, theta, T, pbar_over_n0)})"
+def _alpha_star_roots(model: FadingModel, thetas, T: float, pbars) -> list:
+    """The floor half of _alpha_star_rows, at theta > 0: per row
+    (ln alpha*, ln k, I, H, ln xi) at a resolved root, with H and ln xi
+    not yet checked, or the NumericalError of a c past the doubles, of the
+    bracket or of a root that is not resolved; every alpha* from one
+    _log_moment_rows."""
+    for theta, pbar in zip(thetas, pbars):
+        _check_wideband_args(theta, T, pbar)
+    theta = np.array(thetas, dtype=float)
+    pbar = np.array(pbars, dtype=float)
+    ln_k = np.log(theta) + (math.log(T) - math.log(LN2))
+    ln_c = ln_k + np.log(pbar)
+    out = [None] * len(theta)
+    # The root equation reads L1 = c, so c must be a double.
+    big = ~(ln_c < _LN_MAX)
+    for k in np.flatnonzero(big):
+        out[k] = NumericalError(
+            f"c = theta*T*(Pbar/N0)/ln2 = exp({ln_c[k]:g}) overflows "
+            f"({_wideband_params(model, theta[k], T, pbar[k])})"
         )
-    if not (h > 0 and math.isfinite(h)):
-        raise NumericalError(
-            f"wideband CSIT curvature H = {h:g} is not positive and finite "
-            f"({_wideband_params(model, theta, T, pbar_over_n0)})"
-        )
-    ln_xi = _ln_xi(ln_xi, ln_star)
-    alpha_star = math.exp(ln_star)
+    rows = np.flatnonzero(~big)
+    if not rows.size:
+        return out
     try:
-        h_over_2k = 0.5 * h * math.exp(-ln_k)
-    except OverflowError:
-        h_over_2k = math.inf
-    dln = -(pbar_over_n0 - h_over_2k) / inv_above
-    if not math.isfinite(dln):
-        raise NumericalError(
-            f"wideband CSIT threshold derivative dln alpha/dzeta = {dln:g} is not "
-            f"finite ({_wideband_params(model, theta, T, pbar_over_n0)})"
-        )
-    return AlphaStarSolution(
-        alpha_star=alpha_star,
-        xi=math.exp(ln_xi),
-        alpha_dot_zero=dln * alpha_star,
-        ln_alpha_star=ln_star,
-        ln_xi=ln_xi,
-        dln_alpha_dzeta=dln,
-        log_moment2=h,
-    )
+        roots, errors = _log_moment_rows(ln_c[rows], model)
+    except BracketFailure as exc:
+        return [exc if o is None else o for o in out]
+    cols = (roots.x, ln_k[rows], ln_c[rows], roots.inverse(), roots.log_moment(),
+            roots.log_moment2(), roots.ln_mean_power(np.ones(rows.size)))
+    for k, error, row in zip(rows.tolist(), errors, zip(*(a.tolist() for a in cols))):
+        ln_star, ln_k_row, ln_c_row, inv_above, l1, h, ln_xi = row
+        # A root has |ln L1 - ln c| well inside 1e-9 |dln L1/dln a| = 1e-9 I/L1,
+        # and, by the solver's 1e-13 stopping rule, inside 1e-13 I/L1 <= 1e-6
+        # unless alpha* sits within ~1e-7 (in ln z) of the last expectation
+        # node.  There L1 falls to 0 with the width of the nodes left above
+        # alpha*, so a short Newton step there does not make L1 = c: a
+        # threshold past the nodes ends on that fall.
+        ln_l1 = math.log(l1) if l1 > 0 else -math.inf
+        r = abs(ln_l1 - ln_c_row)
+        if error is None and not (r <= 1e-6 and r * l1 <= 1e-9 * inv_above):
+            error = NumericalError(
+                f"wideband CSIT threshold alpha* = exp({ln_star:g}) is not resolved: "
+                f"ln L1 = {ln_l1:g} against ln c = {ln_c_row:g} "
+                f"({_wideband_params(model, float(theta[k]), T, float(pbar[k]))})"
+            )
+        out[k] = error or (ln_star, ln_k_row, inv_above, h, ln_xi)
+    return out
 
 
 def _bit_energy_floor(theta: float, T: float, pbar_over_n0: float, ln_l: float) -> float:

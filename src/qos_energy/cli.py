@@ -21,6 +21,7 @@ values are null in JSON and empty fields in CSV.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -269,7 +270,7 @@ def _surface(cfg: dict, model):
     surf = ebn0_min_surface(cfg["mode"], model, cfg["theta"], cfg["pbar_grid"],
                             cfg["T"])
     base = f"surface_{cfg['mode']}_{_model_tag(cfg['model'])}"
-    payload = {k: v for k, v in vars(surf).items() if k != "mode"}
+    payload = vars(surf)
     rows = []
     for theta, row in zip(surf.theta_grid, surf.ebn0_min_db):
         for pn0, val in zip(surf.pbar_grid, row):
@@ -388,9 +389,10 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The CLI parser; with a command, only that command's options are added
-    (every command is still listed, so --help and unknown commands work)."""
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, every command with its options, built once per
+    process and shared by every call, which only parses with it."""
     parser = argparse.ArgumentParser(
         prog="qos-energy",
         description="Effective-capacity energy/bandwidth tradeoffs under QoS "
@@ -401,8 +403,6 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         # No abbreviations: `--mode` would otherwise select `--model` on a
         # command that has no `--mode`.
         p = sub.add_parser(name, help=command_help, allow_abbrev=False)
-        if command not in (None, name):
-            continue
         p.add_argument("--config", metavar="FILE", help="JSON config file")
         p.add_argument("--model", help="fading model kind", choices=list(_MODELS))
         p.add_argument("--m", type=float, help="Nakagami shape parameter")
@@ -540,9 +540,8 @@ def _write(command: str, cfg: dict, base: str, payload: dict, tables) -> list:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         if code is None:

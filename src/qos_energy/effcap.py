@@ -232,7 +232,7 @@ class _Roots:
 
     def log_moment2(self) -> np.ndarray:
         """H = E{ln^2(z/a)/z ; z >= a}; inf past the doubles, which
-        _alpha_star refuses."""
+        _alpha_star_rows refuses."""
         cv, _, d1, d2 = self.sums[:4]
         with np.errstate(over="ignore"):
             return self._partial_sum(lambda d, v, ln_w: v * d * d) + (
@@ -444,9 +444,19 @@ def spectral_efficiency_csir(snr: float, qos: QosConfig, model: FadingModel) -> 
     theta_tb = _theta_tb(qos)
     beta = theta_tb / LN2
     model._check_lumped("E{(1 + x z)^-beta} at x = snr", snr, beta)
-    _, ln_w, z, w = model.support_nodes
-    log_e = _ln_mean_exp(ln_w, -beta * np.log1p(snr * z), w)
+    _, ln_w, _, w = model.support_nodes
+    log_e = _ln_mean_exp(ln_w, -beta * _ln1p_nodes(snr, model), w)
     return -log_e / theta_tb
+
+
+def _ln1p_nodes(x: float, model: FadingModel) -> np.ndarray:
+    """ln(1 + x z) at the model's support nodes: log1p(x z) while x times
+    the top node is a double, logaddexp(0, ln x + ln z) past it, where x z
+    overflows."""
+    u, _, z, _ = model.support_nodes
+    if x * float(z[-1]) < math.inf:
+        return np.log1p(x * z)
+    return np.logaddexp(0.0, math.log(x) + u)
 
 
 def spectral_efficiency_csit(snr: float, qos: QosConfig, model: FadingModel) -> float:
@@ -512,8 +522,7 @@ def shannon_limit(snr: float, mode: str, qos: QosConfig, model: FadingModel) -> 
     if snr == 0:
         return 0.0
     if mode == "csir":
-        _, _, z, w = model.support_nodes
-        return float(np.dot(w, np.log1p(snr * z))) / LN2
+        return float(np.dot(model.support_nodes[3], _ln1p_nodes(snr, model))) / LN2
     return spectral_efficiency_csit(snr, replace(qos, theta=0.0), model)
 
 

@@ -11,11 +11,12 @@ sums are exact, and their support_nodes carry the atoms and probabilities
 themselves.  A table keeps only its atoms with probability, so its
 support nodes, bounds and every other reader see the law itself;
 Deterministic, the unfaded channel, is the one-atom BoundedTable.
-Continuous models return composite 16-point Gauss-Legendre panels in ln z
-on one grid per model, _grid, whose edges and nodes are built once as
-arrays: 0.25-wide panels hung down from e^2 times the 1 - 1e-12 quantile
-to the lattice edge at or above the scale s = mean/m, and below it, where
-z p(z) is z^m e^(-z/s) and smooth in ln z, wider ones (the bound at
+NakagamiM, the one law with a density (Rayleigh is its m = 1), holds the
+node grid: composite 16-point Gauss-Legendre panels in ln z on one grid
+per model, _grid, whose edges and nodes are built once as arrays:
+0.25-wide panels hung down from e^2 times the 1 - 1e-12 quantile to the
+lattice edge at or above the scale s = mean/m, and below it, where z p(z)
+is z^m e^(-z/s) and smooth in ln z, wider ones (the bound at
 _LN_Z_WHOLE), down past both the 1e-280 floor and s 1e-30.  A threshold
 set is one partial panel, from the threshold up to the next grid edge,
 followed by the grid panels above that edge, a slice of _grid; a
@@ -28,6 +29,9 @@ mass spreads below the node moves a mean of e^(-xz) once x s passes about
 The threshold solves read each model's panels or atoms through the sums
 at their edges (_Groups), built once and whole down to 1e-280: 344
 groups for Rayleigh, 2,594 from m = 8 on.
+_ContinuousModel remains only as an alias of NakagamiM for the benchmark's
+tracer, which wraps expect_above on it, until that tracer goes (ROADMAP
+item 1b).
 Formulas written on (u, ln_w) combine exponents before exponentiating,
 which keeps thresholds deep in the subnormal range finite.  The strict-CDF /
 non-strict-indicator pair partitions the probability space exactly, which
@@ -405,7 +409,7 @@ class FadingModel(abc.ABC):
         The scalar-callback reference for log_nodes, which tests compare
         against; the package itself computes expectations from log_nodes.
         QUADPACK, behind the continuous models, can be wrong without
-        raising for a sharp integrand (see _ContinuousModel.expect_above).
+        raising for a sharp integrand (see NakagamiM.expect_above).
         """
 
     @abc.abstractmethod
@@ -476,12 +480,70 @@ class FadingModel(abc.ABC):
         return math.log(f) if f > 0 else -math.inf
 
 
-class _ContinuousModel(FadingModel):
-    """Gauss-Legendre panels in ln z for models with a density."""
+@dataclass(frozen=True)
+class NakagamiM(FadingModel):
+    """Power gain under Nakagami-m fading: Gamma with shape m and mean as given,
+    the one law with a density, which holds the node grid in ln z.
 
-    @abc.abstractmethod
+    m = 1 is the Rayleigh (exponential) gain law; Rayleigh is that case.
+    """
+
+    m: float
+    mean: float = 1.0
+    kind = "nakagami"
+
+    def __post_init__(self):
+        if not (self.m >= 0.5 and math.isfinite(self.m)):
+            raise ValueError(f"shape m must be >= 0.5, got {self.m}")
+        if not (self.mean > 0 and math.isfinite(self.mean)):
+            raise ValueError(f"mean must be positive and finite, got {self.mean}")
+
+    @property
+    def scale(self) -> float:
+        return self.mean / self.m
+
+    @property
+    def z_min(self) -> float:
+        return 0.0
+
+    @property
+    def z_max(self) -> float:
+        return math.inf
+
+    def density(self, z: float) -> float:
+        if z < 0:
+            return 0.0
+        if z == 0:
+            if self.m > 1:
+                return 0.0
+            if self.m == 1:
+                return 1.0 / self.scale
+            return math.inf
+        logp = (
+            (self.m - 1.0) * math.log(z)
+            - z / self.scale
+            - math.lgamma(self.m)
+            - self.m * math.log(self.scale)
+        )
+        return math.exp(logp)
+
+    def cdf(self, z: float) -> float:
+        if z <= 0:
+            return 0.0
+        x = z / self.scale
+        ln_p, ln_q = _ln_gamma_pq(self.m, x, math.log(x) if x != 0 else -math.inf)
+        prob = math.exp(ln_p)
+        return prob if prob < 0.5 else -math.expm1(ln_q)
+
     def _ln_zp(self, u: np.ndarray) -> np.ndarray:
-        """ln(z p_z(z)) at z = exp(u), vectorised."""
+        """ln(z p_z(z)) at z = exp(u), vectorised: m u - z/s - lgamma(m)
+        - m ln s, in place and in that order."""
+        out = np.exp(u)
+        out /= -self.scale
+        out += self.m * u
+        out -= math.lgamma(self.m)
+        out -= self.m * math.log(self.scale)
+        return out
 
     @functools.cached_property
     def _ln_z_top(self) -> float:
@@ -587,70 +649,6 @@ class _ContinuousModel(FadingModel):
             )
         return value
 
-
-@dataclass(frozen=True)
-class NakagamiM(_ContinuousModel):
-    """Power gain under Nakagami-m fading: Gamma with shape m and mean as given.
-
-    m = 1 is the Rayleigh (exponential) gain law; Rayleigh is that case.
-    """
-
-    m: float
-    mean: float = 1.0
-    kind = "nakagami"
-
-    def __post_init__(self):
-        if not (self.m >= 0.5 and math.isfinite(self.m)):
-            raise ValueError(f"shape m must be >= 0.5, got {self.m}")
-        if not (self.mean > 0 and math.isfinite(self.mean)):
-            raise ValueError(f"mean must be positive and finite, got {self.mean}")
-
-    @property
-    def scale(self) -> float:
-        return self.mean / self.m
-
-    @property
-    def z_min(self) -> float:
-        return 0.0
-
-    @property
-    def z_max(self) -> float:
-        return math.inf
-
-    def density(self, z: float) -> float:
-        if z < 0:
-            return 0.0
-        if z == 0:
-            if self.m > 1:
-                return 0.0
-            if self.m == 1:
-                return 1.0 / self.scale
-            return math.inf
-        logp = (
-            (self.m - 1.0) * math.log(z)
-            - z / self.scale
-            - math.lgamma(self.m)
-            - self.m * math.log(self.scale)
-        )
-        return math.exp(logp)
-
-    def cdf(self, z: float) -> float:
-        if z <= 0:
-            return 0.0
-        x = z / self.scale
-        ln_p, ln_q = _ln_gamma_pq(self.m, x, math.log(x) if x != 0 else -math.inf)
-        prob = math.exp(ln_p)
-        return prob if prob < 0.5 else -math.expm1(ln_q)
-
-    def _ln_zp(self, u: np.ndarray) -> np.ndarray:
-        # m u - z/s - lgamma(m) - m ln s, in place and in that order
-        out = np.exp(u)
-        out /= -self.scale
-        out += self.m * u
-        out -= math.lgamma(self.m)
-        out -= self.m * math.log(self.scale)
-        return out
-
     def moments(self) -> tuple[float, float]:
         return self.mean, self.mean**2 * (self.m + 1.0) / self.m
 
@@ -670,6 +668,10 @@ class NakagamiM(_ContinuousModel):
 
     def sample(self, rng: np.random.Generator, size=None):
         return rng.gamma(self.m, self.scale, size=size)
+
+
+# perfbench/tracer.py wraps expect_above on this name; it goes with the tracer.
+_ContinuousModel = NakagamiM
 
 
 @dataclass(frozen=True)

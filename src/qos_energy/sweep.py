@@ -24,8 +24,10 @@ from .asymptotics import (
     _asymptotes,
     _bit_energy_floor,
     _laplace,
+    _alpha_star_roots,
 )
 from .effcap import (
+    _MIN_NORMAL,
     LN2,
     QosConfig,
     _check_mode,
@@ -143,7 +145,6 @@ class AlphaZetaCurve:
 class Surface:
     """ebn0_min_db[i][j] over (theta_grid[i], pbar_grid[j]); None = failed."""
 
-    mode: str
     theta_grid: tuple
     pbar_grid: tuple
     ebn0_min_db: tuple
@@ -255,16 +256,19 @@ def ebn0_min_surface(
     """Bit-energy floor in dB over a (theta, pbar_over_n0) grid.
 
     Cells at theta > 0 take the floor from -ln E{exp(-c z)}/c (CSIR) or
-    from the xi of solve_alpha_star (CSIT), without the slope.  Cells that
-    fail numerically are stored as None; a CSIT floor of 0 linear
-    (unbounded gains at theta = 0) is stored as -inf dB.
+    from the xi of solve_alpha_star (CSIT), without the slope: a CSIT cell
+    fails only when alpha* is not resolved or ln xi is not a negative
+    normal double, never for the slope's H.  Cells that fail numerically
+    are stored as None; a CSIT floor of 0 linear (unbounded gains at
+    theta = 0) is stored as -inf dB.
     """
     _check_mode(mode)
     thetas = tuple(float(t) for t in theta_grid)
     pbars = tuple(float(p) for p in pbar_grid)
 
     solve = [(t, p) for t in thetas for p in pbars if mode == "csit" and t > 0]
-    sols = iter(_alpha_star_rows(model, [t for t, _ in solve], T, [p for _, p in solve]))
+    roots = iter(_alpha_star_roots(model, [t for t, _ in solve], T,
+                                   [p for _, p in solve]))
 
     def cell(theta: float, pn0: float):
         try:
@@ -273,9 +277,14 @@ def ebn0_min_surface(
                 return row if isinstance(row, NumericalError) else row.ebn0_min_db
             if mode == "csir":
                 return to_db(LN2 / _laplace(model, theta * T * pn0 / LN2)[1])
-            if isinstance(sol := next(sols), NumericalError):
-                return sol
-            return to_db(_bit_energy_floor(theta, T, pn0, sol.ln_xi))
+            if isinstance(root := next(roots), NumericalError):
+                return root
+            ln_xi = root[-1]
+            if not -math.inf < ln_xi <= -_MIN_NORMAL:
+                return NumericalError(
+                    f"ln xi = {ln_xi:g} is not a negative normal double"
+                )
+            return to_db(_bit_energy_floor(theta, T, pn0, ln_xi))
         except NumericalError as exc:
             return exc
 
@@ -284,7 +293,6 @@ def ebn0_min_surface(
         for t in thetas
     ]
     return Surface(
-        mode=mode,
         theta_grid=thetas,
         pbar_grid=pbars,
         ebn0_min_db=tuple(rows),

@@ -1,5 +1,6 @@
 """End-to-end command line checks driving main() directly."""
 
+import argparse
 import json
 import math
 import os
@@ -40,6 +41,23 @@ def test_import_loads_no_scipy():
         capture_output=True, text=True, check=True, timeout=60,
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_module_runs_as_a_program(tmp_path):
+    """python -m qos_energy.cli runs console_main, which exits with main's code."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qos_energy.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    runs = [
+        subprocess.run(
+            [sys.executable, "-m", "qos_energy.cli", "limits", *argv,
+             "--out", str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        for argv in ([], ["--config", str(tmp_path / "missing.json")])
+    ]
+    assert [r.returncode for r in runs] == [0, 2]
+    assert f"wrote {tmp_path / 'limits_rayleigh.json'}" in runs[0].stdout
+    assert "cannot read config file" in runs[1].stderr
 
 
 class TestAsymptoticsCommand:
@@ -248,18 +266,25 @@ class TestExitCodes:
         capsys.readouterr()
         assert main([]) == 2
 
-    def test_help_lists_every_command_and_builds_only_the_one_called(self, capsys):
+    def test_help_lists_every_command_and_main_builds_one_parser(
+        self, monkeypatch, capsys
+    ):
         assert main(["--help"]) == 0
         listing = capsys.readouterr().out
         assert all(name in listing for name in _COMMANDS)
-        [commands] = [a for a in build_parser("limits")._actions if a.dest == "command"]
+        [commands] = [a for a in build_parser()._actions if a.dest == "command"]
         assert list(commands.choices) == list(_COMMANDS)
-        assert all(
-            len(sub._actions) == 1 for name, sub in commands.choices.items()
-            if name != "limits"
-        )
+        built = []
+        real = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
         assert main(["bogus"]) == 2
         assert main(["limits", "--bogus"]) == 2
+        assert built == []
         capsys.readouterr()
 
     def test_bad_format_rejected_by_parser(self, tmp_path, capsys):
@@ -393,6 +418,50 @@ class TestExitCodes:
         ]
         [key] = doc
         assert load_json(tmp_path, name)["config"][key] == default
+
+    @pytest.mark.parametrize(
+        "argv, text, message",
+        [
+            pytest.param(("limits",), None, "cannot read config file", id="unreadable"),
+            pytest.param(("limits",), '{"T":', "is not valid JSON", id="not-json"),
+            pytest.param(("limits",), "[1, 2]", "must hold a JSON object", id="array"),
+            pytest.param(("limits",), '{"model": {"m": 2}}',
+                         "model: expected an object with a 'kind' key", id="no-kind"),
+            pytest.param(("asymptotics", "--theta", "0.1,abc"), "{}",
+                         "'0.1,abc' is not a list of numbers", id="theta-text"),
+            pytest.param(("simulate-queue",), '{"thresholds": [40, 20]}',
+                         "thresholds must be strictly increasing", id="thresholds"),
+            pytest.param(("simulate-queue", "--seed", "-1"), "{}",
+                         "seed must be >= 0, got -1", id="seed"),
+            pytest.param(("asymptotics",), '{"mode": "blind"}',
+                         "mode must be one of csir, csit, got 'blind'", id="mode"),
+            pytest.param(("simulate-queue", "--theta", "0"), "{}",
+                         "simulate-queue needs theta > 0", id="queue-theta"),
+            pytest.param(("simulate-queue",), '{"frames": 1000, "warmup_frames": 1000}',
+                         "warmup_frames must be below frames", id="warmup"),
+            pytest.param(("limits",), '{"T": 1e400}',
+                         "T must be positive and finite, got inf", id="infinite-T"),
+        ],
+    )
+    def test_rejected_input_exits_2_with_its_message(
+        self, tmp_path, capsys, argv, text, message
+    ):
+        cfg = tmp_path / "cfg.json"
+        if text is not None:
+            cfg.write_text(text, encoding="utf-8")
+        code, out = run(tmp_path, *argv, "--config", str(cfg))
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_bare_number_theta_is_a_one_element_list(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"theta": 0.1}', encoding="utf-8")
+        code, out = run(tmp_path, "asymptotics", "--config", str(cfg))
+        assert code == 0
+        data = load_json(out, "asymptotics_csir_lowpower_rayleigh.json")
+        assert data["config"]["theta"] == [0.1]
+        assert [r["theta"] for r in data["results"]] == [0.1]
 
 
 class TestModelResolution:

@@ -36,6 +36,7 @@ from qos_energy import (
     solve_alpha,
     spectral_efficiency_csir,
     spectral_efficiency_csit,
+    wideband_csir,
 )
 from qos_energy.effcap import LN2, to_db
 
@@ -376,6 +377,54 @@ class TestShannonLimits:
         assert a < 0.5  # consistent with both states active
         want = 0.5 * math.log2(0.5 / a) + 0.5 * math.log2(2.0 / a)
         assert got == pytest.approx(want, rel=1e-10)
+
+
+class TestProductsPastTheDoubles:
+    """x z past the doubles at the top node: ln(1 + x z) and -c z are formed
+    without overflow.  pyproject.toml makes a numpy RuntimeWarning an
+    error, so an "overflow encountered in multiply" fails these."""
+
+    TABLE = BoundedTable(((0.0, 0.1), (0.3, 0.2), (1.0, 0.4), (2.5, 0.3)))
+    UNIT = QosConfig(1.0, 1.0, 1.0)
+
+    def ln1p_atoms(self, x):
+        """ln(1 + x z) per atom, as ln x + ln z + log1p(1/(x z)), 0 at z = 0."""
+        return [
+            (p, 0.0 if z == 0 else math.log(x) + math.log(z) + math.log1p(1 / (x * z)))
+            for z, p in zip(self.TABLE.zs.tolist(), self.TABLE.ps.tolist())
+        ]
+
+    @pytest.mark.parametrize("snr", [1e306, 1e308])
+    def test_csir_shannon_limit_of_rayleigh(self, snr):
+        # E{ln(1 + s z)} = e^(1/s) E1(1/s) for unit-mean Rayleigh
+        want = math.exp(1 / snr) * float(exp1(1 / snr)) / LN2
+        got = shannon_limit(snr, "csir", self.UNIT, RAY)
+        assert got == pytest.approx(want, rel=1e-12)
+
+    def test_csir_shannon_limit_of_a_table(self):
+        want = sum(p * v for p, v in self.ln1p_atoms(1e308)) / LN2
+        got = shannon_limit(1e308, "csir", self.UNIT, self.TABLE)
+        assert got == pytest.approx(want, rel=1e-12)
+        assert got == pytest.approx(920.888, abs=1e-3)
+
+    def test_csir_rate_of_a_table(self):
+        beta = self.UNIT.beta
+        mean = sum(p * math.exp(-beta * v) for p, v in self.ln1p_atoms(1e308))
+        got = spectral_efficiency_csir(1e308, self.UNIT, self.TABLE)
+        assert got == pytest.approx(-math.log(mean), rel=1e-12)
+
+    def test_wideband_csir_of_a_table_is_refused_alone(self):
+        with pytest.raises(NumericalError, match="slope overflows"):
+            wideband_csir(self.TABLE, 1.0, 1.0, 1e308 * LN2)
+
+    def test_csir_surface_floor_of_a_table(self):
+        # exp(-c z) is 0 on every positive atom, so L = 0.1 and the floor is
+        # ln 2 c / ln 10; every positive atom adds its (1 - e^(-c z))/c to
+        # -ln L/c, the 2.5 atom's c z past the doubles as well
+        pn0 = 1e308 * LN2
+        (row,) = ebn0_min_surface("csir", self.TABLE, (1.0,), (pn0,), 1.0).ebn0_min_db
+        c = pn0 / LN2
+        assert row[0] == pytest.approx(to_db(LN2 * c / math.log(10.0)), rel=1e-12)
 
 
 class TestDelayLimited:

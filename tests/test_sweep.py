@@ -27,7 +27,7 @@ from qos_energy import (
     tradeoff_curve,
     wideband_csit,
 )
-from qos_energy import effcap
+from qos_energy import asymptotics, effcap
 from qos_energy import sweep as sweep_mod
 from qos_energy.effcap import LN2, QosConfig
 from test_effcap import gamma_moment_csit_se
@@ -329,6 +329,27 @@ class TestSurface:
         want = 10.0 * math.log10(-T * 1e6 / math.log(mean))
         assert surf.ebn0_min_db[-1][-1] == pytest.approx(want, rel=1e-14)
 
+    @pytest.mark.parametrize(
+        "model",
+        [
+            Deterministic(1.3),
+            BoundedTable(((0.0, 0.1), (0.3, 0.2), (1.0, 0.4), (2.5, 0.3))),
+        ],
+        ids=repr,
+    )
+    def test_csit_cells_need_no_slope(self, model):
+        # At theta 1e-165 and 1e-200 the slope's H = E{ln^2(z/alpha*)/z}
+        # underflows to 0, so solve_alpha_star refuses, but alpha* and ln xi
+        # resolve, and the floor is ln 2 / z_top
+        surf = ebn0_min_surface("csit", model, (1e-165, 1e-200), (1e4,), T)
+        assert surf.failures == 0
+        want = 10.0 * math.log10(LN2 / model.z_max)
+        cells = [cell for (cell,) in surf.ebn0_min_db]
+        assert cells == pytest.approx([want] * 2, rel=1e-12)
+        for theta in (1e-165, 1e-200):
+            with pytest.raises(NumericalError, match="curvature H = 0"):
+                solve_alpha_star(model, theta, T, 1e4)
+
     def test_csit_floor_below_csir_floor(self):
         csir = ebn0_min_surface("csir", RAY, (1.0,), (1e4,), T)
         csit = ebn0_min_surface("csit", RAY, (1.0,), (1e4,), T)
@@ -473,13 +494,18 @@ class TestWarmStarts:
 
     @pytest.mark.parametrize("model", [RAY, NakagamiM(m=2.0)], ids=repr)
     def test_csit_surface_roots_match_cold_solves(self, monkeypatch, model):
-        calls = record_batches(monkeypatch, "_alpha_star_rows")
+        # the surface reads the floor half of the alpha* rows: (ln alpha*,
+        # ln k, I, H, ln xi) per row, each with the bits of a one-row solve
+        calls = record_batches(monkeypatch, "_alpha_star_roots")
         surf = ebn0_min_surface("csit", model, SURFACE_THETAS, SURFACE_PBARS, T)
         assert surf.failures == 0
-        [((m, thetas, t, pbars), sols)] = calls
-        assert len(sols) == 400
-        for theta, pbar, sol in zip(thetas, pbars, sols):
-            assert sol == solve_alpha_star(m, theta, t, pbar)
+        [((m, thetas, t, pbars), rows)] = calls
+        assert len(rows) == 400
+        for theta, pbar, row in zip(thetas, pbars, rows):
+            sol = solve_alpha_star(m, theta, t, pbar)
+            assert row[0] == sol.ln_alpha_star
+            assert row[3:] == (sol.log_moment2, sol.ln_xi)
+            assert row == asymptotics._alpha_star_roots(m, [theta], t, [pbar])[0]
 
     def test_a_gap_leaves_its_neighbours_alone(self):
         # rows 1 and 3 leave the normal doubles (theta*T*B) or have no root
@@ -558,7 +584,8 @@ class TestColdRestartAfterGap:
         # the surface solves its cells row by row, theta outer
         bad = {i * len(pbars) + k for i in range(3) for k in FAILING}
         monkeypatch.setattr(
-            sweep_mod, "_alpha_star_rows", failing_rows(sweep_mod._alpha_star_rows, bad)
+            sweep_mod, "_alpha_star_roots",
+            failing_rows(sweep_mod._alpha_star_roots, bad),
         )
         with pytest.warns(UserWarning, match="synthetic failure"):
             surf = ebn0_min_surface("csit", RAY, thetas, pbars, T)
