@@ -487,55 +487,95 @@ def _resolve(args):
 
 
 def _fmt_cell(x) -> str:
-    """CSV cell: text as is, empty for missing, inf/-inf spelled out, 12
-    significant digits."""
+    """CSV cell: text as is, "" if missing, inf/-inf spelled out, 12 digits."""
     if isinstance(x, str):
         return x
     if x is None or math.isnan(x):
         return ""
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return f"{float(x):.12g}"
+    return f"{float(x):.12g}" if math.isfinite(x) else "inf" if x > 0 else "-inf"
 
 
-def _sanitize(obj):
-    """Make a structure JSON-safe: non-finite floats become strings."""
-    if isinstance(obj, dict):
-        return {k: _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        obj = obj.item()
-    if isinstance(obj, float):
-        if math.isnan(obj):
-            return "nan"
-        if math.isinf(obj):
-            return "inf" if obj > 0 else "-inf"
-    return obj
+_esc = json.encoder.encode_basestring_ascii
+_encode = json.JSONEncoder().encode
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+def _finite_floats(col) -> bool:
+    """Every item a finite built-in float; a sum that overflows says no."""
+    return {*map(type, col)} == {float} and math.isfinite(sum(col))
+
+
+def _scalar(x) -> str:
+    """JSON of a scalar or an empty container; "inf", "-inf", "nan" as strings."""
+    x = x.item() if isinstance(x, (np.floating, np.integer)) else x
+    if isinstance(x, float) and not math.isfinite(x):
+        return '"nan"' if x != x else '"inf"' if x > 0 else '"-inf"'
+    return _encode(x)
+
+
+def _texts(items, nl: str):
+    """JSON texts of the items at the indent `nl`, or None: scalars, and dicts
+    with one key set holding such items, by one %-template over the columns."""
+    if _finite_floats(items):
+        return map(float.__repr__, items)
+    if not any(isinstance(v, (dict, list, tuple)) and v for v in items):
+        return map(_scalar, items)
+    if {*map(type, items)} != {dict} or len({*map(tuple, items)}) != 1:
+        return None
+    keys = sorted(items[0])
+    cols = [_texts([d[k] for d in items], nl + "  ") for k in keys]
+    if None in cols:
+        return None
+    at = "," + nl + "  "
+    tpl = "{" + at[1:] + at.join(_esc(k).replace("%", "%%") + ": %s" for k in keys)
+    return map((tpl + nl + "}").__mod__, zip(*cols))
+
+
+def _json(obj, nl: str, parts: list) -> list:
+    """`parts` with the text of json.dumps(obj, indent=2, sort_keys=True) at
+    the indent `nl` appended, scalars as _scalar writes them."""
+    inner = nl + "  "
+    sep = "," + inner
+    if not obj or not isinstance(obj, (dict, list, tuple)):
+        parts.append(_scalar(obj))
+    elif isinstance(obj, dict):
+        for i, key in enumerate(sorted(obj)):
+            parts.append((sep if i else "{" + inner) + _esc(key) + ": ")
+            _json(obj[key], inner, parts)
+        parts.append(nl + "}")
+    elif (texts := _texts(obj, inner)) is not None:
+        parts.append("[" + inner + sep.join(texts) + nl + "]")
+    else:
+        for i, item in enumerate(obj):
+            parts.append(sep if i else "[" + inner)
+            _json(item, inner, parts)
+        parts.append(nl + "]")
+    return parts
+
+
+def _csv_lines(rows):
+    """CSV lines, each column of finite floats formatted in one map."""
+    if len({*map(len, rows)}) == 1 and rows[0]:
+        fmt = "{:.12g}".format
+        cols = [map(fmt if _finite_floats(c) else _fmt_cell, c) for c in zip(*rows)]
+        return map(",".join, zip(*cols))
+    return [",".join(map(_fmt_cell, row)) for row in rows]
 
 
 def _write(command: str, cfg: dict, base: str, payload: dict, tables) -> list:
     """Write <base>.json and each table as <name>.csv into `out`, as
     `format` selects; return the paths written."""
     os.makedirs(cfg["out"], exist_ok=True)
-    written = []
+    files = []
     if cfg["format"] != "csv":
         doc = {"command": command, "config": cfg, **payload}
-        path = os.path.join(cfg["out"], base + ".json")
-        _write_text(path, json.dumps(_sanitize(doc), indent=2, sort_keys=True) + "\n")
-        written.append(path)
+        files.append((base + ".json", "".join(_json(doc, "\n", []))))
     if cfg["format"] != "json":
-        for name, header, rows in tables:
-            lines = [header] + [",".join(_fmt_cell(c) for c in row) for row in rows]
-            path = os.path.join(cfg["out"], name + ".csv")
-            _write_text(path, "\n".join(lines) + "\n")
-            written.append(path)
-    return written
+        files += [(name + ".csv", "\n".join([header, *_csv_lines(rows)]))
+                  for name, header, rows in tables]
+    for name, text in files:
+        with open(os.path.join(cfg["out"], name), "wb") as fh:
+            fh.write(text.encode() + b"\n")
+    return [os.path.join(cfg["out"], name) for name, _ in files]
 
 
 def main(argv=None) -> int:

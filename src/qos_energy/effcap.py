@@ -536,7 +536,11 @@ def delay_limited_limit(snr: float, mode: str, model: FadingModel) -> float:
     _check_mode(mode)
     _check_snr(snr)
     if mode == "csir":
-        return math.log1p(snr * model.z_min) / LN2
+        x = snr * model.z_min
+        # Past the doubles log1p(x) is ln x to the last bit: ln snr + ln z.
+        if math.isinf(x):
+            return (math.log(snr) + math.log(model.z_min)) / LN2
+        return math.log1p(x) / LN2
     inv = model.inverse_moment()
     if math.isinf(inv):
         warnings.warn(
@@ -545,7 +549,10 @@ def delay_limited_limit(snr: float, mode: str, model: FadingModel) -> float:
             stacklevel=2,
         )
         return 0.0
-    return math.log1p(snr / inv) / LN2
+    x = snr / inv
+    if math.isinf(x):
+        return (math.log(snr) - math.log(inv)) / LN2
+    return math.log1p(x) / LN2
 
 
 def bit_energy(snr: float, spectral_efficiency: float) -> float:

@@ -693,7 +693,11 @@ class Rayleigh(NakagamiM):
         return super().quantile(p)
 
     def sample(self, rng: np.random.Generator, size=None):
-        return rng.exponential(self.mean, size=size)
+        # The bits of rng.exponential(self.mean, size), without its per-draw
+        # scaling: one standard draw per gain, scaled in place.
+        z = rng.standard_exponential(size)
+        z *= self.mean
+        return z
 
 
 class BoundedTable(FadingModel):

@@ -7,8 +7,11 @@ the one-row threshold solve that batch rows are checked against.  The
 direct sums run over the node set log_nodes(ln a) at the threshold itself,
 where the package composes them from its sums at the grid edges and
 atoms; gamma_panel_nodes builds a uniform node set of its own.
+json_artifact and csv_artifact are the CLI's former writer, built on
+json.dumps and per-cell formatting, and use nothing of the package.
 """
 
+import json
 import math
 
 import numpy as np
@@ -99,3 +102,42 @@ def gamma_panel_nodes(m: float, scale: float, ln_lo: float, ln_hi: float):
     u = lo[:, None] + half * (1.0 + x)
     ln_zp = m * u - np.exp(u) / scale - math.lgamma(m) - m * math.log(scale)
     return u.ravel(), (np.log(half * w) + ln_zp).ravel()
+
+
+def json_artifact(doc) -> str:
+    """A JSON artifact as json.dumps writes it: numpy scalars as Python
+    numbers, non-finite floats as the strings "inf", "-inf" and "nan",
+    two-space indent, sorted keys and a final newline."""
+
+    def sanitize(obj):
+        if isinstance(obj, dict):
+            return {k: sanitize(v) for k, v in obj.items()}
+        if isinstance(obj, (list, tuple)):
+            return [sanitize(v) for v in obj]
+        if isinstance(obj, (np.floating, np.integer)):
+            obj = obj.item()
+        if isinstance(obj, float):
+            if math.isnan(obj):
+                return "nan"
+            if math.isinf(obj):
+                return "inf" if obj > 0 else "-inf"
+        return obj
+
+    return json.dumps(sanitize(doc), indent=2, sort_keys=True) + "\n"
+
+
+def csv_artifact(header: str, rows) -> str:
+    """A CSV artifact cell by cell: text as is, empty for None and nan,
+    inf and -inf spelled out, other numbers to 12 significant digits."""
+
+    def cell(x) -> str:
+        if isinstance(x, str):
+            return x
+        if x is None or math.isnan(x):
+            return ""
+        if math.isinf(x):
+            return "inf" if x > 0 else "-inf"
+        return f"{float(x):.12g}"
+
+    lines = [header] + [",".join(cell(c) for c in row) for row in rows]
+    return "\n".join(lines) + "\n"

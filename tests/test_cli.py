@@ -7,10 +7,19 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import qos_energy
-from qos_energy.cli import _COMMANDS, MAX_GRID_POINTS, _model_tag, build_parser, main
+from oracles import csv_artifact, json_artifact
+from qos_energy.cli import (
+    _COMMANDS,
+    MAX_GRID_POINTS,
+    _model_tag,
+    _write,
+    build_parser,
+    main,
+)
 from qos_energy.fading import _MODELS
 
 
@@ -799,3 +808,87 @@ def test_artifacts_match_golden(tmp_path, capsys, name):
             assert len(cells_g) == len(cells_w), f"{fname}:{i}"
             for g, w in zip(cells_g, cells_w):
                 assert_same_cell(g, w, f"{fname}:{i}")
+
+
+INF, NAN = math.inf, math.nan
+
+# Payloads whose JSON must be what json.dumps(indent=2, sort_keys=True)
+# writes for the sanitized document; each takes one of the writer's paths.
+WRITER_PAYLOADS = {
+    "non-finite": {"x": [INF, -INF, NAN], "y": -INF, "z": [1.0, NAN, 2.0]},
+    "gap-points": {"points": [
+        {"ebn0_db": -1.25, "spectral_efficiency": 0.5},
+        {"ebn0_db": None, "spectral_efficiency": None},
+        {"ebn0_db": 3.75, "spectral_efficiency": INF},
+    ]},
+    "numpy": {"f": np.float64(0.1), "i": np.int64(-3), "g": np.float32(0.1),
+              "mixed": [np.float64(1.5), 2.5, np.int64(7), np.float64(NAN)],
+              "all": [np.float64(0.25), np.float64(-0.75)]},
+    "booleans": {"t": True, "f": False, "row": [True, 1, 1.0, False, None]},
+    "tuples-and-empties": {"t": (1.0, 2.0), "l": [], "d": {}, "e": (),
+                           "in": [[], {}, ()], "rec": [{}, {}]},
+    "lists-of-lists": {"rows": [[1.0, 2.0], [3.0, INF], [None, 4.0], []]},
+    "overflowing-sum": {"big": [1e308, 1e308], "low": [-1e308, -1e308, 0.5]},
+    "edge-floats": {"v": [-0.0, 5e-324, 1.5e300], "s": -0.0, "t": 5e-324},
+    "same-keys": {"c": [{"b": 2.0, "a": 1.0, "s": "x"},
+                        {"b": 4.0, "a": 3.0, "s": "y"}],
+                  "n": [{"a": {"u": 1.0, "v": [1.0]}}, {"a": {"u": 2.0, "v": []}}]},
+    "different-keys": {"c": [{"a": 1.0}, {"b": 2.0}],
+                       "order": [{"a": 1.0, "b": 2.0}, {"b": 4.0, "a": 3.0}],
+                       "extra": [{"a": 1.0}, {"a": 2.0, "b": 3.0}],
+                       "mixed": [{"a": 1.0}, [1.0], 2.0]},
+    "percent-keys": {"p": [{"50%": 1.0, "%s": 2.0, "a%%d": 3.0},
+                           {"50%": 4.0, "%s": 5.0, "a%%d": 6.0}],
+                     "%d": 1},
+}
+
+# CSV tables the writer must write as the cell-by-cell join does.
+WRITER_TABLES = {
+    "unequal-rows": [(1.0, 2.0), (3.0,)],
+    "strings": [("shannon_csir", 1.0), ("delay_limited_csit", 0.0)],
+    "empty": [],
+    "empty-rows": [(), ()],
+    "gaps": [(1.0, 2.0), (None, None), (INF, -INF), (NAN, 0.5)],
+    "numbers": [(np.float64(1.0), 2), (3.5, np.int64(4)), (True, 0.5)],
+    "overflowing-sum": [(1e308, 1.0), (1e308, 2.0)],
+    "edge-floats": [(-0.0, 5e-324), (1.5e300, 0.1)],
+    "floats": [(0.1, 1.0 / 3.0, 2e-7), (1e22, -2.5, 123456789012.5)],
+}
+
+
+class TestWriter:
+    """The artifacts, byte for byte, against the json.dumps writer."""
+
+    @staticmethod
+    def write(out, payload, tables, fmt="both"):
+        cfg = {"out": str(out), "format": fmt, "theta": [0.0, 0.1], "seed": 1}
+        written = _write("cmd", cfg, "base", payload, tables)
+        return cfg, written
+
+    @pytest.mark.parametrize("case", sorted(WRITER_PAYLOADS))
+    def test_json_matches_the_oracle(self, tmp_path, case):
+        payload = WRITER_PAYLOADS[case]
+        cfg, written = self.write(tmp_path / "out", payload, [], "json")
+        assert written == [str(tmp_path / "out" / "base.json")]
+        want = json_artifact({"command": "cmd", "config": cfg, **payload})
+        assert (tmp_path / "out" / "base.json").read_bytes() == want.encode()
+
+    @pytest.mark.parametrize("case", sorted(WRITER_TABLES))
+    def test_csv_matches_the_oracle(self, tmp_path, case):
+        rows = WRITER_TABLES[case]
+        tables = [("t1", "a,b", rows), ("t2", "x", [(0.5,)])]
+        _, written = self.write(tmp_path / "out", {}, tables, "csv")
+        assert written == [str(tmp_path / "out" / n) for n in ("t1.csv", "t2.csv")]
+        got = (tmp_path / "out" / "t1.csv").read_bytes()
+        assert got == csv_artifact("a,b", rows).encode()
+
+    def test_out_path_with_quote_backslash_and_non_ascii(self, tmp_path):
+        out = tmp_path / 'd\u00efr "q" \\ \u00e9'
+        payload = {"v": [1.0, INF], "p": [{"a": 1.0}, {"a": None}]}
+        tables = [("t\u00e9", "h\u00e9", [("\u00e9", 1.0)])]
+        cfg, written = self.write(out, payload, tables)
+        assert written == [str(out / "base.json"), str(out / "t\u00e9.csv")]
+        want = json_artifact({"command": "cmd", "config": cfg, **payload})
+        assert (out / "base.json").read_bytes() == want.encode()
+        assert (out / "t\u00e9.csv").read_bytes() == csv_artifact(
+            "h\u00e9", [("\u00e9", 1.0)]).encode("utf-8")

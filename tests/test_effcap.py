@@ -434,6 +434,16 @@ class TestDelayLimited:
             math.log2(1 + 2.0 * 0.25), rel=1e-12
         )
 
+    @pytest.mark.parametrize("mode", ["csir", "csit"])
+    def test_past_the_doubles(self, mode):
+        # snr z = 2.5e308 overflows and the value is log2(2.5e308) all the
+        # same; below the overflow it keeps the bits of log1p(snr z).
+        z = Deterministic(2.5)
+        want = math.log2(2.5) + 308.0 * math.log2(10.0)
+        assert delay_limited_limit(1e308, mode, z) == pytest.approx(want, rel=1e-12)
+        x = 7e307 * 2.5 if mode == "csir" else 7e307 / z.inverse_moment()
+        assert delay_limited_limit(7e307, mode, z) == math.log1p(x) / LN2
+
     def test_csit_inverse_moment(self):
         assert delay_limited_limit(1.0, "csit", NAK2) == pytest.approx(
             math.log2(1 + 1.0 / 2.0), rel=1e-12

@@ -131,6 +131,16 @@ class TestRayleigh:
         draws = ray.sample(np.random.default_rng(5), 8)
         assert np.array_equal(draws, np.random.default_rng(5).exponential(0.7, 8))
 
+    @pytest.mark.parametrize("size", [None, 1, 65536])
+    def test_sample_has_the_bits_of_numpy_exponential(self, size):
+        # standard draws scaled in place against rng.exponential(mean, size)
+        for seed in range(20):
+            for mean in (0.7, 1.0, 3e-4, 2.5e3):
+                draws = Rayleigh(mean).sample(np.random.default_rng(seed), size)
+                want = np.random.default_rng(seed).exponential(mean, size)
+                assert type(draws) is type(want)
+                assert np.array_equal(draws, want)
+
 
 class TestNakagami:
     def test_ln_zp_keeps_the_bits_of_the_expression(self):
