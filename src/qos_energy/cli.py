@@ -26,13 +26,14 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import asdict
 
 import numpy as np
 
 from .asymptotics import _asymptotes
 from .effcap import QosConfig, delay_limited_limit, shannon_limit
-from .errors import NumericalError
+from .errors import DivergentInverseMoment, NumericalError
 from .fading import _MODELS, from_config
 from .queuesim import SimConfig, predicted_effective_capacity, simulate_queue
 from .sweep import (
@@ -340,17 +341,21 @@ def _simulate_queue(cfg: dict, model):
 def _limits(cfg: dict, model):
     qos = QosConfig(theta=0.0, T=cfg["T"], B=cfg["B"])
     snr = cfg["snr"]
+    # A divergent E{1/z} is reported as a note, as the other commands report.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", DivergentInverseMoment)
+        delay_csit = delay_limited_limit(snr, "csit", model)
     results = {
         "snr": snr,
         "shannon_csir": shannon_limit(snr, "csir", qos, model),
         "shannon_csit": shannon_limit(snr, "csit", qos, model),
         "delay_limited_csir": delay_limited_limit(snr, "csir", model),
-        "delay_limited_csit": delay_limited_limit(snr, "csit", model),
+        "delay_limited_csit": delay_csit,
     }
     base = f"limits_{_model_tag(cfg['model'])}"
     rows = [(k, v) for k, v in results.items() if k != "snr"]
     table = (base, "quantity,spectral_efficiency_bps_hz", rows)
-    return base, {"results": results}, [table], []
+    return base, {"results": results}, [table], [f"note: {w.message}" for w in caught]
 
 
 _THETAS = [0.0, 0.001, 0.01, 0.1, 1.0]

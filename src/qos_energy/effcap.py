@@ -23,24 +23,28 @@ and the threshold equation becomes classical water-filling (beta = 0).
 
 All solves run on ln(alpha): the threshold shrinks like
 (1+SNR z)^-(beta+1) for degenerate channels and would underflow long
-before its logarithm does.  A grid line's thresholds are one batch
-(_power_rows, or _log_moment_rows for alpha*), one row per point; the
-one-point functions below are its one-row case.  Each model keeps sums
-at its grid edges or atoms (fading._Groups), built whole; the mean power
-at an edge is their tilted sum for the row's exponent 1/(beta+1), summed
-only as deep as the deepest row needs, and the edge values place each
-root.  Between two atoms, or below the last edge, the root is a closed
-form.  Inside a grid panel, _solve_rows runs a safeguarded Newton on every
-row at once, each row costing one 16-node partial panel plus the edge
-sums composed across the gap to the edge, until its step or its panel is
-narrower than 1e-13 in ln(alpha).  _Roots holds the one copy of each
-formula on those sums: the residuals read M, I and L1 through it, and
-the rate (or, for alpha*, L1, I, H and ln xi) at each root.  A row's
-root and rate do not depend on the other rows of its batch.
+before its logarithm does.  Thresholds are solved in batches
+(_power_rows, or _log_moment_rows for alpha*), one row per point: a CSIT
+sweep or alpha(zeta) set is one batch over every theta and grid point,
+and the one-point functions below are the one-row case.  Each model keeps
+sums at its grid edges or atoms (fading._Groups), built whole; the mean
+power at an edge is their tilted sum for the row's exponent 1/(beta+1),
+each exponent summed only until all its rows are placed, and the edge
+values place each root.  Between two atoms, or below the last edge, the
+root is a closed form.  Inside a grid panel, _solve_rows runs a
+safeguarded Newton on every row at once, each row costing one 16-node
+partial panel plus the edge sums composed across the gap to the edge,
+until its step or its panel is narrower than 1e-13 in ln(alpha).  _Roots
+holds the one copy of each formula on those sums: the residuals read M,
+I and L1 through it, and the rate (or, for alpha*, L1, I, H and ln xi)
+at each root, the rate's tilted sums each only as deep as its own
+deepest row.  A row's root and rate do not depend on the other rows of
+its batch.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -204,18 +208,30 @@ class _Roots:
     lies above x) across the gap y[i] = ell[e] - x, plus a partial panel
     from x up to that edge when partial[i] (x inside a grid panel).
     Every value is computed from x and y, so a root that rounds onto the
-    far side of a fall in the sums shows it.
+    far side of a fall in the sums shows it.  The partial panels are built
+    on first use.
     """
 
     def __init__(self, model: FadingModel, x, y, e, partial):
         groups = model._groups
         self.model, self.groups, self.x, self.y, self.e = model, groups, x, y, e
         self.sums = np.where(e >= 0, groups.sums[:, e], 0.0)
-        self.part = None
-        if groups.panels:
-            with np.errstate(invalid="ignore"):
-                u, ln_w = model._partial(x, np.where(partial, groups.ell[e], x))
-            self.part = (u - x[:, None], np.exp(ln_w - u), ln_w)
+        self.partial = partial
+
+    def take(self, rows) -> "_Roots":
+        """The _Roots of the given rows alone."""
+        return _Roots(self.model, self.x[rows], self.y[rows], self.e[rows],
+                      self.partial[rows])
+
+    @functools.cached_property
+    def part(self):
+        """(d, v, ln_w) over each row's partial panel; None without panels."""
+        if not self.groups.panels:
+            return None
+        x, top = self.x, self.groups.ell[self.e]
+        with np.errstate(invalid="ignore"):
+            u, ln_w = self.model._partial(x, np.where(self.partial, top, x))
+        return (u - x[:, None], np.exp(ln_w - u), ln_w)
 
     def _partial_sum(self, f) -> np.ndarray:
         """sum f(d, v, ln_w) over each row's partial panel; 0 without one."""
@@ -255,16 +271,21 @@ class _Roots:
 
     def _tilted(self, s):
         """(sum w expm1(s d), ln sum w exp(s d)) at each row's edge, exponent
-        s per row, built as deep as the deepest row needs; 0 and -inf
-        without nodes."""
+        s per row, each exponent built as deep as its deepest row needs; 0
+        and -inf without nodes."""
         t, ln_x = np.zeros(len(self.x)), np.full(len(self.x), -np.inf)
         s_u, inv = np.unique(s, return_inverse=True)
-        deepest = self.e.max(initial=-1)
-        if deepest >= 0:
-            for start, tb, lxb in self.groups.tilted(s_u, "w", True, deepest + 1):
-                rows = np.flatnonzero((self.e >= start) & (self.e < start + tb.shape[1]))
-                at = (inv[rows], self.e[rows] - start)
-                t[rows], ln_x[rows] = tb[at], lxb[at]
+        depth = np.zeros(len(s_u), dtype=int)
+        np.maximum.at(depth, inv, self.e + 1)
+        at = np.full(len(s_u), -1)
+        for start, idx, tb, lxb in self.groups.tilted(s_u, "w", True, depth):
+            at[idx] = np.arange(len(idx))
+            k = at[inv]
+            rows = np.flatnonzero((k >= 0) & (self.e >= start)
+                                  & (self.e < start + tb.shape[1]))
+            ij = (k[rows], self.e[rows] - start)
+            t[rows], ln_x[rows] = tb[ij], lxb[ij]
+            at[idx] = -1
         return t, ln_x
 
     def ln_mean_power(self, p) -> np.ndarray:
@@ -296,34 +317,46 @@ class _Roots:
         return out
 
 
-def _search(blocks, target: np.ndarray, first: int, size: int):
+def _search(blocks, target: np.ndarray, group: np.ndarray, depth, first: int, size: int):
     """(j, f_above, f_at) per row for an increasing edge sum f read block by
-    block as (start, f rows x block): j is the first edge from first on with
-    f >= target (size when none); f_above and f_at are f at edges j-1 and j
-    (0 where there is none)."""
+    block as (start, idx, f), f[k] the sums of exponent idx[k] at the edges
+    from start on; row i reads exponent group[i].  j is the first edge from
+    first on with f >= target (size when none); f_above and f_at are f at
+    edges j-1 and j (0 where there is none).  Once every row of an exponent
+    is placed, its depth is set to 0, which retires it from the blocks."""
     n = len(target)
     j = np.full(n, size)
     f_above, f_at, last = np.zeros(n), np.zeros(n), np.zeros(n)
     open_ = np.ones(n, dtype=bool)
-    for start, f in blocks:
-        f = np.broadcast_to(f, (n, f.shape[1]))
+    left = np.bincount(group, minlength=len(depth))
+    at = np.full(len(depth), -1)
+    for start, idx, f in blocks:
+        at[idx] = np.arange(len(idx))
+        rows = np.flatnonzero(open_ & (at[group] >= 0))
+        # f per row; a view when the block has one exponent
+        if len(idx) == 1:
+            fr = np.broadcast_to(f, (len(rows), f.shape[1]))
+        else:
+            fr = f[at[group[rows]]]
+        at[idx] = -1
         edge = start + np.arange(f.shape[1])
-        hit = (f >= target[:, None]) & (edge >= first)
-        rows = np.flatnonzero(open_ & hit.any(1))
-        k = hit[rows].argmax(1)
-        j[rows], f_at[rows] = start + k, f[rows, k]
-        f_above[rows] = np.where(k > 0, f[rows, k - 1], last[rows])
-        open_[rows] = False
-        last = f[:, -1]
-        if not open_.any():
-            break
+        hit = (fr >= target[rows, None]) & (edge >= first)
+        got = np.flatnonzero(hit.any(1))
+        k, placed = hit[got].argmax(1), rows[got]
+        j[placed], f_at[placed] = start + k, fr[got, k]
+        f_above[placed] = np.where(k > 0, fr[got, k - 1], last[placed])
+        open_[placed] = False
+        last[rows] = fr[:, -1]
+        left -= np.bincount(group[placed], minlength=len(depth))
+        depth[left == 0] = 0
     f_above[open_] = last[open_]
     return j, f_above, f_at
 
 
-def _thresholds(model, target, blocks, residual, closed, what) -> tuple:
+def _thresholds(model, target, blocks, group, depth, residual, closed, what) -> tuple:
     """(roots, errors) of a batch for an edge sum f, decreasing in ln a and
-    read from blocks as _search reads it, that reaches target at the root.
+    read from blocks, with group and depth, as _search reads it, that
+    reaches target at the root.
 
     _search places each root below edge e = j - 1.  Edge j at or above
     first (no nodes above the root: the jump at the top of a grid) puts
@@ -339,7 +372,7 @@ def _thresholds(model, target, blocks, residual, closed, what) -> tuple:
     groups = model._groups
     if groups.size <= groups.first:
         raise BracketFailure(f"{what}: the model has no nodes")
-    j, f_above, f_at = _search(blocks, target, groups.first, groups.size)
+    j, f_above, f_at = _search(blocks, target, group, depth, groups.first, groups.size)
     e = np.where(j <= groups.first, -1, j - 1)
     x, y = np.where(e < 0, groups.ell[groups.first], np.nan), np.zeros(len(j))
     inside = (e >= 0) & (j < groups.size) & groups.panels
@@ -377,11 +410,15 @@ def _power_rows(snr: np.ndarray, beta: np.ndarray, model: FadingModel):
     inside a grid panel _solve_rows solves ln M = ln snr with
     dln M/dln a = -(M + I) s / M.  Below the last edge, or between two
     atoms, M = M(e) + expm1(s y)(I(e) + M(e)) gives the gap in closed form,
-    y = (beta+1) log1p((snr - M(e))/(I(e) + M(e))).
+    y = (beta+1) log1p((snr - M(e))/(I(e) + M(e))); where that quotient
+    passes the doubles, log1p of it is ln(snr - M(e)) - ln(I(e) + M(e)).
+    Each exponent s is read only until every row of it is placed.
     """
     s = 1.0 / (beta + 1.0)
     s_u, inv = np.unique(s, return_inverse=True)
     ln_snr = np.log(snr)
+    groups = model._groups
+    depth = np.full(len(s_u), groups.size)
 
     def residual(roots, rows, m_e):
         m = roots.mean_power(s[rows], m_e)
@@ -389,11 +426,18 @@ def _power_rows(snr: np.ndarray, beta: np.ndarray, model: FadingModel):
             return np.log(m) - ln_snr[rows], -(m + roots.inverse()) * s[rows] / m
 
     def closed(rows, m_e, i_e):
+        gap, room = snr[rows] - m_e, i_e + m_e
         with np.errstate(over="ignore"):
-            return (beta[rows] + 1.0) * np.log1p((snr[rows] - m_e) / (i_e + m_e))
+            q = gap / room
+            y = np.log1p(q)
+            past = np.isinf(q)
+            y[past] = np.log(gap[past]) - np.log(room[past])
+            return (beta[rows] + 1.0) * y
 
-    blocks = ((start, t[inv]) for start, t, _ in model._groups.tilted(s_u, "v"))
-    return _thresholds(model, snr, blocks, residual, closed, "power threshold solve")
+    blocks = ((start, idx, t)
+              for start, idx, t, _ in groups.tilted(s_u, "v", depth=depth))
+    what = "power threshold solve"
+    return _thresholds(model, snr, blocks, inv, depth, residual, closed, what)
 
 
 def _log_moment_rows(ln_c: np.ndarray, model: FadingModel):
@@ -412,8 +456,10 @@ def _log_moment_rows(ln_c: np.ndarray, model: FadingModel):
         return (c[rows] - l1_e) / i_e
 
     what = "wideband CSIT threshold alpha*"
-    blocks = [(0, model._groups.sums[2, None])]  # L1 at every edge, one block
-    return _thresholds(model, c, blocks, residual, closed, what)
+    # L1 at every edge, one block of one exponent
+    blocks = [(0, np.zeros(1, dtype=int), model._groups.sums[2, None])]
+    group, depth = np.zeros(len(c), dtype=int), np.ones(1, dtype=int)
+    return _thresholds(model, c, blocks, group, depth, residual, closed, what)
 
 
 def solve_alpha(snr: float, qos: QosConfig, model: FadingModel) -> PowerPolicy:
@@ -477,33 +523,40 @@ def spectral_efficiency_csit(snr: float, qos: QosConfig, model: FadingModel) -> 
     return row[0]
 
 
-def _csit_rows(snr, theta: float, T: float, B, model: FadingModel) -> list:
-    """CSIT rates of a grid line at one theta: per row (spectral efficiency,
-    ln alpha), or the NumericalError that row raised.  snr > 0 and B are
-    per row; every threshold is solved in one _power_rows batch."""
+def _csit_rows(snr, theta, T: float, B, model: FadingModel) -> list:
+    """CSIT rates of a batch: per row (spectral efficiency, ln alpha), or
+    the NumericalError that row raised.  snr > 0 and B are per row, theta
+    per row or one for all; every threshold is solved in one _power_rows
+    batch.  A row at theta = 0 reads its rate from log_gain, the others
+    from ln_mean_power."""
     snr = np.asarray(snr, dtype=float)
-    qos = [QosConfig(theta, T, b) for b in B]
+    theta = np.broadcast_to(np.asarray(theta, dtype=float), snr.shape)
     out = [None] * len(snr)
     # Per row theta*T*B; ln 2 at theta = 0, where the rate is in nats.
-    scale = np.full(len(snr), LN2)
-    for i, q in enumerate(qos):
-        if theta > 0:
+    scale, beta = np.full(len(snr), LN2), np.empty(len(snr))
+    for i, (t, b) in enumerate(zip(theta.tolist(), B)):
+        qos = QosConfig(t, T, b)
+        beta[i] = qos.beta
+        if t > 0:
             try:
-                scale[i] = _theta_tb(q)
+                scale[i] = _theta_tb(qos)
             except NumericalError as exc:
                 out[i] = exc
     rows = np.flatnonzero([o is None for o in out])
     if not rows.size:
         return out
-    beta = np.array([qos[i].beta for i in rows])
+    beta = beta[rows]
     try:
         roots, errors = _power_rows(snr[rows], beta, model)
     except NumericalError as exc:
         return [exc if o is None else o for o in out]
-    if theta == 0:
-        log_total = -roots.log_gain()
-    else:
-        log_total = roots.ln_mean_power(beta / (beta + 1.0))
+    log_total = np.empty(len(rows))
+    water = theta[rows] == 0
+    if water.any():
+        log_total[water] = -roots.take(water).log_gain()
+    if not water.all():
+        b = beta[~water]
+        log_total[~water] = roots.take(~water).ln_mean_power(b / (b + 1.0))
     se = np.maximum(-log_total / scale[rows], 0.0)
     for k, i in enumerate(rows):
         out[i] = errors[k] or (float(se[k]), float(roots.x[k]))

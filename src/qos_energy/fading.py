@@ -72,8 +72,10 @@ _GL_T = 0.5 * (1.0 + _GL_X)
 _GL_LN_W = np.log(0.5 * _GL_W)
 _PANEL_U = _PANEL * _GL_T
 _PANEL_LN_W = np.log(0.5 * _PANEL * _GL_W)
-# Groups per block of the tilted edge sums (_Groups.tilted).
+# Groups per block, and exponents per array pass, of the tilted edge sums
+# (_Groups.tilted).
 _BLOCK = 16
+_PASS = 64
 # Whole-support expectations start at s 1e-30, s = mean/m, below which a
 # Gamma law with m >= 0.5 holds at most 1.2e-15 of its mass at any scale;
 # one node at s 1e-30 carries that mass.  A mean of e^(-xz), or of
@@ -316,26 +318,33 @@ class _Groups:
         self.sums = np.array((cv, cw, d1, d2, wd))[:, 1:]
 
     def tilted(self, s: np.ndarray, weight: str, log: bool = False, depth=None):
-        """Per exponent s[i], the tilted sums at every edge from the top (down
-        to edge depth - 1 when given): yields (start, T, ln_x) with
-        T[i, k] = sum om expm1(s[i] d) and ln_x[i, k] = ln sum om exp(s[i] d)
-        (None unless log) at edge start + k, om = v or w as weight says.
+        """Per exponent s[i], the tilted sums at every edge from the top down
+        to edge depth[i] - 1 (depth[i] <= size; every edge without depth):
+        yields (start, idx, T, ln_x) with T[k, n] = sum om expm1(s[idx[k]] d)
+        and ln_x[k, n] = ln sum om exp(s[idx[k]] d) (None unless log) at
+        edge start + n, om = v or w as weight says.  depth is read before
+        each chunk, so a caller that sets depth[i] to 0 retires exponent i.
 
         Within a block of _BLOCK groups each group is shifted straight to
         each edge below it, through expm1(s(d + D)) = expm1(s d) +
         expm1(s D) exp(s d); the sums at the last edge of a block carry into
-        the next.  The terms share the sign of s, so nothing cancels.
-        Blocks start at fixed groups, and chunks of blocks, doubling up to
-        _BLOCK / len(s) blocks, are one set of array operations each, so a
-        sum depends neither on how deep the caller reads nor on the other
-        exponents; no temporary is larger than len(s) x chunk x 16.
+        the next, per exponent.  The terms share the sign of s, so nothing
+        cancels.  Blocks start at fixed groups; a chunk of blocks, doubling
+        up to _BLOCK / (live exponents) blocks and ending at the deepest
+        live depth, runs in passes of at most _PASS exponents, each one set
+        of array operations.  So a sum depends neither on how deep the
+        caller reads nor on the other exponents, and no temporary is larger
+        than _PASS x 16 x 16.
         """
         j = "vw".index(weight)
         om, total = (self.v, self.w)[j], self.sums[j]
-        s4 = s[:, None, None, None]
-        step, most = _BLOCK, _BLOCK * max(1, _BLOCK // len(s))
-        start, limit = 0, self.size if depth is None else depth
-        while (stop := min(start + step, limit)) > start:
+        depth = np.full(len(s), self.size) if depth is None else depth
+        # The sums at the last edge read so far, per exponent.
+        t_c, ln_x_c = np.zeros((len(s), 1)), np.full((len(s), 1), -np.inf)
+        below = np.tri(_BLOCK, dtype=bool)
+        start, step = 0, _BLOCK
+        while (live := np.flatnonzero(depth > start)).size:
+            stop = min(start + step, int(depth[live].max()))
             pad = -(stop - start) % _BLOCK
             ell, d, w = (
                 np.concatenate((a[start:stop], np.repeat(a[stop - 1 : stop], pad, 0)))
@@ -343,33 +352,46 @@ class _Groups:
                 for a in (self.ell, self.d, om)
             )
             w[-1, _BLOCK - pad :] = 0.0
-            below = np.tri(_BLOCK, dtype=bool)
             shift = np.where(below, ell[:, None, :] - ell[:, :, None], 0.0)
-            sd = s4 * d
-            gt = (w * np.expm1(sd)).sum(-1)[:, :, None, :]
-            gx = (w * np.exp(sd)).sum(-1)[:, :, None, :]
-            t = np.where(below, gt + np.expm1(s4 * shift) * gx, 0.0).sum(-1)
-            ln_x = None
-            if log:
-                with np.errstate(divide="ignore"):
-                    terms = np.where(below, s4 * shift + np.log(gx), -np.inf)
-                    top = terms.max(-1, keepdims=True)
-                    top[top == -np.inf] = 0.0
-                    ln_x = top[..., 0] + np.log(np.exp(terms - top).sum(-1))
-            for b in range(ell.shape[0]):
-                edge = start + b * _BLOCK
-                if edge:
-                    up = s[:, None] * (self.ell[edge - 1] - ell[b])
-                    t[:, b] += t_c + np.expm1(up) * (total[edge - 1] + t_c)
+            for idx in np.split(live, range(_PASS, live.size, _PASS)):
+                t, ln_x = _block_sums(s[idx, None, None, None], d, w, shift, below, log)
+                c, lc = t_c[idx], ln_x_c[idx]
+                for b in range(ell.shape[0]):
+                    edge = start + b * _BLOCK
+                    if edge:
+                        up = s[idx, None] * (self.ell[edge - 1] - ell[b])
+                        t[:, b] += c + np.expm1(up) * (total[edge - 1] + c)
+                        if log:
+                            ln_x[:, b] = np.logaddexp(ln_x[:, b], up + lc)
+                    c = t[:, b, -1:]
                     if log:
-                        ln_x[:, b] = np.logaddexp(ln_x[:, b], up + ln_x_c)
-                t_c = t[:, b, -1:]
+                        lc = ln_x[:, b, -1:]
+                t_c[idx] = c
                 if log:
-                    ln_x_c = ln_x[:, b, -1:]
-            m = stop - start
-            t = t.reshape(len(s), -1)[:, :m]
-            yield start, t, None if ln_x is None else ln_x.reshape(len(s), -1)[:, :m]
-            start, step = stop, min(2 * step, most)
+                    ln_x_c[idx] = lc
+                m = stop - start
+                t = t.reshape(len(idx), -1)[:, :m]
+                if log:
+                    ln_x = ln_x.reshape(len(idx), -1)[:, :m]
+                yield start, idx, t, ln_x
+            start, step = stop, min(2 * step, _BLOCK * max(1, _BLOCK // live.size))
+
+
+def _block_sums(s4, d, w, shift, below, log: bool):
+    """The tilted sums of _Groups.tilted within each block, before the
+    carries: (T, ln_x) per exponent s4, block and edge.  Its temporaries,
+    len(s4) x blocks x 16 x 16, are gone when it returns."""
+    sd = s4 * d
+    gt = (w * np.expm1(sd)).sum(-1)[:, :, None, :]
+    gx = (w * np.exp(sd)).sum(-1)[:, :, None, :]
+    t = np.where(below, gt + np.expm1(s4 * shift) * gx, 0.0).sum(-1)
+    if not log:
+        return t, None
+    with np.errstate(divide="ignore"):
+        terms = np.where(below, s4 * shift + np.log(gx), -np.inf)
+        top = terms.max(-1, keepdims=True)
+        top[top == -np.inf] = 0.0
+        return t, top[..., 0] + np.log(np.exp(terms - top).sum(-1))
 
 
 class FadingModel(abc.ABC):

@@ -1,12 +1,13 @@
 """Dataset generation: tradeoff curves, bit-energy surfaces, threshold curves.
 
 Everything here is a deterministic map from a declarative spec to arrays of
-floats, so reruns with the same inputs are byte-identical.  Each CSIT grid
-line (a tradeoff curve, an alpha(zeta) curve) solves all its thresholds as
-one batch, and each call solves all its alpha* as one; a row of a batch
-gets the same bits as a solve of that point alone.  _gaps then walks the
-line: a point where the numerics give up becomes a gap (None) with a
-Python warning and never aborts the sweep.
+floats, so reruns with the same inputs are byte-identical.  A CSIT
+tradeoff sweep, or alpha_vs_zeta, solves the thresholds of all its grid
+lines, every theta at every grid point, as one batch, and each call solves
+all its alpha* as one; a row of a batch gets the same bits as a solve of
+that point alone.  _gaps then walks the lines, theta by theta: a point
+where the numerics give up becomes a gap (None) with a Python warning and
+never aborts the sweep.
 """
 
 from __future__ import annotations
@@ -166,26 +167,31 @@ def _gaps(results, theta: float, values, what: str, axis: str) -> list:
     return out
 
 
-def _line_se(spec: SweepSpec, theta: float) -> list:
-    """Spectral efficiency per grid value at theta, or the NumericalError
-    of that point; None for a rate that is not positive and finite.  A CSIT
-    line is one _csit_rows batch."""
+def _sweep_se(spec: SweepSpec) -> list:
+    """Per theta of spec, the spectral efficiency per grid value, or the
+    NumericalError of that point; None for a rate that is not positive and
+    finite.  A CSIT sweep is one _csit_rows batch over every theta and grid
+    value."""
     grid = np.array(spec.grid)
     if spec.regime == LOWPOWER:
         snrs, bands = grid, np.full(grid.size, float(spec.B))
     else:
         snrs, bands = spec.pbar_over_n0 * grid, 1.0 / grid
+    lines = len(spec.theta_list)
     if spec.mode == "csit":
-        rows = _csit_rows(snrs, theta, spec.T, bands, spec.model)
+        rows = _csit_rows(np.tile(snrs, lines), np.repeat(spec.theta_list, grid.size),
+                          spec.T, np.tile(bands, lines), spec.model)
         rows = [row if isinstance(row, NumericalError) else row[0] for row in rows]
     else:
         rows = [_csir_point(snr, QosConfig(theta, spec.T, b), spec.model)
+                for theta in spec.theta_list
                 for snr, b in zip(snrs.tolist(), bands.tolist())]
-    return [
+    rows = [
         row if isinstance(row, NumericalError) or (row > 0 and math.isfinite(row))
         else None
         for row in rows
     ]
+    return [rows[k : k + grid.size] for k in range(0, len(rows), grid.size)]
 
 
 def _csir_point(snr: float, qos: QosConfig, model: FadingModel):
@@ -221,8 +227,8 @@ def tradeoff_curve(spec: SweepSpec) -> list[Curve]:
     asyms = _asymptotes(spec.model, spec.mode, spec.regime, spec.theta_list,
                         spec.T, spec.B, spec.pbar_over_n0)
     curves = []
-    for theta, asym in zip(spec.theta_list, asyms):
-        ses = _gaps(_line_se(spec, theta), theta, spec.grid, "tradeoff point", "grid")
+    for theta, asym, ses in zip(spec.theta_list, asyms, _sweep_se(spec)):
+        ses = _gaps(ses, theta, spec.grid, "tradeoff point", "grid")
         failures = ses.count(None)
         scale = 1.0 if spec.regime == LOWPOWER else spec.pbar_over_n0
         pts = [
@@ -312,29 +318,34 @@ def alpha_vs_zeta(
     At theta = 0 the policy is water-filling at SNR = pbar_over_n0 * zeta
     and the limit threshold is z_max (inf for unbounded gains).  Each
     alpha(zeta) is exp of the threshold that the wideband CSIT sweep solves
-    at the same point, and every limit comes from one _alpha_star_rows.
+    at the same point; every threshold of every theta comes from one
+    _power_rows batch, and every limit from one _alpha_star_rows.
     """
     if zeta_grid is None:
         zeta_grid = default_grid(WIDEBAND)
     zetas = tuple(float(z) for z in zeta_grid)
+    n = len(zetas)
 
     thetas = [float(theta) for theta in theta_list]
     stars = _alpha_star_rows(model, thetas, T, [pbar_over_n0] * len(thetas))
+    beta = np.array([QosConfig(theta, T, 1.0 / zeta).beta
+                     for theta in thetas for zeta in zetas])
+    try:
+        roots, rows = _power_rows(np.tile(pbar_over_n0 * np.array(zetas), len(thetas)),
+                                  beta, model)
+        rows = [row or math.exp(x) for row, x in zip(rows, roots.x.tolist())]
+    except NumericalError as exc:
+        rows = [exc] * len(beta)
     curves = []
-    for theta, star in zip(thetas, stars):
+    for k, (theta, star) in enumerate(zip(thetas, stars)):
         if isinstance(star, NumericalError):
             raise star
-        beta = np.array([QosConfig(theta, T, 1.0 / zeta).beta for zeta in zetas])
-        try:
-            roots, rows = _power_rows(pbar_over_n0 * np.array(zetas), beta, model)
-            rows = [row or math.exp(x) for row, x in zip(rows, roots.x.tolist())]
-        except NumericalError as exc:
-            rows = [exc] * len(zetas)
+        line = rows[k * n : (k + 1) * n]
         curves.append(
             AlphaZetaCurve(
                 theta=theta,
                 zetas=zetas,
-                alphas=tuple(_gaps(rows, theta, zetas, "threshold", "zeta")),
+                alphas=tuple(_gaps(line, theta, zetas, "threshold", "zeta")),
                 star=star,
             )
         )

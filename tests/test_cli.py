@@ -12,6 +12,13 @@ import pytest
 
 import qos_energy
 from oracles import csv_artifact, json_artifact
+from qos_energy import (
+    DivergentInverseMoment,
+    QosConfig,
+    Rayleigh,
+    delay_limited_limit,
+    shannon_limit,
+)
 from qos_energy.cli import (
     _COMMANDS,
     MAX_GRID_POINTS,
@@ -67,6 +74,52 @@ def test_module_runs_as_a_program(tmp_path):
     assert [r.returncode for r in runs] == [0, 2]
     assert f"wrote {tmp_path / 'limits_rayleigh.json'}" in runs[0].stdout
     assert "cannot read config file" in runs[1].stderr
+
+
+class TestLimitsCommand:
+    def test_divergent_inverse_moment_is_a_note(self, tmp_path):
+        # Rayleigh's E{1/z} diverges: the delay-limited CSIT rate is 0, which
+        # a note on stdout tells, with nothing on stderr
+        src = os.path.dirname(os.path.dirname(os.path.abspath(qos_energy.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "qos_energy.cli", "limits", "--out", str(tmp_path)],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert proc.stdout.splitlines()[-1] == (
+            "note: E{1/z} diverges; delay-limited rate with transmitter CSI is 0"
+        )
+        ray, qos = Rayleigh(), QosConfig(0.0, 2e-3, 1e5)
+        with pytest.warns(DivergentInverseMoment):
+            delay_csit = delay_limited_limit(1.0, "csit", ray)
+        assert load_json(tmp_path, "limits_rayleigh.json")["results"] == {
+            "snr": 1.0,
+            "shannon_csir": shannon_limit(1.0, "csir", qos, ray),
+            "shannon_csit": shannon_limit(1.0, "csit", qos, ray),
+            "delay_limited_csir": delay_limited_limit(1.0, "csir", ray),
+            "delay_limited_csit": delay_csit,
+        }
+
+    def test_no_note_when_inverse_moment_is_finite(self, tmp_path, capsys):
+        code, _ = run(tmp_path, "limits", "--model", "nakagami", "--m", "2")
+        assert code == 0
+        assert "note:" not in capsys.readouterr().out
+
+    def test_csit_shannon_limit_past_the_doubles(self, tmp_path):
+        # snr z0 = 2.5e308 passes the doubles; the water-filling rate is
+        # log2(snr z0) all the same
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            '{"snr": 1e308, "model": {"kind": "deterministic", "z0": 2.5}}',
+            encoding="utf-8",
+        )
+        code, out = run(tmp_path, "limits", "--config", str(cfg))
+        assert code == 0
+        results = load_json(out, "limits_deterministic.json")["results"]
+        want = math.log2(2.5) + 308.0 * math.log2(10.0)
+        assert results["shannon_csit"] == pytest.approx(want, rel=1e-12)
 
 
 class TestAsymptoticsCommand:
@@ -603,14 +656,14 @@ class TestSweepCommand:
         import qos_energy.sweep as sweep_mod
         from qos_energy.errors import NumericalError
 
-        real = sweep_mod._line_se
+        real = sweep_mod._sweep_se
 
-        def flaky(spec, theta):
-            rows = real(spec, theta)
-            rows[1] = NumericalError("synthetic failure")
-            return rows
+        def flaky(spec):
+            lines = real(spec)
+            lines[0][1] = NumericalError("synthetic failure")
+            return lines
 
-        monkeypatch.setattr(sweep_mod, "_line_se", flaky)
+        monkeypatch.setattr(sweep_mod, "_sweep_se", flaky)
         with pytest.warns(UserWarning, match="synthetic failure"):
             code, out = run(tmp_path, "sweep", "--theta", "0.01", "--grid-points", "4")
         assert code == 0

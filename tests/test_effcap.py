@@ -363,6 +363,18 @@ class TestShannonLimits:
             t = shannon_limit(1.0, "csit", QOS, model)
             assert t >= r - 1e-9
 
+    def test_csit_past_the_doubles(self):
+        # Water-filling on one atom: log2(1 + snr z0).  Where snr z0 passes
+        # the doubles the closed-form gap takes logs apart; below, it is
+        # log1p of the quotient as before.
+        z = Deterministic(2.5)
+        qos = QosConfig(0.0, 2e-3, 1e5)
+        want = math.log2(2.5) + 308.0 * math.log2(10.0)
+        assert shannon_limit(1e308, "csit", qos, z) == pytest.approx(want, rel=1e-12)
+        for snr in (1.0, 10.0, 1e300):
+            want = math.log1p(snr * 2.5) / LN2
+            assert shannon_limit(snr, "csit", qos, z) == pytest.approx(want, rel=1e-14)
+
     def test_zero_snr(self):
         assert shannon_limit(0.0, "csir", QOS, RAY) == 0.0
         assert shannon_limit(0.0, "csit", QOS, RAY) == 0.0

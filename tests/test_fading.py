@@ -794,7 +794,7 @@ class TestEdgeSums:
         groups = model._groups
         tilted = {}
         for weight, s in EDGE_EXPONENTS.items():
-            for start, t, ln_x in groups.tilted(s, weight, log=True):
+            for start, _, t, ln_x in groups.tilted(s, weight, log=True):
                 for k in range(t.shape[1]):
                     tilted[weight, start + k] = t[:, k], ln_x[:, k]
         # The top 60 edges, then every 100th down to the 1e-280 floor and
@@ -811,6 +811,50 @@ class TestEdgeSums:
                 assert got_t == pytest.approx(t, rel=1e-13, abs=0)
                 assert got_ln_x == pytest.approx(ln_x, rel=1e-13, abs=1e-13)
         assert n == 0 or groups.ell[n - 1] >= math.log(1e-280) or not groups.panels
+
+    @pytest.mark.parametrize(
+        "model",
+        [Rayleigh(), NakagamiM(2.0), NakagamiM(8.0),
+         BoundedTable(((0.0, 0.1), (0.3, 0.2), (1.0, 0.4), (2.5, 0.3)))],
+        ids=repr,
+    )
+    @pytest.mark.parametrize("weight", ["v", "w"])
+    @pytest.mark.parametrize("log", [False, True])
+    def test_per_exponent_depths_keep_the_bits(self, model, weight, log):
+        # 70 exponents (two array passes), each read to its own depth and
+        # half of them retired mid-stream: at every edge an exponent reaches,
+        # its sums have the bits of a full-depth read of it alone.
+        groups = model._groups
+        n = groups.size
+        rng = np.random.default_rng(24)
+        s = np.geomspace(1e-6, 1.0, 70) * (1.0 if weight == "v" else -1.0)
+        depth = rng.integers(1, n + 1, s.size)
+        retire = np.where(rng.random(s.size) < 0.5, rng.integers(0, n, s.size), n)
+        live = depth.copy()
+        # per exponent: the sums at each edge, and how many times it was read
+        got = np.zeros((2, s.size, n))
+        reads = np.zeros((s.size, n), dtype=int)
+        for start, idx, t, ln_x in groups.tilted(s, weight, log, live):
+            assert (ln_x is None) is not log
+            stop = start + t.shape[1]
+            got[0, idx, start:stop] = t
+            if log:
+                got[1, idx, start:stop] = ln_x
+            reads[idx, start:stop] += 1
+            live[idx[stop > retire[idx]]] = 0
+        for i in range(s.size):
+            reached = np.count_nonzero(reads[i])
+            assert (reads[i, :reached] == 1).all() and not reads[i, reached:].any()
+            assert reached >= min(depth[i], retire[i] + 1, n)
+            alone = np.zeros((2, n))
+            for start, _, t, ln_x in groups.tilted(s[i : i + 1], weight, log):
+                stop = start + t.shape[1]
+                alone[0, start:stop] = t[0]
+                if log:
+                    alone[1, start:stop] = ln_x[0]
+                if stop >= reached:
+                    break
+            assert got[:, i, :reached].tobytes() == alone[:, :reached].tobytes()
 
     @pytest.mark.parametrize("mean", (0.3, 1.0, 7.5))
     @pytest.mark.parametrize("m", (0.5, 0.6, 1.0, 2.0, 4.0, 8.0))
@@ -829,7 +873,8 @@ class TestEdgeSums:
         ])
         tilted = {weight: [[], []] for weight in EDGE_EXPONENTS}
         for weight, s in EDGE_EXPONENTS.items():
-            for _, t, ln_x in groups.tilted(s, weight, log=True, depth=deepest + 1):
+            depth = np.full(len(s), deepest + 1)
+            for _, _, t, ln_x in groups.tilted(s, weight, log=True, depth=depth):
                 tilted[weight][0].append(t)
                 tilted[weight][1].append(ln_x)
         tilted = {k: [np.hstack(a)[:, edges] for a in v] for k, v in tilted.items()}

@@ -177,9 +177,9 @@ def test_sweeps_record_gaps_instead_of_aborting(model, mode, regime, theta, beta
     steps=[0, 10, 56],
 )
 def test_batched_roots_match_one_row_solves(model, regime, theta, beta, pbar, steps):
-    # Batched lines: every rate and root of a line has the bits of a solve
-    # of that point alone, and each root spends snr to the rounding that
-    # beta + 1 amplifies.
+    # Batched lines: every rate and root of a sweep's batch has the bits of
+    # a solve of that point alone, and each root spends snr to the rounding
+    # that beta + 1 amplifies.
     lo, hi = GRID_EXPONENTS[regime]
     grid = tuple(10.0 ** (lo + (hi - lo) * k / GRID_STEPS) for k in sorted(steps))
     spec = SweepSpec(
@@ -204,13 +204,14 @@ def test_batched_roots_match_one_row_solves(model, regime, theta, beta, pbar, st
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             tradeoff_curve(spec)
-    [((snr, theta, t, bands, m), rows)] = lines
+    [((snr, thetas, t, bands, m), rows)] = lines
+    assert len(rows) == len(grid)
     for i, row in enumerate(rows):
-        (alone,) = real(snr[i : i + 1], theta, t, bands[i : i + 1], m)
+        (alone,) = real(snr[i : i + 1], thetas[i], t, bands[i : i + 1], m)
         assert not isinstance(row, NumericalError)
         assert row == alone
         se, ln_a = row
-        beta_i = QosConfig(theta, t, bands[i]).beta
+        beta_i = QosConfig(thetas[i], t, bands[i]).beta
         mean, _ = mean_policy_power(m, ln_a, beta_i)
         assert se > 0 and math.isfinite(se)
         assert mean == pytest.approx(snr[i], rel=1e-12)

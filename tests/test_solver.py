@@ -237,8 +237,8 @@ def default_csit_spec(model, regime) -> SweepSpec:
 
 
 def count_line_evals(monkeypatch) -> tuple[list, list]:
-    """count_evals, plus per sweep._csit_rows call (one per grid line) the
-    batches made inside it."""
+    """count_evals, plus per sweep._csit_rows call (one per CSIT sweep, all
+    its grid lines) the batches made inside it."""
     batches, lines = count_evals(monkeypatch), []
     real = sweep_mod._csit_rows
 
@@ -292,17 +292,17 @@ class TestEvaluationBudget:
     @pytest.mark.parametrize(
         "argv, thresholds",
         [
-            (["sweep", "--mode", "csit", "--regime", "wideband"], 6),
+            (["sweep", "--mode", "csit", "--regime", "wideband"], 2),
             (["asymptotics", "--mode", "csit", "--regime", "wideband"], 1),
-            (["alpha-star"], 6),
+            (["alpha-star"], 2),
         ],
         ids=["sweep", "asymptotics", "alpha-star"],
     )
     def test_each_command_solves_its_alpha_stars_as_one_batch(
         self, monkeypatch, tmp_path, capsys, argv, thresholds
     ):
-        # one threshold batch per grid line (5 thetas) and one alpha* batch
-        # for every theta of the invocation
+        # one threshold batch for every grid line (5 thetas) and one alpha*
+        # batch for every theta of the invocation
         calls = {"thresholds": 0, "alpha_star": 0}
 
         def counted(name, real):
@@ -325,8 +325,8 @@ class TestEvaluationBudget:
     def test_warm_csit_sweeps_take_at_most_60_percent_of_cold(
         self, monkeypatch, model, regime
     ):
-        # A batched grid line makes at most 60% of the residual calls that
-        # solving its points one by one makes, and at most 20 per line.
+        # The batched sweep makes at most 60% of the residual calls that
+        # solving its points one by one makes, and at most 20 in all.
         spec = default_csit_spec(model, regime)
         batches, lines = count_line_evals(monkeypatch)
         tradeoff_curve(spec)
@@ -338,18 +338,18 @@ class TestEvaluationBudget:
             for i in range(60):
                 effcap._csit_rows(snrs[i : i + 1], theta, T, bands[i : i + 1], model)
         calls = [len(calls) for line in lines for calls in line]
-        assert len(lines) == 5 and max(calls) <= 20
+        assert len(lines) == 1 and max(calls) <= 20
         assert sum(calls) <= 0.6 * sum(map(len, batches))
 
     @pytest.mark.parametrize("model", [RAY, NakagamiM(m=2.0), TAB0], ids=repr)
     @pytest.mark.parametrize("regime", ["lowpower", "wideband"])
     def test_each_default_grid_line_is_one_batch(self, monkeypatch, model, regime):
-        # one _csit_rows call of 60 rows per theta, at most one batched solve
-        # in it, and no residual call per point
+        # one _csit_rows call of 60 rows per theta (5 thetas), at most one
+        # batched solve in it, and no residual call per point
         _, lines = count_line_evals(monkeypatch)
         curves = tradeoff_curve(default_csit_spec(model, regime))
         assert sum(c.failures for c in curves) == 0
-        assert len(lines) == 5
+        assert len(lines) == 1
         for line in lines:
             assert len(line) <= 1
-            assert all(len(calls) <= 20 and max(calls) == 60 for calls in line)
+            assert all(len(calls) <= 20 and max(calls) == 5 * 60 for calls in line)

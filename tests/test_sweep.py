@@ -1,6 +1,7 @@
 """Tradeoff-curve, surface, and threshold-curve dataset generation."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -456,8 +457,8 @@ def same_row(row, alone) -> bool:
 
 
 class TestWarmStarts:
-    """Batched grid lines against solves of each point alone: every root,
-    rate and alpha* has the same bits."""
+    """Batched grid lines, all thetas of a call in one batch, against solves
+    of each point alone: every root, rate and alpha* has the same bits."""
 
     @pytest.mark.parametrize(
         "model", [RAY, NakagamiM(m=0.6), NakagamiM(m=2.0), TABLE], ids=repr
@@ -467,22 +468,22 @@ class TestWarmStarts:
         calls = record_batches(monkeypatch, "_csit_rows")
         curves = tradeoff_curve(csit_spec(model, regime))
         assert sum(c.failures for c in curves) == 0
-        assert len(calls) == len(CLI_THETAS)
-        for (snr, theta, t, bands, m), rows in calls:
-            assert len(rows) == 60
-            for i, row in enumerate(rows):
-                (alone,) = effcap._csit_rows(snr[i : i + 1], theta, t, bands[i : i + 1], m)
-                assert same_row(row, alone)
+        [((snr, theta, t, bands, m), rows)] = calls
+        assert len(rows) == 60 * len(CLI_THETAS)
+        assert sorted(set(theta)) == sorted(CLI_THETAS)
+        for i, row in enumerate(rows):
+            (alone,) = effcap._csit_rows(snr[i : i + 1], theta[i], t, bands[i : i + 1], m)
+            assert same_row(row, alone)
 
     @pytest.mark.parametrize("model", [RAY, NakagamiM(m=2.0), TABLE], ids=repr)
     def test_alpha_vs_zeta_roots_match_cold_solves(self, monkeypatch, model):
         calls = record_batches(monkeypatch, "_power_rows")
         alpha_vs_zeta(model, CLI_THETAS, T, PN0)
-        assert len(calls) == len(CLI_THETAS)
-        for (snr, beta, m), (roots, errors) in calls:
-            assert errors == [None] * 60
-            for i in range(60):
-                assert roots.x[i] == solve_alpha_ln(snr[i], beta[i], m)
+        [((snr, beta, m), (roots, errors))] = calls
+        n = 60 * len(CLI_THETAS)
+        assert errors == [None] * n
+        for i in range(n):
+            assert roots.x[i] == solve_alpha_ln(snr[i], beta[i], m)
 
     def test_alpha_vs_zeta_is_the_wideband_sweeps_threshold(self):
         # at the alpha-star command's defaults, each alpha(zeta) is exp of
@@ -522,6 +523,55 @@ class TestWarmStarts:
         assert [e is None for e in errors] == [True, True, False, True]
         for i, k in ((0, 0), (1, 2), (3, 4)):
             assert roots.x[i] == solve_alpha_ln(snr[k], beta[i], RAY)
+
+
+class TestOneBatchPerCall:
+    """A CSIT sweep, and alpha_vs_zeta, solve the thresholds of every theta
+    at every grid point as one _power_rows batch, at bounded memory."""
+
+    def count_power_rows(self, monkeypatch) -> list:
+        calls = []
+        real = effcap._power_rows
+
+        def counting(snr, beta, model):
+            calls.append(len(snr))
+            return real(snr, beta, model)
+
+        monkeypatch.setattr(effcap, "_power_rows", counting)
+        monkeypatch.setattr(sweep_mod, "_power_rows", counting)
+        return calls
+
+    @pytest.mark.parametrize("regime", ["lowpower", "wideband"])
+    def test_tradeoff_curve_is_one_power_batch(self, monkeypatch, regime):
+        calls = self.count_power_rows(monkeypatch)
+        tradeoff_curve(csit_spec(RAY, regime))
+        assert calls == [60 * len(CLI_THETAS)]
+
+    def test_alpha_vs_zeta_is_one_power_batch(self, monkeypatch):
+        calls = self.count_power_rows(monkeypatch)
+        alpha_vs_zeta(RAY, CLI_THETAS, T, PN0)
+        assert calls == [60 * len(CLI_THETAS)]
+
+    # Peak traced allocation of a warm call, in KiB, bounded by 1.25 times
+    # what the same call took when each grid line was its own batch.
+    @pytest.mark.parametrize(
+        "model, call, kib",
+        [
+            (NakagamiM(m=2.0), lambda m: tradeoff_curve(csit_spec(m, "lowpower")), 468),
+            (Rayleigh(), lambda m: tradeoff_curve(csit_spec(m, "wideband")), 692),
+            (Rayleigh(), lambda m: alpha_vs_zeta(m, CLI_THETAS, T, PN0), 514),
+        ],
+        ids=["nakagami2-lowpower", "rayleigh-wideband", "alpha-vs-zeta"],
+    )
+    def test_peak_memory(self, model, call, kib):
+        call(model)
+        tracemalloc.start()
+        try:
+            call(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * kib * 1024
 
 
 # Grid points made to fail in the gap tests.
