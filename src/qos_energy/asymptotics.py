@@ -31,11 +31,11 @@ CSIT formulas (transmitter adapts power to the fading state):
                S0 = 2 xi (ln xi)^2 / (alpha* H),
                H = E{ln^2(z/alpha*) (1/z), z >= alpha*}.
 
-The CSIT slope needs alpha_dot(0), the derivative of the finite-bandwidth
-threshold alpha(zeta) at zeta = 0.  Expanding the power constraint
-E{expm1(ln(z/alpha)/(beta+1))/z, z >= alpha} = (Pbar/N0) zeta to second
-order in 1/(beta+1) = zeta/(k + zeta), k = theta*T/ln2, and differentiating
-implicitly at zeta = 0 gives it in closed form:
+The CSIT slope comes from alpha_dot(0), the derivative of the
+finite-bandwidth threshold alpha(zeta) at zeta = 0.  Expanding the power
+constraint E{expm1(ln(z/alpha)/(beta+1))/z, z >= alpha} = (Pbar/N0) zeta to
+second order in 1/(beta+1) = zeta/(k + zeta), k = theta*T/ln2, and
+differentiating implicitly at zeta = 0 gives it in closed form:
 
     d(ln alpha)/dzeta = -(c - H/2) / (k E{(1/z), z >= alpha*}).
 
@@ -43,6 +43,15 @@ Substituted into the slope definition of Verdu, "Spectral efficiency in the
 wideband regime", IEEE Trans. IT 48(6), 2002, the denominator
 Pbar/N0 + d(ln alpha)/dzeta E{(1/z), z >= alpha*} collapses to H/(2k),
 which yields the S0 above without the cancellation of its two terms.
+
+The wideband CSIT values are built in stages on one alpha*, and each
+stage makes its own checks once:
+    floor (_alpha_star_roots): each row's arguments, c, the root and
+        ln xi, for the surface cells and every stage below;
+    slope (_csit_summary): H and S0, for wideband_csit, the asymptotics
+        command and the sweep asymptotes;
+    derivative (_alpha_star_rows): H and alpha_dot(0), for
+        solve_alpha_star and the alpha-star command alone.
 """
 
 from __future__ import annotations
@@ -52,7 +61,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .effcap import LN2, QosConfig, _log_moment_rows, to_db
+from .effcap import _MIN_NORMAL, LN2, QosConfig, _log_moment_rows, _product, to_db
 from .errors import BracketFailure, NumericalError
 from .fading import FadingModel, _ln_mean_exp, _logsumexp
 
@@ -222,11 +231,11 @@ def wideband_csir(
 
 def _ln_xi(ln_xi: float, ln_a: float) -> float:
     """ln xi = ln E{min(1, a/z)} = ln(F(a) + a E{(1/z), z >= a}) as computed
-    at ln a, checked: raises NumericalError when it is not negative and
-    finite."""
-    if not -math.inf < ln_xi < 0:
+    at ln a, checked: raises NumericalError unless it is a negative normal
+    double, which the floor divides by."""
+    if not -math.inf < ln_xi <= -_MIN_NORMAL:
         raise NumericalError(
-            f"ln xi = {ln_xi:g} is not negative and finite at ln alpha* = {ln_a:g}"
+            f"ln xi = {ln_xi:g} is not negative and normal at ln alpha* = {ln_a:g}"
         )
     return ln_xi
 
@@ -265,17 +274,12 @@ def solve_alpha_star(
 
 def _alpha_star_rows(model: FadingModel, thetas, T: float, pbars) -> list:
     """solve_alpha_star for each (thetas[i], pbars[i]): per row the
-    AlphaStarSolution or the NumericalError it raised, every alpha* of the
-    batch from one _alpha_star_roots, to which each row adds the slope's H and
-    dln alpha/dzeta."""
-    for theta, pbar in zip(thetas, pbars):
-        _check_wideband_args(theta, T, pbar)
-    solve = [(float(t), float(p)) for t, p in zip(thetas, pbars) if t > 0]
-    roots = iter(_alpha_star_roots(model, [t for t, _ in solve], T,
-                                   [p for _, p in solve]))
+    AlphaStarSolution or the NumericalError it raised, each row of
+    _alpha_star_roots with the slope's H checked and dln alpha/dzeta."""
     out = []
-    for theta, pbar_over_n0 in zip(map(float, thetas), map(float, pbars)):
-        if theta == 0:
+    for theta, pbar_over_n0, root in zip(thetas, pbars,
+                                         _alpha_star_roots(model, thetas, T, pbars)):
+        if root is None:
             zmax = model.z_max
             out.append(AlphaStarSolution(
                 alpha_star=zmax,
@@ -285,7 +289,7 @@ def _alpha_star_rows(model: FadingModel, thetas, T: float, pbars) -> list:
                 ln_xi=0.0,
             ))
             continue
-        if isinstance(root := next(roots), NumericalError):
+        if isinstance(root, NumericalError):
             out.append(root)
             continue
         ln_star, ln_k, inv_above, h, ln_xi = root
@@ -295,7 +299,6 @@ def _alpha_star_rows(model: FadingModel, thetas, T: float, pbars) -> list:
                     f"wideband CSIT curvature H = {h:g} is not positive and finite "
                     f"({_wideband_params(model, theta, T, pbar_over_n0)})"
                 )
-            ln_xi = _ln_xi(ln_xi, ln_star)
             alpha_star = math.exp(ln_star)
             try:
                 h_over_2k = 0.5 * h * math.exp(-ln_k)
@@ -322,16 +325,17 @@ def _alpha_star_rows(model: FadingModel, thetas, T: float, pbars) -> list:
 
 
 def _alpha_star_roots(model: FadingModel, thetas, T: float, pbars) -> list:
-    """The floor half of _alpha_star_rows, at theta > 0: per row
-    (ln alpha*, ln k, I, H, ln xi) at a resolved root, with H and ln xi
-    not yet checked, or the NumericalError of a c past the doubles, of the
-    bracket or of a root that is not resolved; every alpha* from one
-    _log_moment_rows."""
+    """The floor stage of the wideband CSIT limits, each row validated once
+    and every alpha* of the batch from one _log_moment_rows: per row None
+    at theta = 0, else (ln alpha*, ln k, I, H, ln xi), H not yet checked,
+    or the NumericalError of a c past the doubles, of the bracket, of a
+    root that is not resolved or of ln xi (_ln_xi)."""
     for theta, pbar in zip(thetas, pbars):
         _check_wideband_args(theta, T, pbar)
     theta = np.array(thetas, dtype=float)
     pbar = np.array(pbars, dtype=float)
-    ln_k = np.log(theta) + (math.log(T) - math.log(LN2))
+    with np.errstate(divide="ignore"):
+        ln_k = np.log(theta) + (math.log(T) - math.log(LN2))
     ln_c = ln_k + np.log(pbar)
     out = [None] * len(theta)
     # The root equation reads L1 = c, so c must be a double.
@@ -341,13 +345,13 @@ def _alpha_star_roots(model: FadingModel, thetas, T: float, pbars) -> list:
             f"c = theta*T*(Pbar/N0)/ln2 = exp({ln_c[k]:g}) overflows "
             f"({_wideband_params(model, theta[k], T, pbar[k])})"
         )
-    rows = np.flatnonzero(~big)
+    rows = np.flatnonzero((theta > 0) & ~big)
     if not rows.size:
         return out
     try:
         roots, errors = _log_moment_rows(ln_c[rows], model)
     except BracketFailure as exc:
-        return [exc if o is None else o for o in out]
+        return [exc if theta[k] > 0 and o is None else o for k, o in enumerate(out)]
     cols = (roots.x, ln_k[rows], ln_c[rows], roots.inverse(), roots.log_moment(),
             roots.log_moment2(), roots.ln_mean_power(np.ones(rows.size)))
     for k, error, row in zip(rows.tolist(), errors, zip(*(a.tolist() for a in cols))):
@@ -366,13 +370,17 @@ def _alpha_star_roots(model: FadingModel, thetas, T: float, pbars) -> list:
                 f"ln L1 = {ln_l1:g} against ln c = {ln_c_row:g} "
                 f"({_wideband_params(model, float(theta[k]), T, float(pbar[k]))})"
             )
-        out[k] = error or (ln_star, ln_k_row, inv_above, h, ln_xi)
+        try:
+            out[k] = error or (ln_star, ln_k_row, inv_above, h, _ln_xi(ln_xi, ln_star))
+        except NumericalError as exc:
+            out[k] = exc
     return out
 
 
 def _bit_energy_floor(theta: float, T: float, pbar_over_n0: float, ln_l: float) -> float:
-    """Wideband CSIT bit-energy floor -theta*T*(Pbar/N0)/ln xi, linear."""
-    return -theta * T * pbar_over_n0 / ln_l
+    """Wideband CSIT bit-energy floor -theta*T*(Pbar/N0)/ln xi, linear, the
+    product formed past a theta*T below the normal doubles."""
+    return -_product(theta, T, pbar_over_n0) / ln_l
 
 
 def wideband_csit(
@@ -380,17 +388,17 @@ def wideband_csit(
 ) -> AsymptoticSummary:
     """Fixed-power wideband limits when the transmitter adapts its power.
 
-    Eb/N0|min = -theta*T*(Pbar/N0)/ln xi with xi from solve_alpha_star.
+    Eb/N0|min = -theta*T*(Pbar/N0)/ln xi with xi from _alpha_star_roots.
     The slope denominator Pbar/N0 + dln_alpha_dzeta I collapses to H/(2k),
-    so that
+    so that, with no derivative to compute,
 
         S0 = 2 xi (ln xi)^2 / (alpha* H)
 
     the transmitter-CSI image of the receiver-CSI 2 L (ln L)^2 /
     (c^2 E{z^2 exp(-c z)}).  It is evaluated as 2 exp(ln xi - ln alpha*)
     (ln xi)^2 / H so that tiny alpha* and xi cancel instead of underflowing;
-    a slope beyond the double range raises NumericalError.  theta = 0
-    routes to the fixed-bandwidth CSIT limits.  The one-row case of
+    an H or a slope beyond the double range raises NumericalError.  theta
+    = 0 routes to the fixed-bandwidth CSIT limits.  The one-row case of
     _asymptotes.
     """
     (row,) = _asymptotes(model, "csit", "wideband", [theta], T, None, pbar_over_n0)
@@ -399,23 +407,23 @@ def wideband_csit(
     return row
 
 
-def _csit_summary(model, theta, T, pbar_over_n0, sol) -> AsymptoticSummary:
-    """wideband_csit from the AlphaStarSolution sol at theta."""
-    if theta == 0:
+def _csit_summary(model, theta, T, pbar_over_n0, root) -> AsymptoticSummary:
+    """wideband_csit at theta from its _alpha_star_roots row: the slope stage."""
+    if root is None:
         return replace(lowpower_csit(model, 0.0), regime="wideband")
+    ln_star, _, _, h, ln_xi = root
     try:
-        ratio = math.exp(sol.ln_xi - sol.ln_alpha_star)
+        ratio = math.exp(ln_xi - ln_star)
     except OverflowError:
         ratio = math.inf
-    s0 = 2.0 * ratio * sol.ln_xi * sol.ln_xi / sol.log_moment2
+    s0 = 2.0 * ratio * ln_xi * ln_xi / h if 0 < h < math.inf else math.nan
     if not math.isfinite(s0):
         raise NumericalError(
-            "wideband CSIT slope overflows: xi/alpha* = "
-            f"exp({sol.ln_xi - sol.ln_alpha_star:g}) "
-            f"({_wideband_params(model, theta, T, pbar_over_n0)})"
+            f"wideband CSIT slope overflows: xi/alpha* = exp({ln_xi - ln_star:g}) "
+            f"over curvature H = {h:g} ({_wideband_params(model, theta, T, pbar_over_n0)})"
         )
     return AsymptoticSummary(
-        ebn0_min_linear=_bit_energy_floor(theta, T, pbar_over_n0, sol.ln_xi),
+        ebn0_min_linear=_bit_energy_floor(theta, T, pbar_over_n0, ln_xi),
         slope_s0=s0,
         regime="wideband",
         mode="csit",
@@ -427,9 +435,9 @@ def _asymptotes(model: FadingModel, mode: str, regime: str, thetas, T: float,
     """Bit-energy floor and slope for one mode/regime at each theta: per row
     the AsymptoticSummary or the NumericalError it raised.  B is used only
     in the lowpower regime and pbar_over_n0 only in the wideband one; the
-    wideband CSIT rows take every alpha* from one _alpha_star_rows."""
+    wideband CSIT rows take every alpha* from one _alpha_star_roots."""
     if mode == "csit" and regime == "wideband":
-        sols = _alpha_star_rows(model, thetas, T, [pbar_over_n0] * len(thetas))
+        roots = _alpha_star_roots(model, thetas, T, [pbar_over_n0] * len(thetas))
     out = []
     for k, theta in enumerate(thetas):
         try:
@@ -438,10 +446,10 @@ def _asymptotes(model: FadingModel, mode: str, regime: str, thetas, T: float,
                 out.append(lowpower(model, QosConfig(theta, T, B).beta))
             elif mode == "csir":
                 out.append(wideband_csir(model, theta, T, pbar_over_n0))
-            elif isinstance(sols[k], NumericalError):
-                out.append(sols[k])
+            elif isinstance(roots[k], NumericalError):
+                out.append(roots[k])
             else:
-                out.append(_csit_summary(model, theta, T, pbar_over_n0, sols[k]))
+                out.append(_csit_summary(model, theta, T, pbar_over_n0, roots[k]))
         except NumericalError as exc:
             out.append(exc)
     return out

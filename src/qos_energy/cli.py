@@ -33,7 +33,7 @@ import numpy as np
 
 from .asymptotics import _asymptotes
 from .effcap import QosConfig, delay_limited_limit, shannon_limit
-from .errors import DivergentInverseMoment, NumericalError
+from .errors import NumericalError
 from .fading import _MODELS, from_config
 from .queuesim import SimConfig, predicted_effective_capacity, simulate_queue
 from .sweep import (
@@ -341,21 +341,17 @@ def _simulate_queue(cfg: dict, model):
 def _limits(cfg: dict, model):
     qos = QosConfig(theta=0.0, T=cfg["T"], B=cfg["B"])
     snr = cfg["snr"]
-    # A divergent E{1/z} is reported as a note, as the other commands report.
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", DivergentInverseMoment)
-        delay_csit = delay_limited_limit(snr, "csit", model)
     results = {
         "snr": snr,
         "shannon_csir": shannon_limit(snr, "csir", qos, model),
         "shannon_csit": shannon_limit(snr, "csit", qos, model),
         "delay_limited_csir": delay_limited_limit(snr, "csir", model),
-        "delay_limited_csit": delay_csit,
+        "delay_limited_csit": delay_limited_limit(snr, "csit", model),
     }
     base = f"limits_{_model_tag(cfg['model'])}"
     rows = [(k, v) for k, v in results.items() if k != "snr"]
     table = (base, "quantity,spectral_efficiency_bps_hz", rows)
-    return base, {"results": results}, [table], [f"note: {w.message}" for w in caught]
+    return base, {"results": results}, [table], []
 
 
 _THETAS = [0.0, 0.001, 0.01, 0.1, 1.0]
@@ -593,21 +589,36 @@ def main(argv=None) -> int:
             return 0
         return code if isinstance(code, int) else 2
     command = args.command
+    notes = []
     try:
         cfg, model = _resolve(args)
-        base, payload, tables, notes = _COMMANDS[command][1](cfg, model)
+        # The package's warnings (gaps, a divergent E{1/z}) become notes;
+        # every other warning shows as it would.
+        with warnings.catch_warnings():
+            warnings.simplefilter("always", UserWarning)
+            show = warnings.showwarning
+
+            def note(message, category, *rest):
+                if issubclass(category, UserWarning):
+                    notes.append(f"note: {message}")
+                else:
+                    show(message, category, *rest)
+
+            warnings.showwarning = note
+            base, payload, tables, own = _COMMANDS[command][1](cfg, model)
+        notes += own
         written = _write(command, cfg, base, payload, tables)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
-        print(f"{command}: numerical failure: {exc}", file=sys.stderr)
+        print(*notes, f"{command}: numerical failure: {exc}", sep="\n", file=sys.stderr)
         return 3
     except (ValueError, ArithmeticError) as exc:
-        print(f"{command}: {exc}", file=sys.stderr)
+        print(*notes, f"{command}: {exc}", sep="\n", file=sys.stderr)
         return 3
     except OSError as exc:
-        print(f"{command}: filesystem error: {exc}", file=sys.stderr)
+        print(*notes, f"{command}: filesystem error: {exc}", sep="\n", file=sys.stderr)
         return 4
     for path in written:
         print(f"wrote {path}")

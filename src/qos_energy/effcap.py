@@ -31,7 +31,9 @@ sums at its grid edges or atoms (fading._Groups), built whole; the mean
 power at an edge is their tilted sum for the row's exponent 1/(beta+1),
 each exponent summed only until all its rows are placed, and the edge
 values place each root.  Between two atoms, or below the last edge, the
-root is a closed form.  Inside a grid panel, _solve_rows runs a
+root is a closed form; below a density's last edge, the 1e-280 floor of
+its nodes, a row is refused where the law between the root and the floor
+could move it.  Inside a grid panel, _solve_rows runs a
 safeguarded Newton on every row at once, each row costing one 16-node
 partial panel plus the edge sums composed across the gap to the edge,
 until its step or its panel is narrower than 1e-13 in ln(alpha).  _Roots
@@ -247,8 +249,8 @@ class _Roots:
         return self._partial_sum(lambda d, v, ln_w: v * d) + (d1 + self.y * cv)
 
     def log_moment2(self) -> np.ndarray:
-        """H = E{ln^2(z/a)/z ; z >= a}; inf past the doubles, which
-        _alpha_star_rows refuses."""
+        """H = E{ln^2(z/a)/z ; z >= a}; inf past the doubles, which the
+        wideband CSIT slope refuses."""
         cv, _, d1, d2 = self.sums[:4]
         with np.errstate(over="ignore"):
             return self._partial_sum(lambda d, v, ln_w: v * d * d) + (
@@ -364,10 +366,14 @@ def _thresholds(model, target, blocks, group, depth, residual, closed, what) -> 
     is solved by _solve_rows on ln f - ln target, from residual(roots,
     rows, f_e) -> (ln f - ln target, dln f/dln a) at the rows' _Roots, with
     f_e = f at their edges; below the last edge, or between two atoms, the gap
-    y = ell[e] - ln a is closed(rows, f_e, I_e), with I_e = I at the edges,
-    and the roots keep it: ell[e] minus ln a loses its digits near an atom.
-    errors[i] is the BracketFailure of a row whose root is not finite,
-    else None.
+    y = ell[e] - ln a and ln w are closed(rows, f_e, I_e), with I_e = I at
+    the edges and w the weight of 1/z at the edge in f's integrand, and the
+    roots keep y: ell[e] minus ln a loses its digits near an atom.  Below a
+    density's last edge the closed form takes no mass between the root and
+    that edge; the part it leaves out is at most w E{1/z ; a <= z < edge},
+    which the model bounds, and a row whose bound passes 2^-53 of its
+    target is refused.  errors[i] is the BracketFailure of a row whose root
+    is not finite, the NumericalError of a row so refused, else None.
     """
     groups = model._groups
     if groups.size <= groups.first:
@@ -378,7 +384,7 @@ def _thresholds(model, target, blocks, group, depth, residual, closed, what) -> 
     inside = (e >= 0) & (j < groups.size) & groups.panels
     shut = np.flatnonzero((e >= 0) & ~inside)
     if shut.size:
-        y[shut] = closed(shut, f_above[shut], groups.sums[0, e[shut]])
+        y[shut], ln_w = closed(shut, f_above[shut], groups.sums[0, e[shut]])
         x[shut] = groups.ell[e[shut]] - y[shut]
     panel = np.flatnonzero(inside)
     if panel.size:
@@ -397,6 +403,18 @@ def _thresholds(model, target, blocks, group, depth, residual, closed, what) -> 
         x[panel] = np.clip(found, lo, hi)
         y[panel] = hi - x[panel]
     errors = [None] * len(x)
+    if groups.panels and shut.size:
+        # The part of the law that the closed form leaves out, past 2^-53
+        # of the target, moves the root.
+        ln_miss = ln_w + model._ln_inverse_below(groups.ell[-1], y[shut])
+        for i, miss in zip(shut.tolist(), ln_miss.tolist()):
+            if miss > math.log(target[i]) - 53.0 * LN2:
+                errors[i] = NumericalError(
+                    f"{what}: the root exp({x[i]:g}) lies below the "
+                    f"{math.exp(groups.ell[-1]):g} floor of the expectation nodes, "
+                    f"and the law between the two may add up to exp({miss:g}) "
+                    f"to its target {target[i]:g}"
+                )
     for i in np.flatnonzero(~np.isfinite(x)):
         errors[i] = BracketFailure(f"{what}: no root in the double range")
     return _Roots(model, x, y, e, inside), errors
@@ -427,12 +445,13 @@ def _power_rows(snr: np.ndarray, beta: np.ndarray, model: FadingModel):
 
     def closed(rows, m_e, i_e):
         gap, room = snr[rows] - m_e, i_e + m_e
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", divide="ignore"):
+            ln_q = np.log(gap) - np.log(room)
             q = gap / room
             y = np.log1p(q)
             past = np.isinf(q)
-            y[past] = np.log(gap[past]) - np.log(room[past])
-            return (beta[rows] + 1.0) * y
+            y[past] = ln_q[past]
+            return (beta[rows] + 1.0) * y, ln_q
 
     blocks = ((start, idx, t)
               for start, idx, t, _ in groups.tilted(s_u, "v", depth=depth))
@@ -453,7 +472,9 @@ def _log_moment_rows(ln_c: np.ndarray, model: FadingModel):
             return np.log(l1) - ln_c[rows], -roots.inverse() / l1
 
     def closed(rows, l1_e, i_e):
-        return (c[rows] - l1_e) / i_e
+        y = (c[rows] - l1_e) / i_e
+        with np.errstate(divide="ignore"):
+            return y, np.log(y)
 
     what = "wideband CSIT threshold alpha*"
     # L1 at every edge, one block of one exponent

@@ -100,10 +100,13 @@ _PASS = 64
 # edge sums weigh z^k with k = m - 1 + s, 0 <= s <= 1, so |k| <= m, times
 # powers of ln(z/a) of degree at most 2; on these panels they match
 # 0.25-wide ones to 1.1e-14 relative.
-# Threshold expectations start at the threshold but never below 1e-280:
-# densities that blow up at the origin drive the mean power astronomical
-# long before a threshold solve descends that far, and the floor caps a
-# deep threshold at 2,600 panels.
+# Threshold expectations start at the threshold but never below 1e-280,
+# which caps a deep threshold at 2,600 panels.  A threshold solve can still
+# descend that far: at strong QoS the power threshold's exponent 1/(beta+1)
+# is small, and on Rayleigh the alpha* equation's L1 grows only like
+# ln^2(1/alpha)/2.  Below the floor a root is a closed form that leaves out
+# the law between the root and the floor, and a row whose bound on that part
+# (NakagamiM._ln_inverse_below) passes 2^-53 of its target is refused.
 _LN_Z_WHOLE = math.log(1e-30)
 _LUMP_XS = 1e20
 _LN_Z_FLOOR = math.log(1e-280)
@@ -622,6 +625,21 @@ class NakagamiM(FadingModel):
         partial panel above the floor when the floor is not on an edge."""
         first = round(_LN_TAIL_PAD / _PANEL) - 1
         return _Groups(*self._rows_from(_LN_Z_FLOOR), first, True)
+
+    def _ln_inverse_below(self, ln_f: float, y: np.ndarray) -> np.ndarray:
+        """ln of a bound on E{1/z ; f e^-y <= z < f} for each y >= 0: the
+        integral of z^(m-2) / (Gamma(m) s^m), the density over z without
+        its factor e^(-z/s) <= 1, which is f^(m-1) (1 - e^((1-m) y))/(m-1),
+        and y at m = 1."""
+        k = self.m - 1.0
+        with np.errstate(divide="ignore"):
+            if k == 0.0:
+                ln_int = np.log(y)
+            else:
+                ln_int = np.log(-np.expm1(-abs(k) * y) / abs(k))
+        if k < 0.0:
+            ln_int -= k * y
+        return k * ln_f + ln_int - math.lgamma(self.m) - self.m * math.log(self.scale)
 
     @functools.cached_property
     def _x_lumped(self) -> float:

@@ -28,7 +28,6 @@ from .asymptotics import (
     _alpha_star_roots,
 )
 from .effcap import (
-    _MIN_NORMAL,
     LN2,
     QosConfig,
     _check_mode,
@@ -262,41 +261,38 @@ def ebn0_min_surface(
     """Bit-energy floor in dB over a (theta, pbar_over_n0) grid.
 
     Cells at theta > 0 take the floor from -ln E{exp(-c z)}/c (CSIR) or
-    from the xi of solve_alpha_star (CSIT), without the slope: a CSIT cell
-    fails only when alpha* is not resolved or ln xi is not a negative
-    normal double, never for the slope's H.  Cells that fail numerically
-    are stored as None; a CSIT floor of 0 linear (unbounded gains at
-    theta = 0) is stored as -inf dB.
+    from the xi of the floor stage _alpha_star_roots, one batch for every
+    CSIT cell, without the slope: a CSIT cell fails only where that stage
+    refuses, never for the slope's H.  Cells that fail numerically are
+    stored as None; a CSIT floor of 0 linear (unbounded gains at theta = 0)
+    is stored as -inf dB.
     """
     _check_mode(mode)
     thetas = tuple(float(t) for t in theta_grid)
     pbars = tuple(float(p) for p in pbar_grid)
+    n = len(pbars)
+    roots = [None] * (n * len(thetas))
+    if mode == "csit":
+        roots = _alpha_star_roots(model, [t for t in thetas for _ in pbars], T,
+                                  pbars * len(thetas))
 
-    solve = [(t, p) for t in thetas for p in pbars if mode == "csit" and t > 0]
-    roots = iter(_alpha_star_roots(model, [t for t, _ in solve], T,
-                                   [p for _, p in solve]))
-
-    def cell(theta: float, pn0: float):
+    def cell(theta: float, pn0: float, root):
         try:
+            if isinstance(root, NumericalError):
+                return root
             if theta == 0:
                 (row,) = _asymptotes(model, mode, WIDEBAND, [theta], T, None, pn0)
                 return row if isinstance(row, NumericalError) else row.ebn0_min_db
             if mode == "csir":
                 return to_db(LN2 / _laplace(model, theta * T * pn0 / LN2)[1])
-            if isinstance(root := next(roots), NumericalError):
-                return root
-            ln_xi = root[-1]
-            if not -math.inf < ln_xi <= -_MIN_NORMAL:
-                return NumericalError(
-                    f"ln xi = {ln_xi:g} is not a negative normal double"
-                )
-            return to_db(_bit_energy_floor(theta, T, pn0, ln_xi))
+            return to_db(_bit_energy_floor(theta, T, pn0, root[-1]))
         except NumericalError as exc:
             return exc
 
     rows = [
-        tuple(_gaps([cell(t, p) for p in pbars], t, pbars, "surface cell", "pbar_over_n0"))
-        for t in thetas
+        tuple(_gaps([cell(t, p, r) for p, r in zip(pbars, roots[i * n : (i + 1) * n])],
+                    t, pbars, "surface cell", "pbar_over_n0"))
+        for i, t in enumerate(thetas)
     ]
     return Surface(
         theta_grid=thetas,

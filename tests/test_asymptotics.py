@@ -32,7 +32,7 @@ from qos_energy import (
     wideband_csir,
     wideband_csit,
 )
-from qos_energy.asymptotics import _DB_PER_FACTOR2, _ln_xi
+from qos_energy.asymptotics import _DB_PER_FACTOR2, _alpha_star_roots, _ln_xi
 from qos_energy.effcap import LN2, _Roots
 from qos_energy.sweep import ebn0_min_surface
 from test_acceptance import CSIT_SLOPES
@@ -144,14 +144,19 @@ class TestWeakQos:
              5e-324, 1.0, 100.0),
             (Deterministic(1.3), 1e-310, 1e-20, 1.0),
             (RAY, 1e-300, 1e-20, 1e-3),
-            # k = theta*T/ln2 underflows: dln alpha/dzeta leaves the doubles
+            # k = theta*T/ln2 underflows: dln alpha/dzeta leaves the doubles,
+            # which solve_alpha_star alone reports; wideband_csit resolves
+            # (TestWidebandStages)
             (RAY, 1e-300, 1e-20, 1e300),
         ],
     )
     def test_underflowing_parameter_products_are_numerical_errors(
         self, model, theta, t, pn0
     ):
-        for solve in (solve_alpha_star, wideband_csit):
+        derivative_only = (theta, t, pn0) == (1e-300, 1e-20, 1e300)
+        for solve in (solve_alpha_star,) if derivative_only else (
+            solve_alpha_star, wideband_csit
+        ):
             with pytest.raises(NumericalError):
                 solve(model, theta, t, pn0)
 
@@ -317,14 +322,73 @@ class TestWidebandCsir:
             wideband_csir(RAY, 0.1, T, 0.0)
 
 
+class TestWidebandStages:
+    """The wideband CSIT limits in stages on one alpha*: the floor
+    (_alpha_star_roots, which checks each row and ln xi once), the slope
+    (H and S0), and the derivative alpha_dot(0), which only
+    solve_alpha_star and the alpha-star command report."""
+
+    TABLE = BoundedTable(((0.0, 0.1), (0.3, 0.2), (1.0, 0.4), (2.5, 0.3)))
+
+    def test_floor_and_slope_need_no_derivative(self):
+        # k = theta T/ln2 underflows, so dln alpha/dzeta = -(Pbar/N0 -
+        # H/(2k))/I leaves the doubles, but the floor and the slope hold.
+        # The references are the theta T (Pbar/N0) = 1e-20 limits from
+        # scipy quadrature in t = ln(z/alpha), z = alpha e^t:
+        # L1 = int t e^(-alpha e^t), H = int t^2 e^(-alpha e^t) and
+        # 1 - xi = int (1 - e^-t) alpha e^t e^(-alpha e^t).
+        c = 1e-20 / LN2
+
+        def integral(f):
+            return quad(f, 0.0, 6.0, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+        a = brentq(
+            lambda a: math.log(integral(lambda t: t * math.exp(-a * math.exp(t))))
+            - math.log(c),
+            10.0, 100.0, rtol=8.9e-16,
+        )
+        ln_xi = math.log1p(-integral(
+            lambda t: -math.expm1(-t) * a * math.exp(t - a * math.exp(t))))
+        h = integral(lambda t: t * t * math.exp(-a * math.exp(t)))
+        got = wideband_csit(RAY, 1e-300, 1e-20, 1e300)
+        assert got.ebn0_min_linear == pytest.approx(-1e-20 / ln_xi, rel=1e-12)
+        assert got.slope_s0 == pytest.approx(
+            2.0 * math.exp(ln_xi) * ln_xi**2 / (a * h), rel=1e-12
+        )
+        # the same against mpmath's 40-digit values
+        assert got.ebn0_min_linear == pytest.approx(0.0176498449454629, rel=1e-12)
+        assert got.slope_s0 == pytest.approx(2.39130484720547e-17, rel=1e-12)
+        with pytest.raises(NumericalError, match="derivative"):
+            solve_alpha_star(RAY, 1e-300, 1e-20, 1e300)
+
+    def test_one_ln_xi_rule(self):
+        # theta = 5e-324 leaves ln xi = -1.78e-317 below the normal doubles
+        # on the table; the surface cell and solve_alpha_star refuse it alike
+        want = "ln xi = -1.78196e-317 is not negative and normal"
+        with pytest.raises(NumericalError, match=want):
+            solve_alpha_star(self.TABLE, 5e-324, 1.0, 1e6)
+        with pytest.warns(UserWarning, match=want):
+            surf = ebn0_min_surface("csit", self.TABLE, (5e-324,), (1e6,), 1.0)
+        assert surf.ebn0_min_db == ((None,),)
+
+    def test_floor_stage_takes_every_row(self):
+        rows = _alpha_star_roots(RAY, [0.0, 0.1], T, [PN0, PN0])
+        assert rows[0] is None
+        assert rows[1][0] == solve_alpha_star(RAY, 0.1, T, PN0).ln_alpha_star
+        for thetas in ([0.0], [0.1, 0.0]):
+            with pytest.raises(ValueError, match="T must be positive"):
+                _alpha_star_roots(RAY, thetas, -1.0, [PN0] * len(thetas))
+
+
 class TestRefusalsComeAlone:
     # pyproject.toml makes a numpy RuntimeWarning an error, so a warning on
     # the way to a refusal fails these
     TABLE = BoundedTable(((0.0, 0.1), (0.3, 0.2), (1.0, 0.4), (2.5, 0.3)))
     CASES = {
-        # the root's gap y below the last edge makes H = y^2 sum v overflow
-        "alpha-star-H": (solve_alpha_star, RAY, 1e-100, 1e-20, 1e300, "H = inf"),
-        "csit-H": (wideband_csit, RAY, 1e-100, 1e-20, 1e300, "H = inf"),
+        # the root's gap y below the last edge would make H = y^2 sum v
+        # overflow, but the root lies below the node floor, refused first
+        "alpha-star-H": (solve_alpha_star, RAY, 1e-100, 1e-20, 1e300, "1e-280 floor"),
+        "csit-H": (wideband_csit, RAY, 1e-100, 1e-20, 1e300, "1e-280 floor"),
         # c = theta T (Pbar/N0)/ln2 itself overflows
         "alpha-star-c": (solve_alpha_star, RAY, 1e6, 1e3, 1e300, "exp.* overflows"),
         "csit-c": (wideband_csit, RAY, 1e6, 1e3, 1e300, "exp.* overflows"),

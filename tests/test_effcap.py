@@ -36,9 +36,14 @@ from qos_energy import (
     solve_alpha,
     spectral_efficiency_csir,
     spectral_efficiency_csit,
+    solve_alpha_star,
     wideband_csir,
+    wideband_csit,
 )
+from qos_energy.asymptotics import _alpha_star_roots
 from qos_energy.effcap import LN2, to_db
+
+EULER_GAMMA = 0.5772156649015329
 
 
 def gamma_moment_csit_se(snr, theta, T, B, m):
@@ -437,6 +442,67 @@ class TestProductsPastTheDoubles:
         (row,) = ebn0_min_surface("csir", self.TABLE, (1.0,), (pn0,), 1.0).ebn0_min_db
         c = pn0 / LN2
         assert row[0] == pytest.approx(to_db(LN2 * c / math.log(10.0)), rel=1e-12)
+
+
+class TestNodeFloor:
+    """A density's root below the 1e-280 node floor comes back right or is
+    refused with an error that names the floor.  The literals come from
+    oracles that do not import the package (mpmath is not a test
+    dependency): mpmath's incomplete gamma for the Rayleigh power threshold
+    and rate, and the small-alpha expansion of the alpha* equation on
+    Rayleigh, L1 = x^2/2 - gamma x + gamma^2/2 + pi^2/12, x = ln(1/alpha)."""
+
+    @staticmethod
+    def right_or_refused(call, want):
+        try:
+            got = call()
+        except NumericalError as exc:
+            assert "1e-280 floor" in str(exc)
+            return
+        assert got == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "snr, theta, ln_alpha, se",
+        [
+            # the top point of `sweep --mode csit --theta 100`: the closed
+            # form below the floor gave exp(-766.564) and 0.0380040
+            (10.0, 100.0, -756.927031420279, 0.0375142044319881),
+            # the closed form gave 4.2016
+            (1e4, 10.0, -5315.88870873586, 2.65312601754286),
+        ],
+    )
+    def test_csit_rate(self, snr, theta, ln_alpha, se):
+        qos = QosConfig(theta, 2e-3, 1e5)
+        self.right_or_refused(lambda: solve_alpha(snr, qos, RAY).ln_alpha, ln_alpha)
+        self.right_or_refused(lambda: spectral_efficiency_csit(snr, qos, RAY), se)
+
+    def test_alpha_star(self):
+        # c = 2.885e6: the closed form gave ln alpha* = -4802.0 and a floor
+        # of 26.20 dB
+        self.right_or_refused(
+            lambda: solve_alpha_star(RAY, 1e5, 2e-3, 1e4).ln_alpha_star,
+            -2402.82169086342,
+        )
+        self.right_or_refused(
+            lambda: wideband_csit(RAY, 1e5, 2e-3, 1e4).ebn0_min_db, 29.2171774759872
+        )
+
+    def test_roots_below_the_floor_that_hold(self):
+        # water-filling at snr 1e300 puts alpha near 1e-300: its rate is
+        # (ln 1e300 - gamma)/ln 2
+        want = (300.0 * math.log(10.0) - EULER_GAMMA) / LN2
+        assert shannon_limit(1e300, "csit", QOS, RAY) == pytest.approx(want, rel=1e-14)
+        # Nakagami-2: L1 = 2 E1(2 alpha), so ln alpha* = -c/2 - gamma - ln 2
+        # at c = 2.9e97, xi = 2 alpha* and the floor is 2 ln 2
+        theta, t, pn0 = 1e-200, 2e-3, 1e300
+        c = theta * t * pn0 / LN2
+        (root,) = _alpha_star_roots(NAK2, [theta], t, [pn0])
+        assert root[0] == pytest.approx(-c / 2 - EULER_GAMMA - LN2, rel=1e-12)
+        floor = wideband_csit(NAK2, theta, t, pn0).ebn0_min_linear
+        assert floor == pytest.approx(2.0 * LN2, rel=1e-12)
+        # strong QoS above the floor, against mpmath
+        got = spectral_efficiency_csit(10.0, QosConfig(30.0, 2e-3, 1e5), RAY)
+        assert got == pytest.approx(0.0678873603717217, rel=1e-14)
 
 
 class TestDelayLimited:

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import gamma, gammainc, gammaincc, gammaincinv, logsumexp
 
 from qos_energy import (
@@ -153,6 +154,27 @@ class TestNakagami:
             m, s = model.m, model.scale
             want = m * u - np.exp(u) / s - math.lgamma(m) - m * math.log(s)
             assert np.array_equal(model._ln_zp(u).view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("m", [0.5, 0.6, 1.0, 2.0, 8.0])
+    def test_inverse_moment_bound_below_an_edge(self, m):
+        # ln of the integral of z^(m-2)/(Gamma(m) s^m) over [f e^-y, f],
+        # by quadrature in t = ln(z/f); at a small edge, where e^(-z/s) is
+        # 1 to the last bit, it is E{1/z ; f e^-y <= z < f} itself, so the
+        # bound is tight there
+        model = NakagamiM(m, mean=1.7)
+        ys = np.array([1e-9, 0.5, 5.0, 60.0])
+        for ln_f in (math.log(1e-280), math.log(1e-3)):
+            got = model._ln_inverse_below(ln_f, ys)
+            for y, ln_bound in zip(ys, got):
+                integral = quad(lambda t: math.exp((m - 1.0) * t), -y, 0.0,
+                                epsabs=0.0, epsrel=1e-13)[0]
+                want = ((m - 1.0) * ln_f + math.log(integral) - math.lgamma(m)
+                        - m * math.log(model.scale))
+                assert ln_bound == pytest.approx(want, abs=1e-12 * max(1.0, abs(want)))
+        z_lo, z_hi = 1e-3 * math.exp(-5.0), 1e-3
+        exact = quad(lambda z: model.density(z) / z, z_lo, z_hi, epsabs=0.0, epsrel=1e-12)[0]
+        (ln_bound,) = model._ln_inverse_below(math.log(z_hi), np.array([5.0]))
+        assert exact <= math.exp(ln_bound) <= exact * math.exp(z_hi / model.scale)
 
     def test_density_normalizes(self):
         for m in (0.5, 1.0, 2.0, 4.7):

@@ -12,6 +12,7 @@ from qos_energy import (
     BracketFailure,
     Deterministic,
     NakagamiM,
+    NumericalError,
     Rayleigh,
     SweepSpec,
     solve_alpha_star,
@@ -124,17 +125,22 @@ class TestSolveThreshold:
     def test_expands_the_bracket_both_ways(self):
         # A root on either end of its bracket needs no evaluation, and the
         # model solves reach roots past the lattice both ways: the closed
-        # form far below its floor, the panels just below its top.
+        # form below its floor, the panels just below its top.
         root = _solve_rows(
             lambda x, rows: pytest.fail("evaluated"),
             np.array([0.0, 0.0]), np.array([1.0, 1.0]),
             np.array([0.0, 1.0]), np.array([-1.0, 0.0]),
         )
         assert root.tolist() == [0.0, 1.0]
-        for snr, beta in ((1e300, 0.0), (1e250, 1e3), (1e-30, 0.0)):
+        for snr, beta in ((1e300, 0.0), (1e-30, 0.0)):
             ln_a = solve_alpha_ln(snr, beta, RAY)
             assert mean_policy_power(RAY, ln_a, beta)[0] == pytest.approx(snr, rel=1e-12)
         assert solve_alpha_ln(1e300, 0.0, RAY) < math.log(1e-280)
+        # The root at beta = 1e3 lies as far below the floor, but the law
+        # between it and the floor moves it, and mean_policy_power, clamped
+        # to the same floor, cannot see that: it is refused.
+        with pytest.raises(NumericalError, match="1e-280 floor"):
+            solve_alpha_ln(1e250, 1e3, RAY)
 
     def test_no_sign_change_raises(self):
         # rows whose ends do not bracket a root come back NaN, the rest solve
@@ -302,7 +308,7 @@ class TestEvaluationBudget:
         self, monkeypatch, tmp_path, capsys, argv, thresholds
     ):
         # one threshold batch for every grid line (5 thetas) and one alpha*
-        # batch for every theta of the invocation
+        # floor batch (_alpha_star_roots) for every theta of the invocation
         calls = {"thresholds": 0, "alpha_star": 0}
 
         def counted(name, real):
@@ -313,9 +319,9 @@ class TestEvaluationBudget:
             return counting
 
         monkeypatch.setattr(effcap, "_thresholds", counted("thresholds", effcap._thresholds))
-        stars = counted("alpha_star", asymptotics._alpha_star_rows)
-        monkeypatch.setattr(asymptotics, "_alpha_star_rows", stars)
-        monkeypatch.setattr(sweep_mod, "_alpha_star_rows", stars)
+        stars = counted("alpha_star", asymptotics._alpha_star_roots)
+        monkeypatch.setattr(asymptotics, "_alpha_star_roots", stars)
+        monkeypatch.setattr(sweep_mod, "_alpha_star_roots", stars)
         assert main([*argv, "--out", str(tmp_path)]) == 0
         capsys.readouterr()
         assert calls == {"thresholds": thresholds, "alpha_star": 1}
