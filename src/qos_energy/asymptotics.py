@@ -61,8 +61,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .effcap import _MIN_NORMAL, LN2, QosConfig, _log_moment_rows, _product, to_db
-from .errors import BracketFailure, NumericalError
+from .effcap import (_MIN_NORMAL, LN2, QosConfig, _log_moment_rows, _one_row, _product,
+                     to_db)
+from .errors import NumericalError
 from .fading import FadingModel, _ln_mean_exp, _logsumexp
 
 _DB_PER_FACTOR2 = 10.0 * math.log10(2.0)
@@ -266,10 +267,7 @@ def solve_alpha_star(
     threshold escapes to z_max, xi = 1 and the derivative fields are None.
     The one-row case of _alpha_star_rows.
     """
-    (sol,) = _alpha_star_rows(model, [theta], T, [pbar_over_n0])
-    if isinstance(sol, NumericalError):
-        raise sol
-    return sol
+    return _one_row(_alpha_star_rows(model, [theta], T, [pbar_over_n0]))
 
 
 def _alpha_star_rows(model: FadingModel, thetas, T: float, pbars) -> list:
@@ -348,10 +346,7 @@ def _alpha_star_roots(model: FadingModel, thetas, T: float, pbars) -> list:
     rows = np.flatnonzero((theta > 0) & ~big)
     if not rows.size:
         return out
-    try:
-        roots, errors = _log_moment_rows(ln_c[rows], model)
-    except BracketFailure as exc:
-        return [exc if theta[k] > 0 and o is None else o for k, o in enumerate(out)]
+    roots, errors = _log_moment_rows(ln_c[rows], model)
     cols = (roots.x, ln_k[rows], ln_c[rows], roots.inverse(), roots.log_moment(),
             roots.log_moment2(), roots.ln_mean_power(np.ones(rows.size)))
     for k, error, row in zip(rows.tolist(), errors, zip(*(a.tolist() for a in cols))):
@@ -360,8 +355,9 @@ def _alpha_star_roots(model: FadingModel, thetas, T: float, pbars) -> list:
         # and, by the solver's 1e-13 stopping rule, inside 1e-13 I/L1 <= 1e-6
         # unless alpha* sits within ~1e-7 (in ln z) of the last expectation
         # node.  There L1 falls to 0 with the width of the nodes left above
-        # alpha*, so a short Newton step there does not make L1 = c: a
-        # threshold past the nodes ends on that fall.
+        # alpha*, so a short Newton step there does not make L1 = c.  (A
+        # threshold past the nodes is refused by _thresholds itself.)  The
+        # test also refuses a table's root at a subnormal c.
         ln_l1 = math.log(l1) if l1 > 0 else -math.inf
         r = abs(ln_l1 - ln_c_row)
         if error is None and not (r <= 1e-6 and r * l1 <= 1e-9 * inv_above):
@@ -401,10 +397,7 @@ def wideband_csit(
     = 0 routes to the fixed-bandwidth CSIT limits.  The one-row case of
     _asymptotes.
     """
-    (row,) = _asymptotes(model, "csit", "wideband", [theta], T, None, pbar_over_n0)
-    if isinstance(row, NumericalError):
-        raise row
-    return row
+    return _one_row(_asymptotes(model, "csit", "wideband", [theta], T, None, pbar_over_n0))
 
 
 def _csit_summary(model, theta, T, pbar_over_n0, root) -> AsymptoticSummary:

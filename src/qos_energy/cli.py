@@ -27,11 +27,11 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
-from .asymptotics import _asymptotes
+from .asymptotics import AsymptoticSummary, _asymptotes
 from .effcap import QosConfig, delay_limited_limit, shannon_limit
 from .errors import NumericalError
 from .fading import _MODELS, from_config
@@ -40,6 +40,7 @@ from .sweep import (
     LOWPOWER,
     WIDEBAND,
     SweepSpec,
+    _gap,
     alpha_vs_zeta,
     default_grid,
     ebn0_min_surface,
@@ -188,7 +189,9 @@ def _model_tag(spec: dict) -> str:
 
 
 def _summary_dict(summary) -> dict:
-    d = asdict(summary)
+    """The fields of an AsymptoticSummary, slope_s0 as s0; all null for None."""
+    d = asdict(summary) if summary else dict.fromkeys(
+        f.name for f in fields(AsymptoticSummary))
     d["s0"] = d.pop("slope_s0")
     return d
 
@@ -231,8 +234,11 @@ def _sweep(cfg: dict, model):
 def _asymptotics(cfg: dict, model):
     summaries = _asymptotes(model, cfg["mode"], cfg["regime"], cfg["theta"],
                             cfg["T"], cfg["B"], cfg["pbar_over_n0"])
-    if errors := [s for s in summaries if isinstance(s, NumericalError)]:
-        raise errors[0]
+    summaries = [_gap(s, "asymptote failed for theta={:g}", t)
+                 for t, s in zip(cfg["theta"], summaries)]
+    if not any(summaries):
+        raise NumericalError("the asymptote failed for every theta")
+    # A failed theta is a row of nulls.
     results = [{**_summary_dict(s), "theta": t} for t, s in zip(cfg["theta"], summaries)]
     base = f"asymptotics_{cfg['mode']}_{cfg['regime']}_{_model_tag(cfg['model'])}"
     rows = [
@@ -246,16 +252,18 @@ def _alpha_star(cfg: dict, model):
     zeta_grid = default_grid(WIDEBAND, cfg["grid_points"])
     curves = alpha_vs_zeta(model, cfg["theta"], cfg["T"], cfg["pbar_over_n0"],
                            zeta_grid)
-    results = [{"theta": c.theta, "alpha_star": c.star.alpha_star, "xi": c.star.xi,
-                "alpha_dot_zero": c.star.alpha_dot_zero,
-                "ln_alpha_star": c.star.ln_alpha_star, "ln_xi": c.star.ln_xi}
+    if not any(c.star for c in curves):
+        raise NumericalError("alpha* failed for every theta")
+    # A failed alpha* is a row of nulls.
+    keys = ("alpha_star", "xi", "alpha_dot_zero", "ln_alpha_star", "ln_xi")
+    results = [{"theta": c.theta, **{k: c.star and getattr(c.star, k) for k in keys}}
                for c in curves]
     mtag = _model_tag(cfg["model"])
     payload = {
         "results": results,
         "curves": [
             {"theta": c.theta, "zetas": c.zetas, "alphas": c.alphas,
-             "alpha_star": c.star.alpha_star} for c in curves
+             "alpha_star": r["alpha_star"]} for c, r in zip(curves, results)
         ],
     }
     rows = [(r["theta"], r["alpha_star"], r["xi"], r["alpha_dot_zero"])
@@ -584,10 +592,8 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
-        code = exc.code
-        if code is None:
-            return 0
-        return code if isinstance(code, int) else 2
+        # argparse exits only through ArgumentParser.exit, with an int status
+        return exc.code
     command = args.command
     notes = []
     try:

@@ -30,13 +30,15 @@ and the one-point functions below are the one-row case.  Each model keeps
 sums at its grid edges or atoms (fading._Groups), built whole; the mean
 power at an edge is their tilted sum for the row's exponent 1/(beta+1),
 each exponent summed only until all its rows are placed, and the edge
-values place each root.  Between two atoms, or below the last edge, the
-root is a closed form; below a density's last edge, the 1e-280 floor of
-its nodes, a row is refused where the law between the root and the floor
-could move it.  Inside a grid panel, _solve_rows runs a
-safeguarded Newton on every row at once, each row costing one 16-node
-partial panel plus the edge sums composed across the gap to the edge,
-until its step or its panel is narrower than 1e-13 in ln(alpha).  _Roots
+values place each root.  A root above the top of a density's nodes is
+refused.  Between two atoms, or below the last edge, the root is a
+closed form; below a density's last edge, the floor of its nodes (1e-280,
+or s 1e-30 where that is lower), a row is refused where the law between
+the root and the floor could move it.  Every refusal is one row's.
+Inside a grid panel, _solve_rows runs a safeguarded Newton on every row
+at once, each row costing one 16-node partial panel plus the edge sums
+composed across the gap to the edge, until its step or its panel is
+narrower than 1e-13 in ln(alpha).  _Roots
 holds the one copy of each formula on those sums: the residuals read M,
 I and L1 through it, and the rate (or, for alpha*, L1, I, H and ln xi)
 at each root, the rate's tilted sums each only as deep as its own
@@ -231,7 +233,7 @@ class _Roots:
         if not self.groups.panels:
             return None
         x, top = self.x, self.groups.ell[self.e]
-        with np.errstate(invalid="ignore"):
+        with np.errstate(invalid="ignore", over="ignore"):
             u, ln_w = self.model._partial(x, np.where(self.partial, top, x))
         return (u - x[:, None], np.exp(ln_w - u), ln_w)
 
@@ -361,8 +363,8 @@ def _thresholds(model, target, blocks, group, depth, residual, closed, what) -> 
     reaches target at the root.
 
     _search places each root below edge e = j - 1.  Edge j at or above
-    first (no nodes above the root: the jump at the top of a grid) puts
-    the root on ell[first] with no nodes; between two grid edges the root
+    first (no nodes above the root: the jump at the top of a grid) leaves
+    e = -1 and the row on ell[first], refused; between two grid edges the root
     is solved by _solve_rows on ln f - ln target, from residual(roots,
     rows, f_e) -> (ln f - ln target, dln f/dln a) at the rows' _Roots, with
     f_e = f at their edges; below the last edge, or between two atoms, the gap
@@ -373,11 +375,10 @@ def _thresholds(model, target, blocks, group, depth, residual, closed, what) -> 
     that edge; the part it leaves out is at most w E{1/z ; a <= z < edge},
     which the model bounds, and a row whose bound passes 2^-53 of its
     target is refused.  errors[i] is the BracketFailure of a row whose root
-    is not finite, the NumericalError of a row so refused, else None.
+    is not finite, the NumericalError of a row so refused or placed above
+    the nodes, else None; nothing is raised for the batch.
     """
     groups = model._groups
-    if groups.size <= groups.first:
-        raise BracketFailure(f"{what}: the model has no nodes")
     j, f_above, f_at = _search(blocks, target, group, depth, groups.first, groups.size)
     e = np.where(j <= groups.first, -1, j - 1)
     x, y = np.where(e < 0, groups.ell[groups.first], np.nan), np.zeros(len(j))
@@ -406,15 +407,23 @@ def _thresholds(model, target, blocks, group, depth, residual, closed, what) -> 
     if groups.panels and shut.size:
         # The part of the law that the closed form leaves out, past 2^-53
         # of the target, moves the root.
-        ln_miss = ln_w + model._ln_inverse_below(groups.ell[-1], y[shut])
+        floor = groups.ell[-1]
+        ln_miss = ln_w + model._ln_inverse_below(floor, y[shut])
+        # a law's floor, s 1e-30, can lie below the doubles
+        floor = f"{math.exp(floor):g}" if math.exp(floor) else f"exp({floor:g})"
         for i, miss in zip(shut.tolist(), ln_miss.tolist()):
             if miss > math.log(target[i]) - 53.0 * LN2:
                 errors[i] = NumericalError(
                     f"{what}: the root exp({x[i]:g}) lies below the "
-                    f"{math.exp(groups.ell[-1]):g} floor of the expectation nodes, "
+                    f"{floor} floor of the expectation nodes, "
                     f"and the law between the two may add up to exp({miss:g}) "
                     f"to its target {target[i]:g}"
                 )
+    for i in np.flatnonzero(e < 0):
+        errors[i] = NumericalError(
+            f"{what} = exp({x[i]:g}) is not resolved: its target {target[i]:g} "
+            "is reached only above the top of the expectation nodes"
+        )
     for i in np.flatnonzero(~np.isfinite(x)):
         errors[i] = BracketFailure(f"{what}: no root in the double range")
     return _Roots(model, x, y, e, inside), errors
@@ -455,7 +464,7 @@ def _power_rows(snr: np.ndarray, beta: np.ndarray, model: FadingModel):
 
     blocks = ((start, idx, t)
               for start, idx, t, _ in groups.tilted(s_u, "v", depth=depth))
-    what = "power threshold solve"
+    what = "power threshold"
     return _thresholds(model, snr, blocks, inv, depth, residual, closed, what)
 
 
@@ -472,8 +481,8 @@ def _log_moment_rows(ln_c: np.ndarray, model: FadingModel):
             return np.log(l1) - ln_c[rows], -roots.inverse() / l1
 
     def closed(rows, l1_e, i_e):
-        y = (c[rows] - l1_e) / i_e
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
+            y = (c[rows] - l1_e) / i_e
             return y, np.log(y)
 
     what = "wideband CSIT threshold alpha*"
@@ -538,10 +547,16 @@ def spectral_efficiency_csit(snr: float, qos: QosConfig, model: FadingModel) -> 
     _check_snr(snr)
     if snr == 0:
         return 0.0
-    (row,) = _csit_rows(np.array([snr]), qos.theta, qos.T, np.array([qos.B]), model)
+    rows = _csit_rows(np.array([snr]), qos.theta, qos.T, np.array([qos.B]), model)
+    return _one_row(rows)[0]
+
+
+def _one_row(rows: list):
+    """The row of a one-row batch; raises it if it is a NumericalError."""
+    (row,) = rows
     if isinstance(row, NumericalError):
         raise row
-    return row[0]
+    return row
 
 
 def _csit_rows(snr, theta, T: float, B, model: FadingModel) -> list:

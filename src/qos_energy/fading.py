@@ -17,18 +17,19 @@ per model, _grid, whose edges and nodes are built once as arrays:
 0.25-wide panels hung down from e^2 times the 1 - 1e-12 quantile to the
 lattice edge at or above the scale s = mean/m, and below it, where z p(z)
 is z^m e^(-z/s) and smooth in ln z, wider ones (the bound at
-_LN_Z_WHOLE), down past both the 1e-280 floor and s 1e-30.  A threshold
-set is one partial panel, from the threshold up to the next grid edge,
-followed by the grid panels above that edge, a slice of _grid; a
-threshold from e times the quantile up has no nodes.  support_nodes is
+_LN_Z_WHOLE), down past the threshold floor _ln_z_floor: 1e-280, or
+s 1e-30 where that is lower.  A threshold set is one partial panel, from
+the threshold (never below the floor) up to the next grid edge, followed
+by the grid panels above that edge, a slice of _grid; a threshold from
+e times the quantile up has no nodes.  support_nodes is
 the set from s 1e-30 up, after one node at s 1e-30 that carries the mass
 below it, with its exp(u) and exp(ln_w), built once and read-only:
 Rayleigh needs 897 nodes where 0.25-wide panels need 4,768.  How that
 mass spreads below the node moves a mean of e^(-xz) once x s passes about
 1e20, so _check_lumped refuses such an x.
 The threshold solves read each model's panels or atoms through the sums
-at their edges (_Groups), built once and whole down to 1e-280: 344
-groups for Rayleigh, 2,594 from m = 8 on.
+at their edges (_Groups), built once and whole down to the floor: 344
+groups for Rayleigh, 2,594 from m = 8 on; every law has some.
 _ContinuousModel remains only as an alias of NakagamiM for the benchmark's
 tracer, which wraps expect_above on it, until that tracer goes (ROADMAP
 item 1b).
@@ -100,11 +101,12 @@ _PASS = 64
 # edge sums weigh z^k with k = m - 1 + s, 0 <= s <= 1, so |k| <= m, times
 # powers of ln(z/a) of degree at most 2; on these panels they match
 # 0.25-wide ones to 1.1e-14 relative.
-# Threshold expectations start at the threshold but never below 1e-280,
-# which caps a deep threshold at 2,600 panels.  A threshold solve can still
-# descend that far: at strong QoS the power threshold's exponent 1/(beta+1)
-# is small, and on Rayleigh the alpha* equation's L1 grows only like
-# ln^2(1/alpha)/2.  Below the floor a root is a closed form that leaves out
+# Threshold expectations start at the threshold but never below 1e-280, or
+# s 1e-30 where that is lower (NakagamiM._ln_z_floor), which caps a deep
+# threshold at 2,600 panels and gives every law its nodes.  A threshold
+# solve can still descend that far: at strong QoS the power threshold's
+# exponent 1/(beta+1) is small, and on Rayleigh the alpha* equation's L1
+# grows only like ln^2(1/alpha)/2.  Below the floor a root is a closed form that leaves out
 # the law between the root and the floor, and a row whose bound on that part
 # (NakagamiM._ln_inverse_below) passes 2^-53 of its target is refused.
 _LN_Z_WHOLE = math.log(1e-30)
@@ -290,7 +292,7 @@ class _Groups:
     built at once.
 
     Group j holds the nodes at or above its lower edge ell[j] and below
-    ell[j-1]: a 16-node grid panel, the partial panel above the 1e-280
+    ell[j-1]: a 16-node grid panel, the partial panel above the model's
     floor, or one atom on its edge.  Column j of sums runs over groups
     0..j, with d = u - ell[j] >= 0 and v = w/z:
 
@@ -576,18 +578,22 @@ class NakagamiM(FadingModel):
         return math.log(self.upper_cutoff()) + 2.0 * _LN_TAIL_PAD
 
     @functools.cached_property
+    def _ln_z_floor(self) -> float:
+        """ln of the threshold nodes' floor: 1e-280, or s 1e-30 below it."""
+        return min(_LN_Z_FLOOR, math.log(self.scale) + _LN_Z_WHOLE)
+
+    @functools.cached_property
     def _grid(self) -> tuple[np.ndarray, ...]:
         """(ell, u, ln_w) of every grid panel, one row each from the top down
-        past the 1e-280 floor and s 1e-30: 0.25 wide down to the cut, the
-        lowest such edge at or above ln s, and W wide below it."""
+        past _ln_z_floor: 0.25 wide down to the cut, the lowest such edge at
+        or above ln s, and W wide below it."""
         top, ln_s = self._ln_z_top, math.log(self.scale)
         lattice = top - np.arange(1, (top - ln_s) // _PANEL + 2) * _PANEL
         ell = lattice[lattice >= ln_s]
         u = ell[:, None] + _PANEL_U
         ln_w = self._ln_zp(u) + _PANEL_LN_W
         cut, width = ell[-1], min(2.0, max(_PANEL, 2.0 / self.m))
-        lo = min(_LN_Z_FLOOR, ln_s + _LN_Z_WHOLE)
-        edges = cut - width * np.arange((cut - lo) // width + 2)
+        edges = cut - width * np.arange((cut - self._ln_z_floor) // width + 2)
         u_low, ln_w_low = self._partial(edges[1:], edges[:-1])
         return np.append(ell, edges[1:]), np.vstack((u, u_low)), np.vstack((ln_w, ln_w_low))
 
@@ -621,10 +627,10 @@ class NakagamiM(FadingModel):
 
     @functools.cached_property
     def _groups(self) -> _Groups:
-        """The grid panels down to the 1e-280 floor as groups, then the
-        partial panel above the floor when the floor is not on an edge."""
+        """The grid panels down to _ln_z_floor as groups, then the partial
+        panel above the floor when the floor is not on an edge."""
         first = round(_LN_TAIL_PAD / _PANEL) - 1
-        return _Groups(*self._rows_from(_LN_Z_FLOOR), first, True)
+        return _Groups(*self._rows_from(self._ln_z_floor), first, True)
 
     def _ln_inverse_below(self, ln_f: float, y: np.ndarray) -> np.ndarray:
         """ln of a bound on E{1/z ; f e^-y <= z < f} for each y >= 0: the
@@ -632,7 +638,7 @@ class NakagamiM(FadingModel):
         its factor e^(-z/s) <= 1, which is f^(m-1) (1 - e^((1-m) y))/(m-1),
         and y at m = 1."""
         k = self.m - 1.0
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             if k == 0.0:
                 ln_int = np.log(y)
             else:
@@ -655,7 +661,7 @@ class NakagamiM(FadingModel):
     def log_nodes(self, ln_lower: float) -> tuple[np.ndarray, np.ndarray]:
         if ln_lower == -math.inf:
             return self.support_nodes[:2]
-        return self._nodes_from(max(ln_lower, _LN_Z_FLOOR))
+        return self._nodes_from(max(ln_lower, self._ln_z_floor))
 
     def expect_above(self, g, lower: float = 0.0) -> float:
         """QUADPACK to a relative 1e-11 on [max(lower, z_min), upper_cutoff()].

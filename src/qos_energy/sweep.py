@@ -133,12 +133,12 @@ class Curve:
 @dataclass(frozen=True)
 class AlphaZetaCurve:
     """Power-policy threshold alpha(zeta) at fixed theta, with its zeta -> 0
-    limit star."""
+    limit star (None where it failed)."""
 
     theta: float
     zetas: tuple
     alphas: tuple
-    star: AlphaStarSolution
+    star: AlphaStarSolution | None
 
 
 @dataclass(frozen=True)
@@ -151,19 +151,19 @@ class Surface:
     failures: int = 0
 
 
+def _gap(result, label: str, *args):
+    """result, or None with a warning if it is a NumericalError; label, a
+    format for args, names the point, and is formatted only then."""
+    if isinstance(result, NumericalError):
+        warnings.warn(f"{label.format(*args)}: {result}", stacklevel=3)
+        return None
+    return result
+
+
 def _gaps(results, theta: float, values, what: str, axis: str) -> list:
-    """The results of one grid line, one per value, with each NumericalError
-    warned about and stored as None."""
-    out = []
-    for value, result in zip(values, results):
-        if isinstance(result, NumericalError):
-            warnings.warn(
-                f"{what} failed at theta={theta:g}, {axis}={value:g}: {result}",
-                stacklevel=3,
-            )
-            result = None
-        out.append(result)
-    return out
+    """The results of one grid line, one per value, each through _gap."""
+    return [_gap(result, "{} failed at theta={:g}, {}={:g}", what, theta, axis, value)
+            for value, result in zip(values, results)]
 
 
 def _sweep_se(spec: SweepSpec) -> list:
@@ -236,12 +236,8 @@ def tradeoff_curve(spec: SweepSpec) -> list[Curve]:
         ]
         if spec.mode == "csir" and spec.regime == WIDEBAND:
             _check_rate_monotone(theta, spec.grid, pts)
-        if isinstance(asym, NumericalError):
-            warnings.warn(
-                f"asymptote failed for theta={theta:g}: {asym}", stacklevel=2
-            )
-            asym = None
-            failures += 1
+        asym = _gap(asym, "asymptote failed for theta={:g}", theta)
+        failures += asym is None
         curves.append(
             Curve(
                 label=f"{spec.mode} {spec.regime} theta={theta:g}",
@@ -315,7 +311,8 @@ def alpha_vs_zeta(
     and the limit threshold is z_max (inf for unbounded gains).  Each
     alpha(zeta) is exp of the threshold that the wideband CSIT sweep solves
     at the same point; every threshold of every theta comes from one
-    _power_rows batch, and every limit from one _alpha_star_rows.
+    _power_rows batch, and every limit from one _alpha_star_rows.  A limit
+    that fails is warned about and stored as None, as a failed threshold is.
     """
     if zeta_grid is None:
         zeta_grid = default_grid(WIDEBAND)
@@ -334,15 +331,13 @@ def alpha_vs_zeta(
         rows = [exc] * len(beta)
     curves = []
     for k, (theta, star) in enumerate(zip(thetas, stars)):
-        if isinstance(star, NumericalError):
-            raise star
         line = rows[k * n : (k + 1) * n]
         curves.append(
             AlphaZetaCurve(
                 theta=theta,
                 zetas=zetas,
                 alphas=tuple(_gaps(line, theta, zetas, "threshold", "zeta")),
-                star=star,
+                star=_gap(star, "alpha* failed for theta={:g}", theta),
             )
         )
     return curves

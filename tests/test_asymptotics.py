@@ -244,6 +244,10 @@ class TestLowpowerCsit:
         assert s.ebn0_min_linear == pytest.approx(LN2 / 2.5, rel=1e-12)
         assert s.slope_s0 == pytest.approx(2.0, rel=1e-12)
 
+    def test_negative_beta_is_rejected(self):
+        with pytest.raises(ValueError, match="beta must be finite and >= 0"):
+            lowpower_csit(TAB, -1.0)
+
 
 class TestWidebandCsir:
     def test_slope_overflow_is_a_numerical_error(self):
@@ -396,6 +400,18 @@ class TestRefusalsComeAlone:
         "csir-c-z": (wideband_csir, RAY, 1e3, 1e3, 1e300, "not resolved"),
         # an infinite c meets the zero gain: inf * 0
         "csir-c-inf": (wideband_csir, TABLE, 1e6, 1e3, 1e300, "x = inf"),
+        # c = 1.44e308, just below DBL_MAX: the gap of a one-atom table's
+        # closed form overflows, and on Nakagami-8 the root lies near
+        # exp(-1e308), where the bound below the floor and the partial
+        # panel overflow on the way to H = inf
+        "alpha-star-c-max-det": (solve_alpha_star, Deterministic(1.3), 1e5, 1e3, 1e300,
+                                 "no root in the double range"),
+        "csit-c-max-det": (wideband_csit, Deterministic(1.3), 1e5, 1e3, 1e300,
+                           "no root in the double range"),
+        "alpha-star-c-max-nak8": (solve_alpha_star, NakagamiM(8.0), 1e5, 1e3, 1e300,
+                                  "curvature H = inf"),
+        "csit-c-max-nak8": (wideband_csit, NakagamiM(8.0), 1e5, 1e3, 1e300,
+                            "curvature H = inf"),
     }
 
     @pytest.mark.parametrize("case", CASES)
@@ -406,6 +422,20 @@ class TestRefusalsComeAlone:
 
 
 class TestSolveAlphaStar:
+    def test_a_law_below_1e_280_is_the_unit_law_rescaled(self):
+        # NakagamiM(2, mean 1e-300) at Pbar/N0 = 1e300 is NakagamiM(2) at 1:
+        # alpha* scales with the mean, and the floor Eb/N0 with Pbar/N0.
+        # Its threshold nodes used to end at 1e-280, above all its mass.
+        low = NakagamiM(2.0, mean=1e-300)
+        sol = solve_alpha_star(low, 0.1, T, 1e300)
+        unit = solve_alpha_star(NAK2, 0.1, T, 1.0)
+        assert sol.ln_alpha_star == pytest.approx(unit.ln_alpha_star - 300 * math.log(10),
+                                                  rel=1e-14)
+        assert sol.ln_xi == pytest.approx(unit.ln_xi, rel=1e-12)
+        got, want = wideband_csit(low, 0.1, T, 1e300), wideband_csit(NAK2, 0.1, T, 1.0)
+        assert got.ebn0_min_db - want.ebn0_min_db == pytest.approx(3000.0, rel=1e-14)
+        assert got.slope_s0 == pytest.approx(want.slope_s0, rel=1e-12)
+
     def test_fixed_point_residual_small(self):
         for model in (RAY, NAK2):
             for theta in (1e-3, 1e-2, 1e-1, 1.0):

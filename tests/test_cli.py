@@ -129,6 +129,28 @@ class TestLimitsCommand:
         want = math.log2(2.5) + 308.0 * math.log2(10.0)
         assert results["shannon_csit"] == pytest.approx(want, rel=1e-12)
 
+    def test_water_filling_above_the_nodes_is_a_numerical_failure(self, tmp_path, capsys):
+        # at snr 1e-40 the threshold lies above the top of the Rayleigh
+        # nodes; the run wrote shannon_csit 0 and exited 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"snr": 1e-40}', encoding="utf-8")
+        code, _ = run(tmp_path, "limits", "--config", str(cfg))
+        assert code == 3
+        assert "is not resolved" in capsys.readouterr().err
+
+    def test_a_value_error_of_a_command_is_exit_3(self, tmp_path, capsys, monkeypatch):
+        import qos_energy.cli as cli_mod
+
+        help_text, _, defaults = cli_mod._COMMANDS["limits"]
+
+        def bad(cfg, model):
+            raise ValueError("synthetic value error")
+
+        monkeypatch.setitem(cli_mod._COMMANDS, "limits", (help_text, bad, defaults))
+        code, _ = run(tmp_path, "limits")
+        assert code == 3
+        assert capsys.readouterr().err == "limits: synthetic value error\n"
+
     def test_other_warnings_are_not_notes(self, tmp_path, capsys, monkeypatch):
         # a warning that is not the package's reaches the warnings machinery
         # as before (here pytest.warns records it), and no note tells it
@@ -150,6 +172,33 @@ class TestLimitsCommand:
 
 
 class TestAsymptoticsCommand:
+    def test_a_failed_theta_is_a_row_of_nulls(self, tmp_path, capsys):
+        # alpha* at theta = 1e-60 lies above the top of the Rayleigh nodes;
+        # the run exited 3 and wrote nothing
+        code, out = run(tmp_path, "asymptotics", "--mode", "csit", "--regime", "wideband",
+                        "--theta", "1e-60,0.1")
+        assert code == 0
+        (text,) = notes(capsys)
+        assert text.startswith("note: asymptote failed for theta=1e-60: ")
+        assert "is not resolved" in text
+        failed, ok = load_json(out, "asymptotics_csit_wideband_rayleigh.json")["results"]
+        assert failed == {**dict.fromkeys(ok), "theta": 1e-60}
+        assert ok["ebn0_min_db"] == pytest.approx(1.21707640593, rel=1e-10)
+        with open(os.path.join(out, "asymptotics_csit_wideband_rayleigh.csv"),
+                  encoding="utf-8") as fh:
+            assert fh.read().splitlines()[1] == "1e-60,,,"
+
+    def test_a_run_with_every_theta_failed_is_exit_3(self, tmp_path, capsys):
+        code, out = run(tmp_path, "asymptotics", "--mode", "csit", "--regime", "wideband",
+                        "--theta", "1e-60")
+        assert code == 3
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        note, last = captured.err.splitlines()
+        assert note.startswith("note: asymptote failed for theta=1e-60: ")
+        assert last == "asymptotics: numerical failure: the asymptote failed for every theta"
+
     def test_wideband_csir_slope_anchor(self, tmp_path):
         code, out = run(
             tmp_path, "asymptotics", "--mode", "csir", "--regime", "wideband",
@@ -766,17 +815,38 @@ class TestAlphaStarCommand:
             "note: threshold failed at theta=0.1, zeta=1e-07: synthetic failure"
         ]
 
-    def test_notes_of_a_failed_run_go_to_stderr(self, tmp_path, capsys, monkeypatch):
-        # the second theta's alpha* lies below the node floor
+    def test_a_failed_alpha_star_is_a_gap_row(self, tmp_path, capsys, monkeypatch):
+        # the second theta's alpha* and thresholds lie below the node floor
         self.failing_threshold(monkeypatch)
-        code, _ = run(tmp_path, "alpha-star", "--theta", "0.1,1e4", "--grid-points", "4")
+        code, out = run(tmp_path, "alpha-star", "--theta", "0.1,1e4", "--grid-points", "4")
+        assert code == 0
+        texts = notes(capsys)
+        assert texts[0] == "note: threshold failed at theta=0.1, zeta=1e-07: synthetic failure"
+        assert [t.startswith("note: threshold failed at theta=10000") for t in texts[1:5]] == [
+            True] * 4
+        assert texts[5].startswith("note: alpha* failed for theta=10000: ")
+        assert all("1e-280 floor" in t for t in texts[1:])
+        assert len(texts) == 6
+        with open(os.path.join(out, "alpha_star_rayleigh.csv"), encoding="utf-8") as fh:
+            assert fh.read().splitlines()[2] == "10000,,,"
+        data = load_json(out, "alpha_star_rayleigh.json")
+        assert set(data["results"][1].values()) == {10000, None}
+        assert data["curves"][1]["alpha_star"] is None
+        assert data["curves"][1]["alphas"] == [None] * 4
+
+    def test_notes_of_a_failed_run_go_to_stderr(self, tmp_path, capsys, monkeypatch):
+        # every alpha* of the run lies below the node floor
+        self.failing_threshold(monkeypatch)
+        code, _ = run(tmp_path, "alpha-star", "--theta", "1e4", "--grid-points", "4")
         assert code == 3
         out, err = capsys.readouterr()
         assert out == ""
-        first, second = err.splitlines()
-        assert first == "note: threshold failed at theta=0.1, zeta=1e-07: synthetic failure"
-        assert second.startswith("alpha-star: numerical failure: ")
-        assert "1e-280 floor" in second
+        *texts, last = err.splitlines()
+        assert texts[1] == "note: threshold failed at theta=10000, zeta=1e-07: synthetic failure"
+        assert texts[4].startswith("note: alpha* failed for theta=10000: ")
+        assert "1e-280 floor" in texts[4]
+        assert len(texts) == 5
+        assert last == "alpha-star: numerical failure: alpha* failed for every theta"
 
 
 class TestSurfaceCommand:
@@ -818,6 +888,15 @@ class TestSurfaceCommand:
 
 
 class TestSimulateQueueCommand:
+    def test_a_zero_predicted_capacity_is_exit_3(self, tmp_path, capsys):
+        # at snr 1e-300 and theta 1e-300 the predicted effective capacity,
+        # and with it the derived arrival rate, is 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"snr": 1e-300}', encoding="utf-8")
+        code, _ = run(tmp_path, "simulate-queue", "--config", str(cfg), "--theta", "1e-300")
+        assert code == 3
+        assert "derived arrival rate is not positive" in capsys.readouterr().err
+
     def test_smoke_run_reports_decay(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(

@@ -88,6 +88,13 @@ class TestQosConfig:
         with pytest.raises(ValueError):
             QosConfig(theta=math.inf, T=2e-3, B=1e5)
 
+    def test_theta_t_b_past_the_doubles(self):
+        # each factor is finite, their product is not
+        qos = QosConfig(1e300, 1e300, 1e300)
+        assert qos.beta == math.inf
+        with pytest.raises(NumericalError, match="leaves the normal doubles"):
+            spectral_efficiency_csir(1.0, qos, RAY)
+
 
 class TestPowerPolicy:
     def test_ln_alpha_derived(self):
@@ -270,6 +277,38 @@ class TestSpectralEfficiencyCsir:
 
 
 class TestSpectralEfficiencyCsit:
+    def test_zero_snr_is_a_zero_rate(self):
+        assert spectral_efficiency_csit(0.0, QOS, RAY) == 0.0
+
+    def test_root_above_the_nodes_is_refused(self):
+        # at snr 1e-40 the threshold lies above the top of the Rayleigh
+        # nodes; the rate came back as 0.0 with no error, below the CSIR
+        # rate 1.4427e-40
+        qos = QosConfig(0.1, 2e-3, 1e5)
+        refused = r"power threshold = exp\(4.31894\) is not resolved"
+        with pytest.raises(NumericalError, match=refused):
+            spectral_efficiency_csit(1e-40, qos, RAY)
+        with pytest.raises(NumericalError, match=refused):
+            shannon_limit(1e-40, "csit", qos, RAY)
+
+    def test_a_law_below_1e_280_resolves(self):
+        # NakagamiM(2, mean 1e-300) at snr 1e300 is NakagamiM(2) at snr 1;
+        # its threshold nodes used to end at 1e-280, above all its mass
+        qos = QosConfig(0.1, 2e-3, 1e5)
+        low = NakagamiM(2.0, mean=1e-300)
+        want = spectral_efficiency_csit(1.0, qos, NAK2)
+        assert spectral_efficiency_csit(1e300, qos, low) == pytest.approx(want, rel=1e-13)
+
+    def test_a_failed_threshold_batch_fails_every_row(self, monkeypatch):
+        from qos_energy import effcap
+
+        def broken(*args):
+            raise NumericalError("synthetic batch failure")
+
+        monkeypatch.setattr(effcap, "_power_rows", broken)
+        rows = effcap._csit_rows(np.array([1.0, 2.0]), 0.1, 2e-3, np.array([1e5, 1e5]), RAY)
+        assert [str(r) for r in rows] == ["synthetic batch failure"] * 2
+
     def test_monte_carlo_oracle(self):
         qos = QosConfig(theta=0.05, T=2e-3, B=1e5)
         z = np.random.default_rng(43).exponential(1.0, 2_000_000)
@@ -486,6 +525,12 @@ class TestNodeFloor:
         self.right_or_refused(
             lambda: wideband_csit(RAY, 1e5, 2e-3, 1e4).ebn0_min_db, 29.2171774759872
         )
+
+    def test_a_floor_below_the_doubles_is_named_by_its_log(self):
+        # Rayleigh at mean 1e-300 has its floor at s 1e-30, 0 as a double;
+        # the message read "below the 0 floor"
+        with pytest.raises(NumericalError, match=r"below the exp\(-759.853\) floor"):
+            spectral_efficiency_csit(1e304, QosConfig(10.0, 2e-3, 1e5), Rayleigh(1e-300))
 
     def test_roots_below_the_floor_that_hold(self):
         # water-filling at snr 1e300 puts alpha near 1e-300: its rate is

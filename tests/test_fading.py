@@ -74,6 +74,13 @@ class TestRayleigh:
             z = ray.quantile(p)
             assert ray.cdf(z) == pytest.approx(p, rel=1e-10, abs=1e-14)
 
+    def test_cdf_and_quantile_at_the_ends(self):
+        ray = Rayleigh()
+        assert ray.cdf(0.0) == ray.cdf(-1.0) == 0.0
+        assert ray.quantile(1.0) == math.inf
+        with pytest.raises(ValueError, match="quantile level"):
+            ray.quantile(1.5)
+
     def test_expect_above_closed_form(self):
         # E{z 1{z >= a}} = (a + 1) exp(-a) for a unit-mean exponential.
         # The z weight amplifies the 1e-12 tail mass beyond the integration
@@ -144,6 +151,14 @@ class TestRayleigh:
 
 
 class TestNakagami:
+    @pytest.mark.parametrize("m", [1.0, 2.0])
+    def test_density_and_cdf_at_and_below_zero(self, m):
+        model = NakagamiM(m, mean=2.0)
+        assert model.density(-1.0) == 0.0
+        # z^(m-1) e^(-z/s)/(Gamma(m) s^m) at z = 0: 1/s for m = 1, 0 above
+        assert model.density(0.0) == (1.0 / model.scale if m == 1.0 else 0.0)
+        assert model.cdf(0.0) == model.cdf(-1.0) == 0.0
+
     def test_ln_zp_keeps_the_bits_of_the_expression(self):
         # the in-place log density against m u - z/s - lgamma(m) - m ln s
         rng = np.random.default_rng(17)
@@ -318,6 +333,15 @@ class TestDeterministic:
 
 
 class TestBoundedTable:
+    def test_density_is_inf_on_an_atom_and_0_off_it(self):
+        tab = BoundedTable(((0.5, 0.25), (1.0, 0.75)))
+        assert tab.density(1.0) == math.inf
+        assert tab.density(0.7) == 0.0
+
+    def test_rejects_a_negative_probability(self):
+        with pytest.raises(ValueError, match="probabilities must be >= 0"):
+            BoundedTable(((0.5, -0.25), (1.0, 1.25)))
+
     def test_basic_stats(self):
         tab = BoundedTable(((0.5, 0.25), (1.0, 0.5), (3.0, 0.25)))
         m1, m2 = tab.moments()
@@ -451,6 +475,10 @@ class TestBoundedTable:
 
 
 class TestFromConfig:
+    def test_rejects_a_non_mapping(self):
+        with pytest.raises(ValueError, match="must be a mapping, got list"):
+            from_config([("kind", "rayleigh")])
+
     def test_all_kinds(self):
         for config, want in [
             ({"kind": "rayleigh", "mean": 2.0}, Rayleigh(mean=2.0)),
@@ -662,7 +690,7 @@ class TestLattice:
 
     # Per m: the whole-support node count (its panels and the node that
     # carries the mass below them), the number of edge-sum groups
-    # down to the 1e-280 floor, and sha256 of the bits of log_nodes at
+    # down to the threshold floor, and sha256 of the bits of log_nodes at
     # LN_LOWER and of the edge sums.  The bits rest on numpy's exp and log
     # and on the Gauss-Legendre rule (an eigenvalue solve), so the hashes
     # are compared only where those give the bits that CANARY hashes.
@@ -674,10 +702,10 @@ class TestLattice:
         8.0: (4801, 2594, "636dd15dd172ee1ce553c862aa65c438797d7d9ae88cfdae8e0958bb9990cddb"),
     }
     # The same away from unit mean, per (m, mean), at LN_LOWER shifted by
-    # ln mean: at mean 1e-260 the whole-support set reaches below the 1e-280
-    # floor, at 1e20 the grid's top is far above 1.
+    # ln mean: at mean 1e-260 the whole-support set and the threshold floor,
+    # s 1e-30, lie below 1e-280, at 1e20 the grid's top is far above 1.
     PINNED_AWAY = {
-        (1.0, 1e-260): (897, 45, "d6064b1eac87ac6e6cfed06043b175ba1d60508ca6b0fd47371da9e624c8219b"),
+        (1.0, 1e-260): (897, 56, "4d43be131c8c36ad4fbdc22100709bd87963274440fe8e0c29bf743130763512"),
         (2.0, 1e20): (1457, 712, "dff65fa429439ec0514b0888b9f8a89f8a1c8d38a40e322537da7dcefcb0721c"),
     }
     CANARY = "37bd919b6fbcd8f5ba7a4e7a0f5ba010da017ca112de9974b003a94861a82eb9"
@@ -704,6 +732,21 @@ class TestLattice:
         got.update(model._groups.ell.tobytes())
         got.update(model._groups.sums.tobytes())
         assert got.hexdigest() == want
+
+    @pytest.mark.parametrize("model, ln_floor, groups", [
+        (Rayleigh(), math.log(1e-280), 344),
+        # s 1e-30 = 5e-331 lies below 1e-280: the law's own floor
+        (NakagamiM(2.0, mean=1e-300), math.log(5e-301) + math.log(1e-30), 91),
+    ], ids=["ray", "nak2-mean1e-300"])
+    def test_threshold_nodes_stop_at_the_law_floor(self, model, ln_floor, groups):
+        # the floor is 1e-280, or s 1e-30 where that is lower, so every law
+        # has threshold nodes
+        assert model._ln_z_floor == pytest.approx(ln_floor, rel=1e-15)
+        assert model._groups.size == groups
+        assert model._groups.ell[-1] == pytest.approx(ln_floor, rel=1e-15)
+        u, _ = model.log_nodes(-2000.0)
+        assert u.min() >= model._ln_z_floor
+        assert np.array_equal(u, model.log_nodes(model._ln_z_floor)[0])
 
     def test_cached_arrays_are_read_only(self):
         ray = Rayleigh()
@@ -778,6 +821,10 @@ class TestQuadPlumbing:
         ray = Rayleigh()
         with pytest.raises(NonIntegrable):
             ray.expect_above(lambda z: 1.0 / (z - 1.0), 0.0)
+
+    def test_expect_above_the_cutoff_is_zero(self):
+        ray = Rayleigh()
+        assert ray.expect_above(lambda z: 1.0, 2.0 * ray.upper_cutoff()) == 0.0
 
 
 EDGE_BETAS = (0.0, 1e-12, 0.3, 288.0, 1e4, 1e6)

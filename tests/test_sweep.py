@@ -84,9 +84,26 @@ class TestSweepSpec:
             SweepSpec(**good, B=1e5, grid=(1e-3, 1e-3))
         with pytest.raises(ValueError):
             SweepSpec(**good, B=1e5, grid=(0.0, 1e-3))
+        with pytest.raises(ValueError, match="grid must not be empty"):
+            SweepSpec(**good, B=1e5, grid=())
 
 
 class TestTradeoffCurve:
+    def test_thresholds_above_the_nodes_are_noted_gaps(self):
+        # the first two powers put the threshold above the top of the
+        # Rayleigh nodes; they were written as gaps with no message
+        spec = SweepSpec(model=RAY, mode="csit", regime="lowpower", theta_list=(0.1,),
+                         T=T, B=1e5, grid=(1e-60, 1e-40, 1e-20))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            (curve,) = tradeoff_curve(spec)
+        texts = [str(w.message) for w in caught]
+        assert len(texts) == 2
+        assert all("is not resolved" in t for t in texts)
+        assert curve.points[:2] == (TradeoffPoint(None, None),) * 2
+        assert curve.points[2].spectral_efficiency > 0
+        assert curve.failures == 2
+
     def test_lowpower_csir_approaches_floor(self):
         spec = SweepSpec(
             model=RAY,
@@ -413,6 +430,28 @@ class TestAlphaVsZeta:
         a = alpha_vs_zeta(*args, zeta_grid=(1e-8, 1e-5))
         b = alpha_vs_zeta(*args, zeta_grid=(1e-8, 1e-5))
         assert a == b
+
+    def test_a_failed_limit_is_a_warned_none(self):
+        # alpha* at theta = 1e4 lies below the Rayleigh node floor; it ended
+        # the call, and with it the other thetas
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ok, failed = alpha_vs_zeta(RAY, (0.1, 1e4), T, PN0, zeta_grid=(1e-8,))
+        threshold, star = (str(w.message) for w in caught)
+        assert threshold.startswith("threshold failed at theta=10000, zeta=1e-08: ")
+        assert star.startswith("alpha* failed for theta=10000: ")
+        assert ok.star.alpha_star == solve_alpha_star(RAY, 0.1, T, PN0).alpha_star
+        assert failed.star is None
+
+    def test_a_failed_threshold_batch_leaves_every_threshold_a_gap(self, monkeypatch):
+        def broken(*args):
+            raise NumericalError("synthetic batch failure")
+
+        monkeypatch.setattr(sweep_mod, "_power_rows", broken)
+        with pytest.warns(UserWarning, match="synthetic batch failure"):
+            (curve,) = alpha_vs_zeta(RAY, (0.1,), T, PN0, zeta_grid=(1e-8, 1e-5))
+        assert curve.alphas == (None, None)
+        assert curve.star is not None
 
 
 CLI_THETAS = (0.0, 0.001, 0.01, 0.1, 1.0)

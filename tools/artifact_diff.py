@@ -8,9 +8,10 @@ directory, so no worktree is left behind.  Every argv that
 perfbench/workloads.py builds for every workload at each seed runs once
 with each tree, in one interpreter per tree.  The `--out` directories
 differ, so the path each JSON artifact records is masked before the
-bytes are compared.  Prints "N of M artifacts byte-identical", then for
-each artifact that differs the largest relative move of its numbers.
-Exits 1 if any artifact or exit code differs, else 0.
+bytes are compared.  Prints the line count of src/qos_energy in both
+trees, then "N of M artifacts byte-identical", then for each artifact
+that differs the largest relative move of its numbers.  Exits 1 if any
+artifact or exit code differs, else 0.
 """
 
 from __future__ import annotations
@@ -49,6 +50,17 @@ def run_tree(src: str, jobs: list) -> list:
     if proc.returncode != 0:
         raise SystemExit(f"the CLI runner failed under {src}:\n{proc.stderr}")
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def source_lines(src: str) -> int:
+    """Lines in the .py files of the qos_energy package under src."""
+    pkg = os.path.join(src, "qos_energy")
+    total = 0
+    for name in os.listdir(pkg):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name), "rb") as fh:
+                total += fh.read().count(b"\n")
+    return total
 
 
 def artifacts(outdirs: list) -> dict:
@@ -122,13 +134,16 @@ def main(argv=None) -> int:
                 os.makedirs(confdir)
                 for i, inv in enumerate(workloads.build(workload, seed, confdir)):
                     jobs.append((f"s{seed}_{workload}_{i:02d}", inv.argv))
-        found, codes = {}, {}
+        found, codes, lines = {}, {}, {}
         for tree, src in (("base", os.path.join(base, "src")),
                           ("head", os.path.join(ROOT, "src"))):
+            lines[tree] = source_lines(src)
             outdirs = [os.path.join(tmp, tree, label) for label, _ in jobs]
             codes[tree] = run_tree(src, [[*argv, "--out", out]
                                          for (_, argv), out in zip(jobs, outdirs)])
             found[tree] = artifacts([out for out in outdirs if os.path.isdir(out)])
+    print(f"src/qos_energy: {lines['base']} lines at {args.rev}, {lines['head']} in the "
+          f"working tree ({lines['head'] - lines['base']:+d})")
     names = sorted(set(found["base"]) | set(found["head"]))
     same = [n for n in names if found["base"].get(n) == found["head"].get(n)]
     print(f"{len(same)} of {len(names)} artifacts byte-identical "
