@@ -348,16 +348,20 @@ def _simulate_queue(cfg: dict, model):
 
 def _limits(cfg: dict, model):
     qos = QosConfig(theta=0.0, T=cfg["T"], B=cfg["B"])
-    snr = cfg["snr"]
-    results = {
-        "snr": snr,
-        "shannon_csir": shannon_limit(snr, "csir", qos, model),
-        "shannon_csit": shannon_limit(snr, "csit", qos, model),
-        "delay_limited_csir": delay_limited_limit(snr, "csir", model),
-        "delay_limited_csit": delay_limited_limit(snr, "csit", model),
-    }
-    base = f"limits_{_model_tag(cfg['model'])}"
+    results = {"snr": cfg["snr"]}
+    # A refused value is a null.
+    for name, limit, args in (("shannon", shannon_limit, (qos, model)),
+                              ("delay_limited", delay_limited_limit, (model,))):
+        for mode in ("csir", "csit"):
+            try:
+                value = limit(cfg["snr"], mode, *args)
+            except NumericalError as exc:
+                value = _gap(exc, "{}_{} failed", name, mode)
+            results[f"{name}_{mode}"] = value
     rows = [(k, v) for k, v in results.items() if k != "snr"]
+    if all(v is None for _, v in rows):
+        raise NumericalError("every limit failed")
+    base = f"limits_{_model_tag(cfg['model'])}"
     table = (base, "quantity,spectral_efficiency_bps_hz", rows)
     return base, {"results": results}, [table], []
 

@@ -12,12 +12,15 @@ beta = theta*T*B/ln2:
 
     csir:  -(1/(theta T B)) ln E{(1 + SNR z)^(-beta)}
     csit:  -(1/(theta T B)) ln (F(alpha) + E{(z/alpha)^(-beta/(beta+1)) 1{z>=alpha}})
+         = -(1/(theta T B)) ln (xi(alpha) + alpha SNR)
 
 The transmitter-CSI power adaptation is a gain threshold policy
 
     mu_opt(theta, z) = 1/(alpha^(1/(beta+1)) z^(beta/(beta+1))) - 1/z   for z >= alpha
 
-with alpha set so E{mu_opt} equals the average SNR.  theta = 0 degenerates
+with alpha set so E{mu_opt} equals the average SNR, and
+xi(alpha) = F(alpha) + alpha E{1/z 1{z>=alpha}} = E{min(1, alpha/z)}, the
+xi of the wideband CSIT floor.  theta = 0 degenerates
 to the ergodic (Shannon) limits: the csir formula becomes E{log2(1+SNR z)}
 and the threshold equation becomes classical water-filling (beta = 0).
 
@@ -41,9 +44,10 @@ composed across the gap to the edge, until its step or its panel is
 narrower than 1e-13 in ln(alpha).  _Roots
 holds the one copy of each formula on those sums: the residuals read M,
 I and L1 through it, and the rate (or, for alpha*, L1, I, H and ln xi)
-at each root, the rate's tilted sums each only as deep as its own
-deepest row.  A row's root and rate do not depend on the other rows of
-its batch.
+at each root: the rate and ln xi from F and I where their mean is below
+1/2, else from the tilted sums of those rows alone, each only as deep as
+its own deepest row.  A row's root and rate do not depend on the other
+rows of its batch.
 """
 
 from __future__ import annotations
@@ -237,9 +241,10 @@ class _Roots:
             u, ln_w = self.model._partial(x, np.where(self.partial, top, x))
         return (u - x[:, None], np.exp(ln_w - u), ln_w)
 
-    def _partial_sum(self, f) -> np.ndarray:
-        """sum f(d, v, ln_w) over each row's partial panel; 0 without one."""
-        return 0.0 if self.part is None else f(*self.part).sum(1)
+    def _partial_sum(self, f, rows=slice(None)) -> np.ndarray:
+        """sum f(d, v, ln_w) over the partial panel of each row (of the
+        given rows); 0 without one."""
+        return 0.0 if self.part is None else f(*(a[rows] for a in self.part)).sum(1)
 
     def inverse(self) -> np.ndarray:
         """I = E{1/z ; z >= a}."""
@@ -273,51 +278,53 @@ class _Roots:
             m_e + np.expm1(s * self.y) * (self.sums[0] + m_e)
         )
 
-    def _tilted(self, s):
-        """(sum w expm1(s d), ln sum w exp(s d)) at each row's edge, exponent
-        s per row, each exponent built as deep as its deepest row needs; 0
-        and -inf without nodes."""
-        t, ln_x = np.zeros(len(self.x)), np.full(len(self.x), -np.inf)
+    def _tilted(self, s, rows) -> np.ndarray:
+        """sum w expm1(s d) at the edges of the given rows, exponent s per
+        row, each exponent built as deep as its deepest row needs; 0
+        without nodes."""
+        e, t = self.e[rows], np.zeros(len(rows))
         s_u, inv = np.unique(s, return_inverse=True)
         depth = np.zeros(len(s_u), dtype=int)
-        np.maximum.at(depth, inv, self.e + 1)
+        np.maximum.at(depth, inv, e + 1)
         at = np.full(len(s_u), -1)
-        for start, idx, tb, lxb in self.groups.tilted(s_u, "w", True, depth):
+        for start, idx, tb in self.groups.tilted(s_u, "w", depth):
             at[idx] = np.arange(len(idx))
             k = at[inv]
-            rows = np.flatnonzero((k >= 0) & (self.e >= start)
-                                  & (self.e < start + tb.shape[1]))
-            ij = (k[rows], self.e[rows] - start)
-            t[rows], ln_x[rows] = tb[ij], lxb[ij]
+            hit = np.flatnonzero((k >= 0) & (e >= start) & (e < start + tb.shape[1]))
+            t[hit] = tb[k[hit], e[hit] - start]
             at[idx] = -1
-        return t, ln_x
+        return t
 
-    def ln_mean_power(self, p) -> np.ndarray:
-        """ln(F(a) + E{(z/a)^-p ; z >= a}) per row, p >= 0 per row.
+    def ln_mean_power(self, p, snr=0.0) -> np.ndarray:
+        """ln(F(a) + E{(z/a)^-p ; z >= a}) per row, 0 < p <= 1, at a root of
+        M(a) = snr, the mean power of exponent 1 - p (p = 1 and snr = 0 for
+        xi at alpha*).
 
-        As in fading._ln_mean_exp: while the mean is above 1/2 this is
-        log1p of sum w expm1(-p ln(z/a)), which keeps its digits at weak
-        QoS; below, the log-sum-exp of F(a) and the terms, from the
-        exponential tilted sums.  Both compose as the other sums do.
+        As w (z/a)^-p = a v (z/a)^(1-p), the mean is xi(a) + a snr, with
+        xi = F(a) + a I(a).  Where the nodes put it below 1/2 its log is
+        logaddexp(ln F, ln a + ln(I + snr)), where nothing cancels and an a
+        below the doubles stays in the log; above, as in
+        fading._ln_mean_exp, log1p of sum w expm1(-p ln(z/a)) from those
+        rows' own tilted sums keeps the digits of weak QoS.
         """
-        t, ln_x = self._tilted(-p)
-        g = np.expm1(-p * self.y)
-        s = self._partial_sum(
-            lambda d, v, ln_w: np.exp(ln_w) * np.expm1(-p[:, None] * d)
-        ) + (t + g * (self.sums[1] + t))
-        with np.errstate(divide="ignore"):
-            out = np.log1p(np.maximum(s, -1.0))
-        low = np.flatnonzero(~(s > -0.5) & np.isfinite(self.x))
+        i_snr = self.inverse() + snr
+        q = self._partial_sum(lambda d, v, ln_w: np.exp(ln_w)) + self.sums[1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = 1.0 - q + np.exp(self.x) * i_snr
+        out, finite = np.full(len(self.x), np.nan), np.isfinite(self.x)
+        low = np.flatnonzero(~(mean >= 0.5) & finite)
         if low.size:
-            terms = [(-p * self.y + ln_x)[low, None]]
-            terms.append([[self.model.ln_cdf(float(x))] for x in self.x[low]])
-            if self.part is not None:
-                d, _, ln_w = self.part
-                terms.append(ln_w[low] - p[low, None] * d[low])
-            terms = np.concatenate(terms, axis=1)
-            top = terms.max(1)
-            top[top == -np.inf] = 0.0
-            out[low] = top + np.log(np.exp(terms - top[:, None]).sum(1))
+            ln_f = [self.model.ln_cdf(x) for x in self.x[low].tolist()]
+            with np.errstate(divide="ignore"):
+                out[low] = np.logaddexp(ln_f, self.x[low] + np.log(i_snr[low]))
+        high = np.flatnonzero((mean >= 0.5) & finite)
+        if high.size:
+            p, t = p[high], self._tilted(-p[high], high)
+            s = self._partial_sum(
+                lambda d, v, ln_w: np.exp(ln_w) * np.expm1(-p[:, None] * d), high
+            ) + (t + np.expm1(-p * self.y[high]) * (self.sums[1, high] + t))
+            with np.errstate(divide="ignore"):
+                out[high] = np.log1p(np.maximum(s, -1.0))
         return out
 
 
@@ -462,8 +469,7 @@ def _power_rows(snr: np.ndarray, beta: np.ndarray, model: FadingModel):
             y[past] = ln_q[past]
             return (beta[rows] + 1.0) * y, ln_q
 
-    blocks = ((start, idx, t)
-              for start, idx, t, _ in groups.tilted(s_u, "v", depth=depth))
+    blocks = groups.tilted(s_u, "v", depth)
     what = "power threshold"
     return _thresholds(model, snr, blocks, inv, depth, residual, closed, what)
 
@@ -564,7 +570,7 @@ def _csit_rows(snr, theta, T: float, B, model: FadingModel) -> list:
     the NumericalError that row raised.  snr > 0 and B are per row, theta
     per row or one for all; every threshold is solved in one _power_rows
     batch.  A row at theta = 0 reads its rate from log_gain, the others
-    from ln_mean_power."""
+    from ln_mean_power at their snr."""
     snr = np.asarray(snr, dtype=float)
     theta = np.broadcast_to(np.asarray(theta, dtype=float), snr.shape)
     out = [None] * len(snr)
@@ -592,7 +598,8 @@ def _csit_rows(snr, theta, T: float, B, model: FadingModel) -> list:
         log_total[water] = -roots.take(water).log_gain()
     if not water.all():
         b = beta[~water]
-        log_total[~water] = roots.take(~water).ln_mean_power(b / (b + 1.0))
+        log_total[~water] = roots.take(~water).ln_mean_power(b / (b + 1.0),
+                                                             snr[rows][~water])
     se = np.maximum(-log_total / scale[rows], 0.0)
     for k, i in enumerate(rows):
         out[i] = errors[k] or (float(se[k]), float(roots.x[k]))

@@ -322,13 +322,13 @@ class _Groups:
         wd = carry((w * d).sum(1) + delta * cw[:-1])
         self.sums = np.array((cv, cw, d1, d2, wd))[:, 1:]
 
-    def tilted(self, s: np.ndarray, weight: str, log: bool = False, depth=None):
+    def tilted(self, s: np.ndarray, weight: str, depth=None):
         """Per exponent s[i], the tilted sums at every edge from the top down
         to edge depth[i] - 1 (depth[i] <= size; every edge without depth):
-        yields (start, idx, T, ln_x) with T[k, n] = sum om expm1(s[idx[k]] d)
-        and ln_x[k, n] = ln sum om exp(s[idx[k]] d) (None unless log) at
-        edge start + n, om = v or w as weight says.  depth is read before
-        each chunk, so a caller that sets depth[i] to 0 retires exponent i.
+        yields (start, idx, T) with T[k, n] = sum om expm1(s[idx[k]] d) at
+        edge start + n, om = v (the mean power) or w (the CSIT rate at weak
+        QoS) as weight says.  depth is read before each chunk, so a caller
+        that sets depth[i] to 0 retires exponent i.
 
         Within a block of _BLOCK groups each group is shifted straight to
         each edge below it, through expm1(s(d + D)) = expm1(s d) +
@@ -345,7 +345,7 @@ class _Groups:
         om, total = (self.v, self.w)[j], self.sums[j]
         depth = np.full(len(s), self.size) if depth is None else depth
         # The sums at the last edge read so far, per exponent.
-        t_c, ln_x_c = np.zeros((len(s), 1)), np.full((len(s), 1), -np.inf)
+        t_c = np.zeros((len(s), 1))
         below = np.tri(_BLOCK, dtype=bool)
         start, step = 0, _BLOCK
         while (live := np.flatnonzero(depth > start)).size:
@@ -359,44 +359,27 @@ class _Groups:
             w[-1, _BLOCK - pad :] = 0.0
             shift = np.where(below, ell[:, None, :] - ell[:, :, None], 0.0)
             for idx in np.split(live, range(_PASS, live.size, _PASS)):
-                t, ln_x = _block_sums(s[idx, None, None, None], d, w, shift, below, log)
-                c, lc = t_c[idx], ln_x_c[idx]
+                t = _block_sums(s[idx, None, None, None], d, w, shift, below)
+                c = t_c[idx]
                 for b in range(ell.shape[0]):
                     edge = start + b * _BLOCK
                     if edge:
                         up = s[idx, None] * (self.ell[edge - 1] - ell[b])
                         t[:, b] += c + np.expm1(up) * (total[edge - 1] + c)
-                        if log:
-                            ln_x[:, b] = np.logaddexp(ln_x[:, b], up + lc)
                     c = t[:, b, -1:]
-                    if log:
-                        lc = ln_x[:, b, -1:]
                 t_c[idx] = c
-                if log:
-                    ln_x_c[idx] = lc
-                m = stop - start
-                t = t.reshape(len(idx), -1)[:, :m]
-                if log:
-                    ln_x = ln_x.reshape(len(idx), -1)[:, :m]
-                yield start, idx, t, ln_x
+                yield start, idx, t.reshape(len(idx), -1)[:, : stop - start]
             start, step = stop, min(2 * step, _BLOCK * max(1, _BLOCK // live.size))
 
 
-def _block_sums(s4, d, w, shift, below, log: bool):
+def _block_sums(s4, d, w, shift, below):
     """The tilted sums of _Groups.tilted within each block, before the
-    carries: (T, ln_x) per exponent s4, block and edge.  Its temporaries,
+    carries, per exponent s4, block and edge.  Its temporaries,
     len(s4) x blocks x 16 x 16, are gone when it returns."""
     sd = s4 * d
     gt = (w * np.expm1(sd)).sum(-1)[:, :, None, :]
     gx = (w * np.exp(sd)).sum(-1)[:, :, None, :]
-    t = np.where(below, gt + np.expm1(s4 * shift) * gx, 0.0).sum(-1)
-    if not log:
-        return t, None
-    with np.errstate(divide="ignore"):
-        terms = np.where(below, s4 * shift + np.log(gx), -np.inf)
-        top = terms.max(-1, keepdims=True)
-        top[top == -np.inf] = 0.0
-        return t, top[..., 0] + np.log(np.exp(terms - top).sum(-1))
+    return np.where(below, gt + np.expm1(s4 * shift) * gx, 0.0).sum(-1)
 
 
 class FadingModel(abc.ABC):

@@ -71,6 +71,15 @@ def mean_policy_power(model, ln_alpha: float, beta: float) -> tuple[float, float
     return m, (m + float(w.sum())) / (beta + 1.0)
 
 
+def ln_rate_mean(model, ln_a: float, p: float) -> float:
+    """ln(F(a) + E{(z/a)^-p ; z >= a}), the log of the CSIT rate's mean at
+    the threshold a and p = beta/(beta+1), and ln xi at p = 1: a direct
+    log-sum-exp over log_nodes(ln a), with F(a) = P(Z < a) from the
+    model's CDF."""
+    u, ln_w = model.log_nodes(ln_a)
+    return _logsumexp(np.append(ln_w - p * (u - ln_a), model.ln_cdf(ln_a)))
+
+
 def log_moments_above(model, ln_a: float) -> tuple[float, float, float]:
     """E{ln^k(z/a) (1/z), z >= a} for k = 0, 1, 2, summed directly over
     log_nodes(ln a): the inverse moment I, the alpha* equation's left side

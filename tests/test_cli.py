@@ -14,6 +14,7 @@ import qos_energy
 from oracles import csv_artifact, json_artifact
 from qos_energy import (
     DivergentInverseMoment,
+    NumericalError,
     QosConfig,
     Rayleigh,
     delay_limited_limit,
@@ -131,12 +132,43 @@ class TestLimitsCommand:
 
     def test_water_filling_above_the_nodes_is_a_numerical_failure(self, tmp_path, capsys):
         # at snr 1e-40 the threshold lies above the top of the Rayleigh
-        # nodes; the run wrote shannon_csit 0 and exited 0
+        # nodes, so shannon_csit is refused; the three other values
+        # resolve, and the refused one is a null with a note
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"snr": 1e-40}', encoding="utf-8")
-        code, _ = run(tmp_path, "limits", "--config", str(cfg))
+        code, out = run(tmp_path, "limits", "--config", str(cfg))
+        assert code == 0
+        stdout = capsys.readouterr().out
+        assert any(line.startswith("note: shannon_csit failed: ")
+                   and "is not resolved" in line for line in stdout.splitlines())
+        ray, qos = Rayleigh(), QosConfig(0.0, 2e-3, 1e5)
+        with pytest.warns(DivergentInverseMoment):
+            delay_csit = delay_limited_limit(1e-40, "csit", ray)
+        assert load_json(out, "limits_rayleigh.json")["results"] == {
+            "snr": 1e-40,
+            "shannon_csir": shannon_limit(1e-40, "csir", qos, ray),
+            "shannon_csit": None,
+            "delay_limited_csir": delay_limited_limit(1e-40, "csir", ray),
+            "delay_limited_csit": delay_csit,
+        }
+        rows = (out / "limits_rayleigh.csv").read_text(encoding="utf-8").splitlines()
+        assert rows[2] == "shannon_csit,"
+
+    def test_every_limit_refused_is_a_numerical_failure(self, tmp_path, capsys,
+                                                        monkeypatch):
+        import qos_energy.cli as cli_mod
+
+        def refuse(*args):
+            raise NumericalError("synthetic refusal")
+
+        monkeypatch.setattr(cli_mod, "shannon_limit", refuse)
+        monkeypatch.setattr(cli_mod, "delay_limited_limit", refuse)
+        code, out = run(tmp_path, "limits")
         assert code == 3
-        assert "is not resolved" in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == "limits: numerical failure: every limit failed"
+        assert sum(line.endswith("failed: synthetic refusal") for line in err) == 4
+        assert not out.exists() or not os.listdir(out)
 
     def test_a_value_error_of_a_command_is_exit_3(self, tmp_path, capsys, monkeypatch):
         import qos_energy.cli as cli_mod

@@ -10,7 +10,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import exp1, gammaln, hyperu, logsumexp
 
-from oracles import mean_policy_power
+from oracles import ln_rate_mean, mean_policy_power
 from qos_energy import (
     BoundedTable,
     Deterministic,
@@ -41,7 +41,8 @@ from qos_energy import (
     wideband_csit,
 )
 from qos_energy.asymptotics import _alpha_star_roots
-from qos_energy.effcap import LN2, to_db
+from qos_energy.effcap import LN2, _csit_rows, to_db
+from qos_energy.fading import FadingModel, _Groups
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -548,6 +549,105 @@ class TestNodeFloor:
         # strong QoS above the floor, against mpmath
         got = spectral_efficiency_csit(10.0, QosConfig(30.0, 2e-3, 1e5), RAY)
         assert got == pytest.approx(0.0678873603717217, rel=1e-14)
+
+
+TABLE4 = BoundedTable(((0.0, 0.1), (0.3, 0.2), (1.0, 0.4), (2.5, 0.3)))
+
+
+def record_tilted(monkeypatch) -> list:
+    """The weight of every _Groups.tilted read from here on, in order."""
+    weights, tilted = [], _Groups.tilted
+
+    def spy(self, s, weight, depth=None):
+        weights.append(weight)
+        return tilted(self, s, weight, depth)
+
+    monkeypatch.setattr(_Groups, "tilted", spy)
+    return weights
+
+
+class TestRateIdentity:
+    """At the root of M(a) = snr the CSIT rate's mean F(a) + E{(z/a)^-p ;
+    z >= a} is xi(a) + a snr, xi = F(a) + a I(a): below 1/2 the rate reads
+    it and no w-weighted tilted sum, above it reads log1p of those sums.
+    Both, and ln xi at alpha*, against direct sums over log_nodes(ln a)."""
+
+    @staticmethod
+    def rate(model, theta, B, snr):
+        """(spectral efficiency, ln alpha, ln of the mean by direct sums)."""
+        ((se, ln_a),) = _csit_rows(np.array([snr]), theta, 2e-3, np.array([B]), model)
+        beta = QosConfig(theta, 2e-3, B).beta
+        return se, ln_a, ln_rate_mean(model, ln_a, beta / (beta + 1.0))
+
+    @pytest.mark.parametrize(
+        "model, theta, B, snr, where",
+        [
+            (Rayleigh(), 1e-3, 1e5, 1e4, "panel"),
+            (NakagamiM(0.5), 1e-3, 1e5, 100.0, "panel"),
+            (NakagamiM(2.0), 1e-3, 1e5, 3e3, "panel"),
+            (NakagamiM(2.0), 0.1, 1e6, 1e4, "below"),
+            (TABLE4, 1.0, 1e5, 2.5e-3, "atoms"),
+            (TABLE4, 1.0, 1e5, 1e-2, "below"),
+            (Deterministic(1.3), 0.1, 1e5, 1e6, "below"),
+        ],
+        ids=lambda v: repr(v) if isinstance(v, FadingModel) else None,
+    )
+    def test_strong_qos_rows_take_the_identity(self, model, theta, B, snr, where,
+                                                monkeypatch):
+        weights = record_tilted(monkeypatch)
+        se, ln_a, ln_mean = self.rate(model, theta, B, snr)
+        assert weights and "w" not in weights
+        groups = model._groups
+        ell, panels = groups.ell, groups.panels
+        assert {"panel": panels and ell[-1] < ln_a < ell[groups.first],
+                "below": ln_a < ell[-1],
+                "atoms": not panels and ell[-1] < ln_a < ell[0]}[where]
+        assert ln_mean < -LN2
+        assert se == pytest.approx(-ln_mean / (theta * 2e-3 * B), rel=1e-13)
+
+    @pytest.mark.parametrize(
+        "model, below, above",
+        [
+            (Rayleigh(), 0.0297881, 0.0296547),
+            (NakagamiM(0.5), 0.0385484, 0.0383303),
+            (NakagamiM(2.0), 0.0267959, 0.0266932),
+            (TABLE4, 0.021556, 0.0214621),
+            (Deterministic(1.3), 0.01873, 0.0186754),
+        ],
+        ids=repr,
+    )
+    def test_no_jump_at_one_half(self, model, below, above, monkeypatch):
+        # at theta = 0.1 and B = 1e5 the snr values put the mean within 1e-3
+        # below and above 1/2; only the row above reads the w sums
+        for snr, side in ((below, -1.0), (above, 1.0)):
+            weights = record_tilted(monkeypatch)
+            se, _, ln_mean = self.rate(model, 0.1, 1e5, snr)
+            assert 0.0 < side * (math.exp(ln_mean) - 0.5) < 1e-3
+            assert ("w" in weights) is (side > 0)
+            assert se == pytest.approx(-ln_mean / (0.1 * 2e-3 * 1e5), rel=1e-13)
+
+    @pytest.mark.parametrize(
+        "model", [Rayleigh(), NakagamiM(0.5), NakagamiM(2.0), TABLE4, Deterministic(1.3)],
+        ids=repr,
+    )
+    def test_ln_xi_at_alpha_star(self, model):
+        # xi from 0.71 (theta = 0.01) down to 1e-163
+        thetas = [0.01, 0.1, 1.0, 10.0]
+        for root in _alpha_star_roots(model, thetas, 2e-3, [1e4] * 4):
+            ln_star, ln_xi = root[0], root[4]
+            assert ln_xi == pytest.approx(ln_rate_mean(model, ln_star, 1.0), rel=1e-13)
+
+    def test_a_strong_qos_batch_reads_no_w_sums(self, monkeypatch):
+        weights = record_tilted(monkeypatch)
+        snr = np.array([1e3, 1e4, 1e5, 1e4, 10.0])
+        theta = [1e-3, 1e-3, 1e-3, 0.1, 1.0]
+        rows = _csit_rows(snr, theta, 2e-3, np.full(5, 1e5), RAY)
+        assert all(isinstance(row, tuple) for row in rows)
+        assert weights == ["v"]
+        # a weak-QoS row in the batch reads them
+        weights.clear()
+        _csit_rows(np.append(snr, 1.0), [*theta, 1e-6], 2e-3, np.full(6, 1e5), RAY)
+        assert weights == ["v", "w"]
 
 
 class TestDelayLimited:

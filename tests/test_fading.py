@@ -863,9 +863,9 @@ class TestEdgeSums:
         groups = model._groups
         tilted = {}
         for weight, s in EDGE_EXPONENTS.items():
-            for start, _, t, ln_x in groups.tilted(s, weight, log=True):
+            for start, _, t in groups.tilted(s, weight):
                 for k in range(t.shape[1]):
-                    tilted[weight, start + k] = t[:, k], ln_x[:, k]
+                    tilted[weight, start + k] = t[:, k]
         # The top 60 edges, then every 100th down to the 1e-280 floor and
         # the lowest three; a grid's first edge is the limit from below of
         # thresholds that see no nodes.
@@ -875,10 +875,17 @@ class TestEdgeSums:
         for j in sorted(edges):
             plain, direct = direct_edge_sums(*model.log_nodes(groups.ell[j]), groups.ell[j])
             assert groups.sums[:, j] == pytest.approx(plain, rel=1e-13, abs=0)
-            for weight, (t, ln_x) in direct.items():
-                got_t, got_ln_x = tilted[weight, j]
-                assert got_t == pytest.approx(t, rel=1e-13, abs=0)
-                assert got_ln_x == pytest.approx(ln_x, rel=1e-13, abs=1e-13)
+            for weight, (t, _) in direct.items():
+                assert tilted[weight, j] == pytest.approx(t, rel=1e-13, abs=0)
+            # w (z/a)^-p = a v (z/a)^(1-p): the w-weighted means in logs from
+            # the sums of v, with 1 - p = 1/(beta+1), and 0 for p = 1.  The
+            # CSIT rate reads it where the mean is below 1/2; above, where
+            # ln a + ln(...) cancels to an absolute ulp(ln a), it reads the
+            # w-weighted sums.
+            t_v = np.append(tilted["v", j], 0.0)
+            ln_x = groups.ell[j] + np.log(groups.sums[0, j] + t_v)
+            low = direct["w"][1] < -math.log(2.0)
+            assert ln_x[low] == pytest.approx(direct["w"][1][low], rel=1e-13, abs=1e-13)
         assert n == 0 or groups.ell[n - 1] >= math.log(1e-280) or not groups.panels
 
     @pytest.mark.parametrize(
@@ -888,42 +895,41 @@ class TestEdgeSums:
         ids=repr,
     )
     @pytest.mark.parametrize("weight", ["v", "w"])
-    @pytest.mark.parametrize("log", [False, True])
-    def test_per_exponent_depths_keep_the_bits(self, model, weight, log):
-        # 70 exponents (two array passes), each read to its own depth and
-        # half of them retired mid-stream: at every edge an exponent reaches,
-        # its sums have the bits of a full-depth read of it alone.
+    @pytest.mark.parametrize("retire", [False, True])
+    def test_per_exponent_depths_keep_the_bits(self, model, weight, retire):
+        # 70 exponents (two array passes), each read to its own depth and,
+        # with retire, half of them retired mid-stream: at every edge an
+        # exponent reaches, its sums have the bits of a full-depth read of
+        # it alone.
         groups = model._groups
         n = groups.size
         rng = np.random.default_rng(24)
         s = np.geomspace(1e-6, 1.0, 70) * (1.0 if weight == "v" else -1.0)
         depth = rng.integers(1, n + 1, s.size)
-        retire = np.where(rng.random(s.size) < 0.5, rng.integers(0, n, s.size), n)
+        # the edge after which each exponent is retired; n keeps it to the end
+        cut = np.full(s.size, n)
+        if retire:
+            cut = np.where(rng.random(s.size) < 0.5, rng.integers(0, n, s.size), n)
         live = depth.copy()
         # per exponent: the sums at each edge, and how many times it was read
-        got = np.zeros((2, s.size, n))
+        got = np.zeros((s.size, n))
         reads = np.zeros((s.size, n), dtype=int)
-        for start, idx, t, ln_x in groups.tilted(s, weight, log, live):
-            assert (ln_x is None) is not log
+        for start, idx, t in groups.tilted(s, weight, live):
             stop = start + t.shape[1]
-            got[0, idx, start:stop] = t
-            if log:
-                got[1, idx, start:stop] = ln_x
+            got[idx, start:stop] = t
             reads[idx, start:stop] += 1
-            live[idx[stop > retire[idx]]] = 0
+            live[idx[stop > cut[idx]]] = 0
         for i in range(s.size):
             reached = np.count_nonzero(reads[i])
             assert (reads[i, :reached] == 1).all() and not reads[i, reached:].any()
-            assert reached >= min(depth[i], retire[i] + 1, n)
-            alone = np.zeros((2, n))
-            for start, _, t, ln_x in groups.tilted(s[i : i + 1], weight, log):
+            assert reached >= min(depth[i], cut[i] + 1, n)
+            alone = np.zeros(n)
+            for start, _, t in groups.tilted(s[i : i + 1], weight):
                 stop = start + t.shape[1]
-                alone[0, start:stop] = t[0]
-                if log:
-                    alone[1, start:stop] = ln_x[0]
+                alone[start:stop] = t[0]
                 if stop >= reached:
                     break
-            assert got[:, i, :reached].tobytes() == alone[:, :reached].tobytes()
+            assert got[i, :reached].tobytes() == alone[:reached].tobytes()
 
     @pytest.mark.parametrize("mean", (0.3, 1.0, 7.5))
     @pytest.mark.parametrize("m", (0.5, 0.6, 1.0, 2.0, 4.0, 8.0))
@@ -940,26 +946,24 @@ class TestEdgeSums:
             groups.first + 1 : groups.first + 5, cut - 2 : cut + 2,
             np.linspace(cut, deepest - 1, 7).astype(int), deepest,
         ])
-        tilted = {weight: [[], []] for weight in EDGE_EXPONENTS}
+        tilted = {weight: [] for weight in EDGE_EXPONENTS}
         for weight, s in EDGE_EXPONENTS.items():
             depth = np.full(len(s), deepest + 1)
-            for _, _, t, ln_x in groups.tilted(s, weight, log=True, depth=depth):
-                tilted[weight][0].append(t)
-                tilted[weight][1].append(ln_x)
-        tilted = {k: [np.hstack(a)[:, edges] for a in v] for k, v in tilted.items()}
+            for _, _, t in groups.tilted(s, weight, depth):
+                tilted[weight].append(t)
+        tilted = {k: np.hstack(v)[:, edges] for k, v in tilted.items()}
         for i, j in enumerate(edges):
             ln_e = groups.ell[j]
             plain, direct = direct_edge_sums(*gamma_panel_nodes(m, model.scale, ln_e, top), ln_e)
             assert groups.sums[:, j] == pytest.approx(plain, rel=1e-13, abs=0)
-            for weight, (t, ln_x) in direct.items():
-                assert tilted[weight][0][:, i] == pytest.approx(t, rel=1e-13, abs=0)
-                assert tilted[weight][1][:, i] == pytest.approx(ln_x, rel=1e-13, abs=1e-13)
+            for weight, (t, _) in direct.items():
+                assert tilted[weight][:, i] == pytest.approx(t, rel=1e-13, abs=0)
         # one threshold 0.3 of the way up each panel below those edges
         e = edges[edges < deepest]
         x = groups.ell[e + 1] + 0.3 * (groups.ell[e] - groups.ell[e + 1])
         roots = _Roots(model, x, groups.ell[e] - x, e, np.ones(len(e), dtype=bool))
         got = [roots.inverse(), roots.log_moment(), roots.log_moment2(), roots.log_gain()]
-        m_e = tilted["v"][0][:, edges < deepest]
+        m_e = tilted["v"][:, edges < deepest]
         for k, s in enumerate(EDGE_EXPONENTS["v"]):
             got.append(roots.mean_power(np.full(len(e), s), m_e[k]))
         for k, ln_a in enumerate(x):

@@ -10,8 +10,9 @@ with each tree, in one interpreter per tree.  The `--out` directories
 differ, so the path each JSON artifact records is masked before the
 bytes are compared.  Prints the line count of src/qos_energy in both
 trees, then "N of M artifacts byte-identical", then for each artifact
-that differs the largest relative move of its numbers.  Exits 1 if any
-artifact or exit code differs, else 0.
+that differs the largest relative move of its numbers, and the largest
+absolute move, in dB, of its values in dB (JSON keys and CSV columns
+named "*_db").  Exits 1 if any artifact or exit code differs, else 0.
 """
 
 from __future__ import annotations
@@ -78,40 +79,54 @@ def artifacts(outdirs: list) -> dict:
 
 
 def numbers(data: bytes, name: str) -> list:
-    """Every number of an artifact, in document order."""
+    """(value, in_db) for every number of an artifact, in document order;
+    in_db marks a number under a JSON key or in a CSV column whose name
+    ends in "_db"."""
     text = data.decode()
     if name.endswith(".csv"):
-        leaves = [cell for row in csv.reader(io.StringIO(text)) for cell in row]
+        head, *rows = csv.reader(io.StringIO(text))
+        leaves = [(cell, col.endswith("_db")) for row in rows
+                  for col, cell in zip(head, row)]
     else:
-        leaves, stack = [], [json.loads(text)]
+        leaves, stack = [], [(json.loads(text), False)]
         while stack:
-            node = stack.pop()
+            node, in_db = stack.pop()
             if isinstance(node, dict):
-                stack.extend(node[k] for k in sorted(node, reverse=True))
+                stack.extend((node[k], k.endswith("_db"))
+                             for k in sorted(node, reverse=True))
             elif isinstance(node, list):
-                stack.extend(reversed(node))
+                stack.extend((item, in_db) for item in reversed(node))
             else:
-                leaves.append(node)
+                leaves.append((node, in_db))
     out = []
-    for leaf in leaves:
+    for leaf, in_db in leaves:
         try:
-            out.append(float(leaf))
+            out.append((float(leaf), in_db))
         except (TypeError, ValueError):
             pass
     return out
 
 
 def largest_move(old: bytes, new: bytes, name: str) -> str:
+    """The largest relative move of the numbers, and the largest absolute
+    move in dB of the dB values, which a relative move inflates near 0 dB."""
     a, b = numbers(old, name), numbers(new, name)
     if len(a) != len(b):
         return f"{len(a)} numbers against {len(b)}"
-    worst = 0.0
-    for x, y in zip(a, b):
+    worst = {False: 0.0, True: 0.0}
+    for (x, in_db), (y, _) in zip(a, b):
         if x == y or math.isnan(x) and math.isnan(y):
             continue
-        scale = max(abs(x), abs(y))
-        worst = max(worst, abs(x - y) / scale if math.isfinite(scale) else math.inf)
-    return f"largest relative move {worst:.3g}"
+        if in_db:
+            move = abs(x - y) if math.isfinite(x - y) else math.inf
+        else:
+            scale = max(abs(x), abs(y))
+            move = abs(x - y) / scale if math.isfinite(scale) else math.inf
+        worst[in_db] = max(worst[in_db], move)
+    text = f"largest relative move {worst[False]:.3g}"
+    if any(in_db for _, in_db in a):
+        text += f", largest move in dB {worst[True]:.3g} dB"
+    return text
 
 
 def main(argv=None) -> int:
