@@ -46,8 +46,9 @@ which yields the S0 above without the cancellation of its two terms.
 
 The wideband CSIT values are built in stages on one alpha*, and each
 stage makes its own checks once:
-    floor (_alpha_star_roots): each row's arguments, c, the root and
-        ln xi, for the surface cells and every stage below;
+    floor (_alpha_star_roots): each row's arguments, c (a normal
+        double), the root and ln xi, for the surface cells and every
+        stage below;
     slope (_csit_summary): H and S0, for wideband_csit, the asymptotics
         command and the sweep asymptotes;
     derivative (_alpha_star_rows): H and alpha_dot(0), for
@@ -326,8 +327,8 @@ def _alpha_star_roots(model: FadingModel, thetas, T: float, pbars) -> list:
     """The floor stage of the wideband CSIT limits, each row validated once
     and every alpha* of the batch from one _log_moment_rows: per row None
     at theta = 0, else (ln alpha*, ln k, I, H, ln xi), H not yet checked,
-    or the NumericalError of a c past the doubles, of the bracket, of a
-    root that is not resolved or of ln xi (_ln_xi)."""
+    or the NumericalError of a c that is not a normal double, of the
+    bracket, of a root that is not resolved or of ln xi (_ln_xi)."""
     for theta, pbar in zip(thetas, pbars):
         _check_wideband_args(theta, T, pbar)
     theta = np.array(thetas, dtype=float)
@@ -335,37 +336,25 @@ def _alpha_star_roots(model: FadingModel, thetas, T: float, pbars) -> list:
     with np.errstate(divide="ignore"):
         ln_k = np.log(theta) + (math.log(T) - math.log(LN2))
     ln_c = ln_k + np.log(pbar)
+    with np.errstate(over="ignore"):
+        c = np.exp(ln_c)
     out = [None] * len(theta)
-    # The root equation reads L1 = c, so c must be a double.
-    big = ~(ln_c < _LN_MAX)
-    for k in np.flatnonzero(big):
+    # The root equation reads L1 = c, and a subnormal c keeps too few digits.
+    normal = (c >= _MIN_NORMAL) & (c < math.inf)
+    for k in np.flatnonzero((theta > 0) & ~normal):
         out[k] = NumericalError(
-            f"c = theta*T*(Pbar/N0)/ln2 = exp({ln_c[k]:g}) overflows "
-            f"({_wideband_params(model, theta[k], T, pbar[k])})"
+            f"c = theta*T*(Pbar/N0)/ln2 = exp({ln_c[k]:g}) "
+            + ("overflows" if c[k] == math.inf else "is below the normal doubles")
+            + f" ({_wideband_params(model, theta[k], T, pbar[k])})"
         )
-    rows = np.flatnonzero((theta > 0) & ~big)
+    rows = np.flatnonzero((theta > 0) & normal)
     if not rows.size:
         return out
     roots, errors = _log_moment_rows(ln_c[rows], model)
-    cols = (roots.x, ln_k[rows], ln_c[rows], roots.inverse(), roots.log_moment(),
-            roots.log_moment2(), roots.ln_mean_power(np.ones(rows.size)))
+    cols = (roots.x, ln_k[rows], roots.inverse(), roots.log_moment2(),
+            roots.ln_mean_power(np.ones(rows.size)))
     for k, error, row in zip(rows.tolist(), errors, zip(*(a.tolist() for a in cols))):
-        ln_star, ln_k_row, ln_c_row, inv_above, l1, h, ln_xi = row
-        # A root has |ln L1 - ln c| well inside 1e-9 |dln L1/dln a| = 1e-9 I/L1,
-        # and, by the solver's 1e-13 stopping rule, inside 1e-13 I/L1 <= 1e-6
-        # unless alpha* sits within ~1e-7 (in ln z) of the last expectation
-        # node.  There L1 falls to 0 with the width of the nodes left above
-        # alpha*, so a short Newton step there does not make L1 = c.  (A
-        # threshold past the nodes is refused by _thresholds itself.)  The
-        # test also refuses a table's root at a subnormal c.
-        ln_l1 = math.log(l1) if l1 > 0 else -math.inf
-        r = abs(ln_l1 - ln_c_row)
-        if error is None and not (r <= 1e-6 and r * l1 <= 1e-9 * inv_above):
-            error = NumericalError(
-                f"wideband CSIT threshold alpha* = exp({ln_star:g}) is not resolved: "
-                f"ln L1 = {ln_l1:g} against ln c = {ln_c_row:g} "
-                f"({_wideband_params(model, float(theta[k]), T, float(pbar[k]))})"
-            )
+        ln_star, ln_k_row, inv_above, h, ln_xi = row
         try:
             out[k] = error or (ln_star, ln_k_row, inv_above, h, _ln_xi(ln_xi, ln_star))
         except NumericalError as exc:

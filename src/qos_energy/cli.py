@@ -111,7 +111,10 @@ _theta.flag_type = _theta_text
 
 
 def _increasing(key: str, raw) -> list:
+    """At least two strictly increasing numbers > 0: a tail fit needs two."""
     vals = _floats(key, raw)
+    if len(vals) < 2:
+        raise ConfigError(f"{key} needs at least two values")
     if any(b <= a for a, b in zip(vals, vals[1:])):
         raise ConfigError(f"{key} must be strictly increasing")
     return vals

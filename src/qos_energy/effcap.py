@@ -30,21 +30,23 @@ before its logarithm does.  Thresholds are solved in batches
 (_power_rows, or _log_moment_rows for alpha*), one row per point: a CSIT
 sweep or alpha(zeta) set is one batch over every theta and grid point,
 and the one-point functions below are the one-row case.  Each model keeps
-sums at its grid edges or atoms (fading._Groups), built whole; the mean
-power at an edge is their tilted sum for the row's exponent 1/(beta+1),
-each exponent summed only until all its rows are placed, and the edge
-values place each root.  A root above the top of a density's nodes is
-refused.  Between two atoms, or below the last edge, the root is a
-closed form; below a density's last edge, the floor of its nodes (1e-280,
-or s 1e-30 where that is lower), a row is refused where the law between
-the root and the floor could move it.  Every refusal is one row's.
-Inside a grid panel, _solve_rows runs a safeguarded Newton on every row
-at once, each row costing one 16-node partial panel plus the edge sums
-composed across the gap to the edge, until its step or its panel is
-narrower than 1e-13 in ln(alpha).  _Roots
+sums at its grid edges or atoms (fading._Groups), built whole, and each
+equation places its rows on its own edge values: the mean power at an
+edge is the tilted sum for the row's exponent 1/(beta+1), which
+_Groups.search reads only until all the exponent's rows are placed, and
+L1 at the edges is a fixed nondecreasing sum, searched once for every
+alpha* row.  _thresholds then solves and refuses.  A root above the top
+of a density's nodes is refused.  Between two atoms, or below the last
+edge, the root is a closed form; below a density's last edge, the floor
+of its nodes (1e-280, or s 1e-30 where that is lower), a row is refused
+where the law between the root and the floor could move it.  Every
+refusal is one row's.  Inside a grid panel, _solve_rows runs a
+safeguarded Newton on every row at once, each row costing one 16-node
+partial panel plus the edge sums composed across the gap to the edge,
+until its step or its panel is narrower than 1e-13 in ln(alpha).  _Roots
 holds the one copy of each formula on those sums: the residuals read M,
-I and L1 through it, and the rate (or, for alpha*, L1, I, H and ln xi)
-at each root: the rate and ln xi from F and I where their mean is below
+I and L1 through it, and the rate (or, for alpha*, I, H and ln xi) at
+each root: the rate and ln xi from F and I where their mean is below
 1/2, else from the tilted sums of those rows alone, each only as deep as
 its own deepest row.  A row's root and rate do not depend on the other
 rows of its batch.
@@ -328,50 +330,16 @@ class _Roots:
         return out
 
 
-def _search(blocks, target: np.ndarray, group: np.ndarray, depth, first: int, size: int):
-    """(j, f_above, f_at) per row for an increasing edge sum f read block by
-    block as (start, idx, f), f[k] the sums of exponent idx[k] at the edges
-    from start on; row i reads exponent group[i].  j is the first edge from
-    first on with f >= target (size when none); f_above and f_at are f at
-    edges j-1 and j (0 where there is none).  Once every row of an exponent
-    is placed, its depth is set to 0, which retires it from the blocks."""
-    n = len(target)
-    j = np.full(n, size)
-    f_above, f_at, last = np.zeros(n), np.zeros(n), np.zeros(n)
-    open_ = np.ones(n, dtype=bool)
-    left = np.bincount(group, minlength=len(depth))
-    at = np.full(len(depth), -1)
-    for start, idx, f in blocks:
-        at[idx] = np.arange(len(idx))
-        rows = np.flatnonzero(open_ & (at[group] >= 0))
-        # f per row; a view when the block has one exponent
-        if len(idx) == 1:
-            fr = np.broadcast_to(f, (len(rows), f.shape[1]))
-        else:
-            fr = f[at[group[rows]]]
-        at[idx] = -1
-        edge = start + np.arange(f.shape[1])
-        hit = (fr >= target[rows, None]) & (edge >= first)
-        got = np.flatnonzero(hit.any(1))
-        k, placed = hit[got].argmax(1), rows[got]
-        j[placed], f_at[placed] = start + k, fr[got, k]
-        f_above[placed] = np.where(k > 0, fr[got, k - 1], last[placed])
-        open_[placed] = False
-        last[rows] = fr[:, -1]
-        left -= np.bincount(group[placed], minlength=len(depth))
-        depth[left == 0] = 0
-    f_above[open_] = last[open_]
-    return j, f_above, f_at
+def _thresholds(model, target, placed, residual, closed, what) -> tuple:
+    """(roots, errors) of a batch for an edge sum f, decreasing in ln a,
+    that reaches target at the root, with each row placed by its caller:
+    placed = (j, f_above, f_at), j the first edge from first on with f >=
+    target (size when none), f_above and f_at f at edges j-1 and j (0
+    where there is none).
 
-
-def _thresholds(model, target, blocks, group, depth, residual, closed, what) -> tuple:
-    """(roots, errors) of a batch for an edge sum f, decreasing in ln a and
-    read from blocks, with group and depth, as _search reads it, that
-    reaches target at the root.
-
-    _search places each root below edge e = j - 1.  Edge j at or above
-    first (no nodes above the root: the jump at the top of a grid) leaves
-    e = -1 and the row on ell[first], refused; between two grid edges the root
+    Each root lies below edge e = j - 1.  j = first (no nodes above the
+    root: the jump at the top of a grid) leaves e = -1 and the row on
+    ell[first], refused; between two grid edges the root
     is solved by _solve_rows on ln f - ln target, from residual(roots,
     rows, f_e) -> (ln f - ln target, dln f/dln a) at the rows' _Roots, with
     f_e = f at their edges; below the last edge, or between two atoms, the gap
@@ -386,7 +354,7 @@ def _thresholds(model, target, blocks, group, depth, residual, closed, what) -> 
     the nodes, else None; nothing is raised for the batch.
     """
     groups = model._groups
-    j, f_above, f_at = _search(blocks, target, group, depth, groups.first, groups.size)
+    j, f_above, f_at = placed
     e = np.where(j <= groups.first, -1, j - 1)
     x, y = np.where(e < 0, groups.ell[groups.first], np.nan), np.zeros(len(j))
     inside = (e >= 0) & (j < groups.size) & groups.panels
@@ -440,19 +408,16 @@ def _power_rows(snr: np.ndarray, beta: np.ndarray, model: FadingModel):
     """(roots, errors): ln(alpha) per row with E{mu_opt} = snr[i] at beta[i].
 
     The mean power M is the tilted sum of v with exponent s = 1/(beta+1),
-    decreasing in ln a; its values at the edges place each root, and
-    inside a grid panel _solve_rows solves ln M = ln snr with
-    dln M/dln a = -(M + I) s / M.  Below the last edge, or between two
+    decreasing in ln a; _Groups.search places each root by its values at
+    the edges, and inside a grid panel _solve_rows solves ln M = ln snr
+    with dln M/dln a = -(M + I) s / M.  Below the last edge, or between two
     atoms, M = M(e) + expm1(s y)(I(e) + M(e)) gives the gap in closed form,
     y = (beta+1) log1p((snr - M(e))/(I(e) + M(e))); where that quotient
     passes the doubles, log1p of it is ln(snr - M(e)) - ln(I(e) + M(e)).
-    Each exponent s is read only until every row of it is placed.
     """
     s = 1.0 / (beta + 1.0)
     s_u, inv = np.unique(s, return_inverse=True)
     ln_snr = np.log(snr)
-    groups = model._groups
-    depth = np.full(len(s_u), groups.size)
 
     def residual(roots, rows, m_e):
         m = roots.mean_power(s[rows], m_e)
@@ -469,14 +434,14 @@ def _power_rows(snr: np.ndarray, beta: np.ndarray, model: FadingModel):
             y[past] = ln_q[past]
             return (beta[rows] + 1.0) * y, ln_q
 
-    blocks = groups.tilted(s_u, "v", depth)
-    what = "power threshold"
-    return _thresholds(model, snr, blocks, inv, depth, residual, closed, what)
+    placed = model._groups.search(s_u, snr, inv)
+    return _thresholds(model, snr, placed, residual, closed, "power threshold")
 
 
 def _log_moment_rows(ln_c: np.ndarray, model: FadingModel):
     """(roots, errors): ln(alpha*) per row with L1 = E{ln(z/a)/z ; z >= a}
     = exp(ln_c[i]), solved as _power_rows solves, on the edge sums of v d:
+    one searchsorted of those nondecreasing sums places each row,
     dln L1/dln a = -I/L1 inside a grid panel, and the gap in closed form
     y = (c - L1(e))/I(e) between two atoms or below the last edge."""
     c = np.exp(ln_c)
@@ -491,11 +456,12 @@ def _log_moment_rows(ln_c: np.ndarray, model: FadingModel):
             y = (c[rows] - l1_e) / i_e
             return y, np.log(y)
 
+    edge_l1, first = model._groups.sums[2], model._groups.first
+    j = first + np.searchsorted(edge_l1[first:], c)
+    # L1 at edges j-1 and j, 0 past either end
+    padded = np.concatenate(([0.0], edge_l1, [0.0]))
     what = "wideband CSIT threshold alpha*"
-    # L1 at every edge, one block of one exponent
-    blocks = [(0, np.zeros(1, dtype=int), model._groups.sums[2, None])]
-    group, depth = np.zeros(len(c), dtype=int), np.ones(1, dtype=int)
-    return _thresholds(model, c, blocks, group, depth, residual, closed, what)
+    return _thresholds(model, c, (j, padded[j], padded[j + 1]), residual, closed, what)
 
 
 def solve_alpha(snr: float, qos: QosConfig, model: FadingModel) -> PowerPolicy:

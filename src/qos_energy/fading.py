@@ -327,49 +327,80 @@ class _Groups:
         to edge depth[i] - 1 (depth[i] <= size; every edge without depth):
         yields (start, idx, T) with T[k, n] = sum om expm1(s[idx[k]] d) at
         edge start + n, om = v (the mean power) or w (the CSIT rate at weak
-        QoS) as weight says.  depth is read before each chunk, so a caller
-        that sets depth[i] to 0 retires exponent i.
+        QoS) as weight says.  depth is read before each chunk, so search,
+        which owns its depth array, retires exponent i by setting depth[i]
+        to 0.
 
-        Within a block of _BLOCK groups each group is shifted straight to
-        each edge below it, through expm1(s(d + D)) = expm1(s d) +
-        expm1(s D) exp(s d); the sums at the last edge of a block carry into
-        the next, per exponent.  The terms share the sign of s, so nothing
-        cancels.  Blocks start at fixed groups; a chunk of blocks, doubling
-        up to _BLOCK / (live exponents) blocks and ending at the deepest
-        live depth, runs in passes of at most _PASS exponents, each one set
-        of array operations.  So a sum depends neither on how deep the
-        caller reads nor on the other exponents, and no temporary is larger
-        than _PASS x 16 x 16.
+        Within a block of min(_BLOCK, size) groups each group is shifted
+        straight to each edge below it, through expm1(s(d + D)) = expm1(s d)
+        + expm1(s D) exp(s d); the sums at the last edge of a block carry
+        into the next, per exponent.  The terms share the sign of s, so
+        nothing cancels.  Blocks start at fixed groups; a chunk of blocks,
+        doubling up to _BLOCK / (live exponents) blocks and ending at the
+        deepest live depth, runs in passes of at most _PASS exponents, each
+        one set of array operations.  So a sum depends neither on how deep
+        the caller reads nor on the other exponents, and no temporary is
+        larger than _PASS x 16 x 16.
         """
         j = "vw".index(weight)
         om, total = (self.v, self.w)[j], self.sums[j]
         depth = np.full(len(s), self.size) if depth is None else depth
         # The sums at the last edge read so far, per exponent.
         t_c = np.zeros((len(s), 1))
-        below = np.tri(_BLOCK, dtype=bool)
-        start, step = 0, _BLOCK
+        width = min(_BLOCK, self.size)
+        below = np.tri(width, dtype=bool)
+        start, step = 0, width
         while (live := np.flatnonzero(depth > start)).size:
             stop = min(start + step, int(depth[live].max()))
-            pad = -(stop - start) % _BLOCK
+            pad = -(stop - start) % width
             ell, d, w = (
                 np.concatenate((a[start:stop], np.repeat(a[stop - 1 : stop], pad, 0)))
-                .reshape(-1, _BLOCK, *a.shape[1:])
+                .reshape(-1, width, *a.shape[1:])
                 for a in (self.ell, self.d, om)
             )
-            w[-1, _BLOCK - pad :] = 0.0
+            w[-1, width - pad :] = 0.0
             shift = np.where(below, ell[:, None, :] - ell[:, :, None], 0.0)
             for idx in np.split(live, range(_PASS, live.size, _PASS)):
                 t = _block_sums(s[idx, None, None, None], d, w, shift, below)
                 c = t_c[idx]
                 for b in range(ell.shape[0]):
-                    edge = start + b * _BLOCK
+                    edge = start + b * width
                     if edge:
                         up = s[idx, None] * (self.ell[edge - 1] - ell[b])
                         t[:, b] += c + np.expm1(up) * (total[edge - 1] + c)
                     c = t[:, b, -1:]
                 t_c[idx] = c
                 yield start, idx, t.reshape(len(idx), -1)[:, : stop - start]
-            start, step = stop, min(2 * step, _BLOCK * max(1, _BLOCK // live.size))
+            start, step = stop, min(2 * step, width * max(1, _BLOCK // live.size))
+
+    def search(self, s: np.ndarray, target: np.ndarray, group: np.ndarray):
+        """(j, f_above, f_at) per row for the mean power f, the tilted sum of
+        v with exponent s[group[i]] for row i, which grows from edge to edge
+        down the groups.  j is the first edge from first on with f >=
+        target (size when none); f_above and f_at are f at edges j-1 and j
+        (0 where there is none).  Each exponent is read only until every
+        row of it is placed."""
+        j, open_ = np.full(len(target), self.size), np.ones(len(target), dtype=bool)
+        f_above, f_at, last = np.zeros((3, len(target)))
+        left = np.bincount(group, minlength=len(s))
+        depth, at = np.full(len(s), self.size), np.full(len(s), -1)
+        for start, idx, f in self.tilted(s, "v", depth):
+            at[idx] = np.arange(len(idx))
+            rows = np.flatnonzero(open_ & (at[group] >= 0))
+            fr = f[at[group[rows]]]
+            at[idx] = -1
+            edge = start + np.arange(f.shape[1])
+            hit = (fr >= target[rows, None]) & (edge >= self.first)
+            got = np.flatnonzero(hit.any(1))
+            k, placed = hit[got].argmax(1), rows[got]
+            j[placed], f_at[placed] = start + k, fr[got, k]
+            f_above[placed] = np.where(k > 0, fr[got, k - 1], last[placed])
+            open_[placed] = False
+            last[rows] = fr[:, -1]
+            left -= np.bincount(group[placed], minlength=len(s))
+            depth[left == 0] = 0
+        f_above[open_] = last[open_]
+        return j, f_above, f_at
 
 
 def _block_sums(s4, d, w, shift, below):

@@ -192,7 +192,8 @@ def simulate_queue(config: SimConfig) -> TailEstimate:
 
     Raises Unstable when the arrival rate is at or above the ergodic
     capacity (no stationary tail exists) and InsufficientSamples when the
-    largest threshold was crossed fewer than 100 times after warmup.
+    largest threshold was crossed fewer than 100 times after warmup, or
+    when a crossed threshold is the only one, as a line needs two points.
     """
     model, qos = config.model, config.qos
     capacity = qos.B * shannon_limit(config.snr, config.mode, qos, model)
@@ -247,6 +248,11 @@ def simulate_queue(config: SimConfig) -> TailEstimate:
             f"largest threshold q={thresholds[-1]:g} was crossed only "
             f"{int(counts[-1])} times (< {_MIN_TAIL_SAMPLES}); lower the "
             "thresholds or simulate more frames"
+        )
+    if len(thresholds) < 2:
+        raise InsufficientSamples(
+            f"a tail decay needs at least two crossed thresholds, got one "
+            f"(q={thresholds[0]:g})"
         )
     log_p = np.log(counts / n_post)
     slope, intercept = np.polyfit(thresholds, log_p, 1)

@@ -366,13 +366,33 @@ class TestWidebandStages:
             solve_alpha_star(RAY, 1e-300, 1e-20, 1e300)
 
     def test_one_ln_xi_rule(self):
-        # theta = 5e-324 leaves ln xi = -1.78e-317 below the normal doubles
-        # on the table; the surface cell and solve_alpha_star refuse it alike
-        want = "ln xi = -1.78196e-317 is not negative and normal"
+        # c = 1.44e-307 is a normal double, but ln xi = -1.44e-309 is not;
+        # the surface cell and solve_alpha_star refuse it alike
+        det = Deterministic(0.01)
+        want = "ln xi = -1.4427e-309 is not negative and normal"
         with pytest.raises(NumericalError, match=want):
-            solve_alpha_star(self.TABLE, 5e-324, 1.0, 1e6)
+            solve_alpha_star(det, 1e-300, 1e-7, 1.0)
         with pytest.warns(UserWarning, match=want):
-            surf = ebn0_min_surface("csit", self.TABLE, (5e-324,), (1e6,), 1.0)
+            surf = ebn0_min_surface("csit", det, (1e-300,), (1.0,), 1e-7)
+        assert surf.ebn0_min_db == ((None,),)
+
+    def test_c_must_be_a_normal_double(self):
+        # theta = ln 2 and T = 2^-1022 make c = theta T (Pbar/N0)/ln2 the
+        # smallest normal double, which resolves; just below it c is
+        # refused, as theta*T*B is.  On this table L1 = c puts y =
+        # ln(1e300/alpha*) at 2e300 c, and xi = 1/2 + e^-y/2.
+        table = BoundedTable(((0.0, 0.5), (1e300, 0.5)))
+        (at,) = _alpha_star_roots(table, [LN2], 2.0**-1022, [1.0])
+        y = 2e300 * 2.0**-1022
+        assert at[0] == pytest.approx(300.0 * math.log(10.0) - y, rel=1e-15)
+        assert at[4] == pytest.approx(math.log1p(0.5 * math.expm1(-y)), rel=1e-9)
+        (below,) = _alpha_star_roots(table, [LN2 * (1.0 - 1e-12)], 2.0**-1022, [1.0])
+        assert isinstance(below, NumericalError)
+        assert "is below the normal doubles" in str(below)
+        # c = 2.19e-318 gave -3001.591741950627 dB, where mpmath gives
+        # -3001.59174538955 dB: a gap now
+        with pytest.warns(UserWarning, match="is below the normal doubles"):
+            surf = ebn0_min_surface("csit", table, (1.52062e-318,), (1.0,), 1.0)
         assert surf.ebn0_min_db == ((None,),)
 
     def test_floor_stage_takes_every_row(self):

@@ -391,8 +391,8 @@ class TestExitCodes:
         assert code == 0
         texts = notes(capsys)
         assert len(texts) == 3
-        assert "not resolved" in texts[0]
-        assert "ln xi = -1.78196e-317 is not negative and normal" in texts[1]
+        assert "is below the normal doubles" in texts[0]
+        assert "is below the normal doubles" in texts[1]
         assert texts[2] == "note: 2 surface cell(s) failed"
         rows = load_json(out, "surface_csit_table.json")["ebn0_min_db"]
         assert rows[0] == [None, None]
@@ -405,7 +405,7 @@ class TestExitCodes:
              "sweep_csir_lowpower_rayleigh.json", 3),
             (("sweep", "--mode", "csit", "--theta", "1e-310", "--T", "1e-20",
               "--B", "1e9"), "sweep_csit_lowpower_rayleigh.json", 3),
-            # alpha* at c = theta T (Pbar/N0)/ln2 = exp(-750) is not resolved
+            # c = theta T (Pbar/N0)/ln2 = exp(-750.276) is below the normal doubles
             (("sweep", "--mode", "csit", "--regime", "wideband", "--model",
               "deterministic", "--mean", "1.3", "--theta", "1e-310", "--T",
               "1e-20"), "sweep_csit_wideband_deterministic.json", 4),
@@ -420,7 +420,8 @@ class TestExitCodes:
         assert code == 0
         texts = notes(capsys)
         assert sum("leaves the normal doubles" in t for t in texts) == 3
-        assert sum("alpha* = exp(0.262364) is not resolved" in t for t in texts) == (gaps == 4)
+        assert sum("exp(-750.276) is below the normal doubles" in t
+                   for t in texts) == (gaps == 4)
         assert texts[-1] == f"note: {gaps} grid point(s) failed and were written as gaps"
         (curve,) = load_json(out, name)["curves"]
         assert curve["points"] == [{"ebn0_db": None, "spectral_efficiency": None}] * 3
@@ -603,6 +604,8 @@ class TestExitCodes:
                          "'0.1,abc' is not a list of numbers", id="theta-text"),
             pytest.param(("simulate-queue",), '{"thresholds": [40, 20]}',
                          "thresholds must be strictly increasing", id="thresholds"),
+            pytest.param(("simulate-queue",), '{"thresholds": [10.0], "frames": 20000}',
+                         "thresholds needs at least two values", id="one-threshold"),
             pytest.param(("simulate-queue", "--seed", "-1"), "{}",
                          "seed must be >= 0, got -1", id="seed"),
             pytest.param(("asymptotics",), '{"mode": "blind"}',

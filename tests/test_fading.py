@@ -26,7 +26,7 @@ from qos_energy import (
     wideband_csir,
     wideband_csit,
 )
-from qos_energy import fading
+from qos_energy import effcap, fading
 from qos_energy.effcap import _Roots
 from qos_energy.fading import _PANEL, _logsumexp
 from oracles import gamma_panel_nodes
@@ -971,3 +971,67 @@ class TestEdgeSums:
             (i_a, _, l1, h, wd), direct = direct_edge_sums(u, ln_w, ln_a)
             want = [i_a, l1, h, wd, *direct["v"][0]]
             assert [g[k] for g in got] == pytest.approx(want, rel=1e-13, abs=0)
+
+
+def first_at_or_above(f, first: int, target: float) -> int:
+    """The first edge j >= first with f[j] >= target, by a direct scan;
+    len(f) when there is none."""
+    return next((j for j in range(first, len(f)) if f[j] >= target), len(f))
+
+
+class TestPlacement:
+    """Each threshold equation places its rows on its own edge sums: alpha*
+    by one searchsorted of L1 = sums[2], the power threshold by
+    _Groups.search over the tilted sums of v, both against a direct scan."""
+
+    MODELS = [Rayleigh(), NakagamiM(0.5),
+              BoundedTable(((0.0, 0.1), (0.3, 0.2), (1.0, 0.4), (2.5, 0.3))),
+              Deterministic(1.3)]
+
+    @pytest.mark.parametrize("model", MODELS, ids=repr)
+    def test_alpha_star_rows_match_a_scan_of_l1(self, model):
+        groups = model._groups
+        l1, first, n = groups.sums[2], groups.first, groups.size
+        # a target equal to L1 at an edge (a double that exp(ln) gives back),
+        # one below edge first (0 on the atoms, whose L1 starts at 0), at
+        # the edge above it too, one above the last edge, and a spread
+        ties = [j for j in range(first + 1, n)
+                if l1[j] > l1[j - 1] and math.exp(math.log(l1[j])) == l1[j]][:3]
+        below = [0.5 * l1[first], l1[first - 1]] if groups.panels else [0.0]
+        targets = np.array([*l1[ties], *below, 2.0 * l1[-1] + 1.0,
+                            *np.geomspace(1e-60, 1e60, 25)])
+        with np.errstate(divide="ignore"):
+            roots, _ = effcap._log_moment_rows(np.log(targets), model)
+        want = [first_at_or_above(l1, first, c) for c in targets.tolist()]
+        assert roots.e.tolist() == [-1 if j <= first else j - 1 for j in want]
+        k = len(ties) + len(below)
+        assert want[len(ties) : k] == [first] * len(below) and want[k] == n
+        for k, j in enumerate(ties):
+            assert want[k] == j
+            if groups.panels:
+                # the root lies on the edge itself
+                assert roots.x[k] == groups.ell[j]
+
+    @pytest.mark.parametrize("model", MODELS, ids=repr)
+    def test_power_rows_match_a_scan_of_the_tilted_sums(self, model):
+        groups = model._groups
+        s = np.array([1e-6, 0.01, 0.5, 1.0])
+        f = np.hstack([t for _, _, t in groups.tilted(s, "v")])
+        rng = np.random.default_rng(28)
+        group, target = [], []
+        for i in range(len(s)):
+            fi = f[i, groups.first:]
+            # ties at edges, below edge first and at the edges above it,
+            # above the last edge, and a spread
+            picks = rng.choice(fi[fi > 0], min(4, np.count_nonzero(fi > 0)), replace=False)
+            row = [*picks, 0.5 * fi[0] if fi[0] > 0 else 1e-300, *f[i, : groups.first],
+                   2.0 * f[i, -1] + 1.0, *np.geomspace(1e-30, 1e30, 7)]
+            group += [i] * len(row)
+            target += row
+        group, target = np.array(group), np.array(target)
+        j, f_above, f_at = groups.search(s, target, group)
+        for k, (i, c) in enumerate(zip(group.tolist(), target.tolist())):
+            want = first_at_or_above(f[i], groups.first, c)
+            assert j[k] == want
+            assert f_above[k] == (f[i, want - 1] if want > 0 else 0.0)
+            assert f_at[k] == (f[i, want] if want < groups.size else 0.0)

@@ -6,6 +6,7 @@ import os
 import sys
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -165,6 +166,19 @@ class TestLindleyRecursion:
                 model=RAY, snr=SNR, qos=QOS, mode="csir", arrival_rate=arrival,
                 frames=20000, seed=2, q_thresholds=(40.0, 1e5),
             ))
+
+    def test_one_crossed_threshold_fits_no_line(self):
+        # a line through one point used to come back with a RankWarning
+        # and r^2 = 1
+        arrival = predicted_effective_capacity(RAY, SNR, QOS, "csir")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(InsufficientSamples, match="at least two crossed"):
+                simulate_queue(SimConfig(
+                    model=RAY, snr=SNR, qos=QOS, mode="csir", arrival_rate=arrival,
+                    frames=20000, seed=2, q_thresholds=(10.0,),
+                ))
+        assert caught == []
 
     def test_constant_service_never_queues(self):
         det = Deterministic(1.0)

@@ -9,7 +9,8 @@ perfbench/workloads.py builds for every workload at each seed runs once
 with each tree, in one interpreter per tree.  The `--out` directories
 differ, so the path each JSON artifact records is masked before the
 bytes are compared.  Prints the line count of src/qos_energy in both
-trees, then "N of M artifacts byte-identical", then for each artifact
+trees, with one line under it per module whose count changed, then "N of
+M artifacts byte-identical", then for each artifact
 that differs the largest relative move of its numbers, and the largest
 absolute move, in dB, of its values in dB (JSON keys and CSV columns
 named "*_db").  Exits 1 if any artifact or exit code differs, else 0.
@@ -53,15 +54,16 @@ def run_tree(src: str, jobs: list) -> list:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def source_lines(src: str) -> int:
-    """Lines in the .py files of the qos_energy package under src."""
+def source_lines(src: str) -> dict:
+    """Module name -> lines, for the .py files of the qos_energy package
+    under src."""
     pkg = os.path.join(src, "qos_energy")
-    total = 0
+    lines = {}
     for name in os.listdir(pkg):
         if name.endswith(".py"):
             with open(os.path.join(pkg, name), "rb") as fh:
-                total += fh.read().count(b"\n")
-    return total
+                lines[name[:-3]] = fh.read().count(b"\n")
+    return lines
 
 
 def artifacts(outdirs: list) -> dict:
@@ -157,8 +159,13 @@ def main(argv=None) -> int:
             codes[tree] = run_tree(src, [[*argv, "--out", out]
                                          for (_, argv), out in zip(jobs, outdirs)])
             found[tree] = artifacts([out for out in outdirs if os.path.isdir(out)])
-    print(f"src/qos_energy: {lines['base']} lines at {args.rev}, {lines['head']} in the "
-          f"working tree ({lines['head'] - lines['base']:+d})")
+    base_n, head_n = sum(lines["base"].values()), sum(lines["head"].values())
+    print(f"src/qos_energy: {base_n} lines at {args.rev}, {head_n} in the "
+          f"working tree ({head_n - base_n:+d})")
+    for module in sorted(set(lines["base"]) | set(lines["head"])):
+        old, new = lines["base"].get(module, 0), lines["head"].get(module, 0)
+        if old != new:
+            print(f"  {module} {old} -> {new} ({new - old:+d})")
     names = sorted(set(found["base"]) | set(found["head"]))
     same = [n for n in names if found["base"].get(n) == found["head"].get(n)]
     print(f"{len(same)} of {len(names)} artifacts byte-identical "
