@@ -46,8 +46,9 @@ which yields the S0 above without the cancellation of its two terms.
 
 The wideband CSIT values are built in stages on one alpha*, and each
 stage makes its own checks once:
-    floor (_alpha_star_roots): each row's arguments, c (a normal
-        double), the root and ln xi, for the surface cells and every
+    floor (_alpha_star_roots): each row's arguments, c (one exact
+        product, a normal double), the root and ln xi, as the columns
+        (ln alpha*, 1/k, I, H, ln xi), for the surface cells and every
         stage below;
     slope (_csit_summary): H and S0, for wideband_csit, the asymptotics
         command and the sweep asymptotes;
@@ -62,7 +63,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .effcap import (_MIN_NORMAL, LN2, QosConfig, _log_moment_rows, _one_row, _product,
+from .effcap import (_MIN_NORMAL, LN2, _log_moment_rows, _one_row, _product, _qos_rows,
                      to_db)
 from .errors import NumericalError
 from .fading import FadingModel, _ln_mean_exp, _logsumexp
@@ -214,8 +215,7 @@ def wideband_csir(
     _check_wideband_args(theta, T, pbar_over_n0)
     if theta == 0:
         return replace(lowpower_csir(model, 0.0), regime="wideband")
-    c = theta * T * pbar_over_n0 / LN2
-    ln_l, r, h = _laplace(model, c)
+    ln_l, r, h = _laplace(model, _product(theta, T, pbar_over_n0) / LN2)
     u, ln_w, _, _ = model.support_nodes
     ln_s0 = LN2 + 2.0 * math.log(r) - _logsumexp(ln_w + h - ln_l + 2.0 * u)
     if not ln_s0 < _LN_MAX:
@@ -261,12 +261,12 @@ def solve_alpha_star(
         alpha_dot(0) = dln_alpha_dzeta * alpha*,
 
     with k = theta*T/ln2, I = E{(1/z), z >= alpha*} and
-    H = E{ln^2(z/alpha*) (1/z), z >= alpha*}.  ln c and ln k are sums of
-    logs and the derivative takes the second form, because c, k and k I
-    underflow at weak QoS; a root that is not resolved, or a derivative
-    beyond the double range, raises NumericalError.  At theta = 0 the
-    threshold escapes to z_max, xi = 1 and the derivative fields are None.
-    The one-row case of _alpha_star_rows.
+    H = E{ln^2(z/alpha*) (1/z), z >= alpha*}.  c is one exact product,
+    and the derivative takes the second form, with 1/k = (Pbar/N0)/c,
+    because k I underflows at weak QoS; a root that is not resolved, or a
+    derivative beyond the double range, raises NumericalError.  At theta
+    = 0 the threshold escapes to z_max, xi = 1 and the derivative fields
+    are None.  The one-row case of _alpha_star_rows.
     """
     return _one_row(_alpha_star_rows(model, [theta], T, [pbar_over_n0]))
 
@@ -291,7 +291,7 @@ def _alpha_star_rows(model: FadingModel, thetas, T: float, pbars) -> list:
         if isinstance(root, NumericalError):
             out.append(root)
             continue
-        ln_star, ln_k, inv_above, h, ln_xi = root
+        ln_star, inv_k, inv_above, h, ln_xi = root
         try:
             if not (h > 0 and math.isfinite(h)):
                 raise NumericalError(
@@ -299,11 +299,7 @@ def _alpha_star_rows(model: FadingModel, thetas, T: float, pbars) -> list:
                     f"({_wideband_params(model, theta, T, pbar_over_n0)})"
                 )
             alpha_star = math.exp(ln_star)
-            try:
-                h_over_2k = 0.5 * h * math.exp(-ln_k)
-            except OverflowError:
-                h_over_2k = math.inf
-            dln = -(pbar_over_n0 - h_over_2k) / inv_above
+            dln = -(pbar_over_n0 - 0.5 * h * inv_k) / inv_above
             if not math.isfinite(dln):
                 raise NumericalError(
                     f"wideband CSIT threshold derivative dln alpha/dzeta = {dln:g} "
@@ -326,46 +322,39 @@ def _alpha_star_rows(model: FadingModel, thetas, T: float, pbars) -> list:
 def _alpha_star_roots(model: FadingModel, thetas, T: float, pbars) -> list:
     """The floor stage of the wideband CSIT limits, each row validated once
     and every alpha* of the batch from one _log_moment_rows: per row None
-    at theta = 0, else (ln alpha*, ln k, I, H, ln xi), H not yet checked,
-    or the NumericalError of a c that is not a normal double, of the
-    bracket, of a root that is not resolved or of ln xi (_ln_xi)."""
+    at theta = 0, else (ln alpha*, 1/k, I, H, ln xi), 1/k = (Pbar/N0)/c
+    (inf past the doubles) and H not yet checked, or the NumericalError of
+    a c that is not a normal double, of the bracket, of a root that is not
+    resolved or of ln xi (_ln_xi).  c is one exact _product over ln 2."""
     for theta, pbar in zip(thetas, pbars):
         _check_wideband_args(theta, T, pbar)
     theta = np.array(thetas, dtype=float)
     pbar = np.array(pbars, dtype=float)
-    with np.errstate(divide="ignore"):
-        ln_k = np.log(theta) + (math.log(T) - math.log(LN2))
-    ln_c = ln_k + np.log(pbar)
-    with np.errstate(over="ignore"):
-        c = np.exp(ln_c)
+    c = _product(theta, T, pbar) / LN2
     out = [None] * len(theta)
     # The root equation reads L1 = c, and a subnormal c keeps too few digits.
     normal = (c >= _MIN_NORMAL) & (c < math.inf)
     for k in np.flatnonzero((theta > 0) & ~normal):
+        t, p = theta[k].item(), pbar[k].item()
+        ln_c = math.log(t) + math.log(T) + math.log(p) - math.log(LN2)
         out[k] = NumericalError(
-            f"c = theta*T*(Pbar/N0)/ln2 = exp({ln_c[k]:g}) "
+            f"c = theta*T*(Pbar/N0)/ln2 = exp({ln_c:g}) "
             + ("overflows" if c[k] == math.inf else "is below the normal doubles")
-            + f" ({_wideband_params(model, theta[k], T, pbar[k])})"
+            + f" ({_wideband_params(model, t, T, p)})"
         )
     rows = np.flatnonzero((theta > 0) & normal)
     if not rows.size:
         return out
-    roots, errors = _log_moment_rows(ln_c[rows], model)
-    cols = (roots.x, ln_k[rows], roots.inverse(), roots.log_moment2(),
+    roots, errors = _log_moment_rows(c[rows], model)
+    cols = (roots.x, pbar[rows], c[rows], roots.inverse(), roots.log_moment2(),
             roots.ln_mean_power(np.ones(rows.size)))
     for k, error, row in zip(rows.tolist(), errors, zip(*(a.tolist() for a in cols))):
-        ln_star, ln_k_row, inv_above, h, ln_xi = row
+        ln_star, p, c_k, inv_above, h, ln_xi = row
         try:
-            out[k] = error or (ln_star, ln_k_row, inv_above, h, _ln_xi(ln_xi, ln_star))
+            out[k] = error or (ln_star, p / c_k, inv_above, h, _ln_xi(ln_xi, ln_star))
         except NumericalError as exc:
             out[k] = exc
     return out
-
-
-def _bit_energy_floor(theta: float, T: float, pbar_over_n0: float, ln_l: float) -> float:
-    """Wideband CSIT bit-energy floor -theta*T*(Pbar/N0)/ln xi, linear, the
-    product formed past a theta*T below the normal doubles."""
-    return -_product(theta, T, pbar_over_n0) / ln_l
 
 
 def wideband_csit(
@@ -405,7 +394,7 @@ def _csit_summary(model, theta, T, pbar_over_n0, root) -> AsymptoticSummary:
             f"over curvature H = {h:g} ({_wideband_params(model, theta, T, pbar_over_n0)})"
         )
     return AsymptoticSummary(
-        ebn0_min_linear=_bit_energy_floor(theta, T, pbar_over_n0, ln_xi),
+        ebn0_min_linear=-_product(theta, T, pbar_over_n0) / ln_xi,
         slope_s0=s0,
         regime="wideband",
         mode="csit",
@@ -417,16 +406,20 @@ def _asymptotes(model: FadingModel, mode: str, regime: str, thetas, T: float,
     """Bit-energy floor and slope for one mode/regime at each theta: per row
     the AsymptoticSummary or the NumericalError it raised.  B is used only
     in the lowpower regime and pbar_over_n0 only in the wideband one; the
-    wideband CSIT rows take every alpha* from one _alpha_star_roots."""
-    if mode == "csit" and regime == "wideband":
+    lowpower rows take their betas from one _qos_rows, and refuse a beta
+    that overflows; the wideband CSIT rows take every alpha* from one
+    _alpha_star_roots."""
+    if regime == "lowpower":
+        lowpower = lowpower_csir if mode == "csir" else lowpower_csit
+        _, betas, errors = _qos_rows(thetas, T, B)
+        return [lowpower(model, beta) if beta < math.inf else error
+                for beta, error in zip(betas.tolist(), errors)]
+    if mode == "csit":
         roots = _alpha_star_roots(model, thetas, T, [pbar_over_n0] * len(thetas))
     out = []
     for k, theta in enumerate(thetas):
         try:
-            if regime == "lowpower":
-                lowpower = lowpower_csir if mode == "csir" else lowpower_csit
-                out.append(lowpower(model, QosConfig(theta, T, B).beta))
-            elif mode == "csir":
+            if mode == "csir":
                 out.append(wideband_csir(model, theta, T, pbar_over_n0))
             elif isinstance(roots[k], NumericalError):
                 out.append(roots[k])

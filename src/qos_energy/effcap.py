@@ -24,6 +24,11 @@ xi of the wideband CSIT floor.  theta = 0 degenerates
 to the ergodic (Shannon) limits: the csir formula becomes E{log2(1+SNR z)}
 and the threshold equation becomes classical water-filling (beta = 0).
 
+Rates come in batches (_csir_rows, _csit_rows), one row per point, with
+one-row cases below.  _qos_rows forms a batch's theta*T*B as one exact
+_product and refuses each row whose theta*T*B or beta is not a normal
+double; each CSIR row sums over the support nodes on its own.
+
 All solves run on ln(alpha): the threshold shrinks like
 (1+SNR z)^-(beta+1) for degenerate channels and would underflow long
 before its logarithm does.  Thresholds are solved in batches
@@ -144,34 +149,43 @@ def power_policy_value(policy: PowerPolicy, z):
     return mu
 
 
-def _product(*factors: float) -> float:
-    """The product of nonnegative factors with the exponents summed apart
-    from the mantissas, so that it never underflows or overflows on the way
-    to a result in the double range: theta*T first would."""
+def _product(*factors):
+    """The product of nonnegative factors (of arrays elementwise; a float
+    for scalars) with the exponents summed apart from the mantissas, so
+    that it never underflows or overflows on the way to a result in the
+    double range: theta*T first would."""
     mant, expo = 1.0, 0
     for factor in factors:
-        m, e = math.frexp(factor)
+        m, e = np.frexp(factor)
         mant, expo = mant * m, expo + e
-    try:
-        return math.ldexp(mant, expo)
-    except OverflowError:
-        return math.inf
+    with np.errstate(over="ignore"):
+        out = np.ldexp(mant, expo)
+    return out if np.ndim(out) else float(out)
 
 
-def _theta_tb(qos: QosConfig) -> float:
-    """theta*T*B, which the rates divide by.
-
-    Raises NumericalError when it is not a positive normal double: below
-    the normal doubles it keeps too few digits for a rate at or below the
-    Shannon limit.
-    """
-    k = _product(qos.theta, qos.T, qos.B)
-    if not _MIN_NORMAL <= k < math.inf:
-        raise NumericalError(
-            f"theta*T*B = {k:g} leaves the normal doubles "
-            f"(theta={qos.theta:g}, T={qos.T:g}, B={qos.B:g})"
+def _qos_rows(theta, T: float, B) -> tuple:
+    """(k, beta, errors) per row: k = theta*T*B, one exact _product for the
+    batch (theta or B may be one for all), beta = k/ln2, and the
+    NumericalError of a theta > 0 whose k or beta is not a normal double,
+    else None: below them k, which the rates divide by, keeps too few
+    digits for a rate at or below the Shannon limit."""
+    theta, B = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(B, dtype=float))
+    # QosConfig's ValueError, for the first row that fails its checks
+    bad = ~((theta >= 0) & (theta < math.inf) & (B > 0) & (B < math.inf))
+    if theta.size and (bad.any() or not 0 < T < math.inf):
+        QosConfig(theta[bad.argmax()].item(), T, B[bad.argmax()].item())
+    k = _product(theta, T, B)
+    with np.errstate(over="ignore"):
+        beta = k / LN2
+    errors = [None] * k.size
+    for i in np.flatnonzero((theta > 0) & ~((k >= _MIN_NORMAL) & (beta < math.inf))):
+        t, k_i, b_i = theta[i].item(), k[i].item(), B[i].item()
+        # a normal k whose beta overflows is named by its beta
+        what = f"theta*T*B = {k_i:g}" if not _MIN_NORMAL <= k_i < math.inf else "beta = inf"
+        errors[i] = NumericalError(
+            f"{what} leaves the normal doubles (theta={t:g}, T={T:g}, B={b_i:g})"
         )
-    return k
+    return k, beta, errors
 
 
 def _solve_rows(residual, lo, hi, r_lo, r_hi) -> np.ndarray:
@@ -438,13 +452,13 @@ def _power_rows(snr: np.ndarray, beta: np.ndarray, model: FadingModel):
     return _thresholds(model, snr, placed, residual, closed, "power threshold")
 
 
-def _log_moment_rows(ln_c: np.ndarray, model: FadingModel):
+def _log_moment_rows(c: np.ndarray, model: FadingModel):
     """(roots, errors): ln(alpha*) per row with L1 = E{ln(z/a)/z ; z >= a}
-    = exp(ln_c[i]), solved as _power_rows solves, on the edge sums of v d:
-    one searchsorted of those nondecreasing sums places each row,
-    dln L1/dln a = -I/L1 inside a grid panel, and the gap in closed form
-    y = (c - L1(e))/I(e) between two atoms or below the last edge."""
-    c = np.exp(ln_c)
+    = c[i], solved as _power_rows solves, on the edge sums of v d: one
+    searchsorted of those nondecreasing sums places each row, dln L1/dln a
+    = -I/L1 inside a grid panel, and the gap in closed form y = (c -
+    L1(e))/I(e) between two atoms or below the last edge."""
+    ln_c = np.log(c)
 
     def residual(roots, rows, l1_e):
         l1 = roots.log_moment()
@@ -482,19 +496,37 @@ def solve_alpha(snr: float, qos: QosConfig, model: FadingModel) -> PowerPolicy:
 def spectral_efficiency_csir(snr: float, qos: QosConfig, model: FadingModel) -> float:
     """-(1/(theta T B)) ln E{(1+snr z)^(-beta)} in bits/s/Hz.
 
-    Raises ThetaZero at theta = 0; that limit is shannon_limit's job.
+    Raises ThetaZero at theta = 0; that limit is shannon_limit's job.  The
+    one-row case of _csir_rows.
     """
     if qos.theta == 0:
         raise ThetaZero("spectral_efficiency_csir is 0/0 at theta=0; use shannon_limit")
     _check_snr(snr)
-    if snr == 0:
-        return 0.0
-    theta_tb = _theta_tb(qos)
-    beta = theta_tb / LN2
-    model._check_lumped("E{(1 + x z)^-beta} at x = snr", snr, beta)
-    _, ln_w, _, w = model.support_nodes
-    log_e = _ln_mean_exp(ln_w, -beta * _ln1p_nodes(snr, model), w)
-    return -log_e / theta_tb
+    return _one_row(_csir_rows([snr], qos.theta, qos.T, [qos.B], model))
+
+
+def _csir_rows(snr, theta, T: float, B, model: FadingModel) -> list:
+    """CSIR rates of a batch: per row the spectral efficiency, or the
+    NumericalError that row raised; snr >= 0, theta and B as for
+    _csit_rows.  A row at snr = 0 has rate 0, a row at theta = 0 the
+    Shannon limit E{log2(1 + snr z)}; each row sums over the support nodes
+    on its own."""
+    snr = np.asarray(snr, dtype=float)
+    theta = np.broadcast_to(np.asarray(theta, dtype=float), snr.shape)
+    k, beta, out = _qos_rows(theta, T, B)
+    for i, (x, t, k_i, b) in enumerate(zip(*(a.tolist() for a in (snr, theta, k, beta)))):
+        try:
+            if x == 0:
+                out[i] = 0.0
+            elif t == 0:
+                out[i] = float(np.dot(model.support_nodes[3], _ln1p_nodes(x, model))) / LN2
+            elif out[i] is None:
+                model._check_lumped("E{(1 + x z)^-beta} at x = snr", x, b)
+                _, ln_w, _, w = model.support_nodes
+                out[i] = -_ln_mean_exp(ln_w, -b * _ln1p_nodes(x, model), w) / k_i
+        except NumericalError as exc:
+            out[i] = exc
+    return out
 
 
 def _ln1p_nodes(x: float, model: FadingModel) -> np.ndarray:
@@ -519,8 +551,7 @@ def spectral_efficiency_csit(snr: float, qos: QosConfig, model: FadingModel) -> 
     _check_snr(snr)
     if snr == 0:
         return 0.0
-    rows = _csit_rows(np.array([snr]), qos.theta, qos.T, np.array([qos.B]), model)
-    return _one_row(rows)[0]
+    return _one_row(_csit_rows([snr], qos.theta, qos.T, [qos.B], model))[0]
 
 
 def _one_row(rows: list):
@@ -539,23 +570,14 @@ def _csit_rows(snr, theta, T: float, B, model: FadingModel) -> list:
     from ln_mean_power at their snr."""
     snr = np.asarray(snr, dtype=float)
     theta = np.broadcast_to(np.asarray(theta, dtype=float), snr.shape)
-    out = [None] * len(snr)
-    # Per row theta*T*B; ln 2 at theta = 0, where the rate is in nats.
-    scale, beta = np.full(len(snr), LN2), np.empty(len(snr))
-    for i, (t, b) in enumerate(zip(theta.tolist(), B)):
-        qos = QosConfig(t, T, b)
-        beta[i] = qos.beta
-        if t > 0:
-            try:
-                scale[i] = _theta_tb(qos)
-            except NumericalError as exc:
-                out[i] = exc
+    k, beta, out = _qos_rows(theta, T, B)
+    # ln 2 at theta = 0, where the rate is in nats
+    scale = np.where(theta > 0, k, LN2)
     rows = np.flatnonzero([o is None for o in out])
     if not rows.size:
         return out
-    beta = beta[rows]
     try:
-        roots, errors = _power_rows(snr[rows], beta, model)
+        roots, errors = _power_rows(snr[rows], beta[rows], model)
     except NumericalError as exc:
         return [exc if o is None else o for o in out]
     log_total = np.empty(len(rows))
@@ -563,12 +585,12 @@ def _csit_rows(snr, theta, T: float, B, model: FadingModel) -> list:
     if water.any():
         log_total[water] = -roots.take(water).log_gain()
     if not water.all():
-        b = beta[~water]
+        b = beta[rows][~water]
         log_total[~water] = roots.take(~water).ln_mean_power(b / (b + 1.0),
                                                              snr[rows][~water])
     se = np.maximum(-log_total / scale[rows], 0.0)
-    for k, i in enumerate(rows):
-        out[i] = errors[k] or (float(se[k]), float(roots.x[k]))
+    for j, i in enumerate(rows):
+        out[i] = errors[j] or (float(se[j]), float(roots.x[j]))
     return out
 
 
@@ -581,10 +603,8 @@ def shannon_limit(snr: float, mode: str, qos: QosConfig, model: FadingModel) -> 
     """
     _check_mode(mode)
     _check_snr(snr)
-    if snr == 0:
-        return 0.0
     if mode == "csir":
-        return float(np.dot(model.support_nodes[3], _ln1p_nodes(snr, model))) / LN2
+        return _one_row(_csir_rows([snr], 0.0, qos.T, [qos.B], model))
     return spectral_efficiency_csit(snr, replace(qos, theta=0.0), model)
 
 

@@ -1,13 +1,15 @@
 """Dataset generation: tradeoff curves, bit-energy surfaces, threshold curves.
 
 Everything here is a deterministic map from a declarative spec to arrays of
-floats, so reruns with the same inputs are byte-identical.  A CSIT
-tradeoff sweep, or alpha_vs_zeta, solves the thresholds of all its grid
-lines, every theta at every grid point, as one batch, and each call solves
-all its alpha* as one; a row of a batch gets the same bits as a solve of
-that point alone.  _gaps then walks the lines, theta by theta: a point
-where the numerics give up becomes a gap (None) with a Python warning and
-never aborts the sweep.
+floats, so reruns with the same inputs are byte-identical.  A tradeoff
+sweep takes the rates of all its grid lines, every theta at every grid
+point, as one CSIR or CSIT batch (for CSIT, one batch of thresholds), as
+alpha_vs_zeta takes its thresholds, and each call solves all its alpha*
+as one; each batch forms its theta*T*B, or a surface its theta*T*(Pbar/N0),
+as one exact product, and a row of a batch gets the same bits as that
+point alone.  _gaps then walks the lines, theta by theta: a point where
+the numerics give up becomes a gap (None) with a Python warning and never
+aborts the sweep.
 """
 
 from __future__ import annotations
@@ -23,19 +25,18 @@ from .asymptotics import (
     AsymptoticSummary,
     _alpha_star_rows,
     _asymptotes,
-    _bit_energy_floor,
     _laplace,
     _alpha_star_roots,
 )
 from .effcap import (
     LN2,
-    QosConfig,
     _check_mode,
+    _csir_rows,
     _csit_rows,
     _power_rows,
+    _product,
+    _qos_rows,
     bit_energy_db,
-    shannon_limit,
-    spectral_efficiency_csir,
     to_db,
 )
 from .errors import NumericalError
@@ -169,38 +170,24 @@ def _gaps(results, theta: float, values, what: str, axis: str) -> list:
 def _sweep_se(spec: SweepSpec) -> list:
     """Per theta of spec, the spectral efficiency per grid value, or the
     NumericalError of that point; None for a rate that is not positive and
-    finite.  A CSIT sweep is one _csit_rows batch over every theta and grid
-    value."""
+    finite.  A sweep is one _csit_rows or _csir_rows batch over every theta
+    and grid value."""
     grid = np.array(spec.grid)
     if spec.regime == LOWPOWER:
         snrs, bands = grid, np.full(grid.size, float(spec.B))
     else:
         snrs, bands = spec.pbar_over_n0 * grid, 1.0 / grid
     lines = len(spec.theta_list)
-    if spec.mode == "csit":
-        rows = _csit_rows(np.tile(snrs, lines), np.repeat(spec.theta_list, grid.size),
-                          spec.T, np.tile(bands, lines), spec.model)
-        rows = [row if isinstance(row, NumericalError) else row[0] for row in rows]
-    else:
-        rows = [_csir_point(snr, QosConfig(theta, spec.T, b), spec.model)
-                for theta in spec.theta_list
-                for snr, b in zip(snrs.tolist(), bands.tolist())]
+    batch = _csit_rows if spec.mode == "csit" else _csir_rows
+    rows = batch(np.tile(snrs, lines), np.repeat(spec.theta_list, grid.size),
+                 spec.T, np.tile(bands, lines), spec.model)
     rows = [
-        row if isinstance(row, NumericalError) or (row > 0 and math.isfinite(row))
+        row if isinstance(row, NumericalError)
+        else se if 0 < (se := row[0] if spec.mode == "csit" else row) < math.inf
         else None
         for row in rows
     ]
     return [rows[k : k + grid.size] for k in range(0, len(rows), grid.size)]
-
-
-def _csir_point(snr: float, qos: QosConfig, model: FadingModel):
-    """Spectral efficiency with receiver CSI, or the NumericalError raised."""
-    try:
-        if qos.theta == 0:
-            return shannon_limit(snr, "csir", qos, model)
-        return spectral_efficiency_csir(snr, qos, model)
-    except NumericalError as exc:
-        return exc
 
 
 def _check_rate_monotone(theta: float, grid, points) -> None:
@@ -267,12 +254,13 @@ def ebn0_min_surface(
     thetas = tuple(float(t) for t in theta_grid)
     pbars = tuple(float(p) for p in pbar_grid)
     n = len(pbars)
-    roots = [None] * (n * len(thetas))
-    if mode == "csit":
-        roots = _alpha_star_roots(model, [t for t in thetas for _ in pbars], T,
-                                  pbars * len(thetas))
+    # (theta, Pbar/N0) of every cell, row by row, and theta*T*(Pbar/N0) as
+    # one exact product
+    cell_t, cell_p = np.repeat(thetas, n).tolist(), pbars * len(thetas)
+    prods = _product(np.array(cell_t), T, np.array(cell_p)).tolist()
+    roots = _alpha_star_roots(model, cell_t, T, cell_p) if mode == "csit" else [None] * len(prods)
 
-    def cell(theta: float, pn0: float, root):
+    def cell(theta: float, pn0: float, root, prod: float):
         try:
             if isinstance(root, NumericalError):
                 return root
@@ -280,16 +268,14 @@ def ebn0_min_surface(
                 (row,) = _asymptotes(model, mode, WIDEBAND, [theta], T, None, pn0)
                 return row if isinstance(row, NumericalError) else row.ebn0_min_db
             if mode == "csir":
-                return to_db(LN2 / _laplace(model, theta * T * pn0 / LN2)[1])
-            return to_db(_bit_energy_floor(theta, T, pn0, root[-1]))
+                return to_db(LN2 / _laplace(model, prod / LN2)[1])
+            return to_db(-prod / root[-1])
         except NumericalError as exc:
             return exc
 
-    rows = [
-        tuple(_gaps([cell(t, p, r) for p, r in zip(pbars, roots[i * n : (i + 1) * n])],
-                    t, pbars, "surface cell", "pbar_over_n0"))
-        for i, t in enumerate(thetas)
-    ]
+    cells = [cell(*args) for args in zip(cell_t, cell_p, roots, prods)]
+    rows = [tuple(_gaps(cells[i * n : (i + 1) * n], t, pbars, "surface cell", "pbar_over_n0"))
+            for i, t in enumerate(thetas)]
     return Surface(
         theta_grid=thetas,
         pbar_grid=pbars,
@@ -321,8 +307,7 @@ def alpha_vs_zeta(
 
     thetas = [float(theta) for theta in theta_list]
     stars = _alpha_star_rows(model, thetas, T, [pbar_over_n0] * len(thetas))
-    beta = np.array([QosConfig(theta, T, 1.0 / zeta).beta
-                     for theta in thetas for zeta in zetas])
+    _, beta, _ = _qos_rows(np.repeat(thetas, n), T, np.tile(1.0 / np.array(zetas), len(thetas)))
     try:
         roots, rows = _power_rows(np.tile(pbar_over_n0 * np.array(zetas), len(thetas)),
                                   beta, model)

@@ -615,6 +615,46 @@ class TestWidebandCsitAnchors:
             assert (s.regime, s.mode) == ("wideband", "csit")
 
 
+class TestExactC:
+    """c = theta*T*(Pbar/N0)/ln2 is one exact product, read by the root
+    equation, its closed form and the derivative (1/k = (Pbar/N0)/c).
+    mpmath is not a test dependency, so its values are pinned as literals."""
+
+    # theta: (alpha*, alpha_dot(0)) for Rayleigh at T = 2e-3, Pbar/N0 = 1e4,
+    # from mpmath at 40 digits on the doubles theta and T (alpha_dot(0)
+    # moves by 3e-15 between the double 0.1 and the decimal one)
+    MPMATH = {
+        0.001: (1.604095265132227, -134157.69449387729),
+        0.01: (0.57175383025996139, -6248.9950899134977),
+        0.1: (0.071157103392272131, -5.4638771993960115),
+        1.0: (0.00031442286711142696, 0.68205479948266107),
+    }
+
+    @pytest.mark.parametrize("theta", MPMATH)
+    def test_rayleigh_alpha_star_and_derivative(self, theta):
+        # a log-sum c put alpha_dot(0) at theta = 0.1 9.6e-14 off, and
+        # alpha* at theta = 1 5.0e-15 off
+        a, a_dot = self.MPMATH[theta]
+        sol = solve_alpha_star(RAY, theta, T, PN0)
+        assert sol.alpha_star == pytest.approx(a, rel=1e-15, abs=0)
+        assert sol.alpha_dot_zero == pytest.approx(a_dot, rel=1e-14, abs=0)
+
+    def test_deterministic_floor_is_ln2(self):
+        # z = 1 gives alpha* = exp(-c) and ln xi = -c, so the floor
+        # theta T (Pbar/N0)/c is ln 2 exactly; a log-sum c left it 1.0e-13
+        # off at (3e-250, 2e-3, 1e100).  The slope's H = c^2 must be a
+        # normal double too, so the grid keeps theta T (Pbar/N0) within
+        # 1e153 of 1.
+        det = Deterministic(1.0)
+        cells = [(theta, t, pn0) for theta in (3e-250, 1e-100, 1e-6, 0.01, 1.0, 3.0)
+                 for t in (1e-7, 2e-3, 1.0) for pn0 in (1.0, 1e4, 1e100, 1e250)
+                 if abs(math.log10(theta * t) + math.log10(pn0)) < 153]
+        assert len(cells) == 53 and (3e-250, 2e-3, 1e100) in cells
+        for theta, t, pn0 in cells:
+            floor = wideband_csit(det, theta, t, pn0).ebn0_min_linear
+            assert floor == pytest.approx(LN2, rel=1e-15, abs=0), (theta, t, pn0)
+
+
 class TestWidebandCsitStructure:
     def test_slope_matches_secant_slope(self):
         # S0 against its definition: the secant slope of the exact

@@ -427,6 +427,45 @@ class TestExitCodes:
         assert curve["points"] == [{"ebn0_db": None, "spectral_efficiency": None}] * 3
         assert (curve["asymptote"] is None) == (gaps == 4)
 
+    @pytest.mark.parametrize("command", ["asymptotics", "sweep"])
+    @pytest.mark.parametrize("mode", ["csir", "csit"])
+    def test_overflowing_theta_t_b_row_is_a_gap(self, tmp_path, capsys, command, mode):
+        # theta*T*B = inf used to end the low-power run, before it wrote
+        # anything, with "beta must be finite and >= 0, got inf" (exit 3)
+        argv = (command, "--mode", mode, "--B", "1e300", "--grid-points", "3")
+        argv = argv[:-2] if command == "asymptotics" else argv
+        code, out = run(tmp_path / "both", *argv, "--theta", "0.1,1e300")
+        assert code == 0
+        want = ("theta*T*B = inf leaves the normal doubles "
+                "(theta=1e+300, T=0.002, B=1e+300)")
+        assert sum(t.endswith(want) for t in notes(capsys)) == (
+            1 if command == "asymptotics" else 4)
+        assert run(tmp_path / "alone", *argv, "--theta", "0.1")[0] == 0
+        capsys.readouterr()
+        name = f"{command}_{mode}_lowpower_rayleigh.json"
+        key = "results" if command == "asymptotics" else "curves"
+        (alone,) = load_json(tmp_path / "alone" / "out", name)[key]
+        first, gap = load_json(out, name)[key]
+        # the 0.1 row is the row of a run without the 1e300 one
+        assert first == alone
+        if command == "asymptotics":
+            assert [k for k, v in gap.items() if v is not None] == ["theta"]
+        else:
+            assert gap["asymptote"] is None
+            assert gap["points"] == [{"ebn0_db": None, "spectral_efficiency": None}] * 3
+
+    @pytest.mark.parametrize("mode", ["csir", "csit"])
+    def test_subnormal_theta_t_b_asymptote_resolves(self, tmp_path, capsys, mode):
+        # the low-power asymptotes read beta alone: a subnormal theta makes
+        # theta*T*B = 1e-325 round to 0, and beta = 0 is its limit
+        code, out = run(tmp_path, "asymptotics", "--mode", mode, "--theta", "0.1,1e-320",
+                        "--T", "1e-10")
+        assert code == 0
+        assert notes(capsys) == []
+        rows = load_json(out, f"asymptotics_{mode}_lowpower_rayleigh.json")["results"]
+        assert [row["theta"] for row in rows] == [0.1, 1e-320]
+        assert all(row["s0"] is not None for row in rows)
+
     def test_out_path_collision_is_filesystem_error(self, tmp_path, capsys):
         target = tmp_path / "occupied"
         target.write_text("not a directory", encoding="utf-8")

@@ -41,7 +41,7 @@ from qos_energy import (
     wideband_csit,
 )
 from qos_energy.asymptotics import _alpha_star_roots
-from qos_energy.effcap import LN2, _csit_rows, to_db
+from qos_energy.effcap import LN2, _csir_rows, _csit_rows, _product, _qos_rows, to_db
 from qos_energy.fading import FadingModel, _Groups
 
 EULER_GAMMA = 0.5772156649015329
@@ -482,6 +482,113 @@ class TestProductsPastTheDoubles:
         (row,) = ebn0_min_surface("csir", self.TABLE, (1.0,), (pn0,), 1.0).ebn0_min_db
         c = pn0 / LN2
         assert row[0] == pytest.approx(to_db(LN2 * c / math.log(10.0)), rel=1e-12)
+
+
+def math_product(*factors):
+    """theta*T*B as a loop of math.frexp and math.ldexp, one scalar at a time."""
+    mant, expo = 1.0, 0
+    for factor in factors:
+        m, e = math.frexp(factor)
+        mant, expo = mant * m, expo + e
+    try:
+        return math.ldexp(mant, expo)
+    except OverflowError:
+        return math.inf
+
+
+class TestExactProducts:
+    """theta*T*X is one exact product per batch: _product takes arrays and
+    gives the bits of the scalar math loop, and _qos_rows refuses per row."""
+
+    def test_arrays_give_the_bits_of_the_math_loop(self):
+        rng = np.random.default_rng(29)
+        # factors from subnormal to near the top of the doubles, and zeros
+        f = rng.uniform(1.0, 10.0, (3, 3000)) * 10.0 ** rng.integers(-322, 308, (3, 3000))
+        f[:, :30] = 0.0
+        got = _product(*f)
+        want = np.array([math_product(*col) for col in f.T.tolist()])
+        assert got.tobytes() == want.tobytes()
+        # the grid reaches every kind of result
+        assert np.count_nonzero((0 < want) & (want < 2.0**-1022)) > 20
+        assert np.count_nonzero(want == 0) > 100
+        assert np.count_nonzero(want == math.inf) > 100
+        assert np.count_nonzero((2.0**-1022 <= want) & (want < math.inf)) > 100
+        # a scalar product is a float; one factor may be an array
+        one = _product(1e-300, 1e-20, 1e13)
+        assert type(one) is float and one == math_product(1e-300, 1e-20, 1e13)
+        assert _product(f[0], 2e-3, 1e5).tobytes() == np.array(
+            [math_product(x, 2e-3, 1e5) for x in f[0].tolist()]).tobytes()
+
+    def test_qos_rows_refuse_what_leaves_the_normal_doubles(self):
+        theta = np.array([0.0, 0.1, 1e-310, 1e300, 1.0])
+        B = np.array([1e300, 1e5, 1e9, 1e300, 1.5e308])
+        k, beta, errors = _qos_rows(theta, 1e-20, B)
+        assert k.tolist() == [math_product(t, 1e-20, b) for t, b in zip(theta, B)]
+        assert beta.tolist() == (k / LN2).tolist()
+        assert errors[:2] == [None, None]
+        assert str(errors[2]).startswith("theta*T*B = 9.98013e-322 leaves the normal doubles")
+        assert str(errors[3]).startswith("theta*T*B = inf leaves the normal doubles")
+        # k = 1.5e288 is normal here; at T = 1 its beta overflows alone
+        assert errors[4] is None
+        _, beta, errors = _qos_rows(theta[3:], 1.0, B[3:])
+        assert beta[1] == math.inf
+        assert str(errors[0]).startswith("theta*T*B = inf leaves the normal doubles")
+        assert str(errors[1]) == ("beta = inf leaves the normal doubles "
+                                  "(theta=1, T=1, B=1.5e+308)")
+        # a batch makes QosConfig's checks, and raises its ValueError
+        for args, match in [((0.1, math.nan, [1.0]), "T must be positive"),
+                            (([0.1, -0.1], 1.0, [1.0, 1.0]), "theta must be >= 0"),
+                            (([0.0, 0.1], 1.0, [1.0, math.inf]), "B must be positive")]:
+            with pytest.raises(ValueError, match=match):
+                _qos_rows(*args)
+
+
+class TestCsirRows:
+    """The CSIR rates as a batch: each row is the one-row
+    spectral_efficiency_csir (shannon_limit at theta = 0), bit for bit,
+    whatever its neighbours."""
+
+    T = 2e-20
+    ROWS = [  # snr, theta, B
+        (1.0, 0.05, 1e22), (0.0, 0.05, 1e22), (0.5, 0.0, 1e22), (0.0, 0.0, 1e22),
+        (1e-5, 1e-3, 1e25), (1e3, 10.0, 1e20),
+        (1.0, 1e-310, 1e9),   # theta*T*B = 2e-321 is subnormal: refused
+        (0.0, 1e-310, 1e9),   # ... but a zero snr is a zero rate first
+        (1e30, 100.0, 1e20),  # past the lumped node on a density
+        (1e308, 1.0, 1e20),   # ln(1 + x z) past the doubles
+    ]
+
+    @staticmethod
+    def alone(snr, theta, B, model):
+        qos = QosConfig(theta, TestCsirRows.T, B)
+        try:
+            if theta == 0:
+                return shannon_limit(snr, "csir", qos, model)
+            return spectral_efficiency_csir(snr, qos, model)
+        except NumericalError as exc:
+            return exc
+
+    @staticmethod
+    def same(got, want):
+        if isinstance(want, NumericalError):
+            return type(got) is type(want) and str(got) == str(want)
+        return type(got) is float and got == want
+
+    @pytest.mark.parametrize("model", [RAY, NAK2, TAB], ids=repr)
+    def test_rows_are_the_one_row_functions(self, model):
+        snr, theta, B = (np.array(c) for c in zip(*self.ROWS))
+        rows = _csir_rows(snr, theta, self.T, B, model)
+        want = [self.alone(*row, model) for row in self.ROWS]
+        assert all(self.same(g, w) for g, w in zip(rows, want)), (rows, want)
+        assert rows[1] == rows[3] == rows[7] == 0.0
+        assert "leaves the normal doubles" in str(rows[6])
+        assert isinstance(rows[8], NumericalError) is (model is not TAB)
+        # reversed, or alone, every row keeps its bits
+        back = _csir_rows(snr[::-1], theta[::-1], self.T, B[::-1], model)[::-1]
+        assert all(self.same(g, w) for g, w in zip(back, rows))
+        for i in range(len(snr)):
+            (one,) = _csir_rows(snr[i : i + 1], theta[i], self.T, B[i : i + 1], model)
+            assert self.same(one, rows[i])
 
 
 class TestNodeFloor:

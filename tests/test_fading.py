@@ -1001,7 +1001,7 @@ class TestPlacement:
         targets = np.array([*l1[ties], *below, 2.0 * l1[-1] + 1.0,
                             *np.geomspace(1e-60, 1e60, 25)])
         with np.errstate(divide="ignore"):
-            roots, _ = effcap._log_moment_rows(np.log(targets), model)
+            roots, _ = effcap._log_moment_rows(targets, model)
         want = [first_at_or_above(l1, first, c) for c in targets.tolist()]
         assert roots.e.tolist() == [-1 if j <= first else j - 1 for j in want]
         k = len(ties) + len(below)

@@ -182,16 +182,14 @@ class TestTradeoffCurve:
         assert curve.points[0].spectral_efficiency == pytest.approx(want, rel=1e-12)
 
     def test_gap_markers_do_not_abort(self, monkeypatch):
-        real = sweep_mod._csir_point
+        real = sweep_mod._csir_rows
 
-        def flaky(snr, qos, model):
-            if snr == 1e-4:
-                return NumericalError("synthetic failure")
-            if snr == 1e-3:
-                return 0.0
-            return real(snr, qos, model)
+        def flaky(snr, theta, T, B, model):
+            rows = real(snr, theta, T, B, model)
+            return [NumericalError("synthetic failure") if x == 1e-4 else 0.0 if x == 1e-3
+                    else row for x, row in zip(snr.tolist(), rows)]
 
-        monkeypatch.setattr(sweep_mod, "_csir_point", flaky)
+        monkeypatch.setattr(sweep_mod, "_csir_rows", flaky)
         spec = SweepSpec(
             model=RAY,
             mode="csir",

@@ -13,7 +13,8 @@ trees, with one line under it per module whose count changed, then "N of
 M artifacts byte-identical", then for each artifact
 that differs the largest relative move of its numbers, and the largest
 absolute move, in dB, of its values in dB (JSON keys and CSV columns
-named "*_db").  Exits 1 if any artifact or exit code differs, else 0.
+named "*_db"), each with the JSON key or CSV column where it happened.
+Exits 1 if any artifact or exit code differs, else 0.
 """
 
 from __future__ import annotations
@@ -81,29 +82,27 @@ def artifacts(outdirs: list) -> dict:
 
 
 def numbers(data: bytes, name: str) -> list:
-    """(value, in_db) for every number of an artifact, in document order;
-    in_db marks a number under a JSON key or in a CSV column whose name
-    ends in "_db"."""
+    """(value, key) for every number of an artifact, in document order;
+    key is the JSON key the number sits under (the nearest one, for a
+    list item) or its CSV column, "" at the top of a JSON document."""
     text = data.decode()
     if name.endswith(".csv"):
         head, *rows = csv.reader(io.StringIO(text))
-        leaves = [(cell, col.endswith("_db")) for row in rows
-                  for col, cell in zip(head, row)]
+        leaves = [(cell, col) for row in rows for col, cell in zip(head, row)]
     else:
-        leaves, stack = [], [(json.loads(text), False)]
+        leaves, stack = [], [(json.loads(text), "")]
         while stack:
-            node, in_db = stack.pop()
+            node, key = stack.pop()
             if isinstance(node, dict):
-                stack.extend((node[k], k.endswith("_db"))
-                             for k in sorted(node, reverse=True))
+                stack.extend((node[k], k) for k in sorted(node, reverse=True))
             elif isinstance(node, list):
-                stack.extend((item, in_db) for item in reversed(node))
+                stack.extend((item, key) for item in reversed(node))
             else:
-                leaves.append((node, in_db))
+                leaves.append((node, key))
     out = []
-    for leaf, in_db in leaves:
+    for leaf, key in leaves:
         try:
-            out.append((float(leaf), in_db))
+            out.append((float(leaf), key))
         except (TypeError, ValueError):
             pass
     return out
@@ -111,23 +110,30 @@ def numbers(data: bytes, name: str) -> list:
 
 def largest_move(old: bytes, new: bytes, name: str) -> str:
     """The largest relative move of the numbers, and the largest absolute
-    move in dB of the dB values, which a relative move inflates near 0 dB."""
+    move in dB of the values in dB (keys "*_db"), which a relative move
+    inflates near 0 dB, each followed by the key where it happened."""
     a, b = numbers(old, name), numbers(new, name)
     if len(a) != len(b):
         return f"{len(a)} numbers against {len(b)}"
-    worst = {False: 0.0, True: 0.0}
-    for (x, in_db), (y, _) in zip(a, b):
+    worst = {False: (0.0, ""), True: (0.0, "")}
+    for (x, key), (y, _) in zip(a, b):
         if x == y or math.isnan(x) and math.isnan(y):
             continue
+        in_db = key.endswith("_db")
         if in_db:
             move = abs(x - y) if math.isfinite(x - y) else math.inf
         else:
             scale = max(abs(x), abs(y))
             move = abs(x - y) / scale if math.isfinite(scale) else math.inf
-        worst[in_db] = max(worst[in_db], move)
-    text = f"largest relative move {worst[False]:.3g}"
-    if any(in_db for _, in_db in a):
-        text += f", largest move in dB {worst[True]:.3g} dB"
+        worst[in_db] = max(worst[in_db], (move, key), key=lambda m: m[0])
+
+    def moved(in_db):
+        move, key = worst[in_db]
+        return f"{move:.3g}" + (" dB" if in_db else "") + (f" ({key})" if move else "")
+
+    text = f"largest relative move {moved(False)}"
+    if any(key.endswith("_db") for _, key in a):
+        text += f", largest move in dB {moved(True)}"
     return text
 
 
