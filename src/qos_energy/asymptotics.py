@@ -66,10 +66,9 @@ import numpy as np
 from .effcap import (_MIN_NORMAL, LN2, _log_moment_rows, _one_row, _product, _qos_rows,
                      to_db)
 from .errors import NumericalError
-from .fading import FadingModel, _ln_mean_exp, _logsumexp
+from .fading import FadingModel
 
 _DB_PER_FACTOR2 = 10.0 * math.log10(2.0)
-_LN_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -172,31 +171,12 @@ def lowpower_csit(model: FadingModel, beta: float = 0.0) -> AsymptoticSummary:
     )
 
 
-def _laplace(model: FadingModel, c: float) -> tuple[float, float, np.ndarray]:
-    """(ln L, r, h) for L = E{exp(-c z)}, r = -ln L / c = E{z phi(c z)}
-    ln L / (L - 1), phi(x) = -expm1(-x)/x, phi(0) = 1, which stays finite,
-    at E{z}, as c z rounds away, and h = -c z at the support nodes;
-    NumericalError unless 0 < r < inf.
-
-    Where c times the top node passes the doubles, h is -inf from c z =
-    DBL_MAX/e up, where exp and expm1 of -c z are 0 and -1 all the same,
-    and z phi(c z) is -expm1(-c z)/c."""
-    model._check_lumped("E{exp(-x z)} at x = c", c)
-    u, ln_w, z, w = model.support_nodes
-    if c * float(z[-1]) < math.inf:
-        h = -c * z
-        em1 = np.expm1(h)
-        z_phi = z * np.divide(em1, h, out=np.ones_like(h), where=h < 0)
-    else:
-        below = u < (_LN_MAX - 1.0) - math.log(c)
-        h = np.multiply(-c, z, out=np.full_like(z, -np.inf), where=below)
-        em1 = np.expm1(h)
-        z_phi = -em1 / c
-    ln_l = _ln_mean_exp(ln_w, h, w, em1)
-    r = float(np.dot(w, z_phi)) * (ln_l / math.expm1(ln_l) if ln_l else 1.0)
-    if not 0 < r < math.inf:
-        raise NumericalError(f"-ln E{{exp(-c z)}}/c = {r:g} is not positive at c = {c:g}")
-    return ln_l, r, h
+def _laplace(model: FadingModel, c: float) -> tuple[float, float]:
+    """The model's wideband CSIR pair (r, S0) at c (FadingModel.laplace),
+    r = -ln E{exp(-c z)}/c; NumericalError at c = inf."""
+    if c == math.inf:
+        raise NumericalError("E{exp(-x z)} at x = c overflows: x = inf")
+    return model.laplace(c)
 
 
 def wideband_csir(
@@ -207,25 +187,24 @@ def wideband_csir(
     With c = theta*T*(Pbar/N0)/ln2, L = E{exp(-c z)} and r = -ln L / c:
         Eb/N0|min = -theta*T*(Pbar/N0) / ln L = ln2 / r
         S0 = 2 L (ln L)^2 / (c^2 E{z^2 exp(-c z)}) = 2 L r^2 / E{z^2 exp(-c z)}
-    formed from logs, so both stay finite as c rounds to 0, where they
-    reach ln2/E{z} and 2 E{z}^2/E{z^2}.  At theta = 0 both collapse to the
+    from the model's pair (_laplace): closed forms for the Gamma law, atom
+    sums for a table, both finite as c rounds to 0, where they reach
+    ln2/E{z} and 2 E{z}^2/E{z^2}.  At theta = 0 both collapse to the
     fixed-bandwidth values at beta = 0 (Jensen: the floor always sits at
     or above ln2/E{z}).
     """
     _check_wideband_args(theta, T, pbar_over_n0)
     if theta == 0:
         return replace(lowpower_csir(model, 0.0), regime="wideband")
-    ln_l, r, h = _laplace(model, _product(theta, T, pbar_over_n0) / LN2)
-    u, ln_w, _, _ = model.support_nodes
-    ln_s0 = LN2 + 2.0 * math.log(r) - _logsumexp(ln_w + h - ln_l + 2.0 * u)
-    if not ln_s0 < _LN_MAX:
+    r, s0 = _laplace(model, _product(theta, T, pbar_over_n0) / LN2)
+    if not s0 < math.inf:
         raise NumericalError(
-            f"wideband CSIR slope overflows: ln S0 = {ln_s0:g} "
-            f"({_wideband_params(model, theta, T, pbar_over_n0)})"
+            "wideband CSIR slope overflows: S0 = 2 L r^2 / E{z^2 exp(-c z)} is past "
+            f"the doubles ({_wideband_params(model, theta, T, pbar_over_n0)})"
         )
     return AsymptoticSummary(
         ebn0_min_linear=LN2 / r,
-        slope_s0=math.exp(ln_s0),
+        slope_s0=s0,
         regime="wideband",
         mode="csir",
     )

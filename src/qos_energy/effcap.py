@@ -521,7 +521,7 @@ def _csir_rows(snr, theta, T: float, B, model: FadingModel) -> list:
             elif t == 0:
                 out[i] = float(np.dot(model.support_nodes[3], _ln1p_nodes(x, model))) / LN2
             elif out[i] is None:
-                model._check_lumped("E{(1 + x z)^-beta} at x = snr", x, b)
+                model._check_lumped(x, b)
                 _, ln_w, _, w = model.support_nodes
                 out[i] = -_ln_mean_exp(ln_w, -b * _ln1p_nodes(x, model), w) / k_i
         except NumericalError as exc:

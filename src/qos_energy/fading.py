@@ -25,8 +25,10 @@ e times the quantile up has no nodes.  support_nodes is
 the set from s 1e-30 up, after one node at s 1e-30 that carries the mass
 below it, with its exp(u) and exp(ln_w), built once and read-only:
 Rayleigh needs 897 nodes where 0.25-wide panels need 4,768.  How that
-mass spreads below the node moves a mean of e^(-xz) once x s passes about
-1e20, so _check_lumped refuses such an x.
+mass spreads below the node moves the CSIR rate's mean of (1 + xz)^-beta
+once max(1, beta) x s passes about 1e20, so _check_lumped refuses such an
+x.  The wideband CSIR pair (laplace) reads no nodes on a density: the
+Gamma law's E{e^(-cz)} = (1 + c s)^-m is in closed form, at every finite c.
 The threshold solves read each model's panels or atoms through the sums
 at their edges (_Groups), built once and whole down to the floor: 344
 groups for Rayleigh, 2,594 from m = 8 on; every law has some.
@@ -79,11 +81,11 @@ _BLOCK = 16
 _PASS = 64
 # Whole-support expectations start at s 1e-30, s = mean/m, below which a
 # Gamma law with m >= 0.5 holds at most 1.2e-15 of its mass at any scale;
-# one node at s 1e-30 carries that mass.  A mean of e^(-xz), or of
-# (1 + xz)^-beta with max(1, beta) x in place of x, then depends on how
-# that mass spreads below the node once x s 1e-30 is no longer tiny: against
-# (1 + xs)^-m and the confluent hypergeometric U, ln E keeps 1e-14
-# relative up to x s = _LUMP_XS, and _check_lumped refuses past it.
+# one node at s 1e-30 carries that mass.  The CSIR rate's mean of
+# (1 + xz)^-beta then depends on how that mass spreads below the node once
+# x' s 1e-30, x' = max(1, beta) x, is no longer tiny: against the confluent
+# hypergeometric U, ln E keeps 1e-14 relative up to x' s = _LUMP_XS, and
+# _check_lumped refuses past it.
 # Below the lattice edge at or above s (z < s e^(1/4)) the panels are
 # W = min(2, max(1/4, 2/m)) wide.  There the integrand in u = ln z is
 # z^k phi, k = m (m + 2 for a z^2-weighted mean), with
@@ -112,6 +114,7 @@ _PASS = 64
 _LN_Z_WHOLE = math.log(1e-30)
 _LUMP_XS = 1e20
 _LN_Z_FLOOR = math.log(1e-280)
+_LN_MAX = math.log(np.finfo(float).max)
 # Panels end at e^2 times the 1 - TAIL_MASS quantile q, and a threshold at
 # or above e q has no nodes.  For every Nakagami m >= 0.5 the mass beyond
 # e x holds less than 1e-18 of the mass beyond x at x = q, and less at
@@ -458,6 +461,12 @@ class FadingModel(abc.ABC):
         """(E{z}, E{z^2})."""
 
     @abc.abstractmethod
+    def laplace(self, c: float) -> tuple[float, float]:
+        """The wideband CSIR pair (r, S0) at 0 <= c < inf: r = -ln L / c and
+        S0 = 2 L r^2 / E{z^2 exp(-c z)}, L = E{exp(-c z)}, which reach E{z}
+        and 2 E{z}^2/E{z^2} as c z rounds away; S0 is inf past the doubles."""
+
+    @abc.abstractmethod
     def inverse_moment(self) -> float:
         """E{1/z}; inf when the integral diverges."""
 
@@ -473,14 +482,15 @@ class FadingModel(abc.ABC):
         """P(Z = z); 0 for continuous models."""
         return 0.0
 
-    # x below which a whole-support mean of e^(-xz) resolves: every finite x
-    # for a table, whose support_nodes are exact.
+    # x below which the whole-support mean of (1 + xz)^-1 resolves: every
+    # finite x for a table, whose support_nodes are exact.
     _x_lumped = math.inf
 
-    def _check_lumped(self, what: str, x: float, beta: float = 1.0) -> None:
-        """Raise NumericalError unless the whole-support mean what, of
-        e^(-xz) or (1 + xz)^-beta, resolves: x < _x_lumped / max(1, beta)."""
+    def _check_lumped(self, x: float, beta: float) -> None:
+        """Raise NumericalError unless the CSIR rate's whole-support mean of
+        (1 + xz)^-beta, x = snr, resolves: x < _x_lumped / max(1, beta)."""
         if not x < self._x_lumped / (beta if beta > 1.0 else 1.0):
+            what = "E{(1 + x z)^-beta} at x = snr"
             raise NumericalError(
                 f"{what} overflows: x = inf" if x == math.inf else
                 f"{what} is not resolved: x s = {x * self.scale:g} is past "
@@ -712,6 +722,22 @@ class NakagamiM(FadingModel):
     def moments(self) -> tuple[float, float]:
         return self.mean, self.mean**2 * (self.m + 1.0) / self.m
 
+    def laplace(self, c: float) -> tuple[float, float]:
+        """L = (1 + x)^-m with x = c s, so r = m log1p(x)/c and, as
+        E{z^2 exp(-c z)} = m (m + 1) s^2 (1 + x)^(-m-2),
+        S0 = (2m/(m+1)) (log1p(x) (1 + 1/x))^2.  r is formed as
+        mean log1p(x)/x, which is mean at x = 0, and where x overflows
+        log1p(x) is ln c + ln s and 1/x is 0."""
+        x = c * self.scale
+        if x < math.inf:
+            lp = math.log1p(x)
+            q = lp / x if x else 1.0
+            r = self.mean * q
+        else:
+            lp, q = math.log(c) + math.log(self.scale), 0.0
+            r = self.m * lp / c
+        return r, 2.0 / (1.0 + 1.0 / self.m) * (lp + q) ** 2
+
     def inverse_moment(self) -> float:
         if self.m <= 1.0:
             return math.inf
@@ -841,6 +867,30 @@ class BoundedTable(FadingModel):
 
     def moments(self) -> tuple[float, float]:
         return float(self.ps @ self.zs), float(self.ps @ self.zs**2)
+
+    def laplace(self, c: float) -> tuple[float, float]:
+        """The atom sums, with h = -c z: r = E{z phi(c z)} ln L / (L - 1),
+        phi(x) = -expm1(-x)/x, phi(0) = 1, which stays finite, at E{z}, as
+        c z rounds away.  Where c times the top atom passes the doubles, h
+        is -inf from c z = DBL_MAX/e up, where exp and expm1 of -c z are 0
+        and -1 all the same, and z phi(c z) is -expm1(-c z)/c.
+        NumericalError unless 0 < r < inf."""
+        u, ln_w, z, w = self.support_nodes
+        if c * float(z[-1]) < math.inf:
+            h = -c * z
+            em1 = np.expm1(h)
+            z_phi = z * np.divide(em1, h, out=np.ones_like(h), where=h < 0)
+        else:
+            below = u < (_LN_MAX - 1.0) - math.log(c)
+            h = np.multiply(-c, z, out=np.full_like(z, -np.inf), where=below)
+            em1 = np.expm1(h)
+            z_phi = -em1 / c
+        ln_l = _ln_mean_exp(ln_w, h, w, em1)
+        r = float(np.dot(w, z_phi)) * (ln_l / math.expm1(ln_l) if ln_l else 1.0)
+        if not 0 < r < math.inf:
+            raise NumericalError(f"-ln E{{exp(-c z)}}/c = {r:g} is not positive at c = {c:g}")
+        ln_s0 = math.log(2.0) + 2.0 * math.log(r) - _logsumexp(ln_w + h - ln_l + 2.0 * u)
+        return r, math.exp(ln_s0) if ln_s0 < _LN_MAX else math.inf
 
     def inverse_moment(self) -> float:
         if self.zs[0] == 0:

@@ -243,12 +243,13 @@ def ebn0_min_surface(
 ) -> Surface:
     """Bit-energy floor in dB over a (theta, pbar_over_n0) grid.
 
-    Cells at theta > 0 take the floor from -ln E{exp(-c z)}/c (CSIR) or
-    from the xi of the floor stage _alpha_star_roots, one batch for every
-    CSIT cell, without the slope: a CSIT cell fails only where that stage
-    refuses, never for the slope's H.  Cells that fail numerically are
-    stored as None; a CSIT floor of 0 linear (unbounded gains at theta = 0)
-    is stored as -inf dB.
+    At theta > 0 a CSIR cell takes the floor ln2/r from the model's pair
+    (_laplace, r = -ln E{exp(-c z)}/c; a scalar closed form for the Gamma
+    law), and a CSIT cell from the xi of the floor stage _alpha_star_roots,
+    one batch for every CSIT cell, without the slope: a CSIT cell fails
+    only where that stage refuses, never for the slope's H.  Cells that
+    fail numerically are stored as None; a CSIT floor of 0 linear
+    (unbounded gains at theta = 0) is stored as -inf dB.
     """
     _check_mode(mode)
     thetas = tuple(float(t) for t in theta_grid)
@@ -268,7 +269,7 @@ def ebn0_min_surface(
                 (row,) = _asymptotes(model, mode, WIDEBAND, [theta], T, None, pn0)
                 return row if isinstance(row, NumericalError) else row.ebn0_min_db
             if mode == "csir":
-                return to_db(LN2 / _laplace(model, prod / LN2)[1])
+                return to_db(LN2 / _laplace(model, prod / LN2)[0])
             return to_db(-prod / root[-1])
         except NumericalError as exc:
             return exc

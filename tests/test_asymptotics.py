@@ -1,6 +1,8 @@
 """Bit-energy floors, wideband slopes, and the CSIT threshold solver."""
 
+import itertools
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -59,6 +61,55 @@ CSIT_ANCHORS = {
               a_dot=-5.463877199, s0=2.49514697),
     1.0: dict(a=0.000314422867111, xi=0.00266873115283, eb_db=5.282571987,
               a_dot=0.6820547995, s0=3.936588301),
+}
+
+
+# The wideband CSIR floor ln2/r and slope S0 of NakagamiM(m) at unit mean,
+# with theta = x m ln2 and T = Pbar/N0 = 1, so that c s = x: m -> {x: (floor,
+# S0)}.  From mpmath quadrature of the Gamma density at 40 digits, which
+# imports nothing of qos_energy: 1 - L = E{-expm1(-c z)} for x <= 1, L itself
+# above, and E{z^2 exp(-c z)}, each matching its closed form to 30 digits.
+CSIR_ORACLE = {
+    0.5: {
+        1e-300: (0.6931471805599453, 0.6666666666666666),
+        0.001: (0.6934936964168231, 0.6673332777777852),
+        1.0: (1.0, 1.2812080371152037),
+        1000.0: (100.32881506161208, 31.884268077869947),
+        1e30: (1.0034333188799373e28, 3181.1388662870386),
+        1e300: (1.0034333188799375e297, 318113.88662870385),
+    },
+    1.0: {
+        1e-300: (0.6931471805599453, 1.0),
+        0.001: (0.6934936964168231, 1.0009999166666779),
+        1.0: (1.0, 1.9218120556728058),
+        1000.0: (100.32881506161208, 47.82640211680492),
+        1e30: (1.0034333188799373e28, 4771.708299430558),
+        1e300: (1.0034333188799375e297, 477170.8299430558),
+    },
+    2.0: {
+        1e-300: (0.6931471805599453, 1.3333333333333333),
+        0.001: (0.6934936964168231, 1.3346665555555703),
+        1.0: (1.0, 2.5624160742304074),
+        1000.0: (100.32881506161208, 63.768536155739895),
+        1e30: (1.0034333188799373e28, 6362.277732574077),
+        1e300: (1.0034333188799375e297, 636227.7732574077),
+    },
+    8.0: {
+        1e-300: (0.6931471805599453, 1.777777777777778),
+        0.001: (0.6934936964168231, 1.7795554074074271),
+        1.0: (1.0, 3.4165547656405435),
+        1000.0: (100.32881506161208, 85.02471487431987),
+        1e30: (1.0034333188799373e28, 8483.036976765437),
+        1e300: (1.0034333188799375e297, 848303.6976765437),
+    },
+    20.0: {
+        1e-300: (0.6931471805599453, 1.9047619047619049),
+        0.001: (0.6934936964168231, 1.906666507936529),
+        1.0: (1.0, 3.660594391757725),
+        1000.0: (100.32881506161208, 91.09790879391414),
+        1e30: (1.003433318879937e28, 9088.968189391539),
+        1e300: (1.0034333188799373e297, 908896.8189391539),
+    },
 }
 
 
@@ -269,8 +320,7 @@ class TestWidebandCsir:
     def test_gamma_law_matches_its_laplace_transform(self, m):
         # L = (1 + c s)^-m: the floor is ln2 c / (m ln(1 + c s)) and
         # S0 = 2 m (1 + 1/(c s))^2 ln^2(1 + c s) / (m + 1), to 1e-14 and
-        # 1e-12 up to c s = 1e16, where the mass below scale 1e-30,
-        # carried on one node, does not move L yet
+        # 1e-12 at means from 1e-20 to 1e20
         for mean in (1e-20, 1.0, 1e20):
             model = Rayleigh(mean) if m == 1.0 else NakagamiM(m, mean)
             for cs in (1e-3, 1.0, 1e3, 1e8, 1e12, 1e16):
@@ -283,12 +333,22 @@ class TestWidebandCsir:
                 assert got.ebn0_min_linear == pytest.approx(floor, rel=1e-14, abs=0.0)
                 assert got.slope_s0 == pytest.approx(s0, rel=1e-12, abs=0.0)
 
-    def test_c_past_the_lumped_node_is_a_numerical_error(self):
-        # past c s = 1e20 the mass below scale 1e-30, on one node, moves
-        # E{exp(-c z)}: at c s = 1e30 the floor came out 4.4e-3 low and S0
-        # 3209 for 4772
-        with pytest.raises(NumericalError, match=r"x s = 1e\+30 is past 1e\+20"):
-            wideband_csir(RAY, 1e30 * LN2, 1.0, 1.0)
+    def test_c_past_the_lumped_node_is_resolved(self):
+        # sums over the support nodes refused c s > 1e20, where the mass
+        # below scale 1e-30, on one node, moved E{exp(-c z)}: at c s = 1e30
+        # the floor came out 4.4e-3 low and S0 3209.  The closed form takes
+        # it; the references are CSIR_ORACLE's mpmath quadrature
+        got = wideband_csir(RAY, 1e30 * LN2, 1.0, 1.0)
+        assert got.ebn0_min_linear == pytest.approx(1.0034333188799374e28, rel=1e-13, abs=0.0)
+        assert got.slope_s0 == pytest.approx(4771.7082994305582, rel=1e-13, abs=0.0)
+
+    def test_c_z_past_the_doubles_is_resolved(self):
+        # c = 1e306/ln2, so c z passes the doubles on the top nodes, and the
+        # node sums refused it; a numpy warning on the way fails the test
+        # (pyproject.toml).  mpmath quadrature as for CSIR_ORACLE
+        got = wideband_csir(RAY, 1e3, 1e3, 1e300)
+        assert got.ebn0_min_linear == pytest.approx(1.4185251268633578e303, rel=1e-13, abs=0.0)
+        assert got.slope_s0 == pytest.approx(496965.14924311671, rel=1e-13, abs=0.0)
 
     def test_rayleigh_slope_reference_values(self):
         want = {0.001: 1.0288, 0.01: 1.2817, 0.1: 3.3401, 1.0: 12.3484}
@@ -324,6 +384,74 @@ class TestWidebandCsir:
             wideband_csir(RAY, 0.1, 0.0, PN0)
         with pytest.raises(ValueError):
             wideband_csir(RAY, 0.1, T, 0.0)
+
+
+class TestWidebandCsirClosedForm:
+    """The Gamma law's wideband CSIR pair in closed form (NakagamiM.laplace)
+    against oracles that do not import the package, at 1e-13 relative."""
+
+    @pytest.mark.parametrize("m", sorted(CSIR_ORACLE))
+    def test_floor_and_slope_match_mpmath(self, m):
+        model = RAY if m == 1.0 else NakagamiM(m)
+        cases = CSIR_ORACLE[m]
+        thetas = [x * m * LN2 for x in cases]
+        cells = ebn0_min_surface("csir", model, thetas, (1.0,), 1.0).ebn0_min_db
+        for theta, (floor, s0), (db,) in zip(thetas, cases.values(), cells):
+            got = wideband_csir(model, theta, 1.0, 1.0)
+            assert got.ebn0_min_linear == pytest.approx(floor, rel=1e-13, abs=0.0)
+            assert got.slope_s0 == pytest.approx(s0, rel=1e-13, abs=0.0)
+            assert db == got.ebn0_min_db
+        # at c s = 1e-300 the limits: r = E{z} and S0 = 2 E{z}^2/E{z^2}
+        tiny = wideband_csir(model, thetas[0], 1.0, 1.0)
+        assert LN2 / tiny.ebn0_min_linear == pytest.approx(model.mean, rel=1e-13, abs=0.0)
+        assert tiny.slope_s0 == pytest.approx(2.0 * m / (m + 1.0), rel=1e-13, abs=0.0)
+
+    def test_c_s_past_the_doubles(self):
+        # c = 1e306/ln2 at mean 1e10: c s = 1.44e316 (7.2e315 at m = 1/2)
+        # overflows, and log1p(c s) is ln c + ln s; mpmath quadrature as for
+        # CSIR_ORACLE
+        for model, floor, s0 in (
+            (Rayleigh(1e10), 1.3736576916882771e303, 529959.83403403877),
+            (NakagamiM(0.5, 1e10), 2.7447020236994295e303, 353979.67584843956),
+        ):
+            got = wideband_csir(model, 1e3, 1e3, 1e300)
+            assert got.ebn0_min_linear == pytest.approx(floor, rel=1e-13, abs=0.0)
+            assert got.slope_s0 == pytest.approx(s0, rel=1e-13, abs=0.0)
+
+    def test_a_law_scaled_far_down(self):
+        # c s = 7.2e-301, so the limits ln2/E{z} and 4/3; the sums over the
+        # support nodes gave S0 = 1.333333333333114, 1.6e-13 off
+        got = wideband_csir(NakagamiM(2.0, mean=1e-300), 1.0, 1.0, 1.0)
+        assert got.ebn0_min_linear == pytest.approx(6.9314718055994529e299, rel=1e-13, abs=0.0)
+        assert got.slope_s0 == pytest.approx(4.0 / 3.0, rel=1e-13, abs=0.0)
+
+
+class TestCsirRefusalCensus:
+    """wideband_csir over a thinned grid of Gamma laws, theta, T and
+    Pbar/N0, with every warning an error: the only refusal is a c that
+    overflows (theta T Pbar/N0 = 1e309)."""
+
+    MODELS = (RAY, NakagamiM(0.5), NAK2, NakagamiM(8.0))
+    THETAS = (1e-300, 1e-60, 1e-10, 1e-3, 1.0, 1e3, 1e6)
+    TS = (1e-20, 2e-3, 1e3)
+    PBARS = (1e-3, 1e4, 1e100, 1e300)
+
+    def test_gamma_laws_refuse_only_an_overflowing_c(self):
+        refused = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for model, theta, t, pbar in itertools.product(
+                self.MODELS, self.THETAS, self.TS, self.PBARS
+            ):
+                try:
+                    got = wideband_csir(model, theta, t, pbar)
+                except NumericalError as exc:
+                    refused.append((model.m, theta, t, pbar, str(exc)))
+                    continue
+                assert 0 < got.ebn0_min_linear < math.inf
+                assert 0 < got.slope_s0 < math.inf
+        overflow = "E{exp(-x z)} at x = c overflows: x = inf"
+        assert refused == [(model.m, 1e6, 1e3, 1e300, overflow) for model in self.MODELS]
 
 
 class TestWidebandStages:
@@ -416,10 +544,10 @@ class TestRefusalsComeAlone:
         # c = theta T (Pbar/N0)/ln2 itself overflows
         "alpha-star-c": (solve_alpha_star, RAY, 1e6, 1e3, 1e300, "exp.* overflows"),
         "csit-c": (wideband_csit, RAY, 1e6, 1e3, 1e300, "exp.* overflows"),
-        # c z overflows on the nodes
-        "csir-c-z": (wideband_csir, RAY, 1e3, 1e3, 1e300, "not resolved"),
         # an infinite c meets the zero gain: inf * 0
         "csir-c-inf": (wideband_csir, TABLE, 1e6, 1e3, 1e300, "x = inf"),
+        # and the Gamma law's closed form: x = c s = inf
+        "csir-c-inf-gamma": (wideband_csir, NAK2, 1e6, 1e3, 1e300, "x = inf"),
         # c = 1.44e308, just below DBL_MAX: the gap of a one-atom table's
         # closed form overflows, and on Nakagami-8 the root lies near
         # exp(-1e308), where the bound below the floor and the partial
