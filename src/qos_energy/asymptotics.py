@@ -15,7 +15,7 @@ separately.
 
 CSIR formulas:
     lowpower:  Eb/N0|min = ln2 / E{z}
-               S0 = 2 / ((beta+1) E{z^2}/E{z}^2 - beta)
+               S0 = 2 / (kappa + beta (kappa - 1)),  kappa = E{z^2}/E{z}^2
     wideband:  Eb/N0|min = -theta*T*(Pbar/N0) / ln E{exp(-c z)}
                S0 = 2 E{exp(-c z)} (ln E{exp(-c z)})^2
                     / (c^2 E{z^2 exp(-c z)})
@@ -47,8 +47,9 @@ which yields the S0 above without the cancellation of its two terms.
 The wideband CSIT values are built in stages on one alpha*, and each
 stage makes its own checks once:
     floor (_alpha_star_roots): each row's arguments, c (one exact
-        product, a normal double), the root and ln xi, as the columns
-        (ln alpha*, 1/k, I, H, ln xi), for the surface cells and every
+        product, a normal double), the root on the model's mean-1 law
+        at c mu and ln xi, as the columns (ln a, 1/k, I_1, H_1, ln xi)
+        of that law, a = alpha*/mu, for the surface cells and every
         stage below;
     slope (_csit_summary): H and S0, for wideband_csit, the asymptotics
         command and the sweep asymptotes;
@@ -63,8 +64,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .effcap import (_MIN_NORMAL, LN2, _log_moment_rows, _one_row, _product, _qos_rows,
-                     to_db)
+from .effcap import (_MIN_NORMAL, LN2, _fold, _log_moment_rows, _one_row, _product,
+                     _qos_rows, to_db)
 from .errors import NumericalError
 from .fading import FadingModel
 
@@ -127,18 +128,16 @@ def lowpower_csir(model: FadingModel, beta: float) -> AsymptoticSummary:
     """Fixed-bandwidth low-power limits with receiver-only CSI.
 
     Eb/N0|min = ln2/E{z} regardless of beta (QoS is free at the floor);
-    the slope S0 = 2/((beta+1) kappa - beta) with kappa = E{z^2}/E{z}^2
-    shrinks as the QoS constraint tightens.
+    the slope S0 = 2/(kappa + beta (kappa - 1)) with the model's kappa =
+    E{z^2}/E{z}^2 shrinks as the QoS constraint tightens.  Written so, it
+    does not cancel at kappa = 1, where (beta+1) kappa - beta would.
     """
     if not (beta >= 0 and math.isfinite(beta)):
         raise ValueError(f"beta must be finite and >= 0, got {beta}")
-    m1, m2 = model.moments()
-    kurt = m2 / (m1 * m1)
-    lin = LN2 / m1
-    s0 = 2.0 / ((beta + 1.0) * kurt - beta)
+    kappa = model.kappa
     return AsymptoticSummary(
-        ebn0_min_linear=lin,
-        slope_s0=s0,
+        ebn0_min_linear=LN2 / model.mean,
+        slope_s0=2.0 / (kappa + beta * (kappa - 1.0)),
         regime="lowpower",
         mode="csir",
     )
@@ -253,7 +252,9 @@ def solve_alpha_star(
 def _alpha_star_rows(model: FadingModel, thetas, T: float, pbars) -> list:
     """solve_alpha_star for each (thetas[i], pbars[i]): per row the
     AlphaStarSolution or the NumericalError it raised, each row of
-    _alpha_star_roots with the slope's H checked and dln alpha/dzeta."""
+    _alpha_star_roots with H = H_1/mu checked and dln alpha/dzeta =
+    -(mu Pbar/N0 - H_1/(2k))/I_1 from the mean-1 law's I_1 and H_1."""
+    mu = model.unit[1]
     out = []
     for theta, pbar_over_n0, root in zip(thetas, pbars,
                                          _alpha_star_roots(model, thetas, T, pbars)):
@@ -270,15 +271,17 @@ def _alpha_star_rows(model: FadingModel, thetas, T: float, pbars) -> list:
         if isinstance(root, NumericalError):
             out.append(root)
             continue
-        ln_star, inv_k, inv_above, h, ln_xi = root
+        ln_a, inv_k, inv_above, h_1, ln_xi = root
+        h = h_1 / mu
         try:
             if not (h > 0 and math.isfinite(h)):
                 raise NumericalError(
                     f"wideband CSIT curvature H = {h:g} is not positive and finite "
                     f"({_wideband_params(model, theta, T, pbar_over_n0)})"
                 )
+            ln_star = ln_a + math.log(mu)
             alpha_star = math.exp(ln_star)
-            dln = -(pbar_over_n0 - 0.5 * h * inv_k) / inv_above
+            dln = -(_product(pbar_over_n0, mu) - 0.5 * h_1 * inv_k) / inv_above
             if not math.isfinite(dln):
                 raise NumericalError(
                     f"wideband CSIT threshold derivative dln alpha/dzeta = {dln:g} "
@@ -300,17 +303,21 @@ def _alpha_star_rows(model: FadingModel, thetas, T: float, pbars) -> list:
 
 def _alpha_star_roots(model: FadingModel, thetas, T: float, pbars) -> list:
     """The floor stage of the wideband CSIT limits, each row validated once
-    and every alpha* of the batch from one _log_moment_rows: per row None
-    at theta = 0, else (ln alpha*, 1/k, I, H, ln xi), 1/k = (Pbar/N0)/c
-    (inf past the doubles) and H not yet checked, or the NumericalError of
-    a c that is not a normal double, of the bracket, of a root that is not
-    resolved or of ln xi (_ln_xi).  c is one exact _product over ln 2."""
+    and every alpha* of the batch from one _log_moment_rows on the model's
+    mean-1 law (FadingModel.unit, z = mu t) at c mu: per row None at theta
+    = 0, else (ln a, 1/k, I_1, H_1, ln xi) of that law, a = alpha*/mu,
+    I_1 = mu I and H_1 = mu H (alpha* H = a H_1), 1/k = (Pbar/N0)/c (inf
+    past the doubles) and H_1 not yet checked, or the NumericalError of a
+    c or c mu that is not a normal double, of the law's nodes, of the
+    bracket, of a root that is not resolved or of ln xi (_ln_xi), each
+    naming the mean-1 law's values.  c is one exact _product over ln 2."""
     for theta, pbar in zip(thetas, pbars):
         _check_wideband_args(theta, T, pbar)
     theta = np.array(thetas, dtype=float)
     pbar = np.array(pbars, dtype=float)
     c = _product(theta, T, pbar) / LN2
-    out = [None] * len(theta)
+    law, mu = model.unit
+    c_1, out = _fold(c, mu, "c")
     # The root equation reads L1 = c, and a subnormal c keeps too few digits.
     normal = (c >= _MIN_NORMAL) & (c < math.inf)
     for k in np.flatnonzero((theta > 0) & ~normal):
@@ -321,12 +328,17 @@ def _alpha_star_roots(model: FadingModel, thetas, T: float, pbars) -> list:
             + ("overflows" if c[k] == math.inf else "is below the normal doubles")
             + f" ({_wideband_params(model, t, T, p)})"
         )
-    rows = np.flatnonzero((theta > 0) & normal)
+    rows = np.flatnonzero((theta > 0) & np.array([o is None for o in out], dtype=bool))
     if not rows.size:
         return out
-    roots, errors = _log_moment_rows(c[rows], model)
-    cols = (roots.x, pbar[rows], c[rows], roots.inverse(), roots.log_moment2(),
-            roots.ln_mean_power(np.ones(rows.size)))
+    try:
+        roots, errors = _log_moment_rows(c_1[rows], law)
+        cols = (roots.x, pbar[rows], c[rows], roots.inverse(), roots.log_moment2(),
+                roots.ln_mean_power(np.ones(rows.size)))
+    except NumericalError as exc:
+        for k in rows.tolist():
+            out[k] = exc
+        return out
     for k, error, row in zip(rows.tolist(), errors, zip(*(a.tolist() for a in cols))):
         ln_star, p, c_k, inv_above, h, ln_xi = row
         try:
@@ -348,9 +360,10 @@ def wideband_csit(
         S0 = 2 xi (ln xi)^2 / (alpha* H)
 
     the transmitter-CSI image of the receiver-CSI 2 L (ln L)^2 /
-    (c^2 E{z^2 exp(-c z)}).  It is evaluated as 2 exp(ln xi - ln alpha*)
-    (ln xi)^2 / H so that tiny alpha* and xi cancel instead of underflowing;
-    an H or a slope beyond the double range raises NumericalError.  theta
+    (c^2 E{z^2 exp(-c z)}).  It is evaluated on the mean-1 law, as
+    alpha* H = a H_1 (_alpha_star_roots), as 2 exp(ln xi - ln a)
+    (ln xi)^2 / H_1 so that tiny a and xi cancel instead of underflowing;
+    an H_1 or a slope beyond the double range raises NumericalError.  theta
     = 0 routes to the fixed-bandwidth CSIT limits.  The one-row case of
     _asymptotes.
     """
@@ -358,7 +371,9 @@ def wideband_csit(
 
 
 def _csit_summary(model, theta, T, pbar_over_n0, root) -> AsymptoticSummary:
-    """wideband_csit at theta from its _alpha_star_roots row: the slope stage."""
+    """wideband_csit at theta from its _alpha_star_roots row: the slope
+    stage, on the mean-1 law's ln a and H_1, which it names as ln alpha*
+    and H."""
     if root is None:
         return replace(lowpower_csit(model, 0.0), regime="wideband")
     ln_star, _, _, h, ln_xi = root

@@ -27,7 +27,12 @@ and the threshold equation becomes classical water-filling (beta = 0).
 Rates come in batches (_csir_rows, _csit_rows), one row per point, with
 one-row cases below.  _qos_rows forms a batch's theta*T*B as one exact
 _product and refuses each row whose theta*T*B or beta is not a normal
-double; each CSIR row sums over the support nodes on its own.
+double; each CSIR row sums over the support nodes on its own.  Each
+batch reads the mean-1 law of its model (FadingModel.unit, z = mu t):
+the rates see z only through snr z = (snr mu) t and z/alpha, so _fold
+takes snr mu in, as one exact product whose row is refused outside the
+normal doubles, and ln alpha = ln a + ln mu comes out.  Every solve and
+refusal below is on that law, and names its values.
 
 All solves run on ln(alpha): the threshold shrinks like
 (1+SNR z)^-(beta+1) for degenerate channels and would underflow long
@@ -43,9 +48,9 @@ L1 at the edges is a fixed nondecreasing sum, searched once for every
 alpha* row.  _thresholds then solves and refuses.  A root above the top
 of a density's nodes is refused.  Between two atoms, or below the last
 edge, the root is a closed form; below a density's last edge, the floor
-of its nodes (1e-280, or s 1e-30 where that is lower), a row is refused
-where the law between the root and the floor could move it.  Every
-refusal is one row's.  Inside a grid panel, _solve_rows runs a
+of its nodes (1e-280 on a mean-1 law), a row is refused where the law
+between the root and the floor could move it.  Every refusal is one
+row's.  Inside a grid panel, _solve_rows runs a
 safeguarded Newton on every row at once, each row costing one 16-node
 partial panel plus the edge sums composed across the gap to the edge,
 until its step or its panel is narrower than 1e-13 in ln(alpha).  _Roots
@@ -67,13 +72,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import BracketFailure, DivergentInverseMoment, NumericalError, ThetaZero
-from .fading import FadingModel, _ln_mean_exp
+from .fading import _MIN_NORMAL, FadingModel, _ln_mean_exp
 
 LN2 = math.log(2.0)
 
 _LN_ALPHA_TOL = 1e-13
 _MAX_ITER = 100
-_MIN_NORMAL = 2.0**-1022
 
 
 @dataclass(frozen=True)
@@ -186,6 +190,19 @@ def _qos_rows(theta, T: float, B) -> tuple:
             f"{what} leaves the normal doubles (theta={t:g}, T={T:g}, B={b_i:g})"
         )
     return k, beta, errors
+
+
+def _fold(x, mu: float, what: str) -> tuple:
+    """(x mu, errors): a batch's snr or c on the mean-1 law of a model of
+    mean mu (FadingModel.unit), one exact _product, and per row the
+    NumericalError of a positive x whose x mu is not a normal double, else
+    None; at mu = 1, x itself and no errors."""
+    x = np.asarray(x, dtype=float)
+    out = _product(x, mu)
+    bad = (x > 0) & (mu != 1.0) & ~((out >= _MIN_NORMAL) & (out < math.inf))
+    return out, [NumericalError(f"{what}*mean = exp({math.log(v) + math.log(mu):g}) leaves the "
+                                f"normal doubles ({what}={v:g}, mean={mu:g})") if b else None
+                 for v, b in zip(x.tolist(), bad.tolist())]
 
 
 def _solve_rows(residual, lo, hi, r_lo, r_hi) -> np.ndarray:
@@ -398,13 +415,11 @@ def _thresholds(model, target, placed, residual, closed, what) -> tuple:
         # of the target, moves the root.
         floor = groups.ell[-1]
         ln_miss = ln_w + model._ln_inverse_below(floor, y[shut])
-        # a law's floor, s 1e-30, can lie below the doubles
-        floor = f"{math.exp(floor):g}" if math.exp(floor) else f"exp({floor:g})"
         for i, miss in zip(shut.tolist(), ln_miss.tolist()):
             if miss > math.log(target[i]) - 53.0 * LN2:
                 errors[i] = NumericalError(
                     f"{what}: the root exp({x[i]:g}) lies below the "
-                    f"{floor} floor of the expectation nodes, "
+                    f"{math.exp(floor):g} floor of the expectation nodes, "
                     f"and the law between the two may add up to exp({miss:g}) "
                     f"to its target {target[i]:g}"
                 )
@@ -419,7 +434,8 @@ def _thresholds(model, target, placed, residual, closed, what) -> tuple:
 
 
 def _power_rows(snr: np.ndarray, beta: np.ndarray, model: FadingModel):
-    """(roots, errors): ln(alpha) per row with E{mu_opt} = snr[i] at beta[i].
+    """(roots, errors): ln(alpha) per row with E{mu_opt} = snr[i] at beta[i],
+    on a mean-1 law (its callers fold the mean in).
 
     The mean power M is the tilted sum of v with exponent s = 1/(beta+1),
     decreasing in ln a; _Groups.search places each root by its values at
@@ -487,10 +503,13 @@ def solve_alpha(snr: float, qos: QosConfig, model: FadingModel) -> PowerPolicy:
     """
     if not (snr > 0 and math.isfinite(snr)):
         raise ValueError(f"snr must be positive and finite, got {snr}")
-    roots, (error,) = _power_rows(np.array([snr]), np.array([qos.beta]), model)
+    law, mu = model.unit
+    x, (error,) = _fold([snr], mu, "snr")
+    if error is None:
+        roots, (error,) = _power_rows(x, np.array([qos.beta]), law)
     if error is not None:
         raise error
-    return PowerPolicy(float(roots.x[0]), qos.beta)
+    return PowerPolicy(float(roots.x[0]) + math.log(mu), qos.beta)
 
 
 def spectral_efficiency_csir(snr: float, qos: QosConfig, model: FadingModel) -> float:
@@ -514,16 +533,19 @@ def _csir_rows(snr, theta, T: float, B, model: FadingModel) -> list:
     snr = np.asarray(snr, dtype=float)
     theta = np.broadcast_to(np.asarray(theta, dtype=float), snr.shape)
     k, beta, out = _qos_rows(theta, T, B)
-    for i, (x, t, k_i, b) in enumerate(zip(*(a.tolist() for a in (snr, theta, k, beta)))):
+    law, mu = model.unit
+    xs, folded = _fold(snr, mu, "snr")
+    out = [0.0 if s == 0 else o or f for s, o, f in zip(snr.tolist(), out, folded)]
+    for i, (x, t, k_i, b) in enumerate(zip(*(a.tolist() for a in (xs, theta, k, beta)))):
+        if out[i] is not None:
+            continue
         try:
-            if x == 0:
-                out[i] = 0.0
-            elif t == 0:
-                out[i] = float(np.dot(model.support_nodes[3], _ln1p_nodes(x, model))) / LN2
-            elif out[i] is None:
-                model._check_lumped(x, b)
-                _, ln_w, _, w = model.support_nodes
-                out[i] = -_ln_mean_exp(ln_w, -b * _ln1p_nodes(x, model), w) / k_i
+            if t == 0:
+                out[i] = float(np.dot(law.support_nodes[3], _ln1p_nodes(x, law))) / LN2
+            else:
+                law._check_lumped(x, b)
+                _, ln_w, _, w = law.support_nodes
+                out[i] = -_ln_mean_exp(ln_w, -b * _ln1p_nodes(x, law), w) / k_i
         except NumericalError as exc:
             out[i] = exc
     return out
@@ -571,13 +593,16 @@ def _csit_rows(snr, theta, T: float, B, model: FadingModel) -> list:
     snr = np.asarray(snr, dtype=float)
     theta = np.broadcast_to(np.asarray(theta, dtype=float), snr.shape)
     k, beta, out = _qos_rows(theta, T, B)
+    law, mu = model.unit
+    x, folded = _fold(snr, mu, "snr")
+    out = [o or f for o, f in zip(out, folded)]
     # ln 2 at theta = 0, where the rate is in nats
     scale = np.where(theta > 0, k, LN2)
     rows = np.flatnonzero([o is None for o in out])
     if not rows.size:
         return out
     try:
-        roots, errors = _power_rows(snr[rows], beta[rows], model)
+        roots, errors = _power_rows(x[rows], beta[rows], law)
     except NumericalError as exc:
         return [exc if o is None else o for o in out]
     log_total = np.empty(len(rows))
@@ -587,10 +612,11 @@ def _csit_rows(snr, theta, T: float, B, model: FadingModel) -> list:
     if not water.all():
         b = beta[rows][~water]
         log_total[~water] = roots.take(~water).ln_mean_power(b / (b + 1.0),
-                                                             snr[rows][~water])
+                                                             x[rows][~water])
     se = np.maximum(-log_total / scale[rows], 0.0)
+    ln_mu = math.log(mu)
     for j, i in enumerate(rows):
-        out[i] = errors[j] or (float(se[j]), float(roots.x[j]))
+        out[i] = errors[j] or (float(se[j]), float(roots.x[j]) + ln_mu)
     return out
 
 

@@ -32,6 +32,16 @@ Gamma law's E{e^(-cz)} = (1 + c s)^-m is in closed form, at every finite c.
 The threshold solves read each model's panels or atoms through the sums
 at their edges (_Groups), built once and whole down to the floor: 344
 groups for Rayleigh, 2,594 from m = 8 on; every law has some.
+The rates and thresholds read a Gamma law through its mean-1 law (unit:
+z = mu t), with the mean folded into snr, c and alpha by their batches,
+so the grid, its edge sums and the threshold solves see mean-1 laws
+alone, whose floor is 1e-280 up to m = 1e250; a scaled law keeps its own
+log_nodes and support_nodes.  From m of about 800 up the 16-node panels
+no longer hold the law's mass, and support nodes or edge sums whose
+weights miss 1 by more than TAIL_MASS raise NumericalError (cdf and
+quantile serve any m).
+moments() reads E{z^2} as E{z} kappa E{z}, kappa = E{z^2}/E{z}^2 formed
+without squaring a gain, and refuses one outside the normal doubles.
 _ContinuousModel remains only as an alias of NakagamiM for the benchmark's
 tracer, which wraps expect_above on it, until that tracer goes (ROADMAP
 item 1b).
@@ -59,7 +69,7 @@ import abc
 import functools
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -115,6 +125,7 @@ _LN_Z_WHOLE = math.log(1e-30)
 _LUMP_XS = 1e20
 _LN_Z_FLOOR = math.log(1e-280)
 _LN_MAX = math.log(np.finfo(float).max)
+_MIN_NORMAL = 2.0**-1022
 # Panels end at e^2 times the 1 - TAIL_MASS quantile q, and a threshold at
 # or above e q has no nodes.  For every Nakagami m >= 0.5 the mass beyond
 # e x holds less than 1e-18 of the mass beyond x at x = q, and less at
@@ -420,6 +431,19 @@ class FadingModel(abc.ABC):
     """Distribution of the instantaneous channel power gain z."""
 
     kind: str
+    mean: float  # E{z}
+
+    @property
+    def unit(self) -> tuple["FadingModel", float]:
+        """(law, mu) with z = mu t, t of law: the mean-1 law of the model's
+        shape and its mean.  A table is its own law at mu = 1: rescaling
+        its atoms would move its bits."""
+        return self, 1.0
+
+    @property
+    @abc.abstractmethod
+    def kappa(self) -> float:
+        """E{z^2}/E{z}^2, formed without squaring a gain."""
 
     @property
     @abc.abstractmethod
@@ -456,9 +480,13 @@ class FadingModel(abc.ABC):
         raising for a sharp integrand (see NakagamiM.expect_above).
         """
 
-    @abc.abstractmethod
     def moments(self) -> tuple[float, float]:
-        """(E{z}, E{z^2})."""
+        """(E{z}, E{z^2}), with E{z^2} = E{z} kappa E{z}; NumericalError
+        where E{z^2} is not a normal double."""
+        m2 = self.mean * self.kappa * self.mean
+        if not _MIN_NORMAL <= m2 < math.inf:
+            raise NumericalError(f"E{{z^2}} = {m2:g} of {self!r} leaves the normal doubles")
+        return self.mean, m2
 
     @abc.abstractmethod
     def laplace(self, c: float) -> tuple[float, float]:
@@ -552,6 +580,21 @@ class NakagamiM(FadingModel):
     @property
     def scale(self) -> float:
         return self.mean / self.m
+
+    @property
+    def unit(self) -> tuple[FadingModel, float]:
+        return (self, 1.0) if self.mean == 1.0 else (self._unit_law, self.mean)
+
+    @functools.cached_property
+    def _unit_law(self) -> "NakagamiM":
+        """The mean-1 law, built once, so its nodes are; a mean-1 law does
+        not hold itself, which would keep it alive until a cyclic GC."""
+        return replace(self, mean=1.0)
+
+    @property
+    def kappa(self) -> float:
+        """(m + 1)/m, E{t^2} of the mean-1 law."""
+        return (self.m + 1.0) / self.m
 
     @property
     def z_min(self) -> float:
@@ -654,7 +697,18 @@ class NakagamiM(FadingModel):
         """The grid panels down to _ln_z_floor as groups, then the partial
         panel above the floor when the floor is not on an edge."""
         first = round(_LN_TAIL_PAD / _PANEL) - 1
-        return _Groups(*self._rows_from(self._ln_z_floor), first, True)
+        groups = _Groups(*self._rows_from(self._ln_z_floor), first, True)
+        self._check_mass(groups.sums[1, -1])
+        return groups
+
+    def _check_mass(self, mass: float) -> None:
+        """Raise NumericalError unless a node set's weights sum to 1 within
+        TAIL_MASS; from m of about 800 up the 16-node panels miss more."""
+        if not abs(1.0 - mass) <= TAIL_MASS:
+            raise NumericalError(
+                f"the expectation nodes of the Nakagami law at m = {self.m:g} hold "
+                f"{mass:.17g} of its mass, not 1 to {TAIL_MASS:g}"
+            )
 
     def _ln_inverse_below(self, ln_f: float, y: np.ndarray) -> np.ndarray:
         """ln of a bound on E{1/z ; f e^-y <= z < f} for each y >= 0: the
@@ -680,7 +734,9 @@ class NakagamiM(FadingModel):
         u, ln_w = self._nodes_from(lo)
         # One node on the floor carries the mass below it, P(Z < s 1e-30).
         u, ln_w = np.append(lo, u), np.append(self.ln_cdf(lo), ln_w)
-        return u, ln_w, np.exp(u), np.exp(ln_w)
+        w = np.exp(ln_w)
+        self._check_mass(float(w.sum()))
+        return u, ln_w, np.exp(u), w
 
     def log_nodes(self, ln_lower: float) -> tuple[np.ndarray, np.ndarray]:
         if ln_lower == -math.inf:
@@ -718,9 +774,6 @@ class NakagamiM(FadingModel):
                 f"estimate {value:g}, error {abserr:g}"
             )
         return value
-
-    def moments(self) -> tuple[float, float]:
-        return self.mean, self.mean**2 * (self.m + 1.0) / self.m
 
     def laplace(self, c: float) -> tuple[float, float]:
         """L = (1 + x)^-m with x = c s, so r = m log1p(x)/c and, as
@@ -865,8 +918,17 @@ class BoundedTable(FadingModel):
             return 0.0
         return float(sum(p * g(z) for z, p in zip(self.zs[mask], self.ps[mask])))
 
-    def moments(self) -> tuple[float, float]:
-        return float(self.ps @ self.zs), float(self.ps @ self.zs**2)
+    @functools.cached_property
+    def mean(self) -> float:
+        return float(self.ps @ self.zs)
+
+    @functools.cached_property
+    def kappa(self) -> float:
+        """From the atoms over the top atom, y = z/z_max: E{y^2}/E{y}/E{y},
+        at least 1 (Jensen)."""
+        y = self.zs / self.zs[-1]
+        e1 = float(self.ps @ y)
+        return max(1.0, float(self.ps @ (y * y)) / e1 / e1)
 
     def laplace(self, c: float) -> tuple[float, float]:
         """The atom sums, with h = -c z: r = E{z phi(c z)} ln L / (L - 1),

@@ -32,6 +32,7 @@ from .effcap import (
     LN2,
     _check_mode,
     _csir_rows,
+    _fold,
     _csit_rows,
     _power_rows,
     _product,
@@ -298,8 +299,9 @@ def alpha_vs_zeta(
     and the limit threshold is z_max (inf for unbounded gains).  Each
     alpha(zeta) is exp of the threshold that the wideband CSIT sweep solves
     at the same point; every threshold of every theta comes from one
-    _power_rows batch, and every limit from one _alpha_star_rows.  A limit
-    that fails is warned about and stored as None, as a failed threshold is.
+    _power_rows batch on the model's mean-1 law at snr mu, as exp(ln a +
+    ln mu), and every limit from one _alpha_star_rows.  A limit that fails
+    is warned about and stored as None, as a failed threshold is.
     """
     if zeta_grid is None:
         zeta_grid = default_grid(WIDEBAND)
@@ -309,12 +311,15 @@ def alpha_vs_zeta(
     thetas = [float(theta) for theta in theta_list]
     stars = _alpha_star_rows(model, thetas, T, [pbar_over_n0] * len(thetas))
     _, beta, _ = _qos_rows(np.repeat(thetas, n), T, np.tile(1.0 / np.array(zetas), len(thetas)))
+    law, mu = model.unit
+    snr, rows = _fold(np.tile(pbar_over_n0 * np.array(zetas), len(thetas)), mu, "snr")
+    live = np.flatnonzero([row is None for row in rows])
     try:
-        roots, rows = _power_rows(np.tile(pbar_over_n0 * np.array(zetas), len(thetas)),
-                                  beta, model)
-        rows = [row or math.exp(x) for row, x in zip(rows, roots.x.tolist())]
+        roots, errors = _power_rows(snr[live], beta[live], law)
+        for i, error, x in zip(live.tolist(), errors, roots.x.tolist()):
+            rows[i] = error or math.exp(x + math.log(mu))
     except NumericalError as exc:
-        rows = [exc] * len(beta)
+        rows = [row or exc for row in rows]
     curves = []
     for k, (theta, star) in enumerate(zip(thetas, stars)):
         line = rows[k * n : (k + 1) * n]

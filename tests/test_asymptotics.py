@@ -263,6 +263,25 @@ class TestLowpowerCsir:
                 2.0, rel=1e-12
             )
 
+    def test_the_slope_does_not_cancel(self):
+        # (beta+1) kappa - beta cancelled to 0 at kappa = 1 from beta = 2^53,
+        # and "float division by zero" ended the asymptotics run; a table's
+        # kappa reads its atoms over the top one, so no gain is squared
+        for det in (Deterministic(1.3), Deterministic(4.9e199)):
+            for beta in (2.0**53, 1e20 / LN2, 1e300):
+                assert lowpower_csir(det, beta).slope_s0 == 2.0
+        # against the old form at the default thetas: Rayleigh's bits,
+        # Nakagami-2 within one ulp, a table within 1e-15
+        for theta in (0.0, 0.001, 0.01, 0.1, 1.0):
+            beta = QosConfig(theta, 2e-3, 1e5).beta
+            for model, ulps in ((RAY, 0), (NAK2, 1)):
+                kappa = (model.m + 1.0) / model.m
+                old = 2.0 / ((beta + 1.0) * kappa - beta)
+                assert abs(lowpower_csir(model, beta).slope_s0 - old) <= ulps * math.ulp(old)
+            m1, m2 = float(TAB.ps @ TAB.zs), float(TAB.ps @ TAB.zs**2)
+            old = 2.0 / ((beta + 1.0) * (m2 / (m1 * m1)) - beta)
+            assert lowpower_csir(TAB, beta).slope_s0 == pytest.approx(old, rel=1e-15, abs=0.0)
+
     def test_tags_and_validation(self):
         s = lowpower_csir(RAY, 1.0)
         assert (s.regime, s.mode, s.unbounded_support) == ("lowpower", "csir", False)
@@ -583,6 +602,18 @@ class TestSolveAlphaStar:
         got, want = wideband_csit(low, 0.1, T, 1e300), wideband_csit(NAK2, 0.1, T, 1.0)
         assert got.ebn0_min_db - want.ebn0_min_db == pytest.approx(3000.0, rel=1e-14)
         assert got.slope_s0 == pytest.approx(want.slope_s0, rel=1e-12)
+
+    def test_a_law_scaled_far_down_keeps_its_wideband_slope(self):
+        # H = E{ln^2(z/alpha*)/z ; z >= alpha*} scales as 1/mean, and the
+        # slope refused "curvature H = inf"; it reads alpha* H = a H_1 of the
+        # mean-1 law, whose value at Pbar/N0 = 1e4 it is
+        low = NakagamiM(2.0, mean=1e-300)
+        got, want = wideband_csit(low, 1e3, T, 1e304), wideband_csit(NAK2, 1e3, T, 1e4)
+        assert got.slope_s0 == want.slope_s0 == 2.000160025558617
+        assert got.ebn0_min_linear == pytest.approx(want.ebn0_min_linear * 1e300, rel=1e-14)
+        # solve_alpha_star reports H in units of z, 4.2e308, past the doubles
+        with pytest.raises(NumericalError, match="curvature H = inf"):
+            solve_alpha_star(low, 1e3, T, 1e304)
 
     def test_fixed_point_residual_small(self):
         for model in (RAY, NAK2):

@@ -14,12 +14,15 @@ import qos_energy
 from oracles import csv_artifact, json_artifact
 from qos_energy import (
     DivergentInverseMoment,
+    NakagamiM,
     NumericalError,
     QosConfig,
     Rayleigh,
     delay_limited_limit,
+    lowpower_csir,
     shannon_limit,
 )
+from qos_energy.effcap import LN2
 from qos_energy.cli import (
     _COMMANDS,
     MAX_GRID_POINTS,
@@ -1182,3 +1185,56 @@ class TestWriter:
         assert (out / "base.json").read_bytes() == want.encode()
         assert (out / "t\u00e9.csv").read_bytes() == csv_artifact(
             "h\u00e9", [("\u00e9", 1.0)]).encode("utf-8")
+
+
+class TestExtremeLaws:
+    """Laws that ended a run with exit 3 and nothing written, or warned:
+    each run now exits 0, with warnings as errors, as in the CI smokes."""
+
+    @pytest.mark.parametrize("mean", ("1e160", "1.8e-200"))
+    def test_a_sweep_of_a_law_whose_mean_squared_leaves_the_doubles(self, tmp_path, mean):
+        # the low-power asymptote squared the mean: "(34, 'Numerical result
+        # out of range')" at 1e160, "float division by zero" at 1.8e-200
+        argv = ["sweep", "--mean", mean, "--theta", "0.1,1", "--grid-points", "3",
+                "--out", str(tmp_path)]
+        assert main(argv) == 0
+        names = sorted(os.listdir(tmp_path))
+        first = {n: (tmp_path / n).read_bytes() for n in names}
+        assert main(argv) == 0
+        assert {n: (tmp_path / n).read_bytes() for n in names} == first
+        rows = load_json(tmp_path, "sweep_csir_lowpower_rayleigh.json")["curves"]
+        want = [lowpower_csir(Rayleigh(), QosConfig(t, 2e-3, 1e5).beta).slope_s0
+                for t in (0.1, 1.0)]
+        assert [c["asymptote"]["s0"] for c in rows] == want
+
+    def test_a_deterministic_slope_at_a_huge_beta(self, tmp_path):
+        # (beta+1) kappa - beta cancelled to 0: "float division by zero"
+        code, out = run(tmp_path, "asymptotics", "--model", "deterministic", "--mean", "1.3",
+                        "--theta", "0.1,1e20")
+        assert code == 0
+        rows = load_json(out, "asymptotics_csir_lowpower_deterministic.json")["results"]
+        assert [row["s0"] for row in rows] == [2.0, 2.0]
+
+    def test_a_deterministic_gain_past_the_square_root_of_the_doubles(self, tmp_path):
+        # squaring the atom warned "overflow encountered in square"
+        code, out = run(tmp_path, "asymptotics", "--model", "deterministic", "--mean", "4.9e199")
+        assert code == 0
+        rows = load_json(out, "asymptotics_csir_lowpower_deterministic.json")["results"]
+        assert {(row["s0"], row["ebn0_min_linear"]) for row in rows} == {(2.0, LN2 / 4.9e199)}
+
+    def test_a_shape_whose_nodes_lose_mass(self, tmp_path, capsys):
+        # the Shannon limits read 0.41 and 0.73 where they are about 1.0:
+        # they are nulls with a note, and the closed-form delay-limited
+        # values stand
+        code, out = run(tmp_path, "limits", "--model", "nakagami", "--m", "1e5")
+        assert code == 0
+        lines = notes(capsys)
+        assert len(lines) == 2
+        assert all("Nakagami law at m = 100000 hold" in line for line in lines)
+        results = load_json(out, "limits_nakagami100000.json")["results"]
+        assert results["shannon_csir"] is None and results["shannon_csit"] is None
+        assert results["delay_limited_csit"] == delay_limited_limit(1.0, "csit", NakagamiM(1e5))
+        code, out = run(tmp_path / "b", "limits", "--model", "nakagami", "--m", "700")
+        assert code == 0 and notes(capsys) == []
+        results = load_json(out, "limits_nakagami700.json")["results"]
+        assert None not in results.values()

@@ -3,6 +3,7 @@
 import functools
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -634,11 +635,15 @@ class TestNodeFloor:
             lambda: wideband_csit(RAY, 1e5, 2e-3, 1e4).ebn0_min_db, 29.2171774759872
         )
 
-    def test_a_floor_below_the_doubles_is_named_by_its_log(self):
-        # Rayleigh at mean 1e-300 has its floor at s 1e-30, 0 as a double;
-        # the message read "below the 0 floor"
-        with pytest.raises(NumericalError, match=r"below the exp\(-759.853\) floor"):
-            spectral_efficiency_csit(1e304, QosConfig(10.0, 2e-3, 1e5), Rayleigh(1e-300))
+    def test_a_scaled_law_refuses_as_its_unit_law(self):
+        # Rayleigh at mean 1e-300 solves on Rayleigh() at snr 1e304 * 1e-300:
+        # it named its own floor, s 1e-30, which is 0 as a double
+        qos = QosConfig(10.0, 2e-3, 1e5)
+        with pytest.raises(NumericalError, match="below the 1e-280 floor") as unit:
+            spectral_efficiency_csit(1e4, qos, Rayleigh())
+        with pytest.raises(NumericalError) as scaled:
+            spectral_efficiency_csit(1e304, qos, Rayleigh(1e-300))
+        assert str(scaled.value) == str(unit.value)
 
     def test_roots_below_the_floor_that_hold(self):
         # water-filling at snr 1e300 puts alpha near 1e-300: its rate is
@@ -656,6 +661,62 @@ class TestNodeFloor:
         # strong QoS above the floor, against mpmath
         got = spectral_efficiency_csit(10.0, QosConfig(30.0, 2e-3, 1e5), RAY)
         assert got == pytest.approx(0.0678873603717217, rel=1e-14)
+
+
+class TestUnitLaw:
+    """A Gamma law of mean mu reads its mean-1 law (FadingModel.unit) at
+    snr mu: each rate is that law's row at _product(snr, mu) bit for bit,
+    each ln alpha that row's plus ln mu, each refusal that row's, and a
+    snr mu outside the normal doubles is the row's own refusal.  Warnings
+    are errors here, as in the whole suite."""
+
+    LAWS = [
+        NakagamiM(2.0, mean=1e-300),
+        # overflowed its own edge sums with numpy warnings, and refused every
+        # CSIT row from snr 1e-300 to 1 for a wrong reason
+        NakagamiM(0.5, mean=1e-300),
+        NakagamiM(0.6, mean=1e-5),
+        NakagamiM(2.0, mean=1e3),
+        Rayleigh(1e160),
+    ]
+    SNRS = (1e-300, 1e-10, 1e-3, 1.0, 1e4, 1e300)
+
+    @staticmethod
+    def same(got, want, ln_mu):
+        if isinstance(want, NumericalError):
+            return type(got) is type(want) and str(got) == str(want)
+        if isinstance(want, tuple):
+            return got == (want[0], want[1] + ln_mu)
+        return type(got) is float and got == want
+
+    @pytest.mark.parametrize("law", LAWS, ids=repr)
+    @pytest.mark.parametrize("theta", (0.0, 0.1))
+    def test_rows_are_the_unit_law_rows(self, law, theta):
+        unit, mu = law.unit
+        assert unit == replace(law, mean=1.0) and type(unit) is type(law) and mu == law.mean
+        assert unit.unit == (unit, 1.0)
+        qos = QosConfig(theta, 2e-3, 1e5)
+        for batch in (_csir_rows, _csit_rows):
+            rows = batch(np.array(self.SNRS), theta, qos.T, np.full(len(self.SNRS), qos.B), law)
+            for snr, row in zip(self.SNRS, rows):
+                x = _product(snr, mu)
+                if not 2.0**-1022 <= x < math.inf:
+                    assert isinstance(row, NumericalError)
+                    assert f"snr*mean = exp({math.log(snr) + math.log(mu):g}) leaves" in str(row)
+                    continue
+                (want,) = batch([x], theta, qos.T, [qos.B], unit)
+                assert self.same(row, want, math.log(mu)), (batch, snr, row, want)
+                if batch is _csit_rows and not isinstance(want, NumericalError):
+                    ln_a = solve_alpha(snr, qos, law).ln_alpha
+                    assert ln_a == solve_alpha(x, qos, unit).ln_alpha + math.log(mu)
+
+    def test_the_carry_of_a_law_scaled_far_down(self):
+        # the tilted sums of the law's own nodes, near 1e300, overflowed in
+        # the carry of _Groups.tilted with a numpy warning on the way to
+        # this rate, the unit law's at snr 1
+        ((se, ln_a),) = _csit_rows([1e300], 0.0, 1.0, [1e5], NakagamiM(2.0, mean=1e-300))
+        assert se == 1.0228932493147938
+        assert ln_a == solve_alpha(1.0, QosConfig(0.0, 1.0, 1e5), NAK2).ln_alpha + math.log(1e-300)
 
 
 TABLE4 = BoundedTable(((0.0, 0.1), (0.3, 0.2), (1.0, 0.4), (2.5, 0.3)))

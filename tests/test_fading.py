@@ -1035,3 +1035,82 @@ class TestPlacement:
             assert j[k] == want
             assert f_above[k] == (f[i, want - 1] if want > 0 else 0.0)
             assert f_at[k] == (f[i, want] if want < groups.size else 0.0)
+
+
+class TestUnitAndMoments:
+    """FadingModel.unit, kappa and moments(): a Gamma law is its mean-1
+    law scaled by its mean, a table is its own unit law, and moments()
+    refuses an E{z^2} outside the normal doubles."""
+
+    def test_unit_laws(self):
+        assert Rayleigh(5.0).unit == (Rayleigh(), 5.0)
+        assert type(Rayleigh(5.0).unit[0]) is Rayleigh
+        assert NakagamiM(2.0, mean=3.0).unit == (NakagamiM(2.0), 3.0)
+        for law in (NakagamiM(2.0), *DISCRETE):
+            assert law.unit[0] is law and law.unit[1] == 1.0
+        # one unit law per scaled law, so its nodes are built once
+        law = NakagamiM(0.6, mean=1e-5)
+        assert law.unit[0] is law.unit[0]
+
+    def test_kappa_squares_no_gain(self):
+        assert NakagamiM(2.0, mean=1e160).kappa == 1.5
+        assert Rayleigh(1e-300).kappa == 2.0
+        assert Deterministic(4.9e199).kappa == 1.0
+        tab = BoundedTable(((0.0, 0.5), (4.9e199, 0.5)))
+        assert tab.kappa == 2.0 and tab.mean == 2.45e199
+
+    @pytest.mark.parametrize("law", [
+        NakagamiM(2.0, mean=1e160),
+        NakagamiM(2.0, mean=1.8e-200),
+        Deterministic(4.9e199),
+        Deterministic(1e-300),
+        BoundedTable(((0.0, 0.5), (4.9e199, 0.5))),
+    ], ids=repr)
+    def test_moments_past_the_doubles_are_refused(self, law):
+        # NakagamiM's mean**2 raised a bare OverflowError at 1e160, and
+        # the table's zs**2 warned "overflow encountered in square"
+        with pytest.raises(fading.NumericalError, match=r"E\{z\^2\} = .* leaves the normal doubles"):
+            law.moments()
+
+    def test_moments(self):
+        assert NakagamiM(2.0, mean=1e100).moments() == pytest.approx((1e100, 1.5e200), rel=1e-15)
+        assert Deterministic(2.0).moments() == (2.0, 4.0)
+
+
+class TestLargeShapes:
+    """Past m of about 700 the 16-node panels no longer hold a Nakagami
+    law's mass (1 - sum w = 3.7e-11 at m = 1,000, 0.59 at m = 1e5, where the
+    CSIR rate read 37 times too low): such a law's node grid refuses, so
+    every row on it does, while its CDF, quantile and closed forms answer."""
+
+    @pytest.mark.parametrize("m", (1e4, 1e5))
+    def test_a_shape_whose_nodes_lose_mass_is_refused(self, m):
+        law, name = NakagamiM(m), f"Nakagami law at m = {m:g} hold"
+        snr, theta, B = np.array([0.0, 0.5, 1.0]), 0.1, np.full(3, 1e5)
+        rows = effcap._csir_rows(snr, theta, 2e-3, B, law)
+        assert rows[0] == 0.0
+        assert all(isinstance(r, fading.NumericalError) and name in str(r) for r in rows[1:])
+        rows = effcap._csit_rows(snr[1:], theta, 2e-3, B[1:], law)
+        assert all(isinstance(r, fading.NumericalError) and name in str(r) for r in rows)
+        with pytest.raises(fading.NumericalError, match=name):
+            solve_alpha_star(law, 0.1, 2e-3, 1e4)
+        with pytest.raises(fading.NumericalError, match=name):
+            spectral_efficiency_csit(1.0, QosConfig(0.1, 2e-3, 1e5), NakagamiM(m, mean=3.0))
+        assert 0.4 < law.cdf(1.0) < 0.6 and law.quantile(0.5) == pytest.approx(1.0, abs=1e-3)
+        assert wideband_csir(law, 0.1, 2e-3, 1e4).slope_s0 > 0
+
+    def test_m_700_resolves(self):
+        # against QUADPACK on the density, as the CSIR rate is
+        # -ln E{(1 + snr z)^-beta}/(theta T B)
+        m, qos = 700.0, QosConfig(0.1, 2e-3, 1e5)
+        law = NakagamiM(m)
+        assert abs(1.0 - law.support_nodes[3].sum()) <= fading.TAIL_MASS
+        for snr in (0.1, 1.0, 10.0):
+            def f(z):
+                return math.exp((m - 1.0) * math.log(z * m) + math.log(m) - z * m
+                                - math.lgamma(m) - qos.beta * math.log1p(snr * z))
+            val, _ = quad(f, 0.4, 1.8, epsabs=0.0, epsrel=1e-13, limit=200, points=[1.0])
+            want = -math.log(val) / (qos.theta * qos.T * qos.B)
+            assert spectral_efficiency_csir(snr, qos, law) == pytest.approx(want, rel=1e-11)
+        assert spectral_efficiency_csit(1.0, qos, law) > 0
+        assert solve_alpha_star(law, 0.1, 2e-3, 1e4).ln_xi < 0
