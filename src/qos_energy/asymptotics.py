@@ -44,15 +44,17 @@ wideband regime", IEEE Trans. IT 48(6), 2002, the denominator
 Pbar/N0 + d(ln alpha)/dzeta E{(1/z), z >= alpha*} collapses to H/(2k),
 which yields the S0 above without the cancellation of its two terms.
 
-The wideband CSIT values are built in stages on one alpha*, and each
-stage makes its own checks once:
-    floor (_alpha_star_roots): each row's arguments, c (one exact
+The wideband values are built in stages, and each stage makes its own
+checks once:
+    alpha* (_alpha_star_roots): each row's arguments, c (one exact
         product, a normal double), the root on the model's mean-1 law
         at c mu and ln xi, as the columns (ln a, 1/k, I_1, H_1, ln xi)
-        of that law, a = alpha*/mu, for the surface cells and every
-        stage below;
-    slope (_csit_summary): H and S0, for wideband_csit, the asymptotics
-        command and the sweep asymptotes;
+        of that law, a = alpha*/mu, for the two stages below;
+    floor and slope (_wideband_rows): theta*T*(Pbar/N0) as one exact
+        product, CSIR from the model's pair (_laplace), CSIT from the
+        alpha* columns, theta = 0 at beta = 0 of the fixed bandwidth, for
+        wideband_csir, wideband_csit, the asymptotics command, the sweep
+        asymptotes and (floors alone) the Eb/N0 surface;
     derivative (_alpha_star_rows): H and alpha_dot(0), for
         solve_alpha_star and the alpha-star command alone.
 """
@@ -60,7 +62,7 @@ stage makes its own checks once:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -186,27 +188,12 @@ def wideband_csir(
     With c = theta*T*(Pbar/N0)/ln2, L = E{exp(-c z)} and r = -ln L / c:
         Eb/N0|min = -theta*T*(Pbar/N0) / ln L = ln2 / r
         S0 = 2 L (ln L)^2 / (c^2 E{z^2 exp(-c z)}) = 2 L r^2 / E{z^2 exp(-c z)}
-    from the model's pair (_laplace): closed forms for the Gamma law, atom
-    sums for a table, both finite as c rounds to 0, where they reach
-    ln2/E{z} and 2 E{z}^2/E{z^2}.  At theta = 0 both collapse to the
-    fixed-bandwidth values at beta = 0 (Jensen: the floor always sits at
-    or above ln2/E{z}).
+    from the model's pair (FadingModel.laplace), which reaches ln2/E{z}
+    and 2 E{z}^2/E{z^2} as c rounds to 0; at theta = 0 both are those
+    fixed-bandwidth values (Jensen: the floor always sits at or above
+    ln2/E{z}).  The one-row case of _asymptotes.
     """
-    _check_wideband_args(theta, T, pbar_over_n0)
-    if theta == 0:
-        return replace(lowpower_csir(model, 0.0), regime="wideband")
-    r, s0 = _laplace(model, _product(theta, T, pbar_over_n0) / LN2)
-    if not s0 < math.inf:
-        raise NumericalError(
-            "wideband CSIR slope overflows: S0 = 2 L r^2 / E{z^2 exp(-c z)} is past "
-            f"the doubles ({_wideband_params(model, theta, T, pbar_over_n0)})"
-        )
-    return AsymptoticSummary(
-        ebn0_min_linear=LN2 / r,
-        slope_s0=s0,
-        regime="wideband",
-        mode="csir",
-    )
+    return _one_row(_asymptotes(model, "csir", "wideband", [theta], T, None, pbar_over_n0))
 
 
 def _ln_xi(ln_xi: float, ln_a: float) -> float:
@@ -353,46 +340,61 @@ def wideband_csit(
 ) -> AsymptoticSummary:
     """Fixed-power wideband limits when the transmitter adapts its power.
 
-    Eb/N0|min = -theta*T*(Pbar/N0)/ln xi with xi from _alpha_star_roots.
-    The slope denominator Pbar/N0 + dln_alpha_dzeta I collapses to H/(2k),
-    so that, with no derivative to compute,
+    Eb/N0|min = -theta*T*(Pbar/N0)/ln xi with xi at alpha*.  The slope
+    denominator Pbar/N0 + dln_alpha_dzeta I collapses to H/(2k), so that,
+    with no derivative to compute,
 
         S0 = 2 xi (ln xi)^2 / (alpha* H)
 
     the transmitter-CSI image of the receiver-CSI 2 L (ln L)^2 /
-    (c^2 E{z^2 exp(-c z)}).  It is evaluated on the mean-1 law, as
-    alpha* H = a H_1 (_alpha_star_roots), as 2 exp(ln xi - ln a)
-    (ln xi)^2 / H_1 so that tiny a and xi cancel instead of underflowing;
-    an H_1 or a slope beyond the double range raises NumericalError.  theta
-    = 0 routes to the fixed-bandwidth CSIT limits.  The one-row case of
-    _asymptotes.
+    (c^2 E{z^2 exp(-c z)}).  theta = 0 routes to the fixed-bandwidth CSIT
+    limits.  The one-row case of _asymptotes.
     """
     return _one_row(_asymptotes(model, "csit", "wideband", [theta], T, None, pbar_over_n0))
 
 
-def _csit_summary(model, theta, T, pbar_over_n0, root) -> AsymptoticSummary:
-    """wideband_csit at theta from its _alpha_star_roots row: the slope
-    stage, on the mean-1 law's ln a and H_1, which it names as ln alpha*
-    and H."""
-    if root is None:
-        return replace(lowpower_csit(model, 0.0), regime="wideband")
-    ln_star, _, _, h, ln_xi = root
-    try:
-        ratio = math.exp(ln_xi - ln_star)
-    except OverflowError:
-        ratio = math.inf
-    s0 = 2.0 * ratio * ln_xi * ln_xi / h if 0 < h < math.inf else math.nan
-    if not math.isfinite(s0):
-        raise NumericalError(
-            f"wideband CSIT slope overflows: xi/alpha* = exp({ln_xi - ln_star:g}) "
-            f"over curvature H = {h:g} ({_wideband_params(model, theta, T, pbar_over_n0)})"
-        )
-    return AsymptoticSummary(
-        ebn0_min_linear=-_product(theta, T, pbar_over_n0) / ln_xi,
-        slope_s0=s0,
-        regime="wideband",
-        mode="csit",
-    )
+def _wideband_rows(model: FadingModel, mode: str, thetas, T: float, pbars) -> list:
+    """The floor and slope stage at each (thetas[i], pbars[i]): per row
+    (floor, S0), with S0 the slope's own NumericalError where only the
+    slope fails, or the floor's NumericalError.  Each row's arguments are
+    checked once (by _alpha_star_roots for CSIT), theta*T*(Pbar/N0) is one
+    exact _product for the batch, and theta = 0 takes the fixed-bandwidth
+    values at beta = 0.  A CSIR row takes ln2/r and S0 from _laplace.  A CSIT row takes -theta*T*(Pbar/N0)/ln xi and,
+    from the mean-1 law's alpha* H = a H_1 (_alpha_star_roots), S0 =
+    2 exp(ln xi - ln a) (ln xi)^2 / H_1, so that tiny a and xi cancel
+    instead of underflowing; an H_1 or S0 past the doubles is refused."""
+    if mode == "csit":
+        roots = _alpha_star_roots(model, thetas, T, pbars)
+    else:
+        for theta, pbar in zip(thetas, pbars):
+            _check_wideband_args(theta, T, pbar)
+    prods = _product(np.array(thetas, dtype=float), T, np.array(pbars, dtype=float))
+    out = []
+    for k, (theta, pbar, prod) in enumerate(zip(thetas, pbars, prods.tolist())):
+        try:
+            if theta == 0:
+                fixed = (lowpower_csir if mode == "csir" else lowpower_csit)(model, 0.0)
+                out.append((fixed.ebn0_min_linear, fixed.slope_s0))
+            elif mode == "csir":
+                r, s0 = _laplace(model, prod / LN2)
+                out.append((LN2 / r, s0 if s0 < math.inf else NumericalError(
+                    "wideband CSIR slope overflows: S0 = 2 L r^2 / E{z^2 exp(-c z)} is "
+                    f"past the doubles ({_wideband_params(model, theta, T, pbar)})")))
+            elif isinstance(roots[k], NumericalError):
+                out.append(roots[k])
+            else:
+                ln_a, _, _, h_1, ln_xi = roots[k]
+                try:
+                    ratio = math.exp(ln_xi - ln_a)
+                except OverflowError:
+                    ratio = math.inf
+                s0 = 2.0 * ratio * ln_xi * ln_xi / h_1 if 0 < h_1 < math.inf else math.nan
+                out.append((-prod / ln_xi, s0 if math.isfinite(s0) else NumericalError(
+                    f"wideband CSIT slope overflows: xi/alpha* = exp({ln_xi - ln_a:g}) over "
+                    f"curvature H = {h_1:g} ({_wideband_params(model, theta, T, pbar)})")))
+        except NumericalError as exc:
+            out.append(exc)
+    return out
 
 
 def _asymptotes(model: FadingModel, mode: str, regime: str, thetas, T: float,
@@ -401,27 +403,16 @@ def _asymptotes(model: FadingModel, mode: str, regime: str, thetas, T: float,
     the AsymptoticSummary or the NumericalError it raised.  B is used only
     in the lowpower regime and pbar_over_n0 only in the wideband one; the
     lowpower rows take their betas from one _qos_rows, and refuse a beta
-    that overflows; the wideband CSIT rows take every alpha* from one
-    _alpha_star_roots."""
+    that overflows; the wideband rows are one _wideband_rows batch."""
     if regime == "lowpower":
         lowpower = lowpower_csir if mode == "csir" else lowpower_csit
         _, betas, errors = _qos_rows(thetas, T, B)
         return [lowpower(model, beta) if beta < math.inf else error
                 for beta, error in zip(betas.tolist(), errors)]
-    if mode == "csit":
-        roots = _alpha_star_roots(model, thetas, T, [pbar_over_n0] * len(thetas))
-    out = []
-    for k, theta in enumerate(thetas):
-        try:
-            if mode == "csir":
-                out.append(wideband_csir(model, theta, T, pbar_over_n0))
-            elif isinstance(roots[k], NumericalError):
-                out.append(roots[k])
-            else:
-                out.append(_csit_summary(model, theta, T, pbar_over_n0, roots[k]))
-        except NumericalError as exc:
-            out.append(exc)
-    return out
+    rows = _wideband_rows(model, mode, thetas, T, [pbar_over_n0] * len(thetas))
+    return [row if isinstance(row, NumericalError) else row[1]
+            if isinstance(row[1], NumericalError) else AsymptoticSummary(*row, regime, mode)
+            for row in rows]
 
 
 def linear_approx(ebn0_db, summary: AsymptoticSummary):

@@ -72,7 +72,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import BracketFailure, DivergentInverseMoment, NumericalError, ThetaZero
-from .fading import _MIN_NORMAL, FadingModel, _ln_mean_exp
+from .fading import _LN_MAX, _MIN_NORMAL, FadingModel, _ln_mean_exp
 
 LN2 = math.log(2.0)
 
@@ -528,37 +528,43 @@ def _csir_rows(snr, theta, T: float, B, model: FadingModel) -> list:
     """CSIR rates of a batch: per row the spectral efficiency, or the
     NumericalError that row raised; snr >= 0, theta and B as for
     _csit_rows.  A row at snr = 0 has rate 0, a row at theta = 0 the
-    Shannon limit E{log2(1 + snr z)}; each row sums over the support nodes
-    on its own."""
+    Shannon limit E{log2(1 + snr z)}.  The batch reads the support nodes
+    once (a refused set is the refusal of every row left), and each row
+    sums over them on its own; where beta ln(1 + x z) passes the doubles,
+    the least L = ln(1 + x z) comes out: the rate is L_min/ln2 -
+    ln E{exp(-beta (L - L_min))}/(theta T B)."""
     snr = np.asarray(snr, dtype=float)
     theta = np.broadcast_to(np.asarray(theta, dtype=float), snr.shape)
     k, beta, out = _qos_rows(theta, T, B)
     law, mu = model.unit
     xs, folded = _fold(snr, mu, "snr")
     out = [0.0 if s == 0 else o or f for s, o, f in zip(snr.tolist(), out, folded)]
+    if None not in out:
+        return out
+    try:
+        u, ln_w, z, w = law.support_nodes
+    except NumericalError as exc:
+        return [exc if o is None else o for o in out]
     for i, (x, t, k_i, b) in enumerate(zip(*(a.tolist() for a in (xs, theta, k, beta)))):
         if out[i] is not None:
             continue
         try:
-            if t == 0:
-                out[i] = float(np.dot(law.support_nodes[3], _ln1p_nodes(x, law))) / LN2
-            else:
+            if t > 0:
                 law._check_lumped(x, b)
-                _, ln_w, _, w = law.support_nodes
-                out[i] = -_ln_mean_exp(ln_w, -b * _ln1p_nodes(x, law), w) / k_i
+            # ln(1 + x z): log1p(x z) while x z at the top node is a double
+            ln1p = (np.log1p(x * z) if x * float(z[-1]) < math.inf
+                    else np.logaddexp(0.0, math.log(x) + u))
+            if t == 0:
+                out[i] = float(np.dot(w, ln1p)) / LN2
+            elif b * float(ln1p[-1]) < math.inf:
+                out[i] = -_ln_mean_exp(ln_w, -b * ln1p, w) / k_i
+            else:
+                low = float(ln1p[0])
+                with np.errstate(over="ignore"):
+                    out[i] = low / LN2 - _ln_mean_exp(ln_w, -b * (ln1p - low), w) / k_i
         except NumericalError as exc:
             out[i] = exc
     return out
-
-
-def _ln1p_nodes(x: float, model: FadingModel) -> np.ndarray:
-    """ln(1 + x z) at the model's support nodes: log1p(x z) while x times
-    the top node is a double, logaddexp(0, ln x + ln z) past it, where x z
-    overflows."""
-    u, _, z, _ = model.support_nodes
-    if x * float(z[-1]) < math.inf:
-        return np.log1p(x * z)
-    return np.logaddexp(0.0, math.log(x) + u)
 
 
 def spectral_efficiency_csit(snr: float, qos: QosConfig, model: FadingModel) -> float:
@@ -707,8 +713,10 @@ def service_rate_csit(policy: PowerPolicy, z, qos: QosConfig, out=None):
     with np.errstate(divide="ignore", invalid="ignore"):
         r = np.log(np.asarray(z, dtype=float), out=out)
         r = np.fmax(np.subtract(r, policy.ln_alpha, out=out), 0.0, out=out)
-        r = np.multiply(qos.B, r, out=out)
-        return np.divide(r, (policy.beta + 1.0) * LN2, out=out)
+        if qos.B * (_LN_MAX - policy.ln_alpha) < math.inf:
+            return np.divide(np.multiply(qos.B, r, out=out), (policy.beta + 1.0) * LN2, out=out)
+        # B ln(z/alpha) may pass the doubles where the rate does not
+        return np.multiply(np.divide(r, (policy.beta + 1.0) * LN2, out=out), qos.B, out=out)
 
 
 def _check_snr(snr: float):

@@ -420,11 +420,17 @@ class _Groups:
 def _block_sums(s4, d, w, shift, below):
     """The tilted sums of _Groups.tilted within each block, before the
     carries, per exponent s4, block and edge.  Its temporaries,
-    len(s4) x blocks x 16 x 16, are gone when it returns."""
+    len(s4) x blocks x 16 x 16, are gone when it returns.  Where s D
+    passes ln DBL_MAX (a table's atoms more than e^709 apart), expm1(s D)
+    gx is exp(s D + ln gx), in the doubles wherever the product is."""
     sd = s4 * d
     gt = (w * np.expm1(sd)).sum(-1)[:, :, None, :]
     gx = (w * np.exp(sd)).sum(-1)[:, :, None, :]
-    return np.where(below, gt + np.expm1(s4 * shift) * gx, 0.0).sum(-1)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        carried = np.expm1(s4 * shift) * gx
+        if s4.max() * shift.max() > _LN_MAX:
+            carried = np.where(np.isfinite(carried), carried, np.exp(s4 * shift + np.log(gx)))
+    return np.where(below, gt + carried, 0.0).sum(-1)
 
 
 class FadingModel(abc.ABC):
@@ -935,22 +941,26 @@ class BoundedTable(FadingModel):
         phi(x) = -expm1(-x)/x, phi(0) = 1, which stays finite, at E{z}, as
         c z rounds away.  Where c times the top atom passes the doubles, h
         is -inf from c z = DBL_MAX/e up, where exp and expm1 of -c z are 0
-        and -1 all the same, and z phi(c z) is -expm1(-c z)/c.
+        and -1 all the same, and z phi(c z) is -expm1(-c z)/c.  Where every
+        atom is past that, none at 0, exp(-c z0) of the least atom z0 is all
+        of L to the last digit, so r = z0 and S0 = 2, as for a point mass.
         NumericalError unless 0 < r < inf."""
         u, ln_w, z, w = self.support_nodes
         if c * float(z[-1]) < math.inf:
             h = -c * z
             em1 = np.expm1(h)
             z_phi = z * np.divide(em1, h, out=np.ones_like(h), where=h < 0)
-        else:
-            below = u < (_LN_MAX - 1.0) - math.log(c)
+        elif (below := u < (_LN_MAX - 1.0) - math.log(c)).any():
             h = np.multiply(-c, z, out=np.full_like(z, -np.inf), where=below)
             em1 = np.expm1(h)
             z_phi = -em1 / c
+        else:
+            return float(z[0]), 2.0
         ln_l = _ln_mean_exp(ln_w, h, w, em1)
         r = float(np.dot(w, z_phi)) * (ln_l / math.expm1(ln_l) if ln_l else 1.0)
         if not 0 < r < math.inf:
-            raise NumericalError(f"-ln E{{exp(-c z)}}/c = {r:g} is not positive at c = {c:g}")
+            raise NumericalError(f"-ln E{{exp(-c z)}}/c = {r:g} at c = {c:g} is not a "
+                                 "positive finite double")
         ln_s0 = math.log(2.0) + 2.0 * math.log(r) - _logsumexp(ln_w + h - ln_l + 2.0 * u)
         return r, math.exp(ln_s0) if ln_s0 < _LN_MAX else math.inf
 

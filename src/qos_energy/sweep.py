@@ -25,17 +25,14 @@ from .asymptotics import (
     AsymptoticSummary,
     _alpha_star_rows,
     _asymptotes,
-    _laplace,
-    _alpha_star_roots,
+    _wideband_rows,
 )
 from .effcap import (
-    LN2,
     _check_mode,
     _csir_rows,
     _fold,
     _csit_rows,
     _power_rows,
-    _product,
     _qos_rows,
     bit_energy_db,
     to_db,
@@ -244,38 +241,22 @@ def ebn0_min_surface(
 ) -> Surface:
     """Bit-energy floor in dB over a (theta, pbar_over_n0) grid.
 
-    At theta > 0 a CSIR cell takes the floor ln2/r from the model's pair
-    (_laplace, r = -ln E{exp(-c z)}/c; a scalar closed form for the Gamma
-    law), and a CSIT cell from the xi of the floor stage _alpha_star_roots,
-    one batch for every CSIT cell, without the slope: a CSIT cell fails
-    only where that stage refuses, never for the slope's H.  Cells that
-    fail numerically are stored as None; a CSIT floor of 0 linear
-    (unbounded gains at theta = 0) is stored as -inf dB.
+    Every cell is a row of one _wideband_rows batch, the stage that forms
+    the asymptotes' floors, theta by theta: the floor ln2/r from the
+    model's pair at theta > 0 for CSIR, -theta*T*(Pbar/N0)/ln xi from one
+    _alpha_star_roots batch for CSIT, and the fixed-bandwidth floor at
+    theta = 0.  A cell reads the floor alone, so it fails only where its
+    floor is refused, never for the slope.  Cells that fail numerically
+    are stored as None; a CSIT floor of 0 linear (unbounded gains at theta
+    = 0) is stored as -inf dB.  An argument outside the domain of
+    wideband_csir raises ValueError.
     """
     _check_mode(mode)
     thetas = tuple(float(t) for t in theta_grid)
     pbars = tuple(float(p) for p in pbar_grid)
     n = len(pbars)
-    # (theta, Pbar/N0) of every cell, row by row, and theta*T*(Pbar/N0) as
-    # one exact product
-    cell_t, cell_p = np.repeat(thetas, n).tolist(), pbars * len(thetas)
-    prods = _product(np.array(cell_t), T, np.array(cell_p)).tolist()
-    roots = _alpha_star_roots(model, cell_t, T, cell_p) if mode == "csit" else [None] * len(prods)
-
-    def cell(theta: float, pn0: float, root, prod: float):
-        try:
-            if isinstance(root, NumericalError):
-                return root
-            if theta == 0:
-                (row,) = _asymptotes(model, mode, WIDEBAND, [theta], T, None, pn0)
-                return row if isinstance(row, NumericalError) else row.ebn0_min_db
-            if mode == "csir":
-                return to_db(LN2 / _laplace(model, prod / LN2)[0])
-            return to_db(-prod / root[-1])
-        except NumericalError as exc:
-            return exc
-
-    cells = [cell(*args) for args in zip(cell_t, cell_p, roots, prods)]
+    floors = _wideband_rows(model, mode, np.repeat(thetas, n).tolist(), T, pbars * len(thetas))
+    cells = [row if isinstance(row, NumericalError) else to_db(row[0]) for row in floors]
     rows = [tuple(_gaps(cells[i * n : (i + 1) * n], t, pbars, "surface cell", "pbar_over_n0"))
             for i, t in enumerate(thetas)]
     return Surface(
@@ -300,8 +281,10 @@ def alpha_vs_zeta(
     alpha(zeta) is exp of the threshold that the wideband CSIT sweep solves
     at the same point; every threshold of every theta comes from one
     _power_rows batch on the model's mean-1 law at snr mu, as exp(ln a +
-    ln mu), and every limit from one _alpha_star_rows.  A limit that fails
-    is warned about and stored as None, as a failed threshold is.
+    ln mu), and every limit from one _alpha_star_rows.  A point whose beta
+    passes the doubles keeps _qos_rows' refusal and is not solved.  A
+    limit that fails is warned about and stored as None, as a failed
+    threshold is.
     """
     if zeta_grid is None:
         zeta_grid = default_grid(WIDEBAND)
@@ -310,9 +293,12 @@ def alpha_vs_zeta(
 
     thetas = [float(theta) for theta in theta_list]
     stars = _alpha_star_rows(model, thetas, T, [pbar_over_n0] * len(thetas))
-    _, beta, _ = _qos_rows(np.repeat(thetas, n), T, np.tile(1.0 / np.array(zetas), len(thetas)))
+    _, beta, refused = _qos_rows(np.repeat(thetas, n), T,
+                                 np.tile(1.0 / np.array(zetas), len(thetas)))
     law, mu = model.unit
     snr, rows = _fold(np.tile(pbar_over_n0 * np.array(zetas), len(thetas)), mu, "snr")
+    # a beta past the doubles is refused; a subnormal theta*T*B water-fills
+    rows = [error if b == math.inf else row for error, row, b in zip(refused, rows, beta.tolist())]
     live = np.flatnonzero([row is None for row in rows])
     try:
         roots, errors = _power_rows(snr[live], beta[live], law)

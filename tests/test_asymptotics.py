@@ -369,6 +369,26 @@ class TestWidebandCsir:
         assert got.ebn0_min_linear == pytest.approx(1.4185251268633578e303, rel=1e-13, abs=0.0)
         assert got.slope_s0 == pytest.approx(496965.14924311671, rel=1e-13, abs=0.0)
 
+    def test_a_table_pair_where_every_c_z_passes_the_doubles(self):
+        # c = 1.44e308: exp(-c z) is 0 on every positive atom.  With no zero
+        # atom, L = 0 and r came out inf, refused as "not positive", where
+        # r = z and S0 = 2; with the zero atom, L = 0.1, r = ln 10 / c and S0
+        # passes the doubles (E{z^2 exp(-c z)} is 0)
+        c = 1e308 / LN2
+        table = BoundedTable(((0.0, 0.1), (0.3, 0.2), (1.0, 0.4), (2.5, 0.3)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r, s0 = Deterministic(1.3).laplace(c)
+            got = wideband_csir(Deterministic(1.3), 1e5, 1e3, 1e300)
+            r_table, s0_table = table.laplace(c)
+            with pytest.raises(NumericalError, match="slope overflows"):
+                wideband_csir(table, 1e5, 1e3, 1e300)
+        assert (r, s0) == (1.3, pytest.approx(2.0, rel=1e-15))
+        assert got.ebn0_min_linear == LN2 / 1.3
+        assert got.slope_s0 == pytest.approx(2.0, rel=1e-15)
+        assert r_table == pytest.approx(math.log(10.0) / c, rel=1e-14)
+        assert s0_table == math.inf
+
     def test_rayleigh_slope_reference_values(self):
         want = {0.001: 1.0288, 0.01: 1.2817, 0.1: 3.3401, 1.0: 12.3484}
         for theta, s0 in want.items():

@@ -4,8 +4,11 @@ import argparse
 import json
 import math
 import os
+import random
+import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +28,7 @@ from qos_energy import (
 from qos_energy.effcap import LN2
 from qos_energy.cli import (
     _COMMANDS,
+    _KEYS,
     MAX_GRID_POINTS,
     _model_tag,
     _write,
@@ -1238,3 +1242,89 @@ class TestExtremeLaws:
         assert code == 0 and notes(capsys) == []
         results = load_json(out, "limits_nakagami700.json")["results"]
         assert None not in results.values()
+
+
+FUZZ_SEED, FUZZ_COUNT = 0, 300
+
+
+def fuzz_argv(rnd, config_path) -> list:
+    """One argv drawn from _COMMANDS and _KEYS: a command, a model (Rayleigh,
+    Nakagami with m from 0.5 to 1e3, deterministic, or a table of 1-4 atoms
+    from 1e-300 to 1e300, with or without a zero atom), sometimes --mean,
+    and each of the command's flags left at its default or drawn: theta,
+    T, B and --pn0 log-uniform from 1e-300 to 1e300, --grid-points 4.
+    Tables, and simulate-queue's small frame count, go in a config file."""
+
+    def log_uniform():
+        return 10.0 ** rnd.uniform(-300.0, 300.0)
+
+    command = rnd.choice(sorted(_COMMANDS))
+    defaults = _COMMANDS[command][2]
+    argv, config = [command], {}
+    kind = rnd.choice(["rayleigh", "nakagami", "deterministic", "table"])
+    if kind == "table":
+        zs = sorted({log_uniform() for _ in range(rnd.randint(1, 4))})
+        if rnd.random() < 0.5:
+            zs[0] = 0.0
+        ws = [rnd.random() + 0.01 for _ in zs]
+        config["model"] = {"kind": "table", "points": [[z, w / sum(ws)] for z, w in zip(zs, ws)]}
+    else:
+        argv += ["--model", kind]
+        if kind == "nakagami":
+            argv += ["--m", repr(10.0 ** rnd.uniform(math.log10(0.5), 3.0))]
+        if rnd.random() < 0.5:
+            argv += ["--mean", repr(log_uniform())]
+    for key, (parse, flag, _) in _KEYS.items():
+        if flag is None or key not in defaults or key == "out":
+            continue
+        if key == "grid_points":
+            argv += [flag, "4"]
+        elif rnd.random() < 0.5:
+            continue
+        elif key == "theta":
+            thetas = [0.0 if rnd.random() < 0.1 else log_uniform()
+                      for _ in range(rnd.randint(1, 3))]
+            argv += [flag, ",".join(map(repr, thetas))]
+        elif getattr(parse, "choices", None):
+            argv += [flag, rnd.choice(parse.choices)]
+        elif key == "seed":
+            argv += [flag, str(rnd.randint(0, 99))]
+        else:
+            argv += [flag, repr(log_uniform())]
+    if command == "simulate-queue":
+        config["frames"] = 2000
+    if config:
+        config_path.write_text(json.dumps(config))
+        argv += ["--config", str(config_path)]
+    return argv
+
+
+class TestSeededFuzz:
+    """Seeded argvs over every command, key and model, run in process: each
+    exits 0, 2 or 3, a 3 with a numerical failure, without a warning other
+    than the package's notes, with no NaN in what it writes, and a rerun
+    writes the same bytes."""
+
+    @staticmethod
+    def run(argv, out, capsys):
+        shutil.rmtree(out, ignore_errors=True)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([*argv, "--out", str(out)])
+        err = capsys.readouterr().err
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.is_dir() else {}
+        return code, err, [str(w.message) for w in caught], files
+
+    def test_seeded_argvs(self, tmp_path, capsys):
+        rnd = random.Random(FUZZ_SEED)
+        out = tmp_path / "out"
+        for _ in range(FUZZ_COUNT):
+            argv = fuzz_argv(rnd, tmp_path / "config.json")
+            first = self.run(argv, out, capsys)
+            code, err, caught, files = first
+            assert code in (0, 2, 3), (argv, err)
+            assert code != 3 or "numerical failure" in err, (argv, err)
+            assert caught == [], (argv, caught)
+            for name, text in files.items():
+                assert b'"nan"' not in text and b",nan" not in text.lower(), (argv, name)
+            assert self.run(argv, out, capsys) == first, argv

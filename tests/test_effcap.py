@@ -484,6 +484,50 @@ class TestProductsPastTheDoubles:
         c = pn0 / LN2
         assert row[0] == pytest.approx(to_db(LN2 * c / math.log(10.0)), rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "model, want",
+        [(Deterministic(1.0), 1e300),
+         (BoundedTable(((0.5, 0.5), (2.0, 0.5))), 0.5e300)],
+        ids=["deterministic", "two atoms"],
+    )
+    def test_csir_rate_whose_beta_ln1p_passes_the_doubles(self, model, want):
+        # beta ln(1 + x z) = 7.2e306 * 690.8 overflowed to inf, and the rate
+        # with it; the least atom's log2(1 + x z) is the rate to the last
+        # digits, as the other atom's term is exp(-1e307)
+        qos = QosConfig(1e300, 1.0, 5e6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = spectral_efficiency_csir(1e300, qos, model)
+        assert got == pytest.approx(math.log2(want), rel=1e-15)
+
+    def test_water_filling_on_atoms_past_e_to_the_709_apart(self):
+        # the tilted sums shifted the top atom's 1/z down to the lower one by
+        # expm1(s ln(1e600)), which overflowed; alpha = 1/2 / (snr + 1/2e-300)
+        # while alpha is above the lower atom
+        table = BoundedTable(((1e-300, 0.5), (1e300, 0.5)))
+        qos = QosConfig(0.0, 1.0, 1.0)
+        for snr in (1e-10, 1.0, 1e250):
+            alpha = 0.5 / (snr + 0.5e-300)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = solve_alpha(snr, qos, table)
+                rate = shannon_limit(snr, "csit", qos, table)
+            assert got.alpha == pytest.approx(alpha, rel=1e-12)
+            assert rate == pytest.approx(0.5 * (math.log2(1e300) - math.log2(alpha)), rel=1e-12)
+
+    def test_csit_service_rate_whose_b_ln_ratio_passes_the_doubles(self):
+        # B ln(z/alpha) = 2.3e189 * 3.6e159 overflowed before the division
+        # by (beta + 1) ln 2; the rate is B ln(z/alpha)/((beta + 1) ln 2)
+        qos = QosConfig(0.05, 1.2e69, 2.3e189)
+        pol = PowerPolicy(ln_alpha=-3.6e159, beta=qos.beta)
+        z = np.array([0.5, 2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = service_rate_csit(pol, z, qos)
+        ratio = (np.log(z) - pol.ln_alpha) / ((pol.beta + 1.0) * LN2)
+        assert got == pytest.approx(qos.B * ratio, rel=1e-14)
+        assert np.all(np.isfinite(got))
+
 
 def math_product(*factors):
     """theta*T*B as a loop of math.frexp and math.ldexp, one scalar at a time."""

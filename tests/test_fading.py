@@ -1099,6 +1099,22 @@ class TestLargeShapes:
         assert 0.4 < law.cdf(1.0) < 0.6 and law.quantile(0.5) == pytest.approx(1.0, abs=1e-3)
         assert wideband_csir(law, 0.1, 2e-3, 1e4).slope_s0 > 0
 
+    def test_a_refused_node_set_is_built_once_per_batch(self, monkeypatch):
+        # a raise is not cached, so each row rebuilt the whole set
+        built = []
+        real = NakagamiM._support_nodes
+
+        def counting(law):
+            built.append(law)
+            return real(law)
+
+        monkeypatch.setattr(NakagamiM, "_support_nodes", counting)
+        snr, theta = np.array([0.5, 1.0, 2.0, 4.0]), np.array([0.1, 0.0, 0.1, 0.0])
+        rows = effcap._csir_rows(snr, theta, 2e-3, np.full(4, 1e5), NakagamiM(1e5))
+        assert len(built) == 1
+        assert all(isinstance(r, fading.NumericalError)
+                   and "Nakagami law at m = 100000 hold" in str(r) for r in rows)
+
     def test_m_700_resolves(self):
         # against QUADPACK on the density, as the CSIR rate is
         # -ln E{(1 + snr z)^-beta}/(theta T B)

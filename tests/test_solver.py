@@ -321,7 +321,6 @@ class TestEvaluationBudget:
         monkeypatch.setattr(effcap, "_thresholds", counted("thresholds", effcap._thresholds))
         stars = counted("alpha_star", asymptotics._alpha_star_roots)
         monkeypatch.setattr(asymptotics, "_alpha_star_roots", stars)
-        monkeypatch.setattr(sweep_mod, "_alpha_star_roots", stars)
         assert main([*argv, "--out", str(tmp_path)]) == 0
         capsys.readouterr()
         assert calls == {"thresholds": thresholds, "alpha_star": 1}

@@ -383,7 +383,7 @@ class TestSurface:
         def broken(model, c):
             raise NumericalError("cell broke")
 
-        monkeypatch.setattr(sweep_mod, "_laplace", broken)
+        monkeypatch.setattr(asymptotics, "_laplace", broken)
         with pytest.warns(UserWarning, match="cell broke"):
             surf = ebn0_min_surface("csir", RAY, (0.1,), (1e3, 1e4), T)
         assert surf.ebn0_min_db == ((None, None),)
@@ -392,6 +392,19 @@ class TestSurface:
     def test_validation(self):
         with pytest.raises(ValueError):
             ebn0_min_surface("blind", RAY, (0.1,), (1e4,), T)
+
+    @pytest.mark.parametrize("mode", ["csir", "csit"])
+    @pytest.mark.parametrize(
+        "thetas, pbars, t",
+        [((-0.1,), (1e3,), T), ((math.nan,), (1e3,), T), ((0.1,), (-1e3,), T),
+         ((0.1,), (math.nan,), T), ((0.1,), (1e3,), -T), ((0.1,), (1e3,), math.nan)],
+        ids=["theta<0", "theta=nan", "pbar<0", "pbar=nan", "T<0", "T=nan"],
+    )
+    def test_arguments_outside_the_domain_raise(self, mode, thetas, pbars, t):
+        # the CSIR surface wrote -2.31 dB for a negative theta, Pbar/N0 or T
+        # and a NaN cell for theta = NaN
+        with pytest.raises(ValueError, match="must be"):
+            ebn0_min_surface(mode, RAY, thetas, pbars, t)
 
 
 class TestAlphaVsZeta:
@@ -441,6 +454,33 @@ class TestAlphaVsZeta:
         assert ok.star.alpha_star == solve_alpha_star(RAY, 0.1, T, PN0).alpha_star
         assert failed.star is None
 
+    def test_a_beta_past_the_doubles_is_refused_before_the_solve(self, monkeypatch):
+        # the theta*T*B = inf row was solved anyway, and refused as "no root
+        # in the double range"; it keeps _qos_rows' refusal, as the CSIT
+        # sweep does, and stays out of the threshold batch
+        snrs = []
+
+        def recording(snr, beta, law):
+            snrs.extend(snr.tolist())
+            return effcap._power_rows(snr, beta, law)
+
+        monkeypatch.setattr(sweep_mod, "_power_rows", recording)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            alpha_vs_zeta(RAY, [1e306], 2e-3, 1e4, [1e-9, 1e-3])
+        assert str(caught[0].message) == (
+            "threshold failed at theta=1e+306, zeta=1e-09: theta*T*B = inf leaves the "
+            "normal doubles (theta=1e+306, T=0.002, B=1e+09)")
+        assert snrs == [1e4 * 1e-3]
+
+    def test_a_subnormal_theta_t_b_water_fills(self):
+        # theta*T*B = 2e-315 is refused by the rates, but the threshold is
+        # solve_alpha's
+        with pytest.warns(UserWarning, match="alpha\\* failed"):
+            (curve,) = alpha_vs_zeta(RAY, [1e-320], T, PN0, [1e-8])
+        want = effcap.solve_alpha(PN0 * 1e-8, QosConfig(1e-320, T, 1.0 / 1e-8), RAY).alpha
+        assert curve.alphas == (want,)
+
     def test_a_failed_threshold_batch_leaves_every_threshold_a_gap(self, monkeypatch):
         def broken(*args):
             raise NumericalError("synthetic batch failure")
@@ -472,9 +512,9 @@ def csit_spec(model, regime, thetas=CLI_THETAS, grid=None) -> SweepSpec:
     )
 
 
-def record_batches(monkeypatch, name) -> list:
-    """Record (args, out) of every call of the batch sweep_mod.<name>."""
-    real = getattr(sweep_mod, name)
+def record_batches(monkeypatch, name, module=sweep_mod) -> list:
+    """Record (args, out) of every call of the batch module.<name>."""
+    real = getattr(module, name)
     calls = []
 
     def recording(*args):
@@ -482,7 +522,7 @@ def record_batches(monkeypatch, name) -> list:
         calls.append((args, out))
         return out
 
-    monkeypatch.setattr(sweep_mod, name, recording)
+    monkeypatch.setattr(module, name, recording)
     return calls
 
 
@@ -534,7 +574,7 @@ class TestWarmStarts:
     def test_csit_surface_roots_match_cold_solves(self, monkeypatch, model):
         # the surface reads the floor half of the alpha* rows: (ln alpha*,
         # ln k, I, H, ln xi) per row, each with the bits of a one-row solve
-        calls = record_batches(monkeypatch, "_alpha_star_roots")
+        calls = record_batches(monkeypatch, "_alpha_star_roots", asymptotics)
         surf = ebn0_min_surface("csit", model, SURFACE_THETAS, SURFACE_PBARS, T)
         assert surf.failures == 0
         [((m, thetas, t, pbars), rows)] = calls
@@ -671,8 +711,8 @@ class TestColdRestartAfterGap:
         # the surface solves its cells row by row, theta outer
         bad = {i * len(pbars) + k for i in range(3) for k in FAILING}
         monkeypatch.setattr(
-            sweep_mod, "_alpha_star_roots",
-            failing_rows(sweep_mod._alpha_star_roots, bad),
+            asymptotics, "_alpha_star_roots",
+            failing_rows(asymptotics._alpha_star_roots, bad),
         )
         with pytest.warns(UserWarning, match="synthetic failure"):
             surf = ebn0_min_surface("csit", RAY, thetas, pbars, T)
