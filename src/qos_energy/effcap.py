@@ -24,10 +24,11 @@ xi of the wideband CSIT floor.  theta = 0 degenerates
 to the ergodic (Shannon) limits: the csir formula becomes E{log2(1+SNR z)}
 and the threshold equation becomes classical water-filling (beta = 0).
 
-Rates come in batches (_csir_rows, _csit_rows), one row per point, with
-one-row cases below.  _qos_rows forms a batch's theta*T*B as one exact
-_product and refuses each row whose theta*T*B or beta is not a normal
-double; each CSIR row sums over the support nodes on its own.  Each
+Rates and thresholds come in batches (_csir_rows, _csit_rows and
+_alpha_rows), one row per point, with one-row cases below.  _qos_rows
+forms a batch's theta*T*B as one exact _product and refuses each row
+whose theta*T*B or beta is not a normal double (_alpha_rows refuses only
+the beta); each CSIR row sums over the support nodes on its own.  Each
 batch reads the mean-1 law of its model (FadingModel.unit, z = mu t):
 the rates see z only through snr z = (snr mu) t and z/alpha, so _fold
 takes snr mu in, as one exact product whose row is refused outside the
@@ -38,14 +39,13 @@ All solves run on ln(alpha): the threshold shrinks like
 (1+SNR z)^-(beta+1) for degenerate channels and would underflow long
 before its logarithm does.  Thresholds are solved in batches
 (_power_rows, or _log_moment_rows for alpha*), one row per point: a CSIT
-sweep or alpha(zeta) set is one batch over every theta and grid point,
-and the one-point functions below are the one-row case.  Each model keeps
-sums at its grid edges or atoms (fading._Groups), built whole, and each
-equation places its rows on its own edge values: the mean power at an
-edge is the tilted sum for the row's exponent 1/(beta+1), which
-_Groups.search reads only until all the exponent's rows are placed, and
-L1 at the edges is a fixed nondecreasing sum, searched once for every
-alpha* row.  _thresholds then solves and refuses.  A root above the top
+sweep (_csit_rows) or alpha(zeta) set (_alpha_rows) is one batch over
+every theta and grid point.  Each model keeps sums at its grid edges or
+atoms (fading._Groups), built whole, and each equation places its rows on
+its own edge values: the mean power at an edge is the tilted sum for the
+row's exponent 1/(beta+1), which _Groups.search reads only until all the
+exponent's rows are placed, and L1 at the edges is a fixed nondecreasing
+sum, searched once for every alpha* row.  _thresholds then solves and refuses.  A root above the top
 of a density's nodes is refused.  Between two atoms, or below the last
 edge, the root is a closed form; below a density's last edge, the floor
 of its nodes (1e-280 on a mean-1 law), a row is refused where the law
@@ -499,17 +499,31 @@ def solve_alpha(snr: float, qos: QosConfig, model: FadingModel) -> PowerPolicy:
 
     The mean transmit power is strictly decreasing in alpha, so the root is
     unique; theta = 0 (beta = 0) gives the classical water-filling threshold.
-    The one-row case of _power_rows.
+    The one-row case of _alpha_rows.
     """
     if not (snr > 0 and math.isfinite(snr)):
         raise ValueError(f"snr must be positive and finite, got {snr}")
+    return PowerPolicy(_one_row(_alpha_rows([snr], qos.theta, qos.T, [qos.B], model)), qos.beta)
+
+
+def _alpha_rows(snr, theta, T: float, B, model: FadingModel) -> list:
+    """Thresholds of a batch: per row ln alpha with E{mu_opt} = snr > 0 at beta = theta*T*B/ln2,
+    or that row's NumericalError; theta and B as for _csit_rows.  A beta past the doubles keeps
+    _qos_rows' refusal (a subnormal theta*T*B water-fills), an snr*mean _fold's; the other rows
+    are one _power_rows batch on the mean-1 law, ln a + ln mu; a law whose nodes are refused
+    refuses them all."""
+    _, beta, refused = _qos_rows(theta, T, B)
     law, mu = model.unit
-    x, (error,) = _fold([snr], mu, "snr")
-    if error is None:
-        roots, (error,) = _power_rows(x, np.array([qos.beta]), law)
-    if error is not None:
-        raise error
-    return PowerPolicy(float(roots.x[0]) + math.log(mu), qos.beta)
+    x, out = _fold(snr, mu, "snr")
+    out = [error if b == math.inf else o for error, o, b in zip(refused, out, beta.tolist())]
+    live = np.flatnonzero([o is None for o in out])
+    try:
+        roots, errors = _power_rows(x[live], beta[live], law)
+    except NumericalError as exc:
+        return [o or exc for o in out]
+    for i, error, ln_a in zip(live.tolist(), errors, (roots.x + math.log(mu)).tolist()):
+        out[i] = error or ln_a
+    return out
 
 
 def spectral_efficiency_csir(snr: float, qos: QosConfig, model: FadingModel) -> float:

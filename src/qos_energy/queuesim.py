@@ -34,6 +34,7 @@ import numpy as np
 from .effcap import (
     QosConfig,
     _check_mode,
+    _product,
     service_rate_csir,
     service_rate_csit,
     shannon_limit,
@@ -41,8 +42,8 @@ from .effcap import (
     spectral_efficiency_csir,
     spectral_efficiency_csit,
 )
-from .errors import InsufficientSamples, ThetaZero, Unstable
-from .fading import FadingModel, _logsumexp
+from .errors import InsufficientSamples, NumericalError, ThetaZero, Unstable
+from .fading import _MIN_NORMAL, FadingModel, _logsumexp
 
 _CHUNK = 1 << 16
 # Chunks the worker may draw ahead of the caller.  One would do on CPUs
@@ -191,7 +192,8 @@ def simulate_queue(config: SimConfig) -> TailEstimate:
     """Run the Lindley recursion and fit the exceedance tail.
 
     Raises Unstable when the arrival rate is at or above the ergodic
-    capacity (no stationary tail exists) and InsufficientSamples when the
+    capacity (no stationary tail), NumericalError when the block's running
+    sum leaves the doubles, and InsufficientSamples when the
     largest threshold was crossed fewer than 100 times after warmup, or
     when a crossed threshold is the only one, as a line needs two points.
     """
@@ -204,6 +206,11 @@ def simulate_queue(config: SimConfig) -> TailEstimate:
             "stationary distribution"
         )
     thresholds = np.asarray(config.q_thresholds)
+    # The queue runs in units of T/unit bits, unit the least power of two above T while T < 1
+    # and 1 after: exact, so no count moves; a level past the doubles is never reached.
+    unit = math.ldexp(1.0, min(math.frexp(qos.T)[1], 0))
+    with np.errstate(over="ignore"):
+        levels = thresholds / (qos.T / unit)
     counts = np.zeros(len(thresholds), dtype=np.int64)
     q_tail = 0.0
     done = 0
@@ -216,24 +223,24 @@ def simulate_queue(config: SimConfig) -> TailEstimate:
         # The block works in place in its rates array and two buffers: a
         # fresh chunk-sized array per step costs page faults whenever the
         # allocator has handed the last one back to the system.
-        x = np.subtract(
-            config.arrival_rate * qos.T, np.multiply(rates, qos.T, out=rates),
-            out=rates,
-        )
-        s = np.cumsum(x, out=s_buf[:x.size])
-        # Q_j = S_j - min(min_{k<=j} S_k, -Q_0) for the block, which matches
-        # iterating Lindley from Q_0.  No clamp at 0 is needed: the min
-        # includes S_j itself.  fmin and minimum differ only at a NaN, and
-        # the stream has none (the CSIT rate's fmax maps NaN to 0); fmin's
-        # accumulate is the faster.
-        q = np.fmin.accumulate(s, out=x)
-        q = np.subtract(s, np.minimum(q, -q_tail, out=q), out=q)
+        # Q_j = S_j - min(min_{k<=j} S_k, -Q_0) for the block, which matches iterating Lindley from
+        # Q_0.  No clamp at 0 is needed: the min includes S_j itself.  fmin and minimum differ only
+        # at a NaN, and a NaN or inf in the sum stays to the run's end, where it is refused.
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = np.subtract(config.arrival_rate, rates, out=rates)
+            x = x if unit == 1 else np.multiply(x, unit, out=x)
+            s = np.cumsum(x, out=s_buf[:x.size])
+            q = np.fmin.accumulate(s, out=x)
+            q = np.subtract(s, np.minimum(q, -q_tail, out=q), out=q)
         q_tail = float(q[-1])
         post = q[max(warm - done, 0):]
-        for i, thr in enumerate(thresholds):
+        for i, thr in enumerate(levels):
             hit = np.greater(post, thr, out=above[:post.size])
             counts[i] += int(np.count_nonzero(hit))
         done += rates.size
+    if not math.isfinite(q_tail):
+        raise NumericalError(f"the block's running sum of arrivals less service leaves the "
+                             f"doubles (T={qos.T:g}, arrival rate {config.arrival_rate:g} bits/s)")
     n_post = config.frames - warm
     if counts[0] == 0:
         return TailEstimate(
@@ -255,7 +262,11 @@ def simulate_queue(config: SimConfig) -> TailEstimate:
             f"(q={thresholds[0]:g})"
         )
     log_p = np.log(counts / n_post)
-    slope, intercept = np.polyfit(thresholds, log_p, 1)
+    # polyfit squares x, which leaves the doubles past about 1e+-154; in the power of two of
+    # the largest threshold its column scaling gives back the same bits
+    k = math.frexp(thresholds[-1])[1]
+    slope, intercept = np.polyfit(np.ldexp(thresholds, -k), log_p, 1)
+    slope = math.ldexp(slope, -k)
     pred = slope * thresholds + intercept
     ss_res = float(np.sum((log_p - pred) ** 2))
     ss_tot = float(np.sum((log_p - log_p.mean()) ** 2))
@@ -279,8 +290,10 @@ def effective_capacity_empirical(
 ) -> float:
     """Monte Carlo effective capacity in bits/s from simulated service rates.
 
-    Log-domain averaging in chunks, so millions of frames cost memory for
-    one chunk only and extreme exponents cannot overflow.
+    Averaged in chunks, so millions of frames cost memory for one chunk only.  As in
+    fading._ln_mean_exp, ln E{exp(-theta T r)} is log1p of the mean of expm1 while that mean
+    is above -1/2 (weak QoS), else the log-sum-exp; theta*T, one exact product, is refused
+    outside the normal doubles.
     """
     _check_mode(mode)
     if qos.theta == 0:
@@ -288,12 +301,18 @@ def effective_capacity_empirical(
     frames = int(frames)
     if frames < 1:
         raise ValueError(f"frames must be >= 1, got {frames}")
-    pieces = [
-        _logsumexp(np.multiply(rates, -qos.theta * qos.T, out=rates))
-        for rates in _service_rates(model, snr, qos, mode, frames, seed)
-    ]
-    log_mean = _logsumexp(np.array(pieces)) - math.log(frames)
-    return -log_mean / (qos.theta * qos.T)
+    k = _product(qos.theta, qos.T)
+    if not _MIN_NORMAL <= k < math.inf:
+        raise NumericalError(f"theta*T = {k:g} leaves the normal doubles "
+                             f"(theta={qos.theta:g}, T={qos.T:g})")
+    pieces, em1 = [], 0.0
+    for rates in _service_rates(model, snr, qos, mode, frames, seed):
+        h = np.multiply(rates, -k, out=rates)
+        pieces.append(_logsumexp(h))
+        em1 += float(np.expm1(h, out=h).sum())
+    if em1 / frames > -0.5:
+        return -math.log1p(em1 / frames) / k
+    return -(_logsumexp(np.array(pieces)) - math.log(frames)) / k
 
 
 def predicted_effective_capacity(

@@ -1,15 +1,17 @@
 """Dataset generation: tradeoff curves, bit-energy surfaces, threshold curves.
 
 Everything here is a deterministic map from a declarative spec to arrays of
-floats, so reruns with the same inputs are byte-identical.  A tradeoff
-sweep takes the rates of all its grid lines, every theta at every grid
-point, as one CSIR or CSIT batch (for CSIT, one batch of thresholds), as
-alpha_vs_zeta takes its thresholds, and each call solves all its alpha*
-as one; each batch forms its theta*T*B, or a surface its theta*T*(Pbar/N0),
-as one exact product, and a row of a batch gets the same bits as that
-point alone.  _gaps then walks the lines, theta by theta: a point where
-the numerics give up becomes a gap (None) with a Python warning and never
-aborts the sweep.
+floats, so reruns with the same inputs are byte-identical.  The module
+reads batches and nothing else: a tradeoff sweep takes the rates of every
+theta at every grid point as one CSIR or CSIT batch, alpha_vs_zeta its
+thresholds as one _alpha_rows batch and its alpha* as one, and a surface
+its floors as one _wideband_rows batch.  The batches form theta*T*B (or
+theta*T*(Pbar/N0)), fold the model's mean in and refuse per row, and a
+row gets the same bits as that point alone.  _lines then splits each
+flat batch, theta outer, into one line per theta: a point where the
+numerics give up becomes a gap (None) with a Python warning and never
+aborts the sweep, and a theta's point gaps are warned before its
+asymptote or alpha* gap.
 """
 
 from __future__ import annotations
@@ -27,16 +29,7 @@ from .asymptotics import (
     _asymptotes,
     _wideband_rows,
 )
-from .effcap import (
-    _check_mode,
-    _csir_rows,
-    _fold,
-    _csit_rows,
-    _power_rows,
-    _qos_rows,
-    bit_energy_db,
-    to_db,
-)
+from .effcap import _alpha_rows, _check_mode, _csir_rows, _csit_rows, bit_energy_db, to_db
 from .errors import NumericalError
 from .fading import FadingModel
 
@@ -159,33 +152,14 @@ def _gap(result, label: str, *args):
     return result
 
 
-def _gaps(results, theta: float, values, what: str, axis: str) -> list:
-    """The results of one grid line, one per value, each through _gap."""
-    return [_gap(result, "{} failed at theta={:g}, {}={:g}", what, theta, axis, value)
-            for value, result in zip(values, results)]
-
-
-def _sweep_se(spec: SweepSpec) -> list:
-    """Per theta of spec, the spectral efficiency per grid value, or the
-    NumericalError of that point; None for a rate that is not positive and
-    finite.  A sweep is one _csit_rows or _csir_rows batch over every theta
-    and grid value."""
-    grid = np.array(spec.grid)
-    if spec.regime == LOWPOWER:
-        snrs, bands = grid, np.full(grid.size, float(spec.B))
-    else:
-        snrs, bands = spec.pbar_over_n0 * grid, 1.0 / grid
-    lines = len(spec.theta_list)
-    batch = _csit_rows if spec.mode == "csit" else _csir_rows
-    rows = batch(np.tile(snrs, lines), np.repeat(spec.theta_list, grid.size),
-                 spec.T, np.tile(bands, lines), spec.model)
-    rows = [
-        row if isinstance(row, NumericalError)
-        else se if 0 < (se := row[0] if spec.mode == "csit" else row) < math.inf
-        else None
-        for row in rows
-    ]
-    return [rows[k : k + grid.size] for k in range(0, len(rows), grid.size)]
+def _lines(results, thetas, values, what: str, axis: str):
+    """Yield the line of each theta of a flat batch, theta outer: one result
+    per value, each through _gap, one line at a time, so that a caller's
+    own warning for a theta follows that theta's point gaps."""
+    n = len(values)
+    for k, theta in enumerate(thetas):
+        yield [_gap(result, "{} failed at theta={:g}, {}={:g}", what, theta, axis, value)
+               for value, result in zip(values, results[k * n : (k + 1) * n])]
 
 
 def _check_rate_monotone(theta: float, grid, points) -> None:
@@ -207,14 +181,26 @@ def _check_rate_monotone(theta: float, grid, points) -> None:
 
 
 def tradeoff_curve(spec: SweepSpec) -> list[Curve]:
-    """Sweep SE vs Eb/N0 for every theta in the spec; gaps never abort."""
+    """Sweep SE vs Eb/N0 for every theta in the spec; gaps never abort.  A
+    rate that is not positive and finite is a gap without a warning."""
     asyms = _asymptotes(spec.model, spec.mode, spec.regime, spec.theta_list,
                         spec.T, spec.B, spec.pbar_over_n0)
+    grid = np.array(spec.grid)
+    if spec.regime == LOWPOWER:
+        snrs, bands, scale = grid, np.full(grid.size, float(spec.B)), 1.0
+    else:
+        snrs, bands, scale = spec.pbar_over_n0 * grid, 1.0 / grid, spec.pbar_over_n0
+    lines = len(spec.theta_list)
+    batch = _csit_rows if spec.mode == "csit" else _csir_rows
+    rows = batch(np.tile(snrs, lines), np.repeat(spec.theta_list, grid.size),
+                 spec.T, np.tile(bands, lines), spec.model)
+    rows = [row if isinstance(row, NumericalError)
+            else se if 0 < (se := row[0] if spec.mode == "csit" else row) < math.inf else None
+            for row in rows]
     curves = []
-    for theta, asym, ses in zip(spec.theta_list, asyms, _sweep_se(spec)):
-        ses = _gaps(ses, theta, spec.grid, "tradeoff point", "grid")
+    for theta, asym, ses in zip(spec.theta_list, asyms,
+                                _lines(rows, spec.theta_list, spec.grid, "tradeoff point", "grid")):
         failures = ses.count(None)
-        scale = 1.0 if spec.regime == LOWPOWER else spec.pbar_over_n0
         pts = [
             TradeoffPoint(None if se is None else bit_energy_db(scale * g, se), se)
             for g, se in zip(spec.grid, ses)
@@ -257,8 +243,7 @@ def ebn0_min_surface(
     n = len(pbars)
     floors = _wideband_rows(model, mode, np.repeat(thetas, n).tolist(), T, pbars * len(thetas))
     cells = [row if isinstance(row, NumericalError) else to_db(row[0]) for row in floors]
-    rows = [tuple(_gaps(cells[i * n : (i + 1) * n], t, pbars, "surface cell", "pbar_over_n0"))
-            for i, t in enumerate(thetas)]
+    rows = [tuple(line) for line in _lines(cells, thetas, pbars, "surface cell", "pbar_over_n0")]
     return Surface(
         theta_grid=thetas,
         pbar_grid=pbars,
@@ -279,42 +264,22 @@ def alpha_vs_zeta(
     At theta = 0 the policy is water-filling at SNR = pbar_over_n0 * zeta
     and the limit threshold is z_max (inf for unbounded gains).  Each
     alpha(zeta) is exp of the threshold that the wideband CSIT sweep solves
-    at the same point; every threshold of every theta comes from one
-    _power_rows batch on the model's mean-1 law at snr mu, as exp(ln a +
-    ln mu), and every limit from one _alpha_star_rows.  A point whose beta
-    passes the doubles keeps _qos_rows' refusal and is not solved.  A
-    limit that fails is warned about and stored as None, as a failed
-    threshold is.
+    at the same point: every threshold of every theta is a row of one
+    _alpha_rows batch, and every limit of one _alpha_star_rows.  A
+    threshold or limit that fails is warned about and stored as None.
     """
     if zeta_grid is None:
         zeta_grid = default_grid(WIDEBAND)
     zetas = tuple(float(z) for z in zeta_grid)
-    n = len(zetas)
-
     thetas = [float(theta) for theta in theta_list]
     stars = _alpha_star_rows(model, thetas, T, [pbar_over_n0] * len(thetas))
-    _, beta, refused = _qos_rows(np.repeat(thetas, n), T,
-                                 np.tile(1.0 / np.array(zetas), len(thetas)))
-    law, mu = model.unit
-    snr, rows = _fold(np.tile(pbar_over_n0 * np.array(zetas), len(thetas)), mu, "snr")
-    # a beta past the doubles is refused; a subnormal theta*T*B water-fills
-    rows = [error if b == math.inf else row for error, row, b in zip(refused, rows, beta.tolist())]
-    live = np.flatnonzero([row is None for row in rows])
-    try:
-        roots, errors = _power_rows(snr[live], beta[live], law)
-        for i, error, x in zip(live.tolist(), errors, roots.x.tolist()):
-            rows[i] = error or math.exp(x + math.log(mu))
-    except NumericalError as exc:
-        rows = [row or exc for row in rows]
-    curves = []
-    for k, (theta, star) in enumerate(zip(thetas, stars)):
-        line = rows[k * n : (k + 1) * n]
-        curves.append(
-            AlphaZetaCurve(
-                theta=theta,
-                zetas=zetas,
-                alphas=tuple(_gaps(line, theta, zetas, "threshold", "zeta")),
-                star=_gap(star, "alpha* failed for theta={:g}", theta),
-            )
-        )
-    return curves
+    rows = _alpha_rows(np.tile(pbar_over_n0 * np.array(zetas), len(thetas)),
+                       np.repeat(thetas, len(zetas)), T,
+                       np.tile(1.0 / np.array(zetas), len(thetas)), model)
+    alphas = [row if isinstance(row, NumericalError) else math.exp(row) for row in rows]
+    return [
+        AlphaZetaCurve(theta=theta, zetas=zetas, alphas=tuple(line),
+                       star=_gap(star, "alpha* failed for theta={:g}", theta))
+        for theta, star, line in zip(thetas, stars,
+                                     _lines(alphas, thetas, zetas, "threshold", "zeta"))
+    ]

@@ -815,14 +815,14 @@ class TestSweepCommand:
         import qos_energy.sweep as sweep_mod
         from qos_energy.errors import NumericalError
 
-        real = sweep_mod._sweep_se
+        real = sweep_mod._csir_rows
 
-        def flaky(spec):
-            lines = real(spec)
-            lines[0][1] = NumericalError("synthetic failure")
-            return lines
+        def flaky(*args):
+            rows = real(*args)
+            rows[1] = NumericalError("synthetic failure")
+            return rows
 
-        monkeypatch.setattr(sweep_mod, "_sweep_se", flaky)
+        monkeypatch.setattr(sweep_mod, "_csir_rows", flaky)
         code, out = run(tmp_path, "sweep", "--theta", "0.01", "--grid-points", "4")
         assert code == 0
         texts = notes(capsys)
@@ -876,17 +876,17 @@ class TestAlphaStarCommand:
     @staticmethod
     def failing_threshold(monkeypatch):
         """Make the second threshold of the alpha-star batch fail."""
-        import qos_energy.sweep as sweep_mod
+        from qos_energy import effcap
         from qos_energy.errors import NumericalError
 
-        real = sweep_mod._power_rows
+        real = effcap._power_rows
 
         def flaky(*args):
             roots, errors = real(*args)
             errors[1] = NumericalError("synthetic failure")
             return roots, errors
 
-        monkeypatch.setattr(sweep_mod, "_power_rows", flaky)
+        monkeypatch.setattr(effcap, "_power_rows", flaky)
 
     def test_gap_thresholds_are_notes(self, tmp_path, capsys, monkeypatch):
         self.failing_threshold(monkeypatch)
@@ -1328,3 +1328,48 @@ class TestSeededFuzz:
             for name, text in files.items():
                 assert b'"nan"' not in text and b",nan" not in text.lower(), (argv, name)
             assert self.run(argv, out, capsys) == first, argv
+
+    # simulate-queue argvs drawn at fuzz seeds 43, 82, 44 and 66 (the
+    # argvs after 144, 54, 116 and 18 draws), each with 2,000 frames.  In
+    # the first two the Lindley block's rate*T pass left the doubles, and
+    # the NaN queue was written as one that never reached a threshold.  In
+    # the last two the default thresholds k/theta, near 1e-167 and 1e-208,
+    # squared to 0 in the tail fit: LAPACK wrote DLASCL lines to stderr,
+    # and the run exited 3 with "SVD did not converge".
+    QUEUE_ARGVS = {
+        "huge-T": (["--T", "5.225314919976005e+299", "--format", "json"],
+                   [[1.1521689001621643e-285, 0.05242683283673525],
+                    [4.6149773826711566e+30, 0.3017073835225347],
+                    [2.169226925906126e+280, 0.6458657836407301]]),
+        "huge-B": (["--model", "nakagami", "--m", "19.47635392668043",
+                    "--mean", "2.2939516091370355e+131", "--theta", "1.989206299356782e-252",
+                    "--T", "8.500695549987693e+17", "--B", "1.4016060367789934e+298",
+                    "--mode", "csit"], None),
+        "thresholds-1e-167": (["--model", "nakagami", "--m", "59.670788880528214",
+                               "--theta", "6.937992595764491e+166", "--mode", "csit",
+                               "--seed", "78"], None),
+        "thresholds-1e-208": (["--model", "nakagami", "--m", "85.23247818590367",
+                               "--mean", "2.3314159359935086e-20",
+                               "--theta", "4.861266398995167e+207", "--mode", "csit",
+                               "--seed", "12", "--format", "csv"], None),
+    }
+
+    @pytest.mark.parametrize("name", QUEUE_ARGVS)
+    def test_fixed_queue_argvs(self, tmp_path, capfd, name):
+        flags, points = self.QUEUE_ARGVS[name]
+        config = {"frames": 2000}
+        if points is not None:
+            config["model"] = {"kind": "table", "points": points}
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        argv = ["simulate-queue", *flags, "--config", str(config_path)]
+        # capfd also takes what LAPACK writes to the stderr descriptor
+        first = self.run(argv, tmp_path / "out", capfd)
+        code, err, caught, files = first
+        assert code == 0 or (code == 3 and "numerical failure" in err), err
+        assert caught == []
+        assert "DLASCL" not in err
+        assert files
+        for fname, text in files.items():
+            assert b'"nan"' not in text and b",nan" not in text.lower(), fname
+        assert self.run(argv, tmp_path / "out", capfd) == first

@@ -186,6 +186,16 @@ class TestSolveAlpha:
         pol = solve_alpha(snr, qos, RAY)
         assert pol.alpha == pytest.approx(a_ref, rel=1e-9)
 
+    def test_a_beta_past_the_doubles_is_refused_as_the_rates_refuse_it(self):
+        # it was solved, and refused as "no root in the double range"
+        qos = QosConfig(1e300, 1e10, 1.0)
+        want = "theta*T*B = inf leaves the normal doubles (theta=1e+300, T=1e+10, B=1)"
+        for fn in (solve_alpha, spectral_efficiency_csit):
+            with pytest.raises(NumericalError) as refused:
+                fn(1.0, qos, RAY)
+            assert type(refused.value) is NumericalError
+            assert str(refused.value) == want
+
     def test_validation(self):
         with pytest.raises(ValueError):
             solve_alpha(0.0, QOS, RAY)

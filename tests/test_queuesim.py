@@ -7,6 +7,7 @@ import sys
 import threading
 import time
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from oracles import effective_capacity_from_rates
 from qos_energy import (
     Deterministic,
     InsufficientSamples,
+    NumericalError,
     QosConfig,
     Rayleigh,
     SimConfig,
@@ -179,6 +181,38 @@ class TestLindleyRecursion:
                     frames=20000, seed=2, q_thresholds=(10.0,),
                 ))
         assert caught == []
+
+    def test_a_queue_past_the_doubles_is_refused(self, monkeypatch):
+        # infinite rates made the queue NaN, which is above no threshold:
+        # the run came back as a queue that never reached one
+        def infinite(*args):
+            yield np.full(500, np.inf)
+            yield np.full(500, 1.0)
+
+        monkeypatch.setattr(qs_mod, "_service_rates", infinite)
+        with pytest.raises(NumericalError, match="running sum .* leaves the doubles"):
+            simulate_queue(SimConfig(
+                model=RAY, snr=SNR, qos=QOS, mode="csir", arrival_rate=1e4,
+                frames=1000, seed=1, q_thresholds=(10.0, 20.0),
+            ))
+
+    def test_a_short_frame_keeps_the_headroom_of_bits(self):
+        # in units of T the block's running sum at B = 1e304 passed the
+        # doubles within a chunk and the run was refused; in bits (T < 1)
+        # it stays finite and matches the scalar loop
+        cfg = SimConfig(
+            model=RAY, snr=SNR, qos=replace(QOS, B=1e304), mode="csir",
+            arrival_rate=1e303, frames=70000, seed=1,
+            q_thresholds=(1e299, 1e300, 2e300),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = simulate_queue(cfg)
+        counts = _scalar_reference(cfg, qs_mod._CHUNK)
+        n_post = cfg.frames - cfg.warmup_frames
+        assert est.log_tail_probs == tuple(
+            float(v) for v in np.log(np.asarray(counts, float) / n_post)
+        )
 
     def test_constant_service_never_queues(self):
         det = Deterministic(1.0)
@@ -388,6 +422,27 @@ class TestTailDecay:
         probs = est.log_tail_probs
         assert all(b <= a for a, b in zip(probs, probs[1:]))
 
+    @pytest.mark.parametrize("shift", [-600, 600])
+    def test_thresholds_past_1e154_fit_the_same_line(self, shift):
+        # T and the thresholds scaled by 2^shift give the same counts and,
+        # fit in the power of two of the largest threshold, the same bits;
+        # polyfit's column norm underflowed (LinAlgError, with
+        # LAPACK's DLASCL lines on stderr) or overflowed for them
+        arrival = predicted_effective_capacity(RAY, SNR, QOS, "csir")
+
+        def fit(scale):
+            return simulate_queue(SimConfig(
+                model=RAY, snr=SNR, qos=replace(QOS, T=QOS.T * scale), mode="csir",
+                arrival_rate=arrival, frames=30000, seed=5,
+                q_thresholds=tuple(q * scale for q in (20.0, 40.0, 60.0)),
+            ))
+
+        scale = math.ldexp(1.0, shift)
+        base, scaled = fit(1.0), fit(scale)
+        assert scaled.log_tail_probs == base.log_tail_probs
+        assert scaled.fitted_decay == base.fitted_decay / scale
+        assert scaled.fit_rsquared == base.fit_rsquared
+
     def test_slack_arrival_decays_faster(self):
         arrival = predicted_effective_capacity(RAY, SNR, QOS, "csir")
         est = simulate_queue(SimConfig(
@@ -453,6 +508,24 @@ class TestEmpiricalEffectiveCapacity:
         assert rms[0] > rms[1] > rms[2]
         assert rms[0] / rms[2] > 3.0
         assert rms[2] / pred < 5e-3
+
+    @pytest.mark.parametrize("theta", [1e-15, 1e-18, 1e-300])
+    def test_weak_qos_is_the_sample_mean(self, theta):
+        # the chunked log-sum-exp less ln N cancelled: 85,265.1 at 1e-15
+        # and -0.0 from 1e-18 down, for a sample mean of 85,826.629
+        frames, rng = 200_000, np.random.default_rng(1)
+        z = np.concatenate([RAY.sample(rng, min(qs_mod._CHUNK, frames - done))
+                            for done in range(0, frames, qs_mod._CHUNK)])
+        mean = float(service_rate_csir(SNR, z, QOS).mean())
+        emp = effective_capacity_empirical(RAY, SNR, QosConfig(theta, 2e-3, 1e5), "csir",
+                                           frames, 1)
+        assert emp == pytest.approx(mean, rel=1e-12)
+
+    @pytest.mark.parametrize("theta, T, k", [(1e300, 1e10, "inf"), (1e-300, 1e-10, "1e-310")])
+    def test_theta_t_past_the_normal_doubles_is_refused(self, theta, T, k):
+        # theta*T = inf gave nan; a subnormal theta*T keeps too few digits
+        with pytest.raises(NumericalError, match=rf"theta\*T = {k} leaves the normal doubles"):
+            effective_capacity_empirical(RAY, SNR, QosConfig(theta, T, 1.0), "csir", 100, 1)
 
     def test_validation(self):
         with pytest.raises(ValueError):

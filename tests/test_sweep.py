@@ -459,12 +459,13 @@ class TestAlphaVsZeta:
         # in the double range"; it keeps _qos_rows' refusal, as the CSIT
         # sweep does, and stays out of the threshold batch
         snrs = []
+        real = effcap._power_rows
 
         def recording(snr, beta, law):
             snrs.extend(snr.tolist())
-            return effcap._power_rows(snr, beta, law)
+            return real(snr, beta, law)
 
-        monkeypatch.setattr(sweep_mod, "_power_rows", recording)
+        monkeypatch.setattr(effcap, "_power_rows", recording)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             alpha_vs_zeta(RAY, [1e306], 2e-3, 1e4, [1e-9, 1e-3])
@@ -485,7 +486,7 @@ class TestAlphaVsZeta:
         def broken(*args):
             raise NumericalError("synthetic batch failure")
 
-        monkeypatch.setattr(sweep_mod, "_power_rows", broken)
+        monkeypatch.setattr(effcap, "_power_rows", broken)
         with pytest.warns(UserWarning, match="synthetic batch failure"):
             (curve,) = alpha_vs_zeta(RAY, (0.1,), T, PN0, zeta_grid=(1e-8, 1e-5))
         assert curve.alphas == (None, None)
@@ -554,7 +555,7 @@ class TestWarmStarts:
 
     @pytest.mark.parametrize("model", [RAY, NakagamiM(m=2.0), TABLE], ids=repr)
     def test_alpha_vs_zeta_roots_match_cold_solves(self, monkeypatch, model):
-        calls = record_batches(monkeypatch, "_power_rows")
+        calls = record_batches(monkeypatch, "_power_rows", effcap)
         alpha_vs_zeta(model, CLI_THETAS, T, PN0)
         [((snr, beta, m), (roots, errors))] = calls
         n = 60 * len(CLI_THETAS)
@@ -615,7 +616,6 @@ class TestOneBatchPerCall:
             return real(snr, beta, model)
 
         monkeypatch.setattr(effcap, "_power_rows", counting)
-        monkeypatch.setattr(sweep_mod, "_power_rows", counting)
         return calls
 
     @pytest.mark.parametrize("regime", ["lowpower", "wideband"])
@@ -695,7 +695,7 @@ class TestColdRestartAfterGap:
     def test_alpha_vs_zeta_point_after_a_gap(self, monkeypatch):
         zetas = default_grid("wideband")
         monkeypatch.setattr(
-            sweep_mod, "_power_rows", failing_rows(sweep_mod._power_rows, FAILING)
+            effcap, "_power_rows", failing_rows(effcap._power_rows, FAILING)
         )
         with pytest.warns(UserWarning, match="synthetic failure"):
             (curve,) = alpha_vs_zeta(RAY, (0.1,), T, PN0, zeta_grid=zetas)
